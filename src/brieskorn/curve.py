@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 from typing import Optional, Sequence
 
@@ -30,21 +31,14 @@ from .local_algebra import (
     jacobian_ideal,
     jet_key_order,
     monomials_below,
+    monomials_of_weighted_degree,
     mu,
     poly_vec,
     saturate_at_origin,
     stable_colength,
     twisted_quotient_dim,
 )
-from .poly import (
-    Exponents,
-    Poly,
-    WeightSystem,
-    format_fraction,
-    graded_key,
-    listing_key,
-    weighted_degree,
-)
+from .poly import Poly, WeightSystem, format_fraction, graded_key, listing_key
 
 
 @dataclass(frozen=True)
@@ -80,8 +74,7 @@ class FactoredCurve:
                 raise InputError("factors must be nonconstant")
             if u.constant_value() != 0:
                 raise InputError(f"factor {u} does not vanish at the origin")
-            low = min(u.terms, key=graded_key)
-            normalized.append((u * (Fraction(1) / u.terms[low]), p))
+            normalized.append((u.lowest_monic(), p))
         for i in range(len(normalized)):
             for j in range(i + 1, len(normalized)):
                 if normalized[i][0] == normalized[j][0]:
@@ -391,14 +384,6 @@ def _volume_vec(form: DiffForm) -> Vec:
     return poly_vec(form.coefficient((0, 1)))
 
 
-def _x_primitive(p: Poly) -> Poly:
-    """Termwise primitive in the first variable."""
-    terms = {}
-    for (a, b), c in p.terms.items():
-        terms[(a + 1, b)] = c * Fraction(1, a + 1)
-    return Poly(p.variables, terms)
-
-
 def verify_a_action(
     curve: FactoredCurve,
     rep,
@@ -406,47 +391,72 @@ def verify_a_action(
     jet_cap: int,
     ws: Optional[WeightSystem] = None,
 ) -> bool:
-    """Independent oracle for  a[m] = c b[m]  in the quotient by d(h alpha).
-
-    With a acting as multiplication by f and b as df wedge a primitive,
-    the claim is the membership of  f m dx^dy - c df ^ xi  in the span of
-    the exact forms d(h alpha).  For quasi-homogeneous f only the h of one
-    weighted degree can contribute, so the test is a finite exact solve.
-    """
-    variables = curve.variables
-    f = curve.expand()
+    """Independent oracle for  a[m] = c b[m]  on a curve: the membership
+    test of ``action_relation_holds`` with the annihilator form as alpha."""
     if ws is None:
         raise InputError("the a-action oracle needs a weight certificate")
-    ws_weights = ws.weights
-    alpha = annihilator_form(curve)
-    m_poly = rep if isinstance(rep, Poly) else Poly.monomial(variables, rep)
-    omega = DiffForm.volume(variables, f * m_poly)
-    # xi is an explicit primitive:  d(xi) = m dx^dy  for xi = (int m dx) dy
-    xi = DiffForm(variables, 1, {(1,): _x_primitive(m_poly)})
-    df = DiffForm(
-        variables, 1, {(i,): f.derivative(v) for i, v in enumerate(variables)}
+    m_poly = rep if isinstance(rep, Poly) else Poly.monomial(curve.variables, rep)
+    return action_relation_holds(
+        curve.expand(), annihilator_form(curve), ws, m_poly, coefficient, jet_cap
     )
-    omega = omega - (df.wedge(xi)) * Poly.constant(variables, coefficient)
+
+
+def action_relation_holds(
+    f: Poly,
+    alpha: DiffForm,
+    ws: WeightSystem,
+    m: Poly,
+    coefficient: Fraction,
+    jet_cap: int,
+) -> bool:
+    """Membership oracle for  a[m] = c b[m]  in n variables.
+
+    With a acting as multiplication by f and b as df wedge a primitive,
+    the claim is that  f m vol - c df ^ xi  lies in the span of the exact
+    forms d(eta ^ alpha) over monomial (n-2)-forms eta, where xi is an
+    explicit primitive of m vol and alpha is the annihilator form of a
+    curve or df itself for an isolated germ (then d(eta ^ df) = +-df ^
+    d(eta)).  With one variable there is no eta and the claim is a
+    polynomial identity.  For quasi-homogeneous f only the eta of one
+    weighted degree can contribute, so the test is a finite exact solve.
+    """
+    variables = f.variables
+    n = len(variables)
+    omega = DiffForm.volume(variables, f * m)
+    # xi = (int m dx_0) dx_1 ^ ... ^ dx_(n-1), so that d(xi) = m vol
+    primitive = Poly(
+        variables,
+        {(e[0] + 1,) + e[1:]: c / (e[0] + 1) for e, c in m.terms.items()},
+    )
+    xi = DiffForm(variables, n - 1, {tuple(range(1, n)): primitive})
+    df = DiffForm.from_poly(f).d()
+    omega = omega - df.wedge(xi) * Poly.constant(variables, coefficient)
     if omega.is_zero:
         return True
-    # weighted degree bookkeeping: d(h alpha) matches omega exactly when
-    # w(h) = w(omega as a form) - w(alpha as a form)
-    target = _form_weighted_degree(omega, ws_weights)
-    alpha_degree = _form_weighted_degree(alpha, ws_weights)
+    # weighted degree bookkeeping: d(eta ^ alpha) matches omega exactly when
+    # w(eta) = w(omega as a form) - w(alpha as a form)
+    target = _form_weighted_degree(omega, ws.weights)
+    alpha_degree = _form_weighted_degree(alpha, ws.weights)
     if target is None or alpha_degree is None:
         raise InputError("forms are not quasi-homogeneous under the certificate")
-    h_degree = target - alpha_degree
-    candidates = _monomials_of_fractional_degree(variables, ws_weights, h_degree, jet_cap)
-    if candidates is None:
-        raise InconclusiveError(
-            "a-action oracle would need multipliers beyond the jet cap",
-            jet_cap=jet_cap,
-        )
+    int_weights, scale = ws.integer_scaled()
+    eta_degree = int((target - alpha_degree) * scale)
+    top_key = tuple(range(n))
     span = Span(jet_key_order)
-    for h_exp in candidates:
-        h = Poly.monomial(variables, h_exp)
-        span.insert(_volume_vec((alpha * h).d()))
-    return span.contains(_volume_vec(omega))
+    for index_set in combinations(range(n), n - 2) if n > 1 else ():
+        h_degree = eta_degree - sum(int_weights[j] for j in index_set)
+        if h_degree > jet_cap * min(int_weights):
+            raise InconclusiveError(
+                "a-action oracle would need multipliers beyond the jet cap",
+                jet_cap=jet_cap,
+            )
+        for h_exp in monomials_of_weighted_degree(n, int_weights, h_degree):
+            h = Poly.monomial(variables, h_exp)
+            eta = DiffForm(variables, n - 2, {index_set: h})
+            vec = poly_vec(eta.wedge(alpha).d().coefficient(top_key))
+            if vec:
+                span.insert(vec)
+    return span.contains(poly_vec(omega.coefficient(top_key)))
 
 
 def _form_weighted_degree(form: DiffForm, weights) -> Optional[Fraction]:
@@ -459,22 +469,6 @@ def _form_weighted_degree(form: DiffForm, weights) -> Optional[Fraction]:
     if len(degrees) != 1:
         return None
     return degrees.pop()
-
-
-def _monomials_of_fractional_degree(
-    variables, weights, degree: Fraction, jet_cap: int
-) -> Optional[list[Exponents]]:
-    """Monomials of the given weighted degree, or None when the slice is
-    not fully contained in total degree <= jet_cap."""
-    if degree < 0:
-        return []
-    if degree / min(weights) > jet_cap:
-        return None
-    return [
-        exps
-        for exps in monomials_below(len(variables), jet_cap + 1)
-        if weighted_degree(exps, weights) == degree
-    ]
 
 
 # -- torsion-free witness -------------------------------------------------------

@@ -114,11 +114,6 @@ class Span:
         first (their pivots then expose every leaked row)."""
         return sum(1 for r in self.rows if all(key_filter(k) for k in r))
 
-    def equals(self, other: "Span") -> bool:
-        if self.rank != other.rank:
-            return False
-        return all(other.contains(r) for r in self.rows)
-
 
 def kernel_relations(
     vectors: Iterable[tuple[Hashable, Vec]],

@@ -18,8 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import InconclusiveError, InputError
 from .forms import VectorField
@@ -77,6 +76,11 @@ def poly_vec(p: Poly) -> Vec:
     return {e: c for e, c in p.terms.items()}
 
 
+def shifted_vec(p: Poly, m: Exponents) -> Vec:
+    """Coefficient vector of the product of p with the monomial x^m."""
+    return {tuple(a + b for a, b in zip(e, m)): c for e, c in p.terms.items()}
+
+
 def vec_poly(vec: Vec, variables: Sequence[str]) -> Poly:
     return Poly(variables, dict(vec))
 
@@ -102,8 +106,7 @@ class IdealGens:
                 raise InputError("ideal generator lives in a different ring")
             if g.is_zero:
                 continue
-            low = min(g.terms, key=graded_key)
-            normalized = g * (Fraction(1) / g.terms[low])
+            normalized = g.lowest_monic()
             if normalized not in seen:
                 seen.append(normalized)
         if not seen:
@@ -133,10 +136,7 @@ def ideal_jet_span(I: IdealGens, order: int) -> Span:
         if g_ord is None or g_ord >= order:
             continue
         for m in monomials_below(n, order - g_ord):
-            shifted = {
-                tuple(a + b for a, b in zip(e, m)): c for e, c in g.terms.items()
-            }
-            vec = truncate_vec(shifted, order)
+            vec = truncate_vec(shifted_vec(g, m), order)
             if vec:
                 span.insert(vec)
     return span
@@ -241,16 +241,11 @@ def _extract_generators(
     for row in rows:
         if covered.contains(row):
             continue
-        p = vec_poly(row, variables)
-        low = min(p.terms, key=graded_key)
-        p = p * (Fraction(1) / p.terms[low])
+        p = vec_poly(row, variables).lowest_monic()
         gens.append(p)
         p_ord = p.order() or 0
         for m in monomials_below(n, max(window - p_ord, 1)):
-            shifted = {
-                tuple(a + b for a, b in zip(e, m)): c for e, c in p.terms.items()
-            }
-            vec = truncate_vec(shifted, window)
+            vec = truncate_vec(shifted_vec(p, m), window)
             if vec:
                 covered.insert(vec)
     return gens
@@ -298,15 +293,12 @@ def _jet_saturate(I: IdealGens, jet_order: int) -> tuple[Span, int, int]:
 class _GradedIdeal:
     """Weighted-degree slices of a quasi-homogeneous ideal (exact)."""
 
-    def __init__(self, I: IdealGens, weights: tuple[Fraction, ...], wdeg_cap: int):
+    def __init__(self, I: IdealGens, weights: WeightSystem):
         self.variables = I.variables
-        self.weights = weights
-        self.scale = lcm(*(w.denominator for w in weights))
-        self.int_weights = tuple(int(w * self.scale) for w in weights)
-        self.wdeg_cap = wdeg_cap
+        self.int_weights, self.scale = weights.integer_scaled()
         self.gen_degrees: list[int] = []
         for g in I.generators:
-            d = g.quasi_homogeneous_degree(weights)
+            d = g.quasi_homogeneous_degree(weights.weights)
             if d is None:
                 raise InputError(
                     f"generator {g} is not quasi-homogeneous for the certificate"
@@ -330,18 +322,38 @@ class _GradedIdeal:
                 if wdeg < d:
                     continue
                 for m in self.monomials(wdeg - d):
-                    vec = {
-                        tuple(a + b for a, b in zip(e, m)): c
-                        for e, c in g.terms.items()
-                    }
-                    span.insert(vec)
+                    span.insert(shifted_vec(g, m))
             self._slices[wdeg] = span
         return self._slices[wdeg]
+
+    def scan(
+        self,
+        wdeg_cap: int,
+        quiet_after: int,
+        run: int,
+        slice_count: Callable[[int, tuple[Exponents, ...]], int],
+    ) -> Optional[int]:
+        """Sum ``slice_count(wdeg, monomials)`` over the nonempty slices from
+        weighted degree 0 up.  The scan stops, returning the sum, after
+        ``run`` consecutive nonempty slices of degree above ``quiet_after``
+        that count nothing; it returns None when the cap comes first."""
+        total = 0
+        zero_run = 0
+        for wdeg in range(max(wdeg_cap, 0) + 1):
+            monos = self.monomials(wdeg)
+            if not monos:
+                continue
+            count = slice_count(wdeg, monos)
+            total += count
+            zero_run = zero_run + 1 if count == 0 and wdeg > quiet_after else 0
+            if zero_run >= run:
+                return total
+        return None
 
 
 def _graded_saturate(
     I: IdealGens,
-    weights: tuple[Fraction, ...],
+    weights: WeightSystem,
     jet_cap: int,
     window: int,
 ) -> tuple[dict[int, Span], _GradedIdeal, int, int]:
@@ -350,10 +362,9 @@ def _graded_saturate(
     Returns (stable colon slices, graded ideal helper, wdeg cap actually
     certified, colon steps).
     """
-    graded = _GradedIdeal(I, weights, wdeg_cap=0)
+    graded = _GradedIdeal(I, weights)
     wmax = max(graded.int_weights)
     wdeg_cap = jet_cap * wmax
-    graded.wdeg_cap = wdeg_cap
     n = len(I.variables)
 
     def colon_once(prev: dict[int, Span], top: int) -> dict[int, Span]:
@@ -441,26 +452,18 @@ def saturate_at_origin(
     check_zero_set_is_at_most_curve(I, cap=max(14, min(jet_cap, 20)))
     notes: list[str] = []
     if weights is not None:
-        slices, graded, top, steps = _graded_saturate(
-            I, weights.weights, jet_cap, window
-        )
+        slices, graded, top, steps = _graded_saturate(I, weights, jet_cap, window)
         gens: list[Poly] = []
         covered: dict[int, Span] = {w: Span(jet_key_order) for w in range(top + 1)}
         for wdeg in range(top + 1):
             for row in slices[wdeg].row_vectors():
                 if covered[wdeg].contains(row):
                     continue
-                p = vec_poly(row, I.variables)
-                low = min(p.terms, key=graded_key)
-                p = p * (Fraction(1) / p.terms[low])
+                p = vec_poly(row, I.variables).lowest_monic()
                 gens.append(p)
                 for target in range(wdeg, top + 1):
                     for m in graded.monomials(target - wdeg):
-                        vec = {
-                            tuple(a + b for a, b in zip(e, m)): c
-                            for e, c in p.terms.items()
-                        }
-                        covered[target].insert(vec)
+                        covered[target].insert(shifted_vec(p, m))
         return SaturationResult(
             IdealGens.of(I.variables, gens), True, steps, None, tuple(notes)
         )
@@ -499,9 +502,7 @@ def _quotient_reps(
             reps.append(Poly.monomial(variables, m))
     for row in big.row_vectors():
         if work.insert(row):
-            p = vec_poly(row, variables)
-            low = min(p.terms, key=graded_key)
-            reps.append(p * (Fraction(1) / p.terms[low]))
+            reps.append(vec_poly(row, variables).lowest_monic())
     return reps
 
 
@@ -538,37 +539,33 @@ def mu(
     J = jacobian_ideal(f)
     sat = saturate_at_origin(J, weights, jet_cap, window)
     if weights is not None:
-        graded_sat = _GradedIdeal(sat.ideal, weights.weights, 0)
-        graded_jac = _GradedIdeal(J, weights.weights, 0)
+        graded_sat = _GradedIdeal(sat.ideal, weights)
+        graded_jac = _GradedIdeal(J, weights)
         wmax = max(graded_sat.int_weights)
         wdeg_cap = jet_cap * wmax
-        # scaled weights above one can leave genuine gaps of up to
-        # wmax - 1 empty slices inside the support; widen the stop window
-        window = max(window, wmax + 1)
-        total = 0
         basis: list[Poly] = []
-        zero_run = 0
-        certified = False
-        for wdeg in range(wdeg_cap + 1):
-            monos = graded_sat.monomials(wdeg)
-            if not monos:
-                continue
+
+        def contribution(wdeg: int, monos) -> int:
             big = graded_sat.slice_span(wdeg)
             work = Span(jet_key_order)
             for row in graded_jac.slice_span(wdeg).row_vectors():
                 work.insert(row)
-            contribution = big.rank - work.rank
+            count = big.rank - work.rank
             basis.extend(_quotient_reps(big, work, monos, f.variables))
-            total += contribution
-            zero_run = zero_run + 1 if contribution == 0 else 0
-            if zero_run >= window:
-                certified = True
-                break
-        if not certified:
+            return count
+
+        # A certified stop: sat(J) is generated in degrees <= top_gen, so
+        # above top_gen each of its elements is a sum x_j * (element of
+        # degree e - w_j).  Once sat(J)_e = J_e on wmax consecutive degrees
+        # past top_gen, induction on e gives it for every larger degree.
+        top_gen = max(graded_sat.gen_degrees)
+        total = graded_sat.scan(wdeg_cap, top_gen, wmax, contribution)
+        if total is None:
             raise InconclusiveError(
                 "graded mu computation did not exhaust the quotient",
                 wdeg_cap=wdeg_cap,
-                window=window,
+                quiet_after=top_gen,
+                run=wmax,
             )
         return MuResult(total, J, sat.ideal, tuple(basis), True, (), sat)
     previous: Optional[tuple[int, list[Exponents]]] = None
@@ -644,7 +641,7 @@ def twisted_quotient_dim(
     if weights is not None:
         shift = _twisted_shift(V, weights.weights)
         if shift is not None or V.is_zero:
-            graded = _GradedIdeal(I, weights.weights, 0)
+            graded = _GradedIdeal(I, weights)
             scaled_shift = 0
             if shift is not None:
                 s = shift * graded.scale
@@ -653,14 +650,12 @@ def twisted_quotient_dim(
                 scaled_shift = int(s)
             wmax = max(graded.int_weights)
             wdeg_cap = jet_cap * wmax - max(0, -scaled_shift)
+            # V~(O) is not an ideal, so the mu stop proof does not apply;
+            # the run is widened past any gap the scaled weights can leave
             window = max(window, wmax + 1)
-            total = 0
             basis: list[Exponents] = []
-            zero_run = 0
-            for wdeg in range(max(wdeg_cap, 0) + 1):
-                monos = graded.monomials(wdeg)
-                if not monos:
-                    continue
+
+            def picked(wdeg: int, monos) -> int:
                 span = Span(jet_key_order)
                 for row in graded.slice_span(wdeg).row_vectors():
                     span.insert(row)
@@ -673,15 +668,16 @@ def twisted_quotient_dim(
                             )
                             if not image.is_zero:
                                 span.insert(poly_vec(image))
-                picked = 0
+                count = 0
                 for m in monos:
                     if span.insert({m: Fraction(1)}):
                         basis.append(m)
-                        picked += 1
-                total += picked
-                zero_run = zero_run + 1 if picked == 0 else 0
-                if zero_run >= window:
-                    return TwistedResult(total, tuple(basis), True, ())
+                        count += 1
+                return count
+
+            total = graded.scan(wdeg_cap, -1, window, picked)
+            if total is not None:
+                return TwistedResult(total, tuple(basis), True, ())
             raise InconclusiveError(
                 "graded twisted quotient did not close out",
                 wdeg_cap=wdeg_cap,

@@ -228,17 +228,11 @@ class Poly:
             result = result + term
         return result
 
-    def truncate(self, max_total_degree: int) -> "Poly":
-        """Drop all terms of total degree >= ``max_total_degree``."""
-        return Poly(
-            self.variables,
-            {e: c for e, c in self.terms.items() if sum(e) < max_total_degree},
-        )
-
-    def homogeneous_part(self, degree: int) -> "Poly":
-        return Poly(
-            self.variables, {e: c for e, c in self.terms.items() if sum(e) == degree}
-        )
+    def lowest_monic(self) -> "Poly":
+        """This nonzero polynomial scaled so that its lowest term in
+        ``graded_key`` order has coefficient 1."""
+        low = min(self.terms, key=graded_key)
+        return self * (Fraction(1) / self.terms[low])
 
     # -- division ----------------------------------------------------------
 
@@ -406,12 +400,6 @@ class WeightSystem:
                 f"({', '.join(format_fraction(w) for w in ws)})"
             )
         return cls(ws, degree)
-
-    def degree_of(self, exponents: Sequence[int]) -> Fraction:
-        return weighted_degree(exponents, self.weights)
-
-    def attests(self, f: Poly) -> bool:
-        return f.quasi_homogeneous_degree(self.weights) == self.total_degree
 
     def integer_scaled(self) -> tuple[tuple[int, ...], int]:
         """Weights rescaled to integers: returns (scaled weights, scale)."""

@@ -11,30 +11,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Optional, Sequence
 
 from .ab_module import ABModule, tensor
-from .curve import FactoredCurve, InvariantReport
+from .curve import (
+    FactoredCurve,
+    InvariantReport,
+    a_action_coefficient,
+    action_relation_holds,
+)
 from .errors import InconclusiveError, InputError
-from .linalg import Span
-from .local_algebra import (
-    IdealGens,
-    jacobian_ideal,
-    jet_key_order,
-    monomials_below,
-    mu,
-    poly_vec,
-    stable_colength,
-)
-from .poly import (
-    Exponents,
-    Poly,
-    WeightSystem,
-    format_fraction,
-    listing_key,
-    weighted_degree,
-)
+from .forms import DiffForm
+from .local_algebra import jacobian_ideal, mu, stable_colength
+from .poly import Exponents, Poly, WeightSystem, format_fraction, listing_key
 
 
 @dataclass(frozen=True)
@@ -119,72 +108,6 @@ def _auto_weights(f: Poly) -> Optional[tuple[Fraction, ...]]:
     return tuple(weights)
 
 
-def _isolated_action_coefficient(ws: WeightSystem, exponents: Exponents) -> Fraction:
-    return (ws.degree_of(exponents) + sum(ws.weights, Fraction(0))) / ws.total_degree
-
-
-def _verify_isolated_action_univariate(
-    f: Poly, exponents: Exponents, coefficient: Fraction
-) -> bool:
-    """One-variable oracle: the relation  a[m dz] = c b[m dz]  is an exact
-    polynomial identity  m f = c f' (primitive of m)."""
-    (power,) = exponents
-    variables = f.variables
-    primitive = Poly.monomial(variables, (power + 1,), Fraction(1, power + 1))
-    delta = Poly.monomial(variables, exponents) * f - (
-        f.derivative(variables[0]) * primitive * coefficient
-    )
-    return delta.is_zero
-
-
-def _verify_isolated_action_slice(
-    f: Poly, ws: WeightSystem, exponents: Exponents, coefficient: Fraction, jet_cap: int
-) -> bool:
-    """Membership oracle in >= 2 variables:  f m vol - c df ^ xi  must lie
-    in the span of df ^ d(eta) over monomial (n-1)-forms eta, where xi is
-    an explicit primitive of m vol.  Quasi-homogeneity confines eta to a
-    single weighted slice, so the solve is finite and exact."""
-    from .forms import DiffForm
-
-    variables = f.variables
-    n = len(variables)
-    m_poly = Poly.monomial(variables, exponents)
-    omega = DiffForm.volume(variables, f * m_poly)
-    primitive = Poly.monomial(
-        variables,
-        tuple(e + 1 if i == 0 else e for i, e in enumerate(exponents)),
-        Fraction(1, exponents[0] + 1),
-    )
-    xi = DiffForm(variables, n - 1, {tuple(range(1, n)): primitive})
-    df = DiffForm(
-        variables, 1, {(i,): f.derivative(v) for i, v in enumerate(variables)}
-    )
-    omega = omega - df.wedge(xi) * Poly.constant(variables, coefficient)
-    if omega.is_zero:
-        return True
-    top_key = tuple(range(n))
-    target = omega.coefficient(top_key)
-    target_degree = target.quasi_homogeneous_degree(ws.weights)
-    if target_degree is None:
-        return False
-    span = Span(jet_key_order)
-    weight_sum = sum(ws.weights, Fraction(0))
-    for index_set in combinations(range(n), n - 2):
-        index_weight = sum((ws.weights[j] for j in index_set), Fraction(0))
-        for h_exp in monomials_below(n, jet_cap + 1):
-            eta_degree = weighted_degree(h_exp, ws.weights) + index_weight
-            # df ^ d(eta) has form-degree  d + eta_degree;  match omega
-            if ws.total_degree + eta_degree != target_degree + weight_sum:
-                continue
-            eta = DiffForm(
-                variables, n - 2, {index_set: Poly.monomial(variables, h_exp)}
-            )
-            vec = poly_vec(df.wedge(eta.d()).coefficient(top_key))
-            if vec:
-                span.insert(vec)
-    return span.contains(poly_vec(target))
-
-
 def milnor_isolated(
     f: Poly,
     jet_cap: int = 24,
@@ -220,19 +143,13 @@ def milnor_isolated(
             ws = WeightSystem(detected, 1)
     action: Optional[tuple[tuple[Exponents, Fraction], ...]] = None
     if ws is not None:
+        df = DiffForm.from_poly(f).d()
         coefficients = []
         for exps in basis:
-            c = _isolated_action_coefficient(ws, exps)
-            if verify_action:
-                if len(f.variables) == 1:
-                    ok = _verify_isolated_action_univariate(f, exps, c)
-                else:
-                    ok = _verify_isolated_action_slice(f, ws, exps, c, jet_cap)
-                if not ok:
-                    raise InputError(
-                        "a-action verification failed on monomial "
-                        f"{Poly.monomial(f.variables, exps)}"
-                    )
+            m = Poly.monomial(f.variables, exps)
+            c = a_action_coefficient(ws, m)
+            if verify_action and not action_relation_holds(f, df, ws, m, c, jet_cap):
+                raise InputError(f"a-action verification failed on monomial {m}")
             coefficients.append((exps, c))
         action = tuple(coefficients)
     return IsolatedGerm(

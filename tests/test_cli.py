@@ -5,6 +5,8 @@ from __future__ import annotations
 import io
 import json
 
+import pytest
+
 from brieskorn.cli import EXIT_INCONCLUSIVE, EXIT_INVALID, EXIT_OK, main
 
 GOLDEN = [
@@ -14,6 +16,16 @@ GOLDEN = [
     "--vars", "x,y",
     "--weights", "1,1",
     "--format", "json",
+]
+
+
+# Graded inputs whose quotient sat(J)/J lies entirely above the first
+# nonempty slices; the expected mu are Groebner-basis colengths.
+GRADED_MU_CASES = [
+    (["--factors", "x:2,y:2,x+y:2,x-y:2", "--weights", "1,1"], 9),
+    (["--factors", "x:3,y:2", "--residual", "x^2+y^3", "--weights", "3,2"], 12),
+    (["--factors", "x^2-y^3:2", "--weights", "3,2"], 2),
+    (["--factors", "x^2+y^5:2", "--weights", "5,2"], 4),
 ]
 
 
@@ -113,6 +125,15 @@ class TestInvariantsCommand:
         assert "mu: 1" in text and "rank: 2" in text
 
 
+    @pytest.mark.parametrize("args,expected_mu", GRADED_MU_CASES)
+    def test_graded_mu_is_certified(self, args, expected_mu):
+        code, text = run(["invariants", *args, "--format", "json"])
+        assert code == EXIT_OK
+        report = json.loads(text)["report"]
+        assert report["mu"] == expected_mu
+        assert report["assumptions"]["exact"]
+
+
 class TestSuspendCommand:
     def test_golden_suspension(self):
         code, text = run(
@@ -140,6 +161,15 @@ class TestSuspendCommand:
         assert code == EXIT_OK
         check = json.loads(text)["report"]["direct_check"]
         assert check["agrees"] and check["mu_direct"] == 1
+
+    def test_verify_direct_weighted(self):
+        code, text = run(
+            ["suspend", "--isolated", "z^2", "--factors", "x^2-y^3:2",
+             "--weights", "3,2", "--verify-direct", "--format", "json"]
+        )
+        assert code == EXIT_OK
+        check = json.loads(text)["report"]["direct_check"]
+        assert check["agrees"] and check["mu_direct"] == 2
 
     def test_product_germ_accepted(self):
         code, text = run(

@@ -14,10 +14,11 @@ from brieskorn.ab_module import (
     is_simple_pole,
     tensor,
 )
-from brieskorn.curve import FactoredCurve, invariants
+from brieskorn.curve import FactoredCurve, action_relation_holds, invariants
 from brieskorn.errors import InputError
+from brieskorn.forms import DiffForm
 from brieskorn.local_algebra import monomials_below
-from brieskorn.poly import parse_polynomial
+from brieskorn.poly import Poly, parse_polynomial
 from brieskorn.suspension import (
     IsolatedGerm,
     milnor_isolated,
@@ -27,6 +28,7 @@ from brieskorn.suspension import (
 
 XY = ("x", "y")
 Z = ("z",)
+XYZ = ("x", "y", "z")
 
 
 def p(text, variables=XY):
@@ -100,6 +102,30 @@ class TestMilnorIsolated:
     def test_must_vanish_at_origin(self):
         with pytest.raises(InputError):
             milnor_isolated(p("z^2 + 1", Z))
+
+
+class TestActionOracle:
+    """The membership oracle accepts every emitted coefficient and rejects
+    each one shifted by 1/7, in one, two and three variables."""
+
+    CASES = [
+        ("z^3", Z, ["1/3", "2/3"]),
+        ("x^3+y^4", XY, ["7/12", "11/12", "5/6", "7/6", "13/12", "17/12"]),
+        ("x^2+y^2+z^3", XYZ, ["4/3", "5/3"]),
+        ("x^3+y^3+z^3", XYZ, ["1"] + ["4/3"] * 3 + ["5/3"] * 3 + ["2"]),
+    ]
+
+    @pytest.mark.parametrize("text,variables,expected", CASES)
+    def test_accepts_emitted_rejects_shifted(self, text, variables, expected):
+        g = milnor_isolated(p(text, variables))
+        coefficients = [c for _, c in g.a_coefficients]
+        assert sorted(coefficients) == sorted(Fraction(c) for c in expected)
+        df = DiffForm.from_poly(g.poly).d()
+        for exps, c in g.a_coefficients:
+            m = Poly.monomial(variables, exps)
+            assert action_relation_holds(g.poly, df, g.weights, m, c, 24)
+            shifted = c + Fraction(1, 7)
+            assert not action_relation_holds(g.poly, df, g.weights, m, shifted, 24)
 
 
 class TestSuspend:
