@@ -540,7 +540,7 @@ def _stable_kernel(m: Matrix) -> list[Vec]:
 def _subspace_span(vectors: Sequence[Vec]) -> Span:
     span = Span(lambda k: k)
     for v in vectors:
-        span.insert(dict(v))
+        span.insert(v)
     return span
 
 
@@ -573,7 +573,7 @@ def torsion_subspaces(fixture: TorsionFixture) -> tuple[list[Vec], list[Vec]]:
 def subspaces_equal(first: Sequence[Vec], second: Sequence[Vec]) -> bool:
     s1 = _subspace_span(first)
     s2 = _subspace_span(second)
-    return s1.rank == s2.rank and all(s1.contains(dict(v)) for v in second)
+    return s1.rank == s2.rank and all(s1.contains(v) for v in second)
 
 
 def fixture_axioms_hold(fixture: TorsionFixture) -> bool:
@@ -586,7 +586,7 @@ def fixture_axioms_hold(fixture: TorsionFixture) -> bool:
         return False
     b_space, a_space = torsion_subspaces(fixture)
     a_span = _subspace_span(a_space)
-    if not all(a_span.contains(dict(v)) for v in b_space):
+    if not all(a_span.contains(v) for v in b_space):
         return False
     a_power = mat_power(fixture.a, fixture.dim)
     for v in a_space:

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 from .errors import InconclusiveError, InputError
 from .forms import DiffForm, VectorField, field_from_one_form
-from .linalg import Span, Vec, kernel_relations
+from .linalg import Span, Vec, kernel_relations, vec_axpy
 from .local_algebra import (
     IdealGens,
     jacobian_ideal,
@@ -527,12 +527,7 @@ def torsion_free_witness(
                 continue
             h_exp = tag[1]
             piece = _volume_vec((alpha * Poly.monomial(variables, h_exp)).d())
-            for key, value in piece.items():
-                acc = vec.get(key, Fraction(0)) + scale * value
-                if acc == 0:
-                    vec.pop(key, None)
-                else:
-                    vec[key] = acc
+            vec_axpy(vec, scale, piece)
         if vec:
             intersection.append(vec)
     if not intersection:

@@ -278,7 +278,7 @@ def _jet_saturate(I: IdealGens, jet_order: int) -> tuple[Span, int, int]:
         )
         colon = Span(jet_key_order)
         for rel in relations:
-            colon.insert(dict(rel))
+            colon.insert(rel)
         stable_rank = current.restricted_rank(lambda e: sum(e) < new_window)
         if colon.rank == stable_rank:
             return current, window, steps
@@ -394,7 +394,7 @@ def _graded_saturate(
             )
             span = Span(jet_key_order)
             for rel in relations:
-                span.insert(dict(rel))
+                span.insert(rel)
             out[wdeg] = span
         return out
 
@@ -547,9 +547,7 @@ def mu(
 
         def contribution(wdeg: int, monos) -> int:
             big = graded_sat.slice_span(wdeg)
-            work = Span(jet_key_order)
-            for row in graded_jac.slice_span(wdeg).row_vectors():
-                work.insert(row)
+            work = graded_jac.slice_span(wdeg).copy()
             count = big.rank - work.rank
             basis.extend(_quotient_reps(big, work, monos, f.variables))
             return count
@@ -656,9 +654,7 @@ def twisted_quotient_dim(
             basis: list[Exponents] = []
 
             def picked(wdeg: int, monos) -> int:
-                span = Span(jet_key_order)
-                for row in graded.slice_span(wdeg).row_vectors():
-                    span.insert(row)
+                span = graded.slice_span(wdeg).copy()
                 if not V.is_zero:
                     source = wdeg - scaled_shift
                     if source >= 0:

@@ -22,6 +22,7 @@ from .curve import (
 )
 from .errors import InconclusiveError, InputError
 from .forms import DiffForm
+from .linalg import Span
 from .local_algebra import jacobian_ideal, mu, stable_colength
 from .poly import Exponents, Poly, WeightSystem, format_fraction, listing_key
 
@@ -65,42 +66,26 @@ class IsolatedGerm:
 def _auto_weights(f: Poly) -> Optional[tuple[Fraction, ...]]:
     """Positive weights making f quasi-homogeneous of degree 1, if any.
 
-    Solves the linear system over the exponent vectors; free variables
-    (possible when the system is underdetermined) default to 1/deg(f).
+    Row-reduces the rows [exponents | 1] (column n is the constant); free
+    variables (possible when the system is underdetermined) default to
+    1/deg(f).
     """
-    exponents = list(f.terms)
     n = len(f.variables)
-    rows = [[Fraction(e) for e in exps] + [Fraction(1)] for exps in exponents]
-    pivot_cols: list[int] = []
-    row_idx = 0
-    for col in range(n):
-        pivot_row = None
-        for r in range(row_idx, len(rows)):
-            if rows[r][col] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        rows[row_idx], rows[pivot_row] = rows[pivot_row], rows[row_idx]
-        pivot = rows[row_idx][col]
-        rows[row_idx] = [v / pivot for v in rows[row_idx]]
-        for r in range(len(rows)):
-            if r != row_idx and rows[r][col] != 0:
-                scale = rows[r][col]
-                rows[r] = [a - scale * b for a, b in zip(rows[r], rows[row_idx])]
-        pivot_cols.append(col)
-        row_idx += 1
-    for r in range(row_idx, len(rows)):
-        if rows[r][n] != 0:
-            return None  # inconsistent: not quasi-homogeneous at all
+    span = Span(lambda k: k)
+    for exps in f.terms:
+        row = {i: Fraction(e) for i, e in enumerate(exps) if e}
+        row[n] = Fraction(1)
+        span.insert(row)
     default = Fraction(1, max(f.total_degree(), 1))
     weights = [default] * n
-    for i, col in enumerate(pivot_cols):
-        value = rows[i][n]
-        for free_col in range(n):
-            if free_col not in pivot_cols and rows[i][free_col] != 0:
-                value -= rows[i][free_col] * default
-        weights[col] = value
+    for row in span.row_vectors():
+        pivot = min(row)
+        if pivot == n:
+            return None  # inconsistent: not quasi-homogeneous at all
+        weights[pivot] = row.get(n, Fraction(0)) - sum(
+            (v * default for k, v in row.items() if k not in (pivot, n)),
+            Fraction(0),
+        )
     if any(w <= 0 for w in weights):
         return None
     if f.quasi_homogeneous_degree(tuple(weights)) != 1:

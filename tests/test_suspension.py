@@ -21,6 +21,7 @@ from brieskorn.local_algebra import monomials_below
 from brieskorn.poly import Poly, parse_polynomial
 from brieskorn.suspension import (
     IsolatedGerm,
+    _auto_weights,
     milnor_isolated,
     suspend,
     verify_suspension_direct,
@@ -52,6 +53,20 @@ def brute_force_milnor(gen_exponents, n_vars, order=10):
         ):
             count += 1
     return count
+
+
+@pytest.mark.parametrize(
+    "text, variables, expected",
+    [
+        ("x^3+y^4", XY, (Fraction(1, 3), Fraction(1, 4))),
+        # underdetermined: the free variable takes the default 1/deg(f)
+        ("z*w", ("z", "w"), (Fraction(1, 2), Fraction(1, 2))),
+        ("x^2+x^3", XY, None),  # inconsistent system
+        ("x^2+y^2+x*y^3", XY, None),
+    ],
+)
+def test_auto_weights(text, variables, expected):
+    assert _auto_weights(p(text, variables)) == expected
 
 
 class TestMilnorIsolated:
