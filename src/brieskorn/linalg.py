@@ -47,7 +47,9 @@ def _integer_vec(vector: Vec) -> tuple[dict[Hashable, int], int]:
     return {k: v.numerator * (scale // v.denominator) for k, v in vector.items()}, scale
 
 
-def _cancel(vec: dict, combo: Optional[dict], key, row: dict, row_combo) -> int:
+def _cancel(
+    vec: dict, combo: Optional[dict], key: Hashable, row: dict, row_combo: Optional[dict]
+) -> int:
     """vec := mult * vec - coeff * row with the smallest integers that clear
     column ``key``; a tracked combination follows.  Returns mult."""
     g = gcd(vec[key], row[key])
