@@ -34,23 +34,6 @@ def bpoly(coefficients: Sequence[Scalar]) -> BPoly:
     return tuple(values)
 
 
-def bpoly_str(p: BPoly) -> str:
-    if not p:
-        return "0"
-    parts = []
-    for power, coeff in enumerate(p):
-        if coeff == 0:
-            continue
-        if power == 0:
-            parts.append(format_fraction(coeff))
-        elif coeff == 1:
-            parts.append("b" if power == 1 else f"b^{power}")
-        else:
-            body = "b" if power == 1 else f"b^{power}"
-            parts.append(f"{format_fraction(coeff)}*{body}")
-    return " + ".join(parts)
-
-
 # module elements: sparse maps (generator index, b power) -> coefficient
 Element = dict[tuple[int, int], Fraction]
 

@@ -45,6 +45,15 @@ def _env_int(name: str) -> Optional[int]:
         raise InputError(f"environment variable {_ENV_PREFIX + name} must be an integer") from exc
 
 
+def _setting(flag: Optional[int], name: str, default: Optional[int]) -> Optional[int]:
+    """The flag if given, else the environment override, else the default.
+    A set override, 0 included, is kept, so RunConfig validates it."""
+    if flag is not None:
+        return flag
+    env = _env_int(name)
+    return default if env is None else env
+
+
 def config_from_env_and_args(
     jet_cap: Optional[int] = None,
     graded_window: Optional[int] = None,
@@ -54,13 +63,9 @@ def config_from_env_and_args(
 ) -> RunConfig:
     defaults = RunConfig()
     return RunConfig(
-        jet_cap=jet_cap if jet_cap is not None else (_env_int("JET_CAP") or defaults.jet_cap),
-        graded_window=graded_window
-        if graded_window is not None
-        else _env_int("GRADED_WINDOW"),
-        trunc_order=trunc_order
-        if trunc_order is not None
-        else (_env_int("TRUNC_ORDER") or defaults.trunc_order),
+        jet_cap=_setting(jet_cap, "JET_CAP", defaults.jet_cap),
+        graded_window=_setting(graded_window, "GRADED_WINDOW", None),
+        trunc_order=_setting(trunc_order, "TRUNC_ORDER", defaults.trunc_order),
         output_format=output_format or defaults.output_format,
         seed=seed if seed is not None else defaults.seed,
     )

@@ -131,19 +131,9 @@ def annihilator_form(curve: FactoredCurve) -> DiffForm:
             if i != l:
                 cofactor = cofactor * u_i
         cofactor = cofactor * curve.residual
-        du = DiffForm(
-            variables,
-            1,
-            {(i,): u_l.derivative(v) for i, v in enumerate(variables)},
-        )
-        alpha = alpha + du * cofactor
+        alpha = alpha + DiffForm.from_poly(u_l).d() * cofactor
     if not curve.residual_is_constant:
-        dpsi = DiffForm(
-            variables,
-            1,
-            {(i,): curve.residual.derivative(v) for i, v in enumerate(variables)},
-        )
-        alpha = alpha + dpsi * product_all
+        alpha = alpha + DiffForm.from_poly(curve.residual).d() * product_all
     return alpha
 
 
@@ -532,9 +522,7 @@ def torsion_free_witness(
             intersection.append(vec)
     if not intersection:
         return True
-    df = DiffForm(
-        variables, 1, {(i,): f.derivative(v) for i, v in enumerate(variables)}
-    )
+    df = DiffForm.from_poly(f).d()
     witness_span = Span(jet_key_order)
     for g_exp in monomials_below(2, jet_order + 1):
         dg = DiffForm.from_poly(Poly.monomial(variables, g_exp)).d()

@@ -4,7 +4,9 @@ Everything here models the local ring of germs at 0 through two finite
 windows:
 
 * total-degree jets (monomials of total degree < M), used for general
-  input with a stabilization heuristic across two jet orders, and
+  input with one stop rule (``_stable_in_jets``: the answer at order M
+  is accepted once it agrees with the answer at order M - 2), which is a
+  heuristic, and
 * weighted-degree slices, used when a weight certificate makes the input
   quasi-homogeneous; slice computations carry no truncation error, so the
   graded results are exact.
@@ -15,10 +17,10 @@ ideal, twisted quotients) are all driven by exact rational row reduction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import InconclusiveError, InputError
 from .forms import VectorField
@@ -162,6 +164,19 @@ def quotient_dim_jet(I: IdealGens, order: int) -> int:
     return jet_quotient(I, order)[0]
 
 
+def _stable_in_jets(compute: Callable, orders: range, message: str, **context):
+    """The jet stop rule: evaluate ``compute`` at each jet order in turn and
+    return (value, orders tried) once two successive values are equal.
+    Raises InconclusiveError(message, **context) when the orders run out."""
+    previous = None
+    for count, order in enumerate(orders, 1):
+        current = compute(order)
+        if count > 1 and current == previous:
+            return current, tuple(orders[:count])
+        previous = current
+    raise InconclusiveError(message, **context)
+
+
 def stable_colength(
     I: IdealGens, start: int = 4, cap: int = 24
 ) -> tuple[int, list[Exponents], tuple[int, int]]:
@@ -171,17 +186,13 @@ def stable_colength(
     InconclusiveError when the quotient keeps growing up to the cap,
     which is exactly the infinite-colength signature at desk scale.
     """
-    previous: Optional[tuple[int, list[Exponents]]] = None
-    order = max(2, start)
-    while order <= cap:
-        current = jet_quotient(I, order)
-        if previous is not None and previous == current:
-            return current[0], current[1], (order - 2, order)
-        previous = current
-        order += 2
-    raise InconclusiveError(
-        "colength did not stabilize (infinite colength?)", jet_cap=cap
+    (dim, basis), orders = _stable_in_jets(
+        lambda order: jet_quotient(I, order),
+        range(max(2, start), cap + 1, 2),
+        "colength did not stabilize (infinite colength?)",
+        jet_cap=cap,
     )
+    return dim, basis, orders[-2:]
 
 
 # -- dimension-of-zero-set heuristic ----------------------------------------
@@ -224,31 +235,52 @@ class SaturationResult:
     ideal: IdealGens
     exact: bool
     colon_steps: int
-    jet_order: Optional[int]
-    notes: tuple[str, ...] = ()
 
 
-def _extract_generators(
-    kernel_span: Span, variables: tuple[str, ...], window: int
+def _greedy_generators(
+    rows: Iterable[Vec],
+    variables: tuple[str, ...],
+    multiples: Callable[[Poly], Iterable[Vec]],
 ) -> list[Poly]:
-    """Greedy generating set for the ideal whose jet space is the given span."""
-    n = len(variables)
+    """Greedy generating set of the ideal spanned by ``rows``: a row not yet
+    in the cover becomes a generator (lowest term monic), and the vectors
+    ``multiples(generator)`` join the cover."""
     covered = Span(jet_key_order)
     gens: list[Poly] = []
-    rows = sorted(
-        kernel_span.row_vectors(), key=lambda r: min(graded_key(e) for e in r)
-    )
     for row in rows:
         if covered.contains(row):
             continue
         p = vec_poly(row, variables).lowest_monic()
         gens.append(p)
-        p_ord = p.order() or 0
-        for m in monomials_below(n, max(window - p_ord, 1)):
-            vec = truncate_vec(shifted_vec(p, m), window)
-            if vec:
-                covered.insert(vec)
+        for vec in multiples(p):
+            covered.insert(vec)
     return gens
+
+
+def _colon_span(
+    monos: Sequence[Exponents], targets: Sequence[Optional[Span]]
+) -> Span:
+    """One colon step by the maximal ideal: the span of the combinations g
+    of ``monos`` with x_i g in ``targets[i]`` for every variable i (None
+    stands for the zero span)."""
+    candidates = []
+    for m in monos:
+        compound: Vec = {}
+        for i, target in enumerate(targets):
+            shifted = tuple(e + (1 if j == i else 0) for j, e in enumerate(m))
+            residual = {shifted: Fraction(1)}
+            if target is not None:
+                residual = target.reduce(residual)
+            for key, value in residual.items():
+                compound[(i, key)] = value
+        candidates.append((m, compound))
+    relations = kernel_relations(
+        candidates, key_order=lambda k: (k[0], jet_key_order(k[1]))
+    )
+    colon = Span(jet_key_order)
+    for rel in relations:
+        colon.insert(rel)
+    return colon
 
 
 def _jet_saturate(I: IdealGens, jet_order: int) -> tuple[Span, int, int]:
@@ -264,21 +296,7 @@ def _jet_saturate(I: IdealGens, jet_order: int) -> tuple[Span, int, int]:
     steps = 0
     while window > 2:
         new_window = window - 1
-        candidates = []
-        for m in monomials_below(n, new_window):
-            compound: Vec = {}
-            for i in range(n):
-                shifted = tuple(e + (1 if j == i else 0) for j, e in enumerate(m))
-                residual = current.reduce({shifted: Fraction(1)})
-                for key, value in residual.items():
-                    compound[(i, key)] = value
-            candidates.append((m, compound))
-        relations = kernel_relations(
-            candidates, key_order=lambda k: (k[0], jet_key_order(k[1]))
-        )
-        colon = Span(jet_key_order)
-        for rel in relations:
-            colon.insert(rel)
+        colon = _colon_span(monomials_below(n, new_window), [current] * n)
         stable_rank = current.restricted_rank(lambda e: sum(e) < new_window)
         if colon.rank == stable_rank:
             return current, window, steps
@@ -365,37 +383,13 @@ def _graded_saturate(
     graded = _GradedIdeal(I, weights)
     wmax = max(graded.int_weights)
     wdeg_cap = jet_cap * wmax
-    n = len(I.variables)
 
     def colon_once(prev: dict[int, Span], top: int) -> dict[int, Span]:
         out: dict[int, Span] = {}
         for wdeg in range(0, top + 1):
             monos = graded.monomials(wdeg)
-            if not monos:
-                out[wdeg] = Span(jet_key_order)
-                continue
-            candidates = []
-            for m in monos:
-                compound: Vec = {}
-                for i in range(n):
-                    shifted = tuple(
-                        e + (1 if j == i else 0) for j, e in enumerate(m)
-                    )
-                    target = prev.get(wdeg + graded.int_weights[i])
-                    if target is None:
-                        residual = {shifted: Fraction(1)}
-                    else:
-                        residual = target.reduce({shifted: Fraction(1)})
-                    for key, value in residual.items():
-                        compound[(i, key)] = value
-                candidates.append((m, compound))
-            relations = kernel_relations(
-                candidates, key_order=lambda k: (k[0], jet_key_order(k[1]))
-            )
-            span = Span(jet_key_order)
-            for rel in relations:
-                span.insert(rel)
-            out[wdeg] = span
+            targets = [prev.get(wdeg + w) for w in graded.int_weights]
+            out[wdeg] = _colon_span(monos, targets) if monos else Span(jet_key_order)
         return out
 
     base = {wdeg: graded.slice_span(wdeg) for wdeg in range(wdeg_cap + 1)}
@@ -444,35 +438,37 @@ def saturate_at_origin(
     """
     if I.contains_unit():
         one = Poly.constant(I.variables, 1)
-        return SaturationResult(
-            IdealGens.of(I.variables, [one]), True, 0, None, ("unit ideal",)
-        )
+        return SaturationResult(IdealGens.of(I.variables, [one]), True, 0)
     # cheap precondition sweep; floor the cap so a squeezed main cap does
     # not read as a dimension defect
     check_zero_set_is_at_most_curve(I, cap=max(14, min(jet_cap, 20)))
-    notes: list[str] = []
     if weights is not None:
         slices, graded, top, steps = _graded_saturate(I, weights, jet_cap, window)
-        gens: list[Poly] = []
-        covered: dict[int, Span] = {w: Span(jet_key_order) for w in range(top + 1)}
-        for wdeg in range(top + 1):
-            for row in slices[wdeg].row_vectors():
-                if covered[wdeg].contains(row):
-                    continue
-                p = vec_poly(row, I.variables).lowest_monic()
-                gens.append(p)
-                for target in range(wdeg, top + 1):
-                    for m in graded.monomials(target - wdeg):
-                        covered[target].insert(shifted_vec(p, m))
-        return SaturationResult(
-            IdealGens.of(I.variables, gens), True, steps, None, tuple(notes)
-        )
+
+        # generators are homogeneous, so a row of slice wdeg lies in the
+        # cover exactly when it lies in the cover's slice wdeg
+        def graded_multiples(p: Poly):
+            lead = next(iter(p.terms))
+            wdeg = sum(a * w for a, w in zip(lead, graded.int_weights))
+            for d in range(top - wdeg + 1):
+                for m in graded.monomials(d):
+                    yield shifted_vec(p, m)
+
+        rows = [row for w in range(top + 1) for row in slices[w].row_vectors()]
+        gens = _greedy_generators(rows, I.variables, graded_multiples)
+        return SaturationResult(IdealGens.of(I.variables, gens), True, steps)
     span, window_used, steps = _jet_saturate(I, jet_cap)
-    gens = _extract_generators(span, I.variables, window_used)
-    notes.append("jet-order approximation without a weight certificate")
-    return SaturationResult(
-        IdealGens.of(I.variables, gens), False, steps, jet_cap, tuple(notes)
-    )
+    n = len(I.variables)
+
+    def jet_multiples(p: Poly):
+        for m in monomials_below(n, max(window_used - (p.order() or 0), 1)):
+            vec = truncate_vec(shifted_vec(p, m), window_used)
+            if vec:
+                yield vec
+
+    rows = sorted(span.row_vectors(), key=lambda r: min(graded_key(e) for e in r))
+    gens = _greedy_generators(rows, I.variables, jet_multiples)
+    return SaturationResult(IdealGens.of(I.variables, gens), False, steps)
 
 
 # -- the mu invariant ---------------------------------------------------------
@@ -481,12 +477,10 @@ def saturate_at_origin(
 @dataclass(frozen=True)
 class MuResult:
     value: int
-    jacobian: IdealGens
     saturated: IdealGens
     basis: tuple[Poly, ...]
     exact: bool
     jet_orders: tuple[int, ...]
-    saturation: SaturationResult = field(repr=False, default=None)
 
 
 def _quotient_reps(
@@ -565,20 +559,15 @@ def mu(
                 quiet_after=top_gen,
                 run=wmax,
             )
-        return MuResult(total, J, sat.ideal, tuple(basis), True, (), sat)
-    previous: Optional[tuple[int, list[Exponents]]] = None
-    order = max(6, (f.total_degree() + 2))
-    tried: list[int] = []
-    while order <= jet_cap:
-        current = _pair_quotient_jet(sat.ideal, J, order)
-        tried.append(order)
-        if previous is not None and previous == current:
-            return MuResult(
-                current[0], J, sat.ideal, tuple(current[1]), False, tuple(tried), sat
-            )
-        previous = current
-        order += 2
-    raise InconclusiveError("mu did not stabilize", jet_orders=tuple(tried))
+        return MuResult(total, sat.ideal, tuple(basis), True, ())
+    orders = range(max(6, f.total_degree() + 2), jet_cap + 1, 2)
+    (value, jet_basis), tried = _stable_in_jets(
+        lambda order: _pair_quotient_jet(sat.ideal, J, order),
+        orders,
+        "mu did not stabilize",
+        jet_orders=tuple(orders),
+    )
+    return MuResult(value, sat.ideal, tuple(jet_basis), False, tried)
 
 
 # -- twisted quotients --------------------------------------------------------
@@ -589,7 +578,6 @@ class TwistedResult:
     dim: int
     basis: tuple[Exponents, ...]
     exact: bool
-    detail: tuple[str, ...] = ()
 
 
 def _twisted_shift(
@@ -631,7 +619,7 @@ def twisted_quotient_dim(
     under which the field is graded, each weighted slice is finite exact
     linear algebra and the scan stops after ``window`` consecutive
     nonempty slices contribute nothing.  Without a certificate the jet
-    truncation is used with two-order stabilization and flagged heuristic.
+    truncation runs under the jet stop rule and is flagged heuristic.
     """
     if V.variables != I.variables:
         raise InputError("ideal and vector field live in different rings")
@@ -673,15 +661,13 @@ def twisted_quotient_dim(
 
             total = graded.scan(wdeg_cap, -1, window, picked)
             if total is not None:
-                return TwistedResult(total, tuple(basis), True, ())
+                return TwistedResult(total, tuple(basis), True)
             raise InconclusiveError(
                 "graded twisted quotient did not close out",
                 wdeg_cap=wdeg_cap,
                 window=window,
             )
     # jet path
-    orders_tried: list[int] = []
-    previous: Optional[tuple[int, list[Exponents]]] = None
     drop = 0
     for i, coeff in enumerate(V.coefficients):
         o = coeff.order()
@@ -690,29 +676,21 @@ def twisted_quotient_dim(
     div_ord = V.divergence().order()
     if div_ord is not None:
         drop = max(drop, -div_ord)
-    order = max(6, min(10, jet_cap))
-    while order <= jet_cap:
+
+    def jet_basis(order: int) -> list[Exponents]:
         span = ideal_jet_span(I, order)
         for m in monomials_below(n, order + drop):
             image = V.apply_twisted(Poly.monomial(I.variables, m))
             vec = truncate_vec(poly_vec(image), order)
             if vec:
                 span.insert(vec)
-        basis = []
-        for m in monomials_below(n, order):
-            if span.insert({m: Fraction(1)}):
-                basis.append(m)
-        current = (len(basis), basis)
-        orders_tried.append(order)
-        if previous is not None and previous == current:
-            return TwistedResult(
-                current[0],
-                tuple(current[1]),
-                False,
-                (f"jet stabilization at orders {orders_tried[-2]}, {orders_tried[-1]}",),
-            )
-        previous = current
-        order += 2
-    raise InconclusiveError(
-        "twisted quotient did not stabilize", jet_orders=tuple(orders_tried)
+        return [m for m in monomials_below(n, order) if span.insert({m: Fraction(1)})]
+
+    orders = range(max(6, min(10, jet_cap)), jet_cap + 1, 2)
+    basis, _ = _stable_in_jets(
+        jet_basis,
+        orders,
+        "twisted quotient did not stabilize",
+        jet_orders=tuple(orders),
     )
+    return TwistedResult(len(basis), tuple(basis), False)

@@ -253,6 +253,15 @@ class TestConfiguration:
         )
         assert code == EXIT_INCONCLUSIVE
 
+    @pytest.mark.parametrize("name", ["BRIESKORN_JET_CAP", "BRIESKORN_TRUNC_ORDER"])
+    def test_env_zero_is_rejected_not_defaulted(self, monkeypatch, name):
+        monkeypatch.setenv(name, "0")
+        code, _ = run(
+            ["invariants", "--factors", "x:3", "--residual", "x^3+y^3",
+             "--weights", "1,1"]
+        )
+        assert code == EXIT_INVALID
+
     def test_flag_beats_environment(self, monkeypatch):
         monkeypatch.setenv("BRIESKORN_JET_CAP", "6")
         code, _ = run(

@@ -91,8 +91,14 @@ class TestJetQuotients:
         assert names == {"1", "x", "y", "x*y", "y^2", "x*y^2"}
 
     def test_stable_colength_raises_on_infinite(self):
-        with pytest.raises(InconclusiveError):
+        with pytest.raises(InconclusiveError, match="colength did not stabilize") as info:
             stable_colength(ideal("x^2"), cap=14)
+        assert info.value.context == {"jet_cap": 14}
+
+    def test_stable_colength_reports_the_agreeing_orders(self):
+        dim, basis, orders = stable_colength(ideal("x^2", "y^3"), cap=14)
+        assert (dim, orders) == (6, (4, 6))
+        assert len(basis) == 6
 
 
 class TestJacobianIdeal:
@@ -169,6 +175,12 @@ class TestMu:
         result = mu(p("x^3*(x^3+y^3)"), None, jet_cap=18)
         assert result.value == 9
         assert not result.exact
+        assert result.jet_orders == (8, 10)
+
+    def test_jet_path_inconclusive_below_two_orders(self):
+        with pytest.raises(InconclusiveError, match="mu did not stabilize") as info:
+            mu(p("x^3*(x^3+y^3)"), None, jet_cap=8)
+        assert info.value.context == {"jet_orders": (8,)}
 
     def test_isolated_is_milnor_number(self):
         assert mu(p("x^2+y^2"), None, jet_cap=12).value == 1
@@ -207,6 +219,16 @@ class TestTwistedQuotient:
 
     def test_sextic_jet_path(self):
         result = twisted_quotient_dim(ideal("x^2"), self.sextic_field(), None, 20, 5)
+        assert result.dim == 4
+        assert not result.exact
+
+    def test_jet_path_stop_rule(self):
+        with pytest.raises(
+            InconclusiveError, match="twisted quotient did not stabilize"
+        ) as info:
+            twisted_quotient_dim(ideal("x^2"), self.sextic_field(), None, 10, 5)
+        assert info.value.context == {"jet_orders": (10,)}
+        result = twisted_quotient_dim(ideal("x^2"), self.sextic_field(), None, 12, 5)
         assert result.dim == 4
         assert not result.exact
 
