@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import InconclusiveError, InputError
@@ -257,23 +258,27 @@ def _greedy_generators(
     return gens
 
 
-def _colon_span(
-    monos: Sequence[Exponents], targets: Sequence[Optional[Span]]
-) -> Span:
+def _colon_span(monos: Sequence[Exponents], targets: Sequence[Span]) -> Span:
     """One colon step by the maximal ideal: the span of the combinations g
-    of ``monos`` with x_i g in ``targets[i]`` for every variable i (None
-    stands for the zero span)."""
-    candidates = []
+    of ``monos`` with x_i g in ``targets[i]`` for every variable i.
+
+    The residuals of the x_i m come from ``Span.unit_residual`` in integers;
+    every candidate is brought to one common scale, so the kernel is that of
+    the unscaled map."""
+    probes = []
+    scale = 1
     for m in monos:
-        compound: Vec = {}
+        parts = []
         for i, target in enumerate(targets):
             shifted = tuple(e + (1 if j == i else 0) for j, e in enumerate(m))
-            residual = {shifted: Fraction(1)}
-            if target is not None:
-                residual = target.reduce(residual)
-            for key, value in residual.items():
-                compound[(i, key)] = value
-        candidates.append((m, compound))
+            residual, s = target.unit_residual(shifted)
+            parts.append((i, residual, s))
+            scale = lcm(scale, s)
+        probes.append((m, parts))
+    candidates = [
+        (m, {(i, k): v * (scale // s) for i, res, s in parts for k, v in res.items()})
+        for m, parts in probes
+    ]
     relations = kernel_relations(
         candidates, key_order=lambda k: (k[0], jet_key_order(k[1]))
     )
@@ -379,29 +384,36 @@ def _graded_saturate(
 
     Returns (stable colon slices, graded ideal helper, wdeg cap actually
     certified, colon steps).
+
+    Step s computes slice e from the slices e + w_i of step s - 1 alone, so
+    a slice is recomputed only when one of those grew in the step before;
+    every other slice keeps its span from that step.  The chain only grows
+    (I is contained in I : m, slice by slice), so a slice whose rank did not
+    change is the same span, and the chain is stable once no slice grew.
     """
     graded = _GradedIdeal(I, weights)
     wmax = max(graded.int_weights)
     wdeg_cap = jet_cap * wmax
 
-    def colon_once(prev: dict[int, Span], top: int) -> dict[int, Span]:
-        out: dict[int, Span] = {}
-        for wdeg in range(0, top + 1):
-            monos = graded.monomials(wdeg)
-            targets = [prev.get(wdeg + w) for w in graded.int_weights]
-            out[wdeg] = _colon_span(monos, targets) if monos else Span(jet_key_order)
-        return out
-
     base = {wdeg: graded.slice_span(wdeg) for wdeg in range(wdeg_cap + 1)}
     current = base
+    grown = set(base)
     steps = 0
     max_steps = jet_cap
     while steps < max_steps:
         top = wdeg_cap - (steps + 1) * wmax
         if top < 0:
             break
-        nxt = colon_once(current, top)
-        if all(nxt[w].rank == current[w].rank for w in range(top + 1)):
+        nxt: dict[int, Span] = {}
+        for wdeg in range(top + 1):
+            sources = [wdeg + w for w in graded.int_weights]
+            monos = graded.monomials(wdeg)
+            if monos and grown.intersection(sources):
+                nxt[wdeg] = _colon_span(monos, [current[e] for e in sources])
+            else:  # unchanged, or a slice without monomials (the zero span)
+                nxt[wdeg] = current[wdeg]
+        grown = {w for w in range(top + 1) if nxt[w].rank != current[w].rank}
+        if not grown:
             # margin: the saturation must add nothing in the top `window`
             # nonempty slices of the certified region (widened past any
             # gap the scaled weights can produce)
@@ -677,11 +689,14 @@ def twisted_quotient_dim(
     if div_ord is not None:
         drop = max(drop, -div_ord)
 
+    images: dict[Exponents, Vec] = {}  # twisted images, shared by all jet orders
+
     def jet_basis(order: int) -> list[Exponents]:
         span = ideal_jet_span(I, order)
         for m in monomials_below(n, order + drop):
-            image = V.apply_twisted(Poly.monomial(I.variables, m))
-            vec = truncate_vec(poly_vec(image), order)
+            if m not in images:
+                images[m] = poly_vec(V.apply_twisted(Poly.monomial(I.variables, m)))
+            vec = truncate_vec(images[m], order)
             if vec:
                 span.insert(vec)
         return [m for m in monomials_below(n, order) if span.insert({m: Fraction(1)})]

@@ -209,6 +209,21 @@ def test_span_matches_reference(vectors, probes, order):
 
 
 @given(vector_lists(), st.sampled_from(sorted(ORDERS)))
+def test_unit_residual_matches_reduce(vectors, order):
+    span = Span(ORDERS[order])
+    for vec in vectors:
+        span.insert(vec)
+    # pivot columns, the other columns of the rows, and columns no row uses
+    for key in range(COLUMNS + 2):
+        residual, scale = span.unit_residual(key)
+        assert scale > 0 and all(isinstance(v, int) for v in residual.values())
+        expected = span.reduce({key: Fraction(1)})
+        assert ordered({k: Fraction(v, scale) for k, v in residual.items()}) == ordered(
+            expected
+        )
+
+
+@given(vector_lists(), st.sampled_from(sorted(ORDERS)))
 def test_kernel_relations_match_reference(vectors, order):
     tagged = [(("v", i), vec) for i, vec in enumerate(vectors)]
     relations = kernel_relations(tagged, ORDERS[order])

@@ -13,10 +13,14 @@ import pytest
 
 from brieskorn.errors import InconclusiveError, InputError
 from brieskorn.forms import VectorField
+from brieskorn.linalg import Span, kernel_relations
 from brieskorn.local_algebra import (
     IdealGens,
+    _graded_saturate,
+    _GradedIdeal,
     ideal_jet_span,
     jacobian_ideal,
+    jet_key_order,
     jet_quotient,
     monomials_below,
     mu,
@@ -161,6 +165,97 @@ class TestSaturation:
         I = IdealGens.of(XYZ, [p("x", XYZ)])
         with pytest.raises(InputError):
             saturate_at_origin(I, None, jet_cap=10)
+
+
+# -- reference: the graded colon chain that recomputes every slice ------------
+
+
+def reference_colon_span(monos, targets):
+    """The colon step probing each target with a Fraction unit vector."""
+    candidates = []
+    for m in monos:
+        compound = {}
+        for i, target in enumerate(targets):
+            shifted = tuple(e + (1 if j == i else 0) for j, e in enumerate(m))
+            residual = {shifted: Fraction(1)}
+            if target is not None:
+                residual = target.reduce(residual)
+            for key, value in residual.items():
+                compound[(i, key)] = value
+        candidates.append((m, compound))
+    relations = kernel_relations(
+        candidates, key_order=lambda k: (k[0], jet_key_order(k[1]))
+    )
+    colon = Span(jet_key_order)
+    for rel in relations:
+        colon.insert(rel)
+    return colon
+
+
+def reference_graded_saturate(I, weights, jet_cap, window):
+    """Every slice 0..top recomputed at every colon step."""
+    graded = _GradedIdeal(I, weights)
+    wmax = max(graded.int_weights)
+    wdeg_cap = jet_cap * wmax
+
+    def colon_once(prev, top):
+        out = {}
+        for wdeg in range(0, top + 1):
+            monos = graded.monomials(wdeg)
+            targets = [prev.get(wdeg + w) for w in graded.int_weights]
+            if monos:
+                out[wdeg] = reference_colon_span(monos, targets)
+            else:
+                out[wdeg] = Span(jet_key_order)
+        return out
+
+    base = {wdeg: graded.slice_span(wdeg) for wdeg in range(wdeg_cap + 1)}
+    current = base
+    steps = 0
+    while steps < jet_cap:
+        top = wdeg_cap - (steps + 1) * wmax
+        if top < 0:
+            break
+        nxt = colon_once(current, top)
+        if all(nxt[w].rank == current[w].rank for w in range(top + 1)):
+            margin = max(window, wmax + 1)
+            nonempty = [w for w in range(top + 1) if graded.monomials(w)]
+            tail = nonempty[-margin:] if margin > 0 else []
+            if any(nxt[w].rank != base[w].rank for w in tail):
+                raise InconclusiveError("graded saturation still active near the cap")
+            return nxt, top, steps
+        current = nxt
+        steps += 1
+    raise InconclusiveError("graded colon chain did not stabilize")
+
+
+XYZ = ("x", "y", "z")
+
+
+# slices are reused from the second colon step on, which all but the last case reach
+@pytest.mark.parametrize(
+    "f, weights, colon_steps",
+    [
+        (p("x^3*(x^3+y^3)"), (1, 1), 5),
+        (p("x^2*(x^2+y^3)"), (3, 2), 5),
+        (p("x^2*y^2*(x+y)^2*(x-y)^2"), (1, 1), 5),
+        (p("x^3*y^2*(x^2+y^3)"), (3, 2), 7),
+        (p("z^2+x^2*y^2", XYZ), (1, 1, 1), 1),
+    ],
+    ids=str,
+)
+def test_graded_colon_chain_matches_full_recompute(f, weights, colon_steps):
+    # the Jacobian ideal is graded for these weights even where f is not
+    # (z^2 + x^2 y^2), so the certificate's total degree plays no part
+    I, ws = jacobian_ideal(f), WeightSystem(weights, 1)
+    slices, _, top, steps = _graded_saturate(I, ws, 24, 4)
+    ref_slices, ref_top, ref_steps = reference_graded_saturate(I, ws, 24, 4)
+    assert (top, steps) == (ref_top, ref_steps)
+    assert ref_steps == colon_steps
+    assert sorted(slices) == sorted(ref_slices) == list(range(top + 1))
+    for wdeg in range(top + 1):
+        rows = [list(r.items()) for r in slices[wdeg].row_vectors()]
+        assert rows == [list(r.items()) for r in ref_slices[wdeg].row_vectors()]
 
 
 class TestMu:
