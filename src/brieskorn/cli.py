@@ -194,9 +194,7 @@ def _cmd_invariants(args, config: RunConfig, out) -> int:
     report_dict = report.to_dict()
     if args.check_witness:
         order = max(curve.expand().total_degree() + 2, 12)
-        witness = torsion_free_witness(
-            curve, min(order, config.jet_cap), weights, jet_cap=config.jet_cap
-        )
+        witness = torsion_free_witness(curve, min(order, config.jet_cap))
         report_dict["torsion_free_witness"] = {
             "holds": witness,
             "jet_order": min(order, config.jet_cap),

@@ -10,9 +10,9 @@ annihilator 1-form
 
 which satisfies  df = u_1^(p_1-1) ... u_k^(p_k-1) alpha  exactly and spans
 the kernel of wedging with df.  The dual vector field drives the twisted
-quotient giving nu; the saturated Jacobian ideal gives mu; for plane
-curves the torsion corrections vanish so the rank of the associated
-(a,b)-module is mu + nu.
+quotient giving nu; the saturated Jacobian ideal, which is the principal
+ideal of that cofactor, gives mu; for plane curves the torsion
+corrections vanish so the rank of the associated (a,b)-module is mu + nu.
 """
 
 from __future__ import annotations
@@ -21,20 +21,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import InconclusiveError, InputError
 from .forms import DiffForm, VectorField, field_from_one_form
 from .linalg import Span, Vec, kernel_relations, vec_axpy
 from .local_algebra import (
     IdealGens,
-    jacobian_ideal,
     jet_key_order,
     monomials_below,
     monomials_of_weighted_degree,
     mu,
     poly_vec,
-    saturate_at_origin,
+    shifted_vec,
     stable_colength,
     twisted_quotient_dim,
 )
@@ -284,6 +283,13 @@ def invariants(
 ) -> InvariantReport:
     """Full invariant pipeline: mu, nu, rank = mu + nu, quotient basis,
     and (with a verifying weight certificate) the a-action coefficients.
+
+    Both scans read sat(J) = (h), h = u_1^(p_1-1) ... u_k^(p_k-1), and no
+    colon chain runs: df = h alpha with the coefficients (a, b) of alpha
+    m-primary (``check_hypotheses``), so J = h (a, b); m is not associated
+    to the principal ideal (h), so J : m^infinity lies in (h), and
+    cancelling h leaves (a, b) : m^infinity = O.  mu is therefore
+    dim (h)/J = dim O/(a, b) and does not depend on the colon-chain cap.
     """
     # the hypothesis checks are cheap stabilization sweeps; keep their cap
     # at a sane floor even when the main cap is squeezed
@@ -292,11 +298,10 @@ def invariants(
     ws = WeightSystem.for_poly(f, weights) if weights is not None else None
     if window is None:
         window = max(p for _, p in curve.factors) + 2
-    mu_res = mu(f, ws, jet_cap=jet_cap, window=window)
+    sat = IdealGens.of(curve.variables, [curve.multiplicity_cofactor()])
+    mu_res = mu(f, ws, jet_cap=jet_cap, saturated=sat)
     field = annihilator_field(curve)
-    nu_res = twisted_quotient_dim(
-        mu_res.saturated, field, ws, jet_cap=jet_cap, window=window
-    )
+    nu_res = twisted_quotient_dim(sat, field, ws, jet_cap=jet_cap, window=window)
     rank = mu_res.value + nu_res.dim
     basis_mu = tuple(sorted(mu_res.basis, key=_basis_sort_key))
     basis_nu = tuple(
@@ -359,11 +364,13 @@ def a_action(
     jet_cap: int = 24,
 ) -> tuple[tuple[Poly, Fraction], ...]:
     """a-action coefficients on the given basis classes, each verified by
-    the membership oracle before inclusion."""
+    the membership oracle before inclusion.  One oracle serves the whole
+    basis, so representatives of one weighted degree share its span."""
+    holds = _action_oracle(curve.expand(), annihilator_form(curve), ws, jet_cap)
     out = []
     for rep in basis:
         coefficient = a_action_coefficient(ws, rep)
-        if not verify_a_action(curve, rep, coefficient, jet_cap, ws):
+        if not holds(rep, coefficient):
             raise InputError(f"a-action verification failed on monomial {rep}")
         out.append((rep, coefficient))
     return tuple(out)
@@ -410,43 +417,63 @@ def action_relation_holds(
     polynomial identity.  For quasi-homogeneous f only the eta of one
     weighted degree can contribute, so the test is a finite exact solve.
     """
+    return _action_oracle(f, alpha, ws, jet_cap)(m, coefficient)
+
+
+def _action_oracle(
+    f: Poly, alpha: DiffForm, ws: WeightSystem, jet_cap: int
+) -> Callable[[Poly, Fraction], bool]:
+    """The test of ``action_relation_holds`` for one (f, alpha), as a
+    function of (m, c).  The span of the d(eta ^ alpha) of one eta weighted
+    degree is built when a representative first needs it and reused for
+    every later representative of that degree."""
     variables = f.variables
     n = len(variables)
-    omega = DiffForm.volume(variables, f * m)
-    # xi = (int m dx_0) dx_1 ^ ... ^ dx_(n-1), so that d(xi) = m vol
-    primitive = Poly(
-        variables,
-        {(e[0] + 1,) + e[1:]: c / (e[0] + 1) for e, c in m.terms.items()},
-    )
-    xi = DiffForm(variables, n - 1, {tuple(range(1, n)): primitive})
     df = DiffForm.from_poly(f).d()
-    omega = omega - df.wedge(xi) * Poly.constant(variables, coefficient)
-    if omega.is_zero:
-        return True
     # weighted degree bookkeeping: d(eta ^ alpha) matches omega exactly when
     # w(eta) = w(omega as a form) - w(alpha as a form)
-    target = _form_weighted_degree(omega, ws.weights)
     alpha_degree = _form_weighted_degree(alpha, ws.weights)
-    if target is None or alpha_degree is None:
-        raise InputError("forms are not quasi-homogeneous under the certificate")
     int_weights, scale = ws.integer_scaled()
-    eta_degree = int((target - alpha_degree) * scale)
     top_key = tuple(range(n))
-    span = Span(jet_key_order)
-    for index_set in combinations(range(n), n - 2) if n > 1 else ():
-        h_degree = eta_degree - sum(int_weights[j] for j in index_set)
-        if h_degree > jet_cap * min(int_weights):
-            raise InconclusiveError(
-                "a-action oracle would need multipliers beyond the jet cap",
-                jet_cap=jet_cap,
-            )
-        for h_exp in monomials_of_weighted_degree(n, int_weights, h_degree):
-            h = Poly.monomial(variables, h_exp)
-            eta = DiffForm(variables, n - 2, {index_set: h})
-            vec = poly_vec(eta.wedge(alpha).d().coefficient(top_key))
-            if vec:
-                span.insert(vec)
-    return span.contains(poly_vec(omega.coefficient(top_key)))
+    spans: dict[int, Span] = {}
+
+    def eta_span(eta_degree: int) -> Span:
+        span = Span(jet_key_order)
+        for index_set in combinations(range(n), n - 2) if n > 1 else ():
+            h_degree = eta_degree - sum(int_weights[j] for j in index_set)
+            if h_degree > jet_cap * min(int_weights):
+                raise InconclusiveError(
+                    "a-action oracle would need multipliers beyond the jet cap",
+                    jet_cap=jet_cap,
+                )
+            for h_exp in monomials_of_weighted_degree(n, int_weights, h_degree):
+                h = Poly.monomial(variables, h_exp)
+                eta = DiffForm(variables, n - 2, {index_set: h})
+                vec = poly_vec(eta.wedge(alpha).d().coefficient(top_key))
+                if vec:
+                    span.insert(vec)
+        return span
+
+    def holds(m: Poly, coefficient: Fraction) -> bool:
+        omega = DiffForm.volume(variables, f * m)
+        # xi = (int m dx_0) dx_1 ^ ... ^ dx_(n-1), so that d(xi) = m vol
+        primitive = Poly(
+            variables,
+            {(e[0] + 1,) + e[1:]: c / (e[0] + 1) for e, c in m.terms.items()},
+        )
+        xi = DiffForm(variables, n - 1, {tuple(range(1, n)): primitive})
+        omega = omega - df.wedge(xi) * Poly.constant(variables, coefficient)
+        if omega.is_zero:
+            return True
+        target = _form_weighted_degree(omega, ws.weights)
+        if target is None or alpha_degree is None:
+            raise InputError("forms are not quasi-homogeneous under the certificate")
+        eta_degree = int((target - alpha_degree) * scale)
+        if eta_degree not in spans:
+            spans[eta_degree] = eta_span(eta_degree)
+        return spans[eta_degree].contains(poly_vec(omega.coefficient(top_key)))
+
+    return holds
 
 
 def _form_weighted_degree(form: DiffForm, weights) -> Optional[Fraction]:
@@ -464,14 +491,11 @@ def _form_weighted_degree(form: DiffForm, weights) -> Optional[Fraction]:
 # -- torsion-free witness -------------------------------------------------------
 
 
-def torsion_free_witness(
-    curve: FactoredCurve,
-    jet_order: int = 12,
-    weights: Optional[Sequence[Fraction]] = None,
-    jet_cap: int = 24,
-) -> bool:
+def torsion_free_witness(curve: FactoredCurve, jet_order: int = 12) -> bool:
     """Jet-order witness that exact forms d(h alpha) lying inside the
     saturated-Jacobian multiples are themselves df ^ d(g) combinations.
+    The saturated Jacobian ideal is principal, generated by the
+    multiplicity cofactor (see ``invariants``).
 
     For plane curves this always holds, which makes the check a powerful
     end-to-end self-test of the pipeline.  Returns True on success; a
@@ -487,9 +511,7 @@ def torsion_free_witness(
             jet_order=jet_order,
             needed=f.total_degree() + 2,
         )
-    ws = WeightSystem.for_poly(f, weights) if weights is not None else None
     alpha = annihilator_form(curve)
-    sat = saturate_at_origin(jacobian_ideal(f), ws, jet_cap=jet_cap)
     exact_vectors: list[tuple] = []
     for h_exp in monomials_below(2, jet_order + 1):
         vec = _volume_vec((alpha * Poly.monomial(variables, h_exp)).d())
@@ -499,12 +521,11 @@ def torsion_free_witness(
         (sum(e) for _, v in exact_vectors for e in v),
         default=0,
     )
-    ideal_vectors: list[tuple] = []
-    for gen_index, g in enumerate(sat.ideal.generators):
-        g_ord = g.order() or 0
-        for m_exp in monomials_below(2, max(bound + 2 - g_ord, 1)):
-            prod = g * Poly.monomial(variables, m_exp)
-            ideal_vectors.append((("u", gen_index, m_exp), poly_vec(prod)))
+    cofactor = curve.multiplicity_cofactor()
+    ideal_vectors = [
+        (("u", m_exp), shifted_vec(cofactor, m_exp))
+        for m_exp in monomials_below(2, max(bound + 2 - cofactor.order(), 1))
+    ]
     relations = kernel_relations(
         exact_vectors + ideal_vectors,
         key_order=jet_key_order,

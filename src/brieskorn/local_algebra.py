@@ -446,7 +446,8 @@ def saturate_at_origin(
     runs per weighted-degree slice and is exact.  Otherwise the answer is
     the jet-order approximation at ``jet_cap`` and is flagged heuristic.
     Non-stabilizing colon chains raise InconclusiveError, never return a
-    silent wrong answer.
+    silent wrong answer.  Plane curves do not come here: their saturation
+    is known (see ``mu``), so this serves the three-variable direct check.
     """
     if I.contains_unit():
         one = Poly.constant(I.variables, 1)
@@ -489,7 +490,6 @@ def saturate_at_origin(
 @dataclass(frozen=True)
 class MuResult:
     value: int
-    saturated: IdealGens
     basis: tuple[Poly, ...]
     exact: bool
     jet_orders: tuple[int, ...]
@@ -532,20 +532,33 @@ def mu(
     weights: Optional[WeightSystem] = None,
     jet_cap: int = 24,
     window: int = 4,
+    saturated: Optional[IdealGens] = None,
 ) -> MuResult:
     """dim of (saturated Jacobian ideal) / (Jacobian ideal) at the origin.
 
     For isolated singularities the saturation is the unit ideal and this
     is the classical Milnor number.
+
+    A caller that knows sat(J) = J : m^infinity passes it as ``saturated``
+    and no colon chain runs.  Plane curves do (``curve.invariants``): with
+    df = h alpha, h = u_1^(p_1-1) ... u_k^(p_k-1) and the coefficients
+    (a, b) of alpha m-primary, J = h (a, b).  The associated primes of the
+    principal ideal (h) are its prime factors, of height one, so m is not
+    among them and J : m^infinity lies in (h) : m^infinity = (h).
+    Cancelling the nonzerodivisor h, h g is in J : m^infinity exactly when
+    g is in (a, b) : m^infinity = O.  Hence sat(J) = (h), and curve mu does
+    not depend on the colon-chain cap.  Otherwise sat(J) comes from
+    ``saturate_at_origin``.
     """
     if f.is_zero or f.is_constant():
         raise InputError("mu requires a nonconstant germ")
     if f.constant_value() != 0:
         raise InputError("mu requires f(0) = 0")
     J = jacobian_ideal(f)
-    sat = saturate_at_origin(J, weights, jet_cap, window)
+    if saturated is None:
+        saturated = saturate_at_origin(J, weights, jet_cap, window).ideal
     if weights is not None:
-        graded_sat = _GradedIdeal(sat.ideal, weights)
+        graded_sat = _GradedIdeal(saturated, weights)
         graded_jac = _GradedIdeal(J, weights)
         wmax = max(graded_sat.int_weights)
         wdeg_cap = jet_cap * wmax
@@ -571,15 +584,15 @@ def mu(
                 quiet_after=top_gen,
                 run=wmax,
             )
-        return MuResult(total, sat.ideal, tuple(basis), True, ())
+        return MuResult(total, tuple(basis), True, ())
     orders = range(max(6, f.total_degree() + 2), jet_cap + 1, 2)
     (value, jet_basis), tried = _stable_in_jets(
-        lambda order: _pair_quotient_jet(sat.ideal, J, order),
+        lambda order: _pair_quotient_jet(saturated, J, order),
         orders,
         "mu did not stabilize",
         jet_orders=tuple(orders),
     )
-    return MuResult(value, sat.ideal, tuple(jet_basis), False, tried)
+    return MuResult(value, tuple(jet_basis), False, tried)
 
 
 # -- twisted quotients --------------------------------------------------------
@@ -593,7 +606,7 @@ class TwistedResult:
 
 
 def _twisted_shift(
-    V: VectorField, weights: tuple[Fraction, ...]
+    V: VectorField, div: Poly, weights: tuple[Fraction, ...]
 ) -> Optional[Fraction]:
     """Weighted-degree shift of the twisted action, or None when the field
     is not graded for these weights (all coefficient shifts must agree)."""
@@ -609,7 +622,6 @@ def _twisted_shift(
             shift = s
         elif shift != s:
             return None
-    div = V.divergence()
     if not div.is_zero:
         d = div.quasi_homogeneous_degree(weights)
         if d is None or (shift is not None and d != shift):
@@ -636,8 +648,14 @@ def twisted_quotient_dim(
     if V.variables != I.variables:
         raise InputError("ideal and vector field live in different rings")
     n = len(I.variables)
+    div = V.divergence()
+
+    def twisted_image(m: Exponents) -> Poly:
+        x_m = Poly.monomial(I.variables, m)
+        return V.apply(x_m) + div * x_m
+
     if weights is not None:
-        shift = _twisted_shift(V, weights.weights)
+        shift = _twisted_shift(V, div, weights.weights)
         if shift is not None or V.is_zero:
             graded = _GradedIdeal(I, weights)
             scaled_shift = 0
@@ -659,9 +677,7 @@ def twisted_quotient_dim(
                     source = wdeg - scaled_shift
                     if source >= 0:
                         for m in graded.monomials(source):
-                            image = V.apply_twisted(
-                                Poly.monomial(I.variables, m)
-                            )
+                            image = twisted_image(m)
                             if not image.is_zero:
                                 span.insert(poly_vec(image))
                 count = 0
@@ -685,7 +701,7 @@ def twisted_quotient_dim(
         o = coeff.order()
         if o is not None:
             drop = max(drop, 1 - o)
-    div_ord = V.divergence().order()
+    div_ord = div.order()
     if div_ord is not None:
         drop = max(drop, -div_ord)
 
@@ -695,7 +711,7 @@ def twisted_quotient_dim(
         span = ideal_jet_span(I, order)
         for m in monomials_below(n, order + drop):
             if m not in images:
-                images[m] = poly_vec(V.apply_twisted(Poly.monomial(I.variables, m)))
+                images[m] = poly_vec(twisted_image(m))
             vec = truncate_vec(images[m], order)
             if vec:
                 span.insert(vec)

@@ -167,9 +167,9 @@ def test_criterion_5_gcd_witness_corpus():
 
 def test_criterion_6_condition_witness_self_test():
     with criterion(6, "torsion-free witness holds at jet order 12"):
-        assert torsion_free_witness(sextic(), 12, weights=(1, 1))
+        assert torsion_free_witness(sextic(), 12)
         cross = FactoredCurve.of(XY, [(p("x"), 2), (p("y"), 2)])
-        assert torsion_free_witness(cross, 12, weights=(1, 1))
+        assert torsion_free_witness(cross, 12)
 
 
 def test_criterion_7_suspension_transport():

@@ -10,6 +10,7 @@ import pytest
 
 from brieskorn.curve import (
     FactoredCurve,
+    a_action,
     a_action_coefficient,
     annihilator_field,
     annihilator_form,
@@ -22,6 +23,13 @@ from brieskorn.curve import (
 )
 from brieskorn.errors import InconclusiveError, InputError
 from brieskorn.forms import DiffForm
+from brieskorn.local_algebra import (
+    IdealGens,
+    _GradedIdeal,
+    jacobian_ideal,
+    mu,
+    saturate_at_origin,
+)
 from brieskorn.poly import Poly, WeightSystem, parse_polynomial
 
 XY = ("x", "y")
@@ -296,6 +304,127 @@ class TestCrossPathConsistency:
         assert check.agrees and check.mu_direct == expected[0]
 
 
+def changed(text: str) -> str:
+    """The nonlinear coordinate change x -> x + y^2, on polynomial text."""
+    return text.replace("x", "(x+y^2)")
+
+
+def factored(factors, residual=None) -> FactoredCurve:
+    return FactoredCurve.of(
+        XY, [(p(t), m) for t, m in factors], p(residual) if residual else None
+    )
+
+
+class TestSaturationTheorem:
+    """sat(J) = (h), h = u_1^(p_1-1) ... u_k^(p_k-1): the curve pipeline takes
+    the saturation from the factors instead of a colon chain."""
+
+    # (factors, residual, weights, graded (mu, nu, rank))
+    CHANGES = [
+        ([("x", 3)], "x^3+y^3", (1, 1), (9, 4, 13)),
+        ([("x", 3), ("y", 2)], "x^2+y^3", (3, 2), (12, 8, 20)),
+        ([("x", 2), ("y", 2), ("x+y", 2), ("x-y", 2)], None, (1, 1), (9, 9, 18)),
+        ([("x", 2)], "x^2+y^5", (5, 2), (13, 4, 17)),
+    ]
+
+    @pytest.mark.parametrize("factors,residual,weights,expected", CHANGES)
+    def test_coordinate_change_keeps_graded_invariants(
+        self, factors, residual, weights, expected
+    ):
+        graded = invariants(factored(factors, residual), weights=weights)
+        assert (graded.mu, graded.nu, graded.rank) == expected
+        moved = factored(
+            [(changed(t), m) for t, m in factors],
+            changed(residual) if residual else None,
+        )
+        jet = invariants(moved, weights=None)
+        assert (jet.mu, jet.nu, jet.rank) == expected
+
+    # curves on which the graded colon chain concludes
+    CHAIN_CASES = [
+        ([("x", 3)], "x^3+y^3", (1, 1)),
+        ([("x", 2)], "x^2+y^3", (3, 2)),
+        ([("x", 2), ("y", 2), ("x+y", 2), ("x-y", 2)], None, (1, 1)),
+        ([("x", 3), ("y", 2)], "x^2+y^3", (3, 2)),
+        ([("x^2-y^3", 2)], None, (3, 2)),
+        ([("x^2+y^5", 2)], None, (5, 2)),
+        ([("x", 2), ("y", 2)], "x+y", (1, 1)),
+    ]
+
+    @pytest.mark.parametrize("factors,residual,weights", CHAIN_CASES)
+    def test_colon_chain_gives_the_slices_of_h(self, factors, residual, weights):
+        curve = factored(factors, residual)
+        f = curve.expand()
+        ws = WeightSystem.for_poly(f, weights)
+        chain = _GradedIdeal(saturate_at_origin(jacobian_ideal(f), ws).ideal, ws)
+        theorem = _GradedIdeal(IdealGens.of(XY, [curve.multiplicity_cofactor()]), ws)
+
+        def rows(span):  # reduced rows are unique; their order is insertion order
+            return {frozenset(row.items()) for row in span.row_vectors()}
+
+        for wdeg in range(12 * max(theorem.int_weights) + 1):
+            assert rows(chain.slice_span(wdeg)) == rows(theorem.slice_span(wdeg))
+
+    def test_generated_quasi_homogeneous_mu_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        X, Y = sympy.symbols("x y")
+        branches = {
+            (1, 1): ["x", "y", "x+y", "x-y", "x+2*y"],
+            (2, 1): ["x", "y", "x+y^2", "x-y^2", "x+3*y^2"],
+            (3, 2): ["x", "y", "x^2+y^3", "x^2-y^3", "x^2+2*y^3"],
+            (5, 2): ["x", "y", "x^2+y^5", "x^2-y^5"],
+        }
+
+        def to_sympy(text):
+            return sympy.sympify(text.replace("^", "**"), locals={"x": X, "y": Y})
+
+        def colength(factors, residual) -> int:
+            # alpha = sum_l p_l (prod_{i != l} u_i) psi du_l + (prod u_i) dpsi
+            us = [(to_sympy(t), m) for t, m in factors]
+            psi = to_sympy(residual) if residual else sympy.Integer(1)
+            product = sympy.Mul(*(u for u, _ in us))
+            coefficients = []
+            for var in (X, Y):
+                total = product * sympy.diff(psi, var)
+                for l, (u_l, p_l) in enumerate(us):
+                    others = sympy.Mul(*(u for i, (u, _) in enumerate(us) if i != l))
+                    total += p_l * others * psi * sympy.diff(u_l, var)
+                coefficients.append(sympy.expand(total))
+            basis = sympy.groebner(coefficients, X, Y, order="grevlex")
+            leads = [sympy.Poly(g, X, Y).monoms(order="grevlex")[0] for g in basis.exprs]
+            x_pow = min(a for a, b in leads if b == 0)
+            y_pow = min(b for a, b in leads if a == 0)
+            count = sum(
+                1
+                for a in range(x_pow)
+                for b in range(y_pow)
+                if not any(a >= la and b >= lb for la, lb in leads)
+            )
+            # supported only at the origin, so the global count is the local one
+            for power in (X ** max(count, 1), Y ** max(count, 1)):
+                assert basis.reduce(power)[1] == 0
+            return count
+
+        rng = random.Random(7)
+        seen = []
+        while len(seen) < 30:
+            weights = rng.choice(sorted(branches))
+            pool = rng.sample(branches[weights], rng.randint(2, 3))
+            k = rng.randint(1, len(pool))
+            factors = [(t, rng.randint(2, 3)) for t in pool[:k]]
+            residual = pool[k] if k < len(pool) else None
+            if (factors, residual, weights) in seen:
+                continue
+            seen.append((factors, residual, weights))
+            curve = factored(factors, residual)
+            check_hypotheses(curve, jet_cap=24)  # the cap ``invariants`` uses
+            f = curve.expand()
+            h = IdealGens.of(XY, [curve.multiplicity_cofactor()])
+            result = mu(f, WeightSystem.for_poly(f, weights), saturated=h)
+            assert result.exact
+            assert result.value == colength(factors, residual), (factors, residual)
+
+
 class TestAActionOracle:
     def test_wrong_coefficient_fails(self):
         ws = WeightSystem.for_poly(sextic().expand(), (1, 1))
@@ -308,6 +437,22 @@ class TestAActionOracle:
         assert verify_a_action(cross(), (1, 1), Fraction(1), 10, ws)
         assert not verify_a_action(cross(), (0, 0), Fraction(1, 3), 10, ws)
 
+    def test_shared_degree_span_still_checks_each_representative(self, monkeypatch):
+        # x^2, x*y and y^2 share one weighted degree, hence one oracle span;
+        # a wrong coefficient on the second of them must still be caught
+        curve = sextic()
+        ws = WeightSystem.for_poly(curve.expand(), (1, 1))
+        basis = [p("x^2"), p("x*y"), p("y^2")]
+        assert [c for _, c in a_action(curve, ws, basis)] == [Fraction(2, 3)] * 3
+
+        def wrong_on_xy(weights, rep):
+            shift = Fraction(1, 7) if rep == p("x*y") else 0
+            return a_action_coefficient(weights, rep) + shift
+
+        monkeypatch.setattr("brieskorn.curve.a_action_coefficient", wrong_on_xy)
+        with pytest.raises(InputError, match=r"monomial x\*y"):
+            a_action(curve, ws, basis)
+
     def test_coefficient_formula_positive(self):
         ws = WeightSystem.for_poly(sextic().expand(), (1, 1))
         rep = invariants(sextic(), weights=(1, 1))
@@ -317,10 +462,14 @@ class TestAActionOracle:
 
 class TestTorsionFreeWitness:
     def test_sextic_at_order_12(self):
-        assert torsion_free_witness(sextic(), 12, weights=(1, 1))
+        assert torsion_free_witness(sextic(), 12)
 
     def test_cross_at_order_10(self):
-        assert torsion_free_witness(cross(), 10, weights=(1, 1))
+        assert torsion_free_witness(cross(), 10)
+
+    def test_sextic_under_coordinate_change(self):
+        moved = factored([(changed("x"), 3)], changed("x^3+y^3"))
+        assert torsion_free_witness(moved, 14)
 
     def test_window_too_small(self):
         with pytest.raises(InconclusiveError):
