@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+from operator import mul
 from typing import Callable, Optional, Sequence
 
 from .errors import InconclusiveError, InputError
@@ -28,6 +29,7 @@ from .forms import DiffForm, VectorField, field_from_one_form
 from .linalg import Span, Vec, kernel_relations, vec_axpy
 from .local_algebra import (
     IdealGens,
+    _ShiftedImages,
     jet_key_order,
     monomials_below,
     monomials_of_weighted_degree,
@@ -314,7 +316,7 @@ def invariants(
     heuristic_orders: tuple[int, ...] = tuple(mu_res.jet_orders)
     action = None
     if ws is not None:
-        action = a_action(curve, ws, basis_mu + basis_nu, jet_cap=jet_cap)
+        action = a_action(curve, ws, basis_mu + basis_nu)
     assumptions = Assumptions(
         torsion_free=True,
         torsion_free_justification=(
@@ -361,12 +363,11 @@ def a_action(
     curve: FactoredCurve,
     ws: WeightSystem,
     basis: Sequence[Poly],
-    jet_cap: int = 24,
 ) -> tuple[tuple[Poly, Fraction], ...]:
     """a-action coefficients on the given basis classes, each verified by
     the membership oracle before inclusion.  One oracle serves the whole
     basis, so representatives of one weighted degree share its span."""
-    holds = _action_oracle(curve.expand(), annihilator_form(curve), ws, jet_cap)
+    holds = _action_oracle(curve.expand(), annihilator_form(curve), ws)
     out = []
     for rep in basis:
         coefficient = a_action_coefficient(ws, rep)
@@ -385,7 +386,6 @@ def verify_a_action(
     curve: FactoredCurve,
     rep,
     coefficient: Fraction,
-    jet_cap: int,
     ws: Optional[WeightSystem] = None,
 ) -> bool:
     """Independent oracle for  a[m] = c b[m]  on a curve: the membership
@@ -394,7 +394,7 @@ def verify_a_action(
         raise InputError("the a-action oracle needs a weight certificate")
     m_poly = rep if isinstance(rep, Poly) else Poly.monomial(curve.variables, rep)
     return action_relation_holds(
-        curve.expand(), annihilator_form(curve), ws, m_poly, coefficient, jet_cap
+        curve.expand(), annihilator_form(curve), ws, m_poly, coefficient
     )
 
 
@@ -404,7 +404,6 @@ def action_relation_holds(
     ws: WeightSystem,
     m: Poly,
     coefficient: Fraction,
-    jet_cap: int,
 ) -> bool:
     """Membership oracle for  a[m] = c b[m]  in n variables.
 
@@ -417,61 +416,84 @@ def action_relation_holds(
     polynomial identity.  For quasi-homogeneous f only the eta of one
     weighted degree can contribute, so the test is a finite exact solve.
     """
-    return _action_oracle(f, alpha, ws, jet_cap)(m, coefficient)
+    return _action_oracle(f, alpha, ws)(m, coefficient)
+
+
+def _exact_form_images(
+    alpha: DiffForm,
+) -> list[tuple[tuple[int, ...], _ShiftedImages]]:
+    """For each index set I of n - 2 variables, the map from x^h to the top
+    coefficient of d(x^h dx_I ^ alpha).  By the Leibniz rule that form is
+    sum_k h_k x^(h - e_k) dx_k ^ dx_I ^ alpha + x^h d(dx_I ^ alpha), affine
+    in h, so its operator is read off alpha once per index set."""
+    variables = alpha.variables
+    n = len(variables)
+    top_key = tuple(range(n))
+    one = Poly.constant(variables, 1)
+    out = []
+    for index_set in combinations(range(n), n - 2) if n > 1 else ():
+        dx_alpha = DiffForm(variables, n - 2, {index_set: one}).wedge(alpha)
+        parts = [
+            DiffForm(variables, 1, {(k,): one}).wedge(dx_alpha).coefficient(top_key)
+            for k in range(n)
+        ]
+        extra = dx_alpha.d().coefficient(top_key)
+        out.append((index_set, _ShiftedImages(parts, extra)))
+    return out
 
 
 def _action_oracle(
-    f: Poly, alpha: DiffForm, ws: WeightSystem, jet_cap: int
+    f: Poly, alpha: DiffForm, ws: WeightSystem
 ) -> Callable[[Poly, Fraction], bool]:
     """The test of ``action_relation_holds`` for one (f, alpha), as a
-    function of (m, c).  The span of the d(eta ^ alpha) of one eta weighted
-    degree is built when a representative first needs it and reused for
-    every later representative of that degree."""
+    function of (m, c).
+
+    The exact forms d(eta ^ alpha), eta = x^h dx_I, are integer exponent
+    shifts (``_exact_form_images``) whose operators come from alpha alone,
+    never from the slices of the nu scan.  The span of the d(eta ^ alpha) of
+    one eta weighted degree is built when a representative first needs it
+    and reused for every later representative of that degree."""
     variables = f.variables
     n = len(variables)
-    df = DiffForm.from_poly(f).d()
+    int_weights, scale = ws.integer_scaled()
+    images = [
+        (sum(int_weights[j] for j in index_set), image)
+        for index_set, image in _exact_form_images(alpha)
+    ]
     # weighted degree bookkeeping: d(eta ^ alpha) matches omega exactly when
     # w(eta) = w(omega as a form) - w(alpha as a form)
     alpha_degree = _form_weighted_degree(alpha, ws.weights)
-    int_weights, scale = ws.integer_scaled()
-    top_key = tuple(range(n))
+    f_x0 = f.derivative(variables[0])
     spans: dict[int, Span] = {}
 
     def eta_span(eta_degree: int) -> Span:
         span = Span(jet_key_order)
-        for index_set in combinations(range(n), n - 2) if n > 1 else ():
-            h_degree = eta_degree - sum(int_weights[j] for j in index_set)
-            if h_degree > jet_cap * min(int_weights):
-                raise InconclusiveError(
-                    "a-action oracle would need multipliers beyond the jet cap",
-                    jet_cap=jet_cap,
-                )
-            for h_exp in monomials_of_weighted_degree(n, int_weights, h_degree):
-                h = Poly.monomial(variables, h_exp)
-                eta = DiffForm(variables, n - 2, {index_set: h})
-                vec = poly_vec(eta.wedge(alpha).d().coefficient(top_key))
+        for index_degree, image in images:
+            for h_exp in monomials_of_weighted_degree(
+                n, int_weights, eta_degree - index_degree
+            ):
+                vec = image(h_exp)
                 if vec:
                     span.insert(vec)
         return span
 
     def holds(m: Poly, coefficient: Fraction) -> bool:
-        omega = DiffForm.volume(variables, f * m)
-        # xi = (int m dx_0) dx_1 ^ ... ^ dx_(n-1), so that d(xi) = m vol
+        # omega = f m vol - c df ^ xi with xi = (int m dx_0) dx_1 ^ ... ^
+        # dx_(n-1), so that d(xi) = m vol and df ^ xi = f_x0 (int m dx_0) vol
         primitive = Poly(
             variables,
             {(e[0] + 1,) + e[1:]: c / (e[0] + 1) for e, c in m.terms.items()},
         )
-        xi = DiffForm(variables, n - 1, {tuple(range(1, n)): primitive})
-        omega = omega - df.wedge(xi) * Poly.constant(variables, coefficient)
-        if omega.is_zero:
+        target = poly_vec(f * m - f_x0 * primitive * coefficient)
+        if not target:
             return True
-        target = _form_weighted_degree(omega, ws.weights)
-        if target is None or alpha_degree is None:
+        degrees = {sum(map(mul, e, int_weights)) for e in target}
+        if len(degrees) != 1 or alpha_degree is None:
             raise InputError("forms are not quasi-homogeneous under the certificate")
-        eta_degree = int((target - alpha_degree) * scale)
+        eta_degree = int(degrees.pop() + sum(int_weights) - alpha_degree * scale)
         if eta_degree not in spans:
             spans[eta_degree] = eta_span(eta_degree)
-        return spans[eta_degree].contains(poly_vec(omega.coefficient(top_key)))
+        return spans[eta_degree].contains(target)
 
     return holds
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from operator import add
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import InconclusiveError, InputError
@@ -82,6 +83,46 @@ def poly_vec(p: Poly) -> Vec:
 def shifted_vec(p: Poly, m: Exponents) -> Vec:
     """Coefficient vector of the product of p with the monomial x^m."""
     return {tuple(a + b for a, b in zip(e, m)): c for e, c in p.terms.items()}
+
+
+class _ShiftedImages:
+    """The map x^m -> sum_i m_i x^(m - e_i) P_i + x^m Q on integer vectors.
+
+    Both operators whose images span the quotients here are affine in the
+    exponent of x^m: the twisted action V~(x^m) = V.x^m + div(V) x^m, with
+    (P_i, Q) = (V_i, div V), and the exact forms d(x^m dx_I ^ alpha), whose
+    top coefficient has P_k = top coefficient of dx_k ^ dx_I ^ alpha and
+    Q = top coefficient of d(dx_I ^ alpha).  P_i and Q are scaled once by
+    their common denominator ``scale``, so an image is ``scale`` times the
+    true image, an integer vector spanning the same line."""
+
+    def __init__(self, parts: Sequence[Poly], extra: Poly):
+        polys = (*parts, extra)
+        self.scale = lcm(1, *(c.denominator for p in polys for c in p.terms.values()))
+
+        def scaled(p: Poly) -> list[tuple[Exponents, int]]:
+            return [
+                (e, c.numerator * (self.scale // c.denominator))
+                for e, c in p.terms.items()
+            ]
+
+        self.parts = [scaled(p) for p in parts]
+        self.extra = scaled(extra)
+
+    def __call__(self, m: Exponents) -> dict[Exponents, int]:
+        out: dict[Exponents, int] = {}
+        for i, terms in enumerate(self.parts):
+            k = m[i]
+            if not k:
+                continue
+            base = m[:i] + (k - 1,) + m[i + 1 :]
+            for e, c in terms:
+                key = tuple(map(add, e, base))
+                out[key] = out.get(key, 0) + k * c
+        for e, c in self.extra:
+            key = tuple(map(add, e, m))
+            out[key] = out.get(key, 0) + c
+        return {key: v for key, v in out.items() if v}
 
 
 def vec_poly(vec: Vec, variables: Sequence[str]) -> Poly:
@@ -168,7 +209,15 @@ def quotient_dim_jet(I: IdealGens, order: int) -> int:
 def _stable_in_jets(compute: Callable, orders: range, message: str, **context):
     """The jet stop rule: evaluate ``compute`` at each jet order in turn and
     return (value, orders tried) once two successive values are equal.
-    Raises InconclusiveError(message, **context) when the orders run out."""
+    Raises InconclusiveError(message, **context) when the orders run out;
+    when the cap is below the first order, the error names the cap that
+    admits the two orders the rule compares."""
+    if not orders:
+        raise InconclusiveError(
+            f"{message}: the jet cap is below the first jet order",
+            first_order=orders.start,
+            min_jet_cap=orders.start + orders.step,
+        )
     previous = None
     for count, order in enumerate(orders, 1):
         current = compute(order)
@@ -649,10 +698,7 @@ def twisted_quotient_dim(
         raise InputError("ideal and vector field live in different rings")
     n = len(I.variables)
     div = V.divergence()
-
-    def twisted_image(m: Exponents) -> Poly:
-        x_m = Poly.monomial(I.variables, m)
-        return V.apply(x_m) + div * x_m
+    twisted_image = _ShiftedImages(V.coefficients, div)
 
     if weights is not None:
         shift = _twisted_shift(V, div, weights.weights)
@@ -678,8 +724,8 @@ def twisted_quotient_dim(
                     if source >= 0:
                         for m in graded.monomials(source):
                             image = twisted_image(m)
-                            if not image.is_zero:
-                                span.insert(poly_vec(image))
+                            if image:
+                                span.insert(image)
                 count = 0
                 for m in monos:
                     if span.insert({m: Fraction(1)}):
@@ -711,7 +757,7 @@ def twisted_quotient_dim(
         span = ideal_jet_span(I, order)
         for m in monomials_below(n, order + drop):
             if m not in images:
-                images[m] = poly_vec(twisted_image(m))
+                images[m] = twisted_image(m)
             vec = truncate_vec(images[m], order)
             if vec:
                 span.insert(vec)

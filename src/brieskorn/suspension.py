@@ -17,8 +17,8 @@ from .ab_module import ABModule, tensor
 from .curve import (
     FactoredCurve,
     InvariantReport,
+    _action_oracle,
     a_action_coefficient,
-    action_relation_holds,
 )
 from .errors import InconclusiveError, InputError
 from .forms import DiffForm
@@ -128,12 +128,12 @@ def milnor_isolated(
             ws = WeightSystem(detected, 1)
     action: Optional[tuple[tuple[Exponents, Fraction], ...]] = None
     if ws is not None:
-        df = DiffForm.from_poly(f).d()
+        holds = _action_oracle(f, DiffForm.from_poly(f).d(), ws)
         coefficients = []
         for exps in basis:
             m = Poly.monomial(f.variables, exps)
             c = a_action_coefficient(ws, m)
-            if verify_action and not action_relation_holds(f, df, ws, m, c, jet_cap):
+            if verify_action and not holds(m, c):
                 raise InputError(f"a-action verification failed on monomial {m}")
             coefficients.append((exps, c))
         action = tuple(coefficients)

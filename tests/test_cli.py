@@ -97,6 +97,16 @@ class TestInvariantsCommand:
         )
         assert code == EXIT_INCONCLUSIVE
 
+    def test_cap_below_the_first_jet_order_names_the_least_cap(self, capsys):
+        # deg f = 23, so jet mu starts at order 25, above the default cap 24
+        code, _ = run(
+            ["invariants", "--factors", "x:3,x^2-y^5:2,x^2+y^5:2", "--vars", "x,y"]
+        )
+        assert code == EXIT_INCONCLUSIVE
+        message = capsys.readouterr().err
+        assert "the jet cap is below the first jet order" in message
+        assert "first_order=25" in message and "min_jet_cap=27" in message
+
     def test_witness_flag(self):
         code, text = run(GOLDEN + ["--check-witness"])
         assert code == EXIT_OK

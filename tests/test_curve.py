@@ -428,14 +428,14 @@ class TestSaturationTheorem:
 class TestAActionOracle:
     def test_wrong_coefficient_fails(self):
         ws = WeightSystem.for_poly(sextic().expand(), (1, 1))
-        assert verify_a_action(sextic(), (0, 0), Fraction(1, 3), 12, ws)
-        assert not verify_a_action(sextic(), (0, 0), Fraction(1, 2), 12, ws)
+        assert verify_a_action(sextic(), (0, 0), Fraction(1, 3), ws)
+        assert not verify_a_action(sextic(), (0, 0), Fraction(1, 2), ws)
 
     def test_cross_values(self):
         ws = WeightSystem.for_poly(cross().expand(), (1, 1))
-        assert verify_a_action(cross(), (0, 0), Fraction(1, 2), 10, ws)
-        assert verify_a_action(cross(), (1, 1), Fraction(1), 10, ws)
-        assert not verify_a_action(cross(), (0, 0), Fraction(1, 3), 10, ws)
+        assert verify_a_action(cross(), (0, 0), Fraction(1, 2), ws)
+        assert verify_a_action(cross(), (1, 1), Fraction(1), ws)
+        assert not verify_a_action(cross(), (0, 0), Fraction(1, 3), ws)
 
     def test_shared_degree_span_still_checks_each_representative(self, monkeypatch):
         # x^2, x*y and y^2 share one weighted degree, hence one oracle span;
@@ -452,6 +452,26 @@ class TestAActionOracle:
         monkeypatch.setattr("brieskorn.curve.a_action_coefficient", wrong_on_xy)
         with pytest.raises(InputError, match=r"monomial x\*y"):
             a_action(curve, ws, basis)
+
+    def test_eta_degree_past_the_jet_cap(self):
+        # the oracle slices lie past jet_cap * min(weights): each one is a
+        # finite exact solve, so no cap applies and the report is exact
+        curve = factored([("y", 3), ("x^2-y^5", 3)])
+        graded = invariants(curve, weights=(5, 2))
+        assert (graded.mu, graded.nu, graded.rank) == (7, 14, 21)
+        assert graded.assumptions.exact
+        assert len(graded.a_action) == 21
+        jet = invariants(curve, weights=None)  # an independent route
+        assert (jet.mu, jet.nu, jet.rank) == (7, 14, 21)
+
+    def test_three_branch_curve_past_the_jet_cap(self):
+        # mu 46 is the colength of the annihilator-form coefficients
+        # (sympy Groebner basis, supported at the origin)
+        curve = factored([("x", 3), ("x^2-y^5", 2), ("x^2+y^5", 2)])
+        report = invariants(curve, weights=(5, 2))
+        assert report.mu == 46
+        assert report.assumptions.exact
+        assert len(report.a_action) == report.rank
 
     def test_coefficient_formula_positive(self):
         ws = WeightSystem.for_poly(sextic().expand(), (1, 1))

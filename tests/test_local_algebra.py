@@ -8,16 +8,20 @@ path they are checking.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import given, strategies as st
 
+from brieskorn.curve import _exact_form_images
 from brieskorn.errors import InconclusiveError, InputError
-from brieskorn.forms import VectorField
+from brieskorn.forms import DiffForm, VectorField
 from brieskorn.linalg import Span, kernel_relations
 from brieskorn.local_algebra import (
     IdealGens,
     _graded_saturate,
     _GradedIdeal,
+    _ShiftedImages,
     ideal_jet_span,
     jacobian_ideal,
     jet_key_order,
@@ -32,6 +36,7 @@ from brieskorn.local_algebra import (
 from brieskorn.poly import Poly, WeightSystem, parse_polynomial
 
 XY = ("x", "y")
+XYZ = ("x", "y", "z")
 
 
 def p(text, variables=XY):
@@ -356,3 +361,56 @@ class TestTwistedQuotient:
         r1 = twisted_quotient_dim(ideal("x^2"), self.sextic_field(), ws, 18, 5)
         r2 = twisted_quotient_dim(ideal("x^2"), self.sextic_field(), ws, 26, 5)
         assert (r1.dim, r1.basis) == (r2.dim, r2.basis)
+
+
+def rational_polys(variables, max_degree=3, max_terms=3):
+    """Polynomials whose coefficients are odd over even: never integers."""
+    exponent = st.tuples(*([st.integers(0, max_degree)] * len(variables)))
+    coefficient = st.builds(
+        lambda k, d: Fraction(2 * k + 1, d),
+        st.integers(-4, 3),
+        st.sampled_from([2, 4, 6]),
+    )
+    terms = st.lists(st.tuples(exponent, coefficient), min_size=1, max_size=max_terms)
+    return terms.map(lambda pairs: Poly(variables, dict(pairs)))
+
+
+def exponents(n):
+    return st.tuples(*([st.integers(0, 4)] * n))
+
+
+def scaled_down(image: _ShiftedImages, m) -> dict:
+    return {k: Fraction(v, image.scale) for k, v in image(m).items()}
+
+
+class TestShiftedImages:
+    """The integer exponent-shift kernel, divided by its scale, equals the
+    Poly/DiffForm reference on random rational data."""
+
+    @given(rational_polys(XY), rational_polys(XY), exponents(2))
+    def test_twisted_action(self, a, b, m):
+        field = VectorField(XY, (a, b))
+        image = _ShiftedImages(field.coefficients, field.divergence())
+        assert image.scale > 1
+        reference = field.apply_twisted(Poly.monomial(XY, m))
+        assert scaled_down(image, m) == reference.terms
+
+    @given(
+        st.sampled_from([XY, XYZ]).flatmap(
+            lambda vs: st.tuples(
+                st.just(vs),
+                st.lists(rational_polys(vs), min_size=len(vs), max_size=len(vs)),
+                exponents(len(vs)),
+            )
+        )
+    )
+    def test_exact_forms(self, data):
+        variables, coefficients, m = data
+        n = len(variables)
+        alpha = DiffForm(variables, 1, {(i,): c for i, c in enumerate(coefficients)})
+        images = _exact_form_images(alpha)
+        assert len(images) == comb(n, 2)
+        for index_set, image in images:
+            eta = DiffForm(variables, n - 2, {index_set: Poly.monomial(variables, m)})
+            reference = eta.wedge(alpha).d().coefficient(tuple(range(n)))
+            assert scaled_down(image, m) == reference.terms

@@ -14,7 +14,12 @@ from brieskorn.ab_module import (
     is_simple_pole,
     tensor,
 )
-from brieskorn.curve import FactoredCurve, action_relation_holds, invariants
+from brieskorn.curve import (
+    FactoredCurve,
+    _action_oracle,
+    action_relation_holds,
+    invariants,
+)
 from brieskorn.errors import InputError
 from brieskorn.forms import DiffForm
 from brieskorn.local_algebra import monomials_below
@@ -138,9 +143,22 @@ class TestActionOracle:
         df = DiffForm.from_poly(g.poly).d()
         for exps, c in g.a_coefficients:
             m = Poly.monomial(variables, exps)
-            assert action_relation_holds(g.poly, df, g.weights, m, c, 24)
+            assert action_relation_holds(g.poly, df, g.weights, m, c)
             shifted = c + Fraction(1, 7)
-            assert not action_relation_holds(g.poly, df, g.weights, m, shifted, 24)
+            assert not action_relation_holds(g.poly, df, g.weights, m, shifted)
+
+
+    def test_one_oracle_serves_the_whole_basis(self, monkeypatch):
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return _action_oracle(*args)
+
+        monkeypatch.setattr("brieskorn.suspension._action_oracle", counting)
+        g = milnor_isolated(p("x^3+y^3+z^3", XYZ))
+        assert len(g.a_coefficients) == 8
+        assert len(built) == 1
 
 
 class TestSuspend:
