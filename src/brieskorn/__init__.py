@@ -35,12 +35,12 @@ from .curve import (
 )
 from .errors import BrieskornError, InconclusiveError, InputError, ParseError
 from .forms import DiffForm, VectorField, field_from_one_form
+from .groebner import saturate_at_origin, torsion_length
 from .local_algebra import (
     IdealGens,
     jacobian_ideal,
     mu,
     quotient_dim_jet,
-    saturate_at_origin,
     twisted_quotient_dim,
 )
 from .poly import Poly, WeightSystem, parse_polynomial, weighted_degree
@@ -89,6 +89,7 @@ __all__ = [
     "suspend",
     "tensor",
     "torsion_free_witness",
+    "torsion_length",
     "torsion_subspaces",
     "transversal_milnor",
     "twisted_quotient_dim",

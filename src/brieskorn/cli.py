@@ -235,9 +235,7 @@ def _cmd_suspend(args, config: RunConfig, out) -> int:
     report_dict["isolated"] = germ.to_dict()
     report_dict["curve"] = curve_report.to_dict()
     if args.verify_direct:
-        check = verify_suspension_direct(
-            germ, curve, curve_report, jet_cap=min(config.jet_cap, 16)
-        )
+        check = verify_suspension_direct(germ, curve, curve_report)
         report_dict["direct_check"] = check.to_dict()
         if not check.agrees:
             raise InputError(

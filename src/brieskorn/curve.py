@@ -287,11 +287,11 @@ def invariants(
     and (with a verifying weight certificate) the a-action coefficients.
 
     Both scans read sat(J) = (h), h = u_1^(p_1-1) ... u_k^(p_k-1), and no
-    colon chain runs: df = h alpha with the coefficients (a, b) of alpha
-    m-primary (``check_hypotheses``), so J = h (a, b); m is not associated
-    to the principal ideal (h), so J : m^infinity lies in (h), and
-    cancelling h leaves (a, b) : m^infinity = O.  mu is therefore
-    dim (h)/J = dim O/(a, b) and does not depend on the colon-chain cap.
+    general saturation runs: df = h alpha with the coefficients (a, b) of
+    alpha m-primary (``check_hypotheses``), so J = h (a, b); m is not
+    associated to the principal ideal (h), so J : m^infinity lies in (h),
+    and cancelling h leaves (a, b) : m^infinity = O.  mu is therefore
+    dim (h)/J = dim O/(a, b).
     """
     # the hypothesis checks are cheap stabilization sweeps; keep their cap
     # at a sane floor even when the main cap is squeezed
@@ -301,7 +301,7 @@ def invariants(
     if window is None:
         window = max(p for _, p in curve.factors) + 2
     sat = IdealGens.of(curve.variables, [curve.multiplicity_cofactor()])
-    mu_res = mu(f, ws, jet_cap=jet_cap, saturated=sat)
+    mu_res = mu(f, sat, ws, jet_cap=jet_cap)
     field = annihilator_field(curve)
     nu_res = twisted_quotient_dim(sat, field, ws, jet_cap=jet_cap, window=window)
     rank = mu_res.value + nu_res.dim
@@ -375,11 +375,6 @@ def a_action(
             raise InputError(f"a-action verification failed on monomial {rep}")
         out.append((rep, coefficient))
     return tuple(out)
-
-
-def _volume_vec(form: DiffForm) -> Vec:
-    """Coefficient vector of a 2-form in two variables."""
-    return poly_vec(form.coefficient((0, 1)))
 
 
 def verify_a_action(
@@ -533,43 +528,40 @@ def torsion_free_witness(curve: FactoredCurve, jet_order: int = 12) -> bool:
             jet_order=jet_order,
             needed=f.total_degree() + 2,
         )
-    alpha = annihilator_form(curve)
-    exact_vectors: list[tuple] = []
+    # d(x^h alpha) and df ^ d(x^g) as integer exponent shifts: each map
+    # scales all its images by one positive integer, which changes no span
+    # and no kernel relation
+    [(_, exact_image)] = _exact_form_images(annihilator_form(curve))
+    exact_vectors = {}
     for h_exp in monomials_below(2, jet_order + 1):
-        vec = _volume_vec((alpha * Poly.monomial(variables, h_exp)).d())
+        vec = exact_image(h_exp)
         if vec:
-            exact_vectors.append((("w", h_exp), vec))
-    bound = max(
-        (sum(e) for _, v in exact_vectors for e in v),
-        default=0,
-    )
+            exact_vectors[h_exp] = vec
+    bound = max((sum(e) for v in exact_vectors.values() for e in v), default=0)
     cofactor = curve.multiplicity_cofactor()
     ideal_vectors = [
         (("u", m_exp), shifted_vec(cofactor, m_exp))
         for m_exp in monomials_below(2, max(bound + 2 - cofactor.order(), 1))
     ]
     relations = kernel_relations(
-        exact_vectors + ideal_vectors,
+        [(("w", h_exp), vec) for h_exp, vec in exact_vectors.items()] + ideal_vectors,
         key_order=jet_key_order,
     )
     intersection: list[Vec] = []
     for relation in relations:
         vec: Vec = {}
         for tag, scale in relation.items():
-            if tag[0] != "w":
-                continue
-            h_exp = tag[1]
-            piece = _volume_vec((alpha * Poly.monomial(variables, h_exp)).d())
-            vec_axpy(vec, scale, piece)
+            if tag[0] == "w":
+                vec_axpy(vec, scale, exact_vectors[tag[1]])
         if vec:
             intersection.append(vec)
     if not intersection:
         return True
-    df = DiffForm.from_poly(f).d()
+    f_x, f_y = (f.derivative(v) for v in variables)
+    wedge_image = _ShiftedImages((-f_y, f_x), Poly.zero(variables))
     witness_span = Span(jet_key_order)
     for g_exp in monomials_below(2, jet_order + 1):
-        dg = DiffForm.from_poly(Poly.monomial(variables, g_exp)).d()
-        vec = _volume_vec(df.wedge(dg))
+        vec = wedge_image(g_exp)
         if vec:
             witness_span.insert(vec)
     for vec in intersection:

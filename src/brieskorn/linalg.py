@@ -11,11 +11,9 @@ combination, share no common factor), and the true reduced row is that
 integer row divided by its own pivot entry; a tracked combination is kept
 on the same integer scale as its row.  ``Fraction`` values are built only
 where they leave the span: ``reduce`` residuals, ``row_vectors`` and
-``kernel_relations``.  The one integer exit is ``unit_residual``: the
-residual of a unit vector, read off a reduced row as an integer vector and
-its scale.  A column index maps each non-pivot column to the rows holding a
-nonzero entry there, so a new pivot is cleared from exactly the rows that
-contain it.
+``kernel_relations``.  A column index maps each non-pivot column to the
+rows holding a nonzero entry there, so a new pivot is cleared from exactly
+the rows that contain it.
 """
 
 from __future__ import annotations
@@ -124,20 +122,6 @@ class Span:
             return {k: Fraction(v) for k, v in vec.items()}
         return {k: Fraction(v, scale) for k, v in vec.items()}
 
-    def unit_residual(self, key: Hashable) -> tuple[dict[Hashable, int], int]:
-        """The residual of the unit vector at ``key`` as (integer vector,
-        positive scale), equal to ``reduce({key: Fraction(1)})`` once divided
-        by the scale.  The rows are reduced, so no elimination is needed:
-        off the pivots the unit vector is its own residual, and on a pivot it
-        is minus the pivot row's other entries over its pivot entry."""
-        idx = self.pivots.get(key)
-        if idx is None:
-            return {key: 1}, 1
-        row = self.rows[idx]
-        lead = row[key]
-        sign = -1 if lead > 0 else 1
-        return {k: sign * v for k, v in row.items() if k != key}, abs(lead)
-
     def insert(self, vector: Vec, tag: Optional[Hashable] = None) -> bool:
         """Insert a vector; returns True when it enlarged the span.
 
@@ -184,12 +168,6 @@ class Span:
             {k: Fraction(v, row[lead]) for k, v in row.items()}
             for row, lead in zip(self.rows, self.pivots)
         ]
-
-    def restricted_rank(self, key_filter: Callable[[Hashable], bool]) -> int:
-        """Rank of the intersection with the coordinate subspace selected by
-        ``key_filter``; exact when the column order places excluded columns
-        first (their pivots then expose every leaked row)."""
-        return sum(1 for r in self.rows if all(key_filter(k) for k in r))
 
 
 def kernel_relations(

@@ -11,8 +11,9 @@ windows:
   quasi-homogeneous; slice computations carry no truncation error, so the
   graded results are exact.
 
-The ideal-theoretic operations (colength, saturation by the maximal
-ideal, twisted quotients) are all driven by exact rational row reduction.
+The ideal-theoretic operations here (colength, the mu quotient, twisted
+quotients) are all driven by exact rational row reduction; saturation by
+the maximal ideal lives in ``groebner``.
 """
 
 from __future__ import annotations
@@ -22,18 +23,17 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from operator import add
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import InconclusiveError, InputError
 from .forms import VectorField
-from .linalg import Span, Vec, kernel_relations
+from .linalg import Span, Vec
 from .poly import Exponents, Poly, WeightSystem, graded_key, listing_key
 
 
 def jet_key_order(exponents: Exponents) -> tuple:
     """Column order for jet spans: high total degree first, so that rows
-    pivoting in low degrees are entirely supported there (this makes
-    intersection-with-smaller-jet ranks exact, see Span.restricted_rank)."""
+    pivoting in low degrees are entirely supported there."""
     return (-sum(exponents), tuple(reversed(exponents)))
 
 
@@ -245,121 +245,7 @@ def stable_colength(
     return dim, basis, orders[-2:]
 
 
-# -- dimension-of-zero-set heuristic ----------------------------------------
-
-_GENERIC_LINE_COEFFS = ((1, 17, 41), (1, 23, 53))
-
-
-def check_zero_set_is_at_most_curve(I: IdealGens, cap: int = 14) -> None:
-    """Heuristic precondition check: V(I) should have dimension <= 1 at 0.
-
-    Cutting with a generic line must leave a finite-colength ideal; two
-    different lines are tried to dodge the case where a branch of V(I)
-    happens to lie on the first one.
-    """
-    n = len(I.variables)
-    for coeffs in _GENERIC_LINE_COEFFS:
-        line = Poly(
-            I.variables,
-            {
-                tuple(1 if j == i else 0 for j in range(n)): coeffs[i % len(coeffs)]
-                for i in range(n)
-            },
-        )
-        probe = IdealGens.of(I.variables, list(I.generators) + [line])
-        try:
-            stable_colength(probe, start=4, cap=cap)
-            return
-        except InconclusiveError:
-            continue
-    raise InputError(
-        "the zero set of the ideal appears to have dimension > 1 near the origin"
-    )
-
-
-# -- saturation ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SaturationResult:
-    ideal: IdealGens
-    exact: bool
-    colon_steps: int
-
-
-def _greedy_generators(
-    rows: Iterable[Vec],
-    variables: tuple[str, ...],
-    multiples: Callable[[Poly], Iterable[Vec]],
-) -> list[Poly]:
-    """Greedy generating set of the ideal spanned by ``rows``: a row not yet
-    in the cover becomes a generator (lowest term monic), and the vectors
-    ``multiples(generator)`` join the cover."""
-    covered = Span(jet_key_order)
-    gens: list[Poly] = []
-    for row in rows:
-        if covered.contains(row):
-            continue
-        p = vec_poly(row, variables).lowest_monic()
-        gens.append(p)
-        for vec in multiples(p):
-            covered.insert(vec)
-    return gens
-
-
-def _colon_span(monos: Sequence[Exponents], targets: Sequence[Span]) -> Span:
-    """One colon step by the maximal ideal: the span of the combinations g
-    of ``monos`` with x_i g in ``targets[i]`` for every variable i.
-
-    The residuals of the x_i m come from ``Span.unit_residual`` in integers;
-    every candidate is brought to one common scale, so the kernel is that of
-    the unscaled map."""
-    probes = []
-    scale = 1
-    for m in monos:
-        parts = []
-        for i, target in enumerate(targets):
-            shifted = tuple(e + (1 if j == i else 0) for j, e in enumerate(m))
-            residual, s = target.unit_residual(shifted)
-            parts.append((i, residual, s))
-            scale = lcm(scale, s)
-        probes.append((m, parts))
-    candidates = [
-        (m, {(i, k): v * (scale // s) for i, res, s in parts for k, v in res.items()})
-        for m, parts in probes
-    ]
-    relations = kernel_relations(
-        candidates, key_order=lambda k: (k[0], jet_key_order(k[1]))
-    )
-    colon = Span(jet_key_order)
-    for rel in relations:
-        colon.insert(rel)
-    return colon
-
-
-def _jet_saturate(I: IdealGens, jet_order: int) -> tuple[Span, int, int]:
-    """Iterated colon by the maximal ideal inside a total-degree jet window.
-
-    Returns (stable colon span, window of that span, colon steps used).
-    Each colon shrinks the usable window by one degree; the chain stops
-    when two consecutive colons agree on the shared window.
-    """
-    n = len(I.variables)
-    current: Span = ideal_jet_span(I, jet_order)
-    window = jet_order
-    steps = 0
-    while window > 2:
-        new_window = window - 1
-        colon = _colon_span(monomials_below(n, new_window), [current] * n)
-        stable_rank = current.restricted_rank(lambda e: sum(e) < new_window)
-        if colon.rank == stable_rank:
-            return current, window, steps
-        steps += 1
-        current = colon
-        window = new_window
-    raise InconclusiveError(
-        "colon chain by the maximal ideal did not stabilize", jet_order=jet_order
-    )
+# -- weighted-degree slices -----------------------------------------------------
 
 
 class _GradedIdeal:
@@ -423,116 +309,6 @@ class _GradedIdeal:
         return None
 
 
-def _graded_saturate(
-    I: IdealGens,
-    weights: WeightSystem,
-    jet_cap: int,
-    window: int,
-) -> tuple[dict[int, Span], _GradedIdeal, int, int]:
-    """Colon chain computed per weighted-degree slice; exact within the cap.
-
-    Returns (stable colon slices, graded ideal helper, wdeg cap actually
-    certified, colon steps).
-
-    Step s computes slice e from the slices e + w_i of step s - 1 alone, so
-    a slice is recomputed only when one of those grew in the step before;
-    every other slice keeps its span from that step.  The chain only grows
-    (I is contained in I : m, slice by slice), so a slice whose rank did not
-    change is the same span, and the chain is stable once no slice grew.
-    """
-    graded = _GradedIdeal(I, weights)
-    wmax = max(graded.int_weights)
-    wdeg_cap = jet_cap * wmax
-
-    base = {wdeg: graded.slice_span(wdeg) for wdeg in range(wdeg_cap + 1)}
-    current = base
-    grown = set(base)
-    steps = 0
-    max_steps = jet_cap
-    while steps < max_steps:
-        top = wdeg_cap - (steps + 1) * wmax
-        if top < 0:
-            break
-        nxt: dict[int, Span] = {}
-        for wdeg in range(top + 1):
-            sources = [wdeg + w for w in graded.int_weights]
-            monos = graded.monomials(wdeg)
-            if monos and grown.intersection(sources):
-                nxt[wdeg] = _colon_span(monos, [current[e] for e in sources])
-            else:  # unchanged, or a slice without monomials (the zero span)
-                nxt[wdeg] = current[wdeg]
-        grown = {w for w in range(top + 1) if nxt[w].rank != current[w].rank}
-        if not grown:
-            # margin: the saturation must add nothing in the top `window`
-            # nonempty slices of the certified region (widened past any
-            # gap the scaled weights can produce)
-            margin = max(window, wmax + 1)
-            nonempty = [w for w in range(top + 1) if graded.monomials(w)]
-            tail = nonempty[-margin:] if margin > 0 else []
-            if any(nxt[w].rank != base[w].rank for w in tail):
-                raise InconclusiveError(
-                    "graded saturation still active near the cap",
-                    wdeg_cap=top,
-                    window=window,
-                )
-            return nxt, graded, top, steps
-        current = nxt
-        steps += 1
-    raise InconclusiveError(
-        "graded colon chain did not stabilize", jet_cap=jet_cap, steps=steps
-    )
-
-
-def saturate_at_origin(
-    I: IdealGens,
-    weights: Optional[WeightSystem] = None,
-    jet_cap: int = 24,
-    window: int = 4,
-) -> SaturationResult:
-    """Generators of (I : m^infinity), the sections extending through 0.
-
-    With a weight certificate on quasi-homogeneous input the computation
-    runs per weighted-degree slice and is exact.  Otherwise the answer is
-    the jet-order approximation at ``jet_cap`` and is flagged heuristic.
-    Non-stabilizing colon chains raise InconclusiveError, never return a
-    silent wrong answer.  Plane curves do not come here: their saturation
-    is known (see ``mu``), so this serves the three-variable direct check.
-    """
-    if I.contains_unit():
-        one = Poly.constant(I.variables, 1)
-        return SaturationResult(IdealGens.of(I.variables, [one]), True, 0)
-    # cheap precondition sweep; floor the cap so a squeezed main cap does
-    # not read as a dimension defect
-    check_zero_set_is_at_most_curve(I, cap=max(14, min(jet_cap, 20)))
-    if weights is not None:
-        slices, graded, top, steps = _graded_saturate(I, weights, jet_cap, window)
-
-        # generators are homogeneous, so a row of slice wdeg lies in the
-        # cover exactly when it lies in the cover's slice wdeg
-        def graded_multiples(p: Poly):
-            lead = next(iter(p.terms))
-            wdeg = sum(a * w for a, w in zip(lead, graded.int_weights))
-            for d in range(top - wdeg + 1):
-                for m in graded.monomials(d):
-                    yield shifted_vec(p, m)
-
-        rows = [row for w in range(top + 1) for row in slices[w].row_vectors()]
-        gens = _greedy_generators(rows, I.variables, graded_multiples)
-        return SaturationResult(IdealGens.of(I.variables, gens), True, steps)
-    span, window_used, steps = _jet_saturate(I, jet_cap)
-    n = len(I.variables)
-
-    def jet_multiples(p: Poly):
-        for m in monomials_below(n, max(window_used - (p.order() or 0), 1)):
-            vec = truncate_vec(shifted_vec(p, m), window_used)
-            if vec:
-                yield vec
-
-    rows = sorted(span.row_vectors(), key=lambda r: min(graded_key(e) for e in r))
-    gens = _greedy_generators(rows, I.variables, jet_multiples)
-    return SaturationResult(IdealGens.of(I.variables, gens), False, steps)
-
-
 # -- the mu invariant ---------------------------------------------------------
 
 
@@ -578,34 +354,30 @@ def _pair_quotient_jet(
 
 def mu(
     f: Poly,
+    saturated: IdealGens,
     weights: Optional[WeightSystem] = None,
     jet_cap: int = 24,
-    window: int = 4,
-    saturated: Optional[IdealGens] = None,
 ) -> MuResult:
-    """dim of (saturated Jacobian ideal) / (Jacobian ideal) at the origin.
+    """dim of (saturated Jacobian ideal) / (Jacobian ideal) at the origin,
+    for the saturation sat(J) = J : m^infinity given as ``saturated``.
 
     For isolated singularities the saturation is the unit ideal and this
     is the classical Milnor number.
 
-    A caller that knows sat(J) = J : m^infinity passes it as ``saturated``
-    and no colon chain runs.  Plane curves do (``curve.invariants``): with
+    Plane curves know their saturation (``curve.invariants``): with
     df = h alpha, h = u_1^(p_1-1) ... u_k^(p_k-1) and the coefficients
     (a, b) of alpha m-primary, J = h (a, b).  The associated primes of the
     principal ideal (h) are its prime factors, of height one, so m is not
     among them and J : m^infinity lies in (h) : m^infinity = (h).
     Cancelling the nonzerodivisor h, h g is in J : m^infinity exactly when
-    g is in (a, b) : m^infinity = O.  Hence sat(J) = (h), and curve mu does
-    not depend on the colon-chain cap.  Otherwise sat(J) comes from
-    ``saturate_at_origin``.
+    g is in (a, b) : m^infinity = O.  Hence sat(J) = (h).  Any other ideal
+    can take sat(J) from ``groebner.saturate_at_origin``.
     """
     if f.is_zero or f.is_constant():
         raise InputError("mu requires a nonconstant germ")
     if f.constant_value() != 0:
         raise InputError("mu requires f(0) = 0")
     J = jacobian_ideal(f)
-    if saturated is None:
-        saturated = saturate_at_origin(J, weights, jet_cap, window).ideal
     if weights is not None:
         graded_sat = _GradedIdeal(saturated, weights)
         graded_jac = _GradedIdeal(J, weights)

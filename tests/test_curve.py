@@ -23,12 +23,12 @@ from brieskorn.curve import (
 )
 from brieskorn.errors import InconclusiveError, InputError
 from brieskorn.forms import DiffForm
+from brieskorn.groebner import saturate_at_origin
 from brieskorn.local_algebra import (
     IdealGens,
     _GradedIdeal,
     jacobian_ideal,
     mu,
-    saturate_at_origin,
 )
 from brieskorn.poly import Poly, WeightSystem, parse_polynomial
 
@@ -300,7 +300,7 @@ class TestCrossPathConsistency:
         germ = milnor_isolated(
             parse_polynomial("z^2", ("z",))
         )
-        check = verify_suspension_direct(germ, curve, graded, jet_cap=16)
+        check = verify_suspension_direct(germ, curve, graded)
         assert check.agrees and check.mu_direct == expected[0]
 
 
@@ -317,7 +317,7 @@ def factored(factors, residual=None) -> FactoredCurve:
 
 class TestSaturationTheorem:
     """sat(J) = (h), h = u_1^(p_1-1) ... u_k^(p_k-1): the curve pipeline takes
-    the saturation from the factors instead of a colon chain."""
+    the saturation from the factors instead of a general saturation."""
 
     # (factors, residual, weights, graded (mu, nu, rank))
     CHANGES = [
@@ -340,7 +340,7 @@ class TestSaturationTheorem:
         jet = invariants(moved, weights=None)
         assert (jet.mu, jet.nu, jet.rank) == expected
 
-    # curves on which the graded colon chain concludes
+    # the Groebner saturation of J has the slices of (h)
     CHAIN_CASES = [
         ([("x", 3)], "x^3+y^3", (1, 1)),
         ([("x", 2)], "x^2+y^3", (3, 2)),
@@ -356,14 +356,14 @@ class TestSaturationTheorem:
         curve = factored(factors, residual)
         f = curve.expand()
         ws = WeightSystem.for_poly(f, weights)
-        chain = _GradedIdeal(saturate_at_origin(jacobian_ideal(f), ws).ideal, ws)
+        saturated = _GradedIdeal(saturate_at_origin(jacobian_ideal(f)), ws)
         theorem = _GradedIdeal(IdealGens.of(XY, [curve.multiplicity_cofactor()]), ws)
 
         def rows(span):  # reduced rows are unique; their order is insertion order
             return {frozenset(row.items()) for row in span.row_vectors()}
 
         for wdeg in range(12 * max(theorem.int_weights) + 1):
-            assert rows(chain.slice_span(wdeg)) == rows(theorem.slice_span(wdeg))
+            assert rows(saturated.slice_span(wdeg)) == rows(theorem.slice_span(wdeg))
 
     def test_generated_quasi_homogeneous_mu_matches_sympy(self):
         sympy = pytest.importorskip("sympy")
@@ -420,7 +420,7 @@ class TestSaturationTheorem:
             check_hypotheses(curve, jet_cap=24)  # the cap ``invariants`` uses
             f = curve.expand()
             h = IdealGens.of(XY, [curve.multiplicity_cofactor()])
-            result = mu(f, WeightSystem.for_poly(f, weights), saturated=h)
+            result = mu(f, h, WeightSystem.for_poly(f, weights))
             assert result.exact
             assert result.value == colength(factors, residual), (factors, residual)
 

@@ -17,9 +17,9 @@ from brieskorn.curve import _exact_form_images
 from brieskorn.errors import InconclusiveError, InputError
 from brieskorn.forms import DiffForm, VectorField
 from brieskorn.linalg import Span, kernel_relations
+from brieskorn.groebner import saturate_at_origin
 from brieskorn.local_algebra import (
     IdealGens,
-    _graded_saturate,
     _GradedIdeal,
     _ShiftedImages,
     ideal_jet_span,
@@ -29,7 +29,6 @@ from brieskorn.local_algebra import (
     monomials_below,
     mu,
     quotient_dim_jet,
-    saturate_at_origin,
     stable_colength,
     twisted_quotient_dim,
 )
@@ -130,46 +129,39 @@ class TestJacobianIdeal:
 
 class TestSaturation:
     def test_sextic_saturates_to_x_squared(self):
-        f = p("x^3*(x^3+y^3)")
-        ws = WeightSystem.for_poly(f, (1, 1))
-        result = saturate_at_origin(jacobian_ideal(f), ws, jet_cap=24, window=5)
-        assert result.exact
-        assert [str(g) for g in result.ideal.generators] == ["x^2"]
+        result = saturate_at_origin(jacobian_ideal(p("x^3*(x^3+y^3)")))
+        assert [str(g) for g in result.generators] == ["x^2"]
 
     def test_sextic_saturation_jet_path(self):
-        f = p("x^3*(x^3+y^3)")
-        result = saturate_at_origin(jacobian_ideal(f), None, jet_cap=18)
-        assert not result.exact
-        assert spans_equal(result.ideal, ideal("x^2"))
+        result = saturate_at_origin(jacobian_ideal(p("x^3*(x^3+y^3)")))
+        assert spans_equal(result, ideal("x^2"))
 
     def test_isolated_gives_unit_ideal(self):
-        result = saturate_at_origin(jacobian_ideal(p("x^2+y^2")), None, jet_cap=12)
-        assert result.ideal.contains_unit()
-        assert [str(g) for g in result.ideal.generators] == ["1"]
+        result = saturate_at_origin(jacobian_ideal(p("x^2+y^2")))
+        assert result.contains_unit()
+        assert [str(g) for g in result.generators] == ["1"]
 
     def test_monomial_example(self):
-        result = saturate_at_origin(ideal("x*y^2", "x^2*y"), None, jet_cap=14)
-        assert spans_equal(result.ideal, ideal("x*y"))
+        result = saturate_at_origin(ideal("x*y^2", "x^2*y"))
+        assert spans_equal(result, ideal("x*y"))
 
     def test_contains_original_ideal(self):
         I = ideal("x*y^2", "x^2*y")
-        result = saturate_at_origin(I, None, jet_cap=14)
-        span = ideal_jet_span(result.ideal, 10)
+        span = ideal_jet_span(saturate_at_origin(I), 10)
         for g in I.generators:
             assert span.contains({e: c for e, c in g.terms.items()})
 
     def test_idempotent(self):
         I = ideal("x*y^2", "x^2*y")
-        once = saturate_at_origin(I, None, jet_cap=14)
-        twice = saturate_at_origin(once.ideal, None, jet_cap=14)
-        assert spans_equal(once.ideal, twice.ideal)
+        once = saturate_at_origin(I)
+        twice = saturate_at_origin(once)
+        assert spans_equal(once, twice)
 
-    def test_two_dimensional_zero_set_rejected(self):
-        # one variable's worth of equations in three variables
-        XYZ = ("x", "y", "z")
+    def test_two_dimensional_zero_set_is_its_own_saturation(self):
+        # one variable's worth of equations in three variables: m is not
+        # associated to (x), and the saturation needs no dimension bound
         I = IdealGens.of(XYZ, [p("x", XYZ)])
-        with pytest.raises(InputError):
-            saturate_at_origin(I, None, jet_cap=10)
+        assert [str(g) for g in saturate_at_origin(I).generators] == ["x"]
 
 
 # -- reference: the graded colon chain that recomputes every slice ------------
@@ -234,10 +226,12 @@ def reference_graded_saturate(I, weights, jet_cap, window):
     raise InconclusiveError("graded colon chain did not stabilize")
 
 
-XYZ = ("x", "y", "z")
+def reduced_rows(span):
+    """Reduced rows are unique; their order is insertion order."""
+    return {frozenset(row.items()) for row in span.row_vectors()}
 
 
-# slices are reused from the second colon step on, which all but the last case reach
+# the colon step counts of the reference chain, which concludes on all five
 @pytest.mark.parametrize(
     "f, weights, colon_steps",
     [
@@ -250,60 +244,65 @@ XYZ = ("x", "y", "z")
     ids=str,
 )
 def test_graded_colon_chain_matches_full_recompute(f, weights, colon_steps):
+    # the Groebner saturation has the slices of the reference colon chain;
     # the Jacobian ideal is graded for these weights even where f is not
     # (z^2 + x^2 y^2), so the certificate's total degree plays no part
     I, ws = jacobian_ideal(f), WeightSystem(weights, 1)
-    slices, _, top, steps = _graded_saturate(I, ws, 24, 4)
-    ref_slices, ref_top, ref_steps = reference_graded_saturate(I, ws, 24, 4)
-    assert (top, steps) == (ref_top, ref_steps)
-    assert ref_steps == colon_steps
-    assert sorted(slices) == sorted(ref_slices) == list(range(top + 1))
+    ref_slices, top, steps = reference_graded_saturate(I, ws, 24, 4)
+    assert steps == colon_steps
+    saturated = _GradedIdeal(saturate_at_origin(I), ws)
     for wdeg in range(top + 1):
-        rows = [list(r.items()) for r in slices[wdeg].row_vectors()]
-        assert rows == [list(r.items()) for r in ref_slices[wdeg].row_vectors()]
+        assert reduced_rows(saturated.slice_span(wdeg)) == reduced_rows(ref_slices[wdeg])
+
+
+def saturation(f):
+    return saturate_at_origin(jacobian_ideal(f))
 
 
 class TestMu:
     def test_sextic(self):
         f = p("x^3*(x^3+y^3)")
         ws = WeightSystem.for_poly(f, (1, 1))
-        result = mu(f, ws, jet_cap=24, window=5)
+        result = mu(f, saturation(f), ws, jet_cap=24)
         assert result.value == 9
         assert result.exact
 
     def test_sextic_jet_path_agrees(self):
-        result = mu(p("x^3*(x^3+y^3)"), None, jet_cap=18)
+        f = p("x^3*(x^3+y^3)")
+        result = mu(f, saturation(f), None, jet_cap=18)
         assert result.value == 9
         assert not result.exact
         assert result.jet_orders == (8, 10)
 
     def test_jet_path_inconclusive_below_two_orders(self):
         with pytest.raises(InconclusiveError, match="mu did not stabilize") as info:
-            mu(p("x^3*(x^3+y^3)"), None, jet_cap=8)
+            mu(p("x^3*(x^3+y^3)"), ideal("x^2"), None, jet_cap=8)
         assert info.value.context == {"jet_orders": (8,)}
 
     def test_isolated_is_milnor_number(self):
-        assert mu(p("x^2+y^2"), None, jet_cap=12).value == 1
+        f = p("x^2+y^2")
+        assert mu(f, saturation(f), None, jet_cap=12).value == 1
 
     def test_x2y2(self):
         # (xy)/(xy^2, x^2y) has the single class xy
-        result = mu(p("x^2*y^2"), WeightSystem((1, 1), 4), jet_cap=16)
+        f = p("x^2*y^2")
+        result = mu(f, saturation(f), WeightSystem((1, 1), 4), jet_cap=16)
         assert result.value == 1
         assert [str(b) for b in result.basis] == ["x*y"]
 
     def test_cap_independence_with_certificate(self):
         f = p("x^3*(x^3+y^3)")
         ws = WeightSystem.for_poly(f, (1, 1))
-        r1 = mu(f, ws, jet_cap=20, window=5)
-        r2 = mu(f, ws, jet_cap=28, window=5)
+        r1 = mu(f, saturation(f), ws, jet_cap=20)
+        r2 = mu(f, saturation(f), ws, jet_cap=28)
         assert r1.value == r2.value
         assert [str(b) for b in r1.basis] == [str(b) for b in r2.basis]
 
     def test_preconditions(self):
         with pytest.raises(InputError):
-            mu(Poly.constant(XY, 3))
+            mu(Poly.constant(XY, 3), ideal("1"))
         with pytest.raises(InputError):
-            mu(p("x + 1"))
+            mu(p("x + 1"), ideal("1"))
 
 
 class TestTwistedQuotient:

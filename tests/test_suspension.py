@@ -234,32 +234,32 @@ class TestDirectVerification:
     def test_cross_with_z2(self):
         rep = invariants(cross(), weights=(1, 1))
         check = verify_suspension_direct(
-            milnor_isolated(p("z^2", Z)), cross(), rep, jet_cap=14
+            milnor_isolated(p("z^2", Z)), cross(), rep
         )
         assert check.agrees and check.mu_direct == 1
 
     def test_cross_with_z3(self):
         rep = invariants(cross(), weights=(1, 1))
         check = verify_suspension_direct(
-            milnor_isolated(p("z^3", Z)), cross(), rep, jet_cap=14
+            milnor_isolated(p("z^3", Z)), cross(), rep
         )
         assert check.agrees and check.mu_direct == 2
 
     def test_sextic_with_z2(self):
         rep = invariants(sextic(), weights=(1, 1))
         check = verify_suspension_direct(
-            milnor_isolated(p("z^2", Z)), sextic(), rep, jet_cap=16
+            milnor_isolated(p("z^2", Z)), sextic(), rep
         )
         assert check.agrees and check.mu_direct == 9
-        assert check.exact  # joined weight certificate was available
+        assert check.exact
 
     def test_jet_path_without_certificates(self):
         germ = IsolatedGerm(
             poly=p("z^2", Z), milnor=1, basis=((0,),), weights=None, a_coefficients=None
         )
         rep = invariants(cross(), weights=None, jet_cap=14)
-        check = verify_suspension_direct(germ, cross(), rep, jet_cap=12)
-        assert check.agrees and not check.exact
+        check = verify_suspension_direct(germ, cross(), rep)
+        assert check.agrees and check.exact
 
     def test_variable_clash_rejected(self):
         rep = invariants(cross(), weights=(1, 1))
