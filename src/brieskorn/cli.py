@@ -225,7 +225,7 @@ def _cmd_suspend(args, config: RunConfig, out) -> int:
         "weights": args.weights or "",
     }
     start = time.perf_counter()
-    germ = milnor_isolated(germ_poly, jet_cap=config.jet_cap)
+    germ = milnor_isolated(germ_poly)
     curve_report = invariants(
         curve, weights, jet_cap=config.jet_cap, window=config.graded_window
     )

@@ -26,6 +26,7 @@ from typing import Callable, Optional, Sequence
 
 from .errors import InconclusiveError, InputError
 from .forms import DiffForm, VectorField, field_from_one_form
+from .groebner import isolated_at_origin
 from .linalg import Span, Vec, kernel_relations, vec_axpy
 from .local_algebra import (
     IdealGens,
@@ -36,7 +37,6 @@ from .local_algebra import (
     mu,
     poly_vec,
     shifted_vec,
-    stable_colength,
     twisted_quotient_dim,
 )
 from .poly import Poly, WeightSystem, format_fraction, graded_key, listing_key
@@ -149,25 +149,14 @@ def annihilator_field(curve: FactoredCurve) -> VectorField:
     return field
 
 
-def _finite_colength_or_none(gens: Sequence[Poly], variables, cap: int) -> Optional[int]:
-    nonzero = [g for g in gens if not g.is_zero]
-    if not nonzero:
-        return None
-    ideal = IdealGens.of(variables, nonzero)
-    try:
-        dim, _, _ = stable_colength(ideal, start=4, cap=cap)
-        return dim
-    except InconclusiveError:
-        return None
-
-
-def check_hypotheses(curve: FactoredCurve, jet_cap: int = 16) -> bool:
+def check_hypotheses(curve: FactoredCurve) -> bool:
     """Verify the singular-locus hypotheses behind the pipeline.
 
-    Checks, at jet order: the branches are pairwise non-associate and do
-    not divide the residual, each branch and the residual are reduced
+    Checks exactly: the branches are pairwise non-associate and do not
+    divide the residual, each branch and the residual are reduced
     (singular locus of each is isolated), and the coefficients of the
-    annihilator form vanish simultaneously only at the origin.  Raises
+    annihilator form vanish simultaneously only at the origin.  Each
+    isolation is decided by ``groebner.isolated_at_origin``.  Raises
     InputError naming the violated clause.
     """
     variables = curve.variables
@@ -185,20 +174,20 @@ def check_hypotheses(curve: FactoredCurve, jet_cap: int = 16) -> bool:
         if not curve.residual_is_constant and curve.residual.divide_exact(u) is not None:
             raise InputError(f"branch {u} divides the residual {curve.residual}")
         partials = [u.derivative(v) for v in variables]
-        if _finite_colength_or_none([u] + partials, variables, jet_cap) is None:
+        if not isolated_at_origin(IdealGens.of(variables, [u] + partials)):
             raise InputError(
                 f"branch {u} is not reduced: its singular locus is not isolated"
             )
     if not curve.residual_is_constant:
         psi = curve.residual
         partials = [psi.derivative(v) for v in variables]
-        if _finite_colength_or_none([psi] + partials, variables, jet_cap) is None:
+        if not isolated_at_origin(IdealGens.of(variables, [psi] + partials)):
             raise InputError(
                 f"residual {psi} is not reduced: its singular locus is not isolated"
             )
     alpha = annihilator_form(curve)
     coeffs = [alpha.coefficient((i,)) for i in range(2)]
-    if _finite_colength_or_none(coeffs, variables, jet_cap) is None:
+    if not isolated_at_origin(IdealGens.of(variables, coeffs)):
         raise InputError(
             "the annihilating field vanishes along a curve "
             "(annihilator-form coefficients share a positive-dimensional zero set)"
@@ -293,9 +282,7 @@ def invariants(
     and cancelling h leaves (a, b) : m^infinity = O.  mu is therefore
     dim (h)/J = dim O/(a, b).
     """
-    # the hypothesis checks are cheap stabilization sweeps; keep their cap
-    # at a sane floor even when the main cap is squeezed
-    check_hypotheses(curve, jet_cap=max(16, min(jet_cap, 32)))
+    check_hypotheses(curve)
     f = curve.expand()
     ws = WeightSystem.for_poly(f, weights) if weights is not None else None
     if window is None:
@@ -624,7 +611,7 @@ def closed_form_witness(curve: FactoredCurve) -> Optional[Poly]:
 # -- transversal Milnor numbers --------------------------------------------------
 
 
-def transversal_milnor(curve: FactoredCurve, branch: int, jet_cap: int = 16) -> int:
+def transversal_milnor(curve: FactoredCurve, branch: int) -> int:
     """Milnor number of the slice singularity transverse to one branch.
 
     Along a generic smooth point of the branch a transverse line meets f
@@ -637,7 +624,7 @@ def transversal_milnor(curve: FactoredCurve, branch: int, jet_cap: int = 16) -> 
         raise InputError(f"no branch with index {branch}")
     u, _ = curve.factors[branch]
     partials = [u.derivative(v) for v in curve.variables]
-    if _finite_colength_or_none([u] + partials, curve.variables, jet_cap) is None:
+    if not isolated_at_origin(IdealGens.of(curve.variables, [u] + partials)):
         raise InputError(
             f"degenerate slice: branch {u} is singular along a curve"
         )

@@ -230,6 +230,27 @@ def saturate_at_origin(I: IdealGens) -> IdealGens:
     )
 
 
+def isolated_at_origin(I: IdealGens) -> bool:
+    """True when k[x]/I has finite length at 0, i.e. no positive-dimensional
+    component of V(I) passes through 0.
+
+    If the reduced grevlex leading monomials hold a pure power of every
+    variable (1 counts), V(I) is finite.  Otherwise the test is whether
+    I : m^inf, the intersection of the primary components of I whose prime
+    P is not m, has a generator with a nonzero constant term.  A component
+    of positive dimension through 0 has P inside m, so it contains the
+    saturation, which then lies in m.  If every such P misses 0, no
+    component lies in the prime m, so by prime avoidance neither does
+    their product, which lies in the saturation."""
+    gens = _integer_gens(I)
+    n = len(I.variables)
+    leads = [_decode(max(g)) for g in _groebner(gens, head=1)]
+    if all(any(sum(e) == e[i] for e in leads) for i in range(n)):
+        return True
+    one = _encode((0,) * n)
+    return any(one in g for g in _saturation(gens, n))
+
+
 def torsion_length(I: IdealGens) -> int:
     """dim (I : m^inf) / I, the length of the m-torsion of k[x]/I.
 

@@ -3,17 +3,17 @@
 Everything here models the local ring of germs at 0 through two finite
 windows:
 
-* total-degree jets (monomials of total degree < M), used for general
-  input with one stop rule (``_stable_in_jets``: the answer at order M
-  is accepted once it agrees with the answer at order M - 2), which is a
-  heuristic, and
+* total-degree jets (monomials of total degree < M), used by the mu and nu
+  scans of general input with one stop rule (``_stable_in_jets``: the
+  answer at order M is accepted once it agrees with the one at order
+  M - 2), which is a heuristic, and
 * weighted-degree slices, used when a weight certificate makes the input
   quasi-homogeneous; slice computations carry no truncation error, so the
   graded results are exact.
 
-The ideal-theoretic operations here (colength, the mu quotient, twisted
-quotients) are all driven by exact rational row reduction; saturation by
-the maximal ideal lives in ``groebner``.
+The quotients here (jet, mu, twisted) are all driven by exact rational
+row reduction; saturation and the finite-colength test live in
+``groebner``.
 """
 
 from __future__ import annotations
@@ -225,24 +225,6 @@ def _stable_in_jets(compute: Callable, orders: range, message: str, **context):
             return current, tuple(orders[:count])
         previous = current
     raise InconclusiveError(message, **context)
-
-
-def stable_colength(
-    I: IdealGens, start: int = 4, cap: int = 24
-) -> tuple[int, list[Exponents], tuple[int, int]]:
-    """Colength of I detected by agreement at two successive jet orders.
-
-    Returns (dim, monomial basis, (order, order+2)).  Raises
-    InconclusiveError when the quotient keeps growing up to the cap,
-    which is exactly the infinite-colength signature at desk scale.
-    """
-    (dim, basis), orders = _stable_in_jets(
-        lambda order: jet_quotient(I, order),
-        range(max(2, start), cap + 1, 2),
-        "colength did not stabilize (infinite colength?)",
-        jet_cap=cap,
-    )
-    return dim, basis, orders[-2:]
 
 
 # -- weighted-degree slices -----------------------------------------------------

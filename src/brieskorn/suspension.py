@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from typing import Optional, Sequence
 
 from .ab_module import ABModule, tensor
@@ -20,11 +21,11 @@ from .curve import (
     _action_oracle,
     a_action_coefficient,
 )
-from .errors import InconclusiveError, InputError
+from .errors import InputError
 from .forms import DiffForm
 from .linalg import Span
-from .groebner import torsion_length
-from .local_algebra import jacobian_ideal, stable_colength
+from .groebner import isolated_at_origin, torsion_length
+from .local_algebra import jacobian_ideal, jet_quotient
 from .poly import Exponents, Poly, WeightSystem, format_fraction, listing_key
 
 
@@ -96,29 +97,34 @@ def _auto_weights(f: Poly) -> Optional[tuple[Fraction, ...]]:
 
 def milnor_isolated(
     f: Poly,
-    jet_cap: int = 24,
     weights: Optional[Sequence[Fraction]] = None,
 ) -> IsolatedGerm:
     """Milnor number and monomial basis of an isolated singularity.
 
-    Smooth germs are rejected; non-isolated critical points surface as an
-    "infinite colength" error when the quotient keeps growing.  When a
-    weight certificate is available (given or auto-detected), a-action
-    coefficients are attached after passing the membership oracle.
+    Smooth germs are rejected, and so are non-isolated critical points,
+    decided exactly (``groebner.isolated_at_origin``); mu is the torsion
+    length of J.  dim k[x]/(J + m^N) <= mu, with equality exactly when
+    J + m^N is the m-primary component of J, so the basis, taken at the
+    first even jet order N that reaches mu, needs no cap.  With a weight
+    certificate (given or auto-detected), a-action coefficients are
+    attached after passing the membership oracle.
     """
     if f.is_zero or f.is_constant():
         raise InputError("an isolated germ must be nonconstant")
     if f.constant_value() != 0:
         raise InputError("an isolated germ must vanish at the origin")
     J = jacobian_ideal(f)
-    try:
-        value, basis, _ = stable_colength(J, start=4, cap=jet_cap)
-    except InconclusiveError as exc:
+    if not isolated_at_origin(J):
         raise InputError(
             f"infinite colength: {f} does not have an isolated critical point"
-        ) from exc
+        )
+    value = torsion_length(J)
     if value == 0:
         raise InputError(f"smooth germ rejected: {f} has Milnor number 0")
+    for order in count(2, 2):
+        dim, basis = jet_quotient(J, order)
+        if dim == value:
+            break
     ws: Optional[WeightSystem] = None
     if weights is not None:
         ws = WeightSystem.for_poly(f, weights)

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 from hypothesis import HealthCheck, settings, strategies as st
 
+from brieskorn.local_algebra import _stable_in_jets, jet_quotient
 from brieskorn.poly import Poly
 
 settings.register_profile(
@@ -37,3 +38,17 @@ def polys(
     return st.lists(term, max_size=max_terms).map(
         lambda pairs: Poly(variables, {e: c for e, c in pairs if c != 0})
     )
+
+
+def stable_colength(I, start: int = 4, cap: int = 24):
+    """Reference colength of I by the jet stop rule (two successive even
+    orders agree), a route independent of the Groebner engine.  Returns
+    (dim, monomial basis, the two agreeing orders); raises
+    InconclusiveError when the quotient keeps growing up to the cap."""
+    (dim, basis), orders = _stable_in_jets(
+        lambda order: jet_quotient(I, order),
+        range(max(2, start), cap + 1, 2),
+        "colength did not stabilize (infinite colength?)",
+        jet_cap=cap,
+    )
+    return dim, basis, orders[-2:]

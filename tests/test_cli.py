@@ -107,6 +107,18 @@ class TestInvariantsCommand:
         assert "the jet cap is below the first jet order" in message
         assert "first_order=25" in message and "min_jet_cap=27" in message
 
+    def test_hypotheses_do_not_read_the_jet_cap(self):
+        # the coefficients of alpha have colength 46, past jet order 16:
+        # the hypothesis check must not read --jet-cap
+        code, text = run(
+            ["invariants", "--factors", "x:3,x^2-y^5:2,x^2+y^5:2", "--vars", "x,y",
+             "--weights", "5,2", "--jet-cap", "16", "--format", "json"]
+        )
+        assert code == EXIT_OK
+        report = json.loads(text)["report"]
+        assert (report["mu"], report["nu"], report["rank"]) == (46, 54, 100)
+        assert report["assumptions"]["exact"] is True
+
     def test_witness_flag(self):
         code, text = run(GOLDEN + ["--check-witness"])
         assert code == EXIT_OK
@@ -180,6 +192,15 @@ class TestSuspendCommand:
         assert code == EXIT_OK
         check = json.loads(text)["report"]["direct_check"]
         assert check["agrees"] and check["mu_direct"] == 2
+
+    def test_milnor_number_past_the_jet_cap(self):
+        # z^29 generates J, so the colength reaches 29 only at jet order 30
+        code, text = run(
+            ["suspend", "--isolated", "z^30", "--factors", "x:2,y:2",
+             "--weights", "1,1", "--format", "json"]
+        )
+        assert code == EXIT_OK
+        assert json.loads(text)["report"]["isolated"]["milnor"] == 29
 
     def test_product_germ_accepted(self):
         code, text = run(

@@ -166,6 +166,10 @@ class TestHypotheses:
         assert check_hypotheses(cross())
         # a single multiple smooth branch is legitimate
         assert check_hypotheses(FactoredCurve.of(XY, [(p("y"), 2)]))
+        # the annihilator-form coefficients of these have colengths past jet
+        # order 16 (46 for the first); the check reads no cap
+        assert check_hypotheses(factored([("x", 3), ("x^2-y^5", 2), ("x^2+y^5", 2)]))
+        assert check_hypotheses(factored([("x^2-y^5", 3), ("x", 3)], "x^2+y^5"))
 
     def test_branch_dividing_residual_rejected(self):
         c = FactoredCurve.of(XY, [(p("x"), 2)], p("x*y + x^2"))
@@ -417,7 +421,7 @@ class TestSaturationTheorem:
                 continue
             seen.append((factors, residual, weights))
             curve = factored(factors, residual)
-            check_hypotheses(curve, jet_cap=24)  # the cap ``invariants`` uses
+            check_hypotheses(curve)
             f = curve.expand()
             h = IdealGens.of(XY, [curve.multiplicity_cofactor()])
             result = mu(f, h, WeightSystem.for_poly(f, weights))

@@ -22,6 +22,7 @@ from brieskorn.groebner import (
     _groebner,
     _integer_gens,
     _normalized,
+    isolated_at_origin,
     saturate_at_origin,
     torsion_length,
 )
@@ -110,6 +111,30 @@ class TestSaturation:
         result = saturate_at_origin(I)
         assert [str(g) for g in result.generators] == ["y", "-x + 1"]
         assert torsion_length(I) == 2
+
+
+class TestIsolatedAtOrigin:
+    @pytest.mark.parametrize(
+        "gens, expected",
+        [
+            # finitely many points: a pure power of each variable leads
+            (("x^2", "y^3"), True),
+            (("x - 1", "y"), True),  # 0 is not on V(I)
+            # a line through 0: the saturation lies in m
+            (("x^2",), False),
+            (("x*y", "x^2"), False),  # the line x = 0 with an embedded point
+        ],
+        ids=str,
+    )
+    def test_small_ideals(self, gens, expected):
+        assert isolated_at_origin(ideal(*gens)) is expected
+
+    def test_isolated_origin_with_a_line_elsewhere(self):
+        # V(I) = {0} with the line x = 1: no pure power of y leads, so only
+        # the saturation, which is (x - 1), decides
+        I = ideal("(x-1)*x", "(x-1)*y")
+        assert isolated_at_origin(I) is True
+        assert torsion_length(I) == 1
 
 
 class TestTorsionLength:

@@ -29,10 +29,11 @@ from brieskorn.local_algebra import (
     monomials_below,
     mu,
     quotient_dim_jet,
-    stable_colength,
     twisted_quotient_dim,
 )
 from brieskorn.poly import Poly, WeightSystem, parse_polynomial
+
+from conftest import stable_colength
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")

@@ -22,8 +22,8 @@ from brieskorn.curve import (
 )
 from brieskorn.errors import InputError
 from brieskorn.forms import DiffForm
-from brieskorn.local_algebra import monomials_below
-from brieskorn.poly import Poly, parse_polynomial
+from brieskorn.local_algebra import jacobian_ideal, monomials_below
+from brieskorn.poly import Poly, listing_key, parse_polynomial
 from brieskorn.suspension import (
     IsolatedGerm,
     _auto_weights,
@@ -31,6 +31,8 @@ from brieskorn.suspension import (
     suspend,
     verify_suspension_direct,
 )
+
+from conftest import stable_colength
 
 XY = ("x", "y")
 Z = ("z",)
@@ -118,6 +120,24 @@ class TestMilnorIsolated:
         with pytest.raises(InputError) as err:
             milnor_isolated(p("x^2"))
         assert "infinite colength" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "text, variables",
+        [(f"z^{k}", Z) for k in (2, 3, 4, 5, 30)]
+        + [
+            ("x^3+y^4", XY),
+            ("x^2+y^2+z^3", XYZ),
+            ("x^3+y^3+z^3", XYZ),
+            ("z*w", ("z", "w")),
+            ("z^2+w^2", ("z", "w")),
+        ],
+    )
+    def test_matches_the_jet_colength_reference(self, text, variables):
+        # the exact count and its cap-free jet basis reproduce the jet stop
+        # rule wherever that rule concludes (z^30 needs its cap above 30)
+        g = milnor_isolated(p(text, variables))
+        value, basis, _ = stable_colength(jacobian_ideal(g.poly), cap=40)
+        assert (g.milnor, g.basis) == (value, tuple(sorted(basis, key=listing_key)))
 
     def test_must_vanish_at_origin(self):
         with pytest.raises(InputError):
