@@ -39,7 +39,7 @@ from .groebner import saturate_at_origin, torsion_length
 from .local_algebra import (
     IdealGens,
     jacobian_ideal,
-    mu,
+    local_quotient,
     quotient_dim_jet,
     twisted_quotient_dim,
 )
@@ -80,8 +80,8 @@ __all__ = [
     "is_regular",
     "is_simple_pole",
     "jacobian_ideal",
+    "local_quotient",
     "milnor_isolated",
-    "mu",
     "normal_order",
     "parse_polynomial",
     "quotient_dim_jet",

@@ -139,18 +139,26 @@ class ABModule:
 
     @classmethod
     def from_record(cls, record: Mapping) -> "ABModule":
-        rank = record["rank"]
-        order = record["trunc_order"]
-        matrix = []
-        for row in record["a_matrix"]:
-            new_row = []
-            for entry in row:
-                coeffs = [Fraction(0)] * order
-                for power, text in entry:
-                    coeffs[power] = parse_fraction(text)
-                new_row.append(coeffs)
-            matrix.append(new_row)
-        return cls(rank, order, matrix, label=record.get("label", ""))
+        """Inverse of ``to_record``; InputError on a malformed record."""
+        try:
+            order = record["trunc_order"]
+            matrix = []
+            for row in record["a_matrix"]:
+                new_row = []
+                for entry in row:
+                    coeffs = [Fraction(0)] * order
+                    for power, text in entry:
+                        if not 0 <= power < order:
+                            raise InputError(
+                                f"b-power {power} outside the truncation 0..{order - 1}"
+                            )
+                        coeffs[power] = parse_fraction(text)
+                    new_row.append(coeffs)
+                matrix.append(new_row)
+            return cls(record["rank"], order, matrix, label=record.get("label", ""))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            kind = type(exc).__name__
+            raise InputError(f"malformed module record ({kind}: {exc})") from exc
 
 
 def _element_key(key: tuple[int, int]) -> tuple[int, int]:

@@ -172,7 +172,8 @@ def _warnings_from_report(report) -> list[str]:
     if report.assumptions.heuristic_jet_orders:
         orders = ", ".join(str(o) for o in report.assumptions.heuristic_jet_orders)
         warnings.append(
-            f"no weight certificate: jet stabilization heuristics at orders {orders}"
+            "no weight certificate: nu rests on the jet stabilization "
+            f"heuristic at orders {orders}"
         )
     return warnings
 
@@ -249,8 +250,14 @@ def _cmd_suspend(args, config: RunConfig, out) -> int:
 
 
 def _load_module(path: str) -> ABModule:
-    with open(path, "r", encoding="utf-8") as handle:
-        return ABModule.from_record(json.load(handle))
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            record = json.load(handle)
+    except OSError as exc:
+        raise InputError(f"cannot read module file {path}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise InputError(f"module file {path} is not JSON: {exc}") from exc
+    return ABModule.from_record(record)
 
 
 def _cmd_abmod(args, config: RunConfig, out) -> int:

@@ -32,9 +32,9 @@ from .local_algebra import (
     IdealGens,
     _ShiftedImages,
     jet_key_order,
+    local_quotient,
     monomials_below,
     monomials_of_weighted_degree,
-    mu,
     poly_vec,
     shifted_vec,
     twisted_quotient_dim,
@@ -275,32 +275,41 @@ def invariants(
     """Full invariant pipeline: mu, nu, rank = mu + nu, quotient basis,
     and (with a verifying weight certificate) the a-action coefficients.
 
-    Both scans read sat(J) = (h), h = u_1^(p_1-1) ... u_k^(p_k-1), and no
-    general saturation runs: df = h alpha with the coefficients (a, b) of
-    alpha m-primary (``check_hypotheses``), so J = h (a, b); m is not
-    associated to the principal ideal (h), so J : m^infinity lies in (h),
-    and cancelling h leaves (a, b) : m^infinity = O.  mu is therefore
-    dim (h)/J = dim O/(a, b).
+    No general saturation runs: sat(J) = (h), h = u_1^(p_1-1) ...
+    u_k^(p_k-1).  df = h alpha with the coefficients (a, b) of alpha
+    m-primary (``check_hypotheses``), so J = h (a, b).  The associated
+    primes of the principal ideal (h) are its prime factors, of height one,
+    so m is not among them and J : m^infinity lies in (h).  Cancelling the
+    nonzerodivisor h leaves (a, b) : m^infinity = O.  So mu = dim (h)/J =
+    dim O/(a, b), a colength certified by ``local_quotient``, and the
+    classes h x^m of its monomials x^m are the mu basis.  The nu scan
+    reads (h) too.
     """
     check_hypotheses(curve)
     f = curve.expand()
     ws = WeightSystem.for_poly(f, weights) if weights is not None else None
     if window is None:
         window = max(p for _, p in curve.factors) + 2
-    sat = IdealGens.of(curve.variables, [curve.multiplicity_cofactor()])
-    mu_res = mu(f, sat, ws, jet_cap=jet_cap)
-    field = annihilator_field(curve)
+    h = curve.multiplicity_cofactor()
+    field = annihilator_field(curve)  # b d/dx - a d/dy, for alpha = a dx + b dy
+    mu_value, mu_basis = local_quotient(
+        IdealGens.of(curve.variables, field.coefficients), ws
+    )
+    sat = IdealGens.of(curve.variables, [h])
     nu_res = twisted_quotient_dim(sat, field, ws, jet_cap=jet_cap, window=window)
-    rank = mu_res.value + nu_res.dim
-    basis_mu = tuple(sorted(mu_res.basis, key=_basis_sort_key))
+    rank = mu_value + nu_res.dim
+    basis_mu = tuple(
+        sorted(
+            (h * Poly.monomial(curve.variables, e) for e in mu_basis),
+            key=_basis_sort_key,
+        )
+    )
     basis_nu = tuple(
         sorted(
             (Poly.monomial(curve.variables, e) for e in nu_res.basis),
             key=_basis_sort_key,
         )
     )
-    exact = mu_res.exact and nu_res.exact
-    heuristic_orders: tuple[int, ...] = tuple(mu_res.jet_orders)
     action = None
     if ws is not None:
         action = a_action(curve, ws, basis_mu + basis_nu)
@@ -309,13 +318,13 @@ def invariants(
         torsion_free_justification=(
             "plane curve in two variables: both torsion corrections vanish"
         ),
-        heuristic_jet_orders=heuristic_orders if not exact else (),
-        exact=exact,
+        heuristic_jet_orders=nu_res.jet_orders,
+        exact=nu_res.exact,
     )
     return InvariantReport(
         variables=curve.variables,
         f=str(f),
-        mu=mu_res.value,
+        mu=mu_value,
         nu=nu_res.dim,
         gamma=0,
         delta=0,

@@ -3,15 +3,14 @@
 Everything here models the local ring of germs at 0 through two finite
 windows:
 
-* total-degree jets (monomials of total degree < M), used by the mu and nu
-  scans of general input with one stop rule (``_stable_in_jets``: the
-  answer at order M is accepted once it agrees with the one at order
-  M - 2), which is a heuristic, and
+* total-degree jets (monomials of total degree < M): ``local_quotient``
+  stops its jet scan by Nakayama's lemma, which is a proof, while the jet nu
+  scan accepts the answer at order M once it agrees with the one at order
+  M - 2 (``_stable_in_jets``), which is a heuristic;
 * weighted-degree slices, used when a weight certificate makes the input
-  quasi-homogeneous; slice computations carry no truncation error, so the
-  graded results are exact.
+  quasi-homogeneous; slice computations carry no truncation error.
 
-The quotients here (jet, mu, twisted) are all driven by exact rational
+The quotients here (jet, local, twisted) are all driven by exact rational
 row reduction; saturation and the finite-colength test live in
 ``groebner``.
 """
@@ -21,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 from math import lcm
 from operator import add
 from typing import Callable, Optional, Sequence
@@ -28,30 +28,13 @@ from typing import Callable, Optional, Sequence
 from .errors import InconclusiveError, InputError
 from .forms import VectorField
 from .linalg import Span, Vec
-from .poly import Exponents, Poly, WeightSystem, graded_key, listing_key
+from .poly import Exponents, Poly, WeightSystem, listing_key
 
 
 def jet_key_order(exponents: Exponents) -> tuple:
     """Column order for jet spans: high total degree first, so that rows
     pivoting in low degrees are entirely supported there."""
     return (-sum(exponents), tuple(reversed(exponents)))
-
-
-@lru_cache(maxsize=None)
-def monomials_below(n_vars: int, bound: int) -> tuple[Exponents, ...]:
-    """All exponent vectors of total degree < bound, in graded order."""
-    out: list[Exponents] = []
-
-    def rec(prefix: list[int], remaining: int, budget: int) -> None:
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        for e in range(budget + 1):
-            rec(prefix + [e], remaining - 1, budget - e)
-
-    if bound > 0:
-        rec([], n_vars, bound - 1)
-    return tuple(sorted(out, key=graded_key))
 
 
 @lru_cache(maxsize=None)
@@ -74,6 +57,15 @@ def monomials_of_weighted_degree(
     if wdeg >= 0:
         rec([], 0, wdeg)
     return tuple(sorted(out, key=listing_key))
+
+
+@lru_cache(maxsize=None)
+def monomials_below(n_vars: int, bound: int) -> tuple[Exponents, ...]:
+    """All exponent vectors of total degree < bound, in graded order."""
+    ones = (1,) * n_vars
+    return tuple(
+        m for d in range(bound) for m in monomials_of_weighted_degree(n_vars, ones, d)
+    )
 
 
 def poly_vec(p: Poly) -> Vec:
@@ -123,10 +115,6 @@ class _ShiftedImages:
             key = tuple(map(add, e, m))
             out[key] = out.get(key, 0) + c
         return {key: v for key, v in out.items() if v}
-
-
-def vec_poly(vec: Vec, variables: Sequence[str]) -> Poly:
-    return Poly(variables, dict(vec))
 
 
 def truncate_vec(vec: Vec, bound: int) -> Vec:
@@ -219,10 +207,10 @@ def _stable_in_jets(compute: Callable, orders: range, message: str, **context):
             min_jet_cap=orders.start + orders.step,
         )
     previous = None
-    for count, order in enumerate(orders, 1):
+    for tried, order in enumerate(orders, 1):
         current = compute(order)
-        if count > 1 and current == previous:
-            return current, tuple(orders[:count])
+        if tried > 1 and current == previous:
+            return current, tuple(orders[:tried])
         previous = current
     raise InconclusiveError(message, **context)
 
@@ -268,134 +256,69 @@ class _GradedIdeal:
 
     def scan(
         self,
-        wdeg_cap: int,
-        quiet_after: int,
+        wdeg_cap: Optional[int],
         run: int,
         slice_count: Callable[[int, tuple[Exponents, ...]], int],
     ) -> Optional[int]:
         """Sum ``slice_count(wdeg, monomials)`` over the nonempty slices from
         weighted degree 0 up.  The scan stops, returning the sum, after
-        ``run`` consecutive nonempty slices of degree above ``quiet_after``
-        that count nothing; it returns None when the cap comes first."""
+        ``run`` consecutive nonempty slices that count nothing; it returns
+        None when the cap comes first (no cap when ``wdeg_cap`` is None)."""
         total = 0
         zero_run = 0
-        for wdeg in range(max(wdeg_cap, 0) + 1):
+        degrees = count() if wdeg_cap is None else range(max(wdeg_cap, 0) + 1)
+        for wdeg in degrees:
             monos = self.monomials(wdeg)
             if not monos:
                 continue
-            count = slice_count(wdeg, monos)
-            total += count
-            zero_run = zero_run + 1 if count == 0 and wdeg > quiet_after else 0
+            slice_total = slice_count(wdeg, monos)
+            total += slice_total
+            zero_run = zero_run + 1 if slice_total == 0 else 0
             if zero_run >= run:
                 return total
         return None
 
 
-# -- the mu invariant ---------------------------------------------------------
+# -- the colength of an isolated ideal ------------------------------------------
 
 
-@dataclass(frozen=True)
-class MuResult:
-    value: int
-    basis: tuple[Poly, ...]
-    exact: bool
-    jet_orders: tuple[int, ...]
+def local_quotient(
+    I: IdealGens, weights: Optional[WeightSystem] = None
+) -> tuple[int, list[Exponents]]:
+    """Dimension and greedy monomial basis of O/I at the origin, for an
+    ideal I that the caller has shown to be isolated at 0
+    (``groebner.isolated_at_origin``); for any other ideal the scan does
+    not end.  Neither scan reads a cap, and each stops by a proof.
 
+    * With weights (I quasi-homogeneous), weighted slices from degree 0 up.
+      Every slice is O_e = sum_j x_j O_(e - w_j), so once (O/I)_e = 0 on
+      wmax = max w_j consecutive nonempty slices (a run of degrees at
+      least wmax long), induction on e gives (O/I)_e = 0 above them.
+    * Without, the jet orders k = 1, 2, ... with q(k) = dim O/(I + m^k).
+      At the first k with q(k + 1) = q(k), m^k lies in I + m^(k+1), so
+      m^k lies in I O_0 by Nakayama's lemma (Atiyah-Macdonald, Cor. 2.7)
+      and O_0/I O_0 = O/(I + m^k).
 
-def _quotient_reps(
-    big: Span, work: Span, monos, variables
-) -> list[Poly]:
-    """Representatives of big/work: greedy monomials inside the big span
-    first, then leftover reduced rows of big (some quotients, e.g. by a
-    principal ideal on a rotated line, contain no monomials at all)."""
-    reps: list[Poly] = []
-    for m in monos:
-        vec = {m: Fraction(1)}
-        if big.contains(vec) and work.insert(vec):
-            reps.append(Poly.monomial(variables, m))
-    for row in big.row_vectors():
-        if work.insert(row):
-            reps.append(vec_poly(row, variables).lowest_monic())
-    return reps
-
-
-def _pair_quotient_jet(
-    big: IdealGens, small: IdealGens, order: int
-) -> tuple[int, list[Poly]]:
-    """dim (big-jets)/(small-jets) with greedy representatives inside the
-    big ideal's span (monomials preferred)."""
-    big_span = ideal_jet_span(big, order)
-    work = ideal_jet_span(small, order)
-    small_rank = work.rank
-    basis = _quotient_reps(
-        big_span, work, monomials_below(len(big.variables), order), big.variables
-    )
-    assert len(basis) == big_span.rank - small_rank
-    return len(basis), basis
-
-
-def mu(
-    f: Poly,
-    saturated: IdealGens,
-    weights: Optional[WeightSystem] = None,
-    jet_cap: int = 24,
-) -> MuResult:
-    """dim of (saturated Jacobian ideal) / (Jacobian ideal) at the origin,
-    for the saturation sat(J) = J : m^infinity given as ``saturated``.
-
-    For isolated singularities the saturation is the unit ideal and this
-    is the classical Milnor number.
-
-    Plane curves know their saturation (``curve.invariants``): with
-    df = h alpha, h = u_1^(p_1-1) ... u_k^(p_k-1) and the coefficients
-    (a, b) of alpha m-primary, J = h (a, b).  The associated primes of the
-    principal ideal (h) are its prime factors, of height one, so m is not
-    among them and J : m^infinity lies in (h) : m^infinity = (h).
-    Cancelling the nonzerodivisor h, h g is in J : m^infinity exactly when
-    g is in (a, b) : m^infinity = O.  Hence sat(J) = (h).  Any other ideal
-    can take sat(J) from ``groebner.saturate_at_origin``.
+    The basis picks, in graded order, each monomial independent of I and
+    of the monomials picked before it.
     """
-    if f.is_zero or f.is_constant():
-        raise InputError("mu requires a nonconstant germ")
-    if f.constant_value() != 0:
-        raise InputError("mu requires f(0) = 0")
-    J = jacobian_ideal(f)
     if weights is not None:
-        graded_sat = _GradedIdeal(saturated, weights)
-        graded_jac = _GradedIdeal(J, weights)
-        wmax = max(graded_sat.int_weights)
-        wdeg_cap = jet_cap * wmax
-        basis: list[Poly] = []
+        graded = _GradedIdeal(I, weights)
+        basis: list[Exponents] = []
 
-        def contribution(wdeg: int, monos) -> int:
-            big = graded_sat.slice_span(wdeg)
-            work = graded_jac.slice_span(wdeg).copy()
-            count = big.rank - work.rank
-            basis.extend(_quotient_reps(big, work, monos, f.variables))
-            return count
+        def picked(wdeg: int, monos) -> int:
+            span = graded.slice_span(wdeg)
+            new = [m for m in monos if span.insert({m: Fraction(1)})]
+            basis.extend(new)
+            return len(new)
 
-        # A certified stop: sat(J) is generated in degrees <= top_gen, so
-        # above top_gen each of its elements is a sum x_j * (element of
-        # degree e - w_j).  Once sat(J)_e = J_e on wmax consecutive degrees
-        # past top_gen, induction on e gives it for every larger degree.
-        top_gen = max(graded_sat.gen_degrees)
-        total = graded_sat.scan(wdeg_cap, top_gen, wmax, contribution)
-        if total is None:
-            raise InconclusiveError(
-                "graded mu computation did not exhaust the quotient",
-                wdeg_cap=wdeg_cap,
-                quiet_after=top_gen,
-                run=wmax,
-            )
-        return MuResult(total, tuple(basis), True, ())
-    orders = range(max(6, f.total_degree() + 2), jet_cap + 1, 2)
-    (value, jet_basis), tried = _stable_in_jets(
-        lambda order: _pair_quotient_jet(saturated, J, order),
-        orders,
-        "mu did not stabilize",
-        jet_orders=tuple(orders),
-    )
-    return MuResult(value, tuple(jet_basis), False, tried)
+        return graded.scan(None, max(graded.int_weights), picked), basis
+    previous = jet_quotient(I, 1)
+    for order in count(2):
+        current = jet_quotient(I, order)
+        if current[0] == previous[0]:
+            return previous
+        previous = current
 
 
 # -- twisted quotients --------------------------------------------------------
@@ -406,6 +329,7 @@ class TwistedResult:
     dim: int
     basis: tuple[Exponents, ...]
     exact: bool
+    jet_orders: tuple[int, ...] = ()
 
 
 def _twisted_shift(
@@ -480,14 +404,11 @@ def twisted_quotient_dim(
                             image = twisted_image(m)
                             if image:
                                 span.insert(image)
-                count = 0
-                for m in monos:
-                    if span.insert({m: Fraction(1)}):
-                        basis.append(m)
-                        count += 1
-                return count
+                new = [m for m in monos if span.insert({m: Fraction(1)})]
+                basis.extend(new)
+                return len(new)
 
-            total = graded.scan(wdeg_cap, -1, window, picked)
+            total = graded.scan(wdeg_cap, window, picked)
             if total is not None:
                 return TwistedResult(total, tuple(basis), True)
             raise InconclusiveError(
@@ -518,10 +439,10 @@ def twisted_quotient_dim(
         return [m for m in monomials_below(n, order) if span.insert({m: Fraction(1)})]
 
     orders = range(max(6, min(10, jet_cap)), jet_cap + 1, 2)
-    basis, _ = _stable_in_jets(
+    basis, tried = _stable_in_jets(
         jet_basis,
         orders,
         "twisted quotient did not stabilize",
         jet_orders=tuple(orders),
     )
-    return TwistedResult(len(basis), tuple(basis), False)
+    return TwistedResult(len(basis), tuple(basis), False, tried)

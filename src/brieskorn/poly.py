@@ -354,11 +354,12 @@ def weighted_degree(exponents: Sequence[int], weights: Sequence[Fraction]) -> Fr
 
 
 def parse_fraction(text: str) -> Fraction:
-    text = text.strip()
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    """An integer or a quotient of integers; InputError on anything else."""
+    num, slash, den = text.partition("/")
+    try:
+        return Fraction(int(num), int(den) if slash else 1)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"not a rational number: {text!r}") from exc
 
 
 class WeightSystem:
@@ -531,7 +532,10 @@ class _Parser:
                 dstart = self.pos
                 while self.pos < len(self.text) and self.text[self.pos].isdigit():
                     self.pos += 1
-                return Fraction(numerator, int(self.text[dstart : self.pos]))
+                denominator = int(self.text[dstart : self.pos])
+                if denominator == 0:
+                    raise ParseError("zero denominator", dstart)
+                return Fraction(numerator, denominator)
         self.pos = save
         return Fraction(numerator)
 

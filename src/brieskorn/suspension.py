@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
 from typing import Optional, Sequence
 
 from .ab_module import ABModule, tensor
@@ -25,7 +24,7 @@ from .errors import InputError
 from .forms import DiffForm
 from .linalg import Span
 from .groebner import isolated_at_origin, torsion_length
-from .local_algebra import jacobian_ideal, jet_quotient
+from .local_algebra import jacobian_ideal, local_quotient
 from .poly import Exponents, Poly, WeightSystem, format_fraction, listing_key
 
 
@@ -102,12 +101,11 @@ def milnor_isolated(
     """Milnor number and monomial basis of an isolated singularity.
 
     Smooth germs are rejected, and so are non-isolated critical points,
-    decided exactly (``groebner.isolated_at_origin``); mu is the torsion
-    length of J.  dim k[x]/(J + m^N) <= mu, with equality exactly when
-    J + m^N is the m-primary component of J, so the basis, taken at the
-    first even jet order N that reaches mu, needs no cap.  With a weight
-    certificate (given or auto-detected), a-action coefficients are
-    attached after passing the membership oracle.
+    decided exactly (``groebner.isolated_at_origin``); mu, the colength of
+    J, and its greedy monomial basis come from ``local_quotient``'s jet
+    scan, which stops by Nakayama's lemma.  With a weight certificate
+    (given or auto-detected), a-action coefficients are attached after
+    passing the membership oracle.
     """
     if f.is_zero or f.is_constant():
         raise InputError("an isolated germ must be nonconstant")
@@ -118,13 +116,9 @@ def milnor_isolated(
         raise InputError(
             f"infinite colength: {f} does not have an isolated critical point"
         )
-    value = torsion_length(J)
+    value, basis = local_quotient(J)
     if value == 0:
         raise InputError(f"smooth germ rejected: {f} has Milnor number 0")
-    for order in count(2, 2):
-        dim, basis = jet_quotient(J, order)
-        if dim == value:
-            break
     ws: Optional[WeightSystem] = None
     if weights is not None:
         ws = WeightSystem.for_poly(f, weights)

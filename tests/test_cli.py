@@ -29,10 +29,43 @@ GRADED_MU_CASES = [
 ]
 
 
+# Malformed input: each must exit 1 with "error:", never with a traceback.
+# "{file}" is a module file holding the given text (None: no file at all).
+MALFORMED_INPUTS = [
+    ("weights-zero-denominator",
+     ["invariants", "--factors", "x:2,y:2", "--weights", "1/0,1"], None),
+    ("weights-not-a-number",
+     ["invariants", "--factors", "x:2,y:2", "--weights", "a,1"], None),
+    ("residual-zero-denominator",
+     ["invariants", "--factors", "x:2", "--residual", "1/0"], None),
+    ("record-zero-denominator", ["abmod", "check", "{file}"],
+     json.dumps({"rank": 1, "trunc_order": 4, "a_matrix": [[[[1, "1/0"]]]]})),
+    ("record-missing-key", ["abmod", "check", "{file}"],
+     json.dumps({"rank": 1, "a_matrix": [[[[1, "1"]]]]})),
+    ("record-power-past-truncation", ["abmod", "check", "{file}"],
+     json.dumps({"rank": 1, "trunc_order": 4, "a_matrix": [[[[4, "1"]]]]})),
+    ("not-json", ["abmod", "check", "{file}"], "rank: 1"),
+    ("missing-file", ["abmod", "check", "{file}"], None),
+]
+
+
 def run(argv):
     out = io.StringIO()
     code = main(argv, out=out)
     return code, out.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv,content", [case[1:] for case in MALFORMED_INPUTS],
+    ids=[case[0] for case in MALFORMED_INPUTS],
+)
+def test_malformed_input_is_invalid_not_a_traceback(tmp_path, capsys, argv, content):
+    path = tmp_path / "module.json"
+    if content is not None:
+        path.write_text(content)
+    code, _ = run([arg.format(file=path) for arg in argv])
+    assert code == EXIT_INVALID
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestInvariantsCommand:
@@ -98,14 +131,25 @@ class TestInvariantsCommand:
         assert code == EXIT_INCONCLUSIVE
 
     def test_cap_below_the_first_jet_order_names_the_least_cap(self, capsys):
-        # deg f = 23, so jet mu starts at order 25, above the default cap 24
+        # mu reads no cap; the jet nu scan starts at order 6, above the cap 5
         code, _ = run(
-            ["invariants", "--factors", "x:3,x^2-y^5:2,x^2+y^5:2", "--vars", "x,y"]
+            ["invariants", "--factors", "x:3,x^2-y^5:2,x^2+y^5:2", "--vars", "x,y",
+             "--jet-cap", "5"]
         )
         assert code == EXIT_INCONCLUSIVE
         message = capsys.readouterr().err
+        assert "twisted quotient did not stabilize" in message
         assert "the jet cap is below the first jet order" in message
-        assert "first_order=25" in message and "min_jet_cap=27" in message
+        assert "first_order=6" in message and "min_jet_cap=8" in message
+        # at the default cap the same input concludes (deg f = 23 once put
+        # jet mu's first order at 25, past the cap)
+        code, text = run(
+            ["invariants", "--factors", "x:3,x^2-y^5:2,x^2+y^5:2", "--vars", "x,y",
+             "--format", "json"]
+        )
+        assert code == EXIT_OK
+        report = json.loads(text)["report"]
+        assert (report["mu"], report["nu"], report["rank"]) == (46, 54, 100)
 
     def test_hypotheses_do_not_read_the_jet_cap(self):
         # the coefficients of alpha have colength 46, past jet order 16:

@@ -23,14 +23,16 @@ from brieskorn.curve import (
 )
 from brieskorn.errors import InconclusiveError, InputError
 from brieskorn.forms import DiffForm
-from brieskorn.groebner import saturate_at_origin
+from brieskorn.groebner import saturate_at_origin, torsion_length
 from brieskorn.local_algebra import (
     IdealGens,
     _GradedIdeal,
     jacobian_ideal,
-    mu,
+    local_quotient,
 )
 from brieskorn.poly import Poly, WeightSystem, parse_polynomial
+
+from conftest import mu
 
 XY = ("x", "y")
 
@@ -424,9 +426,11 @@ class TestSaturationTheorem:
             check_hypotheses(curve)
             f = curve.expand()
             h = IdealGens.of(XY, [curve.multiplicity_cofactor()])
-            result = mu(f, h, WeightSystem.for_poly(f, weights))
+            ws = WeightSystem.for_poly(f, weights)
+            result = mu(f, h, ws)  # the test-only reference
             assert result.exact
             assert result.value == colength(factors, residual), (factors, residual)
+            assert local_quotient(coefficient_ideal(curve), ws)[0] == result.value
 
 
 class TestAActionOracle:
@@ -554,3 +558,68 @@ class TestTransversalMilnor:
     def test_unknown_branch(self):
         with pytest.raises(InputError):
             transversal_milnor(cross(), 5)
+
+
+def coefficient_ideal(curve: FactoredCurve) -> IdealGens:
+    """(a, b) for the annihilator form alpha = a dx + b dy."""
+    alpha = annihilator_form(curve)
+    return IdealGens.of(XY, [alpha.coefficient((i,)) for i in range(2)])
+
+
+def reference_cases():
+    """The curves of these tests, with their weights where they have one."""
+    cases = [(c, None) for c in random_corpus(8)]
+    for factors, residual, weights, _ in (
+        TestCrossPathConsistency.CASES + TestSaturationTheorem.CHANGES
+    ):
+        cases.append((factored(factors, residual), weights))
+    for factors, residual, _, _ in TestSaturationTheorem.CHANGES:
+        moved = [(changed(t), m) for t, m in factors]
+        cases.append((factored(moved, changed(residual) if residual else None), None))
+    for factors, residual, weights in TestSaturationTheorem.CHAIN_CASES:
+        cases.append((factored(factors, residual), weights))
+    for factors, _ in NO_CAP_CASES:
+        cases.append((factored(factors), None))
+    return cases
+
+
+# unweighted curves whose mu lay past the old jet mu's cap (deg f + 2 > 24,
+# or no two equal orders below it); mu is the colength of (a, b)
+NO_CAP_CASES = [
+    ([("y", 3), ("(x+y^2)^2-y^5", 3)], (7, 14, 21)),
+    ([("x", 3), ("x^2-y^5", 2), ("x^2+y^5", 2)], (46, 54, 100)),
+    ([("x", 3), ("(x+y^2)^2-y^5", 2), ("(x+y^2)^2+y^5", 2)], (42, None, None)),
+]
+
+
+class TestReferenceMu:
+    """The pipeline's mu, the colength of (a, b) by ``local_quotient``,
+    against the test-only reference (conftest ``mu``: (h) and J compared
+    slice by slice, or jet by jet under the heuristic stop rule)."""
+
+    @pytest.mark.parametrize("curve,weights", reference_cases(), ids=str)
+    def test_reference_agrees_where_it_concludes(self, curve, weights):
+        f = curve.expand()
+        h = curve.multiplicity_cofactor()
+        value = local_quotient(coefficient_ideal(curve))[0]
+        for ws in [None] + ([WeightSystem.for_poly(f, weights)] if weights else []):
+            dim, basis = local_quotient(coefficient_ideal(curve), ws)
+            assert dim == value
+            try:
+                reference = mu(f, IdealGens.of(XY, [h]), ws)
+            except InconclusiveError:
+                assert ws is None  # only the jet reference has a cap
+                continue
+            assert reference.value == value
+            if ws is not None and len(h.terms) == 1:
+                # monomial h: the reference picks exactly the classes h x^m
+                moved = {h * Poly.monomial(XY, m) for m in basis}
+                assert set(reference.basis) == moved
+
+    @pytest.mark.parametrize("factors,expected", NO_CAP_CASES, ids=str)
+    def test_jet_mu_reads_no_cap(self, factors, expected):
+        curve = factored(factors)
+        report = invariants(curve)
+        assert report.mu == expected[0] == torsion_length(coefficient_ideal(curve))
+        if expected[1] is not None:
+            assert (report.mu, report.nu, report.rank) == expected

@@ -11,13 +11,13 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from brieskorn.curve import _exact_form_images
 from brieskorn.errors import InconclusiveError, InputError
 from brieskorn.forms import DiffForm, VectorField
 from brieskorn.linalg import Span, kernel_relations
-from brieskorn.groebner import saturate_at_origin
+from brieskorn.groebner import isolated_at_origin, saturate_at_origin, torsion_length
 from brieskorn.local_algebra import (
     IdealGens,
     _GradedIdeal,
@@ -26,14 +26,15 @@ from brieskorn.local_algebra import (
     jacobian_ideal,
     jet_key_order,
     jet_quotient,
+    local_quotient,
     monomials_below,
-    mu,
+    monomials_of_weighted_degree,
     quotient_dim_jet,
     twisted_quotient_dim,
 )
 from brieskorn.poly import Poly, WeightSystem, parse_polynomial
 
-from conftest import stable_colength
+from conftest import mu, stable_colength
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -254,6 +255,74 @@ def test_graded_colon_chain_matches_full_recompute(f, weights, colon_steps):
     saturated = _GradedIdeal(saturate_at_origin(I), ws)
     for wdeg in range(top + 1):
         assert reduced_rows(saturated.slice_span(wdeg)) == reduced_rows(ref_slices[wdeg])
+
+
+def vanishing_polys(variables=XY, max_exponent=3, max_terms=3):
+    """Polynomials without a constant term, so that they vanish at 0;
+    most also vanish elsewhere (x - x^2 at x = 1)."""
+    exponent = st.tuples(
+        *([st.integers(0, max_exponent)] * len(variables))
+    ).filter(any)
+    coefficient = st.sampled_from([-3, -2, -1, 1, 2, 3])
+    terms = st.lists(st.tuples(exponent, coefficient), min_size=1, max_size=max_terms)
+    return terms.map(lambda pairs: Poly(variables, dict(pairs)))
+
+
+@st.composite
+def weighted_ideals(draw):
+    """Two generators, each a random combination of the monomials of one
+    weighted degree, with the weight system that grades them."""
+    weights = draw(st.sampled_from([(1, 1), (2, 1), (3, 2), (5, 2)]))
+    generators = []
+    for _ in range(2):
+        monos = ()
+        while not monos:
+            monos = monomials_of_weighted_degree(2, weights, draw(st.integers(1, 10)))
+        size = len(monos)
+        coefficients = draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size))
+        generators.append(Poly(XY, dict(zip(monos, coefficients))))
+    assume(not any(g.is_zero for g in generators))
+    return IdealGens.of(XY, generators), WeightSystem(weights, 1)
+
+
+class TestLocalQuotient:
+    """The colength of an ideal isolated at 0, by the Nakayama jet stop or
+    the graded slice stop, against the Groebner torsion length."""
+
+    @given(st.lists(vanishing_polys(), min_size=2, max_size=3))
+    @example([p("x - x^2"), p("y")])
+    @example([p("x - x^2"), p("y^2 - y^3")])
+    @example([p("x^2*y - x"), p("y - x*y^2")])
+    def test_jet_scan_equals_torsion_length(self, generators):
+        I = IdealGens.of(XY, generators)
+        assume(isolated_at_origin(I))
+        dim, basis = local_quotient(I)
+        assert dim == len(basis) == torsion_length(I)
+
+    @given(weighted_ideals())
+    def test_graded_scan_equals_jet_scan(self, data):
+        I, ws = data
+        assume(isolated_at_origin(I))
+        graded_dim, graded_basis = local_quotient(I, ws)
+        jet_dim, jet_basis = local_quotient(I)
+        assert graded_dim == len(graded_basis) == jet_dim == torsion_length(I)
+        if ws.weights == (1, 1):  # the same greedy order
+            assert graded_basis == jet_basis
+
+    def test_points_away_from_zero_do_not_count(self):
+        # (x - x^2, y^2 - y^3) vanishes at four points; at 0 the ideal is (x, y^2)
+        assert local_quotient(ideal("x - x^2", "y^2 - y^3")) == (2, [(0, 0), (0, 1)])
+        assert local_quotient(ideal("x - 1", "y")) == (0, [])
+
+    def test_no_cap(self):
+        # the Nakayama stop comes at order 40, past any jet cap
+        assert local_quotient(ideal("x^40", "y"))[0] == 40
+        dim, basis = local_quotient(ideal("x^40", "y^3"), WeightSystem((3, 40), 1))
+        assert dim == len(basis) == 120
+
+    def test_unit_ideal(self):
+        assert local_quotient(ideal("1 + x", "y")) == (0, [])
+        assert local_quotient(ideal("2", "x"), WeightSystem((1, 1), 1)) == (0, [])
 
 
 def saturation(f):
