@@ -138,9 +138,14 @@ def annihilator_form(curve: FactoredCurve) -> DiffForm:
     return alpha
 
 
-def annihilator_field(curve: FactoredCurve) -> VectorField:
-    """Vector field dual to the annihilator form; kills f exactly."""
-    field = field_from_one_form(annihilator_form(curve))
+def annihilator_field(
+    curve: FactoredCurve, alpha: Optional[DiffForm] = None
+) -> VectorField:
+    """Vector field dual to the annihilator form (``alpha`` when the
+    caller has built it); kills f exactly."""
+    if alpha is None:
+        alpha = annihilator_form(curve)
+    field = field_from_one_form(alpha)
     killed = field.apply(curve.expand())
     if not killed.is_zero:
         raise RuntimeError(
@@ -149,13 +154,14 @@ def annihilator_field(curve: FactoredCurve) -> VectorField:
     return field
 
 
-def check_hypotheses(curve: FactoredCurve) -> bool:
+def check_hypotheses(curve: FactoredCurve, alpha: Optional[DiffForm] = None) -> bool:
     """Verify the singular-locus hypotheses behind the pipeline.
 
     Checks exactly: the branches are pairwise non-associate and do not
     divide the residual, each branch and the residual are reduced
     (singular locus of each is isolated), and the coefficients of the
-    annihilator form vanish simultaneously only at the origin.  Each
+    annihilator form (``alpha`` when the caller has built it) vanish
+    simultaneously only at the origin.  Each
     isolation is decided by ``groebner.isolated_at_origin``.  Raises
     InputError naming the violated clause.
     """
@@ -185,7 +191,8 @@ def check_hypotheses(curve: FactoredCurve) -> bool:
             raise InputError(
                 f"residual {psi} is not reduced: its singular locus is not isolated"
             )
-    alpha = annihilator_form(curve)
+    if alpha is None:
+        alpha = annihilator_form(curve)
     coeffs = [alpha.coefficient((i,)) for i in range(2)]
     if not isolated_at_origin(IdealGens.of(variables, coeffs)):
         raise InputError(
@@ -285,13 +292,15 @@ def invariants(
     classes h x^m of its monomials x^m are the mu basis.  The nu scan
     reads (h) too.
     """
-    check_hypotheses(curve)
+    alpha = annihilator_form(curve)
+    check_hypotheses(curve, alpha=alpha)
     f = curve.expand()
     ws = WeightSystem.for_poly(f, weights) if weights is not None else None
     if window is None:
         window = max(p for _, p in curve.factors) + 2
     h = curve.multiplicity_cofactor()
-    field = annihilator_field(curve)  # b d/dx - a d/dy, for alpha = a dx + b dy
+    # b d/dx - a d/dy, for alpha = a dx + b dy
+    field = annihilator_field(curve, alpha=alpha)
     mu_value, mu_basis = local_quotient(
         IdealGens.of(curve.variables, field.coefficients), ws
     )
@@ -312,7 +321,7 @@ def invariants(
     )
     action = None
     if ws is not None:
-        action = a_action(curve, ws, basis_mu + basis_nu)
+        action = a_action(curve, ws, basis_mu + basis_nu, alpha=alpha)
     assumptions = Assumptions(
         torsion_free=True,
         torsion_free_justification=(
@@ -359,11 +368,15 @@ def a_action(
     curve: FactoredCurve,
     ws: WeightSystem,
     basis: Sequence[Poly],
+    alpha: Optional[DiffForm] = None,
 ) -> tuple[tuple[Poly, Fraction], ...]:
     """a-action coefficients on the given basis classes, each verified by
     the membership oracle before inclusion.  One oracle serves the whole
-    basis, so representatives of one weighted degree share its span."""
-    holds = _action_oracle(curve.expand(), annihilator_form(curve), ws)
+    basis, so representatives of one weighted degree share its span;
+    ``alpha`` is the annihilator form when the caller has built it."""
+    if alpha is None:
+        alpha = annihilator_form(curve)
+    holds = _action_oracle(curve.expand(), alpha, ws)
     out = []
     for rep in basis:
         coefficient = a_action_coefficient(ws, rep)

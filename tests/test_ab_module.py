@@ -4,14 +4,17 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import find, given, strategies as st
 
+from brieskorn import cli
 from brieskorn.ab_module import (
     ABModule,
     OperatorWord,
     TorsionFixture,
+    _integer_operator,
     a_torsion,
     bpoly,
     check_commutation,
@@ -30,6 +33,9 @@ from brieskorn.ab_module import (
     torsion_subspaces,
 )
 from brieskorn.errors import InconclusiveError, InputError
+from brieskorn.linalg import Span
+
+from conftest import fractions
 
 
 def word(letters: str) -> OperatorWord:
@@ -206,6 +212,179 @@ class TestRegularity:
     def test_truncation_guard(self):
         with pytest.raises(InconclusiveError):
             is_regular(ABModule.rank_one(1, trunc_order=3), 2)
+
+    @pytest.mark.parametrize("order", [4, 8, 12])
+    def test_nilpotent_constant_term(self, order):
+        # A(0) = [[0, 1], [0, 0]]: a E is not inside b E, a^2 E is inside
+        # b^2 E + b a E (values of the Fraction implementation, pinned)
+        module = ABModule(
+            2, order, [[[0, Fraction(1, 2)], [1]], [[], [0, Fraction(1, 3)]]]
+        )
+        assert not is_simple_pole(module)
+        assert (is_regular(module, 1), is_regular(module, 2)) == (False, True)
+        if order >= 5:
+            assert is_regular(module, 3)
+
+    @pytest.mark.parametrize("order", [5, 8, 12])
+    def test_nilpotent_constant_term_of_index_three(self, order):
+        # A(0) a 3x3 Jordan block: regular from k = 3 on (pinned as above)
+        module = ABModule(
+            3,
+            order,
+            [[[0, Fraction(1, 2)], [1], []], [[], [0, 1], [1]], [[], [], [0, -1]]],
+        )
+        assert [is_regular(module, k) for k in (1, 2, 3)] == [False, False, True]
+
+
+class TestCommutation:
+    MODULES = [
+        ABModule.rank_one(Fraction(1, 2)),
+        ABModule(1, 16, [[[]]]),
+        ABModule(1, 16, [[[1]]]),
+        ABModule(2, 4, [[[0, Fraction(1, 2)], [1]], [[], [0, Fraction(1, 3)]]]),
+        ABModule(2, 3, [[[Fraction(-2, 3), 0, 5], []], [[0, 1], [7]]]),
+        tensor(
+            ABModule.rank_one(Fraction(2, 3), trunc_order=6),
+            ABModule(2, 6, [[[0, 1], [0, 0, 1]], [[], [0, -1]]]),
+        ),
+    ]
+
+    @pytest.mark.parametrize("module", MODULES, ids=repr)
+    def test_holds_with_the_derivation_term_only(self, module):
+        # a(b^(t+1) e) - b a(b^t e) = b^(t+2) e needs the derivation part
+        # (t+1) - t = 1; the matrix parts always cancel, so without it the
+        # b^(t+2) e term is left over whenever some t has t + 2 < N
+        assert check_commutation(module)
+        assert not check_commutation(module, derivation_term=False)
+
+    def test_truncation_two_checks_nothing(self):
+        module = ABModule(1, 2, [[[0, 1]]])
+        assert check_commutation(module, derivation_term=False)
+
+
+# -- the integer operator against the Fraction oracle --------------------------
+
+
+def oracle_basis(module: ABModule) -> list[dict]:
+    return [
+        module.generator(j, t)
+        for j in range(module.rank)
+        for t in range(module.trunc_order)
+    ]
+
+
+def reference_check_commutation(module: ABModule, derivation_term: bool = True) -> bool:
+    """a(b x) - b(a x) = b^2 x on every basis vector, one Fraction element at
+    a time through ``apply_a`` and ``apply_b``."""
+    for element in oracle_basis(module):
+        ((_, t),) = element.keys()
+        if t + 2 >= module.trunc_order:
+            continue
+        lhs = module.apply_a(module.apply_b(element), derivation_term)
+        rhs = module.apply_b(module.apply_a(element, derivation_term))
+        b2 = module.apply_b(module.apply_b(element))
+        diff = dict(lhs)
+        for key, value in rhs.items():
+            diff[key] = diff.get(key, Fraction(0)) - value
+        for key, value in b2.items():
+            diff[key] = diff.get(key, Fraction(0)) - value
+        if any(value != 0 for value in diff.values()):
+            return False
+    return True
+
+
+def reference_is_regular(module: ABModule, k: int) -> bool:
+    """a^k E inside sum_{j<k} b^(k-j) a^j E modulo b^N, in the whole
+    truncated module, through ``apply_a`` and ``apply_b``."""
+    if module.trunc_order < k + 2:
+        raise InconclusiveError("truncation too small to decide regularity")
+    span = Span(lambda key: key)
+    for j in range(k):
+        for vec in oracle_basis(module):
+            for _ in range(j):
+                vec = module.apply_a(vec)
+            for _ in range(k - j):
+                vec = module.apply_b(vec)
+            if vec:
+                span.insert(vec)
+    for vec in oracle_basis(module):
+        for _ in range(k):
+            vec = module.apply_a(vec)
+        if not span.contains(vec):
+            return False
+    return True
+
+
+@st.composite
+def ab_modules(draw) -> ABModule:
+    """Rank 1-3, N 3-8, rational b-polynomial entries of degree < 4, with or
+    without constant terms."""
+    rank = draw(st.integers(min_value=1, max_value=3))
+    order = draw(st.integers(min_value=3, max_value=8))
+    constant_terms = draw(st.booleans())
+    entry = st.lists(fractions(3), max_size=min(4, order))
+    matrix = []
+    for _ in range(rank):
+        row = []
+        for _ in range(rank):
+            coefficients = draw(entry)
+            if coefficients and not constant_terms:
+                coefficients[0] = 0
+            row.append(coefficients)
+        matrix.append(row)
+    return ABModule(rank, order, matrix)
+
+
+def regular_or_inconclusive(check, module: ABModule, k: int):
+    try:
+        return check(module, k)
+    except InconclusiveError:
+        return "inconclusive"
+
+
+class TestIntegerOperator:
+    @given(ab_modules(), st.booleans())
+    def test_columns_are_the_scaled_fraction_action(self, module, derivation_term):
+        scale, columns = _integer_operator(
+            module, module.trunc_order, derivation_term
+        )
+        assert scale == lcm(
+            *(c.denominator for row in module.a_matrix for e in row for c in e)
+        )
+        assert set(columns) == {
+            key for element in oracle_basis(module) for key in element
+        }
+        for (j, t), column in columns.items():
+            assert all(type(v) is int and v for v in column.values())
+            scaled = {key: Fraction(v, scale) for key, v in column.items()}
+            assert scaled == module.apply_a(module.generator(j, t), derivation_term)
+
+    @given(ab_modules())
+    def test_checks_agree_with_the_fraction_reference(self, module):
+        for k in (1, 2, 3):
+            assert regular_or_inconclusive(
+                is_regular, module, k
+            ) == regular_or_inconclusive(reference_is_regular, module, k)
+        for derivation_term in (True, False):
+            assert check_commutation(module, derivation_term) == (
+                reference_check_commutation(module, derivation_term)
+            )
+        # with N >= 3 the b^(t+2) e term is left over without the derivation
+        assert check_commutation(module)
+        assert not check_commutation(module, derivation_term=False)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("outcome", [True, False])
+    def test_drawn_modules_reach_both_outcomes(self, k, outcome):
+        module = find(
+            ab_modules(),
+            lambda m: m.trunc_order >= k + 2 and is_regular(m, k) == outcome,
+        )
+        assert reference_is_regular(module, k) == outcome
+
+    def test_cli_names_are_the_module_checks(self):
+        assert cli.check_commutation is check_commutation
+        assert cli.is_regular is is_regular
 
 
 def derivation_fixture(dim: int) -> TorsionFixture:

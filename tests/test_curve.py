@@ -262,6 +262,25 @@ class TestInvariants:
             assert len(rep.basis) == 13
             assert rep.a_action is not None and len(rep.a_action) == 13
 
+    @pytest.mark.parametrize("weights", [(1, 1), None])
+    def test_annihilator_form_built_once(self, monkeypatch, weights):
+        # check_hypotheses, annihilator_field and a_action share one alpha
+        curve = factored([("x", 2), ("y", 2), ("x+y", 2), ("x-y", 2)])
+        calls = []
+
+        def counted(c):
+            calls.append(c)
+            return annihilator_form(c)
+
+        monkeypatch.setattr("brieskorn.curve.annihilator_form", counted)
+        rep = invariants(curve, weights=weights)
+        assert len(calls) == 1
+        assert (rep.mu, rep.nu, rep.rank) == (9, 9, 18)
+        if weights is not None:
+            # called without alpha, a_action builds its own, to the same result
+            assert a_action(curve, rep.weights, rep.basis) == rep.a_action
+            assert len(calls) == 2
+
     def test_non_quasi_homogeneous_weights_rejected(self):
         c = FactoredCurve.of(XY, [(p("x"), 2)], p("x^2 + y^3"))
         with pytest.raises(InputError):
