@@ -300,19 +300,26 @@ def is_regular(module: ABModule, k: int) -> bool:
 
 
 class OperatorWord:
-    """Rational linear combination of words in the letters a, b."""
+    """Rational linear combination of words in the letters a, b.
+
+    Coefficients keep their exact type: integer words stay in ``int`` and
+    never build a ``Fraction`` (an int and a Fraction of equal value
+    compare equal, so equality is unaffected)."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[tuple[str, ...], Scalar]):
-        clean: dict[tuple[str, ...], Fraction] = {}
+        clean: dict[tuple[str, ...], Scalar] = {}
         for word, coeff in terms.items():
             word = tuple(word)
             if any(letter not in ("a", "b") for letter in word):
                 raise InputError(f"invalid letter in word {word!r}")
-            value = as_fraction(coeff)
-            if value != 0:
-                clean[word] = clean.get(word, Fraction(0)) + value
+            if not isinstance(coeff, (int, Fraction)):
+                raise TypeError(
+                    f"expected an exact rational, got {type(coeff).__name__}"
+                )
+            if coeff != 0:
+                clean[word] = clean.get(word, 0) + coeff
                 if clean[word] == 0:
                     del clean[word]
         object.__setattr__(self, "terms", clean)
@@ -335,7 +342,7 @@ class OperatorWord:
     def __add__(self, other: "OperatorWord") -> "OperatorWord":
         out = dict(self.terms)
         for word, coeff in other.terms.items():
-            out[word] = out.get(word, Fraction(0)) + coeff
+            out[word] = out.get(word, 0) + coeff
         return OperatorWord(out)
 
     def __sub__(self, other: "OperatorWord") -> "OperatorWord":
@@ -343,15 +350,14 @@ class OperatorWord:
 
     def __mul__(self, other) -> "OperatorWord":
         if isinstance(other, (int, Fraction)):
-            s = as_fraction(other)
-            return OperatorWord({w: c * s for w, c in self.terms.items()})
+            return OperatorWord({w: c * other for w, c in self.terms.items()})
         if not isinstance(other, OperatorWord):
             return NotImplemented
-        out: dict[tuple[str, ...], Fraction] = {}
+        out: dict[tuple[str, ...], Scalar] = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
                 key = w1 + w2
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
+                out[key] = out.get(key, 0) + c1 * c2
         return OperatorWord(out)
 
     def __rmul__(self, other: Scalar) -> "OperatorWord":
@@ -386,16 +392,17 @@ class OperatorWord:
 
 
 @lru_cache(maxsize=None)
-def _reorder_a_powers(a_power: int, b_power: int) -> tuple[tuple[int, int, Fraction], ...]:
-    """Normal form of a^j b^k as tuples (b exponent, a exponent, coeff)."""
+def _reorder_a_powers(a_power: int, b_power: int) -> tuple[tuple[int, int, int], ...]:
+    """Normal form of a^j b^k as tuples (b exponent, a exponent, coeff); the
+    coefficients are integers."""
     if a_power == 0:
-        return (((b_power, 0, Fraction(1)),))
-    acc: dict[tuple[int, int], Fraction] = {}
+        return (((b_power, 0, 1),))
+    acc: dict[tuple[int, int], int] = {}
     for i, l, c in _reorder_a_powers(a_power - 1, b_power):
         # a * b^i a^l = b^i a^(l+1) + i b^(i+1) a^l
-        acc[(i, l + 1)] = acc.get((i, l + 1), Fraction(0)) + c
+        acc[(i, l + 1)] = acc.get((i, l + 1), 0) + c
         if i:
-            acc[(i + 1, l)] = acc.get((i + 1, l), Fraction(0)) + c * i
+            acc[(i + 1, l)] = acc.get((i + 1, l), 0) + c * i
     return tuple((i, l, c) for (i, l), c in sorted(acc.items()) if c != 0)
 
 
@@ -403,24 +410,25 @@ def normal_order(word: OperatorWord) -> OperatorWord:
     """Canonical b-left normal form: a sum of terms b^i a^j.
 
     Uses the memoized single-letter recurrence; the naive rewriter below
-    serves as an independent oracle for it.
+    serves as an independent oracle for it.  The recurrence's coefficients
+    are integers, so sums stay in the word's own coefficient type.
     """
-    total: dict[tuple[int, int], Fraction] = {}
+    total: dict[tuple[int, int], Scalar] = {}
     for letters, coeff in word.terms.items():
-        state: dict[tuple[int, int], Fraction] = {(0, 0): coeff}
+        state: dict[tuple[int, int], Scalar] = {(0, 0): coeff}
         for letter in letters:
-            nxt: dict[tuple[int, int], Fraction] = {}
+            nxt: dict[tuple[int, int], Scalar] = {}
             for (i, l), c in state.items():
                 if letter == "a":
                     key = (i, l + 1)
-                    nxt[key] = nxt.get(key, Fraction(0)) + c
+                    nxt[key] = nxt.get(key, 0) + c
                 else:
                     for i2, l2, c2 in _reorder_a_powers(l, 1):
                         key = (i + i2, l2)
-                        nxt[key] = nxt.get(key, Fraction(0)) + c * c2
+                        nxt[key] = nxt.get(key, 0) + c * c2
             state = {k: v for k, v in nxt.items() if v != 0}
         for key, value in state.items():
-            total[key] = total.get(key, Fraction(0)) + value
+            total[key] = total.get(key, 0) + value
     return OperatorWord(
         {("b",) * i + ("a",) * l: c for (i, l), c in total.items() if c != 0}
     )

@@ -17,6 +17,7 @@ import random
 import sys
 import time
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from . import __version__
@@ -290,6 +291,8 @@ def _cmd_abmod(args, config: RunConfig, out) -> int:
         out.write(json.dumps(flags, indent=2) + "\n")
         return EXIT_OK
     if args.abmod_command == "selftest":
+        if args.count < 1:
+            raise InputError(f"selftest needs --count >= 1, got {args.count}")
         return _abmod_selftest(args.count, config.seed, config.trunc_order, out)
     raise InputError(f"unknown abmod subcommand {args.abmod_command!r}")
 
@@ -407,11 +410,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use: parsing reads it
+    without changing it, so every call can share it."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     out = out or sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

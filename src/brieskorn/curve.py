@@ -17,10 +17,10 @@ corrections vanish so the rank of the associated (a,b)-module is mu + nu.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 from typing import Callable, Optional, Sequence
 
@@ -31,15 +31,17 @@ from .linalg import Span, Vec, kernel_relations, vec_axpy
 from .local_algebra import (
     IdealGens,
     _ShiftedImages,
+    common_denominator,
+    integer_terms,
     jet_key_order,
     local_quotient,
     monomials_below,
     monomials_of_weighted_degree,
-    poly_vec,
+    shifted_terms,
     shifted_vec,
     twisted_quotient_dim,
 )
-from .poly import Poly, WeightSystem, format_fraction, graded_key, listing_key
+from .poly import Exponents, Poly, WeightSystem, format_fraction, graded_key, listing_key
 
 
 @dataclass(frozen=True)
@@ -49,6 +51,11 @@ class FactoredCurve:
     variables: tuple[str, str]
     factors: tuple[tuple[Poly, int], ...]
     residual: Poly
+    # f itself, multiplied out once per curve (``expand``)
+    _f: Poly = dataclass_field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_f", self._expansion())
 
     @classmethod
     def of(
@@ -100,6 +107,9 @@ class FactoredCurve:
         return self.residual.is_constant()
 
     def expand(self) -> Poly:
+        return self._f
+
+    def _expansion(self) -> Poly:
         f = self.residual
         for u, p in self.factors:
             f = f * u**p
@@ -309,7 +319,7 @@ def invariants(
     rank = mu_value + nu_res.dim
     basis_mu = tuple(
         sorted(
-            (h * Poly.monomial(curve.variables, e) for e in mu_basis),
+            (Poly(curve.variables, shifted_vec(h, e)) for e in mu_basis),
             key=_basis_sort_key,
         )
     )
@@ -467,7 +477,11 @@ def _action_oracle(
     # weighted degree bookkeeping: d(eta ^ alpha) matches omega exactly when
     # w(eta) = w(omega as a form) - w(alpha as a form)
     alpha_degree = _form_weighted_degree(alpha, ws.weights)
-    f_x0 = f.derivative(variables[0])
+    # s f and s f_x0 as integer terms, for one s > 0 (f_x0 has no new
+    # denominators)
+    scale_f = common_denominator(f)
+    f_terms = integer_terms(f, scale_f)
+    fx0_terms = integer_terms(f.derivative(variables[0]), scale_f)
     spans: dict[int, Span] = {}
 
     def eta_span(eta_degree: int) -> Span:
@@ -482,13 +496,7 @@ def _action_oracle(
         return span
 
     def holds(m: Poly, coefficient: Fraction) -> bool:
-        # omega = f m vol - c df ^ xi with xi = (int m dx_0) dx_1 ^ ... ^
-        # dx_(n-1), so that d(xi) = m vol and df ^ xi = f_x0 (int m dx_0) vol
-        primitive = Poly(
-            variables,
-            {(e[0] + 1,) + e[1:]: c / (e[0] + 1) for e, c in m.terms.items()},
-        )
-        target = poly_vec(f * m - f_x0 * primitive * coefficient)
+        target = _action_target(f_terms, fx0_terms, m, coefficient)
         if not target:
             return True
         degrees = {sum(map(mul, e, int_weights)) for e in target}
@@ -500,6 +508,37 @@ def _action_oracle(
         return spans[eta_degree].contains(target)
 
     return holds
+
+
+def _action_target(
+    f_terms: list[tuple[Exponents, int]],
+    fx0_terms: list[tuple[Exponents, int]],
+    m: Poly,
+    coefficient: Fraction,
+) -> dict[Exponents, int]:
+    """A positive integer multiple of the top coefficient of the oracle's
+    form  omega = f m vol - c df ^ xi.
+
+    With xi = (int m dx_0) dx_1 ^ ... ^ dx_(n-1), d(xi) = m vol and
+    df ^ xi = f_x0 (int m dx_0) vol, so omega is
+    sum_t m_t (f x^t - c/(t_0 + 1) f_x0 x^(t + e_0)) vol.  ``f_terms`` and
+    ``fx0_terms`` are the integer terms of s f and s f_x0 for one s > 0;
+    the rational weights m_t and m_t c/(t_0 + 1) are brought to one
+    common denominator, so every coefficient is an integer shift sum."""
+    c_num, c_den = coefficient.numerator, coefficient.denominator
+    denominators = [
+        (t, m_t, m_t.denominator * c_den * (t[0] + 1)) for t, m_t in m.terms.items()
+    ]
+    common = lcm(*(d for _, _, d in denominators))
+    out: dict[Exponents, int] = {}
+    for t, m_t, d in denominators:
+        vec_axpy(out, m_t.numerator * (common // m_t.denominator), shifted_terms(f_terms, t))
+        vec_axpy(
+            out,
+            -m_t.numerator * c_num * (common // d),
+            shifted_terms(fx0_terms, (t[0] + 1,) + t[1:]),
+        )
+    return out
 
 
 def _form_weighted_degree(form: DiffForm, weights) -> Optional[Fraction]:

@@ -68,8 +68,22 @@ def monomials_below(n_vars: int, bound: int) -> tuple[Exponents, ...]:
     )
 
 
-def poly_vec(p: Poly) -> Vec:
-    return {e: c for e, c in p.terms.items()}
+def common_denominator(*polys: Poly) -> int:
+    """The lcm of the coefficient denominators of the polys."""
+    return lcm(1, *(c.denominator for p in polys for c in p.terms.values()))
+
+
+def integer_terms(p: Poly, scale: Optional[int] = None) -> list[tuple[Exponents, int]]:
+    """The terms of ``scale * p`` as integers; ``scale`` defaults to
+    ``common_denominator(p)``, and any other value must be a multiple of it."""
+    if scale is None:
+        scale = common_denominator(p)
+    return [(e, c.numerator * (scale // c.denominator)) for e, c in p.terms.items()]
+
+
+def shifted_terms(terms: list[tuple[Exponents, int]], m: Exponents) -> dict[Exponents, int]:
+    """The integer terms of x^m times the polynomial with ``terms``."""
+    return {tuple(map(add, e, m)): c for e, c in terms}
 
 
 def shifted_vec(p: Poly, m: Exponents) -> Vec:
@@ -89,17 +103,9 @@ class _ShiftedImages:
     true image, an integer vector spanning the same line."""
 
     def __init__(self, parts: Sequence[Poly], extra: Poly):
-        polys = (*parts, extra)
-        self.scale = lcm(1, *(c.denominator for p in polys for c in p.terms.values()))
-
-        def scaled(p: Poly) -> list[tuple[Exponents, int]]:
-            return [
-                (e, c.numerator * (self.scale // c.denominator))
-                for e, c in p.terms.items()
-            ]
-
-        self.parts = [scaled(p) for p in parts]
-        self.extra = scaled(extra)
+        self.scale = common_denominator(*parts, extra)
+        self.parts = [integer_terms(p, self.scale) for p in parts]
+        self.extra = integer_terms(extra, self.scale)
 
     def __call__(self, m: Exponents) -> dict[Exponents, int]:
         out: dict[Exponents, int] = {}
@@ -167,8 +173,9 @@ def ideal_jet_span(I: IdealGens, order: int) -> Span:
         g_ord = g.order()
         if g_ord is None or g_ord >= order:
             continue
+        terms = integer_terms(g)
         for m in monomials_below(n, order - g_ord):
-            vec = truncate_vec(shifted_vec(g, m), order)
+            vec = truncate_vec(shifted_terms(terms, m), order)
             if vec:
                 span.insert(vec)
     return span
@@ -183,7 +190,7 @@ def jet_quotient(I: IdealGens, order: int) -> tuple[int, list[Exponents]]:
     span = ideal_jet_span(I, order)
     basis: list[Exponents] = []
     for m in monomials_below(len(I.variables), order):
-        if span.insert({m: Fraction(1)}):
+        if span.insert({m: 1}):
             basis.append(m)
     return len(basis), basis
 
@@ -235,7 +242,7 @@ class _GradedIdeal:
             if scaled.denominator != 1:
                 raise InputError("weight scaling failed to clear denominators")
             self.gen_degrees.append(int(scaled))
-        self.generators = I.generators
+        self.generator_terms = [integer_terms(g) for g in I.generators]
         self._slices: dict[int, Span] = {}
 
     def monomials(self, wdeg: int) -> tuple[Exponents, ...]:
@@ -246,11 +253,11 @@ class _GradedIdeal:
     def slice_span(self, wdeg: int) -> Span:
         if wdeg not in self._slices:
             span = Span(jet_key_order)
-            for g, d in zip(self.generators, self.gen_degrees):
+            for terms, d in zip(self.generator_terms, self.gen_degrees):
                 if wdeg < d:
                     continue
                 for m in self.monomials(wdeg - d):
-                    span.insert(shifted_vec(g, m))
+                    span.insert(shifted_terms(terms, m))
             self._slices[wdeg] = span
         return self._slices[wdeg]
 
@@ -308,7 +315,7 @@ def local_quotient(
 
         def picked(wdeg: int, monos) -> int:
             span = graded.slice_span(wdeg)
-            new = [m for m in monos if span.insert({m: Fraction(1)})]
+            new = [m for m in monos if span.insert({m: 1})]
             basis.extend(new)
             return len(new)
 
@@ -404,7 +411,7 @@ def twisted_quotient_dim(
                             image = twisted_image(m)
                             if image:
                                 span.insert(image)
-                new = [m for m in monos if span.insert({m: Fraction(1)})]
+                new = [m for m in monos if span.insert({m: 1})]
                 basis.extend(new)
                 return len(new)
 
@@ -436,7 +443,7 @@ def twisted_quotient_dim(
             vec = truncate_vec(images[m], order)
             if vec:
                 span.insert(vec)
-        return [m for m in monomials_below(n, order) if span.insert({m: Fraction(1)})]
+        return [m for m in monomials_below(n, order) if span.insert({m: 1})]
 
     orders = range(max(6, min(10, jet_cap)), jet_cap + 1, 2)
     basis, tried = _stable_in_jets(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Mapping, Optional, Sequence, Union
 
 from .errors import InputError, ParseError
@@ -281,14 +282,12 @@ class Poly:
         """The common weighted degree of all terms, or None if they differ."""
         if len(weights) != len(self.variables):
             raise InputError("weight count does not match variable count")
-        degree: Optional[Fraction] = None
-        for exps in self.terms:
-            d = weighted_degree(exps, weights)
-            if degree is None:
-                degree = d
-            elif degree != d:
-                return None
-        return degree
+        # one integer dot product per term; a single Fraction at the end
+        int_weights, scale = integer_weights(weights)
+        degrees = {sum(map(mul, exps, int_weights)) for exps in self.terms}
+        if len(degrees) != 1:
+            return None
+        return Fraction(degrees.pop(), scale)
 
     # -- rendering and records ---------------------------------------------
 
@@ -341,6 +340,13 @@ class Poly:
             for t in record["terms"]
         }
         return cls(tuple(record["variables"]), terms)
+
+
+def integer_weights(weights: Sequence[Scalar]) -> tuple[tuple[int, ...], int]:
+    """Weights rescaled by the lcm of their denominators: returns
+    (integer weights, scale)."""
+    scale = lcm(*(w.denominator for w in weights))
+    return tuple(w.numerator * (scale // w.denominator) for w in weights), scale
 
 
 def weighted_degree(exponents: Sequence[int], weights: Sequence[Fraction]) -> Fraction:
@@ -404,8 +410,7 @@ class WeightSystem:
 
     def integer_scaled(self) -> tuple[tuple[int, ...], int]:
         """Weights rescaled to integers: returns (scaled weights, scale)."""
-        scale = lcm(*(w.denominator for w in self.weights))
-        return tuple(int(w * scale) for w in self.weights), scale
+        return integer_weights(self.weights)
 
 
 # -- expression parser -------------------------------------------------------

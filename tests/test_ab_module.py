@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import lcm
+from math import comb, factorial, lcm
 
 import pytest
 from hypothesis import find, given, strategies as st
@@ -15,6 +15,7 @@ from brieskorn.ab_module import (
     OperatorWord,
     TorsionFixture,
     _integer_operator,
+    _reorder_a_powers,
     a_torsion,
     bpoly,
     check_commutation,
@@ -74,6 +75,38 @@ class TestNormalOrder:
     def test_identity_for_small_n(self):
         for n in range(1, 9):
             assert factorial_identity_holds(n)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(st.sampled_from("ab"), max_size=6),
+                st.one_of(st.integers(min_value=-5, max_value=5), fractions()),
+            ),
+            max_size=4,
+        )
+    )
+    def test_coefficients_keep_their_type(self, pairs):
+        # integer words normal-order in integers, rational ones in Fractions,
+        # to the rewriter's answer either way
+        w = OperatorWord({})
+        for letters, coeff in pairs:
+            w = w + OperatorWord({tuple(letters): coeff})
+        fast = normal_order(w)
+        assert fast == rewrite_normal_order(w)
+        if all(type(c) is int for c in w.terms.values()):
+            assert all(type(c) is int for c in fast.terms.values())
+
+    def test_identity_words_are_integer(self):
+        a, b = word("a"), word("b")
+        n = 5
+        rhs = OperatorWord({})
+        for j in range(n + 1):
+            rhs = rhs + ((-1) ** j * comb(n, j)) * ((b**j) * (a**n) * (b ** (n - j)))
+        ordered = normal_order(rhs)
+        assert ordered == OperatorWord.monomial(2 * n, 0, factorial(n))
+        assert all(type(c) is int for c in rhs.terms.values())
+        assert all(type(c) is int for c in ordered.terms.values())
+        assert all(type(c) is int for *_, c in _reorder_a_powers(6, 3))
 
     def test_identity_n1_is_the_relation(self):
         a, b = word("a"), word("b")

@@ -4,10 +4,17 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import brieskorn
+from brieskorn import cli
 from brieskorn.cli import EXIT_INCONCLUSIVE, EXIT_INVALID, EXIT_OK, main
+from brieskorn.curve import FactoredCurve
 
 GOLDEN = [
     "invariants",
@@ -318,6 +325,72 @@ class TestAbmodCommands:
         assert code1 == code2 == EXIT_OK
         assert text1 == text2
         assert "10/10" in text1
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_selftest_count_below_one_is_invalid(self, capsys, count):
+        code, text = run(["abmod", "selftest", "--count", count])
+        assert code == EXIT_INVALID
+        assert text == ""
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def fresh_process(argv) -> tuple[int, str]:
+    """Exit code and stdout of the CLI in a new interpreter."""
+    src = str(Path(brieskorn.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", "brieskorn.cli", *argv],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    return done.returncode, done.stdout
+
+
+class TestSharedParser:
+    def test_one_parser_per_process(self):
+        run(["abmod", "identity", "--n", "1"])
+        assert cli._parser() is cli._parser()
+
+    def test_no_state_leaks_between_calls(self, tmp_path):
+        module = tmp_path / "M.json"
+        module.write_text(
+            json.dumps(
+                {"rank": 1, "trunc_order": 8, "label": "M",
+                 "a_matrix": [[[[1, "1/2"]]]]}
+            )
+        )
+        code, text = run(["abmod", "check", str(module), "--k", "1"])
+        assert code == EXIT_OK and "regular_k2" not in json.loads(text)
+        # neither the appended --k nor an error exit may reach a later call
+        assert run(["abmod", "check"])[0] == 2
+        assert run(["abmod", "selftest", "--count", "0"])[0] == EXIT_INVALID
+        assert run(["abmod", "check", str(module)]) == fresh_process(
+            ["abmod", "check", str(module)]
+        )
+        argv = GOLDEN[:-2] + ["--jet-cap", "8"]
+        assert run(argv) == fresh_process(argv)
+        assert run(GOLDEN) == fresh_process(GOLDEN)
+
+
+class TestCurveExpansion:
+    def test_each_curve_is_expanded_once(self, monkeypatch):
+        # the CLI's --f check, the hypotheses, the annihilator field, the
+        # a-action, the witness and the direct check all read one expansion
+        calls = []
+        expansion = FactoredCurve._expansion
+
+        def counted(curve):
+            calls.append(curve)
+            return expansion(curve)
+
+        monkeypatch.setattr(FactoredCurve, "_expansion", counted)
+        assert run(GOLDEN + ["--f", "x^6 + x^3*y^3", "--check-witness"])[0] == EXIT_OK
+        assert len(calls) == 1
+        code, _ = run(
+            ["suspend", "--isolated", "z^2", "--factors", "x:3",
+             "--residual", "x^3+y^3", "--weights", "1,1", "--verify-direct"]
+        )
+        assert code == EXIT_OK
+        assert len(calls) == 2
 
 
 class TestConfiguration:

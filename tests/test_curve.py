@@ -5,11 +5,17 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
+from hypothesis import given, strategies as st
 
 from brieskorn.curve import (
     FactoredCurve,
+    _action_oracle,
+    _action_target,
+    _exact_form_images,
+    _form_weighted_degree,
     a_action,
     a_action_coefficient,
     annihilator_field,
@@ -24,13 +30,19 @@ from brieskorn.curve import (
 from brieskorn.errors import InconclusiveError, InputError
 from brieskorn.forms import DiffForm
 from brieskorn.groebner import saturate_at_origin, torsion_length
+from brieskorn.linalg import Span
 from brieskorn.local_algebra import (
     IdealGens,
     _GradedIdeal,
+    common_denominator,
+    integer_terms,
     jacobian_ideal,
+    jet_key_order,
     local_quotient,
+    monomials_of_weighted_degree,
 )
 from brieskorn.poly import Poly, WeightSystem, parse_polynomial
+from brieskorn.suspension import milnor_isolated
 
 from conftest import mu
 
@@ -505,6 +517,133 @@ class TestAActionOracle:
         rep = invariants(sextic(), weights=(1, 1))
         for rep_poly, _ in rep.a_action:
             assert a_action_coefficient(ws, rep_poly) > 0
+
+
+def reference_target(f: Poly, m: Poly, coefficient: Fraction) -> dict:
+    """The oracle's target as it was built from Poly products:
+    f m - c f_x0 (int m dx_0)."""
+    variables = f.variables
+    primitive = Poly(
+        variables,
+        {(e[0] + 1,) + e[1:]: c / (e[0] + 1) for e, c in m.terms.items()},
+    )
+    return dict((f * m - f.derivative(variables[0]) * primitive * coefficient).terms)
+
+
+def reference_oracle(f: Poly, alpha: DiffForm, ws: WeightSystem):
+    """The membership oracle with Poly-built targets."""
+    n = len(f.variables)
+    int_weights, scale = ws.integer_scaled()
+    images = [
+        (sum(int_weights[j] for j in index_set), image)
+        for index_set, image in _exact_form_images(alpha)
+    ]
+    alpha_degree = _form_weighted_degree(alpha, ws.weights)
+    spans: dict[int, Span] = {}
+
+    def eta_span(eta_degree: int) -> Span:
+        span = Span(jet_key_order)
+        for index_degree, image in images:
+            for h_exp in monomials_of_weighted_degree(
+                n, int_weights, eta_degree - index_degree
+            ):
+                vec = image(h_exp)
+                if vec:
+                    span.insert(vec)
+        return span
+
+    def holds(m: Poly, coefficient: Fraction) -> bool:
+        target = reference_target(f, m, coefficient)
+        if not target:
+            return True
+        degrees = {sum(map(mul, e, int_weights)) for e in target}
+        if len(degrees) != 1 or alpha_degree is None:
+            raise InputError("forms are not quasi-homogeneous under the certificate")
+        eta_degree = int(degrees.pop() + sum(int_weights) - alpha_degree * scale)
+        if eta_degree not in spans:
+            spans[eta_degree] = eta_span(eta_degree)
+        return spans[eta_degree].contains(target)
+
+    return holds
+
+
+def is_positive_multiple(vec: dict, reference: dict) -> bool:
+    """True when vec = r * reference for one rational r > 0."""
+    if vec.keys() != reference.keys():
+        return False
+    if not vec:
+        return True
+    key = next(iter(vec))
+    ratio = Fraction(vec[key]) / reference[key]
+    return ratio > 0 and all(v == ratio * reference[k] for k, v in vec.items())
+
+
+# weights (w_x, w_y) and the weighted-homogeneous branches x, y and
+# x^(w_y) - lam y^(w_x); distinct lam keep the branches coprime
+ORACLE_WEIGHTS = [(1, 1), (1, 2), (2, 1), (2, 3), (3, 2)]
+ORACLE_LAMBDAS = [Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 2), Fraction(3)]
+
+
+@st.composite
+def weighted_curves(draw):
+    wx, wy = draw(st.sampled_from(ORACLE_WEIGHTS))
+    pool = [p("x"), p("y")] + [
+        Poly(XY, {(wy, 0): 1, (0, wx): -lam}) for lam in ORACLE_LAMBDAS
+    ]
+    chosen = draw(
+        st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique_by=str)
+    )
+    residual = chosen.pop() if len(chosen) > 1 and draw(st.booleans()) else None
+    factors = [(u, draw(st.integers(min_value=2, max_value=3))) for u in chosen]
+    return FactoredCurve.of(XY, factors, residual), (wx, wy)
+
+
+class TestIntegerOracleTarget:
+    """The oracle's integer-shift target against the Poly-built one."""
+
+    @given(weighted_curves())
+    def test_target_and_verdicts_match_the_poly_reference(self, curve_and_weights):
+        curve, weights = curve_and_weights
+        report = invariants(curve, weights=weights)
+        ws = report.weights
+        f = curve.expand()
+        alpha = annihilator_form(curve)
+        holds = _action_oracle(f, alpha, ws)
+        reference = reference_oracle(f, alpha, ws)
+        scale = common_denominator(f)
+        f_terms = integer_terms(f, scale)
+        fx0_terms = integer_terms(f.derivative("x"), scale)
+        for rep in report.basis:
+            c = a_action_coefficient(ws, rep)
+            for coefficient in (c, c + Fraction(1, 7)):
+                target = _action_target(f_terms, fx0_terms, rep, coefficient)
+                assert is_positive_multiple(target, reference_target(f, rep, coefficient))
+                assert holds(rep, coefficient) == reference(rep, coefficient)
+            assert holds(rep, c)
+
+    @pytest.mark.parametrize(
+        "text,variables",
+        [
+            ("x^3 + y^4", ("x", "y")),
+            ("x^2*y + y^4", ("x", "y")),
+            ("1/2*x^3 + 2/3*y^3", ("x", "y")),
+            ("x^2 + y^3 + z^4", ("x", "y", "z")),
+            ("x^2*y + y^3 + z^2", ("x", "y", "z")),
+        ],
+    )
+    def test_isolated_germs_share_the_oracle(self, text, variables):
+        # milnor_isolated verifies its coefficients through the same oracle,
+        # with alpha = df, in two and three variables
+        germ = milnor_isolated(parse_polynomial(text, variables))
+        f = germ.poly
+        alpha = DiffForm.from_poly(f).d()
+        holds = _action_oracle(f, alpha, germ.weights)
+        reference = reference_oracle(f, alpha, germ.weights)
+        assert len(germ.a_coefficients) == germ.milnor
+        for exps, c in germ.a_coefficients:
+            m = Poly.monomial(variables, exps)
+            assert holds(m, c) and reference(m, c)
+            assert holds(m, c + Fraction(1, 7)) == reference(m, c + Fraction(1, 7))
 
 
 class TestTorsionFreeWitness:

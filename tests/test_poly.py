@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from brieskorn.errors import InputError, ParseError
 from brieskorn.poly import (
@@ -137,6 +137,62 @@ class TestWeights:
         ws = WeightSystem((Fraction(1, 2), Fraction(1, 3)), 1)
         scaled, scale = ws.integer_scaled()
         assert scaled == (3, 2) and scale == 6
+
+    @given(
+        st.sampled_from([("x", "y"), ("x", "y", "z")]).flatmap(
+            lambda variables: st.tuples(
+                polys(variables, max_degree=4, max_terms=5),
+                st.lists(
+                    st.builds(
+                        Fraction,
+                        st.integers(min_value=1, max_value=7),
+                        st.integers(min_value=1, max_value=6),
+                    ),
+                    min_size=len(variables),
+                    max_size=len(variables),
+                ),
+            )
+        ),
+        st.booleans(),
+    )
+    def test_quasi_homogeneous_degree_matches_the_fraction_reference(
+        self, poly_and_weights, homogeneous_part
+    ):
+        poly, weights = poly_and_weights
+        if homogeneous_part and poly.terms:
+            # keep the terms of one weighted degree, so both outcomes occur
+            first = weighted_degree(min(poly.terms), weights)
+            poly = Poly(
+                poly.variables,
+                {e: c for e, c in poly.terms.items()
+                 if weighted_degree(e, weights) == first},
+            )
+        degree = poly.quasi_homogeneous_degree(weights)
+        assert degree == reference_degree(poly, weights)
+        assert degree is None or isinstance(degree, Fraction)
+
+    def test_quasi_homogeneous_degree_edge_cases(self):
+        halves = (Fraction(1, 2), Fraction(1, 3))
+        assert Poly.zero(XY).quasi_homogeneous_degree(halves) is None
+        assert Poly.constant(XY, 5).quasi_homogeneous_degree(halves) == 0
+        assert p("x^2 + y^3").quasi_homogeneous_degree(halves) == 1
+        assert p("x^2 + y^2").quasi_homogeneous_degree(halves) is None
+        assert p("x*y").quasi_homogeneous_degree((1, 1)) == 2
+        with pytest.raises(InputError):
+            p("x").quasi_homogeneous_degree((1,))
+
+
+def reference_degree(poly, weights):
+    """The common weighted degree of the terms, summed in Fractions term by
+    term; None for the zero polynomial or differing degrees."""
+    degree = None
+    for exps in poly.terms:
+        d = weighted_degree(exps, weights)
+        if degree is None:
+            degree = d
+        elif degree != d:
+            return None
+    return degree
 
 
 class TestSerialization:
