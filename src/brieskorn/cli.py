@@ -93,7 +93,6 @@ def _envelope(
     command: str,
     input_echo: dict,
     report: Optional[dict],
-    warnings: list[str],
     config: RunConfig,
     elapsed: Optional[float],
     error: Optional[dict] = None,
@@ -102,13 +101,12 @@ def _envelope(
         "tool": {"name": "brieskorn", "version": __version__, "command": command},
         "config": {
             "jet_cap": config.jet_cap,
-            "graded_window": config.graded_window,
             "trunc_order": config.trunc_order,
             "seed": config.seed,
         },
         "input": input_echo,
         "report": report,
-        "warnings": warnings,
+        "warnings": [],
         "error": error,
         "timing": None if elapsed is None else {"seconds": round(elapsed, 3)},
     }
@@ -127,8 +125,6 @@ def _emit(envelope: dict, fmt: str, out) -> None:
         out.write(f"  error: {envelope['error']['kind']}: {envelope['error']['message']}\n")
     if report:
         _emit_report_text(report, out)
-    for warning in envelope["warnings"]:
-        out.write(f"  warning: {warning}\n")
     if envelope["timing"] is not None:
         out.write(f"  time: {envelope['timing']['seconds']}s\n")
 
@@ -168,17 +164,6 @@ def _curve_from_args(args) -> tuple[FactoredCurve, tuple[str, ...]]:
     return curve, variables
 
 
-def _warnings_from_report(report) -> list[str]:
-    warnings = []
-    if report.assumptions.heuristic_jet_orders:
-        orders = ", ".join(str(o) for o in report.assumptions.heuristic_jet_orders)
-        warnings.append(
-            "no weight certificate: nu rests on the jet stabilization "
-            f"heuristic at orders {orders}"
-        )
-    return warnings
-
-
 def _cmd_invariants(args, config: RunConfig, out) -> int:
     curve, variables = _curve_from_args(args)
     weights = _parse_weights(args.weights)
@@ -189,10 +174,7 @@ def _cmd_invariants(args, config: RunConfig, out) -> int:
         "weights": args.weights or "",
     }
     start = time.perf_counter()
-    report = invariants(
-        curve, weights, jet_cap=config.jet_cap, window=config.graded_window
-    )
-    warnings = _warnings_from_report(report)
+    report = invariants(curve, weights, jet_cap=config.jet_cap)
     report_dict = report.to_dict()
     if args.check_witness:
         order = max(curve.expand().total_degree() + 2, 12)
@@ -202,7 +184,7 @@ def _cmd_invariants(args, config: RunConfig, out) -> int:
             "jet_order": min(order, config.jet_cap),
         }
     elapsed = time.perf_counter() - start if args.timing else None
-    envelope = _envelope("invariants", echo, report_dict, warnings, config, elapsed)
+    envelope = _envelope("invariants", echo, report_dict, config, elapsed)
     _emit(envelope, config.output_format, out)
     return EXIT_OK
 
@@ -228,11 +210,8 @@ def _cmd_suspend(args, config: RunConfig, out) -> int:
     }
     start = time.perf_counter()
     germ = milnor_isolated(germ_poly)
-    curve_report = invariants(
-        curve, weights, jet_cap=config.jet_cap, window=config.graded_window
-    )
+    curve_report = invariants(curve, weights, jet_cap=config.jet_cap)
     result = suspend(germ, curve_report, trunc_order=config.trunc_order)
-    warnings = _warnings_from_report(curve_report)
     report_dict = result.to_dict()
     report_dict["isolated"] = germ.to_dict()
     report_dict["curve"] = curve_report.to_dict()
@@ -245,7 +224,7 @@ def _cmd_suspend(args, config: RunConfig, out) -> int:
                 f"{check.mu_direct} != {check.mu_transported}"
             )
     elapsed = time.perf_counter() - start if args.timing else None
-    envelope = _envelope("suspend", echo, report_dict, warnings, config, elapsed)
+    envelope = _envelope("suspend", echo, report_dict, config, elapsed)
     _emit(envelope, config.output_format, out)
     return EXIT_OK
 
@@ -345,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default=None)
     common.add_argument("--jet-cap", type=int, default=None)
-    common.add_argument("--window", type=int, default=None, help="graded window")
     common.add_argument("--trunc", type=int, default=None, help="b-truncation order")
     common.add_argument("--seed", type=int, default=None)
     common.add_argument(
@@ -421,12 +399,11 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     out = out or sys.stdout
     try:
         args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    except SystemExit as exc:  # --help and --version exit 0, usage errors 2
+        return EXIT_INVALID if exc.code else EXIT_OK
     try:
         config = config_from_env_and_args(
             jet_cap=getattr(args, "jet_cap", None),
-            graded_window=getattr(args, "window", None),
             trunc_order=getattr(args, "trunc", None),
             output_format=getattr(args, "format", None),
             seed=getattr(args, "seed", None),

@@ -1,8 +1,7 @@
 """Run configuration: caps for the bounded computations.
 
 Flags win over environment variables, which win over the defaults.
-Environment overrides: BRIESKORN_JET_CAP, BRIESKORN_GRADED_WINDOW,
-BRIESKORN_TRUNC_ORDER.
+Environment overrides: BRIESKORN_JET_CAP, BRIESKORN_TRUNC_ORDER.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ _ENV_PREFIX = "BRIESKORN_"
 @dataclass(frozen=True)
 class RunConfig:
     jet_cap: int = 24
-    graded_window: Optional[int] = None  # None: derived from the input
     trunc_order: int = 16
     output_format: str = "text"
     seed: int = 0
@@ -27,8 +25,6 @@ class RunConfig:
     def __post_init__(self):
         if self.jet_cap < 4:
             raise InputError("jet cap must be at least 4")
-        if self.graded_window is not None and self.graded_window < 1:
-            raise InputError("graded window must be at least 1")
         if self.trunc_order < 2:
             raise InputError("truncation order must be at least 2")
         if self.output_format not in ("text", "json"):
@@ -45,7 +41,7 @@ def _env_int(name: str) -> Optional[int]:
         raise InputError(f"environment variable {_ENV_PREFIX + name} must be an integer") from exc
 
 
-def _setting(flag: Optional[int], name: str, default: Optional[int]) -> Optional[int]:
+def _setting(flag: Optional[int], name: str, default: int) -> int:
     """The flag if given, else the environment override, else the default.
     A set override, 0 included, is kept, so RunConfig validates it."""
     if flag is not None:
@@ -56,7 +52,6 @@ def _setting(flag: Optional[int], name: str, default: Optional[int]) -> Optional
 
 def config_from_env_and_args(
     jet_cap: Optional[int] = None,
-    graded_window: Optional[int] = None,
     trunc_order: Optional[int] = None,
     output_format: Optional[str] = None,
     seed: Optional[int] = None,
@@ -64,7 +59,6 @@ def config_from_env_and_args(
     defaults = RunConfig()
     return RunConfig(
         jet_cap=_setting(jet_cap, "JET_CAP", defaults.jet_cap),
-        graded_window=_setting(graded_window, "GRADED_WINDOW", None),
         trunc_order=_setting(trunc_order, "TRUNC_ORDER", defaults.trunc_order),
         output_format=output_format or defaults.output_format,
         seed=seed if seed is not None else defaults.seed,

@@ -33,6 +33,7 @@ from .local_algebra import (
     _ShiftedImages,
     common_denominator,
     integer_terms,
+    jacobian_ideal,
     jet_key_order,
     local_quotient,
     monomials_below,
@@ -219,14 +220,13 @@ def check_hypotheses(curve: FactoredCurve, alpha: Optional[DiffForm] = None) -> 
 class Assumptions:
     torsion_free: bool
     torsion_free_justification: str
-    heuristic_jet_orders: tuple[int, ...]
-    exact: bool
+    # every stop is a proof: Nakayama for mu, the target b_1 - mu for nu
+    exact = True
 
     def to_dict(self) -> dict:
         return {
             "torsion_free": self.torsion_free,
             "torsion_free_justification": self.torsion_free_justification,
-            "heuristic_jet_orders": list(self.heuristic_jet_orders),
             "exact": self.exact,
         }
 
@@ -287,7 +287,6 @@ def invariants(
     curve: FactoredCurve,
     weights: Optional[Sequence[Fraction]] = None,
     jet_cap: int = 24,
-    window: Optional[int] = None,
 ) -> InvariantReport:
     """Full invariant pipeline: mu, nu, rank = mu + nu, quotient basis,
     and (with a verifying weight certificate) the a-action coefficients.
@@ -301,22 +300,24 @@ def invariants(
     dim O/(a, b), a colength certified by ``local_quotient``, and the
     classes h x^m of its monomials x^m are the mu basis.  The nu scan
     reads (h) too.
+
+    The rank is b_1 of the Milnor fibre (``milnor_fibre_betti``), so nu is
+    b_1 - mu, and the nu scan stops when its lower bound reaches that
+    target; ``jet_cap`` bounds that scan alone.
     """
     alpha = annihilator_form(curve)
     check_hypotheses(curve, alpha=alpha)
     f = curve.expand()
     ws = WeightSystem.for_poly(f, weights) if weights is not None else None
-    if window is None:
-        window = max(p for _, p in curve.factors) + 2
     h = curve.multiplicity_cofactor()
     # b d/dx - a d/dy, for alpha = a dx + b dy
     field = annihilator_field(curve, alpha=alpha)
     mu_value, mu_basis = local_quotient(
         IdealGens.of(curve.variables, field.coefficients), ws
     )
+    betti = milnor_fibre_betti(curve, ws)
     sat = IdealGens.of(curve.variables, [h])
-    nu_res = twisted_quotient_dim(sat, field, ws, jet_cap=jet_cap, window=window)
-    rank = mu_value + nu_res.dim
+    nu_res = twisted_quotient_dim(sat, field, betti - mu_value, ws, jet_cap)
     basis_mu = tuple(
         sorted(
             (Poly(curve.variables, shifted_vec(h, e)) for e in mu_basis),
@@ -337,8 +338,6 @@ def invariants(
         torsion_free_justification=(
             "plane curve in two variables: both torsion corrections vanish"
         ),
-        heuristic_jet_orders=nu_res.jet_orders,
-        exact=nu_res.exact,
     )
     return InvariantReport(
         variables=curve.variables,
@@ -347,14 +346,40 @@ def invariants(
         nu=nu_res.dim,
         gamma=0,
         delta=0,
-        rank=rank,
-        betti_n=rank,
+        rank=mu_value + nu_res.dim,
+        betti_n=betti,
         basis_mu=basis_mu,
         basis_nu=basis_nu,
         a_action=action,
         assumptions=assumptions,
         weights=ws,
     )
+
+
+def milnor_fibre_betti(curve: FactoredCurve, ws: Optional[WeightSystem] = None) -> int:
+    """b_1 of the Milnor fibre F of f at 0.
+
+    Write f = prod g_i^(m_i), the g_i the branches u_i (m_i = p_i) and a
+    nonconstant residual (m = 1), reduced and pairwise coprime
+    (``check_hypotheses``).  A'Campo's formula ("La fonction zêta d'une
+    monodromie", Comment. Math. Helv. 50, 1975) gives
+    chi(F) = sum_i m_i (1 - mu(g_i) - sum_(j != i) (g_i . g_j)_0), and F
+    has gcd(m_i) components, so b_1 = gcd(m_i) - chi(F).  Each Milnor
+    number and intersection number is a colength certified by
+    ``local_quotient`` (its graded scan with ``ws``)."""
+    parts = list(curve.factors)
+    if not curve.residual_is_constant:
+        parts.append((curve.residual, 1))
+    chi = 0
+    for g, m in parts:
+        jacobian = jacobian_ideal(g)
+        milnor = 0 if jacobian.contains_unit() else local_quotient(jacobian, ws)[0]
+        chi += m * (1 - milnor)
+    for (g, m), (g2, m2) in combinations(parts, 2):
+        # (g_i . g_j)_0 enters the sums of both i and j
+        meet = local_quotient(IdealGens.of(curve.variables, [g, g2]), ws)[0]
+        chi -= (m + m2) * meet
+    return gcd(*(m for _, m in parts)) - chi
 
 
 # -- the a-action and its oracle ----------------------------------------------

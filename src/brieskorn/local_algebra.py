@@ -1,18 +1,17 @@
 """Jet-space linear algebra at the origin.
 
-Everything here models the local ring of germs at 0 through two finite
-windows:
+Everything here models the local ring of germs at 0 through two kinds of
+finite-dimensional pieces:
 
-* total-degree jets (monomials of total degree < M): ``local_quotient``
-  stops its jet scan by Nakayama's lemma, which is a proof, while the jet nu
-  scan accepts the answer at order M once it agrees with the one at order
-  M - 2 (``_stable_in_jets``), which is a heuristic;
+* total-degree jets (monomials of total degree < M);
 * weighted-degree slices, used when a weight certificate makes the input
   quasi-homogeneous; slice computations carry no truncation error.
 
-The quotients here (jet, local, twisted) are all driven by exact rational
-row reduction; saturation and the finite-colength test live in
-``groebner``.
+Each quotient stops by a proof: ``local_quotient`` by Nakayama's lemma,
+``twisted_quotient_dim`` when its nondecreasing lower bound reaches a
+target dimension the caller has computed independently.  The quotients
+here (jet, local, twisted) are all driven by exact rational row
+reduction; saturation and the finite-colength test live in ``groebner``.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from functools import lru_cache
 from itertools import count
 from math import lcm
 from operator import add
-from typing import Callable, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import InconclusiveError, InputError
 from .forms import VectorField
@@ -201,27 +200,6 @@ def quotient_dim_jet(I: IdealGens, order: int) -> int:
     return jet_quotient(I, order)[0]
 
 
-def _stable_in_jets(compute: Callable, orders: range, message: str, **context):
-    """The jet stop rule: evaluate ``compute`` at each jet order in turn and
-    return (value, orders tried) once two successive values are equal.
-    Raises InconclusiveError(message, **context) when the orders run out;
-    when the cap is below the first order, the error names the cap that
-    admits the two orders the rule compares."""
-    if not orders:
-        raise InconclusiveError(
-            f"{message}: the jet cap is below the first jet order",
-            first_order=orders.start,
-            min_jet_cap=orders.start + orders.step,
-        )
-    previous = None
-    for tried, order in enumerate(orders, 1):
-        current = compute(order)
-        if tried > 1 and current == previous:
-            return current, tuple(orders[:tried])
-        previous = current
-    raise InconclusiveError(message, **context)
-
-
 # -- weighted-degree slices -----------------------------------------------------
 
 
@@ -261,29 +239,16 @@ class _GradedIdeal:
             self._slices[wdeg] = span
         return self._slices[wdeg]
 
-    def scan(
-        self,
-        wdeg_cap: Optional[int],
-        run: int,
-        slice_count: Callable[[int, tuple[Exponents, ...]], int],
-    ) -> Optional[int]:
-        """Sum ``slice_count(wdeg, monomials)`` over the nonempty slices from
-        weighted degree 0 up.  The scan stops, returning the sum, after
-        ``run`` consecutive nonempty slices that count nothing; it returns
-        None when the cap comes first (no cap when ``wdeg_cap`` is None)."""
-        total = 0
-        zero_run = 0
+    def nonempty_slices(
+        self, wdeg_cap: Optional[int] = None
+    ) -> Iterator[tuple[int, tuple[Exponents, ...]]]:
+        """The nonempty slices (wdeg, monomials) from weighted degree 0 up
+        to ``wdeg_cap``, with no end when it is None."""
         degrees = count() if wdeg_cap is None else range(max(wdeg_cap, 0) + 1)
         for wdeg in degrees:
             monos = self.monomials(wdeg)
-            if not monos:
-                continue
-            slice_total = slice_count(wdeg, monos)
-            total += slice_total
-            zero_run = zero_run + 1 if slice_total == 0 else 0
-            if zero_run >= run:
-                return total
-        return None
+            if monos:
+                yield wdeg, monos
 
 
 # -- the colength of an isolated ideal ------------------------------------------
@@ -311,15 +276,16 @@ def local_quotient(
     """
     if weights is not None:
         graded = _GradedIdeal(I, weights)
+        wmax = max(graded.int_weights)
         basis: list[Exponents] = []
-
-        def picked(wdeg: int, monos) -> int:
+        empty_run = 0
+        for wdeg, monos in graded.nonempty_slices():
             span = graded.slice_span(wdeg)
             new = [m for m in monos if span.insert({m: 1})]
             basis.extend(new)
-            return len(new)
-
-        return graded.scan(None, max(graded.int_weights), picked), basis
+            empty_run = 0 if new else empty_run + 1
+            if empty_run == wmax:
+                return len(basis), basis
     previous = jet_quotient(I, 1)
     for order in count(2):
         current = jet_quotient(I, order)
@@ -335,8 +301,6 @@ def local_quotient(
 class TwistedResult:
     dim: int
     basis: tuple[Exponents, ...]
-    exact: bool
-    jet_orders: tuple[int, ...] = ()
 
 
 def _twisted_shift(
@@ -364,23 +328,44 @@ def _twisted_shift(
     return shift
 
 
+def _reached(basis: list[Exponents], target: int) -> bool:
+    """Whether a scan's lower bound len(basis) has reached ``target``; a
+    bound past it contradicts the target, which is a defect."""
+    if len(basis) > target:
+        raise RuntimeError(
+            f"internal invariant violation: the nu scan found {len(basis)} "
+            f"classes, past the target {target}"
+        )
+    return len(basis) == target
+
+
 def twisted_quotient_dim(
     I: IdealGens,
     V: VectorField,
+    target: int,
     weights: Optional[WeightSystem] = None,
     jet_cap: int = 24,
-    window: int = 4,
 ) -> TwistedResult:
-    """Dimension and monomial basis of O / (I + twisted-action image).
+    """Dimension and monomial basis of O / (I + twisted-action image), for
+    a caller that knows the dimension is ``target``.
 
     The twisted action is h -> V.h + div(V) h.  With a weight certificate
-    under which the field is graded, each weighted slice is finite exact
-    linear algebra and the scan stops after ``window`` consecutive
-    nonempty slices contribute nothing.  Without a certificate the jet
-    truncation runs under the jet stop rule and is flagged heuristic.
+    under which the field is graded the scan runs over weighted slices,
+    each finite exact linear algebra, up to weighted degree
+    ``jet_cap * max weight``; otherwise over the jet orders 10, 12, ... up
+    to ``jet_cap``.  The slice partial sums and the jet dimensions
+    dim O/(I + V~(O) + m^N) are the dimensions of quotients of the full
+    quotient, so they are nondecreasing lower bounds of it, and the scan
+    stops at the first slice or order that reaches ``target``.  A bound
+    past ``target``, or a negative ``target``, raises RuntimeError; a cap
+    reached first raises InconclusiveError.
     """
     if V.variables != I.variables:
         raise InputError("ideal and vector field live in different rings")
+    if target < 0:
+        raise RuntimeError(
+            f"internal invariant violation: negative nu target {target}"
+        )
     n = len(I.variables)
     div = V.divergence()
     twisted_image = _ShiftedImages(V.coefficients, div)
@@ -395,33 +380,23 @@ def twisted_quotient_dim(
                 if s.denominator != 1:
                     raise InputError("twisted shift does not scale to an integer")
                 scaled_shift = int(s)
-            wmax = max(graded.int_weights)
-            wdeg_cap = jet_cap * wmax - max(0, -scaled_shift)
-            # V~(O) is not an ideal, so the mu stop proof does not apply;
-            # the run is widened past any gap the scaled weights can leave
-            window = max(window, wmax + 1)
+            wdeg_cap = jet_cap * max(graded.int_weights) - max(0, -scaled_shift)
             basis: list[Exponents] = []
-
-            def picked(wdeg: int, monos) -> int:
+            for wdeg, monos in graded.nonempty_slices(wdeg_cap):
                 span = graded.slice_span(wdeg).copy()
-                if not V.is_zero:
-                    source = wdeg - scaled_shift
-                    if source >= 0:
-                        for m in graded.monomials(source):
-                            image = twisted_image(m)
-                            if image:
-                                span.insert(image)
-                new = [m for m in monos if span.insert({m: 1})]
-                basis.extend(new)
-                return len(new)
-
-            total = graded.scan(wdeg_cap, window, picked)
-            if total is not None:
-                return TwistedResult(total, tuple(basis), True)
+                source = wdeg - scaled_shift
+                if not V.is_zero and source >= 0:
+                    for m in graded.monomials(source):
+                        image = twisted_image(m)
+                        if image:
+                            span.insert(image)
+                basis.extend(m for m in monos if span.insert({m: 1}))
+                if _reached(basis, target):
+                    return TwistedResult(target, tuple(basis))
             raise InconclusiveError(
-                "graded twisted quotient did not close out",
+                "graded twisted quotient did not reach the target nu",
+                target=target,
                 wdeg_cap=wdeg_cap,
-                window=window,
             )
     # jet path
     drop = 0
@@ -434,8 +409,8 @@ def twisted_quotient_dim(
         drop = max(drop, -div_ord)
 
     images: dict[Exponents, Vec] = {}  # twisted images, shared by all jet orders
-
-    def jet_basis(order: int) -> list[Exponents]:
+    orders = range(max(6, min(10, jet_cap)), jet_cap + 1, 2)
+    for order in orders:
         span = ideal_jet_span(I, order)
         for m in monomials_below(n, order + drop):
             if m not in images:
@@ -443,13 +418,12 @@ def twisted_quotient_dim(
             vec = truncate_vec(images[m], order)
             if vec:
                 span.insert(vec)
-        return [m for m in monomials_below(n, order) if span.insert({m: 1})]
-
-    orders = range(max(6, min(10, jet_cap)), jet_cap + 1, 2)
-    basis, tried = _stable_in_jets(
-        jet_basis,
-        orders,
-        "twisted quotient did not stabilize",
-        jet_orders=tuple(orders),
+        basis = [m for m in monomials_below(n, order) if span.insert({m: 1})]
+        if _reached(basis, target):
+            return TwistedResult(target, tuple(basis))
+    raise InconclusiveError(
+        "twisted quotient did not reach the target nu",
+        target=target,
+        first_order=orders.start,
+        jet_cap=jet_cap,
     )
-    return TwistedResult(len(basis), tuple(basis), False, tried)

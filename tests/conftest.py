@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from hypothesis import HealthCheck, settings, strategies as st
 
@@ -13,7 +13,6 @@ from brieskorn.linalg import Span
 from brieskorn.local_algebra import (
     IdealGens,
     _GradedIdeal,
-    _stable_in_jets,
     ideal_jet_span,
     jacobian_ideal,
     jet_quotient,
@@ -50,6 +49,29 @@ def polys(
     return st.lists(term, max_size=max_terms).map(
         lambda pairs: Poly(variables, {e: c for e, c in pairs if c != 0})
     )
+
+
+def _stable_in_jets(compute: Callable, orders: range, message: str, **context):
+    """The two-order jet stop rule of the references below: evaluate
+    ``compute`` at each jet order in turn and return (value, orders tried)
+    once two successive values are equal.  A heuristic, kept for the
+    references because it shares no stop with the package's scans.  Raises
+    InconclusiveError(message, **context) when the orders run out; when the
+    cap is below the first order, the error names the cap that admits the
+    two orders the rule compares."""
+    if not orders:
+        raise InconclusiveError(
+            f"{message}: the jet cap is below the first jet order",
+            first_order=orders.start,
+            min_jet_cap=orders.start + orders.step,
+        )
+    previous = None
+    for tried, order in enumerate(orders, 1):
+        current = compute(order)
+        if tried > 1 and current == previous:
+            return current, tuple(orders[:tried])
+        previous = current
+    raise InconclusiveError(message, **context)
 
 
 def stable_colength(I, start: int = 4, cap: int = 24):

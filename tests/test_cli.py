@@ -75,6 +75,31 @@ def test_malformed_input_is_invalid_not_a_traceback(tmp_path, capsys, argv, cont
     assert capsys.readouterr().err.startswith("error: ")
 
 
+# Usage errors are invalid input (exit 1), not inconclusive (exit 2).
+USAGE_ERRORS = [
+    ("jet-cap-not-an-integer", ["invariants", "--factors", "x:3", "--jet-cap", "abc"]),
+    ("unknown-flag", ["invariants", "--factors", "x:3", "--bogus", "1"]),
+    ("removed-window-flag", ["invariants", "--factors", "x:3", "--window", "5"]),
+    ("missing-factors", ["invariants"]),
+    ("abmod-check-without-file", ["abmod", "check"]),
+    ("no-command", []),
+]
+
+
+@pytest.mark.parametrize(
+    "argv", [case[1] for case in USAGE_ERRORS], ids=[case[0] for case in USAGE_ERRORS]
+)
+def test_usage_error_is_invalid_input(capsys, argv):
+    assert run(argv) == (EXIT_INVALID, "")
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_help_and_version_exit_zero(capsys, flag):
+    assert run([flag])[0] == EXIT_OK
+    assert capsys.readouterr().out
+
+
 class TestInvariantsCommand:
     def test_golden_json(self):
         code, text = run(GOLDEN)
@@ -130,10 +155,10 @@ class TestInvariantsCommand:
         assert code == EXIT_OK
 
     def test_inconclusive_exit_code(self):
-        # the cap is below the first usable jet order: nothing stabilizes
+        # the cap is below the first jet order: the nu scan cannot start
         code, _ = run(
             ["invariants", "--factors", "x:3", "--residual", "x^3+y^3",
-             "--jet-cap", "6"]
+             "--jet-cap", "5"]
         )
         assert code == EXIT_INCONCLUSIVE
 
@@ -145,9 +170,8 @@ class TestInvariantsCommand:
         )
         assert code == EXIT_INCONCLUSIVE
         message = capsys.readouterr().err
-        assert "twisted quotient did not stabilize" in message
-        assert "the jet cap is below the first jet order" in message
-        assert "first_order=6" in message and "min_jet_cap=8" in message
+        assert "twisted quotient did not reach the target nu" in message
+        assert "first_order=6" in message and "jet_cap=5" in message
         # at the default cap the same input concludes (deg f = 23 once put
         # jet mu's first order at 25, past the cap)
         code, text = run(
@@ -176,13 +200,15 @@ class TestInvariantsCommand:
         report = json.loads(text)["report"]
         assert report["torsion_free_witness"]["holds"] is True
 
-    def test_heuristic_warning_without_weights(self):
+    def test_jet_nu_is_exact_without_weights(self):
+        # the jet scan stops at the target b_1 - mu, so it warns of nothing
         code, text = run(
             ["invariants", "--factors", "x:2,y:2", "--format", "json"]
         )
         assert code == EXIT_OK
         envelope = json.loads(text)
-        assert any("jet stabilization" in w for w in envelope["warnings"])
+        assert envelope["warnings"] == []
+        assert envelope["report"]["assumptions"]["exact"] is True
         assert envelope["report"]["a_action"] is None
 
     def test_timing_opt_in(self):
@@ -361,7 +387,7 @@ class TestSharedParser:
         code, text = run(["abmod", "check", str(module), "--k", "1"])
         assert code == EXIT_OK and "regular_k2" not in json.loads(text)
         # neither the appended --k nor an error exit may reach a later call
-        assert run(["abmod", "check"])[0] == 2
+        assert run(["abmod", "check"])[0] == EXIT_INVALID
         assert run(["abmod", "selftest", "--count", "0"])[0] == EXIT_INVALID
         assert run(["abmod", "check", str(module)]) == fresh_process(
             ["abmod", "check", str(module)]
@@ -395,7 +421,8 @@ class TestCurveExpansion:
 
 class TestConfiguration:
     def test_env_override_for_jet_cap(self, monkeypatch):
-        monkeypatch.setenv("BRIESKORN_JET_CAP", "6")
+        # below the first jet order of the nu scan
+        monkeypatch.setenv("BRIESKORN_JET_CAP", "5")
         code, _ = run(
             ["invariants", "--factors", "x:3", "--residual", "x^3+y^3"]
         )
@@ -411,10 +438,10 @@ class TestConfiguration:
         assert code == EXIT_INVALID
 
     def test_flag_beats_environment(self, monkeypatch):
-        monkeypatch.setenv("BRIESKORN_JET_CAP", "6")
+        monkeypatch.setenv("BRIESKORN_JET_CAP", "5")
         code, _ = run(
             ["invariants", "--factors", "x:3", "--residual", "x^3+y^3",
-             "--weights", "1,1", "--jet-cap", "24"]
+             "--jet-cap", "24"]
         )
         assert code == EXIT_OK
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 from operator import mul
 
 import pytest
@@ -23,6 +24,7 @@ from brieskorn.curve import (
     check_hypotheses,
     closed_form_witness,
     invariants,
+    milnor_fibre_betti,
     torsion_free_witness,
     transversal_milnor,
     verify_a_action,
@@ -252,11 +254,11 @@ class TestInvariants:
         rep = invariants(third, weights=(1, 1))
         assert (rep.mu, rep.nu, rep.rank) == (1, 1, 2)
 
-    def test_heuristic_path_matches(self):
+    def test_jet_path_matches(self):
         rep = invariants(sextic(), weights=None, jet_cap=18)
-        assert (rep.mu, rep.nu, rep.rank) == (9, 4, 13)
-        assert not rep.assumptions.exact
-        assert rep.assumptions.heuristic_jet_orders
+        assert (rep.mu, rep.nu, rep.rank, rep.betti_n) == (9, 4, 13, 13)
+        assert [str(b) for b in rep.basis_nu] == ["1", "x", "y", "x*y"]
+        assert rep.assumptions.exact
         assert rep.a_action is None
 
     def test_unimodular_substitution_invariance(self):
@@ -333,7 +335,7 @@ class TestCrossPathConsistency:
         jet = invariants(curve, weights=None, jet_cap=18)
         assert (graded.mu, graded.nu, graded.rank) == expected
         assert (jet.mu, jet.nu, jet.rank) == expected
-        assert graded.assumptions.exact and not jet.assumptions.exact
+        assert graded.assumptions.exact and jet.assumptions.exact
         germ = milnor_isolated(
             parse_polynomial("z^2", ("z",))
         )
@@ -746,7 +748,7 @@ def reference_cases():
 NO_CAP_CASES = [
     ([("y", 3), ("(x+y^2)^2-y^5", 3)], (7, 14, 21)),
     ([("x", 3), ("x^2-y^5", 2), ("x^2+y^5", 2)], (46, 54, 100)),
-    ([("x", 3), ("(x+y^2)^2-y^5", 2), ("(x+y^2)^2+y^5", 2)], (42, None, None)),
+    ([("x", 3), ("(x+y^2)^2-y^5", 2), ("(x+y^2)^2+y^5", 2)], (42, 48, 90)),
 ]
 
 
@@ -781,3 +783,52 @@ class TestReferenceMu:
         assert report.mu == expected[0] == torsion_length(coefficient_ideal(curve))
         if expected[1] is not None:
             assert (report.mu, report.nu, report.rank) == expected
+
+
+def betti_cases():
+    """Line, cusp and coordinate-change curves with their pinned rank, each
+    graded, jet and moved by x -> x + y^2."""
+    cases = []
+    for factors, residual, weights, expected in (
+        TestCrossPathConsistency.CASES + TestSaturationTheorem.CHANGES
+    ):
+        rank = expected[2]
+        moved = [(changed(t), m) for t, m in factors]
+        cases += [
+            (factored(factors, residual), weights, rank),
+            (factored(factors, residual), None, rank),
+            (factored(moved, changed(residual) if residual else None), None, rank),
+        ]
+    return cases
+
+
+class TestMilnorFibreBetti:
+    """b_1 of the Milnor fibre by A'Campo's formula, the target of the nu
+    scans: closed forms, and the ranks these tests pinned before nu read it."""
+
+    @pytest.mark.parametrize("a,b", [(2, 2), (2, 3), (3, 3), (2, 4), (4, 6), (5, 3)])
+    @pytest.mark.parametrize("weights", [(1, 1), None])
+    def test_monomial_closed_form(self, a, b, weights):
+        # {x^a y^b = 1} is gcd(a, b) copies of C^*
+        curve = factored([("x", a), ("y", b)])
+        ws = WeightSystem.for_poly(curve.expand(), weights) if weights else None
+        assert milnor_fibre_betti(curve, ws) == gcd(a, b)
+
+    @pytest.mark.parametrize(
+        "curve,weights,expected",
+        [
+            (sextic(), (1, 1), 13),
+            (sextic(), None, 13),
+            (factored([("y", 3), ("x^2-y^5", 3)]), (5, 2), 21),
+            (factored([("y", 3), ("x^2-y^5", 3)]), None, 21),
+        ],
+        ids=["sextic-graded", "sextic-jet", "y3-cusp3-graded", "y3-cusp3-jet"],
+    )
+    def test_golden_values(self, curve, weights, expected):
+        ws = WeightSystem.for_poly(curve.expand(), weights) if weights else None
+        assert milnor_fibre_betti(curve, ws) == expected
+
+    @pytest.mark.parametrize("curve,weights,rank", betti_cases(), ids=str)
+    def test_equals_pinned_rank(self, curve, weights, rank):
+        ws = WeightSystem.for_poly(curve.expand(), weights) if weights else None
+        assert milnor_fibre_betti(curve, ws) == rank

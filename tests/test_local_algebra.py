@@ -376,30 +376,66 @@ class TestMu:
 
 
 class TestTwistedQuotient:
+    """The nu scans stop at the first slice or jet order whose lower bound
+    reaches the target; a bound past it, or a negative target, is a defect,
+    and a cap reached first is inconclusive."""
+
     def sextic_field(self):
         return VectorField(XY, (p("x*y^2"), p("-(2*x^3+y^3)")))
 
+    def sextic(self, target, graded, jet_cap=24):
+        """The sextic's nu scan: (x^2) and its field, graded or jet."""
+        ws = WeightSystem.for_poly(p("x^6+x^3*y^3"), (1, 1)) if graded else None
+        return twisted_quotient_dim(ideal("x^2"), self.sextic_field(), target, ws, jet_cap)
+
     def test_sextic(self):
-        ws = WeightSystem.for_poly(p("x^6+x^3*y^3"), (1, 1))
-        result = twisted_quotient_dim(ideal("x^2"), self.sextic_field(), ws, 24, 5)
+        result = self.sextic(4, True)
         assert result.dim == 4
         assert [str(Poly.monomial(XY, e)) for e in result.basis] == ["1", "x", "y", "x*y"]
-        assert result.exact
 
     def test_sextic_jet_path(self):
-        result = twisted_quotient_dim(ideal("x^2"), self.sextic_field(), None, 20, 5)
+        # the first jet order, 10, reaches the target
+        result = self.sextic(4, False, jet_cap=10)
         assert result.dim == 4
-        assert not result.exact
+        assert [str(Poly.monomial(XY, e)) for e in result.basis] == ["1", "x", "y", "x*y"]
 
-    def test_jet_path_stop_rule(self):
+    def test_jet_path_stop_rule(self, monkeypatch):
+        orders = []
+
+        def counted(I, order):
+            orders.append(order)
+            return ideal_jet_span(I, order)
+
+        monkeypatch.setattr("brieskorn.local_algebra.ideal_jet_span", counted)
+        # the scan stops at the first order that reaches the target ...
+        assert self.sextic(4, False, jet_cap=20).dim == 4
+        assert orders == [10]
+        # ... and a target above nu is never reached: the cap ends the scan
         with pytest.raises(
-            InconclusiveError, match="twisted quotient did not stabilize"
+            InconclusiveError, match="twisted quotient did not reach the target nu"
         ) as info:
-            twisted_quotient_dim(ideal("x^2"), self.sextic_field(), None, 10, 5)
-        assert info.value.context == {"jet_orders": (10,)}
-        result = twisted_quotient_dim(ideal("x^2"), self.sextic_field(), None, 12, 5)
-        assert result.dim == 4
-        assert not result.exact
+            self.sextic(5, False, jet_cap=12)
+        assert info.value.context == {"target": 5, "first_order": 10, "jet_cap": 12}
+        assert orders == [10, 10, 12]
+
+    def test_graded_cap_exhausted(self):
+        with pytest.raises(
+            InconclusiveError, match="graded twisted quotient did not reach the target nu"
+        ) as info:
+            self.sextic(5, True, jet_cap=12)
+        assert info.value.context == {"target": 5, "wdeg_cap": 12}
+
+    def test_overshoot_raises(self):
+        # the graded slices of the sextic give the totals 1, 3, 4, passing 2
+        with pytest.raises(RuntimeError, match="found 3 classes, past the target 2"):
+            self.sextic(2, True)
+        with pytest.raises(RuntimeError, match="found 4 classes, past the target 3"):
+            self.sextic(3, False)
+
+    @pytest.mark.parametrize("graded", [True, False], ids=["graded", "jet"])
+    def test_negative_target_raises(self, graded):
+        with pytest.raises(RuntimeError, match="negative nu target -1"):
+            self.sextic(-1, graded)
 
     def test_euler_field_on_xy(self):
         # the twisted action scales monomials by (p - q), killing p != q;
@@ -409,26 +445,25 @@ class TestTwistedQuotient:
             m = Poly.monomial(XY, (a, b))
             assert v.apply_twisted(m) == m * Fraction(a - b)
         ws = WeightSystem((1, 1), 2)
-        result = twisted_quotient_dim(ideal("x*y"), v, ws, 16, 4)
+        result = twisted_quotient_dim(ideal("x*y"), v, 1, ws, 16)
         assert result.dim == 1
         assert [str(Poly.monomial(XY, e)) for e in result.basis] == ["1"]
 
     def test_unit_ideal(self):
         v = self.sextic_field()
-        result = twisted_quotient_dim(ideal("1"), v, WeightSystem((1, 1), 6), 12, 4)
+        result = twisted_quotient_dim(ideal("1"), v, 0, WeightSystem((1, 1), 6), 12)
         assert result.dim == 0
         assert result.basis == ()
 
     def test_zero_field_degenerates_to_colength(self):
         I = ideal("x", "y")
-        result = twisted_quotient_dim(I, VectorField.zero(XY), WeightSystem((1, 1), 2), 12, 4)
         expected, _, _ = stable_colength(I, cap=10)
+        ws = WeightSystem((1, 1), 2)
+        result = twisted_quotient_dim(I, VectorField.zero(XY), expected, ws, 12)
         assert result.dim == expected == 1
 
     def test_cap_independence_with_certificate(self):
-        ws = WeightSystem.for_poly(p("x^6+x^3*y^3"), (1, 1))
-        r1 = twisted_quotient_dim(ideal("x^2"), self.sextic_field(), ws, 18, 5)
-        r2 = twisted_quotient_dim(ideal("x^2"), self.sextic_field(), ws, 26, 5)
+        r1, r2 = self.sextic(4, True, jet_cap=18), self.sextic(4, True, jet_cap=26)
         assert (r1.dim, r1.basis) == (r2.dim, r2.basis)
 
 
