@@ -39,6 +39,7 @@ from .groebner import saturate_at_origin, torsion_length
 from .local_algebra import (
     IdealGens,
     jacobian_ideal,
+    local_colength,
     local_quotient,
     quotient_dim_jet,
     twisted_quotient_dim,
@@ -80,6 +81,7 @@ __all__ = [
     "is_regular",
     "is_simple_pole",
     "jacobian_ideal",
+    "local_colength",
     "local_quotient",
     "milnor_isolated",
     "normal_order",

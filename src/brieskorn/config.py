@@ -23,8 +23,8 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.jet_cap < 4:
-            raise InputError("jet cap must be at least 4")
+        if self.jet_cap < 1:
+            raise InputError("jet cap must be at least 1, the first jet order")
         if self.trunc_order < 2:
             raise InputError("truncation order must be at least 2")
         if self.output_format not in ("text", "json"):

@@ -35,6 +35,7 @@ from .local_algebra import (
     integer_terms,
     jacobian_ideal,
     jet_key_order,
+    local_colength,
     local_quotient,
     monomials_below,
     monomials_of_weighted_degree,
@@ -365,19 +366,20 @@ def milnor_fibre_betti(curve: FactoredCurve, ws: Optional[WeightSystem] = None) 
     monodromie", Comment. Math. Helv. 50, 1975) gives
     chi(F) = sum_i m_i (1 - mu(g_i) - sum_(j != i) (g_i . g_j)_0), and F
     has gcd(m_i) components, so b_1 = gcd(m_i) - chi(F).  Each Milnor
-    number and intersection number is a colength certified by
-    ``local_quotient`` (its graded scan with ``ws``)."""
+    number and intersection number is a colength certified by the scans
+    of ``local_quotient`` (its graded scan with ``ws``), counted with no
+    basis (``local_colength``)."""
     parts = list(curve.factors)
     if not curve.residual_is_constant:
         parts.append((curve.residual, 1))
     chi = 0
     for g, m in parts:
         jacobian = jacobian_ideal(g)
-        milnor = 0 if jacobian.contains_unit() else local_quotient(jacobian, ws)[0]
+        milnor = 0 if jacobian.contains_unit() else local_colength(jacobian, ws)
         chi += m * (1 - milnor)
     for (g, m), (g2, m2) in combinations(parts, 2):
         # (g_i . g_j)_0 enters the sums of both i and j
-        meet = local_quotient(IdealGens.of(curve.variables, [g, g2]), ws)[0]
+        meet = local_colength(IdealGens.of(curve.variables, [g, g2]), ws)
         chi -= (m + m2) * meet
     return gcd(*(m for _, m in parts)) - chi
 

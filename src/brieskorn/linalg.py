@@ -1,9 +1,9 @@
 """Incremental reduced row echelon spans over the rationals.
 
-Vectors are sparse dicts mapping hashable column keys to nonzero Fractions.
-A ``Span`` keeps its rows fully reduced (each pivot column appears in
-exactly one row), so membership tests and quotient-basis extraction are
-canonical and deterministic.
+Vectors are sparse dicts mapping hashable column keys to nonzero Fractions
+or integers.  A ``Span`` keeps its rows fully reduced (each pivot column
+appears in exactly one row), so membership tests and quotient-basis
+extraction are canonical and deterministic.
 
 Inside a ``Span`` the arithmetic is fraction-free.  Each row is stored as a
 primitive integer dict (its entries, together with those of its tracked
@@ -36,8 +36,15 @@ def vec_axpy(target: dict, scale, source: dict) -> None:
             target[key] = acc
 
 
+_INT = {int}
+
+
 def _integer_vec(vector: Vec) -> tuple[dict[Hashable, int], int]:
-    """(integer vector, scale) with vector == integer vector / scale."""
+    """(integer vector, scale) with vector == integer vector / scale.  An
+    all-integer vector (the exponent-shift images and unit rows) is copied
+    without reading a denominator."""
+    if set(map(type, vector.values())) <= _INT:
+        return dict(vector), 1
     scale = 1
     for value in vector.values():
         if value.denominator != 1:

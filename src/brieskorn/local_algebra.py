@@ -9,24 +9,27 @@ finite-dimensional pieces:
 
 Each quotient stops by a proof: ``local_quotient`` by Nakayama's lemma,
 ``twisted_quotient_dim`` when its nondecreasing lower bound reaches a
-target dimension the caller has computed independently.  The quotients
-here (jet, local, twisted) are all driven by exact rational row
-reduction; saturation and the finite-colength test live in ``groebner``.
+target dimension the caller has computed independently.  Both jet scans
+run the orders k = 1, 2, ... on one least-term count (``_JetCounts``);
+every reported number rests on exact integer or rational row reduction,
+and a count modulo a prime only picks the order at which the exact span
+is built.  Saturation and the finite-colength test live in ``groebner``.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
-from math import lcm
+from math import comb, lcm
 from operator import add
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import InconclusiveError, InputError
 from .forms import VectorField
-from .linalg import Span, Vec
+from .linalg import Span, Vec, _cancel, _make_primitive
 from .poly import Exponents, Poly, WeightSystem, listing_key
 
 
@@ -200,6 +203,117 @@ def quotient_dim_jet(I: IdealGens, order: int) -> int:
     return jet_quotient(I, order)[0]
 
 
+# -- one least-term count for every jet order -----------------------------------
+
+
+# The prime of the nu scan's order predictor: small enough for fast integer
+# arithmetic, large enough that an unlucky rank drop is rare.
+_PREDICTOR_MODULUS = 2**61 - 1
+
+
+def _gkey(e: Exponents) -> tuple[int, ...]:
+    """``graded_key`` flattened to one tuple, (total degree, reversed
+    exponents), so that plain tuple comparison orders it; it is additive
+    in the exponents."""
+    return (sum(e),) + e[::-1]
+
+
+class _JetCounts:
+    """q(k) = dim O/(W + m^k) for every jet order k from one echelon.
+
+    W is spanned by the generators g x^m (g in I) and, when ``image`` is
+    given, the twisted images V~(x^m).  Each generator goes in once, at the
+    first order k above a lower bound of its order: ord(g) + |m| for
+    g x^m, |m| - ``drop`` for V~(x^m).  Rows are integer vectors with
+    distinct least terms (leads) under ``graded_key``; an insert cancels
+    only leads, so rows are never fully reduced.  Terms of degree
+    ``cap`` and above are dropped, which changes no q(k) with k <= cap.
+
+    Lemma: once every generator of order < k is in, q(k) = #monomials of
+    degree < k - #rows with lead degree < k.  A row with lead degree >= k
+    lies in m^k, and the other rows keep their distinct leads mod m^k, so
+    they are a basis of (W + m^k)/m^k.  An insert never lowers a lead
+    below the generator's order, so the count for k is final from then on.
+
+    With ``modulus`` p the rows live over GF(p).  The count then bounds the
+    rational one from above, q_p(k) >= q(k), since reduction mod p cannot
+    raise a rank; it may only pick an order, never certify one.
+    """
+
+    def __init__(
+        self,
+        I: IdealGens,
+        image: Optional[Callable[[Exponents], dict[Exponents, int]]] = None,
+        drop: int = 0,
+        cap: Optional[int] = None,
+        modulus: Optional[int] = None,
+    ):
+        self.n, self.ones = len(I.variables), (1,) * len(I.variables)
+        self.gens = [
+            (g.order(), [(_gkey(e), c) for e, c in integer_terms(g)])
+            for g in I.generators
+        ]
+        self.image, self.drop, self.cap, self.modulus = image, drop, cap, modulus
+        self.rows: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+        self.lead_degrees: Counter[int] = Counter()  # rows per lead degree
+        self.order = 0  # every generator of order < self.order is in
+
+    def quotient_dim(self, k: int) -> int:
+        while self.order < k:
+            self._advance()
+        return comb(self.n + k - 1, self.n) - sum(self.lead_degrees[d] for d in range(k))
+
+    def _advance(self) -> None:
+        """Insert the generators whose order bound is self.order."""
+        k = self.order = self.order + 1
+        for g_ord, terms in self.gens:
+            for m in monomials_of_weighted_degree(self.n, self.ones, k - 1 - g_ord):
+                mkey = _gkey(m)
+                self._insert({tuple(map(add, e, mkey)): c for e, c in terms})
+        if self.image is not None:
+            degrees = range(self.drop + 1) if k == 1 else (k - 1 + self.drop,)
+            for d in degrees:
+                for m in monomials_of_weighted_degree(self.n, self.ones, d):
+                    self._insert({_gkey(e): c for e, c in self.image(m).items()})
+
+    def _insert(self, vec: dict[tuple[int, ...], int]) -> None:
+        p, rows = self.modulus, self.rows
+        if self.cap is not None:
+            vec = {e: c for e, c in vec.items() if e[0] < self.cap}
+        if p is not None:
+            vec = {e: c % p for e, c in vec.items() if c % p}
+        while vec:
+            lead = min(vec)
+            row = rows.get(lead)
+            if row is None:
+                if p is None:
+                    _make_primitive(vec, None)
+                else:
+                    inv = pow(vec[lead], -1, p)
+                    vec = {e: c * inv % p for e, c in vec.items()}
+                rows[lead] = vec
+                self.lead_degrees[lead[0]] += 1
+                return
+            if p is None:
+                _cancel(vec, None, lead, row, None)
+                continue
+            c = vec[lead]  # rows over GF(p) are monic
+            for e, v in row.items():
+                acc = (vec.get(e, 0) - c * v) % p
+                if acc:
+                    vec[e] = acc
+                else:
+                    vec.pop(e, None)
+
+
+def _nakayama_order(counts: _JetCounts) -> int:
+    """The first k with q(k + 1) = q(k); see ``local_quotient``."""
+    k = 1
+    while counts.quotient_dim(k + 1) != counts.quotient_dim(k):
+        k += 1
+    return k
+
+
 # -- weighted-degree slices -----------------------------------------------------
 
 
@@ -266,32 +380,52 @@ def local_quotient(
       Every slice is O_e = sum_j x_j O_(e - w_j), so once (O/I)_e = 0 on
       wmax = max w_j consecutive nonempty slices (a run of degrees at
       least wmax long), induction on e gives (O/I)_e = 0 above them.
-    * Without, the jet orders k = 1, 2, ... with q(k) = dim O/(I + m^k).
-      At the first k with q(k + 1) = q(k), m^k lies in I + m^(k+1), so
-      m^k lies in I O_0 by Nakayama's lemma (Atiyah-Macdonald, Cor. 2.7)
-      and O_0/I O_0 = O/(I + m^k).
+    * Without, the jet orders k = 1, 2, ... with q(k) = dim O/(I + m^k),
+      all counted exactly by one ``_JetCounts`` with no cap.  At the first
+      k with q(k + 1) = q(k), m^k lies in I + m^(k+1), so m^k lies in
+      I O_0 by Nakayama's lemma (Atiyah-Macdonald, Cor. 2.7) and
+      O_0/I O_0 = O/(I + m^k).  The basis comes from one ``jet_quotient``
+      at that k.
 
     The basis picks, in graded order, each monomial independent of I and
     of the monomials picked before it.
     """
     if weights is not None:
-        graded = _GradedIdeal(I, weights)
-        wmax = max(graded.int_weights)
-        basis: list[Exponents] = []
-        empty_run = 0
-        for wdeg, monos in graded.nonempty_slices():
-            span = graded.slice_span(wdeg)
-            new = [m for m in monos if span.insert({m: 1})]
-            basis.extend(new)
-            empty_run = 0 if new else empty_run + 1
-            if empty_run == wmax:
-                return len(basis), basis
-    previous = jet_quotient(I, 1)
-    for order in count(2):
-        current = jet_quotient(I, order)
-        if current[0] == previous[0]:
-            return previous
-        previous = current
+        basis = [
+            m
+            for span, monos in _graded_colength_slices(I, weights)
+            for m in monos
+            if span.insert({m: 1})
+        ]
+        return len(basis), basis
+    return jet_quotient(I, _nakayama_order(_JetCounts(I)))
+
+
+def local_colength(I: IdealGens, weights: Optional[WeightSystem] = None) -> int:
+    """dim O/I at the origin by the scans of ``local_quotient``, with no
+    basis: the slice ranks, or the exact jet count at the Nakayama order."""
+    if weights is not None:
+        return sum(
+            len(monos) - span.rank for span, monos in _graded_colength_slices(I, weights)
+        )
+    counts = _JetCounts(I)
+    return counts.quotient_dim(_nakayama_order(counts))
+
+
+def _graded_colength_slices(
+    I: IdealGens, weights: WeightSystem
+) -> Iterator[tuple[Span, tuple[Exponents, ...]]]:
+    """The nonempty slices (span of I, monomials) of ``local_quotient``'s
+    graded scan, up to its stop after wmax empty quotient slices."""
+    graded = _GradedIdeal(I, weights)
+    wmax = max(graded.int_weights)
+    empty_run = 0
+    for wdeg, monos in graded.nonempty_slices():
+        span = graded.slice_span(wdeg)
+        empty_run = empty_run + 1 if span.rank == len(monos) else 0
+        yield span, monos
+        if empty_run == wmax:
+            return
 
 
 # -- twisted quotients --------------------------------------------------------
@@ -328,6 +462,15 @@ def _twisted_shift(
     return shift
 
 
+def _twisted_drop(V: VectorField, div: Poly) -> int:
+    """How far the twisted action lowers the order: ord V~(x^m) >= |m| - drop."""
+    return max(
+        [0]
+        + [1 - c.order() for c in V.coefficients if not c.is_zero]
+        + ([] if div.is_zero else [-div.order()])
+    )
+
+
 def _reached(basis: list[Exponents], target: int) -> bool:
     """Whether a scan's lower bound len(basis) has reached ``target``; a
     bound past it contradicts the target, which is a defect."""
@@ -352,13 +495,21 @@ def twisted_quotient_dim(
     The twisted action is h -> V.h + div(V) h.  With a weight certificate
     under which the field is graded the scan runs over weighted slices,
     each finite exact linear algebra, up to weighted degree
-    ``jet_cap * max weight``; otherwise over the jet orders 10, 12, ... up
+    ``jet_cap * max weight``; otherwise over the jet orders 1, 2, ... up
     to ``jet_cap``.  The slice partial sums and the jet dimensions
-    dim O/(I + V~(O) + m^N) are the dimensions of quotients of the full
-    quotient, so they are nondecreasing lower bounds of it, and the scan
-    stops at the first slice or order that reaches ``target``.  A bound
-    past ``target``, or a negative ``target``, raises RuntimeError; a cap
-    reached first raises InconclusiveError.
+    nu_N = dim O/(I + V~(O) + m^N) are the dimensions of quotients of the
+    full quotient, so they are nondecreasing lower bounds of it, and the
+    scan stops at the first slice or order that reaches ``target``.
+
+    The jet orders are scanned by one ``_JetCounts`` over GF(p) with
+    terms of degree ``jet_cap`` and above dropped; its count bounds nu_N
+    from above, so its first order reaching ``target`` is never past the
+    true stop.  Only there is the exact span built (ideal jets, truncated
+    twisted images, then the greedy monomials), and its basis size is the
+    certificate; when an unlucky prime made the count run ahead, the
+    exact span is built again one order on.  A bound past ``target``, or
+    a negative ``target``, raises RuntimeError; a cap reached first raises
+    InconclusiveError.
     """
     if V.variables != I.variables:
         raise InputError("ideal and vector field live in different rings")
@@ -399,23 +550,15 @@ def twisted_quotient_dim(
                 wdeg_cap=wdeg_cap,
             )
     # jet path
-    drop = 0
-    for i, coeff in enumerate(V.coefficients):
-        o = coeff.order()
-        if o is not None:
-            drop = max(drop, 1 - o)
-    div_ord = div.order()
-    if div_ord is not None:
-        drop = max(drop, -div_ord)
-
-    images: dict[Exponents, Vec] = {}  # twisted images, shared by all jet orders
-    orders = range(max(6, min(10, jet_cap)), jet_cap + 1, 2)
-    for order in orders:
+    drop = _twisted_drop(V, div)
+    image = lru_cache(maxsize=None)(twisted_image)
+    predictor = _JetCounts(I, image, drop, jet_cap, _PREDICTOR_MODULUS)
+    for order in range(1, jet_cap + 1):
+        if predictor.quotient_dim(order) < target:
+            continue
         span = ideal_jet_span(I, order)
         for m in monomials_below(n, order + drop):
-            if m not in images:
-                images[m] = twisted_image(m)
-            vec = truncate_vec(images[m], order)
+            vec = truncate_vec(image(m), order)
             if vec:
                 span.insert(vec)
         basis = [m for m in monomials_below(n, order) if span.insert({m: 1})]
@@ -424,6 +567,5 @@ def twisted_quotient_dim(
     raise InconclusiveError(
         "twisted quotient did not reach the target nu",
         target=target,
-        first_order=orders.start,
         jet_cap=jet_cap,
     )

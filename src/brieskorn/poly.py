@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from operator import mul
+from operator import add, mul
 from typing import Mapping, Optional, Sequence, Union
 
 from .errors import InputError, ParseError
@@ -73,6 +73,16 @@ class Poly:
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("Poly is immutable")
+
+    @classmethod
+    def _trusted(cls, variables: tuple[str, ...], terms: dict[Exponents, Fraction]) -> "Poly":
+        """A Poly on an already clean ``terms`` (valid exponents, nonzero
+        Fractions), taken without a copy: the constructor of arithmetic
+        results, whose inputs were validated when they were built."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "variables", variables)
+        object.__setattr__(p, "terms", terms)
+        return p
 
     # -- constructors ------------------------------------------------------
 
@@ -150,8 +160,8 @@ class Poly:
         self._check_ring(other)
         out = dict(self.terms)
         for exps, coeff in other.terms.items():
-            out[exps] = out.get(exps, Fraction(0)) + coeff
-        return Poly(self.variables, out)
+            out[exps] = out.get(exps, 0) + coeff
+        return Poly._trusted(self.variables, {e: c for e, c in out.items() if c})
 
     def __sub__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
@@ -159,21 +169,25 @@ class Poly:
         return self + (-other)
 
     def __neg__(self) -> "Poly":
-        return Poly(self.variables, {e: -c for e, c in self.terms.items()})
+        return Poly._trusted(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other: Union["Poly", Scalar]) -> "Poly":
         if isinstance(other, (int, Fraction)):
             scalar = as_fraction(other)
-            return Poly(self.variables, {e: c * scalar for e, c in self.terms.items()})
+            if not scalar:
+                return Poly._trusted(self.variables, {})
+            return Poly._trusted(
+                self.variables, {e: c * scalar for e, c in self.terms.items()}
+            )
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_ring(other)
         out: dict[Exponents, Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return Poly(self.variables, out)
+                key = tuple(map(add, e1, e2))
+                out[key] = out.get(key, 0) + c1 * c2
+        return Poly._trusted(self.variables, {e: c for e, c in out.items() if c})
 
     def __rmul__(self, other: Scalar) -> "Poly":
         return self.__mul__(other)
@@ -196,15 +210,15 @@ class Poly:
         if variable not in self.variables:
             raise InputError(f"unknown variable {variable!r} (ring has {self.variables})")
         idx = self.variables.index(variable)
-        out: dict[Exponents, Fraction] = {}
-        for exps, coeff in self.terms.items():
-            if exps[idx] == 0:
-                continue
-            new = list(exps)
-            new[idx] -= 1
-            key = tuple(new)
-            out[key] = out.get(key, Fraction(0)) + coeff * exps[idx]
-        return Poly(self.variables, out)
+        # distinct exponents stay distinct when one entry drops by 1
+        return Poly._trusted(
+            self.variables,
+            {
+                exps[:idx] + (exps[idx] - 1,) + exps[idx + 1 :]: coeff * exps[idx]
+                for exps, coeff in self.terms.items()
+                if exps[idx]
+            },
+        )
 
     def substitute(self, mapping: Mapping[str, "Poly"]) -> "Poly":
         """Substitute polynomials for variables (all in the same target ring)."""

@@ -13,10 +13,12 @@ from brieskorn.linalg import Span
 from brieskorn.local_algebra import (
     IdealGens,
     _GradedIdeal,
+    _ShiftedImages,
     ideal_jet_span,
     jacobian_ideal,
     jet_quotient,
     monomials_below,
+    truncate_vec,
 )
 from brieskorn.poly import Poly, WeightSystem
 
@@ -172,3 +174,35 @@ def mu(
         jet_orders=tuple(orders),
     )
     return MuResult(value, tuple(jet_basis), False, tried)
+
+
+def nu_jet_basis(I: IdealGens, V, order: int) -> list:
+    """Greedy monomial basis of O/(I + V~(O) + m^order) from one full exact
+    span: the ideal jets, every twisted image V~(x^m) truncated below
+    ``order`` (|m| < order + drop suffices), then the monomials."""
+    n = len(I.variables)
+    div = V.divergence()
+    image = _ShiftedImages(V.coefficients, div)
+    drop = max(
+        [0]
+        + [1 - c.order() for c in V.coefficients if not c.is_zero]
+        + ([] if div.is_zero else [-div.order()])
+    )
+    span = ideal_jet_span(I, order)
+    for m in monomials_below(n, order + drop):
+        vec = truncate_vec(image(m), order)
+        if vec:
+            span.insert(vec)
+    return [m for m in monomials_below(n, order) if span.insert({m: 1})]
+
+
+def nu_jet_reference(I: IdealGens, V, target: int, jet_cap: int = 24):
+    """Reference jet nu basis by the scan the package ran before its jet
+    orders started at 1: the orders 10, 12, ... up to ``jet_cap``, each a
+    full exact span (``nu_jet_basis``).  Returns the basis at the first
+    order whose size reaches ``target``, or None when the cap comes first."""
+    for order in range(max(6, min(10, jet_cap)), jet_cap + 1, 2):
+        basis = nu_jet_basis(I, V, order)
+        if len(basis) >= target:
+            return tuple(basis)
+    return None

@@ -14,7 +14,7 @@ import pytest
 import brieskorn
 from brieskorn import cli
 from brieskorn.cli import EXIT_INCONCLUSIVE, EXIT_INVALID, EXIT_OK, main
-from brieskorn.curve import FactoredCurve
+from brieskorn.curve import FactoredCurve, milnor_fibre_betti
 
 GOLDEN = [
     "invariants",
@@ -155,23 +155,44 @@ class TestInvariantsCommand:
         assert code == EXIT_OK
 
     def test_inconclusive_exit_code(self):
-        # the cap is below the first jet order: the nu scan cannot start
+        # the sextic's nu scan reaches its target at jet order 3, above the cap
         code, _ = run(
             ["invariants", "--factors", "x:3", "--residual", "x^3+y^3",
-             "--jet-cap", "5"]
+             "--jet-cap", "2"]
         )
         assert code == EXIT_INCONCLUSIVE
+        code, _ = run(
+            ["invariants", "--factors", "x:3", "--residual", "x^3+y^3",
+             "--jet-cap", "3"]
+        )
+        assert code == EXIT_OK
 
-    def test_cap_below_the_first_jet_order_names_the_least_cap(self, capsys):
-        # mu reads no cap; the jet nu scan starts at order 6, above the cap 5
+    @pytest.mark.parametrize("weights", [[], ["--weights", "1,1"]], ids=["jet", "graded"])
+    def test_target_past_nu_exits_2_never_a_number(self, monkeypatch, weights):
+        # a b_1 + 1 mutant: no scan reaches the target, so the cap ends it
+        monkeypatch.setattr(
+            "brieskorn.curve.milnor_fibre_betti",
+            lambda c, ws=None: milnor_fibre_betti(c, ws) + 1,
+        )
+        code, text = run(
+            ["invariants", "--factors", "x:3", "--residual", "x^3+y^3", *weights,
+             "--format", "json"]
+        )
+        assert (code, text) == (EXIT_INCONCLUSIVE, "")
+
+    def test_cap_below_the_stop_order_names_target_and_cap(self, capsys):
+        # mu and b_1 read no cap; the jet nu scan runs the orders 1, 2, ...
+        # and reaches its target 54 at order 20, above the cap 5
         code, _ = run(
             ["invariants", "--factors", "x:3,x^2-y^5:2,x^2+y^5:2", "--vars", "x,y",
              "--jet-cap", "5"]
         )
         assert code == EXIT_INCONCLUSIVE
         message = capsys.readouterr().err
-        assert "twisted quotient did not reach the target nu" in message
-        assert "first_order=6" in message and "jet_cap=5" in message
+        assert message == (
+            "inconclusive: twisted quotient did not reach the target nu "
+            "[jet_cap=5, target=54]\n"
+        )
         # at the default cap the same input concludes (deg f = 23 once put
         # jet mu's first order at 25, past the cap)
         code, text = run(
@@ -421,8 +442,8 @@ class TestCurveExpansion:
 
 class TestConfiguration:
     def test_env_override_for_jet_cap(self, monkeypatch):
-        # below the first jet order of the nu scan
-        monkeypatch.setenv("BRIESKORN_JET_CAP", "5")
+        # below the sextic's nu stop order, 3
+        monkeypatch.setenv("BRIESKORN_JET_CAP", "2")
         code, _ = run(
             ["invariants", "--factors", "x:3", "--residual", "x^3+y^3"]
         )
@@ -438,7 +459,7 @@ class TestConfiguration:
         assert code == EXIT_INVALID
 
     def test_flag_beats_environment(self, monkeypatch):
-        monkeypatch.setenv("BRIESKORN_JET_CAP", "5")
+        monkeypatch.setenv("BRIESKORN_JET_CAP", "2")
         code, _ = run(
             ["invariants", "--factors", "x:3", "--residual", "x^3+y^3",
              "--jet-cap", "24"]

@@ -3,10 +3,12 @@ a-action, witnesses, and transversal Milnor numbers."""
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 from math import gcd
 from operator import mul
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -36,6 +38,10 @@ from brieskorn.linalg import Span
 from brieskorn.local_algebra import (
     IdealGens,
     _GradedIdeal,
+    _JetCounts,
+    _PREDICTOR_MODULUS,
+    _ShiftedImages,
+    _twisted_drop,
     common_denominator,
     integer_terms,
     jacobian_ideal,
@@ -46,7 +52,7 @@ from brieskorn.local_algebra import (
 from brieskorn.poly import Poly, WeightSystem, parse_polynomial
 from brieskorn.suspension import milnor_isolated
 
-from conftest import mu
+from conftest import mu, nu_jet_basis, nu_jet_reference
 
 XY = ("x", "y")
 
@@ -832,3 +838,75 @@ class TestMilnorFibreBetti:
     def test_equals_pinned_rank(self, curve, weights, rank):
         ws = WeightSystem.for_poly(curve.expand(), weights) if weights else None
         assert milnor_fibre_betti(curve, ws) == rank
+
+
+def jet_corpus() -> list[FactoredCurve]:
+    """The curves of the benchmark corpus's jet workload."""
+    corpus = Path(__file__).resolve().parents[1] / "bench" / "corpus.json"
+    curves = []
+    for entry in json.loads(corpus.read_text(encoding="utf-8"))["jet"]:
+        factors = [f.rsplit(":", 1) for f in entry["factors"].split(",")]
+        curves.append(factored([(t, int(m)) for t, m in factors], entry.get("residual")))
+    return curves
+
+
+class TestJetNuScan:
+    """The jet nu scan of the orders 1, 2, ..., whose order is picked by a
+    count modulo a prime and certified by the exact span there, against the
+    scan of the orders 10, 12, ... it replaced (conftest
+    ``nu_jet_reference``)."""
+
+    @staticmethod
+    def reference(curve: FactoredCurve, target: int):
+        sat = IdealGens.of(XY, [curve.multiplicity_cofactor()])
+        return nu_jet_reference(sat, annihilator_field(curve), target)
+
+    @staticmethod
+    def nu_exponents(report) -> list:
+        return sorted(e for m in report.basis_nu for e in m.terms)
+
+    @pytest.mark.parametrize("curve", jet_corpus(), ids=str)
+    def test_basis_equals_the_order_ten_scan(self, curve):
+        report = invariants(curve)
+        reference = self.reference(curve, report.nu)
+        assert reference is not None and len(reference) == report.nu
+        assert self.nu_exponents(report) == sorted(reference)
+
+    @pytest.mark.parametrize("curve", jet_corpus()[::3], ids=str)
+    def test_twisted_count_is_nu_at_every_order(self, curve):
+        # the count kernel with the twisted images gives nu_N at every N,
+        # exactly over the integers; modulo the predictor's prime it never
+        # counts less
+        sat = IdealGens.of(XY, [curve.multiplicity_cofactor()])
+        field = annihilator_field(curve)
+        div = field.divergence()
+        image = _ShiftedImages(field.coefficients, div)
+        drop = _twisted_drop(field, div)
+        exact = _JetCounts(sat, image, drop, cap=12)
+        modular = _JetCounts(sat, image, drop, cap=12, modulus=_PREDICTOR_MODULUS)
+        for order in range(1, 13):
+            nu_order = len(nu_jet_basis(sat, field, order))
+            assert exact.quotient_dim(order) == nu_order
+            assert modular.quotient_dim(order) >= nu_order
+
+    @pytest.mark.parametrize("modulus", [2, 3])
+    def test_a_small_prime_changes_no_report(self, monkeypatch, modulus):
+        # the count runs ahead of nu_N mod 2 or 3, so the exact span is
+        # built at orders short of the stop, and only it may decide
+        monkeypatch.setattr("brieskorn.local_algebra._PREDICTOR_MODULUS", modulus)
+        for curve in jet_corpus():
+            report = invariants(curve)
+            reference = self.reference(curve, milnor_fibre_betti(curve) - report.mu)
+            assert report.nu == len(reference)
+            assert self.nu_exponents(report) == sorted(reference)
+
+    @pytest.mark.parametrize("curve", jet_corpus(), ids=str)
+    def test_target_past_nu_is_inconclusive(self, monkeypatch, curve):
+        # a b_1 + 1 mutant: no order reaches the target, the cap ends the scan
+        betti = milnor_fibre_betti(curve)
+        monkeypatch.setattr(
+            "brieskorn.curve.milnor_fibre_betti", lambda c, ws=None: betti + 1
+        )
+        with pytest.raises(InconclusiveError, match="did not reach the target nu") as info:
+            invariants(curve)
+        assert info.value.context["jet_cap"] == 24

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Hashable, Iterable, Optional
 
 from hypothesis import given, strategies as st
@@ -196,6 +197,21 @@ def test_span_matches_reference(vectors, probes, order):
     for vec in probes + vectors:
         assert ordered(span.reduce(vec)) == ordered(ref.reduce(vec))
         assert span.contains(vec) == ref.contains(vec)
+
+
+@given(vector_lists(), st.sampled_from(sorted(ORDERS)))
+def test_integer_vectors_span_as_their_fractions(vectors, order):
+    # all-integer input skips the denominator scan; scaling a vector to
+    # integers changes no row, no insert result and no membership
+    integers = []
+    for vec in vectors:
+        scale = lcm(*(v.denominator for v in vec.values()))
+        integers.append({k: int(v * scale) for k, v in vec.items()})
+    span, int_span = Span(ORDERS[order]), Span(ORDERS[order])
+    for vec, int_vec in zip(vectors, integers):
+        assert int_span.insert(int_vec) == span.insert(vec)
+    assert int_span.row_vectors() == span.row_vectors()
+    assert all(span.contains(v) for v in integers)
 
 
 @given(vector_lists(), st.sampled_from(sorted(ORDERS)))

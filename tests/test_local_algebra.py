@@ -21,11 +21,14 @@ from brieskorn.groebner import isolated_at_origin, saturate_at_origin, torsion_l
 from brieskorn.local_algebra import (
     IdealGens,
     _GradedIdeal,
+    _JetCounts,
     _ShiftedImages,
+    _nakayama_order,
     ideal_jet_span,
     jacobian_ideal,
     jet_key_order,
     jet_quotient,
+    local_colength,
     local_quotient,
     monomials_below,
     monomials_of_weighted_degree,
@@ -297,7 +300,7 @@ class TestLocalQuotient:
         I = IdealGens.of(XY, generators)
         assume(isolated_at_origin(I))
         dim, basis = local_quotient(I)
-        assert dim == len(basis) == torsion_length(I)
+        assert dim == len(basis) == torsion_length(I) == local_colength(I)
 
     @given(weighted_ideals())
     def test_graded_scan_equals_jet_scan(self, data):
@@ -306,6 +309,7 @@ class TestLocalQuotient:
         graded_dim, graded_basis = local_quotient(I, ws)
         jet_dim, jet_basis = local_quotient(I)
         assert graded_dim == len(graded_basis) == jet_dim == torsion_length(I)
+        assert local_colength(I, ws) == graded_dim
         if ws.weights == (1, 1):  # the same greedy order
             assert graded_basis == jet_basis
 
@@ -323,6 +327,53 @@ class TestLocalQuotient:
     def test_unit_ideal(self):
         assert local_quotient(ideal("1 + x", "y")) == (0, [])
         assert local_quotient(ideal("2", "x"), WeightSystem((1, 1), 1)) == (0, [])
+
+
+@st.composite
+def isolated_ideals(draw):
+    """x_i^(a_i) + r_i for each variable, r_i vanishing at 0, and at most
+    one more vanishing generator, in two or three variables; kept when the
+    ideal is isolated at 0."""
+    variables = draw(st.sampled_from([XY, XYZ]))
+    generators = []
+    for i in range(len(variables)):
+        power = tuple(draw(st.integers(1, 4)) if j == i else 0 for j in range(len(variables)))
+        generators.append(Poly.monomial(variables, power) + draw(vanishing_polys(variables)))
+    generators += draw(st.lists(vanishing_polys(variables), max_size=1))
+    assume(not any(g.is_zero for g in generators))
+    I = IdealGens.of(variables, generators)
+    assume(isolated_at_origin(I))
+    return I
+
+
+class TestJetCounts:
+    """The least-term count gives dim O/(I + m^k) for every order k at once;
+    over GF(p) it never counts less."""
+
+    @given(isolated_ideals())
+    @example(ideal("x^2", "y^3"))
+    @example(ideal("x - x^2", "y^2 - y^3"))
+    @example(ideal("1 + x", "y"))
+    def test_equals_the_jet_quotient_at_every_order(self, I):
+        # a cap of 12 changes no count below it; the capless count (the
+        # Nakayama scan's) is read up to the order after its stop
+        exact, modular = _JetCounts(I, cap=12), _JetCounts(I, cap=12, modulus=3)
+        capless = _JetCounts(I)
+        stop = _nakayama_order(capless)
+        for k in range(1, 13):
+            q = quotient_dim_jet(I, k)
+            assert exact.quotient_dim(k) == q
+            assert modular.quotient_dim(k) >= q
+            if k <= stop + 1:
+                assert capless.quotient_dim(k) == q
+
+    def test_counts_in_any_order_of_asking(self):
+        I = ideal("x^3 + y^4", "x*y^2")
+        counts = _JetCounts(I)
+        assert counts.quotient_dim(9) == quotient_dim_jet(I, 9)
+        assert [counts.quotient_dim(k) for k in range(1, 10)] == [
+            quotient_dim_jet(I, k) for k in range(1, 10)
+        ]
 
 
 def saturation(f):
@@ -394,8 +445,8 @@ class TestTwistedQuotient:
         assert [str(Poly.monomial(XY, e)) for e in result.basis] == ["1", "x", "y", "x*y"]
 
     def test_sextic_jet_path(self):
-        # the first jet order, 10, reaches the target
-        result = self.sextic(4, False, jet_cap=10)
+        # nu_3 = 4: the jet order 3 reaches the target
+        result = self.sextic(4, False, jet_cap=3)
         assert result.dim == 4
         assert [str(Poly.monomial(XY, e)) for e in result.basis] == ["1", "x", "y", "x*y"]
 
@@ -407,16 +458,22 @@ class TestTwistedQuotient:
             return ideal_jet_span(I, order)
 
         monkeypatch.setattr("brieskorn.local_algebra.ideal_jet_span", counted)
-        # the scan stops at the first order that reaches the target ...
+        # nu_1, nu_2, nu_3 = 1, 3, 4: the orders run from 1, and the exact
+        # span is built once, at order 3, the first that reaches the target
         assert self.sextic(4, False, jet_cap=20).dim == 4
-        assert orders == [10]
-        # ... and a target above nu is never reached: the cap ends the scan
+        assert orders == [3]
+        # a target above nu is never reached: the count never asks for the
+        # exact span, and the cap ends the scan
         with pytest.raises(
             InconclusiveError, match="twisted quotient did not reach the target nu"
         ) as info:
             self.sextic(5, False, jet_cap=12)
-        assert info.value.context == {"target": 5, "first_order": 10, "jet_cap": 12}
-        assert orders == [10, 10, 12]
+        assert info.value.context == {"target": 5, "jet_cap": 12}
+        assert orders == [3]
+        # a cap below the stop order is inconclusive too
+        with pytest.raises(InconclusiveError) as info:
+            self.sextic(4, False, jet_cap=2)
+        assert info.value.context == {"target": 4, "jet_cap": 2}
 
     def test_graded_cap_exhausted(self):
         with pytest.raises(
@@ -426,11 +483,11 @@ class TestTwistedQuotient:
         assert info.value.context == {"target": 5, "wdeg_cap": 12}
 
     def test_overshoot_raises(self):
-        # the graded slices of the sextic give the totals 1, 3, 4, passing 2
-        with pytest.raises(RuntimeError, match="found 3 classes, past the target 2"):
-            self.sextic(2, True)
-        with pytest.raises(RuntimeError, match="found 4 classes, past the target 3"):
-            self.sextic(3, False)
+        # the graded slices of the sextic give the totals 1, 3, 4 and the jet
+        # orders 1, 2, 3 give nu_N = 1, 3, 4: both pass 2 at their second step
+        for graded in (True, False):
+            with pytest.raises(RuntimeError, match="found 3 classes, past the target 2"):
+                self.sextic(2, graded)
 
     @pytest.mark.parametrize("graded", [True, False], ids=["graded", "jet"])
     def test_negative_target_raises(self, graded):

@@ -80,6 +80,14 @@ class TestArithmetic:
         with pytest.raises(InputError):
             p("x") + parse_polynomial("z", ("z",))
 
+    @given(polys(), polys(), st.sampled_from([0, 1, -3, Fraction(2, 3)]))
+    def test_results_are_what_the_validating_constructor_builds(self, a, b, k):
+        # arithmetic skips the constructor's checks; its results must still
+        # hold only nonzero Fraction coefficients
+        for result in (a + b, a - b, -a, a * b, a * k, k * a, a.derivative("y")):
+            assert result == Poly(result.variables, result.terms)
+            assert all(type(c) is Fraction and c for c in result.terms.values())
+
 
 class TestDerivative:
     def test_basic_examples(self):
