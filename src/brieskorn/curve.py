@@ -394,11 +394,18 @@ def _basis_sort_key(p: Poly):
 
 def a_action_coefficient(ws: WeightSystem, rep: Poly) -> Fraction:
     """Predicted coefficient c with  a[m] = c b[m]:
-    (weighted degree of m + sum of the weights) / total degree."""
-    degree = rep.quasi_homogeneous_degree(ws.weights)
-    if degree is None:
+    (weighted degree of m + sum of the weights) / total degree, read in
+    the integer-scaled weights."""
+    int_weights, scale = ws.integer_scaled()
+    if len(int_weights) != len(rep.variables):
+        raise InputError("weight count does not match variable count")
+    degrees = {sum(map(mul, e, int_weights)) for e in rep.terms}
+    if len(degrees) != 1:
         raise InputError(f"basis representative {rep} is not quasi-homogeneous")
-    return (degree + sum(ws.weights, Fraction(0))) / ws.total_degree
+    total = ws.total_degree
+    return Fraction(
+        (degrees.pop() + sum(int_weights)) * total.denominator, scale * total.numerator
+    )
 
 
 def a_action(
@@ -409,8 +416,10 @@ def a_action(
 ) -> tuple[tuple[Poly, Fraction], ...]:
     """a-action coefficients on the given basis classes, each verified by
     the membership oracle before inclusion.  One oracle serves the whole
-    basis, so representatives of one weighted degree share its span;
-    ``alpha`` is the annihilator form when the caller has built it."""
+    basis: it proves each predicted coefficient with the Euler-field
+    witness, and representatives the witness misses share the span of
+    their weighted degree; ``alpha`` is the annihilator form when the
+    caller has built it."""
     if alpha is None:
         alpha = annihilator_form(curve)
     holds = _action_oracle(curve.expand(), alpha, ws)
@@ -456,6 +465,10 @@ def action_relation_holds(
     d(eta)).  With one variable there is no eta and the claim is a
     polynomial identity.  For quasi-homogeneous f only the eta of one
     weighted degree can contribute, so the test is a finite exact solve.
+    A True answer rests on an exact identity among the generators of that
+    span: the explicit Euler-field primitive of ``_action_oracle`` at the
+    predicted coefficient, or else the reduced span itself, which alone
+    gives every False.
     """
     return _action_oracle(f, alpha, ws)(m, coefficient)
 
@@ -491,15 +504,18 @@ def _action_oracle(
 
     The exact forms d(eta ^ alpha), eta = x^h dx_I, are integer exponent
     shifts (``_exact_form_images``) whose operators come from alpha alone,
-    never from the slices of the nu scan.  The span of the d(eta ^ alpha) of
-    one eta weighted degree is built when a representative first needs it
-    and reused for every later representative of that degree."""
+    never from the slices of the nu scan.  Each (m, c) is first tried on
+    one explicit eta (``_euler_witness``); equality proves membership.  On
+    a miss, the span of the d(eta ^ alpha) of one eta weighted degree
+    decides: it is built when a representative first needs it and reused
+    for every later representative of that degree."""
     variables = f.variables
     n = len(variables)
     int_weights, scale = ws.integer_scaled()
+    form_images = _exact_form_images(alpha)
     images = [
         (sum(int_weights[j] for j in index_set), image)
-        for index_set, image in _exact_form_images(alpha)
+        for index_set, image in form_images
     ]
     # weighted degree bookkeeping: d(eta ^ alpha) matches omega exactly when
     # w(eta) = w(omega as a form) - w(alpha as a form)
@@ -509,18 +525,8 @@ def _action_oracle(
     scale_f = common_denominator(f)
     f_terms = integer_terms(f, scale_f)
     fx0_terms = integer_terms(f.derivative(variables[0]), scale_f)
+    witness = _euler_witness(f, alpha, ws, dict(form_images), scale_f)
     spans: dict[int, Span] = {}
-
-    def eta_span(eta_degree: int) -> Span:
-        span = Span(jet_key_order)
-        for index_degree, image in images:
-            for h_exp in monomials_of_weighted_degree(
-                n, int_weights, eta_degree - index_degree
-            ):
-                vec = image(h_exp)
-                if vec:
-                    span.insert(vec)
-        return span
 
     def holds(m: Poly, coefficient: Fraction) -> bool:
         target = _action_target(f_terms, fx0_terms, m, coefficient)
@@ -529,10 +535,107 @@ def _action_oracle(
         degrees = {sum(map(mul, e, int_weights)) for e in target}
         if len(degrees) != 1 or alpha_degree is None:
             raise InputError("forms are not quasi-homogeneous under the certificate")
+        if witness is not None and witness(m, coefficient, target):
+            return True
         eta_degree = int(degrees.pop() + sum(int_weights) - alpha_degree * scale)
         if eta_degree not in spans:
-            spans[eta_degree] = eta_span(eta_degree)
+            spans[eta_degree] = _eta_span(images, n, int_weights, eta_degree)
         return spans[eta_degree].contains(target)
+
+    return holds
+
+
+def _eta_span(
+    images: list[tuple[int, _ShiftedImages]],
+    n: int,
+    int_weights: tuple[int, ...],
+    eta_degree: int,
+) -> Span:
+    """The span of the d(eta ^ alpha) over the monomial eta = x^h dx_I of
+    integer weighted degree ``eta_degree``; ``images`` pairs the weighted
+    degree of each dx_I with its image map."""
+    span = Span(jet_key_order)
+    for index_degree, image in images:
+        for h_exp in monomials_of_weighted_degree(
+            n, int_weights, eta_degree - index_degree
+        ):
+            vec = image(h_exp)
+            if vec:
+                span.insert(vec)
+    return span
+
+
+def _euler_witness(
+    f: Poly,
+    alpha: DiffForm,
+    ws: WeightSystem,
+    images: dict[tuple[int, ...], _ShiftedImages],
+    scale_f: int,
+) -> Optional[Callable[[Poly, Fraction, dict[Exponents, int]], bool]]:
+    """An exact check of  omega = f m vol - c df ^ xi = d(eta ^ alpha)  for
+    one explicit eta, as a function of (m, c, target); None when there is
+    no such eta (one variable, or df not a polynomial multiple of alpha).
+
+    The Euler field E = sum_i w_i x_i d/dx_i has E f = D f for the total
+    degree D, so df ^ i_E(m vol) = D f m vol, and  omega = df ^ theta  with
+    theta = (1/D) i_E(m vol) - c xi.  By Cartan's formula
+    d i_E(m vol) = (deg m + sum w) m vol, and d xi = m vol, so theta is
+    closed exactly at c = c* = (deg m + sum w)/D, the predicted
+    coefficient.  Then theta is weighted-homogeneous of degree D c* with
+    i_E theta = -c* i_E xi, so Cartan again gives theta = d zeta,
+    zeta = -(1/D) i_E xi.  With df = h alpha this is
+    omega = df ^ d zeta = d(eta ^ alpha), where
+    eta = (-1)^n (h/D) i_E xi
+        = (-1)^n (h/D) P sum_(j >= 1) (-1)^(j-1) w_j x_j dx_(I_j),
+    P = int m dx_0 and I_j = {1, ..., n-1} minus j.
+
+    The check sums the integer images of eta and compares them with the
+    oracle's ``target`` at their known scales, so a True is an identity
+    among the span's own generators; any other c misses."""
+    variables = f.variables
+    n = len(variables)
+    coefficients = [alpha.coefficient((i,)) for i in range(n)]
+    i = next((i for i, a in enumerate(coefficients) if not a.is_zero), None)
+    if n < 2 or i is None:
+        return None
+    h = f.derivative(variables[i]).divide_exact(coefficients[i])
+    if h is None:
+        return None
+    scale_h = common_denominator(h)
+    h_terms = integer_terms(h, scale_h)
+    int_weights, weight_scale = ws.integer_scaled()
+    # w_j / D = int_weights[j] * q.denominator / q.numerator
+    q = ws.total_degree * weight_scale
+    index_images = [
+        (j, images[tuple(k for k in range(1, n) if k != j)]) for j in range(1, n)
+    ]
+    common = lcm(*(image.scale for _, image in index_images))
+    parts = [
+        ((-1) ** (n + j - 1) * int_weights[j] * (common // image.scale), j, image)
+        for j, image in index_images
+    ]
+    # With c_P the lcm of the denominators of P, the target is
+    # c.denominator * c_P * scale_f times omega (``_action_target``), and
+    # the sum of images below is q.numerator * scale_h * c_P * common /
+    # q.denominator times omega; c_P cancels.
+    target_factor = q.numerator * scale_h * common
+    sum_factor = scale_f * q.denominator
+
+    def holds(m: Poly, coefficient: Fraction, target: dict[Exponents, int]) -> bool:
+        # c_P P h as integer terms
+        c_p = lcm(*(m_t.denominator * (t[0] + 1) for t, m_t in m.terms.items()))
+        ph: dict[Exponents, int] = {}
+        for t, m_t in m.terms.items():
+            p_coeff = m_t.numerator * (c_p // (m_t.denominator * (t[0] + 1)))
+            vec_axpy(ph, p_coeff, shifted_terms(h_terms, (t[0] + 1,) + t[1:]))
+        total: dict[Exponents, int] = {}
+        for factor, j, image in parts:
+            for e, c in ph.items():
+                vec_axpy(total, factor * c, image(e[:j] + (e[j] + 1,) + e[j + 1 :]))
+        total_factor = sum_factor * coefficient.denominator
+        return total.keys() == target.keys() and all(
+            v * target_factor == total[e] * total_factor for e, v in target.items()
+        )
 
     return holds
 
@@ -551,7 +654,9 @@ def _action_target(
     sum_t m_t (f x^t - c/(t_0 + 1) f_x0 x^(t + e_0)) vol.  ``f_terms`` and
     ``fx0_terms`` are the integer terms of s f and s f_x0 for one s > 0;
     the rational weights m_t and m_t c/(t_0 + 1) are brought to one
-    common denominator, so every coefficient is an integer shift sum."""
+    common denominator, c.denominator times the lcm of the
+    m_t.denominator (t_0 + 1), so every coefficient is an integer shift
+    sum."""
     c_num, c_den = coefficient.numerator, coefficient.denominator
     denominators = [
         (t, m_t, m_t.denominator * c_den * (t[0] + 1)) for t, m_t in m.terms.items()

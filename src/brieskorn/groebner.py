@@ -222,11 +222,15 @@ def _integer_gens(I: IdealGens) -> list[_Poly]:
 
 def saturate_at_origin(I: IdealGens) -> IdealGens:
     """Generators of I : m^inf, the sections extending through 0: the
-    reduced grevlex Groebner basis of the saturation."""
+    reduced grevlex Groebner basis of the saturation, each scaled so that
+    its lowest term has coefficient 1."""
     basis = _saturation(_integer_gens(I), len(I.variables))
     return IdealGens.of(
         I.variables,
-        [Poly(I.variables, {_decode(m): c for m, c in g.items()}) for g in basis],
+        [
+            Poly(I.variables, {_decode(m): c for m, c in g.items()}).lowest_monic()
+            for g in basis
+        ],
     )
 
 

@@ -131,8 +131,10 @@ def truncate_vec(vec: Vec, bound: int) -> Vec:
 
 @dataclass(frozen=True)
 class IdealGens:
-    """A finite generating set; duplicates and zero generators are removed,
-    and each generator is scaled so its lowest term has coefficient 1."""
+    """A finite generating set, kept as given but for zero generators and
+    equal duplicates, which are removed; every consumer scales to integers
+    itself.  The string shows each generator scaled so that its lowest term
+    has coefficient 1."""
 
     variables: tuple[str, ...]
     generators: tuple[Poly, ...]
@@ -144,11 +146,8 @@ class IdealGens:
         for g in generators:
             if g.variables != variables:
                 raise InputError("ideal generator lives in a different ring")
-            if g.is_zero:
-                continue
-            normalized = g.lowest_monic()
-            if normalized not in seen:
-                seen.append(normalized)
+            if not g.is_zero and g not in seen:
+                seen.append(g)
         if not seen:
             raise InputError("an ideal needs at least one nonzero generator")
         return cls(variables, tuple(seen))
@@ -157,7 +156,7 @@ class IdealGens:
         return any(g.constant_value() != 0 for g in self.generators)
 
     def __str__(self) -> str:
-        return "(" + ", ".join(str(g) for g in self.generators) + ")"
+        return "(" + ", ".join(str(g.lowest_monic()) for g in self.generators) + ")"
 
 
 def jacobian_ideal(f: Poly) -> IdealGens:
@@ -328,7 +327,8 @@ class _GradedIdeal:
             d = g.quasi_homogeneous_degree(weights.weights)
             if d is None:
                 raise InputError(
-                    f"generator {g} is not quasi-homogeneous for the certificate"
+                    f"generator {g.lowest_monic()} is not quasi-homogeneous "
+                    "for the certificate"
                 )
             scaled = d * self.scale
             if scaled.denominator != 1:

@@ -386,7 +386,7 @@ class WeightSystem:
     """Positive rational weights plus the verified weighted degree of a tagged
     polynomial.  Quasi-homogeneity is always checked, never assumed."""
 
-    __slots__ = ("weights", "total_degree")
+    __slots__ = ("weights", "total_degree", "_scaled")
 
     def __init__(self, weights: Sequence[Scalar], total_degree: Scalar):
         ws = tuple(as_fraction(w) for w in weights)
@@ -397,6 +397,7 @@ class WeightSystem:
             raise InputError("weighted total degree must be positive")
         object.__setattr__(self, "weights", ws)
         object.__setattr__(self, "total_degree", d)
+        object.__setattr__(self, "_scaled", integer_weights(ws))
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("WeightSystem is immutable")
@@ -423,8 +424,9 @@ class WeightSystem:
         return cls(ws, degree)
 
     def integer_scaled(self) -> tuple[tuple[int, ...], int]:
-        """Weights rescaled to integers: returns (scaled weights, scale)."""
-        return integer_weights(self.weights)
+        """Weights rescaled to integers: returns (scaled weights, scale),
+        computed once per weight system."""
+        return self._scaled
 
 
 # -- expression parser -------------------------------------------------------

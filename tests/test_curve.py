@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd
 from operator import mul
@@ -17,6 +18,7 @@ from brieskorn.curve import (
     FactoredCurve,
     _action_oracle,
     _action_target,
+    _euler_witness,
     _exact_form_images,
     _form_weighted_degree,
     a_action,
@@ -47,6 +49,7 @@ from brieskorn.local_algebra import (
     jacobian_ideal,
     jet_key_order,
     local_quotient,
+    monomials_below,
     monomials_of_weighted_degree,
 )
 from brieskorn.poly import Poly, WeightSystem, parse_polynomial
@@ -652,6 +655,99 @@ class TestIntegerOracleTarget:
             m = Poly.monomial(variables, exps)
             assert holds(m, c) and reference(m, c)
             assert holds(m, c + Fraction(1, 7)) == reference(m, c + Fraction(1, 7))
+
+
+ISOLATED_ORACLE_GERMS = [
+    ("x^3 + y^4", ("x", "y")),
+    ("x^2*y + y^4", ("x", "y")),
+    ("1/2*x^3 + 2/3*y^3", ("x", "y")),
+    ("x^2 + y^3 + z^4", ("x", "y", "z")),
+    ("x^2*y + y^3 + z^2", ("x", "y", "z")),
+]
+
+
+@contextmanager
+def span_forbidden():
+    """A context in which building any oracle span fails the test."""
+
+    def refuse(*args):
+        raise AssertionError("an oracle span was built")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("brieskorn.curve._eta_span", refuse)
+        yield
+
+
+def oracle_setup(f: Poly, alpha: DiffForm, ws: WeightSystem):
+    """The Euler witness of the oracle for (f, alpha, ws), and the integer
+    terms the oracle's targets are built from."""
+    scale = common_denominator(f)
+    f_terms = integer_terms(f, scale)
+    fx0_terms = integer_terms(f.derivative(f.variables[0]), scale)
+    witness = _euler_witness(f, alpha, ws, dict(_exact_form_images(alpha)), scale)
+    return witness, f_terms, fx0_terms
+
+
+class TestEulerWitness:
+    """The explicit primitive proves every predicted coefficient, so no
+    oracle span is built for it; the span alone decides every other c."""
+
+    @given(weighted_curves())
+    def test_curves_need_no_span(self, curve_and_weights):
+        curve, weights = curve_and_weights
+        report = invariants(curve, weights=weights)
+        with span_forbidden():
+            witnessed = invariants(curve, weights=weights)
+        assert witnessed.a_action == report.a_action
+        for rep, c in witnessed.a_action:
+            assert c == a_action_coefficient(witnessed.weights, rep)
+
+    @pytest.mark.parametrize("text,variables", ISOLATED_ORACLE_GERMS)
+    def test_isolated_germs_need_no_span(self, text, variables):
+        germ = milnor_isolated(parse_polynomial(text, variables))
+        with span_forbidden():
+            witnessed = milnor_isolated(parse_polynomial(text, variables))
+        assert witnessed.a_coefficients == germ.a_coefficients
+        assert len(witnessed.a_coefficients) == witnessed.milnor
+
+    CASES = [
+        ("x^3 + y^4", ("x", "y"), None, (4, 3)),
+        ("x^2 + y^3 + z^4", ("x", "y", "z"), None, (6, 4, 3)),
+        (None, ("x", "y"), sextic, (1, 1)),
+    ]
+
+    @pytest.mark.parametrize("text,variables,curve,weights", CASES)
+    def test_verdicts_match_the_span_reference(self, text, variables, curve, weights):
+        # every monomial of degree < 7 and c in {c*, c* + 1/7, c* - 1}: the
+        # oracle agrees with the span-only reference, the witness holds at
+        # c* alone, and some wrong c is a member, so the span fallback runs
+        if curve is None:
+            f = parse_polynomial(text, variables)
+            alpha = DiffForm.from_poly(f).d()
+        else:
+            f, alpha = curve().expand(), annihilator_form(curve())
+        ws = WeightSystem.for_poly(f, weights)
+        holds = _action_oracle(f, alpha, ws)
+        reference = reference_oracle(f, alpha, ws)
+        witness, f_terms, fx0_terms = oracle_setup(f, alpha, ws)
+        wrong_members = 0
+        for exps in monomials_below(len(variables), 7):
+            m = Poly.monomial(variables, exps)
+            c_star = a_action_coefficient(ws, m)
+            for c in (c_star, c_star + Fraction(1, 7), c_star - 1):
+                verdict = holds(m, c)
+                assert verdict == reference(m, c), (exps, c)
+                target = _action_target(f_terms, fx0_terms, m, c)
+                assert witness(m, c, target) == (c == c_star), (exps, c)
+                wrong_members += verdict and c != c_star
+        assert wrong_members > 0
+
+    def test_witness_needs_an_exact_cofactor(self):
+        # alpha = x dy - y dx does not divide df of x^2 + y^2
+        f = p("x^2 + y^2")
+        alpha = DiffForm(XY, 1, {(0,): -p("y"), (1,): p("x")})
+        ws = WeightSystem.for_poly(f, (1, 1))
+        assert _euler_witness(f, alpha, ws, dict(_exact_form_images(alpha)), 1) is None
 
 
 class TestTorsionFreeWitness:
