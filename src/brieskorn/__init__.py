@@ -31,7 +31,6 @@ from .curve import (
     invariants,
     torsion_free_witness,
     transversal_milnor,
-    verify_a_action,
 )
 from .errors import BrieskornError, InconclusiveError, InputError, ParseError
 from .forms import DiffForm, VectorField, field_from_one_form
@@ -41,7 +40,6 @@ from .local_algebra import (
     jacobian_ideal,
     local_colength,
     local_quotient,
-    quotient_dim_jet,
     twisted_quotient_dim,
 )
 from .poly import Poly, WeightSystem, parse_polynomial, weighted_degree
@@ -86,7 +84,6 @@ __all__ = [
     "milnor_isolated",
     "normal_order",
     "parse_polynomial",
-    "quotient_dim_jet",
     "saturate_at_origin",
     "suspend",
     "tensor",
@@ -95,7 +92,6 @@ __all__ = [
     "torsion_subspaces",
     "transversal_milnor",
     "twisted_quotient_dim",
-    "verify_a_action",
     "verify_suspension_direct",
     "weighted_degree",
 ]

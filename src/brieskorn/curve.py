@@ -366,9 +366,9 @@ def milnor_fibre_betti(curve: FactoredCurve, ws: Optional[WeightSystem] = None) 
     monodromie", Comment. Math. Helv. 50, 1975) gives
     chi(F) = sum_i m_i (1 - mu(g_i) - sum_(j != i) (g_i . g_j)_0), and F
     has gcd(m_i) components, so b_1 = gcd(m_i) - chi(F).  Each Milnor
-    number and intersection number is a colength certified by the scans
-    of ``local_quotient`` (its graded scan with ``ws``), counted with no
-    basis (``local_colength``)."""
+    number and intersection number is a colength certified by the scan
+    of ``local_quotient`` (weighted by ``ws``), counted with no basis
+    (``local_colength``)."""
     parts = list(curve.factors)
     if not curve.residual_is_constant:
         parts.append((curve.residual, 1))
@@ -432,22 +432,6 @@ def a_action(
     return tuple(out)
 
 
-def verify_a_action(
-    curve: FactoredCurve,
-    rep,
-    coefficient: Fraction,
-    ws: Optional[WeightSystem] = None,
-) -> bool:
-    """Independent oracle for  a[m] = c b[m]  on a curve: the membership
-    test of ``action_relation_holds`` with the annihilator form as alpha."""
-    if ws is None:
-        raise InputError("the a-action oracle needs a weight certificate")
-    m_poly = rep if isinstance(rep, Poly) else Poly.monomial(curve.variables, rep)
-    return action_relation_holds(
-        curve.expand(), annihilator_form(curve), ws, m_poly, coefficient
-    )
-
-
 def action_relation_holds(
     f: Poly,
     alpha: DiffForm,
@@ -504,7 +488,7 @@ def _action_oracle(
 
     The exact forms d(eta ^ alpha), eta = x^h dx_I, are integer exponent
     shifts (``_exact_form_images``) whose operators come from alpha alone,
-    never from the slices of the nu scan.  Each (m, c) is first tried on
+    never from the rows of the nu scan.  Each (m, c) is first tried on
     one explicit eta (``_euler_witness``); equality proves membership.  On
     a miss, the span of the d(eta ^ alpha) of one eta weighted degree
     decides: it is built when a representative first needs it and reused

@@ -1,31 +1,30 @@
 """Jet-space linear algebra at the origin.
 
-Everything here models the local ring of germs at 0 through two kinds of
-finite-dimensional pieces:
-
-* total-degree jets (monomials of total degree < M);
-* weighted-degree slices, used when a weight certificate makes the input
-  quasi-homogeneous; slice computations carry no truncation error.
+Everything here models the local ring of germs at 0 through the finite
+quotients O/(W + M_k), M_k spanned by the monomials of weighted degree
+>= k for integer weights w.  Unit weights give the total-degree jets
+(M_k = m^k); the weights of a certificate that makes the input
+quasi-homogeneous give weighted-degree slices, which carry no truncation
+error.
 
 Each quotient stops by a proof: ``local_quotient`` by Nakayama's lemma,
 ``twisted_quotient_dim`` when its nondecreasing lower bound reaches a
-target dimension the caller has computed independently.  Both jet scans
-run the orders k = 1, 2, ... on one least-term count (``_JetCounts``);
-every reported number rests on exact integer or rational row reduction,
-and a count modulo a prime only picks the order at which the exact span
-is built.  Saturation and the finite-colength test live in ``groebner``.
+target dimension the caller has computed independently.  Every scan runs
+the orders k = 1, 2, ... on one least-term count (``_JetCounts``), with
+the certificate's weights or unit ones.  Every reported number rests on
+exact integer or rational row reduction, and a count modulo a prime only
+picks the jet order at which the exact span is built.  Saturation and the
+finite-colength test live in ``groebner``.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from itertools import count
-from math import comb, lcm
-from operator import add
-from typing import Callable, Iterator, Optional, Sequence
+from math import lcm
+from operator import add, mul, neg
+from typing import Callable, Optional, Sequence
 
 from .errors import InconclusiveError, InputError
 from .forms import VectorField
@@ -59,6 +58,12 @@ def monomials_of_weighted_degree(
     if wdeg >= 0:
         rec([], 0, wdeg)
     return tuple(sorted(out, key=listing_key))
+
+
+@lru_cache(maxsize=None)
+def _count_below(n_vars: int, int_weights: tuple[int, ...], bound: int) -> int:
+    """The number of exponent vectors of weighted degree < bound."""
+    return sum(len(monomials_of_weighted_degree(n_vars, int_weights, d)) for d in range(bound))
 
 
 @lru_cache(maxsize=None)
@@ -196,13 +201,7 @@ def jet_quotient(I: IdealGens, order: int) -> tuple[int, list[Exponents]]:
     return len(basis), basis
 
 
-def quotient_dim_jet(I: IdealGens, order: int) -> int:
-    if order < 1:
-        raise InputError("jet order must be at least 1")
-    return jet_quotient(I, order)[0]
-
-
-# -- one least-term count for every jet order -----------------------------------
+# -- one least-term count for every order ---------------------------------------
 
 
 # The prime of the nu scan's order predictor: small enough for fast integer
@@ -210,29 +209,45 @@ def quotient_dim_jet(I: IdealGens, order: int) -> int:
 _PREDICTOR_MODULUS = 2**61 - 1
 
 
-def _gkey(e: Exponents) -> tuple[int, ...]:
-    """``graded_key`` flattened to one tuple, (total degree, reversed
-    exponents), so that plain tuple comparison orders it; it is additive
-    in the exponents."""
-    return (sum(e),) + e[::-1]
+@lru_cache(maxsize=1 << 14)
+def _count_key(e: Exponents, weights: tuple[int, ...]) -> tuple[int, ...]:
+    """The term order of ``_JetCounts``: (wdeg(e), -e_(n-1), ..., -e_0),
+    additive in e.  Cached, since every scan keys the same low exponents."""
+    return (sum(map(mul, e, weights)), *map(neg, reversed(e)))
 
 
 class _JetCounts:
-    """q(k) = dim O/(W + m^k) for every jet order k from one echelon.
+    """q(k) = dim O/(W + M_k) for every order k from one echelon, where M_k
+    is spanned by the monomials of w-degree >= k.
 
-    W is spanned by the generators g x^m (g in I) and, when ``image`` is
-    given, the twisted images V~(x^m).  Each generator goes in once, at the
-    first order k above a lower bound of its order: ord(g) + |m| for
-    g x^m, |m| - ``drop`` for V~(x^m).  Rows are integer vectors with
-    distinct least terms (leads) under ``graded_key``; an insert cancels
-    only leads, so rows are never fully reduced.  Terms of degree
-    ``cap`` and above are dropped, which changes no q(k) with k <= cap.
+    w is the integer-scaled weight vector of ``weights``, or unit weights
+    without one (then M_k = m^k and k is a jet order).  W is spanned by
+    the generators g x^m (g in I) and, when ``image`` is given, the twisted
+    images V~(x^m).  Each generator goes in once, at the first order k
+    above a lower bound of its w-order: w-ord(g) + wdeg(m) for g x^m,
+    wdeg(m) - ``drop`` for V~(x^m).  Rows are integer vectors with
+    distinct least terms (leads) under the additive key
+    (wdeg, -e_(n-1), ..., -e_0); an insert cancels only leads, so rows are
+    never fully reduced.  Terms of w-degree ``cap`` and above are dropped,
+    which changes no q(k) with k <= cap.
 
     Lemma: once every generator of order < k is in, q(k) = #monomials of
-    degree < k - #rows with lead degree < k.  A row with lead degree >= k
-    lies in m^k, and the other rows keep their distinct leads mod m^k, so
-    they are a basis of (W + m^k)/m^k.  An insert never lowers a lead
-    below the generator's order, so the count for k is final from then on.
+    w-degree < k - #rows with lead w-degree < k.  A row with lead w-degree
+    >= k lies in M_k, and the other rows keep their distinct leads mod
+    M_k, so they are a basis of (W + M_k)/M_k.  An insert never lowers a
+    lead below the generator's order, so the count for k is final from
+    then on, and the monomials of w-degree < k that lead no row are a
+    basis of O/(W + M_k) (``basis``).
+
+    With ``weights`` every generator of I must be w-homogeneous (else
+    InputError), and the rows are too when the twisted action is graded.
+    Within one w-degree the least key is the greatest monomial in listing
+    order, so a homogeneous row's lead is its greatest listing term, and
+    the leads of degree d are LM(W_d), which depends on W_d alone.  The
+    greedy pass over the monomials of degree d in listing order picks m
+    exactly when no vector of W_d + span(earlier monomials) has m as its
+    greatest term, that is when m is not in LM(W_d): ``basis`` is the
+    greedy slice basis.
 
     With ``modulus`` p the rows live over GF(p).  The count then bounds the
     rational one from above, q_p(k) >= q(k), since reduction mod p cannot
@@ -246,34 +261,58 @@ class _JetCounts:
         drop: int = 0,
         cap: Optional[int] = None,
         modulus: Optional[int] = None,
+        weights: Optional[WeightSystem] = None,
     ):
-        self.n, self.ones = len(I.variables), (1,) * len(I.variables)
-        self.gens = [
-            (g.order(), [(_gkey(e), c) for e, c in integer_terms(g)])
-            for g in I.generators
-        ]
+        self.n = len(I.variables)
+        self.weights = (1,) * self.n if weights is None else weights.integer_scaled()[0]
+        self.gens = []
+        for g in I.generators:
+            terms = [(_count_key(e, self.weights), c) for e, c in integer_terms(g)]
+            degrees = {key[0] for key, _ in terms}
+            if weights is not None and len(degrees) > 1:
+                raise InputError(
+                    f"generator {g.lowest_monic()} is not quasi-homogeneous "
+                    "for the certificate"
+                )
+            self.gens.append((min(degrees), terms))
         self.image, self.drop, self.cap, self.modulus = image, drop, cap, modulus
         self.rows: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
-        self.lead_degrees: Counter[int] = Counter()  # rows per lead degree
+        self.lead_degrees: Counter[int] = Counter()  # rows per lead w-degree
         self.order = 0  # every generator of order < self.order is in
+
+    def monomials(self, wdeg: int) -> tuple[Exponents, ...]:
+        return monomials_of_weighted_degree(self.n, self.weights, wdeg)
 
     def quotient_dim(self, k: int) -> int:
         while self.order < k:
             self._advance()
-        return comb(self.n + k - 1, self.n) - sum(self.lead_degrees[d] for d in range(k))
+        leads = sum(self.lead_degrees[d] for d in range(k))
+        return _count_below(self.n, self.weights, k) - leads
+
+    def basis(self, k: int) -> list[Exponents]:
+        """The monomials of w-degree < k that lead no row, in (w-degree,
+        listing) order."""
+        self.quotient_dim(k)
+        return [
+            m
+            for d in range(k)
+            for m in self.monomials(d)
+            if _count_key(m, self.weights) not in self.rows
+        ]
 
     def _advance(self) -> None:
         """Insert the generators whose order bound is self.order."""
         k = self.order = self.order + 1
+        w = self.weights
         for g_ord, terms in self.gens:
-            for m in monomials_of_weighted_degree(self.n, self.ones, k - 1 - g_ord):
-                mkey = _gkey(m)
+            for m in self.monomials(k - 1 - g_ord):
+                mkey = _count_key(m, w)
                 self._insert({tuple(map(add, e, mkey)): c for e, c in terms})
         if self.image is not None:
             degrees = range(self.drop + 1) if k == 1 else (k - 1 + self.drop,)
             for d in degrees:
-                for m in monomials_of_weighted_degree(self.n, self.ones, d):
-                    self._insert({_gkey(e): c for e, c in self.image(m).items()})
+                for m in self.monomials(d):
+                    self._insert({_count_key(e, w): c for e, c in self.image(m).items()})
 
     def _insert(self, vec: dict[tuple[int, ...], int]) -> None:
         p, rows = self.modulus, self.rows
@@ -306,63 +345,12 @@ class _JetCounts:
 
 
 def _nakayama_order(counts: _JetCounts) -> int:
-    """The first k with q(k + 1) = q(k); see ``local_quotient``."""
-    k = 1
-    while counts.quotient_dim(k + 1) != counts.quotient_dim(k):
+    """The first k with q(k + wmax) = q(k), wmax the largest weight; see
+    ``local_quotient``."""
+    k, wmax = 1, max(counts.weights)
+    while counts.quotient_dim(k + wmax) != counts.quotient_dim(k):
         k += 1
     return k
-
-
-# -- weighted-degree slices -----------------------------------------------------
-
-
-class _GradedIdeal:
-    """Weighted-degree slices of a quasi-homogeneous ideal (exact)."""
-
-    def __init__(self, I: IdealGens, weights: WeightSystem):
-        self.variables = I.variables
-        self.int_weights, self.scale = weights.integer_scaled()
-        self.gen_degrees: list[int] = []
-        for g in I.generators:
-            d = g.quasi_homogeneous_degree(weights.weights)
-            if d is None:
-                raise InputError(
-                    f"generator {g.lowest_monic()} is not quasi-homogeneous "
-                    "for the certificate"
-                )
-            scaled = d * self.scale
-            if scaled.denominator != 1:
-                raise InputError("weight scaling failed to clear denominators")
-            self.gen_degrees.append(int(scaled))
-        self.generator_terms = [integer_terms(g) for g in I.generators]
-        self._slices: dict[int, Span] = {}
-
-    def monomials(self, wdeg: int) -> tuple[Exponents, ...]:
-        return monomials_of_weighted_degree(
-            len(self.variables), self.int_weights, wdeg
-        )
-
-    def slice_span(self, wdeg: int) -> Span:
-        if wdeg not in self._slices:
-            span = Span(jet_key_order)
-            for terms, d in zip(self.generator_terms, self.gen_degrees):
-                if wdeg < d:
-                    continue
-                for m in self.monomials(wdeg - d):
-                    span.insert(shifted_terms(terms, m))
-            self._slices[wdeg] = span
-        return self._slices[wdeg]
-
-    def nonempty_slices(
-        self, wdeg_cap: Optional[int] = None
-    ) -> Iterator[tuple[int, tuple[Exponents, ...]]]:
-        """The nonempty slices (wdeg, monomials) from weighted degree 0 up
-        to ``wdeg_cap``, with no end when it is None."""
-        degrees = count() if wdeg_cap is None else range(max(wdeg_cap, 0) + 1)
-        for wdeg in degrees:
-            monos = self.monomials(wdeg)
-            if monos:
-                yield wdeg, monos
 
 
 # -- the colength of an isolated ideal ------------------------------------------
@@ -374,58 +362,36 @@ def local_quotient(
     """Dimension and greedy monomial basis of O/I at the origin, for an
     ideal I that the caller has shown to be isolated at 0
     (``groebner.isolated_at_origin``); for any other ideal the scan does
-    not end.  Neither scan reads a cap, and each stops by a proof.
+    not end.  The scan reads no cap, and it stops by a proof.
 
-    * With weights (I quasi-homogeneous), weighted slices from degree 0 up.
-      Every slice is O_e = sum_j x_j O_(e - w_j), so once (O/I)_e = 0 on
-      wmax = max w_j consecutive nonempty slices (a run of degrees at
-      least wmax long), induction on e gives (O/I)_e = 0 above them.
-    * Without, the jet orders k = 1, 2, ... with q(k) = dim O/(I + m^k),
-      all counted exactly by one ``_JetCounts`` with no cap.  At the first
-      k with q(k + 1) = q(k), m^k lies in I + m^(k+1), so m^k lies in
-      I O_0 by Nakayama's lemma (Atiyah-Macdonald, Cor. 2.7) and
-      O_0/I O_0 = O/(I + m^k).  The basis comes from one ``jet_quotient``
-      at that k.
+    One exact ``_JetCounts`` with no cap counts q(k) = dim O/(I + M_k) for
+    k = 1, 2, ..., M_k spanned by the monomials of w-degree >= k (unit
+    weights without ``weights``, when M_k = m^k).  At the first k with
+    q(k + wmax) = q(k), wmax the largest weight, M_k lies in
+    I + M_(k+wmax), and M_(k+wmax) lies in m M_k: a monomial of w-degree
+    >= k + wmax keeps w-degree >= k after dividing by any variable it
+    contains.  So M_k lies in I O_0 by Nakayama's lemma (Atiyah-Macdonald,
+    Cor. 2.7), and O_0/I O_0 = O/(I + M_k).
 
-    The basis picks, in graded order, each monomial independent of I and
-    of the monomials picked before it.
+    The basis picks, in (w-degree, listing) order, each monomial
+    independent of I and of the monomials picked before it.  With weights
+    (I quasi-homogeneous) these are the count's non-lead monomials
+    (``_JetCounts.basis``).  Without, one ``jet_quotient`` at the stop
+    order picks them: on a non-homogeneous I the non-leads may differ.
     """
-    if weights is not None:
-        basis = [
-            m
-            for span, monos in _graded_colength_slices(I, weights)
-            for m in monos
-            if span.insert({m: 1})
-        ]
-        return len(basis), basis
-    return jet_quotient(I, _nakayama_order(_JetCounts(I)))
+    counts = _JetCounts(I, weights=weights)
+    stop = _nakayama_order(counts)
+    if weights is None:
+        return jet_quotient(I, stop)
+    basis = counts.basis(stop)
+    return len(basis), basis
 
 
 def local_colength(I: IdealGens, weights: Optional[WeightSystem] = None) -> int:
-    """dim O/I at the origin by the scans of ``local_quotient``, with no
-    basis: the slice ranks, or the exact jet count at the Nakayama order."""
-    if weights is not None:
-        return sum(
-            len(monos) - span.rank for span, monos in _graded_colength_slices(I, weights)
-        )
-    counts = _JetCounts(I)
+    """dim O/I at the origin by the scan of ``local_quotient``, with no
+    basis: the exact count at its Nakayama stop."""
+    counts = _JetCounts(I, weights=weights)
     return counts.quotient_dim(_nakayama_order(counts))
-
-
-def _graded_colength_slices(
-    I: IdealGens, weights: WeightSystem
-) -> Iterator[tuple[Span, tuple[Exponents, ...]]]:
-    """The nonempty slices (span of I, monomials) of ``local_quotient``'s
-    graded scan, up to its stop after wmax empty quotient slices."""
-    graded = _GradedIdeal(I, weights)
-    wmax = max(graded.int_weights)
-    empty_run = 0
-    for wdeg, monos in graded.nonempty_slices():
-        span = graded.slice_span(wdeg)
-        empty_run = empty_run + 1 if span.rank == len(monos) else 0
-        yield span, monos
-        if empty_run == wmax:
-            return
 
 
 # -- twisted quotients --------------------------------------------------------
@@ -437,49 +403,30 @@ class TwistedResult:
     basis: tuple[Exponents, ...]
 
 
-def _twisted_shift(
-    V: VectorField, div: Poly, weights: tuple[Fraction, ...]
-) -> Optional[Fraction]:
-    """Weighted-degree shift of the twisted action, or None when the field
-    is not graded for these weights (all coefficient shifts must agree)."""
-    shift: Optional[Fraction] = None
-    for i, coeff in enumerate(V.coefficients):
-        if coeff.is_zero:
-            continue
-        d = coeff.quasi_homogeneous_degree(weights)
-        if d is None:
-            return None
-        s = d - weights[i]
-        if shift is None:
-            shift = s
-        elif shift != s:
-            return None
-    if not div.is_zero:
-        d = div.quasi_homogeneous_degree(weights)
-        if d is None or (shift is not None and d != shift):
-            return None
-        shift = d if shift is None else shift
-    return shift
+def _twisted_raises(V: VectorField, div: Poly, weights: Sequence[int]) -> set[int]:
+    """The w-degree raises of the twisted action's terms: V~ sends x^m to
+    terms of w-degree wdeg(m) + r, r in the returned set (wdeg(e) - w_i for
+    a term x^e of V_i, wdeg(e) for a term x^e of div V).  The action is
+    graded when the set has at most one value, and it lowers the w-order
+    by at most max(0, -min)."""
+    raises = {
+        sum(map(mul, e, weights)) - w
+        for w, coeff in zip(weights, V.coefficients)
+        for e in coeff.terms
+    }
+    raises.update(sum(map(mul, e, weights)) for e in div.terms)
+    return raises
 
 
-def _twisted_drop(V: VectorField, div: Poly) -> int:
-    """How far the twisted action lowers the order: ord V~(x^m) >= |m| - drop."""
-    return max(
-        [0]
-        + [1 - c.order() for c in V.coefficients if not c.is_zero]
-        + ([] if div.is_zero else [-div.order()])
-    )
-
-
-def _reached(basis: list[Exponents], target: int) -> bool:
-    """Whether a scan's lower bound len(basis) has reached ``target``; a
+def _reached(found: int, target: int) -> bool:
+    """Whether a scan's lower bound ``found`` has reached ``target``; a
     bound past it contradicts the target, which is a defect."""
-    if len(basis) > target:
+    if found > target:
         raise RuntimeError(
-            f"internal invariant violation: the nu scan found {len(basis)} "
+            f"internal invariant violation: the nu scan found {found} "
             f"classes, past the target {target}"
         )
-    return len(basis) == target
+    return found == target
 
 
 def twisted_quotient_dim(
@@ -492,24 +439,25 @@ def twisted_quotient_dim(
     """Dimension and monomial basis of O / (I + twisted-action image), for
     a caller that knows the dimension is ``target``.
 
-    The twisted action is h -> V.h + div(V) h.  With a weight certificate
-    under which the field is graded the scan runs over weighted slices,
-    each finite exact linear algebra, up to weighted degree
-    ``jet_cap * max weight``; otherwise over the jet orders 1, 2, ... up
-    to ``jet_cap``.  The slice partial sums and the jet dimensions
-    nu_N = dim O/(I + V~(O) + m^N) are the dimensions of quotients of the
-    full quotient, so they are nondecreasing lower bounds of it, and the
-    scan stops at the first slice or order that reaches ``target``.
+    The twisted action is h -> V.h + div(V) h.  The dimensions
+    q(k) = dim O/(I + V~(O) + M_k), M_k spanned by the monomials of
+    w-degree >= k, are the dimensions of quotients of the full quotient,
+    so they are nondecreasing lower bounds of it, and the scan stops at
+    the first k whose q(k) reaches ``target``.
 
-    The jet orders are scanned by one ``_JetCounts`` over GF(p) with
-    terms of degree ``jet_cap`` and above dropped; its count bounds nu_N
-    from above, so its first order reaching ``target`` is never past the
-    true stop.  Only there is the exact span built (ideal jets, truncated
-    twisted images, then the greedy monomials), and its basis size is the
-    certificate; when an unlucky prime made the count run ahead, the
-    exact span is built again one order on.  A bound past ``target``, or
-    a negative ``target``, raises RuntimeError; a cap reached first raises
-    InconclusiveError.
+    With a weight certificate under which the field is graded, one exact
+    weighted ``_JetCounts`` counts every q(k) up to the weighted degree
+    ``wdeg_cap = jet_cap * max weight - drop``, and the basis is its
+    non-lead monomials at the stop, which is the greedy slice basis.
+    Otherwise the jet orders 1, 2, ... up to ``jet_cap`` are scanned by
+    one ``_JetCounts`` over GF(p) with terms of degree ``jet_cap`` and
+    above dropped; its count bounds nu_N = q(N) from above, so its first
+    order reaching ``target`` is never past the true stop.  Only there is
+    the exact span built (ideal jets, truncated twisted images, then the
+    greedy monomials), and its basis size is the certificate; when an
+    unlucky prime made the count run ahead, the exact span is built again
+    one order on.  A bound past ``target``, or a negative ``target``,
+    raises RuntimeError; a cap reached first raises InconclusiveError.
     """
     if V.variables != I.variables:
         raise InputError("ideal and vector field live in different rings")
@@ -520,37 +468,23 @@ def twisted_quotient_dim(
     n = len(I.variables)
     div = V.divergence()
     twisted_image = _ShiftedImages(V.coefficients, div)
+    w = (1,) * n if weights is None else weights.integer_scaled()[0]
+    raises = _twisted_raises(V, div, w)
+    if weights is not None and len(raises) > 1:  # not graded: scan the jet orders
+        weights, raises = None, _twisted_raises(V, div, (1,) * n)
+    drop = max(0, -min(raises, default=0))
 
     if weights is not None:
-        shift = _twisted_shift(V, div, weights.weights)
-        if shift is not None or V.is_zero:
-            graded = _GradedIdeal(I, weights)
-            scaled_shift = 0
-            if shift is not None:
-                s = shift * graded.scale
-                if s.denominator != 1:
-                    raise InputError("twisted shift does not scale to an integer")
-                scaled_shift = int(s)
-            wdeg_cap = jet_cap * max(graded.int_weights) - max(0, -scaled_shift)
-            basis: list[Exponents] = []
-            for wdeg, monos in graded.nonempty_slices(wdeg_cap):
-                span = graded.slice_span(wdeg).copy()
-                source = wdeg - scaled_shift
-                if not V.is_zero and source >= 0:
-                    for m in graded.monomials(source):
-                        image = twisted_image(m)
-                        if image:
-                            span.insert(image)
-                basis.extend(m for m in monos if span.insert({m: 1}))
-                if _reached(basis, target):
-                    return TwistedResult(target, tuple(basis))
-            raise InconclusiveError(
-                "graded twisted quotient did not reach the target nu",
-                target=target,
-                wdeg_cap=wdeg_cap,
-            )
-    # jet path
-    drop = _twisted_drop(V, div)
+        wdeg_cap = jet_cap * max(w) - drop
+        counts = _JetCounts(I, twisted_image, drop, weights=weights)
+        for k in range(1, max(wdeg_cap, 0) + 2):
+            if _reached(counts.quotient_dim(k), target):
+                return TwistedResult(target, tuple(counts.basis(k)))
+        raise InconclusiveError(
+            "graded twisted quotient did not reach the target nu",
+            target=target,
+            wdeg_cap=wdeg_cap,
+        )
     image = lru_cache(maxsize=None)(twisted_image)
     predictor = _JetCounts(I, image, drop, jet_cap, _PREDICTOR_MODULUS)
     for order in range(1, jet_cap + 1):
@@ -562,7 +496,7 @@ def twisted_quotient_dim(
             if vec:
                 span.insert(vec)
         basis = [m for m in monomials_below(n, order) if span.insert({m: 1})]
-        if _reached(basis, target):
+        if _reached(len(basis), target):
             return TwistedResult(target, tuple(basis))
     raise InconclusiveError(
         "twisted quotient did not reach the target nu",

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Optional
 
 from hypothesis import HealthCheck, settings, strategies as st
@@ -12,12 +13,15 @@ from brieskorn.errors import InconclusiveError, InputError
 from brieskorn.linalg import Span
 from brieskorn.local_algebra import (
     IdealGens,
-    _GradedIdeal,
     _ShiftedImages,
     ideal_jet_span,
+    integer_terms,
     jacobian_ideal,
+    jet_key_order,
     jet_quotient,
     monomials_below,
+    monomials_of_weighted_degree,
+    shifted_terms,
     truncate_vec,
 )
 from brieskorn.poly import Poly, WeightSystem
@@ -51,6 +55,86 @@ def polys(
     return st.lists(term, max_size=max_terms).map(
         lambda pairs: Poly(variables, {e: c for e, c in pairs if c != 0})
     )
+
+
+class GradedIdeal:
+    """Reference weighted-degree slices of a quasi-homogeneous ideal: each
+    slice is a reduced ``Span`` of the generators' multiples of that
+    weighted degree, built on its own and shared by no scan of the
+    package."""
+
+    def __init__(self, I: IdealGens, weights: WeightSystem):
+        self.variables = I.variables
+        self.int_weights, self.scale = weights.integer_scaled()
+        self.gen_degrees: list[int] = []
+        for g in I.generators:
+            d = g.quasi_homogeneous_degree(weights.weights)
+            if d is None:
+                raise InputError(
+                    f"generator {g.lowest_monic()} is not quasi-homogeneous "
+                    "for the certificate"
+                )
+            self.gen_degrees.append(int(d * self.scale))
+        self.generator_terms = [integer_terms(g) for g in I.generators]
+        self._slices: dict[int, Span] = {}
+
+    def monomials(self, wdeg: int):
+        return monomials_of_weighted_degree(len(self.variables), self.int_weights, wdeg)
+
+    def slice_span(self, wdeg: int) -> Span:
+        if wdeg not in self._slices:
+            span = Span(jet_key_order)
+            for terms, d in zip(self.generator_terms, self.gen_degrees):
+                if wdeg < d:
+                    continue
+                for m in self.monomials(wdeg - d):
+                    span.insert(shifted_terms(terms, m))
+            self._slices[wdeg] = span
+        return self._slices[wdeg]
+
+
+def greedy_slice_quotient(I: IdealGens, weights: WeightSystem) -> list:
+    """Reference greedy basis of O/I for a quasi-homogeneous I isolated at
+    0: the slices from weighted degree 0 up, each monomial in listing order
+    kept when it is independent of the slice of I and of the monomials
+    kept before it.  The scan stops after wmax consecutive nonempty slices
+    that keep nothing: every slice is O_e = sum_j x_j O_(e - w_j), so by
+    induction on e the quotient is 0 above them."""
+    graded = GradedIdeal(I, weights)
+    basis: list = []
+    empty_run, wdeg = 0, 0
+    while empty_run < max(graded.int_weights):
+        monos = graded.monomials(wdeg)
+        if monos:
+            span = graded.slice_span(wdeg).copy()
+            kept = [m for m in monos if span.insert({m: 1})]
+            basis += kept
+            empty_run = 0 if kept else empty_run + 1
+        wdeg += 1
+    return basis
+
+
+def greedy_twisted_slices(I: IdealGens, V, weights: WeightSystem, top: int) -> list:
+    """Reference greedy bases of the slices 0..``top`` of
+    O/(I + V~(O)) for a field V graded for ``weights``: the slice of I,
+    the twisted images V~(x^m) that land in it, then each monomial in
+    listing order kept when independent of them and of the monomials kept
+    before it.  Returns one list of kept monomials per slice."""
+    graded = GradedIdeal(I, weights)
+    w = graded.int_weights
+    div = V.divergence()
+    shifts = {sum(map(mul, e, w)) - w_i for w_i, c in zip(w, V.coefficients) for e in c.terms}
+    shifts |= {sum(map(mul, e, w)) for e in div.terms}
+    assert len(shifts) <= 1, "the field is not graded for these weights"
+    shift = shifts.pop() if shifts else 0
+    image = _ShiftedImages(V.coefficients, div)
+    slices = []
+    for wdeg in range(top + 1):
+        span = graded.slice_span(wdeg).copy()
+        for m in graded.monomials(wdeg - shift):
+            span.insert(image(m))
+        slices.append([m for m in graded.monomials(wdeg) if span.insert({m: 1})])
+    return slices
 
 
 def _stable_in_jets(compute: Callable, orders: range, message: str, **context):
@@ -144,8 +228,8 @@ def mu(
         raise InputError("mu requires f(0) = 0")
     J = jacobian_ideal(f)
     if weights is not None:
-        graded_sat = _GradedIdeal(saturated, weights)
-        graded_jac = _GradedIdeal(J, weights)
+        graded_sat = GradedIdeal(saturated, weights)
+        graded_jac = GradedIdeal(J, weights)
         wmax = max(graded_sat.int_weights)
         top_gen = max(graded_sat.gen_degrees)
         basis: list[Poly] = []

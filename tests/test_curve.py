@@ -23,6 +23,7 @@ from brieskorn.curve import (
     _form_weighted_degree,
     a_action,
     a_action_coefficient,
+    action_relation_holds,
     annihilator_field,
     annihilator_form,
     check_hypotheses,
@@ -31,7 +32,6 @@ from brieskorn.curve import (
     milnor_fibre_betti,
     torsion_free_witness,
     transversal_milnor,
-    verify_a_action,
 )
 from brieskorn.errors import InconclusiveError, InputError
 from brieskorn.forms import DiffForm
@@ -39,11 +39,10 @@ from brieskorn.groebner import saturate_at_origin, torsion_length
 from brieskorn.linalg import Span
 from brieskorn.local_algebra import (
     IdealGens,
-    _GradedIdeal,
     _JetCounts,
     _PREDICTOR_MODULUS,
     _ShiftedImages,
-    _twisted_drop,
+    _twisted_raises,
     common_denominator,
     integer_terms,
     jacobian_ideal,
@@ -55,7 +54,7 @@ from brieskorn.local_algebra import (
 from brieskorn.poly import Poly, WeightSystem, parse_polynomial
 from brieskorn.suspension import milnor_isolated
 
-from conftest import mu, nu_jet_basis, nu_jet_reference
+from conftest import GradedIdeal, mu, nu_jet_basis, nu_jet_reference
 
 XY = ("x", "y")
 
@@ -404,8 +403,8 @@ class TestSaturationTheorem:
         curve = factored(factors, residual)
         f = curve.expand()
         ws = WeightSystem.for_poly(f, weights)
-        saturated = _GradedIdeal(saturate_at_origin(jacobian_ideal(f)), ws)
-        theorem = _GradedIdeal(IdealGens.of(XY, [curve.multiplicity_cofactor()]), ws)
+        saturated = GradedIdeal(saturate_at_origin(jacobian_ideal(f)), ws)
+        theorem = GradedIdeal(IdealGens.of(XY, [curve.multiplicity_cofactor()]), ws)
 
         def rows(span):  # reduced rows are unique; their order is insertion order
             return {frozenset(row.items()) for row in span.row_vectors()}
@@ -477,15 +476,17 @@ class TestSaturationTheorem:
 
 class TestAActionOracle:
     def test_wrong_coefficient_fails(self):
-        ws = WeightSystem.for_poly(sextic().expand(), (1, 1))
-        assert verify_a_action(sextic(), (0, 0), Fraction(1, 3), ws)
-        assert not verify_a_action(sextic(), (0, 0), Fraction(1, 2), ws)
+        f, alpha = sextic().expand(), annihilator_form(sextic())
+        ws = WeightSystem.for_poly(f, (1, 1))
+        assert action_relation_holds(f, alpha, ws, p("1"), Fraction(1, 3))
+        assert not action_relation_holds(f, alpha, ws, p("1"), Fraction(1, 2))
 
     def test_cross_values(self):
-        ws = WeightSystem.for_poly(cross().expand(), (1, 1))
-        assert verify_a_action(cross(), (0, 0), Fraction(1, 2), ws)
-        assert verify_a_action(cross(), (1, 1), Fraction(1), ws)
-        assert not verify_a_action(cross(), (0, 0), Fraction(1, 3), ws)
+        f, alpha = cross().expand(), annihilator_form(cross())
+        ws = WeightSystem.for_poly(f, (1, 1))
+        assert action_relation_holds(f, alpha, ws, p("1"), Fraction(1, 2))
+        assert action_relation_holds(f, alpha, ws, p("x*y"), Fraction(1))
+        assert not action_relation_holds(f, alpha, ws, p("1"), Fraction(1, 3))
 
     def test_shared_degree_span_still_checks_each_representative(self, monkeypatch):
         # x^2, x*y and y^2 share one weighted degree, hence one oracle span;
@@ -977,7 +978,7 @@ class TestJetNuScan:
         field = annihilator_field(curve)
         div = field.divergence()
         image = _ShiftedImages(field.coefficients, div)
-        drop = _twisted_drop(field, div)
+        drop = max(0, -min(_twisted_raises(field, div, (1, 1))))
         exact = _JetCounts(sat, image, drop, cap=12)
         modular = _JetCounts(sat, image, drop, cap=12, modulus=_PREDICTOR_MODULUS)
         for order in range(1, 13):

@@ -20,7 +20,6 @@ from brieskorn.linalg import Span, kernel_relations
 from brieskorn.groebner import isolated_at_origin, saturate_at_origin, torsion_length
 from brieskorn.local_algebra import (
     IdealGens,
-    _GradedIdeal,
     _JetCounts,
     _ShiftedImages,
     _nakayama_order,
@@ -32,12 +31,18 @@ from brieskorn.local_algebra import (
     local_quotient,
     monomials_below,
     monomials_of_weighted_degree,
-    quotient_dim_jet,
     twisted_quotient_dim,
 )
 from brieskorn.poly import Poly, WeightSystem, parse_polynomial
 
-from conftest import mu, stable_colength
+from conftest import (
+    GradedIdeal,
+    greedy_slice_quotient,
+    greedy_twisted_slices,
+    mu,
+    nu_jet_basis,
+    stable_colength,
+)
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -71,30 +76,30 @@ def spans_equal(I, J, order=12):
 
 class TestJetQuotients:
     def test_maximal_ideal(self):
-        assert quotient_dim_jet(ideal("2*x", "2*y"), 5) == 1
+        assert jet_quotient(ideal("2*x", "2*y"), 5)[0] == 1
 
     def test_monomial_ideal_against_oracle(self):
         # (3x^2, 4y^3): the oracle counts {1, x, y, xy, y^2, xy^2}
         expected = monomial_ideal_colength_oracle([(2, 0), (0, 3)], 8)
         assert expected == 6
-        assert quotient_dim_jet(ideal("3*x^2", "4*y^3"), 8) == expected
+        assert jet_quotient(ideal("3*x^2", "4*y^3"), 8)[0] == expected
 
     def test_not_stabilized_principal(self):
         expected = monomial_ideal_colength_oracle([(2, 0)], 4)
         assert expected == 7
-        assert quotient_dim_jet(ideal("x^2"), 4) == expected
+        assert jet_quotient(ideal("x^2"), 4)[0] == expected
         # the quotient is infinite dimensional: the jet value keeps growing
-        assert quotient_dim_jet(ideal("x^2"), 6) > 7
+        assert jet_quotient(ideal("x^2"), 6)[0] > 7
 
     def test_monotone_in_generators(self):
         small = ideal("x^2", "y^3")
         large = ideal("x^2", "y^3", "x*y")
         for order in (4, 6, 8):
-            assert quotient_dim_jet(large, order) <= quotient_dim_jet(small, order)
+            assert jet_quotient(large, order)[0] <= jet_quotient(small, order)[0]
 
     def test_monotone_in_order(self):
         I = ideal("x^3", "y^2 + x^5")
-        dims = [quotient_dim_jet(I, order) for order in (2, 4, 6, 8, 10)]
+        dims = [jet_quotient(I, order)[0] for order in (2, 4, 6, 8, 10)]
         assert dims == sorted(dims)
 
     def test_basis_lists_standard_monomials(self):
@@ -196,7 +201,7 @@ def reference_colon_span(monos, targets):
 
 def reference_graded_saturate(I, weights, jet_cap, window):
     """Every slice 0..top recomputed at every colon step."""
-    graded = _GradedIdeal(I, weights)
+    graded = GradedIdeal(I, weights)
     wmax = max(graded.int_weights)
     wdeg_cap = jet_cap * wmax
 
@@ -255,7 +260,7 @@ def test_graded_colon_chain_matches_full_recompute(f, weights, colon_steps):
     I, ws = jacobian_ideal(f), WeightSystem(weights, 1)
     ref_slices, top, steps = reference_graded_saturate(I, ws, 24, 4)
     assert steps == colon_steps
-    saturated = _GradedIdeal(saturate_at_origin(I), ws)
+    saturated = GradedIdeal(saturate_at_origin(I), ws)
     for wdeg in range(top + 1):
         assert reduced_rows(saturated.slice_span(wdeg)) == reduced_rows(ref_slices[wdeg])
 
@@ -329,6 +334,112 @@ class TestLocalQuotient:
         assert local_quotient(ideal("2", "x"), WeightSystem((1, 1), 1)) == (0, [])
 
 
+def weighted_generators(draw, weights, variables, count, max_degree):
+    """``count`` generators, each a random combination of the monomials of
+    one weighted degree in 1..``max_degree``."""
+    n = len(variables)
+    degrees = [d for d in range(1, max_degree + 1) if monomials_of_weighted_degree(n, weights, d)]
+    generators = []
+    for _ in range(count):
+        monos = monomials_of_weighted_degree(n, weights, draw(st.sampled_from(degrees)))
+        size = len(monos)
+        coefficients = draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size))
+        generators.append(Poly(variables, dict(zip(monos, coefficients))))
+    assume(not any(g.is_zero for g in generators))
+    return generators
+
+
+WEIGHTS = [(1, 1), (3, 2), (5, 2), (2, 1, 1)]
+
+
+@st.composite
+def quasi_homogeneous_ideals(draw):
+    """n or n + 1 quasi-homogeneous generators in n = 2 or 3 variables,
+    with the weight system that grades them; kept when the ideal is
+    isolated at 0."""
+    weights = draw(st.sampled_from(WEIGHTS))
+    variables = XY if len(weights) == 2 else XYZ
+    count = draw(st.integers(len(weights), len(weights) + 1))
+    max_degree = 8 if len(weights) == 2 else 4
+    I = IdealGens.of(variables, weighted_generators(draw, weights, variables, count, max_degree))
+    assume(isolated_at_origin(I))
+    return I, WeightSystem(weights, 1)
+
+
+@st.composite
+def graded_twisted_problems(draw):
+    """One or two quasi-homogeneous generators and a field graded for the
+    same weights: each V_i a random combination of the monomials of
+    weighted degree s + w_i, for one shift s (negative shifts lower the
+    order)."""
+    weights = draw(st.sampled_from(WEIGHTS))
+    variables = XY if len(weights) == 2 else XYZ
+    n = len(variables)
+    I = IdealGens.of(
+        variables, weighted_generators(draw, weights, variables, draw(st.integers(1, 2)), 6)
+    )
+    shift = draw(st.integers(-max(weights), 3))
+    coefficients = []
+    for w in weights:
+        monos = monomials_of_weighted_degree(n, weights, shift + w)
+        values = draw(st.lists(st.integers(-3, 3), min_size=len(monos), max_size=len(monos)))
+        coefficients.append(Poly(variables, dict(zip(monos, values))))
+    return I, VectorField(variables, tuple(coefficients)), WeightSystem(weights, 1)
+
+
+class TestWeightedCounts:
+    """With a certificate the weighted count's non-lead monomials are the
+    greedy slice basis of the reference; off homogeneous input they differ
+    from the greedy jet basis, which is why the unweighted path builds
+    ``jet_quotient``."""
+
+    @given(quasi_homogeneous_ideals())
+    def test_local_quotient_is_the_greedy_slice_basis(self, data):
+        I, ws = data
+        dim, basis = local_quotient(I, ws)
+        assert basis == greedy_slice_quotient(I, ws)
+        assert local_colength(I, ws) == dim == len(basis)
+
+    @given(graded_twisted_problems(), st.integers(0, 10))
+    def test_twisted_basis_is_the_greedy_slice_basis(self, problem, top):
+        # the scan stops at the first order whose count reaches the target,
+        # so the target is the reference's total over the slices 0..top
+        I, V, ws = problem
+        slices = greedy_twisted_slices(I, V, ws, top)
+        target = sum(map(len, slices))
+        result = twisted_quotient_dim(I, V, target, ws, jet_cap=top + 6)
+        assert result.dim == target
+        assert result.basis == tuple(m for kept in slices for m in kept)
+
+    def test_non_leads_differ_from_the_greedy_basis_off_homogeneous_input(self):
+        # the leads of (x + y^2, y^3) include x, so the non-leads are
+        # 1, y, y^2; the greedy graded pass keeps x, as x = -y^2 mod I lies
+        # in no span of lower monomials
+        I = ideal("x + y^2", "y^3")
+        counts = _JetCounts(I)
+        stop = _nakayama_order(counts)
+        assert counts.basis(stop) == [(0, 0), (0, 1), (0, 2)]
+        assert local_quotient(I) == jet_quotient(I, stop) == (3, [(0, 0), (1, 0), (0, 1)])
+
+    def test_a_certificate_that_does_not_grade_the_ideal_is_an_input_error(self):
+        ws, I = WeightSystem((1, 1), 1), ideal("x + y^2")
+        euler = VectorField(XY, (p("x"), p("y")))
+        for scan in (
+            lambda: local_quotient(I, ws),
+            lambda: local_colength(I, ws),
+            lambda: twisted_quotient_dim(I, euler, 1, ws),
+        ):
+            with pytest.raises(InputError, match="is not quasi-homogeneous for the certificate"):
+                scan()
+
+    def test_a_field_the_certificate_does_not_grade_scans_the_jet_orders(self):
+        I = ideal("x^2")
+        V = VectorField(XY, (p("x*y^2 + y"), p("-(2*x^3+y^3)")))
+        target = len(nu_jet_basis(I, V, 4))
+        ws = WeightSystem((1, 1), 6)
+        assert twisted_quotient_dim(I, V, target, ws) == twisted_quotient_dim(I, V, target)
+
+
 @st.composite
 def isolated_ideals(draw):
     """x_i^(a_i) + r_i for each variable, r_i vanishing at 0, and at most
@@ -361,7 +472,7 @@ class TestJetCounts:
         capless = _JetCounts(I)
         stop = _nakayama_order(capless)
         for k in range(1, 13):
-            q = quotient_dim_jet(I, k)
+            q = jet_quotient(I, k)[0]
             assert exact.quotient_dim(k) == q
             assert modular.quotient_dim(k) >= q
             if k <= stop + 1:
@@ -370,9 +481,9 @@ class TestJetCounts:
     def test_counts_in_any_order_of_asking(self):
         I = ideal("x^3 + y^4", "x*y^2")
         counts = _JetCounts(I)
-        assert counts.quotient_dim(9) == quotient_dim_jet(I, 9)
+        assert counts.quotient_dim(9) == jet_quotient(I, 9)[0]
         assert [counts.quotient_dim(k) for k in range(1, 10)] == [
-            quotient_dim_jet(I, k) for k in range(1, 10)
+            jet_quotient(I, k)[0] for k in range(1, 10)
         ]
 
 
