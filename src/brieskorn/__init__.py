@@ -12,14 +12,12 @@ __version__ = "0.1.0"
 from .ab_module import (
     ABModule,
     OperatorWord,
-    TorsionFixture,
     check_commutation,
     factorial_identity_holds,
     is_regular,
     is_simple_pole,
     normal_order,
     tensor,
-    torsion_subspaces,
 )
 from .curve import (
     FactoredCurve,
@@ -30,11 +28,10 @@ from .curve import (
     closed_form_witness,
     invariants,
     torsion_free_witness,
-    transversal_milnor,
 )
 from .errors import BrieskornError, InconclusiveError, InputError, ParseError
 from .forms import DiffForm, VectorField, field_from_one_form
-from .groebner import saturate_at_origin, torsion_length
+from .groebner import torsion_length
 from .local_algebra import (
     IdealGens,
     jacobian_ideal,
@@ -42,7 +39,7 @@ from .local_algebra import (
     local_quotient,
     twisted_quotient_dim,
 )
-from .poly import Poly, WeightSystem, parse_polynomial, weighted_degree
+from .poly import Poly, WeightSystem, parse_polynomial
 from .suspension import (
     IsolatedGerm,
     SuspensionReport,
@@ -65,7 +62,6 @@ __all__ = [
     "ParseError",
     "Poly",
     "SuspensionReport",
-    "TorsionFixture",
     "VectorField",
     "WeightSystem",
     "annihilator_field",
@@ -84,14 +80,10 @@ __all__ = [
     "milnor_isolated",
     "normal_order",
     "parse_polynomial",
-    "saturate_at_origin",
     "suspend",
     "tensor",
     "torsion_free_witness",
     "torsion_length",
-    "torsion_subspaces",
-    "transversal_milnor",
     "twisted_quotient_dim",
     "verify_suspension_direct",
-    "weighted_degree",
 ]

@@ -7,20 +7,18 @@ multiplication, and a acts by a matrix of b-polynomials plus the
 derivation rule  b^k e -> k b^(k+1) e  forced by the commutation law.
 
 The module also houses a free-algebra normal-ordering engine for words
-in a and b (the independent oracle for the operator identities) and
-desk-scale torsion fixtures given by explicit matrices.
+in a and b, which decides the operator identities.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 from .errors import InconclusiveError, InputError
-from .linalg import Span, Vec, kernel_relations, vec_axpy
+from .linalg import Span, vec_axpy
 from .poly import Scalar, as_fraction, format_fraction, parse_fraction
 
 # a b-polynomial: coefficient tuple indexed by b-power, zero-trimmed
@@ -32,10 +30,6 @@ def bpoly(coefficients: Sequence[Scalar]) -> BPoly:
     while values and values[-1] == 0:
         values.pop()
     return tuple(values)
-
-
-# module elements: sparse maps (generator index, b power) -> coefficient
-Element = dict[tuple[int, int], Fraction]
 
 
 class ABModule:
@@ -78,35 +72,6 @@ class ABModule:
     ) -> "ABModule":
         """Rank-1 module with  a e = coefficient * b e."""
         return cls(1, trunc_order, [[[0, as_fraction(coefficient)]]], label=label)
-
-    # -- operator actions ----------------------------------------------------
-
-    def generator(self, index: int, power: int = 0) -> Element:
-        return {(index, power): Fraction(1)}
-
-    def apply_b(self, element: Element) -> Element:
-        out: Element = {}
-        for (j, t), c in element.items():
-            if t + 1 < self.trunc_order:
-                out[(j, t + 1)] = out.get((j, t + 1), Fraction(0)) + c
-        return {k: v for k, v in out.items() if v != 0}
-
-    def apply_a(self, element: Element, derivation_term: bool = True) -> Element:
-        out: Element = {}
-        for (j, t), c in element.items():
-            for i in range(self.rank):
-                entry = self.a_matrix[i][j]
-                for power, coeff in enumerate(entry):
-                    if coeff == 0:
-                        continue
-                    target = t + power
-                    if target < self.trunc_order:
-                        key = (i, target)
-                        out[key] = out.get(key, Fraction(0)) + c * coeff
-            if derivation_term and t > 0 and t + 1 < self.trunc_order:
-                key = (j, t + 1)
-                out[key] = out.get(key, Fraction(0)) + c * t
-        return {k: v for k, v in out.items() if v != 0}
 
     def __repr__(self) -> str:
         return (
@@ -409,9 +374,9 @@ def _reorder_a_powers(a_power: int, b_power: int) -> tuple[tuple[int, int, int],
 def normal_order(word: OperatorWord) -> OperatorWord:
     """Canonical b-left normal form: a sum of terms b^i a^j.
 
-    Uses the memoized single-letter recurrence; the naive rewriter below
-    serves as an independent oracle for it.  The recurrence's coefficients
-    are integers, so sums stay in the word's own coefficient type.
+    Uses the memoized single-letter recurrence.  The recurrence's
+    coefficients are integers, so sums stay in the word's own coefficient
+    type.
     """
     total: dict[tuple[int, int], Scalar] = {}
     for letters, coeff in word.terms.items():
@@ -434,34 +399,6 @@ def normal_order(word: OperatorWord) -> OperatorWord:
     )
 
 
-def rewrite_normal_order(word: OperatorWord, leftmost: bool = True) -> OperatorWord:
-    """Oracle rewriter: repeatedly replace one occurrence of 'ab' using
-    a.b -> b.a + b.b until no word contains 'ab'.  Terminates and is
-    confluent; the strategy flag exercises confluence in tests."""
-    pending = dict(word.terms)
-    done: dict[tuple[str, ...], Fraction] = {}
-    while pending:
-        letters, coeff = pending.popitem()
-        spot = -1
-        indices = range(len(letters) - 1)
-        for i in (indices if leftmost else reversed(indices)):
-            if letters[i] == "a" and letters[i + 1] == "b":
-                spot = i
-                break
-        if spot < 0:
-            done[letters] = done.get(letters, Fraction(0)) + coeff
-            continue
-        prefix, suffix = letters[:spot], letters[spot + 2 :]
-        for replacement in (("b", "a"), ("b", "b")):
-            key = prefix + replacement + suffix
-            acc = pending.get(key, Fraction(0)) + coeff
-            if acc == 0:
-                pending.pop(key, None)
-            else:
-                pending[key] = acc
-    return OperatorWord({w: c for w, c in done.items() if c != 0})
-
-
 def factorial_identity_holds(n: int) -> bool:
     """Check the operator identity
         n! b^(2n) = sum_{j=0..n} (-1)^j C(n,j) b^j a^n b^(n-j)
@@ -477,159 +414,3 @@ def factorial_identity_holds(n: int) -> bool:
     lhs = OperatorWord({("b",) * (2 * n): factorial(n)})
     return normal_order(rhs) == lhs
 
-
-# -- torsion fixtures ----------------------------------------------------------
-
-Matrix = tuple[tuple[Fraction, ...], ...]
-
-
-def matrix(rows: Sequence[Sequence[Scalar]]) -> Matrix:
-    out = tuple(tuple(as_fraction(v) for v in row) for row in rows)
-    size = len(out)
-    if any(len(row) != size for row in out):
-        raise InputError("torsion fixture matrices must be square")
-    return out
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    size = len(a)
-    return tuple(
-        tuple(
-            sum((a[i][k] * b[k][j] for k in range(size)), Fraction(0))
-            for j in range(size)
-        )
-        for i in range(size)
-    )
-
-
-def mat_vec(a: Matrix, v: Vec) -> Vec:
-    size = len(a)
-    out: Vec = {}
-    for j, c in v.items():
-        for i in range(size):
-            if a[i][j]:
-                out[i] = out.get(i, Fraction(0)) + a[i][j] * c
-    return {k: val for k, val in out.items() if val != 0}
-
-
-def mat_power(a: Matrix, n: int) -> Matrix:
-    size = len(a)
-    result: Matrix = tuple(
-        tuple(Fraction(1 if i == j else 0) for j in range(size)) for i in range(size)
-    )
-    for _ in range(n):
-        result = mat_mul(result, a)
-    return result
-
-
-def is_nilpotent(a: Matrix) -> bool:
-    power = mat_power(a, len(a))
-    return all(v == 0 for row in power for v in row)
-
-
-@dataclass(frozen=True)
-class TorsionFixture:
-    """Desk-scale model: explicit dim x dim matrices for a and b.
-
-    Conforming fixtures satisfy the commutation rule a.b - b.a = b^2 with
-    b nilpotent; validation is exposed as predicates rather than enforced
-    at construction so that tests can also exhibit what goes wrong on
-    non-conforming data.
-    """
-
-    dim: int
-    a: Matrix
-    b: Matrix
-
-    @classmethod
-    def of(cls, a_rows: Sequence[Sequence[Scalar]], b_rows: Sequence[Sequence[Scalar]]):
-        a = matrix(a_rows)
-        b = matrix(b_rows)
-        if len(a) != len(b):
-            raise InputError("a and b must have the same dimension")
-        return cls(len(a), a, b)
-
-    def commutation_holds(self) -> bool:
-        lhs = mat_mul(self.a, self.b)
-        rhs = mat_mul(self.b, self.a)
-        square = mat_mul(self.b, self.b)
-        return all(
-            lhs[i][j] - rhs[i][j] == square[i][j]
-            for i in range(self.dim)
-            for j in range(self.dim)
-        )
-
-
-def _stable_kernel(m: Matrix) -> list[Vec]:
-    """Basis of the union of kernels of m^k (the generalized kernel)."""
-    size = len(m)
-    power = mat_power(m, size)
-    columns = [(j, mat_vec(power, {j: Fraction(1)})) for j in range(size)]
-    return kernel_relations(columns, key_order=lambda k: k)
-
-
-def _subspace_span(vectors: Sequence[Vec]) -> Span:
-    span = Span(lambda k: k)
-    for v in vectors:
-        span.insert(v)
-    return span
-
-
-def a_torsion(fixture: TorsionFixture) -> list[Vec]:
-    """Union of the kernels of the powers of a."""
-    return _stable_kernel(fixture.a)
-
-
-def torsion_subspaces(fixture: TorsionFixture) -> tuple[list[Vec], list[Vec]]:
-    """Return (B, A): the union of b-power kernels, and the subspace of
-    vectors whose whole b-orbit span is a-nilpotent."""
-    b_space = _stable_kernel(fixture.b)
-    a_tilde = _subspace_span(a_torsion(fixture))
-    # A = vectors x with b^j x inside the a-torsion for every j;
-    # the powers j < dim already span the whole b-orbit
-    compound_vectors = []
-    for col in range(fixture.dim):
-        vec: Vec = {}
-        current: Vec = {col: Fraction(1)}
-        for j in range(fixture.dim):
-            residual = a_tilde.reduce(current)
-            for key, value in residual.items():
-                vec[(j, key)] = value
-            current = mat_vec(fixture.b, current)
-        compound_vectors.append((col, vec))
-    relations = kernel_relations(compound_vectors, key_order=lambda k: k)
-    return b_space, relations
-
-
-def subspaces_equal(first: Sequence[Vec], second: Sequence[Vec]) -> bool:
-    s1 = _subspace_span(first)
-    s2 = _subspace_span(second)
-    return s1.rank == s2.rank and all(s1.contains(v) for v in second)
-
-
-def fixture_axioms_hold(fixture: TorsionFixture) -> bool:
-    """All finite-model axioms: the commutation rule, b nilpotent (which
-    settles invertibility of b - lambda and the b-separation condition),
-    b-torsion contained in A, and a nilpotent on A."""
-    if not fixture.commutation_holds():
-        return False
-    if not is_nilpotent(fixture.b):
-        return False
-    b_space, a_space = torsion_subspaces(fixture)
-    a_span = _subspace_span(a_space)
-    if not all(a_span.contains(v) for v in b_space):
-        return False
-    a_power = mat_power(fixture.a, fixture.dim)
-    for v in a_space:
-        if mat_vec(a_power, dict(v)):
-            return False
-    return True
-
-
-def nilpotence_exponent(m: Matrix, vectors: Sequence[Vec]) -> Optional[int]:
-    """Smallest N with m^N v = 0 for all given vectors, if one exists."""
-    for n in range(len(m) + 1):
-        power = mat_power(m, n)
-        if all(not mat_vec(power, dict(v)) for v in vectors):
-            return n
-    return None

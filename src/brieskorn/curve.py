@@ -27,7 +27,7 @@ from typing import Callable, Optional, Sequence
 from .errors import InconclusiveError, InputError
 from .forms import DiffForm, VectorField, field_from_one_form
 from .groebner import isolated_at_origin
-from .linalg import Span, Vec, kernel_relations, vec_axpy
+from .linalg import Span, intersection, vec_axpy
 from .local_algebra import (
     IdealGens,
     _ShiftedImages,
@@ -432,14 +432,40 @@ def a_action(
     return tuple(out)
 
 
-def action_relation_holds(
-    f: Poly,
+def _exact_form_images(
     alpha: DiffForm,
-    ws: WeightSystem,
-    m: Poly,
-    coefficient: Fraction,
-) -> bool:
-    """Membership oracle for  a[m] = c b[m]  in n variables.
+) -> list[tuple[tuple[int, ...], _ShiftedImages]]:
+    """For each index set I of n - 2 variables, the map from x^h to the top
+    coefficient of d(x^h dx_I ^ alpha).  By the Leibniz rule that form is
+    sum_k h_k x^(h - e_k) dx_k ^ dx_I ^ alpha + x^h d(dx_I ^ alpha), affine
+    in h, so its operator is read off alpha once per index set.
+
+    With {p < q} the complement of I and s the sign of the sequence
+    (p, I, q), only the a_p dx_p and a_q dx_q of alpha survive the wedge
+    with dx_I: dx_p ^ dx_I ^ alpha = s a_q vol, dx_q ^ dx_I ^ alpha =
+    -s a_p vol, every other dx_k ^ dx_I ^ alpha = 0, and
+    d(dx_I ^ alpha) = s (d_p a_q - d_q a_p) vol."""
+    variables = alpha.variables
+    n = len(variables)
+    zero = Poly.zero(variables)
+    out = []
+    for index_set in combinations(range(n), n - 2) if n > 1 else ():
+        p, q = (k for k in range(n) if k not in index_set)
+        sequence = (p, *index_set, q)
+        s = (-1) ** sum(a > b for a, b in combinations(sequence, 2))
+        a_p, a_q = alpha.coefficient((p,)), alpha.coefficient((q,))
+        parts = [zero] * n
+        parts[p], parts[q] = a_q * s, a_p * -s
+        extra = (a_q.derivative(variables[p]) - a_p.derivative(variables[q])) * s
+        out.append((index_set, _ShiftedImages(parts, extra)))
+    return out
+
+
+def _action_oracle(
+    f: Poly, alpha: DiffForm, ws: WeightSystem
+) -> Callable[[Poly, Fraction], bool]:
+    """Membership oracle for  a[m] = c b[m]  in n variables, for one
+    (f, alpha), as a function of (m, c).
 
     With a acting as multiplication by f and b as df wedge a primitive,
     the claim is that  f m vol - c df ^ xi  lies in the span of the exact
@@ -449,42 +475,6 @@ def action_relation_holds(
     d(eta)).  With one variable there is no eta and the claim is a
     polynomial identity.  For quasi-homogeneous f only the eta of one
     weighted degree can contribute, so the test is a finite exact solve.
-    A True answer rests on an exact identity among the generators of that
-    span: the explicit Euler-field primitive of ``_action_oracle`` at the
-    predicted coefficient, or else the reduced span itself, which alone
-    gives every False.
-    """
-    return _action_oracle(f, alpha, ws)(m, coefficient)
-
-
-def _exact_form_images(
-    alpha: DiffForm,
-) -> list[tuple[tuple[int, ...], _ShiftedImages]]:
-    """For each index set I of n - 2 variables, the map from x^h to the top
-    coefficient of d(x^h dx_I ^ alpha).  By the Leibniz rule that form is
-    sum_k h_k x^(h - e_k) dx_k ^ dx_I ^ alpha + x^h d(dx_I ^ alpha), affine
-    in h, so its operator is read off alpha once per index set."""
-    variables = alpha.variables
-    n = len(variables)
-    top_key = tuple(range(n))
-    one = Poly.constant(variables, 1)
-    out = []
-    for index_set in combinations(range(n), n - 2) if n > 1 else ():
-        dx_alpha = DiffForm(variables, n - 2, {index_set: one}).wedge(alpha)
-        parts = [
-            DiffForm(variables, 1, {(k,): one}).wedge(dx_alpha).coefficient(top_key)
-            for k in range(n)
-        ]
-        extra = dx_alpha.d().coefficient(top_key)
-        out.append((index_set, _ShiftedImages(parts, extra)))
-    return out
-
-
-def _action_oracle(
-    f: Poly, alpha: DiffForm, ws: WeightSystem
-) -> Callable[[Poly, Fraction], bool]:
-    """The test of ``action_relation_holds`` for one (f, alpha), as a
-    function of (m, c).
 
     The exact forms d(eta ^ alpha), eta = x^h dx_I, are integer exponent
     shifts (``_exact_form_images``) whose operators come from alpha alone,
@@ -694,32 +684,18 @@ def torsion_free_witness(curve: FactoredCurve, jet_order: int = 12) -> bool:
         )
     # d(x^h alpha) and df ^ d(x^g) as integer exponent shifts: each map
     # scales all its images by one positive integer, which changes no span
-    # and no kernel relation
     [(_, exact_image)] = _exact_form_images(annihilator_form(curve))
-    exact_vectors = {}
-    for h_exp in monomials_below(2, jet_order + 1):
-        vec = exact_image(h_exp)
-        if vec:
-            exact_vectors[h_exp] = vec
-    bound = max((sum(e) for v in exact_vectors.values() for e in v), default=0)
+    exact_vectors = [
+        vec for h_exp in monomials_below(2, jet_order + 1) if (vec := exact_image(h_exp))
+    ]
+    bound = max((sum(e) for v in exact_vectors for e in v), default=0)
     cofactor = curve.multiplicity_cofactor()
     ideal_vectors = [
-        (("u", m_exp), shifted_vec(cofactor, m_exp))
+        shifted_vec(cofactor, m_exp)
         for m_exp in monomials_below(2, max(bound + 2 - cofactor.order(), 1))
     ]
-    relations = kernel_relations(
-        [(("w", h_exp), vec) for h_exp, vec in exact_vectors.items()] + ideal_vectors,
-        key_order=jet_key_order,
-    )
-    intersection: list[Vec] = []
-    for relation in relations:
-        vec: Vec = {}
-        for tag, scale in relation.items():
-            if tag[0] == "w":
-                vec_axpy(vec, scale, exact_vectors[tag[1]])
-        if vec:
-            intersection.append(vec)
-    if not intersection:
+    meet = intersection(ideal_vectors, exact_vectors, jet_key_order)
+    if not meet:
         return True
     f_x, f_y = (f.derivative(v) for v in variables)
     wedge_image = _ShiftedImages((-f_y, f_x), Poly.zero(variables))
@@ -728,7 +704,7 @@ def torsion_free_witness(curve: FactoredCurve, jet_order: int = 12) -> bool:
         vec = wedge_image(g_exp)
         if vec:
             witness_span.insert(vec)
-    for vec in intersection:
+    for vec in meet:
         if not witness_span.contains(vec):
             raise InconclusiveError(
                 "torsion-free witness membership failed; raise the jet order "
@@ -746,68 +722,18 @@ def closed_form_witness(curve: FactoredCurve) -> Optional[Poly]:
 
     When the multiplicities share a common divisor D > 1, the product
     h0 = prod u_i^(p_i/D - 1) satisfies d(h0 alpha) = 0 exactly and is
-    returned.  When gcd = 1 the scan over all smaller exponent patterns
-    (excluding the pattern of df itself) confirms no closed product form
-    exists, and None is returned.
+    returned.  When gcd = 1 no product of powers of the u_i below the
+    multiplicities, other than the cofactor of df itself, is a closed
+    multiple, and None is returned.
     """
     if not curve.residual_is_constant:
         raise InputError("the closed-form witness applies to constant residuals only")
-    alpha = annihilator_form(curve)
-    mults = [p for _, p in curve.factors]
-    common = gcd(*mults) if len(mults) > 1 else mults[0]
-    if common > 1:
-        h0 = Poly.constant(curve.variables, 1)
-        for u, p in curve.factors:
-            h0 = h0 * u ** (p // common - 1)
-        if not (alpha * h0).d().is_zero:
-            raise RuntimeError(
-                "internal invariant violation: predicted witness is not closed"
-            )
-        return h0
-    # gcd = 1: exhaustive scan, excluding the exponents of df / alpha
-    def scan(idx: int, exps: list[int]):
-        if idx == len(curve.factors):
-            if all(e == p - 1 for e, (_, p) in zip(exps, curve.factors)):
-                return  # this is df itself, closed for trivial reasons
-            h = Poly.constant(curve.variables, 1)
-            for (u, _), e in zip(curve.factors, exps):
-                h = h * u**e
-            if (alpha * h).d().is_zero:
-                raise RuntimeError(
-                    "internal invariant violation: unexpected closed product form "
-                    f"at exponents {tuple(exps)}"
-                )
-            return
-        for e in range(curve.factors[idx][1]):
-            scan(idx + 1, exps + [e])
-
-    scan(0, [])
-    return None
-
-
-# -- transversal Milnor numbers --------------------------------------------------
-
-
-def transversal_milnor(curve: FactoredCurve, branch: int) -> int:
-    """Milnor number of the slice singularity transverse to one branch.
-
-    Along a generic smooth point of the branch a transverse line meets f
-    in t^(valuation) times a unit, so the one-variable Milnor number is
-    the branch valuation of f minus one.  The valuation is computed by
-    exact polynomial division, which also catches multiplicities hidden
-    in the residual.
-    """
-    if not 0 <= branch < len(curve.factors):
-        raise InputError(f"no branch with index {branch}")
-    u, _ = curve.factors[branch]
-    partials = [u.derivative(v) for v in curve.variables]
-    if not isolated_at_origin(IdealGens.of(curve.variables, [u] + partials)):
-        raise InputError(
-            f"degenerate slice: branch {u} is singular along a curve"
-        )
-    valuation = curve.expand().valuation(u)
-    if valuation < 2:
-        raise InputError(
-            f"degenerate slice: f has valuation {valuation} < 2 along {u}"
-        )
-    return valuation - 1
+    common = gcd(*(p for _, p in curve.factors))
+    if common == 1:
+        return None
+    h0 = Poly.constant(curve.variables, 1)
+    for u, p in curve.factors:
+        h0 = h0 * u ** (p // common - 1)
+    if not (annihilator_form(curve) * h0).d().is_zero:
+        raise RuntimeError("internal invariant violation: predicted witness is not closed")
+    return h0

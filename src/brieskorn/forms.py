@@ -1,5 +1,5 @@
-"""Exterior algebra of differential forms with polynomial coefficients,
-plus polynomial vector fields and their twisted action.
+"""Differential forms with polynomial coefficients and their exterior
+derivative, plus polynomial vector fields with their divergence.
 
 Index tuples selecting dx_{i1} ^ ... ^ dx_{ip} are stored strictly
 increasing; user-supplied permuted tuples are normalized with the sign of
@@ -88,12 +88,6 @@ class DiffForm:
         """Degree-0 form wrapping a polynomial."""
         return cls(coeff.variables, 0, {(): coeff})
 
-    @classmethod
-    def volume(cls, variables: Sequence[str], coeff: Poly) -> "DiffForm":
-        """Top form coeff * dx_0 ^ ... ^ dx_n."""
-        n = len(tuple(variables))
-        return cls(variables, n, {tuple(range(n)): coeff})
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
@@ -149,27 +143,6 @@ class DiffForm:
     def __rmul__(self, other: Union[Poly, Scalar]) -> "DiffForm":
         return self.__mul__(other)
 
-    def wedge(self, other: "DiffForm") -> "DiffForm":
-        """Graded-antisymmetric exterior product."""
-        self._check(other)
-        degree = self.degree + other.degree
-        if degree > len(self.variables):
-            return DiffForm.zero(self.variables, min(degree, len(self.variables)))
-        accum: dict[tuple[int, ...], Poly] = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                key, sign = _normalize_indices(k1 + k2, len(self.variables))
-                if key is None:
-                    continue
-                piece = c1 * c2
-                if sign == -1:
-                    piece = -piece
-                if key in accum:
-                    accum[key] = accum[key] + piece
-                else:
-                    accum[key] = piece
-        return DiffForm(self.variables, degree, accum)
-
     def d(self) -> "DiffForm":
         """Exterior derivative; satisfies d(d(w)) = 0."""
         n = len(self.variables)
@@ -202,26 +175,6 @@ class DiffForm:
 
     def __repr__(self) -> str:
         return f"DiffForm({str(self)!r})"
-
-    def to_record(self) -> dict:
-        return {
-            "variables": list(self.variables),
-            "degree": self.degree,
-            "terms": [
-                {"indices": list(key), "coefficient": self.terms[key].to_record()}
-                for key in sorted(self.terms)
-            ],
-        }
-
-    @classmethod
-    def from_record(cls, record: Mapping) -> "DiffForm":
-        variables = tuple(record["variables"])
-        terms = {
-            tuple(t["indices"]): Poly.from_record(t["coefficient"])
-            for t in record["terms"]
-        }
-        return cls(variables, record["degree"], terms)
-
 
 class VectorField:
     """Polynomial vector field V = sum_i a_i d/dx_i."""
@@ -278,25 +231,6 @@ class VectorField:
             total = total + coeff * h.derivative(name)
         return total
 
-    def apply_twisted(self, h: Poly) -> Poly:
-        """Divergence-corrected action: V . h + div(V) * h."""
-        return self.apply(h) + self.divergence() * h
-
-    def dual_form(self) -> DiffForm:
-        """The (n)-form sum_i a_i (-1)^i dx_0 ^ ... ^ (dx_i omitted) ^ ... ^ dx_n.
-
-        In two variables: a d/dx + b d/dy corresponds to a dy - b dx.
-        """
-        n = len(self.variables)
-        terms: dict[tuple[int, ...], Poly] = {}
-        for i, coeff in enumerate(self.coefficients):
-            if coeff.is_zero:
-                continue
-            key = tuple(j for j in range(n) if j != i)
-            signed = coeff if i % 2 == 0 else -coeff
-            terms[key] = terms.get(key, Poly.zero(self.variables)) + signed
-        return DiffForm(self.variables, n - 1, terms)
-
     def __str__(self) -> str:
         pieces = [
             f"({c}) d/d{name}"
@@ -310,7 +244,7 @@ class VectorField:
 
 
 def field_from_one_form(form: DiffForm) -> VectorField:
-    """Inverse of ``VectorField.dual_form`` in two variables:
+    """The vector field of a 1-form in two variables:
     A dx + B dy corresponds to B d/dx - A d/dy."""
     if len(form.variables) != 2 or form.degree != 1:
         raise InputError("field_from_one_form expects a 1-form in two variables")

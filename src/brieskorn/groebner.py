@@ -34,7 +34,7 @@ from operator import add, ge, le, sub
 
 from .linalg import _integer_vec
 from .local_algebra import IdealGens
-from .poly import Exponents, Poly
+from .poly import Exponents
 
 _Mono = tuple[int, ...]
 _Poly = dict[_Mono, int]
@@ -218,20 +218,6 @@ def _integer_gens(I: IdealGens) -> list[_Poly]:
         _normalized({_encode(e): c for e, c in _integer_vec(g.terms)[0].items()})
         for g in I.generators
     ]
-
-
-def saturate_at_origin(I: IdealGens) -> IdealGens:
-    """Generators of I : m^inf, the sections extending through 0: the
-    reduced grevlex Groebner basis of the saturation, each scaled so that
-    its lowest term has coefficient 1."""
-    basis = _saturation(_integer_gens(I), len(I.variables))
-    return IdealGens.of(
-        I.variables,
-        [
-            Poly(I.variables, {_decode(m): c for m, c in g.items()}).lowest_monic()
-            for g in basis
-        ],
-    )
 
 
 def isolated_at_origin(I: IdealGens) -> bool:

@@ -6,21 +6,20 @@ appears in exactly one row), so membership tests and quotient-basis
 extraction are canonical and deterministic.
 
 Inside a ``Span`` the arithmetic is fraction-free.  Each row is stored as a
-primitive integer dict (its entries, together with those of its tracked
-combination, share no common factor), and the true reduced row is that
-integer row divided by its own pivot entry; a tracked combination is kept
-on the same integer scale as its row.  ``Fraction`` values are built only
-where they leave the span: ``reduce`` residuals, ``row_vectors`` and
-``kernel_relations``.  A column index maps each non-pivot column to the
-rows holding a nonzero entry there, so a new pivot is cleared from exactly
-the rows that contain it.
+primitive integer dict (its entries share no common factor), and the true
+reduced row is that integer row divided by its own pivot entry.
+``Fraction`` values are built only where rows leave the span, in
+``row_vectors``.  A column index maps each non-pivot column to the rows
+holding a nonzero entry there, so a new pivot is cleared from exactly the
+rows that contain it.  ``intersection`` meets two spans with one more
+``Span`` (Zassenhaus's sum-space echelon).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Hashable, Iterable, Optional
+from typing import Callable, Hashable, Iterable
 
 Vec = dict[Hashable, Fraction]
 
@@ -54,102 +53,57 @@ def _integer_vec(vector: Vec) -> tuple[dict[Hashable, int], int]:
     return {k: v.numerator * (scale // v.denominator) for k, v in vector.items()}, scale
 
 
-def _cancel(
-    vec: dict, combo: Optional[dict], key: Hashable, row: dict, row_combo: Optional[dict]
-) -> int:
+def _cancel(vec: dict, key: Hashable, row: dict) -> None:
     """vec := mult * vec - coeff * row with the smallest integers that clear
-    column ``key``; a tracked combination follows.  Returns mult."""
+    column ``key``."""
     g = gcd(vec[key], row[key])
     mult, coeff = row[key] // g, vec[key] // g
-    for target, source in ((vec, row), (combo, row_combo)):
-        if target is not None:
-            if mult != 1:
-                for k in target:
-                    target[k] *= mult
-            vec_axpy(target, -coeff, source)
-    return mult
+    if mult != 1:
+        for k in vec:
+            vec[k] *= mult
+    vec_axpy(vec, -coeff, row)
 
 
-def _make_primitive(vec: dict, combo: Optional[dict]) -> None:
-    """Divide a row and its combination by their common content (in place)."""
-    content = gcd(*vec.values(), *(combo.values() if combo else ()))
+def _make_primitive(vec: dict) -> None:
+    """Divide an integer row by its content (in place)."""
+    content = gcd(*vec.values())
     if content != 1:
-        for target in (vec, combo or {}):
-            for k in target:
-                target[k] //= content
+        for k in vec:
+            vec[k] //= content
 
 
 class Span:
-    """A subspace in reduced row echelon form with a chosen column order.
+    """A subspace in reduced row echelon form with a chosen column order."""
 
-    When ``track`` is set, every row carries the combination of inserted
-    vectors that produced it, which turns insertion into an online kernel
-    computation: an insert that reduces to zero yields a kernel relation.
-    """
-
-    def __init__(self, key_order: Callable[[Hashable], object], track: bool = False):
+    def __init__(self, key_order: Callable[[Hashable], object]):
         self.key_order = key_order
-        self.track = track
         self.rows: list[dict[Hashable, int]] = []
-        self.combos: list[dict[Hashable, int]] = []
         self.pivots: dict[Hashable, int] = {}  # pivot column -> row, in row order
         self.holders: dict[Hashable, set[int]] = {}  # non-pivot column -> rows
-        # after a failed tracked insert: (integer combination, its scale)
-        self._kernel: Optional[tuple[Optional[dict], int]] = None
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    def copy(self) -> "Span":
-        """An independent span with the same rows in the same order."""
-        other = Span(self.key_order, self.track)
-        other.rows = [dict(r) for r in self.rows]
-        other.combos = [dict(c) for c in self.combos]
-        other.pivots = dict(self.pivots)
-        other.holders = {k: set(v) for k, v in self.holders.items()}
-        return other
-
-    def _clear(self, vec: dict, combo: Optional[dict]) -> int:
-        """Eliminate the pivot columns from an integer vector in place;
-        returns the factor by which the vector's scale grew."""
-        grown = 1
+    def _clear(self, vec: dict) -> None:
+        """Eliminate the pivot columns from an integer vector in place."""
         # Reduced rows only introduce non-pivot columns, one pass suffices.
         for key in [k for k in vec if k in self.pivots]:
-            idx = self.pivots[key]
-            row_combo = self.combos[idx] if combo is not None else None
-            grown *= _cancel(vec, combo, key, self.rows[idx], row_combo)
-        return grown
+            _cancel(vec, key, self.rows[self.pivots[key]])
 
-    def reduce(self, vector: Vec) -> Vec:
-        """Return the residual of ``vector`` against the span."""
-        vec, scale = _integer_vec(vector)
-        scale *= self._clear(vec, None)
-        if scale == 1:
-            return {k: Fraction(v) for k, v in vec.items()}
-        return {k: Fraction(v, scale) for k, v in vec.items()}
-
-    def insert(self, vector: Vec, tag: Optional[Hashable] = None) -> bool:
-        """Insert a vector; returns True when it enlarged the span.
-
-        ``tag`` labels the vector in tracked combinations.
-        """
-        vec, scale = _integer_vec(vector)
-        combo: Optional[dict] = None
-        if self.track:
-            combo = {tag: scale} if tag is not None else {}
-        scale *= self._clear(vec, combo)
+    def insert(self, vector: Vec) -> bool:
+        """Insert a vector; returns True when it enlarged the span."""
+        vec, _ = _integer_vec(vector)
+        self._clear(vec)
         if not vec:
-            self._kernel = (combo, scale)
             return False
         pivot = min(vec, key=self.key_order)
-        _make_primitive(vec, combo)
+        _make_primitive(vec)
         # keep existing rows reduced against the new pivot
         for idx in self.holders.pop(pivot, ()):
             row = self.rows[idx]
-            row_combo = self.combos[idx] if self.track else None
-            _cancel(row, row_combo, pivot, vec, combo)
-            _make_primitive(row, row_combo)
+            _cancel(row, pivot, vec)
+            _make_primitive(row)
             for key in vec:
                 if key in row:
                     self.holders.setdefault(key, set()).add(idx)
@@ -161,13 +115,11 @@ class Span:
                 self.holders.setdefault(key, set()).add(idx)
         self.pivots[pivot] = idx
         self.rows.append(vec)
-        if self.track:
-            self.combos.append(combo)
         return True
 
     def contains(self, vector: Vec) -> bool:
         vec, _ = _integer_vec(vector)
-        self._clear(vec, None)
+        self._clear(vec)
         return not vec
 
     def row_vectors(self) -> list[Vec]:
@@ -177,21 +129,29 @@ class Span:
         ]
 
 
-def kernel_relations(
-    vectors: Iterable[tuple[Hashable, Vec]],
+def intersection(
+    first: Iterable[Vec],
+    second: Iterable[Vec],
     key_order: Callable[[Hashable], object],
-) -> list[Vec]:
-    """Kernel of the linear map sending tagged basis elements to vectors.
+) -> list[dict[Hashable, int]]:
+    """A basis of span(first) meet span(second), as integer vectors.
 
-    Returns one relation dict per dependent vector: tag -> coefficient,
-    with the defining property  sum(coeff * vector_tag) = 0.
+    One ``Span`` over two copies of the columns, the first copy ordered
+    before the second, takes (u | 0) for each u in ``first`` and (e | e)
+    for each e in ``second``.  Its row space is {(u + e | e)}, so the rows
+    of zero first block are the (0 | e) with e = -u in both spans.  Rows
+    are reduced and the first copy is ordered first, so those are exactly
+    the rows that pivot in the second copy, and they are a basis of the
+    intersection (Zassenhaus's algorithm): dim U + dim W - dim(U + W) of
+    them.
     """
-    span = Span(key_order, track=True)
-    relations: list[Vec] = []
-    for tag, vector in vectors:
-        if not span.insert(vector, tag=tag):
-            # insert() seeded the combination with +1 * tag and subtracted
-            # pivot rows; a zero residual means sum(combo * v) = 0.
-            combo, scale = span._kernel
-            relations.append({k: Fraction(v, scale) for k, v in combo.items()})
-    return relations
+    span = Span(lambda key: (key[0], key_order(key[1])))
+    for u in first:
+        span.insert({(0, k): v for k, v in u.items()})
+    for e in second:
+        span.insert({(block, k): v for block in (0, 1) for k, v in e.items()})
+    return [
+        {k: v for (_, k), v in row.items()}
+        for row, (block, _) in zip(span.rows, span.pivots)
+        if block == 1
+    ]

@@ -187,17 +187,29 @@ def ideal_jet_span(I: IdealGens, order: int) -> Span:
     return span
 
 
-def jet_quotient(I: IdealGens, order: int) -> tuple[int, list[Exponents]]:
-    """Dimension and greedy monomial basis of (jets of degree < order) / I.
+def jet_quotient(
+    I: IdealGens,
+    order: int,
+    image: Optional[Callable[[Exponents], dict[Exponents, int]]] = None,
+    drop: int = 0,
+) -> tuple[int, list[Exponents]]:
+    """Dimension and greedy monomial basis of (jets of degree < order) / W,
+    W spanned by the ideal and, when ``image`` is given, the twisted images
+    V~(x^m) truncated at ``order`` (``drop`` bounds how far V~ lowers the
+    degree, so the x^m of degree < order + drop give every image of
+    degree < order).
 
-    The basis picks, in graded order, each monomial independent of the
-    ideal image plus the previously picked monomials.
+    The basis picks, in graded order, each monomial independent of W plus
+    the previously picked monomials.
     """
     span = ideal_jet_span(I, order)
-    basis: list[Exponents] = []
-    for m in monomials_below(len(I.variables), order):
-        if span.insert({m: 1}):
-            basis.append(m)
+    n = len(I.variables)
+    if image is not None:
+        for m in monomials_below(n, order + drop):
+            vec = truncate_vec(image(m), order)
+            if vec:
+                span.insert(vec)
+    basis = [m for m in monomials_below(n, order) if span.insert({m: 1})]
     return len(basis), basis
 
 
@@ -325,7 +337,7 @@ class _JetCounts:
             row = rows.get(lead)
             if row is None:
                 if p is None:
-                    _make_primitive(vec, None)
+                    _make_primitive(vec)
                 else:
                     inv = pow(vec[lead], -1, p)
                     vec = {e: c * inv % p for e, c in vec.items()}
@@ -333,7 +345,7 @@ class _JetCounts:
                 self.lead_degrees[lead[0]] += 1
                 return
             if p is None:
-                _cancel(vec, None, lead, row, None)
+                _cancel(vec, lead, row)
                 continue
             c = vec[lead]  # rows over GF(p) are monic
             for e, v in row.items():
@@ -490,13 +502,8 @@ def twisted_quotient_dim(
     for order in range(1, jet_cap + 1):
         if predictor.quotient_dim(order) < target:
             continue
-        span = ideal_jet_span(I, order)
-        for m in monomials_below(n, order + drop):
-            vec = truncate_vec(image(m), order)
-            if vec:
-                span.insert(vec)
-        basis = [m for m in monomials_below(n, order) if span.insert({m: 1})]
-        if _reached(len(basis), target):
+        dim, basis = jet_quotient(I, order, image, drop)
+        if _reached(dim, target):
             return TwistedResult(target, tuple(basis))
     raise InconclusiveError(
         "twisted quotient did not reach the target nu",

@@ -275,21 +275,6 @@ class Poly:
             rem = rem - Poly.monomial(self.variables, qe, qc) * divisor
         return Poly(self.variables, quotient)
 
-    def valuation(self, factor: "Poly") -> int:
-        """Largest e with factor**e dividing self (self nonzero, factor nonunit)."""
-        if self.is_zero:
-            raise InputError("valuation of the zero polynomial is undefined")
-        if factor.is_constant():
-            raise InputError("valuation with respect to a constant is undefined")
-        count = 0
-        current = self
-        while True:
-            q = current.divide_exact(factor)
-            if q is None:
-                return count
-            count += 1
-            current = q
-
     # -- weighted structure --------------------------------------------------
 
     def quasi_homogeneous_degree(self, weights: Sequence[Fraction]) -> Optional[Fraction]:
@@ -303,7 +288,7 @@ class Poly:
             return None
         return Fraction(degrees.pop(), scale)
 
-    # -- rendering and records ---------------------------------------------
+    # -- rendering ---------------------------------------------
 
     def _term_str(self, exps: Exponents, coeff: Fraction) -> str:
         parts = []
@@ -337,40 +322,11 @@ class Poly:
     def __repr__(self) -> str:
         return f"Poly({str(self)!r}, vars={self.variables!r})"
 
-    def to_record(self) -> dict:
-        ordered = sorted(self.terms, key=graded_key)
-        return {
-            "variables": list(self.variables),
-            "terms": [
-                {"exponents": list(e), "coefficient": format_fraction(self.terms[e])}
-                for e in ordered
-            ],
-        }
-
-    @classmethod
-    def from_record(cls, record: Mapping) -> "Poly":
-        terms = {
-            tuple(t["exponents"]): parse_fraction(t["coefficient"])
-            for t in record["terms"]
-        }
-        return cls(tuple(record["variables"]), terms)
-
-
 def integer_weights(weights: Sequence[Scalar]) -> tuple[tuple[int, ...], int]:
     """Weights rescaled by the lcm of their denominators: returns
     (integer weights, scale)."""
     scale = lcm(*(w.denominator for w in weights))
     return tuple(w.numerator * (scale // w.denominator) for w in weights), scale
-
-
-def weighted_degree(exponents: Sequence[int], weights: Sequence[Fraction]) -> Fraction:
-    """Weighted degree of a monomial: the weight-inner-product of exponents."""
-    if len(exponents) != len(weights):
-        raise InputError("exponent/weight length mismatch")
-    total = Fraction(0)
-    for e, w in zip(exponents, weights):
-        total += Fraction(e) * w
-    return total
 
 
 def parse_fraction(text: str) -> Fraction:

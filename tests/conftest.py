@@ -4,13 +4,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from operator import mul
-from typing import Callable, Optional
+from typing import Callable, Hashable, Iterable, Optional
 
 from hypothesis import HealthCheck, settings, strategies as st
 
+from brieskorn.ab_module import OperatorWord
+from brieskorn.curve import FactoredCurve, annihilator_form
 from brieskorn.errors import InconclusiveError, InputError
-from brieskorn.linalg import Span
+from brieskorn.forms import DiffForm, VectorField, _normalize_indices
+from brieskorn.groebner import _decode, _integer_gens, _saturation, isolated_at_origin
+from brieskorn.linalg import Span, Vec
 from brieskorn.local_algebra import (
     IdealGens,
     _ShiftedImages,
@@ -76,21 +81,19 @@ class GradedIdeal:
                 )
             self.gen_degrees.append(int(d * self.scale))
         self.generator_terms = [integer_terms(g) for g in I.generators]
-        self._slices: dict[int, Span] = {}
 
     def monomials(self, wdeg: int):
         return monomials_of_weighted_degree(len(self.variables), self.int_weights, wdeg)
 
     def slice_span(self, wdeg: int) -> Span:
-        if wdeg not in self._slices:
-            span = Span(jet_key_order)
-            for terms, d in zip(self.generator_terms, self.gen_degrees):
-                if wdeg < d:
-                    continue
-                for m in self.monomials(wdeg - d):
-                    span.insert(shifted_terms(terms, m))
-            self._slices[wdeg] = span
-        return self._slices[wdeg]
+        """A new span of the slice, which the caller may extend."""
+        span = Span(jet_key_order)
+        for terms, d in zip(self.generator_terms, self.gen_degrees):
+            if wdeg < d:
+                continue
+            for m in self.monomials(wdeg - d):
+                span.insert(shifted_terms(terms, m))
+        return span
 
 
 def greedy_slice_quotient(I: IdealGens, weights: WeightSystem) -> list:
@@ -106,7 +109,7 @@ def greedy_slice_quotient(I: IdealGens, weights: WeightSystem) -> list:
     while empty_run < max(graded.int_weights):
         monos = graded.monomials(wdeg)
         if monos:
-            span = graded.slice_span(wdeg).copy()
+            span = graded.slice_span(wdeg)
             kept = [m for m in monos if span.insert({m: 1})]
             basis += kept
             empty_run = 0 if kept else empty_run + 1
@@ -130,7 +133,7 @@ def greedy_twisted_slices(I: IdealGens, V, weights: WeightSystem, top: int) -> l
     image = _ShiftedImages(V.coefficients, div)
     slices = []
     for wdeg in range(top + 1):
-        span = graded.slice_span(wdeg).copy()
+        span = graded.slice_span(wdeg)
         for m in graded.monomials(wdeg - shift):
             span.insert(image(m))
         slices.append([m for m in graded.monomials(wdeg) if span.insert({m: 1})])
@@ -239,7 +242,7 @@ def mu(
             if not monos:
                 continue
             big = graded_sat.slice_span(wdeg)
-            work = graded_jac.slice_span(wdeg).copy()
+            work = graded_jac.slice_span(wdeg)
             count = big.rank - work.rank
             basis.extend(_quotient_reps(big, work, monos, f.variables))
             total += count
@@ -290,3 +293,248 @@ def nu_jet_reference(I: IdealGens, V, target: int, jet_cap: int = 24):
         if len(basis) >= target:
             return tuple(basis)
     return None
+
+
+# -- references moved out of the package ---------------------------------------
+#
+# Test oracles the package itself never runs: each checks a package result
+# by an independent route.
+
+
+def saturate_at_origin(I: IdealGens) -> IdealGens:
+    """Generators of I : m^inf, the sections extending through 0: the
+    reduced grevlex Groebner basis of the saturation, each scaled so that
+    its lowest term has coefficient 1."""
+    basis = _saturation(_integer_gens(I), len(I.variables))
+    return IdealGens.of(
+        I.variables,
+        [
+            Poly(I.variables, {_decode(m): c for m, c in g.items()}).lowest_monic()
+            for g in basis
+        ],
+    )
+
+
+def rewrite_normal_order(word: OperatorWord, leftmost: bool = True) -> OperatorWord:
+    """The naive rewriter, an oracle for ``normal_order``: repeatedly replace
+    one occurrence of 'ab' using a.b -> b.a + b.b until no word contains
+    'ab'.  Terminates and is confluent; the strategy flag exercises
+    confluence."""
+    pending = dict(word.terms)
+    done: dict[tuple[str, ...], Fraction] = {}
+    while pending:
+        letters, coeff = pending.popitem()
+        spot = -1
+        indices = range(len(letters) - 1)
+        for i in (indices if leftmost else reversed(indices)):
+            if letters[i] == "a" and letters[i + 1] == "b":
+                spot = i
+                break
+        if spot < 0:
+            done[letters] = done.get(letters, Fraction(0)) + coeff
+            continue
+        prefix, suffix = letters[:spot], letters[spot + 2 :]
+        for replacement in (("b", "a"), ("b", "b")):
+            key = prefix + replacement + suffix
+            acc = pending.get(key, Fraction(0)) + coeff
+            if acc == 0:
+                pending.pop(key, None)
+            else:
+                pending[key] = acc
+    return OperatorWord({w: c for w, c in done.items() if c != 0})
+
+
+def wedge(first: DiffForm, second: DiffForm) -> DiffForm:
+    """Graded-antisymmetric exterior product, the reference for the exact
+    form operators that ``curve._exact_form_images`` reads off alpha."""
+    variables = first.variables
+    if second.variables != variables:
+        raise InputError("forms live over different rings")
+    degree = first.degree + second.degree
+    if degree > len(variables):
+        return DiffForm.zero(variables, min(degree, len(variables)))
+    accum: dict[tuple[int, ...], Poly] = {}
+    for k1, c1 in first.terms.items():
+        for k2, c2 in second.terms.items():
+            key, sign = _normalize_indices(k1 + k2, len(variables))
+            if key is None:
+                continue
+            piece = c1 * c2 if sign == 1 else -(c1 * c2)
+            accum[key] = accum[key] + piece if key in accum else piece
+    return DiffForm(variables, degree, accum)
+
+
+def apply_twisted(field: VectorField, h: Poly) -> Poly:
+    """Divergence-corrected action V.h + div(V) h, on Polys."""
+    return field.apply(h) + field.divergence() * h
+
+
+def valuation(f: Poly, factor: Poly) -> int:
+    """Largest e with factor**e dividing f (f nonzero, factor nonunit)."""
+    if f.is_zero:
+        raise InputError("valuation of the zero polynomial is undefined")
+    if factor.is_constant():
+        raise InputError("valuation with respect to a constant is undefined")
+    count = 0
+    while (f := f.divide_exact(factor)) is not None:
+        count += 1
+    return count
+
+
+def transversal_milnor(curve: FactoredCurve, branch: int) -> int:
+    """Milnor number of the slice singularity transverse to one branch.
+
+    Along a generic smooth point of the branch a transverse line meets f
+    in t^(valuation) times a unit, so the one-variable Milnor number is
+    the branch valuation of f minus one.  The valuation is computed by
+    exact polynomial division, which also catches multiplicities hidden
+    in the residual.
+    """
+    if not 0 <= branch < len(curve.factors):
+        raise InputError(f"no branch with index {branch}")
+    u, _ = curve.factors[branch]
+    partials = [u.derivative(v) for v in curve.variables]
+    if not isolated_at_origin(IdealGens.of(curve.variables, [u] + partials)):
+        raise InputError(f"degenerate slice: branch {u} is singular along a curve")
+    order = valuation(curve.expand(), u)
+    if order < 2:
+        raise InputError(f"degenerate slice: f has valuation {order} < 2 along {u}")
+    return order - 1
+
+
+def closed_product_exponents(curve: FactoredCurve) -> list[tuple[int, ...]]:
+    """Every exponent pattern e < (p_1, ..., p_k), other than the cofactor
+    (p_1 - 1, ..., p_k - 1) of df itself, whose product h = prod u_i^e_i
+    makes h alpha closed.  ``closed_form_witness`` returns None exactly
+    when the multiplicities are coprime, and then this scan is empty."""
+    alpha = annihilator_form(curve)
+    cofactor = tuple(p - 1 for _, p in curve.factors)
+    found = []
+    for exps in product(*(range(p) for _, p in curve.factors)):
+        if exps == cofactor:
+            continue
+        h = Poly.constant(curve.variables, 1)
+        for (u, _), e in zip(curve.factors, exps):
+            h = h * u**e
+        if (alpha * h).d().is_zero:
+            found.append(exps)
+    return found
+
+
+# -- the Fraction row-reduction reference ----------------------------------------
+
+
+def vec_axpy(target: Vec, scale: Fraction, source: Vec) -> None:
+    """target += scale * source, dropping zeros (in place)."""
+    for key, value in source.items():
+        acc = target.get(key, Fraction(0)) + scale * value
+        if acc == 0:
+            target.pop(key, None)
+        else:
+            target[key] = acc
+
+
+def vec_scale(vector: Vec, scale: Fraction) -> Vec:
+    return {k: v * scale for k, v in vector.items()}
+
+
+class RefSpan:
+    """A subspace in reduced row echelon form with a chosen column order,
+    kept in Fractions: the reference for ``linalg.Span``.
+
+    When ``track`` is set, every row carries the combination of inserted
+    vectors that produced it, which turns insertion into an online kernel
+    computation: an insert that reduces to zero yields a kernel relation.
+    """
+
+    def __init__(self, key_order: Callable[[Hashable], object], track: bool = False):
+        self.key_order = key_order
+        self.rows: list[Vec] = []
+        self.pivots: dict[Hashable, int] = {}
+        self.track = track
+        self.combos: list[Vec] = []
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def reduce(self, vector: Vec, combo: Optional[Vec] = None) -> Vec:
+        """Return the residual of ``vector`` against the span.
+
+        If ``combo`` is given it is updated in place with the pivot-row
+        combinations used, so that  original = residual + sum(combo * rows).
+        """
+        residual = dict(vector)
+        hits = [k for k in residual if k in self.pivots]
+        # Reduced rows only introduce non-pivot columns, one pass suffices.
+        for key in hits:
+            coeff = residual.get(key)
+            if coeff is None or coeff == 0:
+                continue
+            row_idx = self.pivots[key]
+            vec_axpy(residual, -coeff, self.rows[row_idx])
+            if combo is not None and self.track:
+                vec_axpy(combo, -coeff, self.combos[row_idx])
+        return residual
+
+    def insert(self, vector: Vec, tag: Optional[Hashable] = None) -> bool:
+        """Insert a vector; returns True when it enlarged the span.
+
+        ``tag`` labels the vector in tracked combinations.
+        """
+        combo: Optional[Vec] = None
+        if self.track:
+            combo = {tag: Fraction(1)} if tag is not None else {}
+        residual = self.reduce(vector, combo)
+        if not residual:
+            self._last_kernel = combo
+            return False
+        pivot = min(residual, key=self.key_order)
+        scale = Fraction(1) / residual[pivot]
+        row = vec_scale(residual, scale)
+        if combo is not None:
+            combo = vec_scale(combo, scale)
+        # keep existing rows reduced against the new pivot
+        for idx, existing in enumerate(self.rows):
+            coeff = existing.get(pivot)
+            if coeff:
+                vec_axpy(existing, -coeff, row)
+                if self.track:
+                    vec_axpy(self.combos[idx], -coeff, combo)
+        self.pivots[pivot] = len(self.rows)
+        self.rows.append(row)
+        if self.track:
+            self.combos.append(combo if combo is not None else {})
+        self._last_kernel = None
+        return True
+
+    def last_kernel_combo(self) -> Optional[Vec]:
+        """After a failed insert, the combination expressing the vector in
+        terms of previously inserted ones (when tracking)."""
+        return getattr(self, "_last_kernel", None)
+
+    def contains(self, vector: Vec) -> bool:
+        return not self.reduce(vector)
+
+    def row_vectors(self) -> list[Vec]:
+        return [dict(r) for r in self.rows]
+
+
+def ref_kernel_relations(
+    vectors: Iterable[tuple[Hashable, Vec]],
+    key_order: Callable[[Hashable], object],
+) -> list[Vec]:
+    """Kernel of the linear map sending tagged basis elements to vectors.
+
+    Returns one relation dict per dependent vector: tag -> coefficient,
+    with the defining property  sum(coeff * vector_tag) = 0.
+    """
+    span = RefSpan(key_order, track=True)
+    relations: list[Vec] = []
+    for tag, vector in vectors:
+        if not span.insert(vector, tag=tag):
+            # insert() seeded the combination with +1 * tag and subtracted
+            # pivot rows; a zero residual means sum(combo * v) = 0.
+            combo = span.last_kernel_combo() or {tag: Fraction(1)}
+            relations.append({k: v for k, v in combo.items() if v != 0})
+    return relations

@@ -17,20 +17,12 @@ from math import gcd
 
 from brieskorn.ab_module import (
     ABModule,
-    TorsionFixture,
     bpoly,
     check_commutation,
     factorial_identity_holds,
-    fixture_axioms_hold,
     is_simple_pole,
-    mat_power,
-    mat_vec,
-    nilpotence_exponent,
     normal_order,
-    rewrite_normal_order,
-    subspaces_equal,
     tensor,
-    torsion_subspaces,
 )
 from brieskorn.curve import (
     FactoredCurve,
@@ -44,6 +36,17 @@ from brieskorn.forms import DiffForm
 from brieskorn.local_algebra import monomials_below
 from brieskorn.poly import parse_polynomial
 from brieskorn.suspension import milnor_isolated, suspend, verify_suspension_direct
+
+from conftest import closed_product_exponents, rewrite_normal_order, saturate_at_origin
+from torsion_model import (
+    TorsionFixture,
+    fixture_axioms_hold,
+    mat_power,
+    mat_vec,
+    nilpotence_exponent,
+    subspaces_equal,
+    torsion_subspaces,
+)
 
 XY = ("x", "y")
 
@@ -76,7 +79,6 @@ GOLDEN_BASIS = [
 
 def test_criterion_1_golden_sextic():
     with criterion(1, "golden sextic: saturation, mu, nu, rank, basis, a-action"):
-        from brieskorn.groebner import saturate_at_origin
         from brieskorn.local_algebra import jacobian_ideal
 
         start = time.perf_counter()
@@ -159,9 +161,10 @@ def test_criterion_5_gcd_witness_corpus():
                 assert witness is not None
                 assert (annihilator_form(curve) * witness).d().is_zero
             else:
-                # the scan inside closed_form_witness is exhaustive over
-                # all exponent patterns below the multiplicities
+                # the scan is exhaustive over all exponent patterns below
+                # the multiplicities
                 assert witness is None
+                assert closed_product_exponents(curve) == []
 
 
 def test_criterion_6_condition_witness_self_test():

@@ -23,7 +23,6 @@ from brieskorn.curve import (
     _form_weighted_degree,
     a_action,
     a_action_coefficient,
-    action_relation_holds,
     annihilator_field,
     annihilator_form,
     check_hypotheses,
@@ -31,11 +30,10 @@ from brieskorn.curve import (
     invariants,
     milnor_fibre_betti,
     torsion_free_witness,
-    transversal_milnor,
 )
 from brieskorn.errors import InconclusiveError, InputError
 from brieskorn.forms import DiffForm
-from brieskorn.groebner import saturate_at_origin, torsion_length
+from brieskorn.groebner import torsion_length
 from brieskorn.linalg import Span
 from brieskorn.local_algebra import (
     IdealGens,
@@ -54,7 +52,16 @@ from brieskorn.local_algebra import (
 from brieskorn.poly import Poly, WeightSystem, parse_polynomial
 from brieskorn.suspension import milnor_isolated
 
-from conftest import GradedIdeal, mu, nu_jet_basis, nu_jet_reference
+from conftest import (
+    GradedIdeal,
+    closed_product_exponents,
+    mu,
+    nu_jet_basis,
+    nu_jet_reference,
+    saturate_at_origin,
+    transversal_milnor,
+    wedge,
+)
 
 XY = ("x", "y")
 
@@ -159,7 +166,7 @@ class TestAnnihilatorForm:
         alpha = annihilator_form(curve)
         f = curve.expand()
         df = DiffForm(XY, 1, {(0,): f.derivative("x"), (1,): f.derivative("y")})
-        assert df.wedge(alpha).is_zero
+        assert wedge(df, alpha).is_zero
 
     def test_exact_multiple_lands_in_saturation(self):
         # d(h alpha) for h = x^2 y^2 lies in (x^2) times the top forms
@@ -478,15 +485,15 @@ class TestAActionOracle:
     def test_wrong_coefficient_fails(self):
         f, alpha = sextic().expand(), annihilator_form(sextic())
         ws = WeightSystem.for_poly(f, (1, 1))
-        assert action_relation_holds(f, alpha, ws, p("1"), Fraction(1, 3))
-        assert not action_relation_holds(f, alpha, ws, p("1"), Fraction(1, 2))
+        assert _action_oracle(f, alpha, ws)(p("1"), Fraction(1, 3))
+        assert not _action_oracle(f, alpha, ws)(p("1"), Fraction(1, 2))
 
     def test_cross_values(self):
         f, alpha = cross().expand(), annihilator_form(cross())
         ws = WeightSystem.for_poly(f, (1, 1))
-        assert action_relation_holds(f, alpha, ws, p("1"), Fraction(1, 2))
-        assert action_relation_holds(f, alpha, ws, p("x*y"), Fraction(1))
-        assert not action_relation_holds(f, alpha, ws, p("1"), Fraction(1, 3))
+        assert _action_oracle(f, alpha, ws)(p("1"), Fraction(1, 2))
+        assert _action_oracle(f, alpha, ws)(p("x*y"), Fraction(1))
+        assert not _action_oracle(f, alpha, ws)(p("1"), Fraction(1, 3))
 
     def test_shared_degree_span_still_checks_each_representative(self, monkeypatch):
         # x^2, x*y and y^2 share one weighted degree, hence one oracle span;
@@ -775,6 +782,7 @@ class TestClosedFormWitness:
 
     def test_coprime_multiplicities_give_none(self):
         assert closed_form_witness(cross(2, 3)) is None
+        assert closed_product_exponents(cross(2, 3)) == []
 
     def test_x4_y2(self):
         curve = cross(4, 2)
@@ -797,6 +805,7 @@ class TestClosedFormWitness:
                 assert (annihilator_form(curve) * witness).d().is_zero
             else:
                 assert witness is None
+                assert closed_product_exponents(curve) == []
 
 
 class TestTransversalMilnor:

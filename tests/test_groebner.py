@@ -23,11 +23,12 @@ from brieskorn.groebner import (
     _integer_gens,
     _normalized,
     isolated_at_origin,
-    saturate_at_origin,
     torsion_length,
 )
 from brieskorn.local_algebra import IdealGens, jacobian_ideal
 from brieskorn.poly import Poly, parse_polynomial
+
+from conftest import saturate_at_origin
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")

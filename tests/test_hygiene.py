@@ -1,16 +1,18 @@
-"""Source hygiene: the runtime imports only the standard library and never
+"""Source hygiene: the runtime imports only the standard library, never
 touches floating point (README: "runtime has no dependencies", "no
-floating point anywhere")."""
+floating point anywhere"), and carries no name that nothing uses."""
 
 from __future__ import annotations
 
 import ast
+import re
 import sys
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "brieskorn").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "brieskorn").glob("*.py"))
 
 
 def _tree(path: Path) -> ast.Module:
@@ -57,3 +59,77 @@ def test_checker_flags_each_offence():
         "line 3: float literal 0.5",
         "line 4: float(...) call",
     ]
+
+
+def _names(node: ast.AST, skip: ast.AST) -> set[str]:
+    """Every name the tree mentions (variables, attributes, imported
+    names), outside the subtree ``skip``."""
+    found: set[str] = set()
+    stack = [node]
+    while stack:
+        current = stack.pop()
+        if current is skip:
+            continue
+        if isinstance(current, ast.Name):
+            found.add(current.id)
+        elif isinstance(current, ast.Attribute):
+            found.add(current.attr)
+        elif isinstance(current, ast.alias):
+            found.add(current.name)
+        stack.extend(ast.iter_child_nodes(current))
+    return found
+
+
+def _exported(init: ast.Module) -> set[str]:
+    for node in init.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def _unreferenced(modules: dict[str, ast.Module], config: str) -> list[str]:
+    """The module-level functions and classes that no other code of the
+    package names outside ``__init__.py``, that ``__all__`` does not
+    export and that the project ``config`` does not name (an entry
+    point): API that no CLI path, library caller or export needs."""
+    exported = _exported(modules["__init__.py"])
+    found = []
+    for module, tree in modules.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if name in exported or re.search(rf"\b{name}\b", config):
+                continue
+            if any(
+                name in _names(other, skip=node)
+                for other_module, other in modules.items()
+                if other_module != "__init__.py"
+            ):
+                continue
+            found.append(f"{module}: {name}")
+    return found
+
+
+def test_every_package_name_is_used_or_exported():
+    modules = {path.name: _tree(path) for path in SOURCES}
+    config = (ROOT / "pyproject.toml").read_text()
+    assert _unreferenced(modules, config) == []
+
+
+def test_unreferenced_names_are_flagged():
+    modules = {
+        "__init__.py": ast.parse("from .a import kept, unused\n__all__ = ['kept']\n"),
+        "a.py": ast.parse(
+            "def kept(): pass\n"
+            "def unused(): return unused()\n"
+            "def helper(): pass\n"
+            "class Used: pass\n"
+            "def entrypoint(): pass\n"
+        ),
+        "b.py": ast.parse("from .a import helper\nx = helper.Used\n"),
+    }
+    config = 'brieskorn = "brieskorn.cli:entrypoint"'
+    assert _unreferenced(modules, config) == ["a.py: unused"]

@@ -16,8 +16,7 @@ from hypothesis import assume, example, given, strategies as st
 from brieskorn.curve import _exact_form_images
 from brieskorn.errors import InconclusiveError, InputError
 from brieskorn.forms import DiffForm, VectorField
-from brieskorn.linalg import Span, kernel_relations
-from brieskorn.groebner import isolated_at_origin, saturate_at_origin, torsion_length
+from brieskorn.groebner import isolated_at_origin, torsion_length
 from brieskorn.local_algebra import (
     IdealGens,
     _JetCounts,
@@ -37,11 +36,16 @@ from brieskorn.poly import Poly, WeightSystem, parse_polynomial
 
 from conftest import (
     GradedIdeal,
+    RefSpan,
+    apply_twisted,
     greedy_slice_quotient,
     greedy_twisted_slices,
     mu,
     nu_jet_basis,
+    ref_kernel_relations,
+    saturate_at_origin,
     stable_colength,
+    wedge,
 )
 
 XY = ("x", "y")
@@ -190,10 +194,10 @@ def reference_colon_span(monos, targets):
             for key, value in residual.items():
                 compound[(i, key)] = value
         candidates.append((m, compound))
-    relations = kernel_relations(
+    relations = ref_kernel_relations(
         candidates, key_order=lambda k: (k[0], jet_key_order(k[1]))
     )
-    colon = Span(jet_key_order)
+    colon = RefSpan(jet_key_order)
     for rel in relations:
         colon.insert(rel)
     return colon
@@ -213,10 +217,14 @@ def reference_graded_saturate(I, weights, jet_cap, window):
             if monos:
                 out[wdeg] = reference_colon_span(monos, targets)
             else:
-                out[wdeg] = Span(jet_key_order)
+                out[wdeg] = RefSpan(jet_key_order)
         return out
 
-    base = {wdeg: graded.slice_span(wdeg) for wdeg in range(wdeg_cap + 1)}
+    base = {}
+    for wdeg in range(wdeg_cap + 1):
+        base[wdeg] = RefSpan(jet_key_order)
+        for row in graded.slice_span(wdeg).row_vectors():
+            base[wdeg].insert(row)
     current = base
     steps = 0
     while steps < jet_cap:
@@ -611,7 +619,7 @@ class TestTwistedQuotient:
         v = VectorField(XY, (p("x"), p("-y")))
         for a, b in [(2, 1), (1, 3), (4, 0)]:
             m = Poly.monomial(XY, (a, b))
-            assert v.apply_twisted(m) == m * Fraction(a - b)
+            assert apply_twisted(v, m) == m * Fraction(a - b)
         ws = WeightSystem((1, 1), 2)
         result = twisted_quotient_dim(ideal("x*y"), v, 1, ws, 16)
         assert result.dim == 1
@@ -664,11 +672,11 @@ class TestShiftedImages:
         field = VectorField(XY, (a, b))
         image = _ShiftedImages(field.coefficients, field.divergence())
         assert image.scale > 1
-        reference = field.apply_twisted(Poly.monomial(XY, m))
+        reference = apply_twisted(field, Poly.monomial(XY, m))
         assert scaled_down(image, m) == reference.terms
 
     @given(
-        st.sampled_from([XY, XYZ]).flatmap(
+        st.sampled_from([XY, XYZ, XYZ + ("w",)]).flatmap(
             lambda vs: st.tuples(
                 st.just(vs),
                 st.lists(rational_polys(vs), min_size=len(vs), max_size=len(vs)),
@@ -684,5 +692,5 @@ class TestShiftedImages:
         assert len(images) == comb(n, 2)
         for index_set, image in images:
             eta = DiffForm(variables, n - 2, {index_set: Poly.monomial(variables, m)})
-            reference = eta.wedge(alpha).d().coefficient(tuple(range(n)))
+            reference = wedge(eta, alpha).d().coefficient(tuple(range(n)))
             assert scaled_down(image, m) == reference.terms
