@@ -66,13 +66,6 @@ class ABModule:
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("ABModule is immutable")
 
-    @classmethod
-    def rank_one(
-        cls, coefficient: Scalar, trunc_order: int = 16, label: str = ""
-    ) -> "ABModule":
-        """Rank-1 module with  a e = coefficient * b e."""
-        return cls(1, trunc_order, [[[0, as_fraction(coefficient)]]], label=label)
-
     def __repr__(self) -> str:
         return (
             f"ABModule(rank={self.rank}, N={self.trunc_order}, "
@@ -252,7 +245,7 @@ def is_regular(module: ABModule, k: int) -> bool:
     powers = [{e: {e: 1} for e in columns}]
     for _ in range(k):
         powers.append({e: _apply(columns, vec) for e, vec in powers[-1].items()})
-    span = Span(lambda key: key)
+    span = Span()
     for j in range(1, k):
         for vec in powers[j].values():
             shifted = _shift(vec, k - j, k)
@@ -338,10 +331,6 @@ class OperatorWord:
         if not isinstance(other, OperatorWord):
             return NotImplemented
         return self.terms == other.terms
-
-    def is_normal(self) -> bool:
-        """True when every word already has all b letters on the left."""
-        return all("ab" not in "".join(word) for word in self.terms)
 
     def __str__(self) -> str:
         if not self.terms:

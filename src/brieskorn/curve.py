@@ -34,7 +34,6 @@ from .local_algebra import (
     common_denominator,
     integer_terms,
     jacobian_ideal,
-    jet_key_order,
     local_colength,
     local_quotient,
     monomials_below,
@@ -528,7 +527,7 @@ def _eta_span(
     """The span of the d(eta ^ alpha) over the monomial eta = x^h dx_I of
     integer weighted degree ``eta_degree``; ``images`` pairs the weighted
     degree of each dx_I with its image map."""
-    span = Span(jet_key_order)
+    span = Span()
     for index_degree, image in images:
         for h_exp in monomials_of_weighted_degree(
             n, int_weights, eta_degree - index_degree
@@ -694,12 +693,12 @@ def torsion_free_witness(curve: FactoredCurve, jet_order: int = 12) -> bool:
         shifted_vec(cofactor, m_exp)
         for m_exp in monomials_below(2, max(bound + 2 - cofactor.order(), 1))
     ]
-    meet = intersection(ideal_vectors, exact_vectors, jet_key_order)
+    meet = intersection(ideal_vectors, exact_vectors)
     if not meet:
         return True
     f_x, f_y = (f.derivative(v) for v in variables)
     wedge_image = _ShiftedImages((-f_y, f_x), Poly.zero(variables))
-    witness_span = Span(jet_key_order)
+    witness_span = Span()
     for g_exp in monomials_below(2, jet_order + 1):
         vec = wedge_image(g_exp)
         if vec:

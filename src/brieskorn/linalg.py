@@ -1,9 +1,11 @@
 """Incremental reduced row echelon spans over the rationals.
 
-Vectors are sparse dicts mapping hashable column keys to nonzero Fractions
-or integers.  A ``Span`` keeps its rows fully reduced (each pivot column
-appears in exactly one row), so membership tests and quotient-basis
-extraction are canonical and deterministic.
+Vectors are sparse dicts mapping comparable column keys to nonzero
+Fractions or integers.  Columns compare as themselves: a row's pivot is
+its least column key, so a caller chooses the column order by the keys it
+writes.  A ``Span`` keeps its rows fully reduced (each pivot column
+appears in exactly one row), so membership tests and the set of pivots
+are canonical and deterministic.
 
 Inside a ``Span`` the arithmetic is fraction-free.  Each row is stored as a
 primitive integer dict (its entries share no common factor), and the true
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Hashable, Iterable
+from typing import Hashable, Iterable
 
 Vec = dict[Hashable, Fraction]
 
@@ -73,10 +75,10 @@ def _make_primitive(vec: dict) -> None:
 
 
 class Span:
-    """A subspace in reduced row echelon form with a chosen column order."""
+    """A subspace in reduced row echelon form; columns compare as
+    themselves, and each row's pivot is its least column."""
 
-    def __init__(self, key_order: Callable[[Hashable], object]):
-        self.key_order = key_order
+    def __init__(self):
         self.rows: list[dict[Hashable, int]] = []
         self.pivots: dict[Hashable, int] = {}  # pivot column -> row, in row order
         self.holders: dict[Hashable, set[int]] = {}  # non-pivot column -> rows
@@ -97,7 +99,7 @@ class Span:
         self._clear(vec)
         if not vec:
             return False
-        pivot = min(vec, key=self.key_order)
+        pivot = min(vec)
         _make_primitive(vec)
         # keep existing rows reduced against the new pivot
         for idx in self.holders.pop(pivot, ()):
@@ -130,22 +132,20 @@ class Span:
 
 
 def intersection(
-    first: Iterable[Vec],
-    second: Iterable[Vec],
-    key_order: Callable[[Hashable], object],
+    first: Iterable[Vec], second: Iterable[Vec]
 ) -> list[dict[Hashable, int]]:
     """A basis of span(first) meet span(second), as integer vectors.
 
-    One ``Span`` over two copies of the columns, the first copy ordered
-    before the second, takes (u | 0) for each u in ``first`` and (e | e)
-    for each e in ``second``.  Its row space is {(u + e | e)}, so the rows
-    of zero first block are the (0 | e) with e = -u in both spans.  Rows
-    are reduced and the first copy is ordered first, so those are exactly
-    the rows that pivot in the second copy, and they are a basis of the
-    intersection (Zassenhaus's algorithm): dim U + dim W - dim(U + W) of
-    them.
+    One ``Span`` over two copies of the columns, keyed (block, key) so
+    that the first copy orders before the second, takes (u | 0) for each
+    u in ``first`` and (e | e) for each e in ``second``.  Its row space is
+    {(u + e | e)}, so the rows of zero first block are the (0 | e) with
+    e = -u in both spans.  Rows are reduced and the first copy is ordered
+    first, so those are exactly the rows that pivot in the second copy,
+    and they are a basis of the intersection (Zassenhaus's algorithm):
+    dim U + dim W - dim(U + W) of them.
     """
-    span = Span(lambda key: (key[0], key_order(key[1])))
+    span = Span()
     for u in first:
         span.insert({(0, k): v for k, v in u.items()})
     for e in second:

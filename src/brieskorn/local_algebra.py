@@ -24,18 +24,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
 from operator import add, mul, neg
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import InconclusiveError, InputError
 from .forms import VectorField
 from .linalg import Span, Vec, _cancel, _make_primitive
 from .poly import Exponents, Poly, WeightSystem, listing_key
-
-
-def jet_key_order(exponents: Exponents) -> tuple:
-    """Column order for jet spans: high total degree first, so that rows
-    pivoting in low degrees are entirely supported there."""
-    return (-sum(exponents), tuple(reversed(exponents)))
 
 
 @lru_cache(maxsize=None)
@@ -130,10 +124,6 @@ class _ShiftedImages:
         return {key: v for key, v in out.items() if v}
 
 
-def truncate_vec(vec: Vec, bound: int) -> Vec:
-    return {e: c for e, c in vec.items() if sum(e) < bound}
-
-
 @dataclass(frozen=True)
 class IdealGens:
     """A finite generating set, kept as given but for zero generators and
@@ -169,48 +159,6 @@ def jacobian_ideal(f: Poly) -> IdealGens:
     if f.is_constant():
         raise InputError("the Jacobian ideal of a constant is undefined here")
     return IdealGens.of(f.variables, [f.derivative(v) for v in f.variables])
-
-
-def ideal_jet_span(I: IdealGens, order: int) -> Span:
-    """Row-reduced span of the ideal's image in the degree-< order jet space."""
-    span = Span(jet_key_order)
-    n = len(I.variables)
-    for g in I.generators:
-        g_ord = g.order()
-        if g_ord is None or g_ord >= order:
-            continue
-        terms = integer_terms(g)
-        for m in monomials_below(n, order - g_ord):
-            vec = truncate_vec(shifted_terms(terms, m), order)
-            if vec:
-                span.insert(vec)
-    return span
-
-
-def jet_quotient(
-    I: IdealGens,
-    order: int,
-    image: Optional[Callable[[Exponents], dict[Exponents, int]]] = None,
-    drop: int = 0,
-) -> tuple[int, list[Exponents]]:
-    """Dimension and greedy monomial basis of (jets of degree < order) / W,
-    W spanned by the ideal and, when ``image`` is given, the twisted images
-    V~(x^m) truncated at ``order`` (``drop`` bounds how far V~ lowers the
-    degree, so the x^m of degree < order + drop give every image of
-    degree < order).
-
-    The basis picks, in graded order, each monomial independent of W plus
-    the previously picked monomials.
-    """
-    span = ideal_jet_span(I, order)
-    n = len(I.variables)
-    if image is not None:
-        for m in monomials_below(n, order + drop):
-            vec = truncate_vec(image(m), order)
-            if vec:
-                span.insert(vec)
-    basis = [m for m in monomials_below(n, order) if span.insert({m: 1})]
-    return len(basis), basis
 
 
 # -- one least-term count for every order ---------------------------------------
@@ -249,17 +197,20 @@ class _JetCounts:
     M_k, so they are a basis of (W + M_k)/M_k.  An insert never lowers a
     lead below the generator's order, so the count for k is final from
     then on, and the monomials of w-degree < k that lead no row are a
-    basis of O/(W + M_k) (``basis``).
+    basis of O/(W + M_k).
 
-    With ``weights`` every generator of I must be w-homogeneous (else
-    InputError), and the rows are too when the twisted action is graded.
-    Within one w-degree the least key is the greatest monomial in listing
-    order, so a homogeneous row's lead is its greatest listing term, and
-    the leads of degree d are LM(W_d), which depends on W_d alone.  The
-    greedy pass over the monomials of degree d in listing order picks m
-    exactly when no vector of W_d + span(earlier monomials) has m as its
-    greatest term, that is when m is not in LM(W_d): ``basis`` is the
-    greedy slice basis.
+    ``basis`` returns the greedy one: the monomials of w-degree < k that
+    are the greatest term, in (w-degree, listing) order, of no vector of
+    (W + M_k)/M_k.  The greedy pass in that order picks m exactly when m
+    is independent of W + M_k and of the monomials below it, that is when
+    no such vector has m as its greatest term.  With ``weights`` every
+    generator of I must be w-homogeneous (else InputError), and the rows
+    are too when the twisted action is graded.  Within one w-degree the
+    least key is the greatest monomial in listing order, so a homogeneous
+    row's lead is its greatest term, and the leads are exactly the
+    greatest terms: the basis is the non-leads.  Without weights a lead is
+    a least term, so the greatest terms are read off one exact ``Span``
+    instead (``_greatest_terms``).
 
     With ``modulus`` p the rows live over GF(p).  The count then bounds the
     rational one from above, q_p(k) >= q(k), since reduction mod p cannot
@@ -288,6 +239,7 @@ class _JetCounts:
                 )
             self.gens.append((min(degrees), terms))
         self.image, self.drop, self.cap, self.modulus = image, drop, cap, modulus
+        self.graded = weights is not None
         self.rows: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
         self.lead_degrees: Counter[int] = Counter()  # rows per lead w-degree
         self.order = 0  # every generator of order < self.order is in
@@ -302,29 +254,55 @@ class _JetCounts:
         return _count_below(self.n, self.weights, k) - leads
 
     def basis(self, k: int) -> list[Exponents]:
-        """The monomials of w-degree < k that lead no row, in (w-degree,
-        listing) order."""
+        """The greedy monomial basis of O/(W + M_k), in (w-degree, listing)
+        order: the monomials of w-degree < k that are the greatest term of
+        no vector of (W + M_k)/M_k."""
         self.quotient_dim(k)
+        greatest = self.rows if self.graded else self._greatest_terms(k)
         return [
             m
             for d in range(k)
             for m in self.monomials(d)
-            if _count_key(m, self.weights) not in self.rows
+            if _count_key(m, self.weights) not in greatest
         ]
 
-    def _advance(self) -> None:
-        """Insert the generators whose order bound is self.order."""
-        k = self.order = self.order + 1
+    def _greatest_terms(self, k: int) -> set[tuple[int, ...]]:
+        """The greatest terms of the vectors of (W + M_k)/M_k, as count
+        keys: the pivots of one exact ``Span`` (exact also when the count's
+        rows live over GF(p)) of the generators of order < k cut at order
+        k.  Its columns are the count keys with the degree negated,
+        (-wdeg, -e_(n-1), ..., -e_0), so that each row's pivot, its least
+        column, is its greatest term.  The generators go in from the top
+        order down: the top slice fills most of its degree first, and a
+        later row reduces against it to a short tail on the few monomials
+        left, which keeps the integer rows small."""
+        span = Span()
+        for order in range(k, 0, -1):
+            for vec in self._entering(order):
+                cut = {(-e[0], *e[1:]): c for e, c in vec.items() if e[0] < k}
+                if cut:
+                    span.insert(cut)
+        return {(-d, *rest) for d, *rest in span.pivots}
+
+    def _entering(self, k: int) -> Iterator[dict[tuple[int, ...], int]]:
+        """The generators that go in at order k (order bound k - 1), as
+        count-keyed integer vectors."""
         w = self.weights
         for g_ord, terms in self.gens:
             for m in self.monomials(k - 1 - g_ord):
                 mkey = _count_key(m, w)
-                self._insert({tuple(map(add, e, mkey)): c for e, c in terms})
+                yield {tuple(map(add, e, mkey)): c for e, c in terms}
         if self.image is not None:
             degrees = range(self.drop + 1) if k == 1 else (k - 1 + self.drop,)
             for d in degrees:
                 for m in self.monomials(d):
-                    self._insert({_count_key(e, w): c for e, c in self.image(m).items()})
+                    yield {_count_key(e, w): c for e, c in self.image(m).items()}
+
+    def _advance(self) -> None:
+        """Insert the generators that go in at the next order."""
+        self.order += 1
+        for vec in self._entering(self.order):
+            self._insert(vec)
 
     def _insert(self, vec: dict[tuple[int, ...], int]) -> None:
         p, rows = self.modulus, self.rows
@@ -386,16 +364,12 @@ def local_quotient(
     Cor. 2.7), and O_0/I O_0 = O/(I + M_k).
 
     The basis picks, in (w-degree, listing) order, each monomial
-    independent of I and of the monomials picked before it.  With weights
-    (I quasi-homogeneous) these are the count's non-lead monomials
-    (``_JetCounts.basis``).  Without, one ``jet_quotient`` at the stop
-    order picks them: on a non-homogeneous I the non-leads may differ.
+    independent of I and of the monomials picked before it: the monomials
+    that are the greatest term of no vector of (I + M_k)/M_k at the stop
+    (``_JetCounts.basis``).
     """
     counts = _JetCounts(I, weights=weights)
-    stop = _nakayama_order(counts)
-    if weights is None:
-        return jet_quotient(I, stop)
-    basis = counts.basis(stop)
+    basis = counts.basis(_nakayama_order(counts))
     return len(basis), basis
 
 
@@ -459,17 +433,17 @@ def twisted_quotient_dim(
 
     With a weight certificate under which the field is graded, one exact
     weighted ``_JetCounts`` counts every q(k) up to the weighted degree
-    ``wdeg_cap = jet_cap * max weight - drop``, and the basis is its
-    non-lead monomials at the stop, which is the greedy slice basis.
-    Otherwise the jet orders 1, 2, ... up to ``jet_cap`` are scanned by
-    one ``_JetCounts`` over GF(p) with terms of degree ``jet_cap`` and
-    above dropped; its count bounds nu_N = q(N) from above, so its first
-    order reaching ``target`` is never past the true stop.  Only there is
-    the exact span built (ideal jets, truncated twisted images, then the
-    greedy monomials), and its basis size is the certificate; when an
-    unlucky prime made the count run ahead, the exact span is built again
-    one order on.  A bound past ``target``, or a negative ``target``,
-    raises RuntimeError; a cap reached first raises InconclusiveError.
+    ``wdeg_cap = jet_cap * max weight - drop``.  Otherwise the jet orders
+    1, 2, ... up to ``jet_cap`` are counted by one ``_JetCounts`` over
+    GF(p) with terms of degree ``jet_cap`` and above dropped; its count
+    bounds nu_N = q(N) from above, so its first order reaching ``target``
+    is never past the true stop.  At each order whose count reaches
+    ``target`` the scan reads the greedy basis (``_JetCounts.basis``: the
+    non-leads when graded, the non-pivots of one exact greatest-term span
+    otherwise), and the basis size is the certificate; when an unlucky
+    prime made the count run ahead, the basis is read again one order on.
+    A bound past ``target``, or a negative ``target``, raises
+    RuntimeError; a cap reached first raises InconclusiveError.
     """
     if V.variables != I.variables:
         raise InputError("ideal and vector field live in different rings")
@@ -489,24 +463,20 @@ def twisted_quotient_dim(
     if weights is not None:
         wdeg_cap = jet_cap * max(w) - drop
         counts = _JetCounts(I, twisted_image, drop, weights=weights)
-        for k in range(1, max(wdeg_cap, 0) + 2):
-            if _reached(counts.quotient_dim(k), target):
-                return TwistedResult(target, tuple(counts.basis(k)))
-        raise InconclusiveError(
-            "graded twisted quotient did not reach the target nu",
-            target=target,
-            wdeg_cap=wdeg_cap,
-        )
-    image = lru_cache(maxsize=None)(twisted_image)
-    predictor = _JetCounts(I, image, drop, jet_cap, _PREDICTOR_MODULUS)
-    for order in range(1, jet_cap + 1):
-        if predictor.quotient_dim(order) < target:
+        orders = range(1, max(wdeg_cap, 0) + 2)
+        failure = "graded twisted quotient did not reach the target nu"
+        context = {"wdeg_cap": wdeg_cap}
+    else:
+        # the greatest-term span evaluates every image again
+        image = lru_cache(maxsize=None)(twisted_image)
+        counts = _JetCounts(I, image, drop, jet_cap, _PREDICTOR_MODULUS)
+        orders = range(1, jet_cap + 1)
+        failure = "twisted quotient did not reach the target nu"
+        context = {"jet_cap": jet_cap}
+    for k in orders:
+        if counts.quotient_dim(k) < target:
             continue
-        dim, basis = jet_quotient(I, order, image, drop)
-        if _reached(dim, target):
+        basis = counts.basis(k)
+        if _reached(len(basis), target):
             return TwistedResult(target, tuple(basis))
-    raise InconclusiveError(
-        "twisted quotient did not reach the target nu",
-        target=target,
-        jet_cap=jet_cap,
-    )
+    raise InconclusiveError(failure, target=target, **context)

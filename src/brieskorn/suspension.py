@@ -72,7 +72,7 @@ def _auto_weights(f: Poly) -> Optional[tuple[Fraction, ...]]:
     1/deg(f).
     """
     n = len(f.variables)
-    span = Span(lambda k: k)
+    span = Span()
     for exps in f.terms:
         row = {i: Fraction(e) for i, e in enumerate(exps) if e}
         row[n] = Fraction(1)

@@ -10,26 +10,22 @@ from typing import Callable, Hashable, Iterable, Optional
 
 from hypothesis import HealthCheck, settings, strategies as st
 
-from brieskorn.ab_module import OperatorWord
+from brieskorn.ab_module import ABModule, OperatorWord
 from brieskorn.curve import FactoredCurve, annihilator_form
 from brieskorn.errors import InconclusiveError, InputError
 from brieskorn.forms import DiffForm, VectorField, _normalize_indices
 from brieskorn.groebner import _decode, _integer_gens, _saturation, isolated_at_origin
-from brieskorn.linalg import Span, Vec
+from brieskorn.linalg import Vec
 from brieskorn.local_algebra import (
     IdealGens,
     _ShiftedImages,
-    ideal_jet_span,
     integer_terms,
     jacobian_ideal,
-    jet_key_order,
-    jet_quotient,
     monomials_below,
     monomials_of_weighted_degree,
     shifted_terms,
-    truncate_vec,
 )
-from brieskorn.poly import Poly, WeightSystem
+from brieskorn.poly import Exponents, Poly, WeightSystem, as_fraction
 
 settings.register_profile(
     "ci",
@@ -62,9 +58,65 @@ def polys(
     )
 
 
+# -- the greedy jet references -------------------------------------------------
+
+
+def jet_key_order(exponents: Exponents) -> tuple:
+    """Column order for reference jet spans: high total degree first, so
+    that rows pivoting in low degrees are entirely supported there."""
+    return (-sum(exponents), tuple(reversed(exponents)))
+
+
+def truncate_vec(vec: Vec, bound: int) -> Vec:
+    return {e: c for e, c in vec.items() if sum(e) < bound}
+
+
+def ideal_jet_span(I: IdealGens, order: int) -> RefSpan:
+    """Row-reduced span of the ideal's image in the degree-< order jet space."""
+    span = RefSpan(jet_key_order)
+    n = len(I.variables)
+    for g in I.generators:
+        g_ord = g.order()
+        if g_ord is None or g_ord >= order:
+            continue
+        terms = integer_terms(g)
+        for m in monomials_below(n, order - g_ord):
+            vec = truncate_vec(shifted_terms(terms, m), order)
+            if vec:
+                span.insert(vec)
+    return span
+
+
+def jet_quotient(
+    I: IdealGens,
+    order: int,
+    image: Optional[Callable[[Exponents], dict[Exponents, int]]] = None,
+    drop: int = 0,
+) -> tuple[int, list[Exponents]]:
+    """Reference dimension and greedy monomial basis of (jets of degree <
+    order) / W, W spanned by the ideal and, when ``image`` is given, the
+    twisted images V~(x^m) truncated at ``order`` (``drop`` bounds how far
+    V~ lowers the degree, so the x^m of degree < order + drop give every
+    image of degree < order).
+
+    The basis picks, in graded order, each monomial independent of W plus
+    the previously picked monomials: one unit vector is inserted per
+    monomial, a route that reads no pivot of the span.
+    """
+    span = ideal_jet_span(I, order)
+    n = len(I.variables)
+    if image is not None:
+        for m in monomials_below(n, order + drop):
+            vec = truncate_vec(image(m), order)
+            if vec:
+                span.insert(vec)
+    basis = [m for m in monomials_below(n, order) if span.insert({m: 1})]
+    return len(basis), basis
+
+
 class GradedIdeal:
     """Reference weighted-degree slices of a quasi-homogeneous ideal: each
-    slice is a reduced ``Span`` of the generators' multiples of that
+    slice is a reduced ``RefSpan`` of the generators' multiples of that
     weighted degree, built on its own and shared by no scan of the
     package."""
 
@@ -85,9 +137,9 @@ class GradedIdeal:
     def monomials(self, wdeg: int):
         return monomials_of_weighted_degree(len(self.variables), self.int_weights, wdeg)
 
-    def slice_span(self, wdeg: int) -> Span:
+    def slice_span(self, wdeg: int) -> RefSpan:
         """A new span of the slice, which the caller may extend."""
-        span = Span(jet_key_order)
+        span = RefSpan(jet_key_order)
         for terms, d in zip(self.generator_terms, self.gen_degrees):
             if wdeg < d:
                 continue
@@ -185,7 +237,7 @@ class MuResult:
     jet_orders: tuple[int, ...]
 
 
-def _quotient_reps(big: Span, work: Span, monos, variables) -> list[Poly]:
+def _quotient_reps(big: RefSpan, work: RefSpan, monos, variables) -> list[Poly]:
     """Representatives of big/work: greedy monomials inside the big span
     first, then leftover reduced rows of big (some quotients, e.g. by a
     principal ideal on a rotated line, contain no monomials at all)."""
@@ -267,7 +319,6 @@ def nu_jet_basis(I: IdealGens, V, order: int) -> list:
     """Greedy monomial basis of O/(I + V~(O) + m^order) from one full exact
     span: the ideal jets, every twisted image V~(x^m) truncated below
     ``order`` (|m| < order + drop suffices), then the monomials."""
-    n = len(I.variables)
     div = V.divergence()
     image = _ShiftedImages(V.coefficients, div)
     drop = max(
@@ -275,12 +326,7 @@ def nu_jet_basis(I: IdealGens, V, order: int) -> list:
         + [1 - c.order() for c in V.coefficients if not c.is_zero]
         + ([] if div.is_zero else [-div.order()])
     )
-    span = ideal_jet_span(I, order)
-    for m in monomials_below(n, order + drop):
-        vec = truncate_vec(image(m), order)
-        if vec:
-            span.insert(vec)
-    return [m for m in monomials_below(n, order) if span.insert({m: 1})]
+    return jet_quotient(I, order, image, drop)[1]
 
 
 def nu_jet_reference(I: IdealGens, V, target: int, jet_cap: int = 24):
@@ -342,6 +388,11 @@ def rewrite_normal_order(word: OperatorWord, leftmost: bool = True) -> OperatorW
             else:
                 pending[key] = acc
     return OperatorWord({w: c for w, c in done.items() if c != 0})
+
+
+def rank_one(coefficient, trunc_order: int = 16, label: str = "") -> ABModule:
+    """Rank-1 module with  a e = coefficient * b e."""
+    return ABModule(1, trunc_order, [[[0, as_fraction(coefficient)]]], label=label)
 
 
 def wedge(first: DiffForm, second: DiffForm) -> DiffForm:

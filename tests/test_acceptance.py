@@ -37,7 +37,12 @@ from brieskorn.local_algebra import monomials_below
 from brieskorn.poly import parse_polynomial
 from brieskorn.suspension import milnor_isolated, suspend, verify_suspension_direct
 
-from conftest import closed_product_exponents, rewrite_normal_order, saturate_at_origin
+from conftest import (
+    closed_product_exponents,
+    rank_one,
+    rewrite_normal_order,
+    saturate_at_origin,
+)
 from torsion_model import (
     TorsionFixture,
     fixture_axioms_hold,
@@ -212,7 +217,7 @@ def test_criterion_8_tensor_algebra_properties():
         for _ in range(20):
             lam = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
             nu = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-            product = tensor(ABModule.rank_one(lam), ABModule.rank_one(nu))
+            product = tensor(rank_one(lam), rank_one(nu))
             assert product.a_matrix[0][0] == bpoly([0, lam + nu])
 
 

@@ -44,7 +44,6 @@ from brieskorn.local_algebra import (
     common_denominator,
     integer_terms,
     jacobian_ideal,
-    jet_key_order,
     local_quotient,
     monomials_below,
     monomials_of_weighted_degree,
@@ -561,7 +560,7 @@ def reference_oracle(f: Poly, alpha: DiffForm, ws: WeightSystem):
     spans: dict[int, Span] = {}
 
     def eta_span(eta_degree: int) -> Span:
-        span = Span(jet_key_order)
+        span = Span()
         for index_degree, image in images:
             for h_exp in monomials_of_weighted_degree(
                 n, int_weights, eta_degree - index_degree

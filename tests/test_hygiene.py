@@ -89,17 +89,31 @@ def _exported(init: ast.Module) -> set[str]:
     return set()
 
 
+def _definitions(tree: ast.Module):
+    """(label, node) for each module-level function and class, and for each
+    method of a module-level class that is not a dunder."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for method in node.body:
+                if isinstance(method, ast.FunctionDef) and not (
+                    method.name.startswith("__") and method.name.endswith("__")
+                ):
+                    yield f"{node.name}.{method.name}", method
+
+
 def _unreferenced(modules: dict[str, ast.Module], config: str) -> list[str]:
-    """The module-level functions and classes that no other code of the
-    package names outside ``__init__.py``, that ``__all__`` does not
-    export and that the project ``config`` does not name (an entry
-    point): API that no CLI path, library caller or export needs."""
+    """The module-level functions and classes, and the methods, that no
+    other code of the package names outside ``__init__.py``, that
+    ``__all__`` does not export and that the project ``config`` does not
+    name (an entry point): API that no CLI path, library caller or export
+    needs."""
     exported = _exported(modules["__init__.py"])
     found = []
     for module, tree in modules.items():
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
+        for label, node in _definitions(tree):
             name = node.name
             if name in exported or re.search(rf"\b{name}\b", config):
                 continue
@@ -109,7 +123,7 @@ def _unreferenced(modules: dict[str, ast.Module], config: str) -> list[str]:
                 if other_module != "__init__.py"
             ):
                 continue
-            found.append(f"{module}: {name}")
+            found.append(f"{module}: {label}")
     return found
 
 
@@ -126,10 +140,13 @@ def test_unreferenced_names_are_flagged():
             "def kept(): pass\n"
             "def unused(): return unused()\n"
             "def helper(): pass\n"
-            "class Used: pass\n"
+            "class Used:\n"
+            "    def __init__(self): self.called()\n"
+            "    def called(self): pass\n"
+            "    def recursive(self): return self.recursive()\n"
             "def entrypoint(): pass\n"
         ),
         "b.py": ast.parse("from .a import helper\nx = helper.Used\n"),
     }
     config = 'brieskorn = "brieskorn.cli:entrypoint"'
-    assert _unreferenced(modules, config) == ["a.py: unused"]
+    assert _unreferenced(modules, config) == ["a.py: unused", "a.py: Used.recursive"]

@@ -19,13 +19,13 @@ from brieskorn.forms import DiffForm, VectorField
 from brieskorn.groebner import isolated_at_origin, torsion_length
 from brieskorn.local_algebra import (
     IdealGens,
+    _PREDICTOR_MODULUS,
     _JetCounts,
     _ShiftedImages,
+    _count_key,
     _nakayama_order,
-    ideal_jet_span,
+    _twisted_raises,
     jacobian_ideal,
-    jet_key_order,
-    jet_quotient,
     local_colength,
     local_quotient,
     monomials_below,
@@ -40,8 +40,12 @@ from conftest import (
     apply_twisted,
     greedy_slice_quotient,
     greedy_twisted_slices,
+    ideal_jet_span,
+    jet_key_order,
+    jet_quotient,
     mu,
     nu_jet_basis,
+    polys,
     ref_kernel_relations,
     saturate_at_origin,
     stable_colength,
@@ -398,8 +402,8 @@ def graded_twisted_problems(draw):
 class TestWeightedCounts:
     """With a certificate the weighted count's non-lead monomials are the
     greedy slice basis of the reference; off homogeneous input they differ
-    from the greedy jet basis, which is why the unweighted path builds
-    ``jet_quotient``."""
+    from the greedy jet basis, which is why the unweighted count reads its
+    basis off a greatest-term span instead."""
 
     @given(quasi_homogeneous_ideals())
     def test_local_quotient_is_the_greedy_slice_basis(self, data):
@@ -426,8 +430,15 @@ class TestWeightedCounts:
         I = ideal("x + y^2", "y^3")
         counts = _JetCounts(I)
         stop = _nakayama_order(counts)
-        assert counts.basis(stop) == [(0, 0), (0, 1), (0, 2)]
+        non_leads = [
+            m
+            for d in range(stop)
+            for m in counts.monomials(d)
+            if _count_key(m, counts.weights) not in counts.rows
+        ]
+        assert non_leads == [(0, 0), (0, 1), (0, 2)]
         assert local_quotient(I) == jet_quotient(I, stop) == (3, [(0, 0), (1, 0), (0, 1)])
+        assert counts.basis(stop) == [(0, 0), (1, 0), (0, 1)]
 
     def test_a_certificate_that_does_not_grade_the_ideal_is_an_input_error(self):
         ws, I = WeightSystem((1, 1), 1), ideal("x + y^2")
@@ -465,9 +476,37 @@ def isolated_ideals(draw):
     return I
 
 
+@st.composite
+def jet_problems(draw):
+    """A random ideal vanishing at 0 in two or three variables and, in two,
+    sometimes a random field: (I, twisted image map or None, drop)."""
+    variables = draw(st.sampled_from([XY, XYZ]))
+    generators = draw(st.lists(vanishing_polys(variables), min_size=1, max_size=3))
+    I = IdealGens.of(variables, generators)
+    if variables == XYZ or draw(st.booleans()):
+        return I, None, 0
+    V = VectorField(XY, (draw(polys()), draw(polys())))
+    div = V.divergence()
+    drop = max(0, -min(_twisted_raises(V, div, (1, 1)), default=0))
+    return I, _ShiftedImages(V.coefficients, div), drop
+
+
 class TestJetCounts:
     """The least-term count gives dim O/(I + m^k) for every order k at once;
     over GF(p) it never counts less."""
+
+    @given(jet_problems())
+    @example((ideal("x + y^2", "y^3"), None, 0))
+    def test_basis_is_the_greedy_jet_basis(self, problem):
+        # the reference inserts one unit vector per monomial; the count
+        # reads the same basis off the pivots of its greatest-term span,
+        # exact or over GF(p)
+        I, image, drop = problem
+        exact = _JetCounts(I, image, drop)
+        modular = _JetCounts(I, image, drop, 6, _PREDICTOR_MODULUS)
+        for k in range(1, 7):
+            expected = jet_quotient(I, k, image, drop)[1]
+            assert exact.basis(k) == modular.basis(k) == expected
 
     @given(isolated_ideals())
     @example(ideal("x^2", "y^3"))
@@ -571,12 +610,13 @@ class TestTwistedQuotient:
 
     def test_jet_path_stop_rule(self, monkeypatch):
         orders = []
+        greatest_terms = _JetCounts._greatest_terms
 
-        def counted(I, order):
+        def counted(counts, order):
             orders.append(order)
-            return ideal_jet_span(I, order)
+            return greatest_terms(counts, order)
 
-        monkeypatch.setattr("brieskorn.local_algebra.ideal_jet_span", counted)
+        monkeypatch.setattr(_JetCounts, "_greatest_terms", counted)
         # nu_1, nu_2, nu_3 = 1, 3, 4: the orders run from 1, and the exact
         # span is built once, at order 3, the first that reaches the target
         assert self.sextic(4, False, jet_cap=20).dim == 4

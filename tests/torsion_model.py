@@ -81,7 +81,7 @@ def kernel(images: Sequence[Vec]) -> list[Vec]:
     """A basis of {x : sum_j x_j images[j] = 0}: the span of the rows
     (images[j] | e_j), image columns first, has the kernel as its rows that
     pivot in the coordinate block."""
-    span = Span(lambda key: key)
+    span = Span()
     for j, image in enumerate(images):
         span.insert({**{(0, i): v for i, v in image.items()}, (1, j): Fraction(1)})
     return [
@@ -129,7 +129,7 @@ def torsion_subspaces(fixture: TorsionFixture) -> tuple[list[Vec], list[Vec]]:
 
 
 def span_of(vectors: Sequence[Vec]) -> Span:
-    span = Span(lambda k: k)
+    span = Span()
     for v in vectors:
         span.insert(v)
     return span
