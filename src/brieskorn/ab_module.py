@@ -19,14 +19,14 @@ from typing import Mapping, Sequence
 
 from .errors import InconclusiveError, InputError
 from .linalg import Span, vec_axpy
-from .poly import Scalar, as_fraction, format_fraction, parse_fraction
+from .poly import Scalar, exact_scalar, format_fraction, parse_fraction
 
-# a b-polynomial: coefficient tuple indexed by b-power, zero-trimmed
-BPoly = tuple[Fraction, ...]
+# a b-polynomial: exact-scalar tuple indexed by b-power, zero-trimmed
+BPoly = tuple[Scalar, ...]
 
 
 def bpoly(coefficients: Sequence[Scalar]) -> BPoly:
-    values = [as_fraction(c) for c in coefficients]
+    values = [exact_scalar(c) for c in coefficients]
     while values and values[-1] == 0:
         values.pop()
     return tuple(values)
@@ -97,7 +97,7 @@ class ABModule:
             for row in record["a_matrix"]:
                 new_row = []
                 for entry in row:
-                    coeffs = [Fraction(0)] * order
+                    coeffs = [0] * order
                     for power, text in entry:
                         if not 0 <= power < order:
                             raise InputError(
@@ -190,7 +190,7 @@ def tensor(left: ABModule, right: ABModule, label: str = "") -> ABModule:
         raise InputError("tensor factors must share the truncation order")
     rank = left.rank * right.rank
     order = left.trunc_order
-    zero = [Fraction(0)] * order
+    zero = [0] * order
 
     def index(i: int, j: int) -> int:
         return i * right.rank + j
@@ -260,7 +260,7 @@ def is_regular(module: ABModule, k: int) -> bool:
 class OperatorWord:
     """Rational linear combination of words in the letters a, b.
 
-    Coefficients keep their exact type: integer words stay in ``int`` and
+    Coefficients follow ``exact_scalar``: integer words stay in ``int`` and
     never build a ``Fraction`` (an int and a Fraction of equal value
     compare equal, so equality is unaffected)."""
 
@@ -272,10 +272,7 @@ class OperatorWord:
             word = tuple(word)
             if any(letter not in ("a", "b") for letter in word):
                 raise InputError(f"invalid letter in word {word!r}")
-            if not isinstance(coeff, (int, Fraction)):
-                raise TypeError(
-                    f"expected an exact rational, got {type(coeff).__name__}"
-                )
+            coeff = exact_scalar(coeff)
             if coeff != 0:
                 clean[word] = clean.get(word, 0) + coeff
                 if clean[word] == 0:

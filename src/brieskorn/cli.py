@@ -16,7 +16,6 @@ import json
 import random
 import sys
 import time
-from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
@@ -32,7 +31,7 @@ from .ab_module import (
 from .config import RunConfig, config_from_env_and_args
 from .curve import FactoredCurve, invariants, torsion_free_witness
 from .errors import BrieskornError, InconclusiveError, InputError, ParseError
-from .poly import Poly, parse_fraction, parse_polynomial
+from .poly import Poly, Scalar, parse_fraction, parse_polynomial
 from .suspension import milnor_isolated, suspend, verify_suspension_direct
 
 EXIT_OK = 0
@@ -47,7 +46,7 @@ def _parse_variables(text: str) -> tuple[str, ...]:
     return names
 
 
-def _parse_weights(text: Optional[str]) -> Optional[tuple[Fraction, ...]]:
+def _parse_weights(text: Optional[str]) -> Optional[tuple[Scalar, ...]]:
     if text is None:
         return None
     return tuple(parse_fraction(part) for part in text.split(","))
@@ -284,7 +283,7 @@ def _abmod_selftest(count: int, seed: int, trunc_order: int, out) -> int:
         rank = rng.randint(1, 3)
         matrix = [
             [
-                [0] + [Fraction(rng.randint(-3, 3)) for _ in range(3)]
+                [0] + [rng.randint(-3, 3) for _ in range(3)]
                 for _ in range(rank)
             ]
             for _ in range(rank)

@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
 from .errors import InputError
-from .poly import Poly, Scalar, as_fraction
+from .poly import Poly, Scalar, exact_scalar
 
 
 def _normalize_indices(indices: Sequence[int], n_vars: int) -> tuple[Optional[tuple[int, ...]], int]:
@@ -133,7 +133,7 @@ class DiffForm:
 
     def __mul__(self, other: Union[Poly, Scalar]) -> "DiffForm":
         if isinstance(other, (int, Fraction)):
-            other = Poly.constant(self.variables, as_fraction(other))
+            other = Poly.constant(self.variables, other)
         if not isinstance(other, Poly):
             return NotImplemented
         return DiffForm(
@@ -210,7 +210,7 @@ class VectorField:
         return self.variables == other.variables and self.coefficients == other.coefficients
 
     def __mul__(self, scalar: Scalar) -> "VectorField":
-        s = as_fraction(scalar)
+        s = exact_scalar(scalar)
         return VectorField(self.variables, tuple(c * s for c in self.coefficients))
 
     __rmul__ = __mul__

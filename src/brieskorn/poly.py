@@ -1,9 +1,11 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
-A polynomial is a finite map from exponent vectors to nonzero ``Fraction``
-coefficients, together with an ordered tuple of variable names.  Every
-operation is exact; no floating point is ever involved.  Values are
-immutable after construction and safe to share between threads.
+A polynomial is a finite map from exponent vectors to nonzero exact
+coefficients, together with an ordered tuple of variable names.  By
+``exact_scalar``, a coefficient is an ``int`` when integral and a ``Fraction``
+only for a real denominator.  Every operation is exact; no floating point is
+ever involved.  Values are immutable after construction and safe to share
+between threads.
 """
 
 from __future__ import annotations
@@ -19,12 +21,21 @@ Exponents = tuple[int, ...]
 Scalar = Union[int, Fraction]
 
 
-def as_fraction(value: Scalar) -> Fraction:
-    if isinstance(value, Fraction):
+def exact_scalar(value: Scalar) -> Scalar:
+    """The one scalar rule: an int stays an int, an integral Fraction becomes
+    its numerator and any other Fraction stays.  Anything else, a float or a
+    bool included, raises TypeError."""
+    kind = type(value)
+    if kind is int:
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+    if kind is Fraction:
+        return value.numerator if value.denominator == 1 else value
+    raise TypeError(f"expected an exact rational, got {kind.__name__}")
+
+
+def _exact_nonzero(terms: dict[Exponents, Scalar]) -> dict[Exponents, Scalar]:
+    """The nonzero entries of an arithmetic result, each by ``exact_scalar``."""
+    return {e: exact_scalar(c) for e, c in terms.items() if c}
 
 
 def listing_key(exponents: Exponents) -> tuple[int, ...]:
@@ -38,7 +49,7 @@ def graded_key(exponents: Exponents) -> tuple:
     return (sum(exponents), tuple(reversed(exponents)))
 
 
-def format_fraction(value: Fraction) -> str:
+def format_fraction(value: Scalar) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
@@ -53,7 +64,7 @@ class Poly:
         variables = tuple(variables)
         if len(set(variables)) != len(variables):
             raise InputError(f"duplicate variable names in {variables!r}")
-        clean: dict[Exponents, Fraction] = {}
+        clean: dict[Exponents, Scalar] = {}
         for exps, coeff in terms.items():
             exps = tuple(exps)
             if len(exps) != len(variables):
@@ -62,10 +73,10 @@ class Poly:
                 )
             if any(e < 0 for e in exps):
                 raise InputError(f"negative exponent in {exps!r}")
-            value = as_fraction(coeff)
+            value = exact_scalar(coeff)
             if value != 0:
                 acc = clean.get(exps)
-                clean[exps] = value if acc is None else acc + value
+                clean[exps] = value if acc is None else exact_scalar(acc + value)
                 if clean[exps] == 0:
                     del clean[exps]
         object.__setattr__(self, "variables", variables)
@@ -75,10 +86,11 @@ class Poly:
         raise AttributeError("Poly is immutable")
 
     @classmethod
-    def _trusted(cls, variables: tuple[str, ...], terms: dict[Exponents, Fraction]) -> "Poly":
+    def _trusted(cls, variables: tuple[str, ...], terms: dict[Exponents, Scalar]) -> "Poly":
         """A Poly on an already clean ``terms`` (valid exponents, nonzero
-        Fractions), taken without a copy: the constructor of arithmetic
-        results, whose inputs were validated when they were built."""
+        coefficients as ``exact_scalar`` leaves them), taken without a copy:
+        the constructor of arithmetic results, whose inputs were validated
+        when they were built."""
         p = object.__new__(cls)
         object.__setattr__(p, "variables", variables)
         object.__setattr__(p, "terms", terms)
@@ -117,8 +129,8 @@ class Poly:
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.terms)
 
-    def constant_value(self) -> Fraction:
-        return self.terms.get((0,) * len(self.variables), Fraction(0))
+    def constant_value(self) -> Scalar:
+        return self.terms.get((0,) * len(self.variables), 0)
 
     def total_degree(self) -> int:
         """Maximum total degree; -1 for the zero polynomial."""
@@ -132,8 +144,8 @@ class Poly:
             return None
         return min(sum(e) for e in self.terms)
 
-    def coefficient(self, exponents: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(exponents), Fraction(0))
+    def coefficient(self, exponents: Sequence[int]) -> Scalar:
+        return self.terms.get(tuple(exponents), 0)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
@@ -161,7 +173,7 @@ class Poly:
         out = dict(self.terms)
         for exps, coeff in other.terms.items():
             out[exps] = out.get(exps, 0) + coeff
-        return Poly._trusted(self.variables, {e: c for e, c in out.items() if c})
+        return Poly._trusted(self.variables, _exact_nonzero(out))
 
     def __sub__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
@@ -173,21 +185,22 @@ class Poly:
 
     def __mul__(self, other: Union["Poly", Scalar]) -> "Poly":
         if isinstance(other, (int, Fraction)):
-            scalar = as_fraction(other)
+            scalar = exact_scalar(other)
             if not scalar:
                 return Poly._trusted(self.variables, {})
             return Poly._trusted(
-                self.variables, {e: c * scalar for e, c in self.terms.items()}
+                self.variables,
+                {e: exact_scalar(c * scalar) for e, c in self.terms.items()},
             )
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_ring(other)
-        out: dict[Exponents, Fraction] = {}
+        out: dict[Exponents, Scalar] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 key = tuple(map(add, e1, e2))
                 out[key] = out.get(key, 0) + c1 * c2
-        return Poly._trusted(self.variables, {e: c for e, c in out.items() if c})
+        return Poly._trusted(self.variables, _exact_nonzero(out))
 
     def __rmul__(self, other: Scalar) -> "Poly":
         return self.__mul__(other)
@@ -211,14 +224,12 @@ class Poly:
             raise InputError(f"unknown variable {variable!r} (ring has {self.variables})")
         idx = self.variables.index(variable)
         # distinct exponents stay distinct when one entry drops by 1
-        return Poly._trusted(
-            self.variables,
-            {
-                exps[:idx] + (exps[idx] - 1,) + exps[idx + 1 :]: coeff * exps[idx]
-                for exps, coeff in self.terms.items()
-                if exps[idx]
-            },
-        )
+        out = {
+            exps[:idx] + (exps[idx] - 1,) + exps[idx + 1 :]: coeff * exps[idx]
+            for exps, coeff in self.terms.items()
+            if exps[idx]
+        }
+        return Poly._trusted(self.variables, _exact_nonzero(out))
 
     def substitute(self, mapping: Mapping[str, "Poly"]) -> "Poly":
         """Substitute polynomials for variables (all in the same target ring)."""
@@ -247,11 +258,11 @@ class Poly:
         """This nonzero polynomial scaled so that its lowest term in
         ``graded_key`` order has coefficient 1."""
         low = min(self.terms, key=graded_key)
-        return self * (Fraction(1) / self.terms[low])
+        return self * Fraction(1, self.terms[low])
 
     # -- division ----------------------------------------------------------
 
-    def _leading(self) -> tuple[Exponents, Fraction]:
+    def _leading(self) -> tuple[Exponents, Scalar]:
         exps = max(self.terms, key=lambda e: (sum(e), e))
         return exps, self.terms[exps]
 
@@ -262,7 +273,7 @@ class Poly:
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero:
             return Poly.zero(self.variables)
-        quotient: dict[Exponents, Fraction] = {}
+        quotient: dict[Exponents, Scalar] = {}
         rem = self
         lead_e, lead_c = divisor._leading()
         while not rem.is_zero:
@@ -270,7 +281,7 @@ class Poly:
             qe = tuple(a - b for a, b in zip(re, lead_e))
             if any(e < 0 for e in qe):
                 return None
-            qc = rc / lead_c
+            qc = Fraction(rc, lead_c)
             quotient[qe] = qc
             rem = rem - Poly.monomial(self.variables, qe, qc) * divisor
         return Poly(self.variables, quotient)
@@ -290,7 +301,7 @@ class Poly:
 
     # -- rendering ---------------------------------------------
 
-    def _term_str(self, exps: Exponents, coeff: Fraction) -> str:
+    def _term_str(self, exps: Exponents, coeff: Scalar) -> str:
         parts = []
         for name, e in zip(self.variables, exps):
             if e == 1:
@@ -329,11 +340,12 @@ def integer_weights(weights: Sequence[Scalar]) -> tuple[tuple[int, ...], int]:
     return tuple(w.numerator * (scale // w.denominator) for w in weights), scale
 
 
-def parse_fraction(text: str) -> Fraction:
-    """An integer or a quotient of integers; InputError on anything else."""
+def parse_fraction(text: str) -> Scalar:
+    """An integer or a quotient of integers, as an exact scalar; InputError
+    on anything else."""
     num, slash, den = text.partition("/")
     try:
-        return Fraction(int(num), int(den) if slash else 1)
+        return exact_scalar(Fraction(int(num), int(den) if slash else 1))
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"not a rational number: {text!r}") from exc
 
@@ -345,10 +357,10 @@ class WeightSystem:
     __slots__ = ("weights", "total_degree", "_scaled")
 
     def __init__(self, weights: Sequence[Scalar], total_degree: Scalar):
-        ws = tuple(as_fraction(w) for w in weights)
+        ws = tuple(exact_scalar(w) for w in weights)
         if any(w <= 0 for w in ws):
             raise InputError("all weights must be positive")
-        d = as_fraction(total_degree)
+        d = exact_scalar(total_degree)
         if d <= 0:
             raise InputError("weighted total degree must be positive")
         object.__setattr__(self, "weights", ws)
@@ -370,7 +382,7 @@ class WeightSystem:
     @classmethod
     def for_poly(cls, f: Poly, weights: Sequence[Scalar]) -> "WeightSystem":
         """Build a certificate for ``f``; rejects non-quasi-homogeneous input."""
-        ws = tuple(as_fraction(w) for w in weights)
+        ws = tuple(exact_scalar(w) for w in weights)
         degree = f.quasi_homogeneous_degree(ws)
         if degree is None or f.is_zero:
             raise InputError(
@@ -492,7 +504,7 @@ class _Parser:
             raise self.error("expected a nonnegative integer exponent")
         return int(self.text[start : self.pos])
 
-    def parse_rational(self) -> Fraction:
+    def parse_rational(self) -> Scalar:
         self.skip_ws()
         start = self.pos
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
@@ -512,9 +524,9 @@ class _Parser:
                 denominator = int(self.text[dstart : self.pos])
                 if denominator == 0:
                     raise ParseError("zero denominator", dstart)
-                return Fraction(numerator, denominator)
+                return exact_scalar(Fraction(numerator, denominator))
         self.pos = save
-        return Fraction(numerator)
+        return numerator
 
 
 def parse_polynomial(text: str, variables: Sequence[str]) -> Poly:

@@ -74,8 +74,8 @@ def _auto_weights(f: Poly) -> Optional[tuple[Fraction, ...]]:
     n = len(f.variables)
     span = Span()
     for exps in f.terms:
-        row = {i: Fraction(e) for i, e in enumerate(exps) if e}
-        row[n] = Fraction(1)
+        row = {i: e for i, e in enumerate(exps) if e}
+        row[n] = 1
         span.insert(row)
     default = Fraction(1, max(f.total_degree(), 1))
     weights = [default] * n
@@ -83,9 +83,8 @@ def _auto_weights(f: Poly) -> Optional[tuple[Fraction, ...]]:
         pivot = min(row)
         if pivot == n:
             return None  # inconsistent: not quasi-homogeneous at all
-        weights[pivot] = row.get(n, Fraction(0)) - sum(
-            (v * default for k, v in row.items() if k not in (pivot, n)),
-            Fraction(0),
+        weights[pivot] = row.get(n, 0) - sum(
+            v * default for k, v in row.items() if k not in (pivot, n)
         )
     if any(w <= 0 for w in weights):
         return None

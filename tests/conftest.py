@@ -25,7 +25,7 @@ from brieskorn.local_algebra import (
     monomials_of_weighted_degree,
     shifted_terms,
 )
-from brieskorn.poly import Exponents, Poly, WeightSystem, as_fraction
+from brieskorn.poly import Exponents, Poly, WeightSystem
 
 settings.register_profile(
     "ci",
@@ -392,7 +392,7 @@ def rewrite_normal_order(word: OperatorWord, leftmost: bool = True) -> OperatorW
 
 def rank_one(coefficient, trunc_order: int = 16, label: str = "") -> ABModule:
     """Rank-1 module with  a e = coefficient * b e."""
-    return ABModule(1, trunc_order, [[[0, as_fraction(coefficient)]]], label=label)
+    return ABModule(1, trunc_order, [[[0, coefficient]]], label=label)
 
 
 def wedge(first: DiffForm, second: DiffForm) -> DiffForm:

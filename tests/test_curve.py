@@ -543,7 +543,7 @@ def reference_target(f: Poly, m: Poly, coefficient: Fraction) -> dict:
     variables = f.variables
     primitive = Poly(
         variables,
-        {(e[0] + 1,) + e[1:]: c / (e[0] + 1) for e, c in m.terms.items()},
+        {(e[0] + 1,) + e[1:]: Fraction(c, e[0] + 1) for e, c in m.terms.items()},
     )
     return dict((f * m - f.derivative(variables[0]) * primitive * coefficient).terms)
 

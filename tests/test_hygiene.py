@@ -1,6 +1,7 @@
 """Source hygiene: the runtime imports only the standard library, never
 touches floating point (README: "runtime has no dependencies", "no
-floating point anywhere"), and carries no name that nothing uses."""
+floating point anywhere"), divides only a ``Fraction`` (coefficients may be
+ints, and int / int is a float), and carries no name that nothing uses."""
 
 from __future__ import annotations
 
@@ -19,6 +20,14 @@ def _tree(path: Path) -> ast.Module:
     return ast.parse(path.read_text(), filename=str(path))
 
 
+def _is_call(node: ast.AST, name: str) -> bool:
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == name
+    )
+
+
 def _offences(tree: ast.Module) -> list[str]:
     found = []
     for node in ast.walk(tree):
@@ -30,16 +39,16 @@ def _offences(tree: ast.Module) -> list[str]:
             roots = []
         for root in roots:
             if root not in sys.stdlib_module_names:
-                found.append(f"line {node.lineno}: imports {root}")
+                found.append((node.lineno, f"imports {root}"))
         if isinstance(node, ast.Constant) and isinstance(node.value, float):
-            found.append(f"line {node.lineno}: float literal {node.value!r}")
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id == "float"
-        ):
-            found.append(f"line {node.lineno}: float(...) call")
-    return found
+            found.append((node.lineno, f"float literal {node.value!r}"))
+        if _is_call(node, "float"):
+            found.append((node.lineno, "float(...) call"))
+        # ``x /= y`` has no Fraction(...) on its left
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            if not _is_call(getattr(node, "left", None), "Fraction"):
+                found.append((node.lineno, "true division of a non-Fraction"))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
 
 
 def test_sources_found():
@@ -52,12 +61,17 @@ def test_stdlib_only_and_no_floats(path):
 
 
 def test_checker_flags_each_offence():
-    bad = ast.parse("import numpy\nfrom sympy.core import S\nx = 0.5\ny = float(2)\n")
+    bad = ast.parse(
+        "import numpy\nfrom sympy.core import S\nx = 0.5\ny = float(2)\n"
+        "z = a / b\nz /= 2\nw = Fraction(1) / b\nv = a // b\n"
+    )
     assert _offences(bad) == [
         "line 1: imports numpy",
         "line 2: imports sympy",
         "line 3: float literal 0.5",
         "line 4: float(...) call",
+        "line 5: true division of a non-Fraction",
+        "line 6: true division of a non-Fraction",
     ]
 
 

@@ -8,9 +8,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from brieskorn.errors import InputError, ParseError
-from brieskorn.poly import Poly, WeightSystem, format_fraction, parse_polynomial
+from brieskorn.poly import (
+    Poly,
+    WeightSystem,
+    exact_scalar,
+    format_fraction,
+    parse_fraction,
+    parse_polynomial,
+)
 
-from conftest import polys, valuation
+from conftest import fractions, polys, valuation
 
 XY = ("x", "y")
 
@@ -78,10 +85,10 @@ class TestArithmetic:
     @given(polys(), polys(), st.sampled_from([0, 1, -3, Fraction(2, 3)]))
     def test_results_are_what_the_validating_constructor_builds(self, a, b, k):
         # arithmetic skips the constructor's checks; its results must still
-        # hold only nonzero Fraction coefficients
+        # hold only nonzero exact coefficients
         for result in (a + b, a - b, -a, a * b, a * k, k * a, a.derivative("y")):
             assert result == Poly(result.variables, result.terms)
-            assert all(type(c) is Fraction and c for c in result.terms.values())
+            assert all(type(c) in (int, Fraction) and c for c in result.terms.values())
 
 
 class TestDerivative:
@@ -225,3 +232,100 @@ class TestSubstitute:
     def test_identity_substitution(self, poly):
         sub = {v: Poly.variable(XY, v) for v in XY}
         assert poly.substitute(sub) == poly
+
+
+def mixed_polys(max_degree: int = 3, max_terms: int = 4) -> st.SearchStrategy[Poly]:
+    """Polynomials whose coefficients mix ints, integral Fractions and
+    Fractions with a real denominator."""
+    exponent = st.tuples(*([st.integers(min_value=0, max_value=max_degree)] * 2))
+    coefficient = st.one_of(st.integers(min_value=-6, max_value=6), fractions())
+    return st.lists(st.tuples(exponent, coefficient), max_size=max_terms).map(
+        lambda pairs: Poly(XY, dict(pairs))
+    )
+
+
+def all_fractions(poly: Poly) -> Poly:
+    """The same polynomial with every coefficient held as a Fraction,
+    integral ones included: built past the constructor, which would turn
+    those into ints."""
+    return Poly._trusted(poly.variables, {e: Fraction(c) for e, c in poly.terms.items()})
+
+
+def assert_exact(result: Poly) -> None:
+    """Every coefficient is a nonzero int or a Fraction with a real
+    denominator: never a float, a bool or an integral Fraction."""
+    for c in result.terms.values():
+        assert (type(c) is int and c) or (type(c) is Fraction and c.denominator > 1)
+
+
+class TestExactScalars:
+    def test_normaliser_rules(self):
+        assert type(exact_scalar(3)) is int
+        assert type(exact_scalar(Fraction(6, 3))) is int and exact_scalar(Fraction(6, 3)) == 2
+        assert exact_scalar(Fraction(1, 2)) == Fraction(1, 2)
+        for bad in (0.5, 1.0, True, False, "1"):
+            with pytest.raises(TypeError):
+                exact_scalar(bad)
+
+    def test_integral_coefficients_are_ints(self):
+        assert type(p("7").constant_value()) is int
+        assert type(p("4/2*x").coefficient((1, 0))) is int
+        assert type(p("1/2*x").coefficient((1, 0))) is Fraction
+        assert type(Poly.zero(XY).constant_value()) is int
+        assert type((p("x") * Fraction(3)).coefficient((1, 0))) is int
+        assert type(parse_fraction("6/3")) is int
+        assert p("2*x").lowest_monic() == p("x")
+        assert type(p("2*x").lowest_monic().coefficient((1, 0))) is int
+
+    def test_floats_raise(self):
+        f = p("x + y")
+        for build in (
+            lambda: Poly(XY, {(1, 0): 0.5}),
+            lambda: Poly.constant(XY, 0.0),
+            lambda: f * 0.5,
+            lambda: 0.5 * f,
+            lambda: WeightSystem((0.5, 1), 1),
+        ):
+            with pytest.raises(TypeError):
+                build()
+
+    def test_bools_raise(self):
+        # a bool is an int subclass, but never a coefficient
+        f = p("x + y")
+        for build in (
+            lambda: Poly(XY, {(1, 0): True}),
+            lambda: f * True,
+            lambda: WeightSystem((True, 1), 1),
+        ):
+            with pytest.raises(TypeError):
+                build()
+
+    @given(
+        mixed_polys(),
+        mixed_polys(),
+        st.one_of(st.integers(min_value=-3, max_value=3), fractions()),
+        st.integers(min_value=0, max_value=3),
+    )
+    def test_mixed_coefficients_compute_as_fractions(self, a, b, k, n):
+        fa, fb = all_fractions(a), all_fractions(b)
+        pairs = [
+            (a + b, fa + fb),
+            (a - b, fa - fb),
+            (-a, -fa),
+            (a * b, fa * fb),
+            (a * k, fa * Fraction(k)),
+            (k * a, Fraction(k) * fa),
+            (a**n, fa**n),
+            (a.derivative("x"), fa.derivative("x")),
+            (a.substitute({"x": b, "y": a}), fa.substitute({"x": fb, "y": fa})),
+        ]
+        if b:
+            pairs.append(((a * b).divide_exact(b), fa))
+            pairs.append((b.lowest_monic(), fb.lowest_monic()))
+            quotient, reference = a.divide_exact(b), fa.divide_exact(fb)
+            assert (quotient is None) == (reference is None)
+            if quotient is not None:
+                pairs.append((quotient, reference))
+        for result, reference in pairs:
+            assert result == reference
+            assert_exact(result)
