@@ -17,6 +17,7 @@ import random
 import sys
 import time
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 from . import __version__
@@ -111,9 +112,27 @@ def _envelope(
     }
 
 
+def _json(value, indent: str = "\n") -> str:
+    """The text of ``json.dumps(value, indent=2)`` for str-keyed dicts,
+    lists, tuples, str, int, bool, None and finite floats.  The stdlib's C
+    encoder serves no indent, and its pure-Python one is slower than this."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
+    if isinstance(value, (list, tuple)):
+        items = [_json(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    return float.__repr__(value) if isinstance(value, float) else int.__repr__(value)
+
+
 def _emit(envelope: dict, fmt: str, out) -> None:
     if fmt == "json":
-        out.write(json.dumps(envelope, indent=2))
+        out.write(_json(envelope))
         out.write("\n")
         return
     report = envelope.get("report")
@@ -248,7 +267,7 @@ def _cmd_abmod(args, config: RunConfig, out) -> int:
         left = _load_module(args.left)
         right = _load_module(args.right)
         product = tensor(left, right)
-        record = json.dumps(product.to_record(), indent=2) + "\n"
+        record = _json(product.to_record()) + "\n"
         if args.output:
             with open(args.output, "w", encoding="utf-8") as handle:
                 handle.write(record)
@@ -266,7 +285,7 @@ def _cmd_abmod(args, config: RunConfig, out) -> int:
         }
         for k in args.k or [1, 2]:
             flags[f"regular_k{k}"] = is_regular(module, k)
-        out.write(json.dumps(flags, indent=2) + "\n")
+        out.write(_json(flags) + "\n")
         return EXIT_OK
     if args.abmod_command == "selftest":
         if args.count < 1:

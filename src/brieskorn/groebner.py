@@ -23,6 +23,14 @@ ch. 4, sections 3-4) is I : m^inf = the intersection over i of
 I : x_i^inf, since m^N g lies in I exactly when every x_i^N g does, up to
 N.  Each colon is an elimination, I : x_i^inf = (I + (1 - t x_i)) meet
 k[x], and so is each intersection, A meet B = (t A + (1 - t) B) meet k[x].
+
+The saturation starts from the reduced grevlex basis G of I, and each
+elimination continues a Groebner basis it already holds (``known``): the
+lifted G for a colon, which stays a basis because the block order is grevlex
+on t-free monomials, and t A, with A the reduced basis so far, for a meet.
+Only S-pairs that involve a new element are formed.  A colon by x_i is
+skipped when G holds a monomial power of x_i, since then I : x_i^inf = (1);
+an ideal with a unit at the origin is isolated there without any basis.
 """
 
 from __future__ import annotations
@@ -117,12 +125,13 @@ def _s_poly(f: _Poly, g: _Poly, lf: _Mono, lg: _Mono, top: _Mono) -> _Poly:
     return out
 
 
-def _groebner(polys: list[_Poly], head: int) -> list[_Poly]:
-    """The reduced Groebner basis of the ideal of ``polys``, each element
-    primitive with a positive leading coefficient, sorted by leading
-    monomial."""
-    basis: list[_Poly] = []
-    leads: list[_Mono] = []
+def _groebner(polys: list[_Poly], head: int, known: list[_Poly] = ()) -> list[_Poly]:
+    """The reduced Groebner basis of the ideal of ``known`` and ``polys``,
+    each element primitive with a positive leading coefficient, sorted by
+    leading monomial.  ``known`` must already be a Groebner basis: it is
+    taken as it is and no pair within it is formed (each reduces to 0)."""
+    basis: list[_Poly] = list(known)
+    leads: list[_Mono] = [max(g) for g in known]
     queue: list[tuple[_Mono, int, int]] = []
     pending: set[tuple[int, int]] = set()
 
@@ -178,12 +187,13 @@ def _groebner(polys: list[_Poly], head: int) -> list[_Poly]:
     return sorted(reduced, key=max)
 
 
-def _eliminate(polys: list[_Poly]) -> list[_Poly]:
-    """The reduced grevlex basis of (ideal of ``polys``) meet k[x], for
-    polynomials keyed in the block order that eliminates t."""
+def _eliminate(polys: list[_Poly], known: list[_Poly] = ()) -> list[_Poly]:
+    """The reduced grevlex basis of (ideal of ``known`` and ``polys``) meet
+    k[x], for polynomials keyed in the block order that eliminates t, with
+    ``known`` a Groebner basis in that order."""
     return [
         {m[1:]: c for m, c in g.items()}
-        for g in _groebner(polys, head=2)
+        for g in _groebner(polys, 2, known)
         if max(g)[0] == 0
     ]
 
@@ -193,21 +203,26 @@ def _lift(p: _Poly, t_degree: int, scale: int = 1) -> _Poly:
     return {(t_degree, *m): scale * c for m, c in p.items()}
 
 
-def _saturation(gens: list[_Poly], n: int) -> list[_Poly]:
-    """The reduced grevlex basis of (ideal of ``gens``) : m^inf."""
+def _saturation(basis: list[_Poly], n: int) -> list[_Poly]:
+    """The reduced grevlex basis of I : m^inf, for the reduced grevlex
+    basis ``basis`` of I."""
     one = _encode((0,) * n)
+    powers = [_decode(max(g)) for g in basis if len(g) == 1]
+    lifted = [_lift(g, 0) for g in basis]
     result = None
     for i in range(n):
+        if any(sum(e) == e[i] for e in powers):  # x_i^k in I: the unit ideal
+            continue
         x_i = _encode(tuple(int(j == i) for j in range(n)))
         # I : x_i^inf = (I + (1 - t x_i)) meet k[x]
-        colon = _eliminate([_lift(g, 0) for g in gens] + [{(1, *x_i): 1, (0, *one): -1}])
+        colon = _eliminate([{(1, *x_i): 1, (0, *one): -1}], lifted)
         if max(colon[0])[0] == 0:  # the unit ideal
             continue
         if result is not None:
             # A meet B = (t A + (1 - t) B) meet k[x]
             colon = _eliminate(
-                [_lift(a, 1) for a in result]
-                + [{**_lift(b, 0), **_lift(b, 1, -1)} for b in colon]
+                [{**_lift(b, 0), **_lift(b, 1, -1)} for b in colon],
+                [_lift(a, 1) for a in result],
             )
         result = colon
     return result if result is not None else [{one: 1}]
@@ -231,14 +246,17 @@ def isolated_at_origin(I: IdealGens) -> bool:
     of positive dimension through 0 has P inside m, so it contains the
     saturation, which then lies in m.  If every such P misses 0, no
     component lies in the prime m, so by prime avoidance neither does
-    their product, which lies in the saturation."""
-    gens = _integer_gens(I)
+    their product, which lies in the saturation.  A generator with a
+    nonzero constant term is a unit at 0, so O/I is 0 there."""
+    if I.contains_unit():
+        return True
     n = len(I.variables)
-    leads = [_decode(max(g)) for g in _groebner(gens, head=1)]
+    basis = _groebner(_integer_gens(I), head=1)
+    leads = [_decode(max(g)) for g in basis]
     if all(any(sum(e) == e[i] for e in leads) for i in range(n)):
         return True
     one = _encode((0,) * n)
-    return any(one in g for g in _saturation(gens, n))
+    return any(one in g for g in _saturation(basis, n))
 
 
 def torsion_length(I: IdealGens) -> int:
@@ -251,10 +269,10 @@ def torsion_length(I: IdealGens) -> int:
     is finite.  The count therefore runs over the box e_i < B_i.  The
     torsion is supported at 0, so this global count is the local length
     and no local order is needed."""
-    gens = _integer_gens(I)
     n = len(I.variables)
-    small = [_decode(max(g)) for g in _groebner(gens, head=1)]
-    big = [_decode(max(g)) for g in _saturation(gens, n)]
+    basis = _groebner(_integer_gens(I), head=1)
+    small = [_decode(max(g)) for g in basis]
+    big = [_decode(max(g)) for g in _saturation(basis, n)]
     box = [range(max(e[i] for e in small)) for i in range(n)]
     return sum(
         1

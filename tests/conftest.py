@@ -14,7 +14,7 @@ from brieskorn.ab_module import ABModule, OperatorWord
 from brieskorn.curve import FactoredCurve, annihilator_form
 from brieskorn.errors import InconclusiveError, InputError
 from brieskorn.forms import DiffForm, VectorField, _normalize_indices
-from brieskorn.groebner import _decode, _integer_gens, _saturation, isolated_at_origin
+from brieskorn.groebner import _decode, _groebner, _integer_gens, _saturation, isolated_at_origin
 from brieskorn.linalg import Vec
 from brieskorn.local_algebra import (
     IdealGens,
@@ -351,7 +351,7 @@ def saturate_at_origin(I: IdealGens) -> IdealGens:
     """Generators of I : m^inf, the sections extending through 0: the
     reduced grevlex Groebner basis of the saturation, each scaled so that
     its lowest term has coefficient 1."""
-    basis = _saturation(_integer_gens(I), len(I.variables))
+    basis = _saturation(_groebner(_integer_gens(I), head=1), len(I.variables))
     return IdealGens.of(
         I.variables,
         [

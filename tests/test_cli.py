@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 import brieskorn
 from brieskorn import cli
@@ -346,12 +347,14 @@ class TestAbmodCommands:
         code, _ = run(["abmod", "tensor", str(left), str(right), "-o", str(out_path)])
         assert code == EXIT_OK
         record = json.loads(out_path.read_text())
+        assert out_path.read_text() == json.dumps(record, indent=2) + "\n"
         assert record["rank"] == 2
         assert record["a_matrix"][0][0] == [[1, "5/6"]]
 
         code, text = run(["abmod", "check", str(out_path)])
         assert code == EXIT_OK
         flags = json.loads(text)
+        assert text == json.dumps(flags, indent=2) + "\n"
         assert flags["commutation"] and flags["simple_pole"]
         assert flags["regular_k1"] and flags["regular_k2"]
 
@@ -379,6 +382,32 @@ class TestAbmodCommands:
         assert code == EXIT_INVALID
         assert text == ""
         assert capsys.readouterr().err.startswith("error: ")
+
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(),
+    lambda children: st.lists(children)
+    | st.lists(children).map(tuple)
+    | st.dictionaries(st.text(), children),
+    max_leaves=20,
+)
+
+
+class TestJsonWriter:
+    @given(JSON_VALUES)
+    @example({"\u00e9\x00\n\t\"\\": ["\U0001f600", "\x1f\x7f", [], {}, ()], "": {"a": [{}]}})
+    @example([True, False, None, 0, -1, 10**30, 1.5, -0.0, 1e-300, 1e300])
+    def test_prints_what_json_dumps_prints(self, value):
+        assert cli._json(value) == json.dumps(value, indent=2)
+
+    def test_report_envelope(self):
+        code, text = run(GOLDEN)
+        assert code == EXIT_OK
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
 
 def fresh_process(argv) -> tuple[int, str]:

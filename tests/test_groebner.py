@@ -1,27 +1,35 @@
 """The Groebner saturation and the torsion length of the direct check.
 
 Oracles: sympy's reduced grevlex basis (importorskip), the reduced basis
-of a permuted generator list, and the Thom-Sebastiani transport
-dim (J : m^inf)/J of z^k + f = (k - 1) mu(f), with mu(f) from the graded
-curve pipeline.  The test-local colon chain of ``test_local_algebra`` is
-the third oracle (``test_graded_colon_chain_matches_full_recompute``).
+of a permuted generator list, the from-scratch saturation below (every
+elimination from raw generators, no known basis, no skipped colon), and
+the Thom-Sebastiani transport dim (J : m^inf)/J of z^k + f = (k - 1) mu(f),
+with mu(f) from the graded curve pipeline.  The test-local colon chain of
+``test_local_algebra`` is one more
+(``test_graded_colon_chain_matches_full_recompute``).
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 from math import lcm
+from operator import le
 
 import pytest
 from hypothesis import given, strategies as st
 
+from brieskorn import groebner
 from brieskorn.curve import FactoredCurve, invariants
 from brieskorn.groebner import (
+    _decode,
     _encode,
     _groebner,
     _integer_gens,
+    _lift,
     _normalized,
+    _saturation,
     isolated_at_origin,
     torsion_length,
 )
@@ -164,6 +172,121 @@ class TestTorsionLength:
     )
     def test_colon_chain_failures(self, text, expected):
         assert torsion_length(jacobian_ideal(p(text, XYZ))) == expected
+
+
+# -- the from-scratch reference ------------------------------------------------
+
+
+def reference_saturation(gens: list[dict], n: int) -> list[dict]:
+    """I : m^inf with every colon and meet eliminated from raw generators:
+    no known basis, and a unit colon is dropped only after its elimination.
+    It calls through the module, so that a test can count its calls."""
+    one = _encode((0,) * n)
+    result = None
+    for i in range(n):
+        x_i = _encode(tuple(int(j == i) for j in range(n)))
+        colon = groebner._eliminate([_lift(g, 0) for g in gens] + [{(1, *x_i): 1, (0, *one): -1}])
+        if max(colon[0])[0] == 0:
+            continue
+        if result is not None:
+            colon = groebner._eliminate(
+                [_lift(a, 1) for a in result]
+                + [{**_lift(b, 0), **_lift(b, 1, -1)} for b in colon]
+            )
+        result = colon
+    return result if result is not None else [{one: 1}]
+
+
+def reference_isolated(I: IdealGens) -> bool:
+    gens, n = _integer_gens(I), len(I.variables)
+    leads = [_decode(max(g)) for g in groebner._groebner(gens, head=1)]
+    if all(any(sum(e) == e[i] for e in leads) for i in range(n)):
+        return True
+    return any(_encode((0,) * n) in g for g in reference_saturation(gens, n))
+
+
+def reference_torsion_length(I: IdealGens) -> int:
+    gens, n = _integer_gens(I), len(I.variables)
+    small = [_decode(max(g)) for g in groebner._groebner(gens, head=1)]
+    big = [_decode(max(g)) for g in reference_saturation(gens, n)]
+    box = [range(max(e[i] for e in small)) for i in range(n)]
+    return sum(
+        1
+        for m in product(*box)
+        if any(all(map(le, e, m)) for e in big)
+        and not any(all(map(le, e, m)) for e in small)
+    )
+
+
+@st.composite
+def integer_ideals(draw, n: int):
+    """At most 3 integer generators of degree <= 3 with at most 3 terms;
+    the last may be a monomial power of one variable or have a unit term."""
+    exponents = st.tuples(*[st.integers(0, 3)] * n).filter(lambda e: sum(e) <= 3)
+    polys = st.dictionaries(exponents, st.integers(-3, 3).filter(bool), min_size=1, max_size=3)
+    gens = draw(st.lists(polys, min_size=1, max_size=3))
+    last = draw(st.sampled_from(["random", "power", "unit"]))
+    if last == "power":
+        i, k = draw(st.integers(0, n - 1)), draw(st.integers(1, 3))
+        gens[-1] = {tuple(k * (j == i) for j in range(n)): 1}
+    elif last == "unit":
+        gens[-1] = {**gens[-1], (0,) * n: draw(st.integers(1, 3))}
+    variables = XYZ[:n]
+    return IdealGens.of(variables, [Poly(variables, g) for g in gens])
+
+
+any_ideal = st.sampled_from([2, 3]).flatmap(integer_ideals)
+
+
+@given(any_ideal)
+def test_saturation_matches_the_from_scratch_reference(I):
+    gens, n = _integer_gens(I), len(I.variables)
+    assert _saturation(_groebner(gens, head=1), n) == reference_saturation(gens, n)
+    assert torsion_length(I) == reference_torsion_length(I)
+    assert isolated_at_origin(I) is reference_isolated(I)
+
+
+@given(
+    st.sampled_from([2, 3]).flatmap(lambda n: st.tuples(integer_ideals(n), integer_ideals(n))),
+    st.booleans(),
+)
+def test_a_known_basis_gives_the_basis_of_the_whole_ideal(ideals, t_degree):
+    basis, new = (_integer_gens(I) for I in ideals)
+    G = _groebner(basis, head=1)
+    assert _groebner(new, 1, known=G) == _groebner(G + new, head=1)
+    lifted = [_lift(g, t_degree) for g in G]
+    mixed = [{**_lift(b, 0), **_lift(b, 1, -1)} for b in new]
+    assert _groebner(mixed, 2, known=lifted) == _groebner(lifted + mixed, head=2)
+
+
+class TestSavedWork:
+    @staticmethod
+    def counted(monkeypatch, name: str) -> list:
+        calls, original = [], getattr(groebner, name)
+
+        def counting(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(groebner, name, counting)
+        return calls
+
+    def test_the_colon_by_a_monomial_power_runs_no_elimination(self, monkeypatch):
+        # J = (x y^2, x^2 y, z) holds z: the x and y colons and one meet
+        J = jacobian_ideal(p("z^2 + x^2*y^2", XYZ))
+        eliminations = self.counted(monkeypatch, "_eliminate")
+        assert torsion_length(J) == 1
+        assert len(eliminations) == 3
+        eliminations.clear()
+        assert reference_torsion_length(J) == 1
+        assert len(eliminations) == 4
+
+    def test_a_unit_generator_runs_no_buchberger(self, monkeypatch):
+        runs = self.counted(monkeypatch, "_groebner")
+        assert isolated_at_origin(ideal("x + y^2", "1 + x")) is True
+        assert runs == []
+        assert reference_isolated(ideal("x + y^2", "1 + x")) is True
+        assert len(runs) == 1
 
 
 def changed(text: str) -> str:
