@@ -37,9 +37,7 @@ from .local_algebra import (
     local_colength,
     local_quotient,
     monomials_below,
-    monomials_of_weighted_degree,
     shifted_terms,
-    shifted_vec,
     twisted_quotient_dim,
 )
 from .poly import Exponents, Poly, WeightSystem, format_fraction, graded_key, listing_key
@@ -320,7 +318,7 @@ def invariants(
     nu_res = twisted_quotient_dim(sat, field, betti - mu_value, ws, jet_cap)
     basis_mu = tuple(
         sorted(
-            (Poly(curve.variables, shifted_vec(h, e)) for e in mu_basis),
+            (Poly(curve.variables, shifted_terms(h.terms.items(), e)) for e in mu_basis),
             key=_basis_sort_key,
         )
     )
@@ -332,7 +330,7 @@ def invariants(
     )
     action = None
     if ws is not None:
-        action = a_action(curve, ws, basis_mu + basis_nu, alpha=alpha)
+        action = a_action(f, alpha, ws, basis_mu + basis_nu)
     assumptions = Assumptions(
         torsion_free=True,
         torsion_free_justification=(
@@ -383,7 +381,7 @@ def milnor_fibre_betti(curve: FactoredCurve, ws: Optional[WeightSystem] = None) 
     return gcd(*(m for _, m in parts)) - chi
 
 
-# -- the a-action and its oracle ----------------------------------------------
+# -- the a-action and its certificate -----------------------------------------
 
 
 def _basis_sort_key(p: Poly):
@@ -408,20 +406,13 @@ def a_action_coefficient(ws: WeightSystem, rep: Poly) -> Fraction:
 
 
 def a_action(
-    curve: FactoredCurve,
-    ws: WeightSystem,
-    basis: Sequence[Poly],
-    alpha: Optional[DiffForm] = None,
+    f: Poly, alpha: DiffForm, ws: WeightSystem, basis: Sequence[Poly]
 ) -> tuple[tuple[Poly, Fraction], ...]:
-    """a-action coefficients on the given basis classes, each verified by
-    the membership oracle before inclusion.  One oracle serves the whole
-    basis: it proves each predicted coefficient with the Euler-field
-    witness, and representatives the witness misses share the span of
-    their weighted degree; ``alpha`` is the annihilator form when the
-    caller has built it."""
-    if alpha is None:
-        alpha = annihilator_form(curve)
-    holds = _action_oracle(curve.expand(), alpha, ws)
+    """a-action coefficients of f on the given basis classes, each proved
+    by the Euler-field certificate before inclusion; ``alpha`` is the
+    annihilator form of a curve, or df for an isolated germ.  One
+    certificate serves the whole basis."""
+    holds = _action_certificate(f, alpha, ws)
     out = []
     for rep in basis:
         coefficient = a_action_coefficient(ws, rep)
@@ -460,94 +451,19 @@ def _exact_form_images(
     return out
 
 
-def _action_oracle(
+def _action_certificate(
     f: Poly, alpha: DiffForm, ws: WeightSystem
 ) -> Callable[[Poly, Fraction], bool]:
-    """Membership oracle for  a[m] = c b[m]  in n variables, for one
+    """The certificate of  a[m] = c b[m]  in n variables, for one
     (f, alpha), as a function of (m, c).
 
     With a acting as multiplication by f and b as df wedge a primitive,
-    the claim is that  f m vol - c df ^ xi  lies in the span of the exact
-    forms d(eta ^ alpha) over monomial (n-2)-forms eta, where xi is an
-    explicit primitive of m vol and alpha is the annihilator form of a
-    curve or df itself for an isolated germ (then d(eta ^ df) = +-df ^
-    d(eta)).  With one variable there is no eta and the claim is a
-    polynomial identity.  For quasi-homogeneous f only the eta of one
-    weighted degree can contribute, so the test is a finite exact solve.
-
-    The exact forms d(eta ^ alpha), eta = x^h dx_I, are integer exponent
-    shifts (``_exact_form_images``) whose operators come from alpha alone,
-    never from the rows of the nu scan.  Each (m, c) is first tried on
-    one explicit eta (``_euler_witness``); equality proves membership.  On
-    a miss, the span of the d(eta ^ alpha) of one eta weighted degree
-    decides: it is built when a representative first needs it and reused
-    for every later representative of that degree."""
-    variables = f.variables
-    n = len(variables)
-    int_weights, scale = ws.integer_scaled()
-    form_images = _exact_form_images(alpha)
-    images = [
-        (sum(int_weights[j] for j in index_set), image)
-        for index_set, image in form_images
-    ]
-    # weighted degree bookkeeping: d(eta ^ alpha) matches omega exactly when
-    # w(eta) = w(omega as a form) - w(alpha as a form)
-    alpha_degree = _form_weighted_degree(alpha, ws.weights)
-    # s f and s f_x0 as integer terms, for one s > 0 (f_x0 has no new
-    # denominators)
-    scale_f = common_denominator(f)
-    f_terms = integer_terms(f, scale_f)
-    fx0_terms = integer_terms(f.derivative(variables[0]), scale_f)
-    witness = _euler_witness(f, alpha, ws, dict(form_images), scale_f)
-    spans: dict[int, Span] = {}
-
-    def holds(m: Poly, coefficient: Fraction) -> bool:
-        target = _action_target(f_terms, fx0_terms, m, coefficient)
-        if not target:
-            return True
-        degrees = {sum(map(mul, e, int_weights)) for e in target}
-        if len(degrees) != 1 or alpha_degree is None:
-            raise InputError("forms are not quasi-homogeneous under the certificate")
-        if witness is not None and witness(m, coefficient, target):
-            return True
-        eta_degree = int(degrees.pop() + sum(int_weights) - alpha_degree * scale)
-        if eta_degree not in spans:
-            spans[eta_degree] = _eta_span(images, n, int_weights, eta_degree)
-        return spans[eta_degree].contains(target)
-
-    return holds
-
-
-def _eta_span(
-    images: list[tuple[int, _ShiftedImages]],
-    n: int,
-    int_weights: tuple[int, ...],
-    eta_degree: int,
-) -> Span:
-    """The span of the d(eta ^ alpha) over the monomial eta = x^h dx_I of
-    integer weighted degree ``eta_degree``; ``images`` pairs the weighted
-    degree of each dx_I with its image map."""
-    span = Span()
-    for index_degree, image in images:
-        for h_exp in monomials_of_weighted_degree(
-            n, int_weights, eta_degree - index_degree
-        ):
-            vec = image(h_exp)
-            if vec:
-                span.insert(vec)
-    return span
-
-
-def _euler_witness(
-    f: Poly,
-    alpha: DiffForm,
-    ws: WeightSystem,
-    images: dict[tuple[int, ...], _ShiftedImages],
-    scale_f: int,
-) -> Optional[Callable[[Poly, Fraction, dict[Exponents, int]], bool]]:
-    """An exact check of  omega = f m vol - c df ^ xi = d(eta ^ alpha)  for
-    one explicit eta, as a function of (m, c, target); None when there is
-    no such eta (one variable, or df not a polynomial multiple of alpha).
+    the claim is that  omega = f m vol - c df ^ xi  is an exact form
+    d(eta ^ alpha), where xi is an explicit primitive of m vol and alpha is
+    the annihilator form of a curve or df itself for an isolated germ, so
+    that df = h alpha for a polynomial h.  ``holds`` is True exactly when
+    omega is 0 or equals d(eta ^ alpha) for the one eta below; a False
+    says nothing about other eta.
 
     The Euler field E = sum_i w_i x_i d/dx_i has E f = D f for the total
     degree D, so df ^ i_E(m vol) = D f m vol, and  omega = df ^ theta  with
@@ -560,25 +476,34 @@ def _euler_witness(
     omega = df ^ d zeta = d(eta ^ alpha), where
     eta = (-1)^n (h/D) i_E xi
         = (-1)^n (h/D) P sum_(j >= 1) (-1)^(j-1) w_j x_j dx_(I_j),
-    P = int m dx_0 and I_j = {1, ..., n-1} minus j.
+    P = int m dx_0 and I_j = {1, ..., n-1} minus j.  With one variable
+    there is no eta, and omega itself vanishes at c*.
 
-    The check sums the integer images of eta and compares them with the
-    oracle's ``target`` at their known scales, so a True is an identity
-    among the span's own generators; any other c misses."""
+    The forms d(eta ^ alpha) are integer exponent shifts
+    (``_exact_form_images``) whose operators come from alpha alone; the
+    check sums the images of eta and compares them with the integer
+    target (``_action_target``) at their known scales, so a True is an
+    exact identity."""
     variables = f.variables
     n = len(variables)
     coefficients = [alpha.coefficient((i,)) for i in range(n)]
     i = next((i for i, a in enumerate(coefficients) if not a.is_zero), None)
-    if n < 2 or i is None:
-        return None
-    h = f.derivative(variables[i]).divide_exact(coefficients[i])
+    h = None if i is None else f.derivative(variables[i]).divide_exact(coefficients[i])
     if h is None:
-        return None
+        raise RuntimeError(
+            "internal invariant violation: df is not a polynomial multiple of alpha"
+        )
     scale_h = common_denominator(h)
     h_terms = integer_terms(h, scale_h)
+    # s f and s f_x0 as integer terms, for one s > 0 (f_x0 has no new
+    # denominators)
+    scale_f = common_denominator(f)
+    f_terms = integer_terms(f, scale_f)
+    fx0_terms = integer_terms(f.derivative(variables[0]), scale_f)
     int_weights, weight_scale = ws.integer_scaled()
     # w_j / D = int_weights[j] * q.denominator / q.numerator
     q = ws.total_degree * weight_scale
+    images = dict(_exact_form_images(alpha))
     index_images = [
         (j, images[tuple(k for k in range(1, n) if k != j)]) for j in range(1, n)
     ]
@@ -594,7 +519,10 @@ def _euler_witness(
     target_factor = q.numerator * scale_h * common
     sum_factor = scale_f * q.denominator
 
-    def holds(m: Poly, coefficient: Fraction, target: dict[Exponents, int]) -> bool:
+    def holds(m: Poly, coefficient: Fraction) -> bool:
+        target = _action_target(f_terms, fx0_terms, m, coefficient)
+        if not target:
+            return True
         # c_P P h as integer terms
         c_p = lcm(*(m_t.denominator * (t[0] + 1) for t, m_t in m.terms.items()))
         ph: dict[Exponents, int] = {}
@@ -619,8 +547,8 @@ def _action_target(
     m: Poly,
     coefficient: Fraction,
 ) -> dict[Exponents, int]:
-    """A positive integer multiple of the top coefficient of the oracle's
-    form  omega = f m vol - c df ^ xi.
+    """A positive integer multiple of the top coefficient of the
+    certificate's form  omega = f m vol - c df ^ xi.
 
     With xi = (int m dx_0) dx_1 ^ ... ^ dx_(n-1), d(xi) = m vol and
     df ^ xi = f_x0 (int m dx_0) vol, so omega is
@@ -644,18 +572,6 @@ def _action_target(
             shifted_terms(fx0_terms, (t[0] + 1,) + t[1:]),
         )
     return out
-
-
-def _form_weighted_degree(form: DiffForm, weights) -> Optional[Fraction]:
-    degrees = set()
-    for key, coeff in form.terms.items():
-        d = coeff.quasi_homogeneous_degree(weights)
-        if d is None:
-            return None
-        degrees.add(d + sum((weights[i] for i in key), Fraction(0)))
-    if len(degrees) != 1:
-        return None
-    return degrees.pop()
 
 
 # -- torsion-free witness -------------------------------------------------------
@@ -690,7 +606,7 @@ def torsion_free_witness(curve: FactoredCurve, jet_order: int = 12) -> bool:
     bound = max((sum(e) for v in exact_vectors for e in v), default=0)
     cofactor = curve.multiplicity_cofactor()
     ideal_vectors = [
-        shifted_vec(cofactor, m_exp)
+        shifted_terms(cofactor.terms.items(), m_exp)
         for m_exp in monomials_below(2, max(bound + 2 - cofactor.order(), 1))
     ]
     meet = intersection(ideal_vectors, exact_vectors)

@@ -10,7 +10,8 @@ which is unique, so results are deterministic.
 A monomial is stored as its own sort key, so that tuple comparison is the
 monomial order and ``max`` of a polynomial is its leading monomial:
 
-* grevlex on x_0 .. x_(n-1) is ``(deg, -e_(n-1), ..., -e_0)``;
+* grevlex on x_0 .. x_(n-1) is ``(deg, -e_(n-1), ..., -e_0)``, the key
+  ``local_algebra._count_key`` with unit weights;
 * the block order that eliminates one extra variable t puts the t-degree
   in front, ``(e_t, deg, -e_(n-1), ..., -e_0)``.
 
@@ -41,15 +42,11 @@ from math import gcd
 from operator import add, ge, le, sub
 
 from .linalg import _integer_vec
-from .local_algebra import IdealGens
+from .local_algebra import IdealGens, _count_key
 from .poly import Exponents
 
 _Mono = tuple[int, ...]
 _Poly = dict[_Mono, int]
-
-
-def _encode(exps: Exponents) -> _Mono:
-    return (sum(exps), *(-e for e in reversed(exps)))
 
 
 def _decode(mono: _Mono) -> Exponents:
@@ -206,14 +203,15 @@ def _lift(p: _Poly, t_degree: int, scale: int = 1) -> _Poly:
 def _saturation(basis: list[_Poly], n: int) -> list[_Poly]:
     """The reduced grevlex basis of I : m^inf, for the reduced grevlex
     basis ``basis`` of I."""
-    one = _encode((0,) * n)
+    ones = (1,) * n
+    one = _count_key((0,) * n, ones)
     powers = [_decode(max(g)) for g in basis if len(g) == 1]
     lifted = [_lift(g, 0) for g in basis]
     result = None
     for i in range(n):
         if any(sum(e) == e[i] for e in powers):  # x_i^k in I: the unit ideal
             continue
-        x_i = _encode(tuple(int(j == i) for j in range(n)))
+        x_i = _count_key(tuple(int(j == i) for j in range(n)), ones)
         # I : x_i^inf = (I + (1 - t x_i)) meet k[x]
         colon = _eliminate([{(1, *x_i): 1, (0, *one): -1}], lifted)
         if max(colon[0])[0] == 0:  # the unit ideal
@@ -229,8 +227,9 @@ def _saturation(basis: list[_Poly], n: int) -> list[_Poly]:
 
 
 def _integer_gens(I: IdealGens) -> list[_Poly]:
+    ones = (1,) * len(I.variables)
     return [
-        _normalized({_encode(e): c for e, c in _integer_vec(g.terms)[0].items()})
+        _normalized({_count_key(e, ones): c for e, c in _integer_vec(g.terms)[0].items()})
         for g in I.generators
     ]
 
@@ -255,7 +254,7 @@ def isolated_at_origin(I: IdealGens) -> bool:
     leads = [_decode(max(g)) for g in basis]
     if all(any(sum(e) == e[i] for e in leads) for i in range(n)):
         return True
-    one = _encode((0,) * n)
+    one = _count_key((0,) * n, (1,) * n)
     return any(one in g for g in _saturation(basis, n))
 
 

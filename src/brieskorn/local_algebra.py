@@ -24,12 +24,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
 from operator import add, mul, neg
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import InconclusiveError, InputError
 from .forms import VectorField
-from .linalg import Span, Vec, _cancel, _make_primitive
-from .poly import Exponents, Poly, WeightSystem, listing_key
+from .linalg import Span, _cancel, _make_primitive
+from .poly import Exponents, Poly, Scalar, WeightSystem, listing_key
 
 
 @lru_cache(maxsize=None)
@@ -82,14 +82,11 @@ def integer_terms(p: Poly, scale: Optional[int] = None) -> list[tuple[Exponents,
     return [(e, c.numerator * (scale // c.denominator)) for e, c in p.terms.items()]
 
 
-def shifted_terms(terms: list[tuple[Exponents, int]], m: Exponents) -> dict[Exponents, int]:
-    """The integer terms of x^m times the polynomial with ``terms``."""
+def shifted_terms(
+    terms: Iterable[tuple[Exponents, Scalar]], m: Exponents
+) -> dict[Exponents, Scalar]:
+    """The terms of x^m times the polynomial with ``terms``."""
     return {tuple(map(add, e, m)): c for e, c in terms}
-
-
-def shifted_vec(p: Poly, m: Exponents) -> Vec:
-    """Coefficient vector of the product of p with the monomial x^m."""
-    return {tuple(a + b for a, b in zip(e, m)): c for e, c in p.terms.items()}
 
 
 class _ShiftedImages:

@@ -14,12 +14,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .ab_module import ABModule, tensor
-from .curve import (
-    FactoredCurve,
-    InvariantReport,
-    _action_oracle,
-    a_action_coefficient,
-)
+from .curve import FactoredCurve, InvariantReport, a_action
 from .errors import InputError
 from .forms import DiffForm
 from .linalg import Span
@@ -104,7 +99,7 @@ def milnor_isolated(
     J, and its greedy monomial basis come from ``local_quotient``'s jet
     scan, which stops by Nakayama's lemma.  With a weight certificate
     (given or auto-detected), a-action coefficients are attached after
-    passing the membership oracle.
+    ``curve.a_action`` proves them.
     """
     if f.is_zero or f.is_constant():
         raise InputError("an isolated germ must be nonconstant")
@@ -127,15 +122,9 @@ def milnor_isolated(
             ws = WeightSystem(detected, 1)
     action: Optional[tuple[tuple[Exponents, Fraction], ...]] = None
     if ws is not None:
-        holds = _action_oracle(f, DiffForm.from_poly(f).d(), ws)
-        coefficients = []
-        for exps in basis:
-            m = Poly.monomial(f.variables, exps)
-            c = a_action_coefficient(ws, m)
-            if not holds(m, c):
-                raise InputError(f"a-action verification failed on monomial {m}")
-            coefficients.append((exps, c))
-        action = tuple(coefficients)
+        monomials = [Poly.monomial(f.variables, e) for e in basis]
+        proved = a_action(f, DiffForm.from_poly(f).d(), ws, monomials)
+        action = tuple((e, c) for e, (_, c) in zip(basis, proved))
     return IsolatedGerm(
         poly=f,
         milnor=value,

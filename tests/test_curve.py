@@ -5,22 +5,20 @@ from __future__ import annotations
 
 import json
 import random
-from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd
 from operator import mul
 from pathlib import Path
+from typing import Optional
 
 import pytest
 from hypothesis import given, strategies as st
 
 from brieskorn.curve import (
     FactoredCurve,
-    _action_oracle,
+    _action_certificate,
     _action_target,
-    _euler_witness,
     _exact_form_images,
-    _form_weighted_degree,
     a_action,
     a_action_coefficient,
     annihilator_field,
@@ -305,9 +303,8 @@ class TestInvariants:
         assert len(calls) == 1
         assert (rep.mu, rep.nu, rep.rank) == (9, 9, 18)
         if weights is not None:
-            # called without alpha, a_action builds its own, to the same result
-            assert a_action(curve, rep.weights, rep.basis) == rep.a_action
-            assert len(calls) == 2
+            alpha = annihilator_form(curve)
+            assert a_action(curve.expand(), alpha, rep.weights, rep.basis) == rep.a_action
 
     def test_non_quasi_homogeneous_weights_rejected(self):
         c = FactoredCurve.of(XY, [(p("x"), 2)], p("x^2 + y^3"))
@@ -484,23 +481,23 @@ class TestAActionOracle:
     def test_wrong_coefficient_fails(self):
         f, alpha = sextic().expand(), annihilator_form(sextic())
         ws = WeightSystem.for_poly(f, (1, 1))
-        assert _action_oracle(f, alpha, ws)(p("1"), Fraction(1, 3))
-        assert not _action_oracle(f, alpha, ws)(p("1"), Fraction(1, 2))
+        assert _action_certificate(f, alpha, ws)(p("1"), Fraction(1, 3))
+        assert not _action_certificate(f, alpha, ws)(p("1"), Fraction(1, 2))
 
     def test_cross_values(self):
         f, alpha = cross().expand(), annihilator_form(cross())
         ws = WeightSystem.for_poly(f, (1, 1))
-        assert _action_oracle(f, alpha, ws)(p("1"), Fraction(1, 2))
-        assert _action_oracle(f, alpha, ws)(p("x*y"), Fraction(1))
-        assert not _action_oracle(f, alpha, ws)(p("1"), Fraction(1, 3))
+        assert _action_certificate(f, alpha, ws)(p("1"), Fraction(1, 2))
+        assert _action_certificate(f, alpha, ws)(p("x*y"), Fraction(1))
+        assert not _action_certificate(f, alpha, ws)(p("1"), Fraction(1, 3))
 
     def test_shared_degree_span_still_checks_each_representative(self, monkeypatch):
-        # x^2, x*y and y^2 share one weighted degree, hence one oracle span;
+        # x^2, x*y and y^2 share one weighted degree and one coefficient;
         # a wrong coefficient on the second of them must still be caught
-        curve = sextic()
-        ws = WeightSystem.for_poly(curve.expand(), (1, 1))
+        f, alpha = sextic().expand(), annihilator_form(sextic())
+        ws = WeightSystem.for_poly(f, (1, 1))
         basis = [p("x^2"), p("x*y"), p("y^2")]
-        assert [c for _, c in a_action(curve, ws, basis)] == [Fraction(2, 3)] * 3
+        assert [c for _, c in a_action(f, alpha, ws, basis)] == [Fraction(2, 3)] * 3
 
         def wrong_on_xy(weights, rep):
             shift = Fraction(1, 7) if rep == p("x*y") else 0
@@ -508,7 +505,7 @@ class TestAActionOracle:
 
         monkeypatch.setattr("brieskorn.curve.a_action_coefficient", wrong_on_xy)
         with pytest.raises(InputError, match=r"monomial x\*y"):
-            a_action(curve, ws, basis)
+            a_action(f, alpha, ws, basis)
 
     def test_eta_degree_past_the_jet_cap(self):
         # the oracle slices lie past jet_cap * min(weights): each one is a
@@ -548,15 +545,31 @@ def reference_target(f: Poly, m: Poly, coefficient: Fraction) -> dict:
     return dict((f * m - f.derivative(variables[0]) * primitive * coefficient).terms)
 
 
+def form_weighted_degree(form: DiffForm, weights) -> Optional[Fraction]:
+    """The weighted degree of a form, dx_i counting w_i; None when its
+    terms are not all of one degree."""
+    degrees = set()
+    for key, coeff in form.terms.items():
+        d = coeff.quasi_homogeneous_degree(weights)
+        if d is None:
+            return None
+        degrees.add(d + sum((weights[i] for i in key), Fraction(0)))
+    if len(degrees) != 1:
+        return None
+    return degrees.pop()
+
+
 def reference_oracle(f: Poly, alpha: DiffForm, ws: WeightSystem):
-    """The membership oracle with Poly-built targets."""
+    """Membership of  f m vol - c df ^ xi  in the span of the exact forms
+    d(eta ^ alpha) of its weighted degree, with Poly-built targets: the
+    independent reference for ``_action_certificate``, deciding every c."""
     n = len(f.variables)
     int_weights, scale = ws.integer_scaled()
     images = [
         (sum(int_weights[j] for j in index_set), image)
         for index_set, image in _exact_form_images(alpha)
     ]
-    alpha_degree = _form_weighted_degree(alpha, ws.weights)
+    alpha_degree = form_weighted_degree(alpha, ws.weights)
     spans: dict[int, Span] = {}
 
     def eta_span(eta_degree: int) -> Span:
@@ -616,54 +629,6 @@ def weighted_curves(draw):
     return FactoredCurve.of(XY, factors, residual), (wx, wy)
 
 
-class TestIntegerOracleTarget:
-    """The oracle's integer-shift target against the Poly-built one."""
-
-    @given(weighted_curves())
-    def test_target_and_verdicts_match_the_poly_reference(self, curve_and_weights):
-        curve, weights = curve_and_weights
-        report = invariants(curve, weights=weights)
-        ws = report.weights
-        f = curve.expand()
-        alpha = annihilator_form(curve)
-        holds = _action_oracle(f, alpha, ws)
-        reference = reference_oracle(f, alpha, ws)
-        scale = common_denominator(f)
-        f_terms = integer_terms(f, scale)
-        fx0_terms = integer_terms(f.derivative("x"), scale)
-        for rep in report.basis:
-            c = a_action_coefficient(ws, rep)
-            for coefficient in (c, c + Fraction(1, 7)):
-                target = _action_target(f_terms, fx0_terms, rep, coefficient)
-                assert is_positive_multiple(target, reference_target(f, rep, coefficient))
-                assert holds(rep, coefficient) == reference(rep, coefficient)
-            assert holds(rep, c)
-
-    @pytest.mark.parametrize(
-        "text,variables",
-        [
-            ("x^3 + y^4", ("x", "y")),
-            ("x^2*y + y^4", ("x", "y")),
-            ("1/2*x^3 + 2/3*y^3", ("x", "y")),
-            ("x^2 + y^3 + z^4", ("x", "y", "z")),
-            ("x^2*y + y^3 + z^2", ("x", "y", "z")),
-        ],
-    )
-    def test_isolated_germs_share_the_oracle(self, text, variables):
-        # milnor_isolated verifies its coefficients through the same oracle,
-        # with alpha = df, in two and three variables
-        germ = milnor_isolated(parse_polynomial(text, variables))
-        f = germ.poly
-        alpha = DiffForm.from_poly(f).d()
-        holds = _action_oracle(f, alpha, germ.weights)
-        reference = reference_oracle(f, alpha, germ.weights)
-        assert len(germ.a_coefficients) == germ.milnor
-        for exps, c in germ.a_coefficients:
-            m = Poly.monomial(variables, exps)
-            assert holds(m, c) and reference(m, c)
-            assert holds(m, c + Fraction(1, 7)) == reference(m, c + Fraction(1, 7))
-
-
 ISOLATED_ORACLE_GERMS = [
     ("x^3 + y^4", ("x", "y")),
     ("x^2*y + y^4", ("x", "y")),
@@ -673,49 +638,68 @@ ISOLATED_ORACLE_GERMS = [
 ]
 
 
-@contextmanager
-def span_forbidden():
-    """A context in which building any oracle span fails the test."""
+class TestIntegerOracleTarget:
+    """The certificate's integer-shift target against the Poly-built one."""
 
-    def refuse(*args):
-        raise AssertionError("an oracle span was built")
+    @given(weighted_curves())
+    def test_target_and_verdicts_match_the_poly_reference(self, curve_and_weights):
+        curve, weights = curve_and_weights
+        report = invariants(curve, weights=weights)
+        ws = report.weights
+        f = curve.expand()
+        alpha = annihilator_form(curve)
+        holds = _action_certificate(f, alpha, ws)
+        reference = reference_oracle(f, alpha, ws)
+        scale = common_denominator(f)
+        f_terms = integer_terms(f, scale)
+        fx0_terms = integer_terms(f.derivative("x"), scale)
+        for rep in report.basis:
+            c = a_action_coefficient(ws, rep)
+            for coefficient in (c, c + Fraction(1, 7)):
+                target = _action_target(f_terms, fx0_terms, rep, coefficient)
+                assert is_positive_multiple(target, reference_target(f, rep, coefficient))
+                assert holds(rep, coefficient) == (coefficient == c)
+            assert reference(rep, c)
 
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr("brieskorn.curve._eta_span", refuse)
-        yield
-
-
-def oracle_setup(f: Poly, alpha: DiffForm, ws: WeightSystem):
-    """The Euler witness of the oracle for (f, alpha, ws), and the integer
-    terms the oracle's targets are built from."""
-    scale = common_denominator(f)
-    f_terms = integer_terms(f, scale)
-    fx0_terms = integer_terms(f.derivative(f.variables[0]), scale)
-    witness = _euler_witness(f, alpha, ws, dict(_exact_form_images(alpha)), scale)
-    return witness, f_terms, fx0_terms
+    @pytest.mark.parametrize("text,variables", ISOLATED_ORACLE_GERMS)
+    def test_isolated_germs_share_the_oracle(self, text, variables):
+        # milnor_isolated proves its coefficients through the same
+        # certificate, with alpha = df, in two and three variables
+        germ = milnor_isolated(parse_polynomial(text, variables))
+        f = germ.poly
+        alpha = DiffForm.from_poly(f).d()
+        holds = _action_certificate(f, alpha, germ.weights)
+        reference = reference_oracle(f, alpha, germ.weights)
+        assert len(germ.a_coefficients) == germ.milnor
+        for exps, c in germ.a_coefficients:
+            m = Poly.monomial(variables, exps)
+            assert holds(m, c) and reference(m, c)
+            assert not holds(m, c + Fraction(1, 7))
 
 
 class TestEulerWitness:
-    """The explicit primitive proves every predicted coefficient, so no
-    oracle span is built for it; the span alone decides every other c."""
+    """The Euler-field certificate proves every predicted coefficient c*
+    with no span, and no other c; the span reference decides every c."""
 
     @given(weighted_curves())
     def test_curves_need_no_span(self, curve_and_weights):
         curve, weights = curve_and_weights
         report = invariants(curve, weights=weights)
-        with span_forbidden():
-            witnessed = invariants(curve, weights=weights)
-        assert witnessed.a_action == report.a_action
-        for rep, c in witnessed.a_action:
-            assert c == a_action_coefficient(witnessed.weights, rep)
+        ws = report.weights
+        holds = _action_certificate(curve.expand(), annihilator_form(curve), ws)
+        assert [rep for rep, _ in report.a_action] == list(report.basis)
+        for rep, c in report.a_action:
+            assert c == a_action_coefficient(ws, rep) and holds(rep, c)
 
     @pytest.mark.parametrize("text,variables", ISOLATED_ORACLE_GERMS)
     def test_isolated_germs_need_no_span(self, text, variables):
         germ = milnor_isolated(parse_polynomial(text, variables))
-        with span_forbidden():
-            witnessed = milnor_isolated(parse_polynomial(text, variables))
-        assert witnessed.a_coefficients == germ.a_coefficients
-        assert len(witnessed.a_coefficients) == witnessed.milnor
+        f = germ.poly
+        holds = _action_certificate(f, DiffForm.from_poly(f).d(), germ.weights)
+        assert len(germ.a_coefficients) == germ.milnor
+        for exps, c in germ.a_coefficients:
+            m = Poly.monomial(variables, exps)
+            assert c == a_action_coefficient(germ.weights, m) and holds(m, c)
 
     CASES = [
         ("x^3 + y^4", ("x", "y"), None, (4, 3)),
@@ -726,35 +710,36 @@ class TestEulerWitness:
     @pytest.mark.parametrize("text,variables,curve,weights", CASES)
     def test_verdicts_match_the_span_reference(self, text, variables, curve, weights):
         # every monomial of degree < 7 and c in {c*, c* + 1/7, c* - 1}: the
-        # oracle agrees with the span-only reference, the witness holds at
-        # c* alone, and some wrong c is a member, so the span fallback runs
+        # certificate holds at c* alone, each of its verdicts is a member
+        # of the span reference, and some wrong c is a member too, which
+        # the certificate leaves unproved
         if curve is None:
             f = parse_polynomial(text, variables)
             alpha = DiffForm.from_poly(f).d()
         else:
             f, alpha = curve().expand(), annihilator_form(curve())
         ws = WeightSystem.for_poly(f, weights)
-        holds = _action_oracle(f, alpha, ws)
+        holds = _action_certificate(f, alpha, ws)
         reference = reference_oracle(f, alpha, ws)
-        witness, f_terms, fx0_terms = oracle_setup(f, alpha, ws)
         wrong_members = 0
         for exps in monomials_below(len(variables), 7):
             m = Poly.monomial(variables, exps)
             c_star = a_action_coefficient(ws, m)
             for c in (c_star, c_star + Fraction(1, 7), c_star - 1):
-                verdict = holds(m, c)
-                assert verdict == reference(m, c), (exps, c)
-                target = _action_target(f_terms, fx0_terms, m, c)
-                assert witness(m, c, target) == (c == c_star), (exps, c)
-                wrong_members += verdict and c != c_star
+                proved, member = holds(m, c), reference(m, c)
+                assert proved == (c == c_star), (exps, c)
+                assert member or not proved, (exps, c)
+                wrong_members += member and c != c_star
         assert wrong_members > 0
 
     def test_witness_needs_an_exact_cofactor(self):
-        # alpha = x dy - y dx does not divide df of x^2 + y^2
+        # alpha = x dy - y dx does not divide df of x^2 + y^2, which no
+        # caller passes: df = h alpha holds by construction
         f = p("x^2 + y^2")
         alpha = DiffForm(XY, 1, {(0,): -p("y"), (1,): p("x")})
         ws = WeightSystem.for_poly(f, (1, 1))
-        assert _euler_witness(f, alpha, ws, dict(_exact_form_images(alpha)), 1) is None
+        with pytest.raises(RuntimeError, match="internal invariant violation"):
+            _action_certificate(f, alpha, ws)
 
 
 class TestTorsionFreeWitness:

@@ -16,7 +16,7 @@ from brieskorn.ab_module import (
 )
 from brieskorn.curve import (
     FactoredCurve,
-    _action_oracle,
+    _action_certificate,
     invariants,
 )
 from brieskorn.errors import InputError
@@ -144,8 +144,8 @@ class TestMilnorIsolated:
 
 
 class TestActionOracle:
-    """The membership oracle accepts every emitted coefficient and rejects
-    each one shifted by 1/7, in one, two and three variables."""
+    """The a-action certificate proves every emitted coefficient and
+    rejects each one shifted by 1/7, in one, two and three variables."""
 
     CASES = [
         ("z^3", Z, ["1/3", "2/3"]),
@@ -162,19 +162,19 @@ class TestActionOracle:
         df = DiffForm.from_poly(g.poly).d()
         for exps, c in g.a_coefficients:
             m = Poly.monomial(variables, exps)
-            assert _action_oracle(g.poly, df, g.weights)(m, c)
+            assert _action_certificate(g.poly, df, g.weights)(m, c)
             shifted = c + Fraction(1, 7)
-            assert not _action_oracle(g.poly, df, g.weights)(m, shifted)
-
+            assert not _action_certificate(g.poly, df, g.weights)(m, shifted)
 
     def test_one_oracle_serves_the_whole_basis(self, monkeypatch):
         built = []
 
         def counting(*args):
             built.append(args)
-            return _action_oracle(*args)
+            return _action_certificate(*args)
 
-        monkeypatch.setattr("brieskorn.suspension._action_oracle", counting)
+        # milnor_isolated drives curve.a_action, which builds the certificate
+        monkeypatch.setattr("brieskorn.curve._action_certificate", counting)
         g = milnor_isolated(p("x^3+y^3+z^3", XYZ))
         assert len(g.a_coefficients) == 8
         assert len(built) == 1
