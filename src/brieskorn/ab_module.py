@@ -24,6 +24,9 @@ from .poly import Scalar, exact_scalar, format_fraction, parse_fraction
 # a b-polynomial: exact-scalar tuple indexed by b-power, zero-trimmed
 BPoly = tuple[Scalar, ...]
 
+# the default truncation order N of the modules that the CLI builds
+DEFAULT_TRUNC_ORDER = 16
+
 
 def bpoly(coefficients: Sequence[Scalar]) -> BPoly:
     values = [exact_scalar(c) for c in coefficients]
@@ -116,9 +119,7 @@ class ABModule:
 Columns = dict[tuple[int, int], dict[tuple[int, int], int]]
 
 
-def _integer_operator(
-    module: ABModule, order: int, derivation_term: bool = True
-) -> tuple[int, Columns]:
+def _integer_operator(module: ABModule, order: int) -> tuple[int, Columns]:
     """(D, columns): D is the lcm of the a-matrix denominators, and the
     column of (j, t), t < order, is the integer vector  D a(b^t e_j)  cut
     at b^order: the matrix part  sum_(i,p) D A[i][j][p] b^(t+p) e_i  plus
@@ -139,7 +140,7 @@ def _integer_operator(
         ]
         for t in range(order):
             column = {(i, t + p): c for i, p, c in terms if t + p < order}
-            if derivation_term and 0 < t < order - 1:
+            if 0 < t < order - 1:
                 vec_axpy(column, scale * t, {(j, t + 1): 1})
             columns[(j, t)] = column
     return scale, columns
@@ -158,7 +159,7 @@ def _apply(columns: Columns, vector: dict) -> dict:
     return out
 
 
-def check_commutation(module: ABModule, derivation_term: bool = True) -> bool:
+def check_commutation(module: ABModule) -> bool:
     """Verify  a b - b a = b^2  on every basis vector b^t e  with t + 2 < N:
 
         a(b^(t+1) e) - b a(b^t e) = b^(t+2) e,
@@ -169,7 +170,7 @@ def check_commutation(module: ABModule, derivation_term: bool = True) -> bool:
     derivation term the matrix parts cancel and the check fails for N >= 3.
     """
     order = module.trunc_order
-    scale, columns = _integer_operator(module, order, derivation_term)
+    scale, columns = _integer_operator(module, order)
     for (j, t), column in columns.items():
         if t + 2 >= order:
             continue

@@ -22,6 +22,7 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .ab_module import (
+    DEFAULT_TRUNC_ORDER,
     ABModule,
     check_commutation,
     factorial_identity_holds,
@@ -29,9 +30,9 @@ from .ab_module import (
     is_simple_pole,
     tensor,
 )
-from .config import RunConfig, config_from_env_and_args
 from .curve import FactoredCurve, invariants, torsion_free_witness
 from .errors import BrieskornError, InconclusiveError, InputError, ParseError
+from .local_algebra import DEFAULT_JET_CAP
 from .poly import Poly, Scalar, parse_fraction, parse_polynomial
 from .suspension import milnor_isolated, suspend, verify_suspension_direct
 
@@ -89,25 +90,17 @@ def _infer_variables(text: str) -> tuple[str, ...]:
     return tuple(sorted(names))
 
 
-def _envelope(
-    command: str,
-    input_echo: dict,
-    report: Optional[dict],
-    config: RunConfig,
-    elapsed: Optional[float],
-    error: Optional[dict] = None,
-) -> dict:
+def _envelope(command: str, input_echo: dict, report: dict, args, start: float) -> dict:
+    """The report with the run settings it was computed under; errors go to
+    stderr only, so ``error`` is always null."""
+    elapsed = time.perf_counter() - start if args.timing else None
     return {
         "tool": {"name": "brieskorn", "version": __version__, "command": command},
-        "config": {
-            "jet_cap": config.jet_cap,
-            "trunc_order": config.trunc_order,
-            "seed": config.seed,
-        },
+        "config": {"jet_cap": args.jet_cap, "trunc_order": args.trunc, "seed": args.seed},
         "input": input_echo,
         "report": report,
         "warnings": [],
-        "error": error,
+        "error": None,
         "timing": None if elapsed is None else {"seconds": round(elapsed, 3)},
     }
 
@@ -135,14 +128,10 @@ def _emit(envelope: dict, fmt: str, out) -> None:
         out.write(_json(envelope))
         out.write("\n")
         return
-    report = envelope.get("report")
     out.write(f"brieskorn {envelope['tool']['command']}\n")
     for key, value in envelope["input"].items():
         out.write(f"  input {key}: {value}\n")
-    if envelope.get("error"):
-        out.write(f"  error: {envelope['error']['kind']}: {envelope['error']['message']}\n")
-    if report:
-        _emit_report_text(report, out)
+    _emit_report_text(envelope["report"], out)
     if envelope["timing"] is not None:
         out.write(f"  time: {envelope['timing']['seconds']}s\n")
 
@@ -182,7 +171,7 @@ def _curve_from_args(args) -> tuple[FactoredCurve, tuple[str, ...]]:
     return curve, variables
 
 
-def _cmd_invariants(args, config: RunConfig, out) -> int:
+def _cmd_invariants(args, out) -> int:
     curve, variables = _curve_from_args(args)
     weights = _parse_weights(args.weights)
     echo = {
@@ -192,22 +181,20 @@ def _cmd_invariants(args, config: RunConfig, out) -> int:
         "weights": args.weights or "",
     }
     start = time.perf_counter()
-    report = invariants(curve, weights, jet_cap=config.jet_cap)
+    report = invariants(curve, weights, jet_cap=args.jet_cap)
     report_dict = report.to_dict()
     if args.check_witness:
         order = max(curve.expand().total_degree() + 2, 12)
-        witness = torsion_free_witness(curve, min(order, config.jet_cap))
+        witness = torsion_free_witness(curve, min(order, args.jet_cap))
         report_dict["torsion_free_witness"] = {
             "holds": witness,
-            "jet_order": min(order, config.jet_cap),
+            "jet_order": min(order, args.jet_cap),
         }
-    elapsed = time.perf_counter() - start if args.timing else None
-    envelope = _envelope("invariants", echo, report_dict, config, elapsed)
-    _emit(envelope, config.output_format, out)
+    _emit(_envelope("invariants", echo, report_dict, args, start), args.format, out)
     return EXIT_OK
 
 
-def _cmd_suspend(args, config: RunConfig, out) -> int:
+def _cmd_suspend(args, out) -> int:
     curve, variables = _curve_from_args(args)
     weights = _parse_weights(args.weights)
     isolated_vars = (
@@ -228,8 +215,8 @@ def _cmd_suspend(args, config: RunConfig, out) -> int:
     }
     start = time.perf_counter()
     germ = milnor_isolated(germ_poly)
-    curve_report = invariants(curve, weights, jet_cap=config.jet_cap)
-    result = suspend(germ, curve_report, trunc_order=config.trunc_order)
+    curve_report = invariants(curve, weights, jet_cap=args.jet_cap)
+    result = suspend(germ, curve_report, trunc_order=args.trunc)
     report_dict = result.to_dict()
     report_dict["isolated"] = germ.to_dict()
     report_dict["curve"] = curve_report.to_dict()
@@ -241,9 +228,7 @@ def _cmd_suspend(args, config: RunConfig, out) -> int:
                 "direct verification disagrees with the transported Milnor number: "
                 f"{check.mu_direct} != {check.mu_transported}"
             )
-    elapsed = time.perf_counter() - start if args.timing else None
-    envelope = _envelope("suspend", echo, report_dict, config, elapsed)
-    _emit(envelope, config.output_format, out)
+    _emit(_envelope("suspend", echo, report_dict, args, start), args.format, out)
     return EXIT_OK
 
 
@@ -258,7 +243,7 @@ def _load_module(path: str) -> ABModule:
     return ABModule.from_record(record)
 
 
-def _cmd_abmod(args, config: RunConfig, out) -> int:
+def _cmd_abmod(args, out) -> int:
     if args.abmod_command == "identity":
         holds = factorial_identity_holds(args.n)
         out.write("OK\n" if holds else "FAILED\n")
@@ -269,8 +254,13 @@ def _cmd_abmod(args, config: RunConfig, out) -> int:
         product = tensor(left, right)
         record = _json(product.to_record()) + "\n"
         if args.output:
-            with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(record)
+            try:
+                with open(args.output, "w", encoding="utf-8") as handle:
+                    handle.write(record)
+            except OSError as exc:
+                raise InputError(
+                    f"cannot write module file {args.output}: {exc.strerror}"
+                ) from exc
             out.write(f"wrote rank-{product.rank} module to {args.output}\n")
         else:
             out.write(record)
@@ -287,11 +277,9 @@ def _cmd_abmod(args, config: RunConfig, out) -> int:
             flags[f"regular_k{k}"] = is_regular(module, k)
         out.write(_json(flags) + "\n")
         return EXIT_OK
-    if args.abmod_command == "selftest":
-        if args.count < 1:
-            raise InputError(f"selftest needs --count >= 1, got {args.count}")
-        return _abmod_selftest(args.count, config.seed, config.trunc_order, out)
-    raise InputError(f"unknown abmod subcommand {args.abmod_command!r}")
+    if args.count < 1:  # selftest
+        raise InputError(f"selftest needs --count >= 1, got {args.count}")
+    return _abmod_selftest(args.count, args.seed, args.trunc, out)
 
 
 def _abmod_selftest(count: int, seed: int, trunc_order: int, out) -> int:
@@ -329,6 +317,18 @@ def _abmod_selftest(count: int, seed: int, trunc_order: int, out) -> int:
     return EXIT_OK if failures == 0 else EXIT_INVALID
 
 
+def _at_least(low: int):
+    """An argparse type: an integer of at least ``low``."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="brieskorn",
@@ -339,12 +339,18 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--version", action="version", version=__version__)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "json"), default=None)
-    common.add_argument("--jet-cap", type=int, default=None)
-    common.add_argument("--trunc", type=int, default=None, help="b-truncation order")
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument(
+    # each subcommand takes only the settings it reads
+    module_settings = argparse.ArgumentParser(add_help=False)
+    module_settings.add_argument(
+        "--trunc", type=_at_least(2), default=DEFAULT_TRUNC_ORDER, help="b-truncation order"
+    )
+    module_settings.add_argument("--seed", type=int, default=0)
+    report_settings = argparse.ArgumentParser(add_help=False, parents=[module_settings])
+    report_settings.add_argument(
+        "--jet-cap", type=_at_least(1), default=DEFAULT_JET_CAP, help="bound of the nu scan"
+    )
+    report_settings.add_argument("--format", choices=("text", "json"), default="text")
+    report_settings.add_argument(
         "--timing", action="store_true", help="include timing in the envelope"
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -363,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     inv = sub.add_parser(
-        "invariants", parents=[common, curve_common], help="plane-curve invariants"
+        "invariants", parents=[report_settings, curve_common], help="plane-curve invariants"
     )
     inv.add_argument(
         "--check-witness",
@@ -372,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     susp = sub.add_parser(
-        "suspend", parents=[common, curve_common], help="suspension transport"
+        "suspend", parents=[report_settings, curve_common], help="suspension transport"
     )
     susp.add_argument("--isolated", required=True, help="isolated germ expression")
     susp.add_argument("--isolated-vars", default="", help="its variables")
@@ -384,23 +390,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     abmod = sub.add_parser("abmod", help="(a,b)-module operations")
     absub = abmod.add_subparsers(dest="abmod_command", required=True)
-    identity = absub.add_parser(
-        "identity", parents=[common], help="factorial b-power operator identity"
-    )
+    identity = absub.add_parser("identity", help="factorial b-power operator identity")
     identity.add_argument("--n", type=int, required=True)
-    tensor_cmd = absub.add_parser(
-        "tensor", parents=[common], help="tensor two serialized modules"
-    )
+    tensor_cmd = absub.add_parser("tensor", help="tensor two serialized modules")
     tensor_cmd.add_argument("left")
     tensor_cmd.add_argument("right")
     tensor_cmd.add_argument("-o", "--output", default="")
-    check = absub.add_parser(
-        "check", parents=[common], help="commutation/simple-pole/regularity flags"
-    )
+    check = absub.add_parser("check", help="commutation/simple-pole/regularity flags")
     check.add_argument("module")
     check.add_argument("--k", type=int, action="append", default=None)
     selftest = absub.add_parser(
-        "selftest", parents=[common], help="randomized tensor properties"
+        "selftest", parents=[module_settings], help="randomized tensor properties"
     )
     selftest.add_argument("--count", type=int, default=25)
     return parser
@@ -420,19 +420,11 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     except SystemExit as exc:  # --help and --version exit 0, usage errors 2
         return EXIT_INVALID if exc.code else EXIT_OK
     try:
-        config = config_from_env_and_args(
-            jet_cap=getattr(args, "jet_cap", None),
-            trunc_order=getattr(args, "trunc", None),
-            output_format=getattr(args, "format", None),
-            seed=getattr(args, "seed", None),
-        )
         if args.command == "invariants":
-            return _cmd_invariants(args, config, out)
+            return _cmd_invariants(args, out)
         if args.command == "suspend":
-            return _cmd_suspend(args, config, out)
-        if args.command == "abmod":
-            return _cmd_abmod(args, config, out)
-        raise InputError(f"unknown command {args.command!r}")
+            return _cmd_suspend(args, out)
+        return _cmd_abmod(args, out)
     except InconclusiveError as exc:
         sys.stderr.write(f"inconclusive: {exc}\n")
         return EXIT_INCONCLUSIVE

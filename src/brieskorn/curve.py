@@ -29,6 +29,7 @@ from .forms import DiffForm, VectorField, field_from_one_form
 from .groebner import isolated_at_origin
 from .linalg import Span, intersection, vec_axpy
 from .local_algebra import (
+    DEFAULT_JET_CAP,
     IdealGens,
     _ShiftedImages,
     common_denominator,
@@ -284,7 +285,7 @@ class InvariantReport:
 def invariants(
     curve: FactoredCurve,
     weights: Optional[Sequence[Fraction]] = None,
-    jet_cap: int = 24,
+    jet_cap: int = DEFAULT_JET_CAP,
 ) -> InvariantReport:
     """Full invariant pipeline: mu, nu, rank = mu + nu, quotient basis,
     and (with a verifying weight certificate) the a-action coefficients.

@@ -401,6 +401,10 @@ def _twisted_raises(V: VectorField, div: Poly, weights: Sequence[int]) -> set[in
     return raises
 
 
+# the default bound of the nu scan, in jet orders (``twisted_quotient_dim``)
+DEFAULT_JET_CAP = 24
+
+
 def _reached(found: int, target: int) -> bool:
     """Whether a scan's lower bound ``found`` has reached ``target``; a
     bound past it contradicts the target, which is a defect."""
@@ -417,7 +421,7 @@ def twisted_quotient_dim(
     V: VectorField,
     target: int,
     weights: Optional[WeightSystem] = None,
-    jet_cap: int = 24,
+    jet_cap: int = DEFAULT_JET_CAP,
 ) -> TwistedResult:
     """Dimension and monomial basis of O / (I + twisted-action image), for
     a caller that knows the dimension is ``target``.

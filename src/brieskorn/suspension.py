@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .ab_module import ABModule, tensor
+from .ab_module import DEFAULT_TRUNC_ORDER, ABModule, tensor
 from .curve import FactoredCurve, InvariantReport, a_action
 from .errors import InputError
 from .forms import DiffForm
@@ -166,7 +166,7 @@ class SuspensionReport:
 def suspend(
     germ: IsolatedGerm,
     curve_report: InvariantReport,
-    trunc_order: int = 16,
+    trunc_order: int = DEFAULT_TRUNC_ORDER,
 ) -> SuspensionReport:
     """Transport invariants through the suspension isomorphism.
 

@@ -132,10 +132,6 @@ class TestABModule:
         element = generator(0, 3)
         assert apply_a(module, element) == {(0, 4): Fraction(3)}
 
-    def test_matrix_only_action_fails_commutation(self):
-        module = rank_one(Fraction(1, 2))
-        assert not check_commutation(module, derivation_term=False)
-
     def test_validation(self):
         with pytest.raises(InputError):
             ABModule(0, 16, [])
@@ -276,30 +272,28 @@ class TestRegularity:
         assert [is_regular(module, k) for k in (1, 2, 3)] == [False, False, True]
 
 
-class TestCommutation:
-    MODULES = [
-        rank_one(Fraction(1, 2)),
-        ABModule(1, 16, [[[]]]),
-        ABModule(1, 16, [[[1]]]),
-        ABModule(2, 4, [[[0, Fraction(1, 2)], [1]], [[], [0, Fraction(1, 3)]]]),
-        ABModule(2, 3, [[[Fraction(-2, 3), 0, 5], []], [[0, 1], [7]]]),
-        tensor(
-            rank_one(Fraction(2, 3), trunc_order=6),
-            ABModule(2, 6, [[[0, 1], [0, 0, 1]], [[], [0, -1]]]),
-        ),
-    ]
+# modules with N >= 3, so the commutation check has a b^(t+2) e term to see
+COMMUTING_MODULES = [
+    rank_one(Fraction(1, 2)),
+    ABModule(1, 16, [[[]]]),
+    ABModule(1, 16, [[[1]]]),
+    ABModule(2, 4, [[[0, Fraction(1, 2)], [1]], [[], [0, Fraction(1, 3)]]]),
+    ABModule(2, 3, [[[Fraction(-2, 3), 0, 5], []], [[0, 1], [7]]]),
+    tensor(
+        rank_one(Fraction(2, 3), trunc_order=6),
+        ABModule(2, 6, [[[0, 1], [0, 0, 1]], [[], [0, -1]]]),
+    ),
+]
 
-    @pytest.mark.parametrize("module", MODULES, ids=repr)
+
+class TestCommutation:
+    @pytest.mark.parametrize("module", COMMUTING_MODULES, ids=repr)
     def test_holds_with_the_derivation_term_only(self, module):
         # a(b^(t+1) e) - b a(b^t e) = b^(t+2) e needs the derivation part
         # (t+1) - t = 1; the matrix parts always cancel, so without it the
-        # b^(t+2) e term is left over whenever some t has t + 2 < N
+        # b^(t+2) e term is left over whenever some t has t + 2 < N (that
+        # half is the derivation-term mutant of tests/test_mutants.py)
         assert check_commutation(module)
-        assert not check_commutation(module, derivation_term=False)
-
-    def test_truncation_two_checks_nothing(self):
-        module = ABModule(1, 2, [[[0, 1]]])
-        assert check_commutation(module, derivation_term=False)
 
 
 # -- the integer operator against the Fraction oracle --------------------------
@@ -414,11 +408,9 @@ def regular_or_inconclusive(check, module: ABModule, k: int):
 
 
 class TestIntegerOperator:
-    @given(ab_modules(), st.booleans())
-    def test_columns_are_the_scaled_fraction_action(self, module, derivation_term):
-        scale, columns = _integer_operator(
-            module, module.trunc_order, derivation_term
-        )
+    @given(ab_modules())
+    def test_columns_are_the_scaled_fraction_action(self, module):
+        scale, columns = _integer_operator(module, module.trunc_order)
         assert scale == lcm(
             *(c.denominator for row in module.a_matrix for e in row for c in e)
         )
@@ -428,7 +420,7 @@ class TestIntegerOperator:
         for (j, t), column in columns.items():
             assert all(type(v) is int and v for v in column.values())
             scaled = {key: Fraction(v, scale) for key, v in column.items()}
-            assert scaled == apply_a(module, generator(j, t), derivation_term)
+            assert scaled == apply_a(module, generator(j, t))
 
     @given(ab_modules())
     def test_checks_agree_with_the_fraction_reference(self, module):
@@ -436,13 +428,7 @@ class TestIntegerOperator:
             assert regular_or_inconclusive(
                 is_regular, module, k
             ) == regular_or_inconclusive(reference_is_regular, module, k)
-        for derivation_term in (True, False):
-            assert check_commutation(module, derivation_term) == (
-                reference_check_commutation(module, derivation_term)
-            )
-        # with N >= 3 the b^(t+2) e term is left over without the derivation
-        assert check_commutation(module)
-        assert not check_commutation(module, derivation_term=False)
+        assert check_commutation(module) is reference_check_commutation(module) is True
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("outcome", [True, False])

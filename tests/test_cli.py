@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import io
 import json
 import os
@@ -14,8 +15,11 @@ from hypothesis import example, given, strategies as st
 
 import brieskorn
 from brieskorn import cli
+from brieskorn.ab_module import DEFAULT_TRUNC_ORDER
 from brieskorn.cli import EXIT_INCONCLUSIVE, EXIT_INVALID, EXIT_OK, main
-from brieskorn.curve import FactoredCurve, milnor_fibre_betti
+from brieskorn.curve import FactoredCurve, invariants, milnor_fibre_betti
+from brieskorn.local_algebra import DEFAULT_JET_CAP, twisted_quotient_dim
+from brieskorn.suspension import suspend
 
 GOLDEN = [
     "invariants",
@@ -93,6 +97,40 @@ USAGE_ERRORS = [
 def test_usage_error_is_invalid_input(capsys, argv):
     assert run(argv) == (EXIT_INVALID, "")
     assert "error:" in capsys.readouterr().err
+
+
+CURVE = ["--factors", "x:3", "--residual", "x^3+y^3"]
+BELOW_BOUND = [
+    ("invariants-jet-cap-0", ["invariants", *CURVE, "--jet-cap", "0"]),
+    ("invariants-trunc-1", ["invariants", *CURVE, "--trunc", "1"]),
+    ("suspend-jet-cap-0", ["suspend", "--isolated", "z^2", *CURVE, "--jet-cap", "0"]),
+    ("suspend-trunc-1", ["suspend", "--isolated", "z^2", *CURVE, "--trunc", "1"]),
+    ("selftest-trunc-1", ["abmod", "selftest", "--trunc", "1"]),
+]
+
+
+@pytest.mark.parametrize(
+    "argv", [case[1] for case in BELOW_BOUND], ids=[case[0] for case in BELOW_BOUND]
+)
+def test_setting_below_its_bound_is_a_usage_error(capsys, argv):
+    assert run(argv) == (EXIT_INVALID, "")
+    assert "must be at least" in capsys.readouterr().err
+
+
+# abmod identity, tensor and check read no run setting, so they take none
+@pytest.mark.parametrize(
+    "setting", [["--format", "json"], ["--jet-cap", "8"], ["--trunc", "8"], ["--seed", "1"],
+                ["--timing"]],
+    ids=lambda setting: setting[0],
+)
+@pytest.mark.parametrize(
+    "command",
+    [["identity", "--n", "2"], ["tensor", "E.json", "F.json"], ["check", "E.json"]],
+    ids=lambda command: command[0],
+)
+def test_abmod_takes_no_setting_it_does_not_read(capsys, command, setting):
+    assert run(["abmod", *command, *setting]) == (EXIT_INVALID, "")
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag", ["--help", "--version"])
@@ -358,6 +396,19 @@ class TestAbmodCommands:
         assert flags["commutation"] and flags["simple_pole"]
         assert flags["regular_k1"] and flags["regular_k2"]
 
+    @pytest.mark.parametrize(
+        "target", ["missing/product.json", "."], ids=["no-such-directory", "a-directory"]
+    )
+    def test_unwritable_output_is_invalid_not_a_traceback(self, tmp_path, capsys, target):
+        module = tmp_path / "E.json"
+        module.write_text(
+            json.dumps({"rank": 1, "trunc_order": 8, "a_matrix": [[[[1, "1/2"]]]]})
+        )
+        output = str(tmp_path / target)
+        code, text = run(["abmod", "tensor", str(module), str(module), "-o", output])
+        assert (code, text) == (EXIT_INVALID, "")
+        assert capsys.readouterr().err.startswith(f"error: cannot write module file {output}: ")
+
     def test_check_inconclusive_when_truncation_tiny(self, tmp_path):
         path = tmp_path / "tiny.json"
         path.write_text(
@@ -469,31 +520,29 @@ class TestCurveExpansion:
         assert len(calls) == 2
 
 
+DEFAULT_CONFIG = {"jet_cap": DEFAULT_JET_CAP, "trunc_order": DEFAULT_TRUNC_ORDER, "seed": 0}
+
+
 class TestConfiguration:
-    def test_env_override_for_jet_cap(self, monkeypatch):
-        # below the sextic's nu stop order, 3
+    def test_environment_is_ignored(self, monkeypatch):
+        # a jet cap of 2 is below the sextic's nu stop order, 3
         monkeypatch.setenv("BRIESKORN_JET_CAP", "2")
-        code, _ = run(
-            ["invariants", "--factors", "x:3", "--residual", "x^3+y^3"]
-        )
-        assert code == EXIT_INCONCLUSIVE
-
-    @pytest.mark.parametrize("name", ["BRIESKORN_JET_CAP", "BRIESKORN_TRUNC_ORDER"])
-    def test_env_zero_is_rejected_not_defaulted(self, monkeypatch, name):
-        monkeypatch.setenv(name, "0")
-        code, _ = run(
-            ["invariants", "--factors", "x:3", "--residual", "x^3+y^3",
-             "--weights", "1,1"]
-        )
-        assert code == EXIT_INVALID
-
-    def test_flag_beats_environment(self, monkeypatch):
-        monkeypatch.setenv("BRIESKORN_JET_CAP", "2")
-        code, _ = run(
-            ["invariants", "--factors", "x:3", "--residual", "x^3+y^3",
-             "--jet-cap", "24"]
+        monkeypatch.setenv("BRIESKORN_TRUNC_ORDER", "0")
+        code, text = run(
+            ["invariants", "--factors", "x:3", "--residual", "x^3+y^3", "--format", "json"]
         )
         assert code == EXIT_OK
+        assert json.loads(text)["config"] == DEFAULT_CONFIG
+
+    def test_one_default_for_the_parser_and_the_library(self):
+        assert DEFAULT_CONFIG == {"jet_cap": 24, "trunc_order": 16, "seed": 0}
+        assert json.loads(run(GOLDEN)[1])["config"] == DEFAULT_CONFIG
+        for function, name, default in [
+            (invariants, "jet_cap", DEFAULT_JET_CAP),
+            (twisted_quotient_dim, "jet_cap", DEFAULT_JET_CAP),
+            (suspend, "trunc_order", DEFAULT_TRUNC_ORDER),
+        ]:
+            assert inspect.signature(function).parameters[name].default == default
 
     def test_config_echoed_in_envelope(self):
         _, text = run(GOLDEN + ["--trunc", "8"])

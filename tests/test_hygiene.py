@@ -1,7 +1,9 @@
 """Source hygiene: the runtime imports only the standard library, never
 touches floating point (README: "runtime has no dependencies", "no
 floating point anywhere"), divides only a ``Fraction`` (coefficients may be
-ints, and int / int is a float), and carries no name that nothing uses."""
+ints, and int / int is a float), reads no environment variable (the CLI
+flags are the one source of every setting), and carries no name that
+nothing uses."""
 
 from __future__ import annotations
 
@@ -14,6 +16,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "brieskorn").glob("*.py"))
+ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
 
 
 def _tree(path: Path) -> ast.Module:
@@ -44,6 +47,9 @@ def _offences(tree: ast.Module) -> list[str]:
             found.append((node.lineno, f"float literal {node.value!r}"))
         if _is_call(node, "float"):
             found.append((node.lineno, "float(...) call"))
+        # os.environ, os.getenv and their imported names
+        if {getattr(node, field, None) for field in ("attr", "id", "name")} & ENVIRONMENT:
+            found.append((node.lineno, "reads the environment"))
         # ``x /= y`` has no Fraction(...) on its left
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
             if not _is_call(getattr(node, "left", None), "Fraction"):
@@ -64,6 +70,7 @@ def test_checker_flags_each_offence():
     bad = ast.parse(
         "import numpy\nfrom sympy.core import S\nx = 0.5\ny = float(2)\n"
         "z = a / b\nz /= 2\nw = Fraction(1) / b\nv = a // b\n"
+        "u = os.environ['A']\nfrom os import getenv\n"
     )
     assert _offences(bad) == [
         "line 1: imports numpy",
@@ -72,6 +79,8 @@ def test_checker_flags_each_offence():
         "line 4: float(...) call",
         "line 5: true division of a non-Fraction",
         "line 6: true division of a non-Fraction",
+        "line 9: reads the environment",
+        "line 10: reads the environment",
     ]
 
 
