@@ -12,6 +12,7 @@ byte-identical reports (timing is only emitted on request).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import random
 import sys
@@ -416,7 +417,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     out = out or sys.stdout
     try:
-        args = _parser().parse_args(argv)
+        with contextlib.redirect_stdout(out):  # --help and --version text
+            args = _parser().parse_args(argv)
     except SystemExit as exc:  # --help and --version exit 0, usage errors 2
         return EXIT_INVALID if exc.code else EXIT_OK
     try:

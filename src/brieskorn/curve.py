@@ -2,17 +2,18 @@
 
 The input is a germ  f = u_1^p_1 ... u_k^p_k * psi  in two variables with
 every multiplicity p_i >= 2 and psi either a nonzero constant or a reduced
-germ vanishing at the origin.  From the factored shape one reads off the
-annihilator 1-form
+germ vanishing at the origin.  With the multiplicity cofactor
+h = u_1^(p_1-1) ... u_k^(p_k-1), the annihilator 1-form alpha = df/h is
+computed by one exact division per coefficient (f = h u_1 ... u_k psi, so
+df/h is a polynomial form); it equals
 
     alpha = sum_l  p_l u_1 ... (u_l omitted) ... u_k psi du_l
             + u_1 ... u_k dpsi,
 
-which satisfies  df = u_1^(p_1-1) ... u_k^(p_k-1) alpha  exactly and spans
-the kernel of wedging with df.  The dual vector field drives the twisted
-quotient giving nu; the saturated Jacobian ideal, which is the principal
-ideal of that cofactor, gives mu; for plane curves the torsion
-corrections vanish so the rank of the associated (a,b)-module is mu + nu.
+and spans the kernel of wedging with df.  The dual vector field drives
+the twisted quotient giving nu; the saturated Jacobian ideal, which is the
+principal ideal (h), gives mu; for plane curves the torsion corrections
+vanish so the rank of the associated (a,b)-module is mu + nu.
 """
 
 from __future__ import annotations
@@ -51,11 +52,25 @@ class FactoredCurve:
     variables: tuple[str, str]
     factors: tuple[tuple[Poly, int], ...]
     residual: Poly
-    # f itself, multiplied out once per curve (``expand``)
+    # f, the multiplicity cofactor h and alpha = df/h, built once per curve
     _f: Poly = dataclass_field(init=False, repr=False, compare=False)
+    _h: Poly = dataclass_field(init=False, repr=False, compare=False)
+    _alpha: DiffForm = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_f", self._expansion())
+        f, h = self.residual, Poly.constant(self.variables, 1)
+        for u, p in self.factors:
+            f, h = f * u**p, h * u ** (p - 1)
+        alpha = [f.derivative(v).divide_exact(h) for v in self.variables]
+        if any(a is None for a in alpha):  # f = h u_1 ... u_k psi
+            raise RuntimeError(
+                "internal invariant violation: df is not a multiple of the "
+                "multiplicity cofactor"
+            )
+        object.__setattr__(self, "_f", f)
+        object.__setattr__(self, "_h", h)
+        terms = {(i,): a for i, a in enumerate(alpha)}
+        object.__setattr__(self, "_alpha", DiffForm(self.variables, 1, terms))
 
     @classmethod
     def of(
@@ -109,18 +124,9 @@ class FactoredCurve:
     def expand(self) -> Poly:
         return self._f
 
-    def _expansion(self) -> Poly:
-        f = self.residual
-        for u, p in self.factors:
-            f = f * u**p
-        return f
-
     def multiplicity_cofactor(self) -> Poly:
         """The product u_1^(p_1-1) ... u_k^(p_k-1)."""
-        out = Poly.constant(self.variables, 1)
-        for u, p in self.factors:
-            out = out * u ** (p - 1)
-        return out
+        return self._h
 
     def __str__(self) -> str:
         pieces = [f"({u})^{p}" for u, p in self.factors]
@@ -131,31 +137,12 @@ class FactoredCurve:
 
 def annihilator_form(curve: FactoredCurve) -> DiffForm:
     """The 1-form alpha with  df = (product of u_i^(p_i - 1)) * alpha."""
-    variables = curve.variables
-    alpha = DiffForm.zero(variables, 1)
-    product_all = Poly.constant(variables, 1)
-    for u, _ in curve.factors:
-        product_all = product_all * u
-    for l, (u_l, p_l) in enumerate(curve.factors):
-        cofactor = Poly.constant(variables, p_l)
-        for i, (u_i, _) in enumerate(curve.factors):
-            if i != l:
-                cofactor = cofactor * u_i
-        cofactor = cofactor * curve.residual
-        alpha = alpha + DiffForm.from_poly(u_l).d() * cofactor
-    if not curve.residual_is_constant:
-        alpha = alpha + DiffForm.from_poly(curve.residual).d() * product_all
-    return alpha
+    return curve._alpha
 
 
-def annihilator_field(
-    curve: FactoredCurve, alpha: Optional[DiffForm] = None
-) -> VectorField:
-    """Vector field dual to the annihilator form (``alpha`` when the
-    caller has built it); kills f exactly."""
-    if alpha is None:
-        alpha = annihilator_form(curve)
-    field = field_from_one_form(alpha)
+def annihilator_field(curve: FactoredCurve) -> VectorField:
+    """Vector field dual to the annihilator form; kills f exactly."""
+    field = field_from_one_form(annihilator_form(curve))
     killed = field.apply(curve.expand())
     if not killed.is_zero:
         raise RuntimeError(
@@ -164,14 +151,13 @@ def annihilator_field(
     return field
 
 
-def check_hypotheses(curve: FactoredCurve, alpha: Optional[DiffForm] = None) -> bool:
+def check_hypotheses(curve: FactoredCurve) -> bool:
     """Verify the singular-locus hypotheses behind the pipeline.
 
     Checks exactly: the branches are pairwise non-associate and do not
     divide the residual, each branch and the residual are reduced
     (singular locus of each is isolated), and the coefficients of the
-    annihilator form (``alpha`` when the caller has built it) vanish
-    simultaneously only at the origin.  Each
+    annihilator form vanish simultaneously only at the origin.  Each
     isolation is decided by ``groebner.isolated_at_origin``.  Raises
     InputError naming the violated clause.
     """
@@ -201,8 +187,7 @@ def check_hypotheses(curve: FactoredCurve, alpha: Optional[DiffForm] = None) -> 
             raise InputError(
                 f"residual {psi} is not reduced: its singular locus is not isolated"
             )
-    if alpha is None:
-        alpha = annihilator_form(curve)
+    alpha = annihilator_form(curve)
     coeffs = [alpha.coefficient((i,)) for i in range(2)]
     if not isolated_at_origin(IdealGens.of(variables, coeffs)):
         raise InputError(
@@ -304,13 +289,12 @@ def invariants(
     b_1 - mu, and the nu scan stops when its lower bound reaches that
     target; ``jet_cap`` bounds that scan alone.
     """
-    alpha = annihilator_form(curve)
-    check_hypotheses(curve, alpha=alpha)
+    check_hypotheses(curve)
     f = curve.expand()
     ws = WeightSystem.for_poly(f, weights) if weights is not None else None
     h = curve.multiplicity_cofactor()
     # b d/dx - a d/dy, for alpha = a dx + b dy
-    field = annihilator_field(curve, alpha=alpha)
+    field = annihilator_field(curve)
     mu_value, mu_basis = local_quotient(
         IdealGens.of(curve.variables, field.coefficients), ws
     )
@@ -331,7 +315,7 @@ def invariants(
     )
     action = None
     if ws is not None:
-        action = a_action(f, alpha, ws, basis_mu + basis_nu)
+        action = a_action(f, annihilator_form(curve), ws, basis_mu + basis_nu)
     assumptions = Assumptions(
         torsion_free=True,
         torsion_free_justification=(

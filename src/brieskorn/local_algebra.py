@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
 from operator import add, mul, neg
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import InconclusiveError, InputError
 from .forms import VectorField
@@ -120,6 +120,20 @@ class _ShiftedImages:
             out[key] = out.get(key, 0) + c
         return {key: v for key, v in out.items() if v}
 
+    def raises(self, weights: Sequence[int]) -> set[int]:
+        """The w-degree raises of the map: x^m goes to terms of w-degree
+        wdeg(m) + r, r in the returned set (wdeg(e) - w_i for a term x^e of
+        P_i, wdeg(e) for a term x^e of Q).  The map is graded when the set
+        has at most one value, and it lowers the w-order by at most
+        max(0, -min)."""
+        raises = {
+            sum(map(mul, e, weights)) - w
+            for w, terms in zip(weights, self.parts)
+            for e, _ in terms
+        }
+        raises.update(sum(map(mul, e, weights)) for e, _ in self.extra)
+        return raises
+
 
 @dataclass(frozen=True)
 class IdealGens:
@@ -182,8 +196,9 @@ class _JetCounts:
     the generators g x^m (g in I) and, when ``image`` is given, the twisted
     images V~(x^m).  Each generator goes in once, at the first order k
     above a lower bound of its w-order: w-ord(g) + wdeg(m) for g x^m,
-    wdeg(m) - ``drop`` for V~(x^m).  Rows are integer vectors with
-    distinct least terms (leads) under the additive key
+    wdeg(m) - ``drop`` for V~(x^m), ``drop`` the most that the image
+    lowers the w-degree (``_ShiftedImages.raises``).  Rows are integer
+    vectors with distinct least terms (leads) under the additive key
     (wdeg, -e_(n-1), ..., -e_0); an insert cancels only leads, so rows are
     never fully reduced.  Terms of w-degree ``cap`` and above are dropped,
     which changes no q(k) with k <= cap.
@@ -217,8 +232,7 @@ class _JetCounts:
     def __init__(
         self,
         I: IdealGens,
-        image: Optional[Callable[[Exponents], dict[Exponents, int]]] = None,
-        drop: int = 0,
+        image: Optional[_ShiftedImages] = None,
         cap: Optional[int] = None,
         modulus: Optional[int] = None,
         weights: Optional[WeightSystem] = None,
@@ -235,8 +249,14 @@ class _JetCounts:
                     "for the certificate"
                 )
             self.gens.append((min(degrees), terms))
-        self.image, self.drop, self.cap, self.modulus = image, drop, cap, modulus
         self.graded = weights is not None
+        self.drop = 0
+        if image is not None:
+            self.drop = max(0, -min(image.raises(self.weights), default=0))
+            if not self.graded:
+                # the greatest-term span evaluates every image again
+                image = lru_cache(maxsize=None)(image)
+        self.image, self.cap, self.modulus = image, cap, modulus
         self.rows: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
         self.lead_degrees: Counter[int] = Counter()  # rows per lead w-degree
         self.order = 0  # every generator of order < self.order is in
@@ -386,21 +406,6 @@ class TwistedResult:
     basis: tuple[Exponents, ...]
 
 
-def _twisted_raises(V: VectorField, div: Poly, weights: Sequence[int]) -> set[int]:
-    """The w-degree raises of the twisted action's terms: V~ sends x^m to
-    terms of w-degree wdeg(m) + r, r in the returned set (wdeg(e) - w_i for
-    a term x^e of V_i, wdeg(e) for a term x^e of div V).  The action is
-    graded when the set has at most one value, and it lowers the w-order
-    by at most max(0, -min)."""
-    raises = {
-        sum(map(mul, e, weights)) - w
-        for w, coeff in zip(weights, V.coefficients)
-        for e in coeff.terms
-    }
-    raises.update(sum(map(mul, e, weights)) for e in div.terms)
-    return raises
-
-
 # the default bound of the nu scan, in jet orders (``twisted_quotient_dim``)
 DEFAULT_JET_CAP = 24
 
@@ -452,25 +457,18 @@ def twisted_quotient_dim(
         raise RuntimeError(
             f"internal invariant violation: negative nu target {target}"
         )
-    n = len(I.variables)
-    div = V.divergence()
-    twisted_image = _ShiftedImages(V.coefficients, div)
-    w = (1,) * n if weights is None else weights.integer_scaled()[0]
-    raises = _twisted_raises(V, div, w)
-    if weights is not None and len(raises) > 1:  # not graded: scan the jet orders
-        weights, raises = None, _twisted_raises(V, div, (1,) * n)
-    drop = max(0, -min(raises, default=0))
+    twisted_image = _ShiftedImages(V.coefficients, V.divergence())
+    if weights is not None and len(twisted_image.raises(weights.integer_scaled()[0])) > 1:
+        weights = None  # not graded: scan the jet orders
 
     if weights is not None:
-        wdeg_cap = jet_cap * max(w) - drop
-        counts = _JetCounts(I, twisted_image, drop, weights=weights)
+        counts = _JetCounts(I, twisted_image, weights=weights)
+        wdeg_cap = jet_cap * max(counts.weights) - counts.drop
         orders = range(1, max(wdeg_cap, 0) + 2)
         failure = "graded twisted quotient did not reach the target nu"
         context = {"wdeg_cap": wdeg_cap}
     else:
-        # the greatest-term span evaluates every image again
-        image = lru_cache(maxsize=None)(twisted_image)
-        counts = _JetCounts(I, image, drop, jet_cap, _PREDICTOR_MODULUS)
+        counts = _JetCounts(I, twisted_image, jet_cap, _PREDICTOR_MODULUS)
         orders = range(1, jet_cap + 1)
         failure = "twisted quotient did not reach the target nu"
         context = {"jet_cap": jet_cap}

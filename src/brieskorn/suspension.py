@@ -88,18 +88,15 @@ def _auto_weights(f: Poly) -> Optional[tuple[Fraction, ...]]:
     return tuple(weights)
 
 
-def milnor_isolated(
-    f: Poly,
-    weights: Optional[Sequence[Fraction]] = None,
-) -> IsolatedGerm:
+def milnor_isolated(f: Poly) -> IsolatedGerm:
     """Milnor number and monomial basis of an isolated singularity.
 
     Smooth germs are rejected, and so are non-isolated critical points,
     decided exactly (``groebner.isolated_at_origin``); mu, the colength of
     J, and its greedy monomial basis come from ``local_quotient``'s jet
-    scan, which stops by Nakayama's lemma.  With a weight certificate
-    (given or auto-detected), a-action coefficients are attached after
-    ``curve.a_action`` proves them.
+    scan, which stops by Nakayama's lemma.  When f is quasi-homogeneous
+    (``_auto_weights``), a-action coefficients are attached after
+    ``curve.a_action`` proves them under those weights.
     """
     if f.is_zero or f.is_constant():
         raise InputError("an isolated germ must be nonconstant")
@@ -113,13 +110,8 @@ def milnor_isolated(
     value, basis = local_quotient(J)
     if value == 0:
         raise InputError(f"smooth germ rejected: {f} has Milnor number 0")
-    ws: Optional[WeightSystem] = None
-    if weights is not None:
-        ws = WeightSystem.for_poly(f, weights)
-    else:
-        detected = _auto_weights(f)
-        if detected is not None:
-            ws = WeightSystem(detected, 1)
+    detected = _auto_weights(f)
+    ws = None if detected is None else WeightSystem(detected, 1)
     action: Optional[tuple[tuple[Exponents, Fraction], ...]] = None
     if ws is not None:
         monomials = [Poly.monomial(f.variables, e) for e in basis]

@@ -315,18 +315,23 @@ def mu(
     return MuResult(value, tuple(jet_basis), False, tried)
 
 
-def nu_jet_basis(I: IdealGens, V, order: int) -> list:
-    """Greedy monomial basis of O/(I + V~(O) + m^order) from one full exact
-    span: the ideal jets, every twisted image V~(x^m) truncated below
-    ``order`` (|m| < order + drop suffices), then the monomials."""
+def twisted_drop(V) -> int:
+    """How far the twisted action V~ lowers the total degree, read off the
+    orders of the coefficients of V and of its divergence."""
     div = V.divergence()
-    image = _ShiftedImages(V.coefficients, div)
-    drop = max(
+    return max(
         [0]
         + [1 - c.order() for c in V.coefficients if not c.is_zero]
         + ([] if div.is_zero else [-div.order()])
     )
-    return jet_quotient(I, order, image, drop)[1]
+
+
+def nu_jet_basis(I: IdealGens, V, order: int) -> list:
+    """Greedy monomial basis of O/(I + V~(O) + m^order) from one full exact
+    span: the ideal jets, every twisted image V~(x^m) truncated below
+    ``order`` (|m| < order + drop suffices), then the monomials."""
+    image = _ShiftedImages(V.coefficients, V.divergence())
+    return jet_quotient(I, order, image, twisted_drop(V))[1]
 
 
 def nu_jet_reference(I: IdealGens, V, target: int, jet_cap: int = 24):

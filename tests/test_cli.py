@@ -135,8 +135,12 @@ def test_abmod_takes_no_setting_it_does_not_read(capsys, command, setting):
 
 @pytest.mark.parametrize("flag", ["--help", "--version"])
 def test_help_and_version_exit_zero(capsys, flag):
-    assert run([flag])[0] == EXIT_OK
-    assert capsys.readouterr().out
+    # the text goes to ``out``, like every report, and not to the process's
+    # stdout
+    code, text = run([flag])
+    assert code == EXIT_OK
+    assert text.startswith("usage: brieskorn" if flag == "--help" else brieskorn.__version__)
+    assert capsys.readouterr().out == ""
 
 
 class TestInvariantsCommand:
@@ -500,24 +504,25 @@ class TestSharedParser:
 
 class TestCurveExpansion:
     def test_each_curve_is_expanded_once(self, monkeypatch):
-        # the CLI's --f check, the hypotheses, the annihilator field, the
-        # a-action, the witness and the direct check all read one expansion
-        calls = []
-        expansion = FactoredCurve._expansion
+        # f, h and alpha are built with the curve: the CLI's --f check, the
+        # hypotheses, the annihilator field, the a-action, the witness and
+        # the direct check all read the one curve the CLI parses
+        built = []
+        post_init = FactoredCurve.__post_init__
 
         def counted(curve):
-            calls.append(curve)
-            return expansion(curve)
+            built.append(curve)
+            post_init(curve)
 
-        monkeypatch.setattr(FactoredCurve, "_expansion", counted)
+        monkeypatch.setattr(FactoredCurve, "__post_init__", counted)
         assert run(GOLDEN + ["--f", "x^6 + x^3*y^3", "--check-witness"])[0] == EXIT_OK
-        assert len(calls) == 1
+        assert len(built) == 1
         code, _ = run(
             ["suspend", "--isolated", "z^2", "--factors", "x:3",
              "--residual", "x^3+y^3", "--weights", "1,1", "--verify-direct"]
         )
         assert code == EXIT_OK
-        assert len(calls) == 2
+        assert len(built) == 2
 
 
 DEFAULT_CONFIG = {"jet_cap": DEFAULT_JET_CAP, "trunc_order": DEFAULT_TRUNC_ORDER, "seed": 0}

@@ -38,7 +38,6 @@ from brieskorn.local_algebra import (
     _JetCounts,
     _PREDICTOR_MODULUS,
     _ShiftedImages,
-    _twisted_raises,
     common_denominator,
     integer_terms,
     jacobian_ideal,
@@ -86,6 +85,36 @@ def random_corpus(count: int, seed: int = 2024) -> list[FactoredCurve]:
         texts = rng.sample(FACTOR_POOL, k)
         factors = [(p(t), rng.randint(2, 5)) for t in texts]
         corpus.append(FactoredCurve.of(XY, factors))
+    return corpus
+
+
+def product_rule_form(curve: FactoredCurve) -> DiffForm:
+    """Reference alpha by the product rule:
+    sum_l p_l u_1 ... (u_l omitted) ... u_k psi du_l + u_1 ... u_k dpsi."""
+    alpha = DiffForm.zero(XY, 1)
+    for l, (u_l, p_l) in enumerate(curve.factors):
+        cofactor = curve.residual * p_l
+        for i, (u_i, _) in enumerate(curve.factors):
+            if i != l:
+                cofactor = cofactor * u_i
+        alpha = alpha + DiffForm.from_poly(u_l).d() * cofactor
+    radical = Poly.constant(XY, 1)
+    for u, _ in curve.factors:
+        radical = radical * u
+    return alpha + DiffForm.from_poly(curve.residual).d() * radical
+
+
+def product_rule_corpus() -> list[FactoredCurve]:
+    """The random corpus, and random curves with non-monic and rational
+    factors and a residual, constant or not."""
+    rng = random.Random(11)
+    pool = FACTOR_POOL + ["2*x+3*y^2", "3*x-2*y^3"]
+    residuals = ["1", "5/3", "x^3+y^3", "2*y^2-3*x^3", "1/2*x*y+y^4"]
+    corpus = random_corpus(12, seed=5)
+    for residual in residuals * 2:
+        texts = rng.sample(pool, rng.randint(1, 3))
+        factors = [(p(t), rng.randint(2, 4)) for t in texts]
+        corpus.append(FactoredCurve.of(XY, factors, p(residual)))
     return corpus
 
 
@@ -150,6 +179,10 @@ class TestAnnihilatorForm:
         f = c.expand()
         df = DiffForm(XY, 1, {(0,): f.derivative("x"), (1,): f.derivative("y")})
         assert df == alpha * (u * v**2)
+
+    @pytest.mark.parametrize("curve", product_rule_corpus(), ids=str)
+    def test_equals_the_product_rule(self, curve):
+        assert annihilator_form(curve) == product_rule_form(curve)
 
     def test_factorization_on_random_corpus(self):
         for curve in random_corpus(12, seed=5):
@@ -290,17 +323,21 @@ class TestInvariants:
 
     @pytest.mark.parametrize("weights", [(1, 1), None])
     def test_annihilator_form_built_once(self, monkeypatch, weights):
-        # check_hypotheses, annihilator_field and a_action share one alpha
+        # f, h and alpha are built with the curve, and check_hypotheses,
+        # annihilator_field and a_action read that one alpha: invariants
+        # constructs no curve data
         curve = factored([("x", 2), ("y", 2), ("x+y", 2), ("x-y", 2)])
-        calls = []
+        assert annihilator_form(curve) is annihilator_form(curve)
+        built = []
+        post_init = FactoredCurve.__post_init__
 
         def counted(c):
-            calls.append(c)
-            return annihilator_form(c)
+            built.append(c)
+            post_init(c)
 
-        monkeypatch.setattr("brieskorn.curve.annihilator_form", counted)
+        monkeypatch.setattr(FactoredCurve, "__post_init__", counted)
         rep = invariants(curve, weights=weights)
-        assert len(calls) == 1
+        assert built == []
         assert (rep.mu, rep.nu, rep.rank) == (9, 9, 18)
         if weights is not None:
             alpha = annihilator_form(curve)
@@ -969,11 +1006,9 @@ class TestJetNuScan:
         # counts less
         sat = IdealGens.of(XY, [curve.multiplicity_cofactor()])
         field = annihilator_field(curve)
-        div = field.divergence()
-        image = _ShiftedImages(field.coefficients, div)
-        drop = max(0, -min(_twisted_raises(field, div, (1, 1))))
-        exact = _JetCounts(sat, image, drop, cap=12)
-        modular = _JetCounts(sat, image, drop, cap=12, modulus=_PREDICTOR_MODULUS)
+        image = _ShiftedImages(field.coefficients, field.divergence())
+        exact = _JetCounts(sat, image, cap=12)
+        modular = _JetCounts(sat, image, cap=12, modulus=_PREDICTOR_MODULUS)
         for order in range(1, 13):
             nu_order = len(nu_jet_basis(sat, field, order))
             assert exact.quotient_dim(order) == nu_order

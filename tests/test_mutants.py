@@ -7,22 +7,26 @@ call, not by rerunning the suite: a public call raises, or its answer
 differs from the test-side oracle that the suite compares it with.
 Covered: the a-action certificate (a wrong coefficient, a wrong target, a
 missing cofactor), the derivation term of the (a,b)-module operator, the
-Nakayama stop of mu, the nu target stop, the early unit return of the
-isolation test and the ASCII escaping of the JSON writer.
+Nakayama stop of mu, the nu target stop, the re-read one order on of the
+nu predictor, the early unit return of the isolation test, the
+unit-colon skip of the saturation (taken on a non-monomial pure-power
+lead, and on every colon) and the ASCII escaping of the JSON writer.
 """
 
 from __future__ import annotations
 
+import inspect
 import io
 import json
 import re
+import textwrap
 from fractions import Fraction
 from json.encoder import encode_basestring
 
 import pytest
 from hypothesis import given
 
-from brieskorn import cli
+from brieskorn import cli, groebner
 from brieskorn.ab_module import ABModule, _integer_operator, check_commutation
 from brieskorn.cli import EXIT_INVALID, main
 from brieskorn.curve import (
@@ -33,7 +37,7 @@ from brieskorn.curve import (
     milnor_fibre_betti,
 )
 from brieskorn.errors import InconclusiveError, InputError
-from brieskorn.groebner import isolated_at_origin
+from brieskorn.groebner import _integer_gens, isolated_at_origin, torsion_length
 from brieskorn.linalg import vec_axpy
 from brieskorn.local_algebra import IdealGens, _nakayama_order, _reached
 from brieskorn.poly import Poly, WeightSystem, parse_polynomial
@@ -47,7 +51,13 @@ from test_ab_module import (
     generator,
     reference_check_commutation,
 )
-from test_groebner import ideal, reference_isolated
+from test_groebner import (
+    ideal,
+    reduced_basis,
+    reference_isolated,
+    reference_saturation,
+    reference_torsion_length,
+)
 
 XY = ("x", "y")
 
@@ -67,6 +77,16 @@ def shifted_on(target: Poly):
         return a_action_coefficient(ws, rep) + (Fraction(1, 7) if rep == target else 0)
 
     return wrong
+
+
+def mutated(function, old: str, new: str):
+    """``function`` compiled again from its source with the one occurrence
+    of ``old`` replaced by ``new``, in a copy of its module's namespace."""
+    source = textwrap.dedent(inspect.getsource(function))
+    assert source.count(old) == 1
+    namespace = dict(function.__globals__)
+    exec(compile(source.replace(old, new), inspect.getsourcefile(function), "exec"), namespace)
+    return namespace[function.__name__]
 
 
 def failed_on(rep: Poly) -> str:
@@ -218,6 +238,45 @@ class TestNuTargetStopMutant:
         )
         with pytest.raises((RuntimeError, InconclusiveError)):
             invariants(golden_sextic(), weights=(1, 1))
+
+
+class TestPredictorRereadMutant:
+    def test_a_short_basis_accepted_is_caught(self, monkeypatch):
+        # modulo 2 the count runs ahead of nu_N on the four-line arrangement,
+        # so the basis read first is one short and the scan reads the basis
+        # again one order on; a stop that accepts the short basis reports a
+        # nu its basis does not have
+        lines = FactoredCurve.of(XY, [(p(t), 2) for t in ("x", "y", "x+y", "x-y")])
+        monkeypatch.setattr("brieskorn.local_algebra._PREDICTOR_MODULUS", 2)
+        report = invariants(lines)
+        assert report.nu == len(report.basis_nu) == 9
+        monkeypatch.setattr(
+            "brieskorn.local_algebra._reached", lambda found, target: found <= target
+        )
+        report = invariants(lines)
+        assert (report.nu, len(report.basis_nu)) == (9, 8)
+
+
+class TestUnitColonSkipMutant:
+    def test_a_skip_on_a_non_monomial_power_is_caught(self, monkeypatch):
+        # (y, x^3 - x) holds no power of x, only the lead x^3 of x^3 - x;
+        # skipping the x-colon leaves the unit ideal, not (y, x^2 - 1)
+        I = ideal("y", "x^3 - x")
+        assert torsion_length(I) == reference_torsion_length(I) == 1
+        monkeypatch.setattr(
+            groebner, "_saturation", mutated(groebner._saturation, "if len(g) == 1]", "]")
+        )
+        assert torsion_length(I) == 3
+
+    def test_a_skip_on_every_colon_is_caught(self):
+        # the saturation of (x^2, x y) is (x), not the unit ideal
+        I, saturated = ideal("x^2", "x*y"), reduced_basis(ideal("x"))
+        assert reference_saturation(_integer_gens(I), 2) == saturated
+        assert groebner._saturation(reduced_basis(I), 2) == saturated
+        always = mutated(
+            groebner._saturation, "if any(sum(e) == e[i] for e in powers):", "if True:"
+        )
+        assert always(reduced_basis(I), 2) != saturated
 
 
 class TestIsolationMutant:
