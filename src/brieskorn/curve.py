@@ -18,12 +18,11 @@ vanish so the rank of the associated (a,b)-module is mu + nu.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 from operator import mul
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import InconclusiveError, InputError
 from .forms import DiffForm, VectorField, field_from_one_form
@@ -45,32 +44,48 @@ from .local_algebra import (
 from .poly import Exponents, Poly, WeightSystem, format_fraction, graded_key, listing_key
 
 
-@dataclass(frozen=True)
 class FactoredCurve:
-    """A factored plane-curve germ  u_1^p_1 ... u_k^p_k * psi."""
+    """A factored plane-curve germ  u_1^p_1 ... u_k^p_k * psi, with f, the
+    multiplicity cofactor h and alpha = df/h built once per curve.  Immutable;
+    two curves are equal when their variables, factors and residual are."""
 
-    variables: tuple[str, str]
-    factors: tuple[tuple[Poly, int], ...]
-    residual: Poly
-    # f, the multiplicity cofactor h and alpha = df/h, built once per curve
-    _f: Poly = dataclass_field(init=False, repr=False, compare=False)
-    _h: Poly = dataclass_field(init=False, repr=False, compare=False)
-    _alpha: DiffForm = dataclass_field(init=False, repr=False, compare=False)
+    __slots__ = ("variables", "factors", "residual", "_f", "_h", "_alpha")
 
-    def __post_init__(self) -> None:
-        f, h = self.residual, Poly.constant(self.variables, 1)
-        for u, p in self.factors:
+    def __init__(
+        self, variables: tuple[str, str], factors: tuple[tuple[Poly, int], ...], residual: Poly
+    ) -> None:
+        f, h = residual, Poly.constant(variables, 1)
+        for u, p in factors:
             f, h = f * u**p, h * u ** (p - 1)
-        alpha = [f.derivative(v).divide_exact(h) for v in self.variables]
+        alpha = [f.derivative(v).divide_exact(h) for v in variables]
         if any(a is None for a in alpha):  # f = h u_1 ... u_k psi
             raise RuntimeError(
                 "internal invariant violation: df is not a multiple of the "
                 "multiplicity cofactor"
             )
-        object.__setattr__(self, "_f", f)
-        object.__setattr__(self, "_h", h)
-        terms = {(i,): a for i, a in enumerate(alpha)}
-        object.__setattr__(self, "_alpha", DiffForm(self.variables, 1, terms))
+        alpha_form = DiffForm(variables, 1, {(i,): a for i, a in enumerate(alpha)})
+        for name, value in zip(self.__slots__, (variables, factors, residual, f, h, alpha_form)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FactoredCurve is immutable")
+
+    def _key(self) -> tuple:
+        return (self.variables, self.factors, self.residual)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FactoredCurve):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __reduce__(self):  # copy.copy rebuilds the curve through __init__
+        return (FactoredCurve, self._key())
+
+    def __repr__(self) -> str:
+        return "FactoredCurve(variables={!r}, factors={!r}, residual={!r})".format(*self._key())
 
     @classmethod
     def of(
@@ -200,23 +215,17 @@ def check_hypotheses(curve: FactoredCurve) -> bool:
 # -- the invariant report -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Assumptions:
+class Assumptions(NamedTuple):
     torsion_free: bool
     torsion_free_justification: str
     # every stop is a proof: Nakayama for mu, the target b_1 - mu for nu
     exact = True
 
     def to_dict(self) -> dict:
-        return {
-            "torsion_free": self.torsion_free,
-            "torsion_free_justification": self.torsion_free_justification,
-            "exact": self.exact,
-        }
+        return {**self._asdict(), "exact": self.exact}
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(NamedTuple):
     variables: tuple[str, str]
     f: str
     mu: int

@@ -43,7 +43,7 @@ from operator import add, ge, le, sub
 
 from .linalg import _integer_vec
 from .local_algebra import IdealGens, _count_key
-from .poly import Exponents
+from .poly import Exponents, _add_shifted
 
 _Mono = tuple[int, ...]
 _Poly = dict[_Mono, int]
@@ -71,17 +71,6 @@ def _normalized(p: _Poly) -> _Poly:
     if content == 1:
         return p
     return {m: c // content for m, c in p.items()}
-
-
-def _add_shifted(target: _Poly, scale: int, p: _Poly, shift: _Mono) -> None:
-    """target += scale * x^shift * p, dropping zeros (in place)."""
-    for mono, v in p.items():
-        key = tuple(map(add, mono, shift))
-        acc = target.get(key, 0) + scale * v
-        if acc:
-            target[key] = acc
-        else:
-            del target[key]
 
 
 def _reduce(p: _Poly, basis: list[_Poly], leads: list[_Mono], head: int) -> _Poly:

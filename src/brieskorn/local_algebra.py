@@ -20,11 +20,10 @@ finite-colength test live in ``groebner``.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
 from operator import add, mul, neg
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import InconclusiveError, InputError
 from .forms import VectorField
@@ -135,8 +134,7 @@ class _ShiftedImages:
         return raises
 
 
-@dataclass(frozen=True)
-class IdealGens:
+class IdealGens(NamedTuple):
     """A finite generating set, kept as given but for zero generators and
     equal duplicates, which are removed; every consumer scales to integers
     itself.  The string shows each generator scaled so that its lowest term
@@ -400,8 +398,7 @@ def local_colength(I: IdealGens, weights: Optional[WeightSystem] = None) -> int:
 # -- twisted quotients --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TwistedResult:
+class TwistedResult(NamedTuple):
     dim: int
     basis: tuple[Exponents, ...]
 

@@ -38,6 +38,18 @@ def _exact_nonzero(terms: dict[Exponents, Scalar]) -> dict[Exponents, Scalar]:
     return {e: exact_scalar(c) for e, c in terms.items() if c}
 
 
+def _add_shifted(target: dict, scale: Scalar, terms: Mapping, shift: tuple[int, ...]) -> None:
+    """target += scale * x^shift * (the polynomial with ``terms``), dropping
+    zeros, in place; the keys are any integer tuples that add entrywise."""
+    for e, c in terms.items():
+        key = tuple(map(add, e, shift))
+        acc = target.get(key, 0) + scale * c
+        if acc:
+            target[key] = acc
+        else:
+            del target[key]
+
+
 def listing_key(exponents: Exponents) -> tuple[int, ...]:
     """Order used for quotient-basis listings: plain lexicographic on the
     reversed exponent vector (last declared variable most significant)."""
@@ -271,20 +283,17 @@ class Poly:
         self._check_ring(divisor)
         if divisor.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero:
-            return Poly.zero(self.variables)
         quotient: dict[Exponents, Scalar] = {}
-        rem = self
+        rem = dict(self.terms)
         lead_e, lead_c = divisor._leading()
-        while not rem.is_zero:
-            re, rc = rem._leading()
-            qe = tuple(a - b for a, b in zip(re, lead_e))
+        while rem:
+            top = max(rem, key=lambda e: (sum(e), e))
+            qe = tuple(a - b for a, b in zip(top, lead_e))
             if any(e < 0 for e in qe):
                 return None
-            qc = Fraction(rc, lead_c)
-            quotient[qe] = qc
-            rem = rem - Poly.monomial(self.variables, qe, qc) * divisor
-        return Poly(self.variables, quotient)
+            qc = quotient[qe] = exact_scalar(Fraction(rem[top], lead_c))
+            _add_shifted(rem, -qc, divisor.terms, qe)
+        return Poly._trusted(self.variables, quotient)
 
     # -- weighted structure --------------------------------------------------
 

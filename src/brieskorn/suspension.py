@@ -9,9 +9,8 @@ the action coefficients adding on basis pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .ab_module import DEFAULT_TRUNC_ORDER, ABModule, tensor
 from .curve import FactoredCurve, InvariantReport, a_action
@@ -23,8 +22,7 @@ from .local_algebra import jacobian_ideal, local_quotient
 from .poly import Exponents, Poly, WeightSystem, format_fraction, listing_key
 
 
-@dataclass(frozen=True)
-class IsolatedGerm:
+class IsolatedGerm(NamedTuple):
     """An isolated singularity with its Milnor data and optional weight
     certificate carrying verified a-action coefficients."""
 
@@ -126,8 +124,7 @@ def milnor_isolated(f: Poly) -> IsolatedGerm:
     )
 
 
-@dataclass(frozen=True)
-class SuspensionReport:
+class SuspensionReport(NamedTuple):
     germ: IsolatedGerm
     curve_report: InvariantReport
     mu: int
@@ -222,20 +219,14 @@ def _diagonal_module(
     return ABModule(rank, trunc_order, matrix, label=label)
 
 
-@dataclass(frozen=True)
-class DirectCheck:
+class DirectCheck(NamedTuple):
     mu_direct: int
     mu_transported: int
     agrees: bool
     exact: bool
 
     def to_dict(self) -> dict:
-        return {
-            "mu_direct": self.mu_direct,
-            "mu_transported": self.mu_transported,
-            "agrees": self.agrees,
-            "exact": self.exact,
-        }
+        return self._asdict()
 
 
 def verify_suspension_direct(

@@ -502,19 +502,36 @@ class TestSharedParser:
         assert run(GOLDEN) == fresh_process(GOLDEN)
 
 
+class TestColdImport:
+    def test_cli_import_loads_no_dataclasses_and_every_export_resolves(self):
+        # every CLI call starts cold: dataclasses alone would pull inspect,
+        # ast, dis and tokenize into that start (-S: no site hooks)
+        src = str(Path(brieskorn.__file__).resolve().parents[1])
+        probe = (
+            "import sys, brieskorn, brieskorn.cli\n"
+            "print([m for m in ('dataclasses', 'inspect', 'ast') if m in sys.modules])\n"
+            "print([n for n in brieskorn.__all__ if not hasattr(brieskorn, n)])\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", probe],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), check=False,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n[]\n", "")
+
+
 class TestCurveExpansion:
     def test_each_curve_is_expanded_once(self, monkeypatch):
         # f, h and alpha are built with the curve: the CLI's --f check, the
         # hypotheses, the annihilator field, the a-action, the witness and
         # the direct check all read the one curve the CLI parses
         built = []
-        post_init = FactoredCurve.__post_init__
+        init = FactoredCurve.__init__
 
-        def counted(curve):
+        def counted(curve, *args):
             built.append(curve)
-            post_init(curve)
+            init(curve, *args)
 
-        monkeypatch.setattr(FactoredCurve, "__post_init__", counted)
+        monkeypatch.setattr(FactoredCurve, "__init__", counted)
         assert run(GOLDEN + ["--f", "x^6 + x^3*y^3", "--check-witness"])[0] == EXIT_OK
         assert len(built) == 1
         code, _ = run(

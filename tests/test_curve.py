@@ -3,6 +3,7 @@ a-action, witnesses, and transversal Milnor numbers."""
 
 from __future__ import annotations
 
+import copy
 import json
 import random
 from fractions import Fraction
@@ -149,6 +150,27 @@ class TestFactoredCurve:
         XYZ = ("x", "y", "z")
         with pytest.raises(InputError):
             FactoredCurve.of(XYZ, [(parse_polynomial("x", XYZ), 2)])
+
+    def test_immutable(self):
+        curve, report = sextic(), invariants(sextic(), weights=(1, 1))
+        for obj, name in [(curve, "residual"), (curve, "_alpha"), (report, "mu"), (report, "new")]:
+            with pytest.raises(AttributeError):
+                setattr(obj, name, None)
+
+    def test_equality_and_hash_read_variables_factors_and_residual(self):
+        a, b = sextic(), sextic()
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert len({a, b, cross()}) == 2 and a != cross() and a != a.expand()
+        # alpha is built from the three, so it is not compared
+        object.__setattr__(b, "_alpha", annihilator_form(cross()))
+        assert a == b and hash(a) == hash(b)
+        # a copy is rebuilt through __init__, alpha included
+        c = copy.copy(b)
+        assert c == a and annihilator_form(c) == annihilator_form(a)
+        assert repr(a) == (
+            f"FactoredCurve(variables={XY!r}, factors=((Poly('x', vars={XY!r}), 3),), "
+            f"residual=Poly('x^3 + y^3', vars={XY!r}))"
+        )
 
 
 class TestAnnihilatorForm:
@@ -329,13 +351,13 @@ class TestInvariants:
         curve = factored([("x", 2), ("y", 2), ("x+y", 2), ("x-y", 2)])
         assert annihilator_form(curve) is annihilator_form(curve)
         built = []
-        post_init = FactoredCurve.__post_init__
+        init = FactoredCurve.__init__
 
-        def counted(c):
+        def counted(c, *args):
             built.append(c)
-            post_init(c)
+            init(c, *args)
 
-        monkeypatch.setattr(FactoredCurve, "__post_init__", counted)
+        monkeypatch.setattr(FactoredCurve, "__init__", counted)
         rep = invariants(curve, weights=weights)
         assert built == []
         assert (rep.mu, rep.nu, rep.rank) == (9, 9, 18)

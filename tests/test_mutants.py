@@ -10,7 +10,9 @@ missing cofactor), the derivation term of the (a,b)-module operator, the
 Nakayama stop of mu, the nu target stop, the re-read one order on of the
 nu predictor, the early unit return of the isolation test, the
 unit-colon skip of the saturation (taken on a non-monomial pure-power
-lead, and on every colon) and the ASCII escaping of the JSON writer.
+lead, and on every colon), the exact quotient coefficient and the
+exponent check of ``Poly.divide_exact``, and the ASCII escaping of the
+JSON writer.
 """
 
 from __future__ import annotations
@@ -277,6 +279,31 @@ class TestUnitColonSkipMutant:
             groebner._saturation, "if any(sum(e) == e[i] for e in powers):", "if True:"
         )
         assert always(reduced_basis(I), 2) != saturated
+
+
+class TestExactDivisionMutants:
+    def test_true_division_of_the_quotient_coefficient_raises(self, monkeypatch):
+        # the rule "rc / lead_c" restored: int / int is a float, which no
+        # coefficient may be
+        assert p("x^2 - y^2").divide_exact(p("x + y")) == p("x - y")
+        slash = mutated(Poly.divide_exact, "Fraction(rem[top], lead_c)", "rem[top] / lead_c")
+        monkeypatch.setattr(Poly, "divide_exact", slash)
+        with pytest.raises(TypeError, match="got float"):
+            p("x^2 - y^2").divide_exact(p("x + y"))
+        with pytest.raises(TypeError, match="got float"):
+            golden_sextic()
+
+    def test_a_dropped_exponent_check_is_caught(self, monkeypatch):
+        # x^2 + y = x * x + x^(-1) y * x: without the check the remainder
+        # y is divided anyway, and the branches x and y become "associate"
+        lines = FactoredCurve.of(XY, [(p("x"), 2), (p("y"), 2)])
+        assert p("x^2 + y").divide_exact(p("x")) is None
+        assert invariants(lines).mu == 1
+        unchecked = mutated(Poly.divide_exact, "if any(e < 0 for e in qe):", "if False:")
+        monkeypatch.setattr(Poly, "divide_exact", unchecked)
+        assert p("x^2 + y").divide_exact(p("x")) is not None
+        with pytest.raises(InputError, match="branches x and y are associate"):
+            invariants(lines)
 
 
 class TestIsolationMutant:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -76,6 +75,27 @@ def test_auto_weights(text, variables, expected):
 
 
 class TestMilnorIsolated:
+    def test_germ_record_compares_field_wise_and_keeps_its_repr(self):
+        g = milnor_isolated(p("z^3", Z))
+        keywords = IsolatedGerm(
+            poly=g.poly,
+            milnor=g.milnor,
+            basis=g.basis,
+            weights=g.weights,
+            a_coefficients=g.a_coefficients,
+        )
+        assert keywords == g == IsolatedGerm(*g) != g._replace(milnor=3)
+        # a record is a tuple: it equals the plain tuple of its fields and
+        # can be indexed and unpacked
+        assert g == tuple(g) and g[1] == g.milnor == 2 and len(g) == 5
+        poly, milnor, *_ = g
+        assert (poly, milnor) == (g.poly, 2)
+        assert repr(keywords) == (
+            "IsolatedGerm(poly=Poly('z^3', vars=('z',)), milnor=2, basis=((0,), (1,)), "
+            "weights=WeightSystem(weights=(1/3), degree=1), "
+            "a_coefficients=(((0,), Fraction(1, 3)), ((1,), Fraction(2, 3))))"
+        )
+
     def test_one_variable_powers(self):
         g = milnor_isolated(p("z^2", Z))
         assert g.milnor == 1
@@ -223,9 +243,7 @@ class TestSuspend:
 
     def test_requires_torsion_free_flag(self):
         rep = invariants(sextic(), weights=(1, 1))
-        broken = replace(
-            rep, assumptions=replace(rep.assumptions, torsion_free=False)
-        )
+        broken = rep._replace(assumptions=rep.assumptions._replace(torsion_free=False))
         with pytest.raises(InputError):
             suspend(milnor_isolated(p("z^2", Z)), broken)
 
