@@ -174,7 +174,7 @@ def check_hypotheses(curve: FactoredCurve) -> bool:
     (singular locus of each is isolated), and the coefficients of the
     annihilator form vanish simultaneously only at the origin.  Each
     isolation is decided by ``groebner.isolated_at_origin``.  Raises
-    InputError naming the violated clause.
+    InputError naming the first violated clause (``invariants``).
     """
     variables = curve.variables
     f = curve.expand()
@@ -245,6 +245,9 @@ class InvariantReport(NamedTuple):
         return self.basis_mu + self.basis_nu
 
     def to_dict(self) -> dict:
+        # each basis class is printed once: a_action lists the same objects
+        names = {id(p): str(p) for p in self.basis}
+        basis_mu, basis_nu = ([names[id(p)] for p in b] for b in (self.basis_mu, self.basis_nu))
         return {
             "f": self.f,
             "variables": list(self.variables),
@@ -254,14 +257,14 @@ class InvariantReport(NamedTuple):
             "delta": self.delta,
             "rank": self.rank,
             "betti_n": self.betti_n,
-            "basis": [str(p) for p in self.basis],
-            "basis_mu": [str(p) for p in self.basis_mu],
-            "basis_nu": [str(p) for p in self.basis_nu],
+            "basis": basis_mu + basis_nu,
+            "basis_mu": basis_mu,
+            "basis_nu": basis_nu,
             "a_action": None
             if self.a_action is None
             else [
                 {
-                    "monomial": str(p),
+                    "monomial": names.get(id(p)) or str(p),
                     "coefficient": format_fraction(c),
                 }
                 for p, c in self.a_action
@@ -284,11 +287,14 @@ def invariants(
     """Full invariant pipeline: mu, nu, rank = mu + nu, quotient basis,
     and (with a verifying weight certificate) the a-action coefficients.
 
-    No general saturation runs: sat(J) = (h), h = u_1^(p_1-1) ...
+    No Groebner basis runs: the stops of the scans (``local_quotient``) of
+    every (g_x, g_y), (g_i, g_j) and (a, b) prove every clause of
+    ``check_hypotheses``, which runs on an InputError to name the clause.
+    Nor does a general saturation: sat(J) = (h), h = u_1^(p_1-1) ...
     u_k^(p_k-1).  df = h alpha with the coefficients (a, b) of alpha
-    m-primary (``check_hypotheses``), so J = h (a, b).  The associated
-    primes of the principal ideal (h) are its prime factors, of height one,
-    so m is not among them and J : m^infinity lies in (h).  Cancelling the
+    m-primary, so J = h (a, b).  The associated primes of the principal
+    ideal (h) are its prime factors, of height one, so m is not among
+    them and J : m^infinity lies in (h).  Cancelling the
     nonzerodivisor h leaves (a, b) : m^infinity = O.  So mu = dim (h)/J =
     dim O/(a, b), a colength certified by ``local_quotient``, and the
     classes h x^m of its monomials x^m are the mu basis.  The nu scan
@@ -298,16 +304,20 @@ def invariants(
     b_1 - mu, and the nu scan stops when its lower bound reaches that
     target; ``jet_cap`` bounds that scan alone.
     """
-    check_hypotheses(curve)
     f = curve.expand()
-    ws = WeightSystem.for_poly(f, weights) if weights is not None else None
     h = curve.multiplicity_cofactor()
     # b d/dx - a d/dy, for alpha = a dx + b dy
     field = annihilator_field(curve)
-    mu_value, mu_basis = local_quotient(
-        IdealGens.of(curve.variables, field.coefficients), ws
-    )
-    betti = milnor_fibre_betti(curve, ws)
+    try:
+        ws = WeightSystem.for_poly(f, weights) if weights is not None else None
+        # the b_1 stops prove (a, b) isolated, so the mu scan always stops
+        betti = milnor_fibre_betti(curve, ws)
+        mu_value, mu_basis = local_quotient(
+            IdealGens.of(curve.variables, field.coefficients), ws
+        )
+    except InputError:
+        check_hypotheses(curve)  # names the first violated clause, if any
+        raise
     sat = IdealGens.of(curve.variables, [h])
     nu_res = twisted_quotient_dim(sat, field, betti - mu_value, ws, jet_cap)
     basis_mu = tuple(

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from math import lcm
+from math import lcm, prod
 from operator import add, mul, neg
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -349,11 +349,25 @@ class _JetCounts:
                     vec.pop(e, None)
 
 
-def _nakayama_order(counts: _JetCounts) -> int:
+def _colength_bound(I: IdealGens) -> Optional[int]:
+    """A bound on dim O_0/I O_0 whenever I O_0 is m-primary, or None.  With
+    fewer generators than variables, I is m-primary only if it is the unit
+    ideal (Krull).  For (p, q) in two variables the common factor is then a
+    unit at 0, and Bezout's theorem (Fulton, *Algebraic Curves*, 5.3) bounds
+    the colength by deg p deg q; for (p) in one variable it is ord p."""
+    n, gens = len(I.variables), I.generators
+    if len(gens) < n:
+        return 0
+    return prod(g.total_degree() for g in gens) if len(gens) == n <= 2 else None
+
+
+def _nakayama_order(counts: _JetCounts, bound: Optional[int]) -> int:
     """The first k with q(k + wmax) = q(k), wmax the largest weight; see
-    ``local_quotient``."""
+    ``local_quotient``.  A count past ``bound`` raises InputError."""
     k, wmax = 1, max(counts.weights)
-    while counts.quotient_dim(k + wmax) != counts.quotient_dim(k):
+    while (q := counts.quotient_dim(k + wmax)) != counts.quotient_dim(k):
+        if bound is not None and q > bound:
+            raise InputError(f"infinite colength: the count {q} passed the bound {bound}")
         k += 1
     return k
 
@@ -364,10 +378,11 @@ def _nakayama_order(counts: _JetCounts) -> int:
 def local_quotient(
     I: IdealGens, weights: Optional[WeightSystem] = None
 ) -> tuple[int, list[Exponents]]:
-    """Dimension and greedy monomial basis of O/I at the origin, for an
-    ideal I that the caller has shown to be isolated at 0
-    (``groebner.isolated_at_origin``); for any other ideal the scan does
-    not end.  The scan reads no cap, and it stops by a proof.
+    """Dimension and greedy monomial basis of O/I at the origin.  The scan
+    reads no cap, and its stop proves I isolated at 0; a count past
+    ``_colength_bound`` proves it is not and raises InputError.  An ideal
+    with no bound must be shown isolated by the caller
+    (``groebner.isolated_at_origin``), or the scan may not end.
 
     One exact ``_JetCounts`` with no cap counts q(k) = dim O/(I + M_k) for
     k = 1, 2, ..., M_k spanned by the monomials of w-degree >= k (unit
@@ -376,7 +391,8 @@ def local_quotient(
     I + M_(k+wmax), and M_(k+wmax) lies in m M_k: a monomial of w-degree
     >= k + wmax keeps w-degree >= k after dividing by any variable it
     contains.  So M_k lies in I O_0 by Nakayama's lemma (Atiyah-Macdonald,
-    Cor. 2.7), and O_0/I O_0 = O/(I + M_k).
+    Cor. 2.7), and O_0/I O_0 = O/(I + M_k).  Each q(k) is the dimension of
+    a quotient of O_0/I O_0; without a stop q grows by 1 every wmax orders.
 
     The basis picks, in (w-degree, listing) order, each monomial
     independent of I and of the monomials picked before it: the monomials
@@ -384,7 +400,7 @@ def local_quotient(
     (``_JetCounts.basis``).
     """
     counts = _JetCounts(I, weights=weights)
-    basis = counts.basis(_nakayama_order(counts))
+    basis = counts.basis(_nakayama_order(counts, _colength_bound(I)))
     return len(basis), basis
 
 
@@ -392,7 +408,7 @@ def local_colength(I: IdealGens, weights: Optional[WeightSystem] = None) -> int:
     """dim O/I at the origin by the scan of ``local_quotient``, with no
     basis: the exact count at its Nakayama stop."""
     counts = _JetCounts(I, weights=weights)
-    return counts.quotient_dim(_nakayama_order(counts))
+    return counts.quotient_dim(_nakayama_order(counts, _colength_bound(I)))
 
 
 # -- twisted quotients --------------------------------------------------------

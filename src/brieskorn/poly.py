@@ -384,6 +384,9 @@ class WeightSystem:
             return NotImplemented
         return self.weights == other.weights and self.total_degree == other.total_degree
 
+    def __hash__(self) -> int:
+        return hash((self.weights, self.total_degree))
+
     def __repr__(self) -> str:
         ws = ",".join(format_fraction(w) for w in self.weights)
         return f"WeightSystem(weights=({ws}), degree={format_fraction(self.total_degree)})"

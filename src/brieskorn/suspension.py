@@ -135,6 +135,9 @@ class SuspensionReport(NamedTuple):
     provenance: tuple[str, ...]
 
     def to_dict(self) -> dict:
+        # the pairs repeat each factor's basis classes: print each once
+        isolated = {a: self.germ.monomial_str(a) for a in self.germ.basis}
+        curve = {id(b): str(b) for b in self.curve_report.basis}
         return {
             "F": f"({self.germ.poly}) + ({self.curve_report.f})",
             "mu": self.mu,
@@ -142,8 +145,8 @@ class SuspensionReport(NamedTuple):
             "rank": self.rank,
             "basis_pairs": [
                 {
-                    "isolated": self.germ.monomial_str(a),
-                    "curve": str(b),
+                    "isolated": isolated.get(a) or self.germ.monomial_str(a),
+                    "curve": curve.get(id(b)) or str(b),
                 }
                 for a, b in self.basis_pairs
             ],

@@ -4,6 +4,7 @@ a-action, witnesses, and transversal Milnor numbers."""
 from __future__ import annotations
 
 import copy
+import io
 import json
 import random
 from fractions import Fraction
@@ -15,6 +16,8 @@ from typing import Optional
 import pytest
 from hypothesis import given, strategies as st
 
+from brieskorn import groebner
+from brieskorn.cli import EXIT_INVALID, main
 from brieskorn.curve import (
     FactoredCurve,
     _action_certificate,
@@ -345,9 +348,9 @@ class TestInvariants:
 
     @pytest.mark.parametrize("weights", [(1, 1), None])
     def test_annihilator_form_built_once(self, monkeypatch, weights):
-        # f, h and alpha are built with the curve, and check_hypotheses,
-        # annihilator_field and a_action read that one alpha: invariants
-        # constructs no curve data
+        # f, h and alpha are built with the curve, and annihilator_field,
+        # a_action and check_hypotheses (when it runs) read that one alpha:
+        # invariants constructs no curve data
         curve = factored([("x", 2), ("y", 2), ("x+y", 2), ("x-y", 2)])
         assert annihilator_form(curve) is annihilator_form(curve)
         built = []
@@ -366,14 +369,130 @@ class TestInvariants:
             assert a_action(curve.expand(), alpha, rep.weights, rep.basis) == rep.a_action
 
     def test_non_quasi_homogeneous_weights_rejected(self):
+        # every clause holds, so the weights error stands after the check
         c = FactoredCurve.of(XY, [(p("x"), 2)], p("x^2 + y^3"))
-        with pytest.raises(InputError):
+        assert check_hypotheses(c)
+        with pytest.raises(InputError, match="is not quasi-homogeneous for weights"):
             invariants(c, weights=(1, 1))
+
+    def test_equal_weighted_reports_hash_equal(self):
+        first, second = (invariants(sextic(), weights=(1, 1)) for _ in range(2))
+        assert first is not second and first == second
+        assert hash(first) == hash(second)
+        assert len({first, second}) == 1
 
     def test_multiple_smooth_branch_degenerates_gracefully(self):
         # f = y^2: everything is killed by the annihilating flow
         rep = invariants(FactoredCurve.of(XY, [(p("y"), 2)]), weights=(1, 1))
         assert (rep.mu, rep.nu, rep.rank) == (0, 0, 0)
+
+
+CORPUS_PATH = Path(__file__).resolve().parent.parent / "bench" / "corpus.json"
+
+
+def parsed_curve(factors: str, residual: Optional[str] = None) -> FactoredCurve:
+    """The curve of the CLI's ``--factors`` and ``--residual`` text."""
+    pieces = (piece.rsplit(":", 1) for piece in factors.split(","))
+    return factored([(text, int(m)) for text, m in pieces], residual)
+
+
+def parsed_weights(text: Optional[str]) -> Optional[tuple[Fraction, ...]]:
+    return None if text is None else tuple(Fraction(w) for w in text.split(","))
+
+
+def corpus_cases():
+    """Every graded and jet curve of the bench corpus, with its weights and
+    its reference mu, nu and rank."""
+    corpus = json.loads(CORPUS_PATH.read_text(encoding="utf-8"))
+    for workload in ("graded", "jet"):
+        for entry in corpus[workload]:
+            yield pytest.param(
+                parsed_curve(entry["factors"], entry.get("residual")),
+                parsed_weights(entry.get("weights")),
+                entry["reference"],
+                id=f"{workload}-{entry['id']}",
+            )
+
+
+ANNIHILATOR = (
+    "the annihilating field vanishes along a curve "
+    "(annihilator-form coefficients share a positive-dimensional zero set)"
+)
+
+# each clause of check_hypotheses: a curve that violates it first, as CLI
+# flags, and the clause's message
+CLAUSES = [
+    pytest.param(
+        {"--factors": "x*y:2,x:2"},
+        "branches x*y and x are associate (identical branches)",
+        id="associate",
+    ),
+    pytest.param(
+        {"--factors": "x:2", "--residual": "x*y"},
+        "branch x divides the residual x*y",
+        id="divides-residual",
+    ),
+    pytest.param(
+        {"--factors": "x^2:2"},
+        "branch x^2 is not reduced: its singular locus is not isolated",
+        id="branch-not-reduced",
+    ),
+    pytest.param(
+        {"--factors": "x:2", "--residual": "y^2"},
+        "residual y^2 is not reduced: its singular locus is not isolated",
+        id="residual-not-reduced",
+    ),
+    pytest.param({"--factors": "x*(x+y):2,x*(x-y):2"}, ANNIHILATOR, id="annihilator"),
+    # the weights do not grade f, and the curve is not isolated either: the
+    # clause is named, not the weights
+    pytest.param(
+        {"--factors": "x*(x+y):2,x*(x-y):2", "--weights": "1,2"},
+        ANNIHILATOR,
+        id="annihilator-and-bad-weights",
+    ),
+]
+
+
+class TestHypothesesFromScans:
+    """``invariants`` runs no up-front hypothesis check: the stops of its
+    colength scans prove every clause, and only an InputError runs
+    ``check_hypotheses``, which names the first violated clause."""
+
+    @pytest.mark.parametrize("curve, weights, reference", corpus_cases())
+    def test_corpus_curves_build_no_groebner_basis(
+        self, monkeypatch, curve, weights, reference
+    ):
+        # the report of the check-first pipeline, then the same with every
+        # Groebner basis refused
+        assert check_hypotheses(curve)
+        expected = invariants(curve, weights).to_dict()
+        assert {key: expected[key] for key in reference} == reference
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a Groebner basis was built")
+
+        monkeypatch.setattr(groebner, "_groebner", refused)
+        assert invariants(curve, weights).to_dict() == expected
+
+    @pytest.mark.parametrize("flags, message", CLAUSES)
+    def test_each_clause_keeps_its_message(self, capsys, flags, message):
+        curve = parsed_curve(flags["--factors"], flags.get("--residual"))
+        with pytest.raises(InputError) as err:
+            check_hypotheses(curve)
+        assert str(err.value) == message
+        with pytest.raises(InputError) as err:
+            invariants(curve, parsed_weights(flags.get("--weights")))
+        assert str(err.value) == message
+        argv = ["invariants", *(word for pair in flags.items() for word in pair)]
+        assert main(argv, out=io.StringIO()) == EXIT_INVALID
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_a_constant_f_is_named(self):
+        # FactoredCurve.of refuses constant branches; the constructor does not
+        two = Poly.constant(XY, 2)
+        curve = FactoredCurve(XY, ((two, 2),), Poly.constant(XY, 1))
+        with pytest.raises(InputError, match="^no singular locus: f is constant$"):
+            invariants(curve)
 
 
 class TestCrossPathConsistency:

@@ -22,6 +22,7 @@ from brieskorn.local_algebra import (
     _PREDICTOR_MODULUS,
     _JetCounts,
     _ShiftedImages,
+    _colength_bound,
     _count_key,
     _nakayama_order,
     jacobian_ideal,
@@ -346,6 +347,46 @@ class TestLocalQuotient:
         assert local_quotient(ideal("2", "x"), WeightSystem((1, 1), 1)) == (0, [])
 
 
+class TestColengthBound:
+    """Every ideal with a colength bound ends its scan: the Nakayama stop
+    on an ideal isolated at 0, and InputError past the bound (Bezout's
+    theorem for two generators in two variables) on any other."""
+
+    @given(
+        st.lists(
+            st.tuples(vanishing_polys(), st.sampled_from([0, 0, 0, 1])), min_size=1, max_size=2
+        )
+    )
+    @example([(p("x"), 0)])
+    @example([(p("x*y"), 0), (p("x^2"), 0)])
+    @example([(p("x^2 - x^3"), 0), (p("y^3"), 0)])
+    @example([(p("x - x^2"), 1), (p("y"), 0)])
+    def test_the_scan_raises_exactly_off_isolated_ideals(self, parts):
+        I = IdealGens.of(XY, [g + Poly.constant(XY, c) for g, c in parts])
+        if isolated_at_origin(I):
+            assert local_colength(I) == torsion_length(I) <= _colength_bound(I)
+        else:
+            for scan in (local_colength, local_quotient):
+                with pytest.raises(InputError, match="passed the bound"):
+                    scan(I)
+
+    @pytest.mark.parametrize("a, b", [(1, 1), (2, 3), (4, 1), (5, 4)])
+    def test_powers_reach_the_bound(self, a, b):
+        I = ideal(f"x^{a}", f"y^{b}")
+        assert _colength_bound(I) == a * b
+        assert local_colength(I) == local_colength(I, WeightSystem((b, a), 1)) == a * b
+
+    def test_bounds_by_shape(self):
+        assert _colength_bound(ideal("z^3", variables=("z",))) == 3
+        assert local_colength(ideal("z^3 + z^5", variables=("z",))) == 3
+        # fewer generators than variables: isolated only when it is the unit ideal
+        assert _colength_bound(ideal("x*y")) == _colength_bound(ideal("1 + x")) == 0
+        assert local_colength(ideal("1 + x")) == 0
+        # three generators in two variables, or three in three: no bound
+        assert _colength_bound(ideal("x", "y", "x*y")) is None
+        assert _colength_bound(ideal("x", "y", "z", variables=XYZ)) is None
+
+
 def weighted_generators(draw, weights, variables, count, max_degree):
     """``count`` generators, each a random combination of the monomials of
     one weighted degree in 1..``max_degree``."""
@@ -429,7 +470,7 @@ class TestWeightedCounts:
         # in no span of lower monomials
         I = ideal("x + y^2", "y^3")
         counts = _JetCounts(I)
-        stop = _nakayama_order(counts)
+        stop = _nakayama_order(counts, _colength_bound(I))
         non_leads = [
             m
             for d in range(stop)
@@ -520,7 +561,7 @@ class TestJetCounts:
         # Nakayama scan's) is read up to the order after its stop
         exact, modular = _JetCounts(I, cap=12), _JetCounts(I, cap=12, modulus=3)
         capless = _JetCounts(I)
-        stop = _nakayama_order(capless)
+        stop = _nakayama_order(capless, _colength_bound(I))
         for k in range(1, 13):
             q = jet_quotient(I, k)[0]
             assert exact.quotient_dim(k) == q

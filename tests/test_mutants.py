@@ -7,12 +7,12 @@ call, not by rerunning the suite: a public call raises, or its answer
 differs from the test-side oracle that the suite compares it with.
 Covered: the a-action certificate (a wrong coefficient, a wrong target, a
 missing cofactor), the derivation term of the (a,b)-module operator, the
-Nakayama stop of mu, the nu target stop, the re-read one order on of the
-nu predictor, the early unit return of the isolation test, the
-unit-colon skip of the saturation (taken on a non-monomial pure-power
-lead, and on every colon), the exact quotient coefficient and the
-exponent check of ``Poly.divide_exact``, and the ASCII escaping of the
-JSON writer.
+Nakayama stop of mu, the Bezout bound of the colength scans, the nu
+target stop, the re-read one order on of the nu predictor, the early unit
+return of the isolation test, the unit-colon skip of the saturation
+(taken on a non-monomial pure-power lead, and on every colon), the exact
+quotient coefficient and the exponent check of ``Poly.divide_exact``, and
+the ASCII escaping of the JSON writer.
 """
 
 from __future__ import annotations
@@ -35,13 +35,20 @@ from brieskorn.curve import (
     FactoredCurve,
     _action_target,
     a_action_coefficient,
+    check_hypotheses,
     invariants,
     milnor_fibre_betti,
 )
 from brieskorn.errors import InconclusiveError, InputError
 from brieskorn.groebner import _integer_gens, isolated_at_origin, torsion_length
 from brieskorn.linalg import vec_axpy
-from brieskorn.local_algebra import IdealGens, _nakayama_order, _reached
+from brieskorn.local_algebra import (
+    IdealGens,
+    _colength_bound,
+    _nakayama_order,
+    _reached,
+    local_colength,
+)
 from brieskorn.poly import Poly, WeightSystem, parse_polynomial
 from brieskorn.suspension import milnor_isolated
 
@@ -197,9 +204,22 @@ class TestNakayamaStopMutant:
         assert invariants(SQUARED_CUSP, weights).mu == expected == 2
         monkeypatch.setattr(
             "brieskorn.local_algebra._nakayama_order",
-            lambda counts: max(1, _nakayama_order(counts) - 1),
+            lambda counts, bound: max(1, _nakayama_order(counts, bound) - 1),
         )
         assert invariants(SQUARED_CUSP, weights).mu == 1
+
+
+class TestColengthBoundMutant:
+    def test_a_bound_one_too_low_refuses_an_isolated_ideal(self, monkeypatch):
+        # (x^2, y^3) reaches its bound 2 * 3 exactly, so a bound of 5 is
+        # passed by the count of an isolated ideal and refused
+        I = ideal("x^2", "y^3")
+        assert local_colength(I) == _colength_bound(I) == 6
+        monkeypatch.setattr(
+            "brieskorn.local_algebra._colength_bound", lambda I: _colength_bound(I) - 1
+        )
+        with pytest.raises(InputError, match="passed the bound 5"):
+            local_colength(I)
 
 
 class TestNuTargetStopMutant:
@@ -295,15 +315,17 @@ class TestExactDivisionMutants:
 
     def test_a_dropped_exponent_check_is_caught(self, monkeypatch):
         # x^2 + y = x * x + x^(-1) y * x: without the check the remainder
-        # y is divided anyway, and the branches x and y become "associate"
+        # y is divided anyway, and the branches x and y become "associate";
+        # invariants reaches the associate test only on invalid input, so
+        # the check is called directly
         lines = FactoredCurve.of(XY, [(p("x"), 2), (p("y"), 2)])
         assert p("x^2 + y").divide_exact(p("x")) is None
-        assert invariants(lines).mu == 1
+        assert check_hypotheses(lines)
         unchecked = mutated(Poly.divide_exact, "if any(e < 0 for e in qe):", "if False:")
         monkeypatch.setattr(Poly, "divide_exact", unchecked)
         assert p("x^2 + y").divide_exact(p("x")) is not None
         with pytest.raises(InputError, match="branches x and y are associate"):
-            invariants(lines)
+            check_hypotheses(lines)
 
 
 class TestIsolationMutant:

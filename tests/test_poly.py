@@ -143,6 +143,12 @@ class TestWeights:
         with pytest.raises(InputError):
             WeightSystem((0, 1), 1)
 
+    def test_equal_weight_systems_hash_equal(self):
+        first = WeightSystem((Fraction(1, 2), 1), 3)
+        second = WeightSystem((Fraction(2, 4), Fraction(3, 3)), Fraction(6, 2))
+        assert first == second and hash(first) == hash(second)
+        assert len({first, second, WeightSystem((1, 1), 3)}) == 2
+
     def test_integer_scaling(self):
         ws = WeightSystem((Fraction(1, 2), Fraction(1, 3)), 1)
         scaled, scale = ws.integer_scaled()

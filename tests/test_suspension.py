@@ -125,6 +125,11 @@ class TestMilnorIsolated:
             "x*y^2": Fraction(17, 12),
         }
 
+    def test_equal_weighted_germs_hash_equal(self):
+        first, second = milnor_isolated(p("x^3+y^4")), milnor_isolated(p("x^3+y^4"))
+        assert first.weights is not None and first is not second
+        assert first == second and hash(first) == hash(second)
+
     def test_underdetermined_weights(self):
         g = milnor_isolated(p("z*w", ("z", "w")))
         assert g.milnor == 1
