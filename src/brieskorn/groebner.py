@@ -22,16 +22,28 @@ grevlex, 2 with t) followed by the negated x-exponents.
 The saturation (Cox, Little, O'Shea, *Ideals, Varieties, and Algorithms*,
 ch. 4, sections 3-4) is I : m^inf = the intersection over i of
 I : x_i^inf, since m^N g lies in I exactly when every x_i^N g does, up to
-N.  Each colon is an elimination, I : x_i^inf = (I + (1 - t x_i)) meet
-k[x], and so is each intersection, A meet B = (t A + (1 - t) B) meet k[x].
+N.  Each colon starts from the reduced grevlex basis G of I:
 
-The saturation starts from the reduced grevlex basis G of I, and each
-elimination continues a Groebner basis it already holds (``known``): the
-lifted G for a colon, which stays a basis because the block order is grevlex
-on t-free monomials, and t A, with A the reduced basis so far, for a meet.
-Only S-pairs that involve a new element are formed.  A colon by x_i is
-skipped when G holds a monomial power of x_i, since then I : x_i^inf = (1);
-an ideal with a unit at the origin is isolated there without any basis.
+* strip: divide each g in G by the largest power x_i^k dividing it, take
+  the reduced basis of the result and repeat until nothing strips.  As
+  x_i^k g' = g lies in I, g' lies in I : x_i^inf, so the stripped ideal I'
+  lies between I and I : x_i^inf, and I' : x_i^inf = I : x_i^inf;
+* certify: if x_i divides no lead of the reduced basis G' of I', then x_i
+  is a nonzerodivisor on k[x]/I' and I : x_i^inf = I', for any monomial
+  order (a normal-form argument; Becker, Weispfenning, *Groebner Bases*):
+  for f in normal form with x_i f in I', some lead divides x_i LT(f), is
+  free of x_i, so divides LT(f), and f = 0.  A power of x_i strips to 1,
+  and a basis run given a constant returns (1) at once;
+* otherwise eliminate, I' : x_i^inf = (I' + (1 - t x_i)) meet k[x].
+
+A colon equal to I ends the saturation (it is I), and one equal to the
+intersection so far needs no meet.  A meet is an elimination too, A meet
+B = (t A + (1 - t) B) meet k[x].  Each elimination continues a Groebner
+basis it already holds (``known``): the lifted G' for a colon, which stays
+a basis because the block order is grevlex on t-free monomials, and t A,
+with A the reduced basis so far, for a meet.  Only S-pairs that involve a
+new element are formed.  An ideal with a unit at the origin is isolated
+there without any basis.
 """
 
 from __future__ import annotations
@@ -116,6 +128,9 @@ def _groebner(polys: list[_Poly], head: int, known: list[_Poly] = ()) -> list[_P
     each element primitive with a positive leading coefficient, sorted by
     leading monomial.  ``known`` must already be a Groebner basis: it is
     taken as it is and no pair within it is formed (each reduces to 0)."""
+    for p in polys:
+        if not any(lead := max(p)):  # a nonzero constant: the unit ideal
+            return [{lead: 1}]
     basis: list[_Poly] = list(known)
     leads: list[_Mono] = [max(g) for g in known]
     queue: list[tuple[_Mono, int, int]] = []
@@ -189,23 +204,42 @@ def _lift(p: _Poly, t_degree: int, scale: int = 1) -> _Poly:
     return {(t_degree, *m): scale * c for m, c in p.items()}
 
 
+def _strip(g: _Poly, at: int) -> _Poly:
+    """g divided by the largest power of the variable whose negated
+    exponent is key entry ``at``."""
+    k = max(m[at] for m in g)  # minus the least exponent
+    if k == 0:
+        return g
+    return {(m[0] + k, *m[1:at], m[at] - k, *m[at + 1 :]): c for m, c in g.items()}
+
+
+def _colon(basis: list[_Poly], n: int, i: int) -> list[_Poly]:
+    """The reduced grevlex basis of I : x_i^inf, for the reduced grevlex
+    basis ``basis`` of I: stripped, then certified or eliminated."""
+    at = n - i  # the key entry -e_i
+    while (stripped := [_strip(g, at) for g in basis]) != basis:
+        basis = _groebner(stripped, head=1)
+    if not any(max(g)[at] for g in basis):  # x_i is regular on k[x]/I'
+        return basis
+    ones = (1,) * n
+    one = _count_key((0,) * n, ones)
+    x_i = _count_key(tuple(int(j == i) for j in range(n)), ones)
+    # I' : x_i^inf = (I' + (1 - t x_i)) meet k[x]
+    return _eliminate([{(1, *x_i): 1, (0, *one): -1}], [_lift(g, 0) for g in basis])
+
+
 def _saturation(basis: list[_Poly], n: int) -> list[_Poly]:
     """The reduced grevlex basis of I : m^inf, for the reduced grevlex
     basis ``basis`` of I."""
-    ones = (1,) * n
-    one = _count_key((0,) * n, ones)
-    powers = [_decode(max(g)) for g in basis if len(g) == 1]
-    lifted = [_lift(g, 0) for g in basis]
+    one = _count_key((0,) * n, (1,) * n)
     result = None
     for i in range(n):
-        if any(sum(e) == e[i] for e in powers):  # x_i^k in I: the unit ideal
-            continue
-        x_i = _count_key(tuple(int(j == i) for j in range(n)), ones)
-        # I : x_i^inf = (I + (1 - t x_i)) meet k[x]
-        colon = _eliminate([{(1, *x_i): 1, (0, *one): -1}], lifted)
+        colon = _colon(basis, n, i)
+        if colon == basis:  # I : x_i^inf = I, so I : m^inf = I
+            return basis
         if max(colon[0])[0] == 0:  # the unit ideal
             continue
-        if result is not None:
+        if result is not None and colon != result:
             # A meet B = (t A + (1 - t) B) meet k[x]
             colon = _eliminate(
                 [{**_lift(b, 0), **_lift(b, 1, -1)} for b in colon],

@@ -2,7 +2,8 @@
 
 Oracles: sympy's reduced grevlex basis (importorskip), the reduced basis
 of a permuted generator list, the from-scratch saturation below (every
-elimination from raw generators, no known basis, no skipped colon), and
+colon and meet eliminated from raw generators, no known basis, no strip and
+no certified colon), and
 the Thom-Sebastiani transport dim (J : m^inf)/J of z^k + f = (k - 1) mu(f),
 with mu(f) from the graded curve pipeline.  The test-local colon chain of
 ``test_local_algebra`` is one more
@@ -23,6 +24,7 @@ from hypothesis import given, strategies as st
 from brieskorn import groebner
 from brieskorn.curve import FactoredCurve, invariants
 from brieskorn.groebner import (
+    _colon,
     _decode,
     _groebner,
     _integer_gens,
@@ -176,15 +178,22 @@ class TestTorsionLength:
 # -- the from-scratch reference ------------------------------------------------
 
 
+def reference_colon(gens: list[dict], n: int, i: int) -> list[dict]:
+    """I : x_i^inf = (I + (1 - t x_i)) meet k[x], eliminated from the raw
+    generators of I.  It calls through the module, so that a test can count
+    its calls."""
+    one = _count_key((0,) * n, (1,) * n)
+    x_i = _count_key(tuple(int(j == i) for j in range(n)), (1,) * n)
+    return groebner._eliminate([_lift(g, 0) for g in gens] + [{(1, *x_i): 1, (0, *one): -1}])
+
+
 def reference_saturation(gens: list[dict], n: int) -> list[dict]:
     """I : m^inf with every colon and meet eliminated from raw generators:
-    no known basis, and a unit colon is dropped only after its elimination.
-    It calls through the module, so that a test can count its calls."""
+    no known basis, and a unit colon is dropped only after its elimination."""
     one = _count_key((0,) * n, (1,) * n)
     result = None
     for i in range(n):
-        x_i = _count_key(tuple(int(j == i) for j in range(n)), (1,) * n)
-        colon = groebner._eliminate([_lift(g, 0) for g in gens] + [{(1, *x_i): 1, (0, *one): -1}])
+        colon = reference_colon(gens, n, i)
         if max(colon[0])[0] == 0:
             continue
         if result is not None:
@@ -246,6 +255,14 @@ def test_saturation_matches_the_from_scratch_reference(I):
     assert isolated_at_origin(I) is reference_isolated(I)
 
 
+@given(any_ideal)
+def test_certified_colon_matches_the_elimination_colon(I):
+    gens, n = _integer_gens(I), len(I.variables)
+    basis = _groebner(gens, head=1)
+    for i in range(n):
+        assert _colon(basis, n, i) == reference_colon(gens, n, i)
+
+
 @given(
     st.sampled_from([2, 3]).flatmap(lambda n: st.tuples(integer_ideals(n), integer_ideals(n))),
     st.booleans(),
@@ -272,14 +289,59 @@ class TestSavedWork:
         return calls
 
     def test_the_colon_by_a_monomial_power_runs_no_elimination(self, monkeypatch):
-        # J = (x y^2, x^2 y, z) holds z: the x and y colons and one meet
+        # J = (x y^2, x^2 y, z): the x-colon strips to (y, z) and the y-colon
+        # to (x, z), both certified; the z-colon strips z to 1; one meet
         J = jacobian_ideal(p("z^2 + x^2*y^2", XYZ))
         eliminations = self.counted(monkeypatch, "_eliminate")
         assert torsion_length(J) == 1
-        assert len(eliminations) == 3
+        assert len(eliminations) == 1
         eliminations.clear()
         assert reference_torsion_length(J) == 1
         assert len(eliminations) == 4
+
+    def test_the_unit_x_colon_of_the_golden_sextic_suspension_runs_no_elimination(
+        self, monkeypatch
+    ):
+        # J = (z, 2 x^5 + x^2 y^3, x^3 y^2) holds no power of x: x^2 and x^3
+        # strip off to (z, y^2, x^3), and then x^3 strips to 1
+        J = jacobian_ideal(p("z^2 + x^3*(x^3+y^3)", XYZ))
+        basis, one = reduced_basis(J), _count_key((0, 0, 0), (1, 1, 1))
+        assert not any(len(g) == 1 and max(g)[3] == -max(g)[0] for g in basis)
+        eliminations = self.counted(monkeypatch, "_eliminate")
+        assert _colon(basis, 3, 0) == [{one: 1}]
+        assert torsion_length(J) == 9
+        assert eliminations == []
+        assert reference_colon(_integer_gens(J), 3, 0) == [{one: 1}]
+        assert len(eliminations) == 1
+
+    def test_a_colon_the_lemma_cannot_certify_still_eliminates(self, monkeypatch):
+        # the y-colon of J = (z, x y^3 - x^3, y^5 - x^2 y^2): y^2 strips off,
+        # and the stripped basis (z, y^3 - x^2) has the lead y^3
+        J = jacobian_ideal(p("z^2 + (x^2-y^3)^2", XYZ))
+        basis = reduced_basis(J)
+        eliminations = self.counted(monkeypatch, "_eliminate")
+        colon = _colon(basis, 3, 1)
+        assert len(eliminations) == 1
+        assert colon == reference_colon(_integer_gens(J), 3, 1)
+        assert colon == reduced_basis(ideal("z", "y^3 - x^2", variables=XYZ))
+
+    def test_equal_colons_run_no_meet(self, monkeypatch):
+        # the x- and y-colons of J = (z, x y^3 - x^3, y^5 - x^2 y^2) are both
+        # (z, y^3 - x^2); only the y-colon is eliminated
+        J = jacobian_ideal(p("z^2 + (x^2-y^3)^2", XYZ))
+        eliminations = self.counted(monkeypatch, "_eliminate")
+        assert torsion_length(J) == 2
+        assert len(eliminations) == 1
+
+    def test_a_constant_stops_buchberger_at_the_unit_ideal(self, monkeypatch):
+        # the z-colon of z^3 + x^2 y strips z^2 to 1
+        J, one = jacobian_ideal(p("z^3 + x^2*y", XYZ)), _count_key((0, 0, 0), (1, 1, 1))
+        basis = reduced_basis(J)
+        reductions = self.counted(monkeypatch, "_reduce")
+        assert _colon(basis, 3, 2) == [{one: 1}]
+        assert reductions == []
+        assert reference_colon(_integer_gens(J), 3, 2) == [{one: 1}]
+        assert reductions
 
     def test_a_unit_generator_runs_no_buchberger(self, monkeypatch):
         runs = self.counted(monkeypatch, "_groebner")

@@ -9,10 +9,11 @@ Covered: the a-action certificate (a wrong coefficient, a wrong target, a
 missing cofactor), the derivation term of the (a,b)-module operator, the
 Nakayama stop of mu, the Bezout bound of the colength scans, the nu
 target stop, the re-read one order on of the nu predictor, the early unit
-return of the isolation test, the unit-colon skip of the saturation
-(taken on a non-monomial pure-power lead, and on every colon), the exact
-quotient coefficient and the exponent check of ``Poly.divide_exact``, and
-the ASCII escaping of the JSON writer.
+return of the isolation test, the certified colon of the saturation (the
+lead test dropped, the wrong variable stripped), the known basis of an
+elimination (raw generators as the known basis, the known x new S-pairs
+dropped), the exact quotient coefficient and the exponent check of
+``Poly.divide_exact``, and the ASCII escaping of the JSON writer.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ from test_groebner import (
     ideal,
     reduced_basis,
     reference_isolated,
-    reference_saturation,
     reference_torsion_length,
 )
 
@@ -279,26 +279,58 @@ class TestPredictorRereadMutant:
         assert (report.nu, len(report.basis_nu)) == (9, 8)
 
 
-class TestUnitColonSkipMutant:
-    def test_a_skip_on_a_non_monomial_power_is_caught(self, monkeypatch):
-        # (y, x^3 - x) holds no power of x, only the lead x^3 of x^3 - x;
-        # skipping the x-colon leaves the unit ideal, not (y, x^2 - 1)
-        I = ideal("y", "x^3 - x")
-        assert torsion_length(I) == reference_torsion_length(I) == 1
-        monkeypatch.setattr(
-            groebner, "_saturation", mutated(groebner._saturation, "if len(g) == 1]", "]")
-        )
-        assert torsion_length(I) == 3
+class TestCertifiedColonMutants:
+    def test_a_colon_trusted_without_the_lead_test_is_caught(self, monkeypatch):
+        # no generator of (x^2 + y, y^2) strips for x, and the lead x^2
+        # leaves x uncertified: trusted, the x-colon is I itself, so the
+        # saturation is I and the torsion 0, not the colength 4 of the
+        # m-primary I
+        I = ideal("x^2 + y", "y^2")
+        assert torsion_length(I) == reference_torsion_length(I) == 4
+        trusted = mutated(groebner._colon, "if not any(max(g)[at] for g in basis):", "if True:")
+        monkeypatch.setattr(groebner, "_colon", trusted)
+        assert torsion_length(I) == 0
 
-    def test_a_skip_on_every_colon_is_caught(self):
-        # the saturation of (x^2, x y) is (x), not the unit ideal
-        I, saturated = ideal("x^2", "x*y"), reduced_basis(ideal("x"))
-        assert reference_saturation(_integer_gens(I), 2) == saturated
-        assert groebner._saturation(reduced_basis(I), 2) == saturated
-        always = mutated(
-            groebner._saturation, "if any(sum(e) == e[i] for e in powers):", "if True:"
+    def test_a_strip_of_the_wrong_variable_is_caught(self, monkeypatch):
+        # the x-colon strips y-powers, (x y, y^2) -> (1), and the y-colon
+        # x-powers, (x y, y^2) -> (y), whose colon by y is (1): the
+        # saturation becomes the unit ideal, not (y)
+        I = ideal("x*y", "y^2")
+        assert torsion_length(I) == reference_torsion_length(I) == 1
+        swapped = mutated(groebner._colon, "_strip(g, at)", "_strip(g, n + 1 - at)")
+        monkeypatch.setattr(groebner, "_colon", swapped)
+        assert torsion_length(I) == 2
+
+
+class TestKnownBasisMutants:
+    def test_raw_generators_passed_as_the_known_basis_are_caught(self, monkeypatch):
+        # (x y - 2 y^2, x^2 y + y^3) strips nothing for x and is no Groebner
+        # basis; as the known basis of the x-colon it loses the torsion
+        I = ideal("x*y - 2*y^2", "x^2*y + y^3")
+        assert torsion_length(I) == reference_torsion_length(I) == 2
+        raw = mutated(
+            groebner.torsion_length, "_saturation(basis, n)", "_saturation(_integer_gens(I), n)"
         )
-        assert always(reduced_basis(I), 2) != saturated
+        monkeypatch.setattr(groebner, "torsion_length", raw)
+        assert groebner.torsion_length(I) == 0
+
+    def test_dropped_known_by_new_pairs_are_caught(self, monkeypatch):
+        # (x^2 + y, y^2, x - 1) is the unit ideal, and the x-colon of
+        # (x^2 + y, y^2) continues its basis with 1 - t x; without the pairs
+        # of the new element with the known basis neither reaches (1)
+        I = ideal("x^2 + y", "y^2")
+        basis, new = reduced_basis(I), _integer_gens(ideal("x - 1"))
+        assert groebner._groebner(new, 1, known=basis) == groebner._groebner(basis + new, head=1)
+        assert torsion_length(I) == reference_torsion_length(I) == 4
+        dropped = mutated(
+            groebner._groebner,
+            "for i, other in enumerate(leads):",
+            "for i, other in list(enumerate(leads))[len(known) :]:",
+        )
+        monkeypatch.setattr(groebner, "_groebner", dropped)
+        assert dropped(new, 1, known=basis) != dropped(basis + new, head=1)
+        assert torsion_length(I) == 0
+        assert reference_torsion_length(I) == 4
 
 
 class TestExactDivisionMutants:
