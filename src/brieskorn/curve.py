@@ -173,8 +173,11 @@ def check_hypotheses(curve: FactoredCurve) -> bool:
     divide the residual, each branch and the residual are reduced
     (singular locus of each is isolated), and the coefficients of the
     annihilator form vanish simultaneously only at the origin.  Each
-    isolation is decided by ``groebner.isolated_at_origin``.  Raises
-    InputError naming the first violated clause (``invariants``).
+    isolation is decided by ``groebner.isolated_at_origin``, but a pair
+    scan (g_i, g_j) of the parts past its colength bound names the last
+    clause first: g_i and g_j share a factor through 0, which divides
+    alpha (README).  Raises InputError naming the first violated clause
+    (``invariants``).
     """
     variables = curve.variables
     f = curve.expand()
@@ -202,13 +205,20 @@ def check_hypotheses(curve: FactoredCurve) -> bool:
             raise InputError(
                 f"residual {psi} is not reduced: its singular locus is not isolated"
             )
+    shared = (
+        "the annihilating field vanishes along a curve "
+        "(annihilator-form coefficients share a positive-dimensional zero set)"
+    )
+    parts = [u for u, _ in curve.factors] + ([] if curve.residual_is_constant else [curve.residual])
+    for g, g2 in combinations(parts, 2):
+        try:
+            local_colength(IdealGens.of(variables, [g, g2]))
+        except InputError:
+            raise InputError(shared) from None
     alpha = annihilator_form(curve)
     coeffs = [alpha.coefficient((i,)) for i in range(2)]
     if not isolated_at_origin(IdealGens.of(variables, coeffs)):
-        raise InputError(
-            "the annihilating field vanishes along a curve "
-            "(annihilator-form coefficients share a positive-dimensional zero set)"
-        )
+        raise InputError(shared)
     return True
 
 
@@ -415,7 +425,8 @@ def a_action(
     """a-action coefficients of f on the given basis classes, each proved
     by the Euler-field certificate before inclusion; ``alpha`` is the
     annihilator form of a curve, or df for an isolated germ.  One
-    certificate serves the whole basis."""
+    certificate serves the whole basis, and its affine frame compares the
+    identity in full at no more than n + 1 monomials."""
     holds = _action_certificate(f, alpha, ws)
     out = []
     for rep in basis:
@@ -455,19 +466,40 @@ def _exact_form_images(
     return out
 
 
+def _eta_images(alpha: DiffForm, int_weights: tuple[int, ...], factor: int) -> tuple[int, list]:
+    """The target factor and the images of the terms of the certificate's
+    eta, each with its integer factor (``_action_certificate``)."""
+    n = len(alpha.variables)
+    images = dict(_exact_form_images(alpha))
+    index_images = [
+        (j, images[tuple(k for k in range(1, n) if k != j)]) for j in range(1, n)
+    ]
+    common = lcm(*(image.scale for _, image in index_images))
+    parts = [
+        ((-1) ** (n + j - 1) * int_weights[j] * (common // image.scale), j, image)
+        for j, image in index_images
+    ]
+    # At m = x^t, with c_P = t_0 + 1 the denominator of P, the target is
+    # c.denominator * c_P * scale_f times omega (``_action_target``), and
+    # the sum of images is q.numerator * scale_h * c_P * common /
+    # q.denominator times omega; c_P cancels.
+    return factor * common, parts
+
+
 def _action_certificate(
     f: Poly, alpha: DiffForm, ws: WeightSystem
 ) -> Callable[[Poly, Fraction], bool]:
     """The certificate of  a[m] = c b[m]  in n variables, for one
-    (f, alpha), as a function of (m, c).
+    (f, alpha), as a function ``holds`` of (m, c).
 
     With a acting as multiplication by f and b as df wedge a primitive,
     the claim is that  omega = f m vol - c df ^ xi  is an exact form
     d(eta ^ alpha), where xi is an explicit primitive of m vol and alpha is
     the annihilator form of a curve or df itself for an isolated germ, so
     that df = h alpha for a polynomial h.  ``holds`` is True exactly when
-    omega is 0 or equals d(eta ^ alpha) for the one eta below; a False
-    says nothing about other eta.
+    c is the predicted c* below and, at every monomial x^t of m, omega is
+    0 or equals d(eta ^ alpha) for the one eta below; a False says nothing
+    about other eta.
 
     The Euler field E = sum_i w_i x_i d/dx_i has E f = D f for the total
     degree D, so df ^ i_E(m vol) = D f m vol, and  omega = df ^ theta  with
@@ -484,15 +516,22 @@ def _action_certificate(
     there is no eta, and omega itself vanishes at c*.
 
     The forms d(eta ^ alpha) are integer exponent shifts
-    (``_exact_form_images``) whose operators come from alpha alone; the
+    (``_exact_form_images``) whose operators come from alpha alone; a full
     check sums the images of eta and compares them with the integer
     target (``_action_target``) at their known scales, so a True is an
-    exact identity."""
+    exact identity.  Both sides are linear in m, so each monomial x^t of m
+    is checked on its own at c*(t) = (<w, t> + sum w)/D, and by the affine
+    lemma of the README a defect that vanishes on a frame of exponents
+    vanishes on its affine hull: the t with (1, t) in the span of the
+    frame's rows (1, t'), and every t once the rank is n + 1.  A monomial
+    outside the hull is checked in full and joins, so at most n + 1 are;
+    one whose omega is 0 is proved by eta = 0 and never joins."""
     variables = f.variables
     n = len(variables)
-    coefficients = [alpha.coefficient((i,)) for i in range(n)]
-    i = next((i for i, a in enumerate(coefficients) if not a.is_zero), None)
-    h = None if i is None else f.derivative(variables[i]).divide_exact(coefficients[i])
+    # h = f_xi / a_i at the first nonzero coefficient a_i dx_i of alpha
+    fx0 = f.derivative(variables[0])
+    (i,), a_i = min(alpha.terms.items(), default=((0,), None))
+    h = None if a_i is None else (f.derivative(variables[i]) if i else fx0).divide_exact(a_i)
     if h is None:
         raise RuntimeError(
             "internal invariant violation: df is not a polynomial multiple of alpha"
@@ -503,44 +542,48 @@ def _action_certificate(
     # denominators)
     scale_f = common_denominator(f)
     f_terms = integer_terms(f, scale_f)
-    fx0_terms = integer_terms(f.derivative(variables[0]), scale_f)
+    fx0_terms = integer_terms(fx0, scale_f)
     int_weights, weight_scale = ws.integer_scaled()
+    weight_sum = sum(int_weights)
     # w_j / D = int_weights[j] * q.denominator / q.numerator
     q = ws.total_degree * weight_scale
-    images = dict(_exact_form_images(alpha))
-    index_images = [
-        (j, images[tuple(k for k in range(1, n) if k != j)]) for j in range(1, n)
-    ]
-    common = lcm(*(image.scale for _, image in index_images))
-    parts = [
-        ((-1) ** (n + j - 1) * int_weights[j] * (common // image.scale), j, image)
-        for j, image in index_images
-    ]
-    # With c_P the lcm of the denominators of P, the target is
-    # c.denominator * c_P * scale_f times omega (``_action_target``), and
-    # the sum of images below is q.numerator * scale_h * c_P * common /
-    # q.denominator times omega; c_P cancels.
-    target_factor = q.numerator * scale_h * common
-    sum_factor = scale_f * q.denominator
+
+    eta = None  # (target factor, eta's images), built at the first full check
+    frame = Span()  # the rows (1, t) of the exponents t checked in full
 
     def holds(m: Poly, coefficient: Fraction) -> bool:
-        target = _action_target(f_terms, fx0_terms, m, coefficient)
-        if not target:
-            return True
-        # c_P P h as integer terms
-        c_p = lcm(*(m_t.denominator * (t[0] + 1) for t, m_t in m.terms.items()))
-        ph: dict[Exponents, int] = {}
-        for t, m_t in m.terms.items():
-            p_coeff = m_t.numerator * (c_p // (m_t.denominator * (t[0] + 1)))
-            vec_axpy(ph, p_coeff, shifted_terms(h_terms, (t[0] + 1,) + t[1:]))
-        total: dict[Exponents, int] = {}
-        for factor, j, image in parts:
-            for e, c in ph.items():
-                vec_axpy(total, factor * c, image(e[:j] + (e[j] + 1,) + e[j + 1 :]))
-        total_factor = sum_factor * coefficient.denominator
-        return total.keys() == target.keys() and all(
-            v * target_factor == total[e] * total_factor for e, v in target.items()
-        )
+        nonlocal eta
+        # c = c*(t) = (<w, t> + sum w) q.denominator / q.numerator
+        c_num = coefficient.numerator * q.numerator
+        c_den = coefficient.denominator * q.denominator
+        for t in m.terms:
+            if c_num != (sum(map(mul, t, int_weights)) + weight_sum) * c_den:
+                return False
+            if frame.rank > n:
+                continue
+            row = {-1: 1, **{i: e for i, e in enumerate(t) if e}}
+            if frame.rank and frame.contains(row):
+                continue
+            monomial = Poly._trusted(variables, {t: 1})
+            target = _action_target(f_terms, fx0_terms, monomial, coefficient)
+            if not target:
+                continue  # omega = 0: eta = 0 serves
+            if eta is None:
+                eta = _eta_images(alpha, int_weights, q.numerator * scale_h)
+            target_factor, parts = eta
+            # c_P P h = x^(t + e_0) h as integer terms
+            ph = shifted_terms(h_terms, (t[0] + 1,) + t[1:])
+            total: dict[Exponents, int] = {}
+            for factor, j, image in parts:
+                for e, c in ph.items():
+                    vec_axpy(total, factor * c, image(e[:j] + (e[j] + 1,) + e[j + 1 :]))
+            total_factor = scale_f * q.denominator * coefficient.denominator
+            if total.keys() != target.keys() or any(
+                v * target_factor != total[e] * total_factor for e, v in target.items()
+            ):
+                return False
+            frame.insert(row)
+        return True
 
     return holds
 

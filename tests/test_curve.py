@@ -7,8 +7,9 @@ import copy
 import io
 import json
 import random
+import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 from pathlib import Path
 from typing import Optional
@@ -36,7 +37,7 @@ from brieskorn.curve import (
 from brieskorn.errors import InconclusiveError, InputError
 from brieskorn.forms import DiffForm
 from brieskorn.groebner import torsion_length
-from brieskorn.linalg import Span
+from brieskorn.linalg import Span, vec_axpy
 from brieskorn.local_algebra import (
     IdealGens,
     _JetCounts,
@@ -48,6 +49,7 @@ from brieskorn.local_algebra import (
     local_quotient,
     monomials_below,
     monomials_of_weighted_degree,
+    shifted_terms,
 )
 from brieskorn.poly import Poly, WeightSystem, parse_polynomial
 from brieskorn.suspension import milnor_isolated
@@ -487,6 +489,34 @@ class TestHypothesesFromScans:
         assert main(argv, out=io.StringIO()) == EXIT_INVALID
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "factors, residual",
+        [
+            ("x*(x+y):2,x*(x-y):2", None),
+            ("x*(x+y):2", "x*(x-y)"),
+            ("(x-y)*(x^5+y^7):2,(x-y)*(x^7+y^5+x^3*y^3):2", None),
+        ],
+        ids=["branches", "branch-and-residual", "degree-15"],
+    )
+    def test_a_refused_pair_scan_names_the_annihilator_clause(
+        self, monkeypatch, factors, residual
+    ):
+        # two parts sharing a factor through 0: it divides both coefficients
+        # of alpha, so the refused pair scan names the clause, and the
+        # coefficient ideal never reaches a Groebner basis
+        curve = parsed_curve(factors, residual)
+        decided = []
+
+        def recording(I):
+            decided.append(set(I.generators))
+            return groebner.isolated_at_origin(I)
+
+        monkeypatch.setattr("brieskorn.curve.isolated_at_origin", recording)
+        for run in (check_hypotheses, invariants):
+            with pytest.raises(InputError, match=f"^{re.escape(ANNIHILATOR)}$"):
+                run(curve)
+        assert decided and set(coefficient_ideal(curve).generators) not in decided
+
     def test_a_constant_f_is_named(self):
         # FactoredCurve.of refuses constant branches; the constructor does not
         two = Poly.constant(XY, 2)
@@ -918,6 +948,216 @@ class TestEulerWitness:
         ws = WeightSystem.for_poly(f, (1, 1))
         with pytest.raises(RuntimeError, match="internal invariant violation"):
             _action_certificate(f, alpha, ws)
+
+
+def per_class_certificate(f: Poly, alpha: DiffForm, ws: WeightSystem):
+    """The Euler-field certificate as it was before its affine frame: each
+    class m is proved on its own, by the full identity
+    f m vol - c df ^ xi = d(eta ^ alpha) (or by omega = 0), at any c."""
+    variables, n = f.variables, len(f.variables)
+    coefficients = [alpha.coefficient((i,)) for i in range(n)]
+    i = next(i for i, a in enumerate(coefficients) if not a.is_zero)
+    h = f.derivative(variables[i]).divide_exact(coefficients[i])
+    scale_h, scale_f = common_denominator(h), common_denominator(f)
+    h_terms = integer_terms(h, scale_h)
+    f_terms = integer_terms(f, scale_f)
+    fx0_terms = integer_terms(f.derivative(variables[0]), scale_f)
+    int_weights, weight_scale = ws.integer_scaled()
+    q = ws.total_degree * weight_scale
+    images = dict(_exact_form_images(alpha))
+    index_images = [
+        (j, images[tuple(k for k in range(1, n) if k != j)]) for j in range(1, n)
+    ]
+    common = lcm(*(image.scale for _, image in index_images))
+    parts = [
+        ((-1) ** (n + j - 1) * int_weights[j] * (common // image.scale), j, image)
+        for j, image in index_images
+    ]
+
+    def holds(m: Poly, coefficient: Fraction) -> bool:
+        target = _action_target(f_terms, fx0_terms, m, coefficient)
+        if not target:
+            return True
+        c_p = lcm(*(m_t.denominator * (t[0] + 1) for t, m_t in m.terms.items()))
+        ph: dict = {}
+        for t, m_t in m.terms.items():
+            p_coeff = m_t.numerator * (c_p // (m_t.denominator * (t[0] + 1)))
+            vec_axpy(ph, p_coeff, shifted_terms(h_terms, (t[0] + 1,) + t[1:]))
+        total: dict = {}
+        for factor, j, image in parts:
+            for e, c in ph.items():
+                vec_axpy(total, factor * c, image(e[:j] + (e[j] + 1,) + e[j + 1 :]))
+        total_factor = scale_f * q.denominator * coefficient.denominator
+        return total.keys() == target.keys() and all(
+            v * q.numerator * scale_h * common == total[e] * total_factor
+            for e, v in target.items()
+        )
+
+    return holds
+
+
+def reference_a_action(f, alpha, ws, basis, coefficient_of=a_action_coefficient):
+    """The per-class loop: every class checked in full by
+    ``per_class_certificate``, with the coefficients of ``coefficient_of``."""
+    holds = per_class_certificate(f, alpha, ws)
+    out = []
+    for rep in basis:
+        coefficient = coefficient_of(ws, rep)
+        if not holds(rep, coefficient):
+            raise InputError(f"a-action verification failed on monomial {rep}")
+        out.append((rep, coefficient))
+    return tuple(out)
+
+
+def shifted_on(target: Poly):
+    """``a_action_coefficient`` off by 1/7 on the one class ``target``."""
+
+    def wrong(ws, rep):
+        return a_action_coefficient(ws, rep) + (Fraction(1, 7) if rep == target else 0)
+
+    return wrong
+
+
+def failed_on(rep: Poly) -> str:
+    return rf"^a-action verification failed on monomial {re.escape(str(rep))}$"
+
+
+def record_targets(monkeypatch, certificate=_action_certificate) -> list:
+    """Record each target that ``certificate`` computes, in its module's
+    namespace, as (monomial, whether omega != 0, so that the identity was
+    compared in full)."""
+    seen = []
+
+    def recording(f_terms, fx0_terms, m, coefficient):
+        target = _action_target(f_terms, fx0_terms, m, coefficient)
+        seen.append((str(m), bool(target)))
+        return target
+
+    monkeypatch.setitem(certificate.__globals__, "_action_target", recording)
+    return seen
+
+
+def compared_in_full(monkeypatch, certificate, texts) -> list[str]:
+    """The monomials of ``texts``, proved in turn at their c* by one
+    certificate of the germ x^3 + y^4 (where omega is 0 at no monomial),
+    that the certificate compares in full."""
+    seen = record_targets(monkeypatch, certificate)
+    f = p("x^3 + y^4")
+    ws = WeightSystem.for_poly(f, (4, 3))
+    holds = certificate(f, DiffForm.from_poly(f).d(), ws)
+    for text in texts:
+        assert holds(p(text), a_action_coefficient(ws, p(text)))
+    assert all(full for _, full in seen)
+    return [m for m, _ in seen]
+
+
+COLLINEAR_THEN_Y = ["x", "x^2", "x^3", "y"]
+
+GERM_VARIABLES = ("x", "y", "z")
+
+
+@st.composite
+def quasi_homogeneous_germs(draw):
+    """A germ in 1-3 variables: the pure powers x_i^(a_i) plus some mixed
+    monomials of the same weighted degree, nonzero rational coefficients,
+    and classes that are monomials or two-term polynomials of one weighted
+    degree."""
+    n = draw(st.integers(1, 3))
+    variables = GERM_VARIABLES[:n]
+    exponents = [draw(st.integers(2, 5)) for _ in range(n)]
+    degree = lcm(*exponents)
+    weights = tuple(degree // a for a in exponents)
+    nonzero = st.fractions(-3, 3, max_denominator=3).filter(bool)
+    terms = {
+        e: draw(nonzero)
+        for e in monomials_of_weighted_degree(n, weights, degree)
+        if sum(map(bool, e)) == 1 or draw(st.booleans())
+    }
+    f = Poly(variables, terms)
+    classes = []
+    for t in draw(st.lists(st.tuples(*[st.integers(0, 4)] * n), min_size=1, max_size=8)):
+        same = monomials_of_weighted_degree(n, weights, sum(map(mul, t, weights)))
+        other = draw(st.sampled_from(same))
+        classes.append(Poly(variables, {t: draw(nonzero), other: draw(nonzero)}))
+    return f, WeightSystem.for_poly(f, weights), classes
+
+
+def assert_same_verdicts(f, alpha, ws, basis, index):
+    """``a_action`` equals the per-class reference on ``basis``, and both
+    refuse a coefficient shifted on ``basis[index]``, naming that class."""
+    assert a_action(f, alpha, ws, basis) == reference_a_action(f, alpha, ws, basis)
+    if not basis:
+        return
+    target = basis[index % len(basis)]
+    with pytest.raises(InputError, match=failed_on(target)):
+        reference_a_action(f, alpha, ws, basis, shifted_on(target))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("brieskorn.curve.a_action_coefficient", shifted_on(target))
+        with pytest.raises(InputError, match=failed_on(target)):
+            a_action(f, alpha, ws, basis)
+
+
+class TestAffineFrame:
+    """The certificate compares its identity in full at no more than n + 1
+    monomials: the defect at c*(t) is affine in t, so it vanishes on the
+    affine hull of the monomials compared, which holds every exponent once
+    n + 1 of them are affinely independent."""
+
+    @given(weighted_curves(), st.integers(0, 100))
+    def test_curves_match_the_per_class_reference(self, curve_and_weights, index):
+        curve, weights = curve_and_weights
+        report = invariants(curve, weights=weights)
+        f, alpha = curve.expand(), annihilator_form(curve)
+        assert report.a_action == reference_a_action(f, alpha, report.weights, report.basis)
+        assert_same_verdicts(f, alpha, report.weights, report.basis, index)
+
+    @given(quasi_homogeneous_germs(), st.integers(0, 100))
+    def test_germs_match_the_per_class_reference(self, germ, index):
+        f, ws, classes = germ
+        alpha = DiffForm.from_poly(f).d()
+        with pytest.MonkeyPatch.context() as mp:
+            seen = record_targets(mp)
+            a_action(f, alpha, ws, classes)
+        assert sum(full for _, full in seen) <= len(f.variables) + 1
+        assert_same_verdicts(f, alpha, ws, classes, index)
+
+    def test_collinear_exponents_do_not_complete_a_frame(self, monkeypatch):
+        # x^3 lies on the line through x and x^2, so it is proved with no
+        # work; the frame has rank 2 of 3, and y is compared in full
+        full = compared_in_full(monkeypatch, _action_certificate, COLLINEAR_THEN_Y)
+        assert full == ["x", "x^2", "y"]
+
+    def test_the_hull_of_1_x_y_holds_every_exponent(self, monkeypatch):
+        rest = [str(Poly.monomial(XY, e)) for e in monomials_below(2, 7)]
+        full = compared_in_full(monkeypatch, _action_certificate, ["1", "x", "y"] + rest)
+        assert full == ["1", "x", "y"]
+
+    def test_powers_6_compares_three_monomials(self, monkeypatch):
+        seen = record_targets(monkeypatch)
+        report = invariants(factored([("x", 6)], "x^6+y^6"), weights=(1, 1))
+        assert len(report.a_action) == 61
+        assert seen == [("x^5", True), ("x^6", True), ("x^5*y", True)]
+
+    def test_polynomial_classes_are_proved_by_linearity(self, monkeypatch):
+        # (x^3 + y^3)^2: the classes h, h x, h y, h x y with h = x^3 + y^3,
+        # then 1, x, y, x y; the monomials of h and h x complete the frame,
+        # and h y, h x y and the monomial classes take no check
+        seen = record_targets(monkeypatch)
+        report = invariants(factored([("x^3+y^3", 2)]), weights=(1, 1))
+        assert [str(rep) for rep in report.basis_mu] == [
+            "x^3 + y^3", "x^4 + x*y^3", "x^3*y + y^4", "x^4*y + x*y^4"
+        ]
+        for rep, c in report.a_action:
+            assert c == Fraction(rep.total_degree() + 2, 6)
+        assert seen == [("x^3", True), ("y^3", True), ("x^4", True)]
+
+    def test_a_zero_omega_never_joins_the_frame(self, monkeypatch):
+        # x^2 y^2: omega is 0 at both classes x y and 1, so each is proved
+        # by eta = 0 alone, as by the per-class loop, and neither joins
+        seen = record_targets(monkeypatch)
+        report = invariants(factored([("x", 2), ("y", 2)]), weights=(1, 1))
+        assert [str(rep) for rep, _ in report.a_action] == ["x*y", "1"]
+        assert seen == [("x*y", False), ("1", False)]
 
 
 class TestTorsionFreeWitness:

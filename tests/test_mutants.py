@@ -9,11 +9,14 @@ Covered: the a-action certificate (a wrong coefficient, a wrong target, a
 missing cofactor), the derivation term of the (a,b)-module operator, the
 Nakayama stop of mu, the Bezout bound of the colength scans, the nu
 target stop, the re-read one order on of the nu predictor, the early unit
-return of the isolation test, the certified colon of the saturation (the
-lead test dropped, the wrong variable stripped), the known basis of an
-elimination (raw generators as the known basis, the known x new S-pairs
-dropped), the exact quotient coefficient and the exponent check of
-``Poly.divide_exact``, and the ASCII escaping of the JSON writer.
+return of the isolation test, the affine frame of the a-action certificate
+completed one point early, the count's non-leads returned as the
+unweighted basis, the normaliser of ``poly._exact_nonzero``, the certified
+colon of the saturation (the lead test dropped, the wrong variable
+stripped), the known basis of an elimination (raw generators as the known
+basis, the known x new S-pairs dropped), the exact quotient coefficient
+and the exponent check of ``Poly.divide_exact``, and the ASCII escaping of
+the JSON writer.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from __future__ import annotations
 import inspect
 import io
 import json
-import re
 import textwrap
 from fractions import Fraction
 from json.encoder import encode_basestring
@@ -29,13 +31,13 @@ from json.encoder import encode_basestring
 import pytest
 from hypothesis import given
 
-from brieskorn import cli, groebner
+from brieskorn import cli, groebner, poly
 from brieskorn.ab_module import ABModule, _integer_operator, check_commutation
 from brieskorn.cli import EXIT_INVALID, main
 from brieskorn.curve import (
     FactoredCurve,
+    _action_certificate,
     _action_target,
-    a_action_coefficient,
     check_hypotheses,
     invariants,
     milnor_fibre_betti,
@@ -45,15 +47,17 @@ from brieskorn.groebner import _integer_gens, isolated_at_origin, torsion_length
 from brieskorn.linalg import vec_axpy
 from brieskorn.local_algebra import (
     IdealGens,
+    _JetCounts,
     _colength_bound,
     _nakayama_order,
     _reached,
     local_colength,
+    local_quotient,
 )
 from brieskorn.poly import Poly, WeightSystem, parse_polynomial
 from brieskorn.suspension import milnor_isolated
 
-from conftest import mu as reference_mu, rank_one
+from conftest import jet_quotient, mu as reference_mu, rank_one
 from test_ab_module import (
     COMMUTING_MODULES,
     ab_modules,
@@ -61,12 +65,14 @@ from test_ab_module import (
     generator,
     reference_check_commutation,
 )
+from test_curve import COLLINEAR_THEN_Y, compared_in_full, failed_on, shifted_on
 from test_groebner import (
     ideal,
     reduced_basis,
     reference_isolated,
     reference_torsion_length,
 )
+from test_poly import assert_exact
 
 XY = ("x", "y")
 
@@ -79,15 +85,6 @@ def golden_sextic() -> FactoredCurve:
     return FactoredCurve.of(XY, [(p("x"), 3)], p("x^3+y^3"))
 
 
-def shifted_on(target: Poly):
-    """``a_action_coefficient`` off by 1/7 on the one representative ``target``."""
-
-    def wrong(ws, rep):
-        return a_action_coefficient(ws, rep) + (Fraction(1, 7) if rep == target else 0)
-
-    return wrong
-
-
 def mutated(function, old: str, new: str):
     """``function`` compiled again from its source with the one occurrence
     of ``old`` replaced by ``new``, in a copy of its module's namespace."""
@@ -96,10 +93,6 @@ def mutated(function, old: str, new: str):
     namespace = dict(function.__globals__)
     exec(compile(source.replace(old, new), inspect.getsourcefile(function), "exec"), namespace)
     return namespace[function.__name__]
-
-
-def failed_on(rep: Poly) -> str:
-    return rf"^a-action verification failed on monomial {re.escape(str(rep))}$"
 
 
 class TestAActionMutants:
@@ -151,6 +144,17 @@ class TestAActionMutants:
         monkeypatch.setattr(Poly, "divide_exact", lambda self, divisor: None)
         with pytest.raises(RuntimeError, match="internal invariant violation"):
             run()
+
+
+class TestAffineFrameMutant:
+    def test_a_frame_complete_one_point_early_is_caught(self, monkeypatch):
+        # at rank n the hull of x and x^2 is their line, yet the mutant
+        # takes it for the plane and proves y with no check
+        assert compared_in_full(monkeypatch, _action_certificate, COLLINEAR_THEN_Y) == [
+            "x", "x^2", "y"
+        ]
+        early = mutated(_action_certificate, "if frame.rank > n:", "if frame.rank >= n:")
+        assert compared_in_full(monkeypatch, early, COLLINEAR_THEN_Y) == ["x", "x^2"]
 
 
 def without_derivation_term(module: ABModule, order: int):
@@ -380,3 +384,34 @@ class TestJsonWriterMutant:
         assert cli._json(value) == json.dumps(value, indent=2)
         monkeypatch.setattr("brieskorn.cli.encode_basestring_ascii", encode_basestring)
         assert cli._json(value) != json.dumps(value, indent=2)
+
+
+class TestUnweightedBasisMutant:
+    def test_the_count_non_leads_as_the_basis_are_caught_by_the_jet_reference(
+        self, monkeypatch
+    ):
+        # the leads of (x + y^2, y^3) include x, so its non-leads 1, y, y^2
+        # are not the greedy basis 1, x, y of the reference
+        I = ideal("x + y^2", "y^3")
+        stop = _nakayama_order(_JetCounts(I), _colength_bound(I))
+        assert local_quotient(I) == jet_quotient(I, stop) == (3, [(0, 0), (1, 0), (0, 1)])
+        non_leads = mutated(
+            _JetCounts.basis,
+            "greatest = self.rows if self.graded else self._greatest_terms(k)",
+            "greatest = self.rows",
+        )
+        monkeypatch.setattr(_JetCounts, "basis", non_leads)
+        assert local_quotient(I) == (3, [(0, 0), (0, 1), (0, 2)]) != jet_quotient(I, stop)
+
+
+class TestExactNonzeroMutant:
+    def test_a_dropped_normaliser_is_caught(self, monkeypatch):
+        # 1/2 x + 1/2 x has the integral coefficient 1, which the
+        # normaliser stores as an int; without it the sum keeps Fraction(1)
+        half = p("1/2*x")
+        assert_exact(half + half)
+        unnormalised = mutated(poly._exact_nonzero, "exact_scalar(c)", "c")
+        monkeypatch.setattr(poly, "_exact_nonzero", unnormalised)
+        assert type((half + half).terms[(1, 0)]) is Fraction
+        with pytest.raises(AssertionError):
+            assert_exact(half + half)
