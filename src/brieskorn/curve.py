@@ -171,13 +171,14 @@ def check_hypotheses(curve: FactoredCurve) -> bool:
 
     Checks exactly: the branches are pairwise non-associate and do not
     divide the residual, each branch and the residual are reduced
-    (singular locus of each is isolated), and the coefficients of the
-    annihilator form vanish simultaneously only at the origin.  Each
-    isolation is decided by ``groebner.isolated_at_origin``, but a pair
-    scan (g_i, g_j) of the parts past its colength bound names the last
-    clause first: g_i and g_j share a factor through 0, which divides
-    alpha (README).  Raises InputError naming the first violated clause
-    (``invariants``).
+    (singular locus of each is isolated, by ``groebner.isolated_at_origin``),
+    and the coefficients of the annihilator form vanish simultaneously
+    only at the origin.  The pair scans (g_i, g_j) of the parts decide the
+    last clause: one past its colength bound means a factor through 0
+    shared by g_i and g_j, which divides alpha; once all stop, alpha is
+    a unit times dg near a point of one reduced part g alone, and df = 0
+    off f = 0 only at 0, so (a, b) is isolated (README).  Raises
+    InputError naming the first violated clause (``invariants``).
     """
     variables = curve.variables
     f = curve.expand()
@@ -205,20 +206,15 @@ def check_hypotheses(curve: FactoredCurve) -> bool:
             raise InputError(
                 f"residual {psi} is not reduced: its singular locus is not isolated"
             )
-    shared = (
-        "the annihilating field vanishes along a curve "
-        "(annihilator-form coefficients share a positive-dimensional zero set)"
-    )
     parts = [u for u, _ in curve.factors] + ([] if curve.residual_is_constant else [curve.residual])
     for g, g2 in combinations(parts, 2):
         try:
             local_colength(IdealGens.of(variables, [g, g2]))
         except InputError:
-            raise InputError(shared) from None
-    alpha = annihilator_form(curve)
-    coeffs = [alpha.coefficient((i,)) for i in range(2)]
-    if not isolated_at_origin(IdealGens.of(variables, coeffs)):
-        raise InputError(shared)
+            raise InputError(
+                "the annihilating field vanishes along a curve "
+                "(annihilator-form coefficients share a positive-dimensional zero set)"
+            ) from None
     return True
 
 
@@ -425,8 +421,8 @@ def a_action(
     """a-action coefficients of f on the given basis classes, each proved
     by the Euler-field certificate before inclusion; ``alpha`` is the
     annihilator form of a curve, or df for an isolated germ.  One
-    certificate serves the whole basis, and its affine frame compares the
-    identity in full at no more than n + 1 monomials."""
+    certificate serves the whole basis, and it compares the identity in
+    full at the n + 1 monomials 1, x_0, ..., x_(n-1) at most."""
     holds = _action_certificate(f, alpha, ws)
     out = []
     for rep in basis:
@@ -521,11 +517,11 @@ def _action_certificate(
     target (``_action_target``) at their known scales, so a True is an
     exact identity.  Both sides are linear in m, so each monomial x^t of m
     is checked on its own at c*(t) = (<w, t> + sum w)/D, and by the affine
-    lemma of the README a defect that vanishes on a frame of exponents
-    vanishes on its affine hull: the t with (1, t) in the span of the
-    frame's rows (1, t'), and every t once the rank is n + 1.  A monomial
-    outside the hull is checked in full and joins, so at most n + 1 are;
-    one whose omega is 0 is proved by eta = 0 and never joins."""
+    lemma of the README a defect that vanishes on a set of exponents
+    vanishes on its affine hull.  The frame 0, e_0, ..., e_(n-1) has every
+    exponent in its hull, so at the first monomial whose omega is not 0
+    the identity is compared in full at 1, x_0, ..., x_(n-1), and every later
+    monomial takes no check; one whose omega is 0 is proved by eta = 0."""
     variables = f.variables
     n = len(variables)
     # h = f_xi / a_i at the first nonzero coefficient a_i dx_i of alpha
@@ -548,41 +544,43 @@ def _action_certificate(
     # w_j / D = int_weights[j] * q.denominator / q.numerator
     q = ws.total_degree * weight_scale
 
-    eta = None  # (target factor, eta's images), built at the first full check
-    frame = Span()  # the rows (1, t) of the exponents t checked in full
+    # 1, x_0, ..., x_(n-1): their affine hull holds every exponent
+    frame = [tuple(int(k == i) for k in range(n)) for i in range(-1, n)]
+    proved = False  # the identity compared in full on the frame
+
+    def compared(t: Exponents, target_factor: int, parts: list) -> bool:
+        c_num = (sum(map(mul, t, int_weights)) + weight_sum) * q.denominator
+        coefficient = Fraction(c_num, q.numerator)
+        target = _action_target(
+            f_terms, fx0_terms, Poly._trusted(variables, {t: 1}), coefficient
+        )
+        # c_P P h = x^(t + e_0) h as integer terms
+        ph = shifted_terms(h_terms, (t[0] + 1,) + t[1:])
+        total: dict[Exponents, int] = {}
+        for factor, j, image in parts:
+            for e, c in ph.items():
+                vec_axpy(total, factor * c, image(e[:j] + (e[j] + 1,) + e[j + 1 :]))
+        total_factor = scale_f * q.denominator * coefficient.denominator
+        return total.keys() == target.keys() and all(
+            v * target_factor == total[e] * total_factor for e, v in target.items()
+        )
 
     def holds(m: Poly, coefficient: Fraction) -> bool:
-        nonlocal eta
+        nonlocal proved
         # c = c*(t) = (<w, t> + sum w) q.denominator / q.numerator
         c_num = coefficient.numerator * q.numerator
         c_den = coefficient.denominator * q.denominator
         for t in m.terms:
             if c_num != (sum(map(mul, t, int_weights)) + weight_sum) * c_den:
                 return False
-            if frame.rank > n:
-                continue
-            row = {-1: 1, **{i: e for i, e in enumerate(t) if e}}
-            if frame.rank and frame.contains(row):
-                continue
-            monomial = Poly._trusted(variables, {t: 1})
-            target = _action_target(f_terms, fx0_terms, monomial, coefficient)
-            if not target:
-                continue  # omega = 0: eta = 0 serves
-            if eta is None:
-                eta = _eta_images(alpha, int_weights, q.numerator * scale_h)
-            target_factor, parts = eta
-            # c_P P h = x^(t + e_0) h as integer terms
-            ph = shifted_terms(h_terms, (t[0] + 1,) + t[1:])
-            total: dict[Exponents, int] = {}
-            for factor, j, image in parts:
-                for e, c in ph.items():
-                    vec_axpy(total, factor * c, image(e[:j] + (e[j] + 1,) + e[j + 1 :]))
-            total_factor = scale_f * q.denominator * coefficient.denominator
-            if total.keys() != target.keys() or any(
-                v * target_factor != total[e] * total_factor for e, v in target.items()
+            if proved or not _action_target(
+                f_terms, fx0_terms, Poly._trusted(variables, {t: 1}), coefficient
             ):
+                continue  # omega = 0: eta = 0 serves
+            target_factor, parts = _eta_images(alpha, int_weights, q.numerator * scale_h)
+            if not all(compared(e, target_factor, parts) for e in frame):
                 return False
-            frame.insert(row)
+            proved = True
         return True
 
     return holds

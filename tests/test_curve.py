@@ -1037,21 +1037,45 @@ def record_targets(monkeypatch, certificate=_action_certificate) -> list:
     return seen
 
 
-def compared_in_full(monkeypatch, certificate, texts) -> list[str]:
-    """The monomials of ``texts``, proved in turn at their c* by one
-    certificate of the germ x^3 + y^4 (where omega is 0 at no monomial),
-    that the certificate compares in full."""
+def compared_in_full(seen: list) -> list[str]:
+    """The monomials of the targets ``seen`` by one certificate
+    (``record_targets``) at which it compared the identity in full: its
+    frame, proved right after the first omega != 0."""
+    first = next((k for k, (_, full) in enumerate(seen) if full), len(seen))
+    return [m for m, _ in seen[first + 1 :]]
+
+
+def proved_in_turn(monkeypatch, certificate, texts, defect=None) -> Optional[list[str]]:
+    """Prove the monomials of ``texts`` in turn at their c* by one
+    certificate of the germ x^3 + y^4 (where omega is 0 at no monomial);
+    the monomials it compares in full, or None once one is refused.
+    ``defect``, a function of the exponent t of x^t, is added to every
+    target at the exponent 0."""
     seen = record_targets(monkeypatch, certificate)
+    if defect is not None:
+        recording = certificate.__globals__["_action_target"]
+
+        def defective(f_terms, fx0_terms, m, coefficient):
+            [t] = m.terms
+            target = recording(f_terms, fx0_terms, m, coefficient)
+            vec_axpy(target, defect(t), {(0, 0): 1})
+            return target
+
+        monkeypatch.setitem(certificate.__globals__, "_action_target", defective)
     f = p("x^3 + y^4")
     ws = WeightSystem.for_poly(f, (4, 3))
     holds = certificate(f, DiffForm.from_poly(f).d(), ws)
     for text in texts:
-        assert holds(p(text), a_action_coefficient(ws, p(text)))
+        if not holds(p(text), a_action_coefficient(ws, p(text))):
+            return None
     assert all(full for _, full in seen)
-    return [m for m, _ in seen]
+    return compared_in_full(seen)
 
 
-COLLINEAR_THEN_Y = ["x", "x^2", "x^3", "y"]
+def affine_defect_at_y(t):
+    """A defect affine in t that vanishes at 1 and x but not at y."""
+    return t[1]
+
 
 GERM_VARIABLES = ("x", "y", "z")
 
@@ -1098,10 +1122,9 @@ def assert_same_verdicts(f, alpha, ws, basis, index):
 
 
 class TestAffineFrame:
-    """The certificate compares its identity in full at no more than n + 1
-    monomials: the defect at c*(t) is affine in t, so it vanishes on the
-    affine hull of the monomials compared, which holds every exponent once
-    n + 1 of them are affinely independent."""
+    """The certificate compares its identity in full at the n + 1 monomials
+    1, x_0, ..., x_(n-1) only: the defect at c*(t) is affine in t, so it
+    vanishes on the affine hull of the frame, which holds every exponent."""
 
     @given(weighted_curves(), st.integers(0, 100))
     def test_curves_match_the_per_class_reference(self, curve_and_weights, index):
@@ -1118,30 +1141,32 @@ class TestAffineFrame:
         with pytest.MonkeyPatch.context() as mp:
             seen = record_targets(mp)
             a_action(f, alpha, ws, classes)
-        assert sum(full for _, full in seen) <= len(f.variables) + 1
+        frame = [str(Poly.constant(f.variables, 1))] + list(f.variables)
+        assert compared_in_full(seen) in ([], frame)
         assert_same_verdicts(f, alpha, ws, classes, index)
 
-    def test_collinear_exponents_do_not_complete_a_frame(self, monkeypatch):
-        # x^3 lies on the line through x and x^2, so it is proved with no
-        # work; the frame has rank 2 of 3, and y is compared in full
-        full = compared_in_full(monkeypatch, _action_certificate, COLLINEAR_THEN_Y)
-        assert full == ["x", "x^2", "y"]
+    def test_the_frame_is_1_x_y(self, monkeypatch):
+        full = proved_in_turn(monkeypatch, _action_certificate, ["x^2*y^3", "x", "y^5"])
+        assert full == ["1", "x", "y"]
 
     def test_the_hull_of_1_x_y_holds_every_exponent(self, monkeypatch):
         rest = [str(Poly.monomial(XY, e)) for e in monomials_below(2, 7)]
-        full = compared_in_full(monkeypatch, _action_certificate, ["1", "x", "y"] + rest)
-        assert full == ["1", "x", "y"]
+        assert proved_in_turn(monkeypatch, _action_certificate, rest) == ["1", "x", "y"]
+
+    def test_an_affine_defect_off_1_and_x_is_caught_at_y(self, monkeypatch):
+        assert proved_in_turn(monkeypatch, _action_certificate, ["x^2"], affine_defect_at_y) is None
 
     def test_powers_6_compares_three_monomials(self, monkeypatch):
         seen = record_targets(monkeypatch)
         report = invariants(factored([("x", 6)], "x^6+y^6"), weights=(1, 1))
         assert len(report.a_action) == 61
-        assert seen == [("x^5", True), ("x^6", True), ("x^5*y", True)]
+        assert seen[0] == ("x^5", True)
+        assert compared_in_full(seen) == ["1", "x", "y"]
 
     def test_polynomial_classes_are_proved_by_linearity(self, monkeypatch):
         # (x^3 + y^3)^2: the classes h, h x, h y, h x y with h = x^3 + y^3,
-        # then 1, x, y, x y; the monomials of h and h x complete the frame,
-        # and h y, h x y and the monomial classes take no check
+        # then 1, x, y, x y; the first monomial x^3 of h proves the frame,
+        # and every other monomial takes no check
         seen = record_targets(monkeypatch)
         report = invariants(factored([("x^3+y^3", 2)]), weights=(1, 1))
         assert [str(rep) for rep in report.basis_mu] == [
@@ -1149,11 +1174,12 @@ class TestAffineFrame:
         ]
         for rep, c in report.a_action:
             assert c == Fraction(rep.total_degree() + 2, 6)
-        assert seen == [("x^3", True), ("y^3", True), ("x^4", True)]
+        assert seen[0] == ("x^3", True)
+        assert compared_in_full(seen) == ["1", "x", "y"]
 
-    def test_a_zero_omega_never_joins_the_frame(self, monkeypatch):
+    def test_a_zero_omega_needs_no_frame(self, monkeypatch):
         # x^2 y^2: omega is 0 at both classes x y and 1, so each is proved
-        # by eta = 0 alone, as by the per-class loop, and neither joins
+        # by eta = 0 alone, as by the per-class loop, and no frame is run
         seen = record_targets(monkeypatch)
         report = invariants(factored([("x", 2), ("y", 2)]), weights=(1, 1))
         assert [str(rep) for rep, _ in report.a_action] == ["x*y", "1"]

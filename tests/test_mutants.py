@@ -10,8 +10,8 @@ missing cofactor), the derivation term of the (a,b)-module operator, the
 Nakayama stop of mu, the Bezout bound of the colength scans, the nu
 target stop, the re-read one order on of the nu predictor, the early unit
 return of the isolation test, the affine frame of the a-action certificate
-completed one point early, the count's non-leads returned as the
-unweighted basis, the normaliser of ``poly._exact_nonzero``, the certified
+one point short, the count's non-leads returned as the unweighted
+basis, the normaliser of ``poly._exact_nonzero``, the certified
 colon of the saturation (the lead test dropped, the wrong variable
 stripped), the known basis of an elimination (raw generators as the known
 basis, the known x new S-pairs dropped), the exact quotient coefficient
@@ -65,7 +65,7 @@ from test_ab_module import (
     generator,
     reference_check_commutation,
 )
-from test_curve import COLLINEAR_THEN_Y, compared_in_full, failed_on, shifted_on
+from test_curve import affine_defect_at_y, failed_on, proved_in_turn, shifted_on
 from test_groebner import (
     ideal,
     reduced_basis,
@@ -147,14 +147,12 @@ class TestAActionMutants:
 
 
 class TestAffineFrameMutant:
-    def test_a_frame_complete_one_point_early_is_caught(self, monkeypatch):
-        # at rank n the hull of x and x^2 is their line, yet the mutant
-        # takes it for the plane and proves y with no check
-        assert compared_in_full(monkeypatch, _action_certificate, COLLINEAR_THEN_Y) == [
-            "x", "x^2", "y"
-        ]
-        early = mutated(_action_certificate, "if frame.rank > n:", "if frame.rank >= n:")
-        assert compared_in_full(monkeypatch, early, COLLINEAR_THEN_Y) == ["x", "x^2"]
+    def test_a_frame_one_point_short_is_caught(self, monkeypatch):
+        # the hull of 1 and x is the line y = 0: the mutant takes it for
+        # the plane and misses a defect that is affine in t and 0 there
+        short = mutated(_action_certificate, "in range(-1, n)]", "in range(-1, n - 1)]")
+        assert proved_in_turn(monkeypatch, short, ["x^2"], affine_defect_at_y) == ["1", "x"]
+        assert proved_in_turn(monkeypatch, _action_certificate, ["x^2"], affine_defect_at_y) is None
 
 
 def without_derivation_term(module: ABModule, order: int):
