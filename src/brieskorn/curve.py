@@ -177,8 +177,10 @@ def check_hypotheses(curve: FactoredCurve) -> bool:
     last clause: one past its colength bound means a factor through 0
     shared by g_i and g_j, which divides alpha; once all stop, alpha is
     a unit times dg near a point of one reduced part g alone, and df = 0
-    off f = 0 only at 0, so (a, b) is isolated (README).  Raises
-    InputError naming the first violated clause (``invariants``).
+    off f = 0 only at 0, so (a, b) is isolated (README).  Conversely each
+    failed clause makes (a, b) not isolated, so on graded input the stop
+    of the scan of (a, b) alone proves every clause.  Raises InputError
+    naming the first violated clause (``invariants``).
     """
     variables = curve.variables
     f = curve.expand()
@@ -296,6 +298,9 @@ def invariants(
     No Groebner basis runs: the stops of the scans (``local_quotient``) of
     every (g_x, g_y), (g_i, g_j) and (a, b) prove every clause of
     ``check_hypotheses``, which runs on an InputError to name the clause.
+    With ``weights`` b_1 has no scans, and the stop of (a, b) alone proves
+    every clause: each failed clause puts a factor through 0 into both
+    coefficients of alpha (README).
     Nor does a general saturation: sat(J) = (h), h = u_1^(p_1-1) ...
     u_k^(p_k-1).  df = h alpha with the coefficients (a, b) of alpha
     m-primary, so J = h (a, b).  The associated primes of the principal
@@ -316,14 +321,16 @@ def invariants(
     field = annihilator_field(curve)
     try:
         ws = WeightSystem.for_poly(f, weights) if weights is not None else None
-        # the b_1 stops prove (a, b) isolated, so the mu scan always stops
-        betti = milnor_fibre_betti(curve, ws)
+        # jet input: the b_1 stops prove (a, b) isolated, so the mu scan stops
+        betti = milnor_fibre_betti(curve) if ws is None else None
         mu_value, mu_basis = local_quotient(
             IdealGens.of(curve.variables, field.coefficients), ws
         )
     except InputError:
         check_hypotheses(curve)  # names the first violated clause, if any
         raise
+    if ws is not None:  # the stop of (a, b) proved the clauses of the closed forms
+        betti = milnor_fibre_betti(curve, ws)
     sat = IdealGens.of(curve.variables, [h])
     nu_res = twisted_quotient_dim(sat, field, betti - mu_value, ws, jet_cap)
     basis_mu = tuple(
@@ -372,23 +379,35 @@ def milnor_fibre_betti(curve: FactoredCurve, ws: Optional[WeightSystem] = None) 
     (``check_hypotheses``).  A'Campo's formula ("La fonction zêta d'une
     monodromie", Comment. Math. Helv. 50, 1975) gives
     chi(F) = sum_i m_i (1 - mu(g_i) - sum_(j != i) (g_i . g_j)_0), and F
-    has gcd(m_i) components, so b_1 = gcd(m_i) - chi(F).  Each Milnor
-    number and intersection number is a colength certified by the scan
-    of ``local_quotient`` (weighted by ``ws``), counted with no basis
-    (``local_colength``)."""
+    has gcd(m_i) components, so b_1 = gcd(m_i) - chi(F).  Without ``ws``
+    each Milnor number and intersection number is a colength certified by
+    the scan of ``local_quotient``, counted with no basis
+    (``local_colength``).  With ``ws`` each part g, a factor of f, is
+    homogeneous of some degree d_g in the integer-scaled weights w, and
+    mu(g) = (d_g - w_x)(d_g - w_y) / (w_x w_y) (Milnor-Orlik, Topology 9,
+    1970; 0 for a smooth part), (g_i . g_j)_0 = d_i d_j / (w_x w_y)
+    (weighted Bezout).  These closed forms need the hypotheses proved
+    first: ``invariants`` proves them by the stop of the scan of (a, b)."""
     parts = list(curve.factors)
     if not curve.residual_is_constant:
         parts.append((curve.residual, 1))
-    chi = 0
-    for g, m in parts:
-        jacobian = jacobian_ideal(g)
-        milnor = 0 if jacobian.contains_unit() else local_colength(jacobian, ws)
-        chi += m * (1 - milnor)
-    for (g, m), (g2, m2) in combinations(parts, 2):
-        # (g_i . g_j)_0 enters the sums of both i and j
-        meet = local_colength(IdealGens.of(curve.variables, [g, g2]), ws)
-        chi -= (m + m2) * meet
-    return gcd(*(m for _, m in parts)) - chi
+    gs, ms = zip(*parts)
+    pairs = list(combinations(range(len(parts)), 2))
+    if ws is None:
+        milnor = [0 if (J := jacobian_ideal(g)).contains_unit() else local_colength(J) for g in gs]
+        meets = [local_colength(IdealGens.of(curve.variables, [gs[i], gs[j]])) for i, j in pairs]
+    else:
+        (wx, wy), _ = ws.integer_scaled()
+        found = [{wx * e + wy * e2 for e, e2 in g.terms} for g in gs]
+        if any(len(ds) != 1 for ds in found):
+            raise RuntimeError("internal invariant violation: a factor of f is not w-homogeneous")
+        degrees = [min(ds) for ds in found]
+        milnor = [(d - wx) * (d - wy) // (wx * wy) for d in degrees]
+        meets = [degrees[i] * degrees[j] // (wx * wy) for i, j in pairs]
+    # (g_i . g_j)_0 enters the sums of both i and j
+    chi = sum(m * (1 - mu) for m, mu in zip(ms, milnor))
+    chi -= sum((ms[i] + ms[j]) * meet for (i, j), meet in zip(pairs, meets))
+    return gcd(*ms) - chi
 
 
 # -- the a-action and its certificate -----------------------------------------

@@ -94,9 +94,9 @@ class DiffForm:
 
     def coefficient(self, indices: Sequence[int]) -> Poly:
         key, sign = _normalize_indices(indices, len(self.variables))
-        if key is None:
+        coeff = self.terms.get(key)  # a None key (a repeated index) is never stored
+        if coeff is None:
             return Poly.zero(self.variables)
-        coeff = self.terms.get(key, Poly.zero(self.variables))
         return coeff if sign == 1 else -coeff
 
     def _check(self, other: "DiffForm") -> None:

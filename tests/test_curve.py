@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import copy
 import io
+import itertools
 import json
 import random
 import re
@@ -46,6 +47,7 @@ from brieskorn.local_algebra import (
     common_denominator,
     integer_terms,
     jacobian_ideal,
+    local_colength,
     local_quotient,
     monomials_below,
     monomials_of_weighted_degree,
@@ -445,6 +447,32 @@ CLAUSES = [
         id="residual-not-reduced",
     ),
     pytest.param({"--factors": "x*(x+y):2,x*(x-y):2"}, ANNIHILATOR, id="annihilator"),
+    # graded input runs the scan of (a, b) first, and its refusal names the clause
+    pytest.param(
+        {"--factors": "x*y:2,x:2", "--weights": "1,1"},
+        "branches x*y and x are associate (identical branches)",
+        id="associate-graded",
+    ),
+    pytest.param(
+        {"--factors": "x:2", "--residual": "x*y", "--weights": "1,1"},
+        "branch x divides the residual x*y",
+        id="divides-residual-graded",
+    ),
+    pytest.param(
+        {"--factors": "x^2:2", "--weights": "1,1"},
+        "branch x^2 is not reduced: its singular locus is not isolated",
+        id="branch-not-reduced-graded",
+    ),
+    pytest.param(
+        {"--factors": "x:2", "--residual": "y^2", "--weights": "1,1"},
+        "residual y^2 is not reduced: its singular locus is not isolated",
+        id="residual-not-reduced-graded",
+    ),
+    pytest.param(
+        {"--factors": "x*(x+y):2,x*(x-y):2", "--weights": "1,1"},
+        ANNIHILATOR,
+        id="annihilator-graded",
+    ),
     # the weights do not grade f, and the curve is not isolated either: the
     # clause is named, not the weights
     pytest.param(
@@ -1372,6 +1400,60 @@ class TestMilnorFibreBetti:
     def test_equals_pinned_rank(self, curve, weights, rank):
         ws = WeightSystem.for_poly(curve.expand(), weights) if weights else None
         assert milnor_fibre_betti(curve, ws) == rank
+
+    @given(weighted_curves())
+    def test_graded_closed_forms_equal_the_scans(self, curve_and_weights):
+        assert_graded_betti_is_scanned(*curve_and_weights)
+
+    def test_a_part_that_the_weights_do_not_grade_is_an_internal_error(self):
+        # a certificate of f grades every factor of f, so a weight system
+        # of another polynomial is a defect of the caller
+        curve = factored([("x+y^2", 2), ("x-y", 2)])
+        with pytest.raises(RuntimeError, match="a factor of f is not w-homogeneous"):
+            milnor_fibre_betti(curve, WeightSystem((1, 1), 6))
+
+    @pytest.mark.parametrize("curve, weights, reference", corpus_cases())
+    def test_only_jet_input_scans_colengths(self, monkeypatch, curve, weights, reference):
+        # graded b_1 is read off integers, once the scan of (a, b) has
+        # proved the clauses; jet b_1 scans each singular part and each pair
+        calls = []
+
+        def counting(I, ws=None):
+            calls.append(ws)
+            return local_colength(I, ws)
+
+        monkeypatch.setattr("brieskorn.curve.local_colength", counting)
+        parts = curve_parts(curve)
+        scans = sum(not jacobian_ideal(g).contains_unit() for g in parts)
+        scans += len(parts) * (len(parts) - 1) // 2
+        if weights is not None:
+            invariants(curve, weights)
+            assert calls == []
+        else:
+            invariants(curve)
+            assert calls == [None] * scans
+
+
+def curve_parts(curve: FactoredCurve) -> list[Poly]:
+    """The reduced parts of A'Campo's formula: the branches and a
+    nonconstant residual."""
+    return [u for u, _ in curve.factors] + ([] if curve.residual_is_constant else [curve.residual])
+
+
+def assert_graded_betti_is_scanned(curve: FactoredCurve, weights, betti=milnor_fibre_betti):
+    """Graded b_1 (of ``betti``) equals the jet scans' b_1, and per part the
+    Milnor-Orlik number and per pair the weighted Bezout number equal the
+    weighted colength scans."""
+    ws = WeightSystem.for_poly(curve.expand(), weights)
+    assert betti(curve, ws) == milnor_fibre_betti(curve)
+    (wx, wy), scale = ws.integer_scaled()
+    parts = curve_parts(curve)
+    degree = {g: g.quasi_homogeneous_degree(ws.weights) * scale for g in parts}
+    for g in parts:
+        d = degree[g]
+        assert (d - wx) * (d - wy) == wx * wy * local_colength(jacobian_ideal(g), ws)
+    for g, g2 in itertools.combinations(parts, 2):
+        assert degree[g] * degree[g2] == wx * wy * local_colength(IdealGens.of(XY, [g, g2]), ws)
 
 
 def jet_corpus() -> list[FactoredCurve]:

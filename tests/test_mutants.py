@@ -5,18 +5,18 @@ A mutant that passes through the public API unnoticed would be a wrong
 answer the tests cannot see, so each mutant here is caught by one targeted
 call, not by rerunning the suite: a public call raises, or its answer
 differs from the test-side oracle that the suite compares it with.
-Covered: the a-action certificate (a wrong coefficient, a wrong target, a
-missing cofactor), the derivation term of the (a,b)-module operator, the
-Nakayama stop of mu, the Bezout bound of the colength scans, the nu
-target stop, the re-read one order on of the nu predictor, the early unit
-return of the isolation test, the affine frame of the a-action certificate
-one point short, the count's non-leads returned as the unweighted
-basis, the normaliser of ``poly._exact_nonzero``, the certified
-colon of the saturation (the lead test dropped, the wrong variable
-stripped), the known basis of an elimination (raw generators as the known
-basis, the known x new S-pairs dropped), the exact quotient coefficient
-and the exponent check of ``Poly.divide_exact``, and the ASCII escaping of
-the JSON writer.
+Covered: the a-action certificate (a wrong coefficient, a wrong target,
+a missing cofactor), the derivation term of the (a,b)-module operator,
+the Nakayama stop of mu, the Bezout bound of the colength scans, the
+weighted Bezout number of graded b_1, the nu target stop, the re-read
+one order on of the nu predictor, the early unit return of the isolation
+test, the affine frame of the a-action certificate one point short, the
+count's non-leads returned as the unweighted basis, the normaliser of
+``poly._exact_nonzero``, the certified colon of the saturation (the lead
+test dropped, the wrong variable stripped), the known basis of an
+elimination (raw generators as the known basis, the known x new S-pairs
+dropped), the exact quotient coefficient and the exponent check of
+``Poly.divide_exact``, and the ASCII escaping of the JSON writer.
 """
 
 from __future__ import annotations
@@ -65,7 +65,13 @@ from test_ab_module import (
     generator,
     reference_check_commutation,
 )
-from test_curve import affine_defect_at_y, failed_on, proved_in_turn, shifted_on
+from test_curve import (
+    affine_defect_at_y,
+    assert_graded_betti_is_scanned,
+    failed_on,
+    proved_in_turn,
+    shifted_on,
+)
 from test_groebner import (
     ideal,
     reduced_basis,
@@ -208,7 +214,28 @@ class TestNakayamaStopMutant:
             "brieskorn.local_algebra._nakayama_order",
             lambda counts, bound: max(1, _nakayama_order(counts, bound) - 1),
         )
-        assert invariants(SQUARED_CUSP, weights).mu == 1
+        if weights is None:
+            assert invariants(SQUARED_CUSP, weights).mu == 1
+        else:
+            # graded b_1 comes from closed forms, not from the early scans, so
+            # the nu target b_1 - 1 of the early mu is never reached
+            with pytest.raises(InconclusiveError, match="did not reach the target nu"):
+                invariants(SQUARED_CUSP, weights)
+
+
+class TestWeightedBezoutMutant:
+    def test_a_bezout_number_without_w_y_is_caught_by_the_scans(self):
+        # y and x^2 - y^5 under the weights (5, 2) meet with multiplicity
+        # 2 * 10 / (5 * 2) = 2; without the / w_y the closed form reads 4
+        curve = FactoredCurve.of(XY, [(p("y"), 3), (p("x^2-y^5"), 3)])
+        wrong = mutated(
+            milnor_fibre_betti,
+            "degrees[i] * degrees[j] // (wx * wy)",
+            "degrees[i] * degrees[j] // wx",
+        )
+        assert_graded_betti_is_scanned(curve, (5, 2))
+        with pytest.raises(AssertionError):
+            assert_graded_betti_is_scanned(curve, (5, 2), betti=wrong)
 
 
 class TestColengthBoundMutant:
