@@ -15,6 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 from .errors import InconclusiveError, InputError
@@ -190,29 +191,25 @@ def tensor(left: ABModule, right: ABModule, label: str = "") -> ABModule:
     if left.trunc_order != right.trunc_order:
         raise InputError("tensor factors must share the truncation order")
     rank = left.rank * right.rank
-    order = left.trunc_order
-    zero = [0] * order
 
     def index(i: int, j: int) -> int:
         return i * right.rank + j
 
-    matrix = [[list(zero) for _ in range(rank)] for _ in range(rank)]
+    # a cell grows only where a nonzero entry of either factor adds into it
+    matrix: list[list[list[Scalar]]] = [[[] for _ in range(rank)] for _ in range(rank)]
     for i in range(left.rank):
         for j in range(right.rank):
             col = index(i, j)
-            for k in range(left.rank):
-                entry = left.a_matrix[k][i]
-                row = index(k, j)
+            cells = [(index(k, j), left.a_matrix[k][i]) for k in range(left.rank)]
+            cells += [(index(i, l), right.a_matrix[l][j]) for l in range(right.rank)]
+            for row, entry in filter(itemgetter(1), cells):
+                cell = matrix[row][col]
+                cell.extend([0] * (len(entry) - len(cell)))
                 for power, coeff in enumerate(entry):
-                    matrix[row][col][power] += coeff
-            for l in range(right.rank):
-                entry = right.a_matrix[l][j]
-                row = index(i, l)
-                for power, coeff in enumerate(entry):
-                    matrix[row][col][power] += coeff
+                    cell[power] += coeff
     if not label:
         label = f"({left.label or 'E'}) (x) ({right.label or 'F'})"
-    return ABModule(rank, order, matrix, label=label)
+    return ABModule(rank, left.trunc_order, matrix, label=label)
 
 
 def is_simple_pole(module: ABModule) -> bool:

@@ -175,14 +175,14 @@ def _curve_from_args(args) -> tuple[FactoredCurve, tuple[str, ...]]:
 def _cmd_invariants(args, out) -> int:
     curve, variables = _curve_from_args(args)
     weights = _parse_weights(args.weights)
+    start = time.perf_counter()
+    report = invariants(curve, weights, jet_cap=args.jet_cap)
     echo = {
-        "f": str(curve.expand()),
+        "f": report.f,
         "factored": str(curve),
         "variables": ",".join(variables),
         "weights": args.weights or "",
     }
-    start = time.perf_counter()
-    report = invariants(curve, weights, jet_cap=args.jet_cap)
     report_dict = report.to_dict()
     if args.check_witness:
         order = max(curve.expand().total_degree() + 2, 12)
@@ -206,17 +206,17 @@ def _cmd_suspend(args, out) -> int:
     if not isolated_vars:
         raise InputError("could not infer variables of the isolated germ")
     germ_poly = parse_polynomial(args.isolated, isolated_vars)
+    start = time.perf_counter()
+    germ = milnor_isolated(germ_poly)
+    curve_report = invariants(curve, weights, jet_cap=args.jet_cap)
     echo = {
         "isolated": str(germ_poly),
         "isolated_variables": ",".join(isolated_vars),
-        "g": str(curve.expand()),
+        "g": curve_report.f,
         "factored": str(curve),
         "variables": ",".join(variables),
         "weights": args.weights or "",
     }
-    start = time.perf_counter()
-    germ = milnor_isolated(germ_poly)
-    curve_report = invariants(curve, weights, jet_cap=args.jet_cap)
     result = suspend(germ, curve_report, trunc_order=args.trunc)
     report_dict = result.to_dict()
     report_dict["isolated"] = germ.to_dict()

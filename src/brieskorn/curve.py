@@ -54,9 +54,10 @@ class FactoredCurve:
     def __init__(
         self, variables: tuple[str, str], factors: tuple[tuple[Poly, int], ...], residual: Poly
     ) -> None:
-        f, h = residual, Poly.constant(variables, 1)
-        for u, p in factors:
-            f, h = f * u**p, h * u ** (p - 1)
+        f, h = residual, None
+        for u, p in factors:  # one u^(p-1) serves both f and h
+            power = u ** (p - 1)
+            f, h = f * (power * u), power if h is None else h * power
         alpha = [f.derivative(v).divide_exact(h) for v in variables]
         if any(a is None for a in alpha):  # f = h u_1 ... u_k psi
             raise RuntimeError(
@@ -333,17 +334,15 @@ def invariants(
         betti = milnor_fibre_betti(curve, ws)
     sat = IdealGens.of(curve.variables, [h])
     nu_res = twisted_quotient_dim(sat, field, betti - mu_value, ws, jet_cap)
+    # the scans give valid exponents: the classes h x^m and x^m need no checks
     basis_mu = tuple(
         sorted(
-            (Poly(curve.variables, shifted_terms(h.terms.items(), e)) for e in mu_basis),
+            (Poly._trusted(curve.variables, shifted_terms(h.terms.items(), e)) for e in mu_basis),
             key=_basis_sort_key,
         )
     )
     basis_nu = tuple(
-        sorted(
-            (Poly.monomial(curve.variables, e) for e in nu_res.basis),
-            key=_basis_sort_key,
-        )
+        sorted((Poly._trusted(curve.variables, {e: 1}) for e in nu_res.basis), key=_basis_sort_key)
     )
     action = None
     if ws is not None:

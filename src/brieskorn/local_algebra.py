@@ -404,10 +404,10 @@ def local_quotient(
     return len(basis), basis
 
 
-def local_colength(I: IdealGens, weights: Optional[WeightSystem] = None) -> int:
-    """dim O/I at the origin by the scan of ``local_quotient``, with no
-    basis: the exact count at its Nakayama stop."""
-    counts = _JetCounts(I, weights=weights)
+def local_colength(I: IdealGens) -> int:
+    """dim O/I at the origin by the unweighted scan of ``local_quotient``,
+    with no basis: the exact count at its Nakayama stop."""
+    counts = _JetCounts(I)
     return counts.quotient_dim(_nakayama_order(counts, _colength_bound(I)))
 
 

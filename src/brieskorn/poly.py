@@ -34,8 +34,17 @@ def exact_scalar(value: Scalar) -> Scalar:
 
 
 def _exact_nonzero(terms: dict[Exponents, Scalar]) -> dict[Exponents, Scalar]:
-    """The nonzero entries of an arithmetic result, each by ``exact_scalar``."""
-    return {e: exact_scalar(c) for e, c in terms.items() if c}
+    """The nonzero entries of an arithmetic result: an int as it is, any
+    other value by ``exact_scalar``."""
+    return {e: c if type(c) is int else exact_scalar(c) for e, c in terms.items() if c}
+
+
+def _ring(variables: Sequence[str]) -> tuple[str, ...]:
+    """The variable names as a tuple; InputError on a repeated name."""
+    variables = tuple(variables)
+    if len(set(variables)) != len(variables):
+        raise InputError(f"duplicate variable names in {variables!r}")
+    return variables
 
 
 def _add_shifted(target: dict, scale: Scalar, terms: Mapping, shift: tuple[int, ...]) -> None:
@@ -73,9 +82,7 @@ class Poly:
     __slots__ = ("variables", "terms")
 
     def __init__(self, variables: Sequence[str], terms: Mapping[Exponents, Scalar]):
-        variables = tuple(variables)
-        if len(set(variables)) != len(variables):
-            raise InputError(f"duplicate variable names in {variables!r}")
+        variables = _ring(variables)
         clean: dict[Exponents, Scalar] = {}
         for exps, coeff in terms.items():
             exps = tuple(exps)
@@ -116,21 +123,24 @@ class Poly:
 
     @classmethod
     def constant(cls, variables: Sequence[str], value: Scalar) -> "Poly":
-        return cls(variables, {(0,) * len(tuple(variables)): value})
+        variables = tuple(variables)
+        return cls.monomial(variables, (0,) * len(variables), value)
 
     @classmethod
     def variable(cls, variables: Sequence[str], name: str) -> "Poly":
-        variables = tuple(variables)
+        variables = _ring(variables)
         if name not in variables:
             raise InputError(f"unknown variable {name!r} (ring has {variables})")
-        exps = tuple(1 if v == name else 0 for v in variables)
-        return cls(variables, {exps: 1})
+        return cls._trusted(variables, {tuple(int(v == name) for v in variables): 1})
 
     @classmethod
     def monomial(
         cls, variables: Sequence[str], exponents: Sequence[int], coefficient: Scalar = 1
     ) -> "Poly":
-        return cls(variables, {tuple(exponents): coefficient})
+        variables, exps = _ring(variables), tuple(exponents)
+        if type(coefficient) is not int or len(exps) != len(variables) or min(exps, default=0) < 0:
+            return cls(variables, {exps: coefficient})  # validates, or raises
+        return cls._trusted(variables, {exps: coefficient} if coefficient else {})
 
     # -- basic queries -----------------------------------------------------
 
@@ -220,14 +230,16 @@ class Poly:
     def __pow__(self, exponent: int) -> "Poly":
         if not isinstance(exponent, int) or exponent < 0:
             raise InputError("polynomial powers must be nonnegative integers")
-        result = Poly.constant(self.variables, 1)
-        base = self
-        n = exponent
-        while n:
+        if not exponent:
+            return Poly.constant(self.variables, 1)
+        base, n = self, exponent
+        while not n & 1:  # square off the low zero bits: base = self^(2^j)
+            base, n = base * base, n >> 1
+        result = base
+        while n > 1:
+            base, n = base * base, n >> 1
             if n & 1:
                 result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
         return result
 
     def derivative(self, variable: str) -> "Poly":
@@ -257,6 +269,18 @@ class Poly:
             if v not in mapping:
                 raise InputError(f"no substitution image for variable {v!r}")
             images.append(mapping[v])
+        # every image a variable x_k of the ring: move each exponent to k
+        units = [next(iter(img.terms.items())) for img in images if len(img.terms) == 1]
+        slots = [e.index(1) for e, c in units if c == 1 and sum(e) == 1]
+        if len(slots) == len(images):
+            out: dict[Exponents, Scalar] = {}
+            for exps, coeff in self.terms.items():
+                key = [0] * len(ring)
+                for k, e in zip(slots, exps):
+                    key[k] += e
+                key = tuple(key)
+                out[key] = out.get(key, 0) + coeff
+            return Poly._trusted(ring, _exact_nonzero(out))
         result = Poly.zero(ring)
         for exps, coeff in self.terms.items():
             term = Poly.constant(ring, coeff)
@@ -269,8 +293,8 @@ class Poly:
     def lowest_monic(self) -> "Poly":
         """This nonzero polynomial scaled so that its lowest term in
         ``graded_key`` order has coefficient 1."""
-        low = min(self.terms, key=graded_key)
-        return self * Fraction(1, self.terms[low])
+        low = self.terms[min(self.terms, key=graded_key)]
+        return self if type(low) is int and low == 1 else self * Fraction(1, low)
 
     # -- division ----------------------------------------------------------
 
@@ -286,12 +310,16 @@ class Poly:
         quotient: dict[Exponents, Scalar] = {}
         rem = dict(self.terms)
         lead_e, lead_c = divisor._leading()
+        int_lead = type(lead_c) is int
         while rem:
             top = max(rem, key=lambda e: (sum(e), e))
             qe = tuple(a - b for a, b in zip(top, lead_e))
             if any(e < 0 for e in qe):
                 return None
-            qc = quotient[qe] = exact_scalar(Fraction(rem[top], lead_c))
+            rc = rem[top]
+            # an int quotient of ints by //, any other by one Fraction
+            exact = int_lead and type(rc) is int and not rc % lead_c
+            qc = quotient[qe] = rc // lead_c if exact else exact_scalar(Fraction(rc, lead_c))
             _add_shifted(rem, -qc, divisor.terms, qe)
         return Poly._trusted(self.variables, quotient)
 

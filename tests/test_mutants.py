@@ -16,7 +16,8 @@ count's non-leads returned as the unweighted basis, the normaliser of
 test dropped, the wrong variable stripped), the known basis of an
 elimination (raw generators as the known basis, the known x new S-pairs
 dropped), the exact quotient coefficient and the exponent check of
-``Poly.divide_exact``, and the ASCII escaping of the JSON writer.
+``Poly.divide_exact``, the re-indexing of ``Poly.substitute`` and the
+ASCII escaping of the JSON writer.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ from test_groebner import (
     reference_isolated,
     reference_torsion_length,
 )
-from test_poly import assert_exact
+from test_poly import assert_exact, reference_substitute
 
 XY = ("x", "y")
 
@@ -364,15 +365,16 @@ class TestKnownBasisMutants:
 
 class TestExactDivisionMutants:
     def test_true_division_of_the_quotient_coefficient_raises(self, monkeypatch):
-        # the rule "rc / lead_c" restored: int / int is a float, which no
-        # coefficient may be
+        # the int rule "rc // lead_c" as "rc / lead_c": int / int is a float,
+        # which no coefficient may be; the next quotient step refuses it in
+        # its Fraction, and the pipeline in exact_scalar
         assert p("x^2 - y^2").divide_exact(p("x + y")) == p("x - y")
-        slash = mutated(Poly.divide_exact, "Fraction(rem[top], lead_c)", "rem[top] / lead_c")
+        slash = mutated(Poly.divide_exact, "rc // lead_c", "rc / lead_c")
         monkeypatch.setattr(Poly, "divide_exact", slash)
-        with pytest.raises(TypeError, match="got float"):
+        with pytest.raises(TypeError):
             p("x^2 - y^2").divide_exact(p("x + y"))
         with pytest.raises(TypeError, match="got float"):
-            golden_sextic()
+            invariants(golden_sextic())
 
     def test_a_dropped_exponent_check_is_caught(self, monkeypatch):
         # x^2 + y = x * x + x^(-1) y * x: without the check the remainder
@@ -387,6 +389,19 @@ class TestExactDivisionMutants:
         assert p("x^2 + y").divide_exact(p("x")) is not None
         with pytest.raises(InputError, match="branches x and y are associate"):
             check_hypotheses(lines)
+
+
+class TestSubstituteMutant:
+    def test_swapped_target_positions_are_caught_by_the_general_route(self, monkeypatch):
+        # x^2 y with x -> z, y -> w re-indexed into (w, z) is w z^2; with the
+        # two target positions swapped it would be w^2 z
+        ring = ("w", "z")
+        images = {"x": Poly.variable(ring, "z"), "y": Poly.variable(ring, "w")}
+        assert p("x^2*y").substitute(images) == reference_substitute(p("x^2*y"), images)
+        swapped = mutated(Poly.substitute, "zip(slots, exps)", "zip(slots[::-1], exps)")
+        monkeypatch.setattr(Poly, "substitute", swapped)
+        assert p("x^2*y").substitute(images) == parse_polynomial("w^2*z", ring)
+        assert p("x^2*y").substitute(images) != reference_substitute(p("x^2*y"), images)
 
 
 class TestIsolationMutant:

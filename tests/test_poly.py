@@ -335,3 +335,60 @@ class TestExactScalars:
         for result, reference in pairs:
             assert result == reference
             assert_exact(result)
+
+
+def reference_substitute(poly: Poly, mapping) -> Poly:
+    """The general route of ``Poly.substitute``: each term is its coefficient
+    times the product of the powers of its variables' images."""
+    ring = next(iter(mapping.values())).variables
+    result = Poly.zero(ring)
+    for exps, coeff in poly.terms.items():
+        term = Poly.constant(ring, coeff)
+        for name, e in zip(poly.variables, exps):
+            term = term * mapping[name] ** e
+        result = result + term
+    return result
+
+
+class TestFastPaths:
+    """The integer and variable-image shortcuts of the kernel give what the
+    general routes give, and hold only exact coefficients (for +, *, **,
+    derivative and divide_exact also ``test_mixed_coefficients_compute_as_fractions``)."""
+
+    @given(mixed_polys(max_degree=2, max_terms=3), st.integers(min_value=0, max_value=5))
+    def test_power_is_the_product_of_copies(self, a, n):
+        product = Poly.constant(XY, 1)
+        for _ in range(n):
+            product = product * a
+        assert a**n == product
+        assert_exact(a**n)
+
+    @given(mixed_polys(), mixed_polys(), st.one_of(st.integers(-3, 3), fractions()))
+    def test_exact_division_recovers_the_cofactor(self, a, b, c):
+        if not b:
+            return
+        assert (a * b).divide_exact(b) == a
+        assert_exact((a * b).divide_exact(b))
+        if not b.is_constant() and c:
+            # b divides a b + c only if b divides the unit c
+            assert (a * b + Poly.constant(XY, c)).divide_exact(b) is None
+
+    @given(mixed_polys())
+    def test_lowest_monic_is_idempotent(self, a):
+        if not a:
+            return
+        monic = a.lowest_monic()
+        assert monic.lowest_monic() == monic
+        assert_exact(monic)
+
+    @given(
+        mixed_polys(),
+        st.lists(st.sampled_from(("u", "v", "w")), min_size=2, max_size=2),
+        st.sampled_from([("u", "v", "w"), ("w", "v", "u"), ("v", "w", "u")]),
+    )
+    def test_variable_images_match_the_general_route(self, a, names, ring):
+        # images may repeat a variable, so terms can merge and cancel
+        mapping = {v: Poly.variable(ring, name) for v, name in zip(XY, names)}
+        result = a.substitute(mapping)
+        assert result == reference_substitute(a, mapping)
+        assert_exact(result)
