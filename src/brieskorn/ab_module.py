@@ -7,13 +7,17 @@ multiplication, and a acts by a matrix of b-polynomials plus the
 derivation rule  b^k e -> k b^(k+1) e  forced by the commutation law.
 
 The module also houses a free-algebra normal-ordering engine for words
-in a and b, which decides the operator identities.
+in a and b, which decides the operator identities.  It moves whole letter
+runs by the closed form  a^l b^r = sum_(k=0..l) c(l,k) b^(r+k) a^(l-k),
+c(l,k) = C(l,k) r(r+1)...(r+k-1), from [a, b^r] = r b^(r+1): a times
+a^l b^r gives c(l+1,k) = c(l,k) + (r+k-1) c(l,k-1), and Pascal's rule
+finishes the induction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from itertools import groupby
 from math import comb, factorial, lcm
 from operator import itemgetter
 from typing import Mapping, Sequence
@@ -97,19 +101,18 @@ class ABModule:
         """Inverse of ``to_record``; InputError on a malformed record."""
         try:
             order = record["trunc_order"]
-            matrix = []
-            for row in record["a_matrix"]:
-                new_row = []
-                for entry in row:
-                    coeffs = [0] * order
-                    for power, text in entry:
-                        if not 0 <= power < order:
-                            raise InputError(
-                                f"b-power {power} outside the truncation 0..{order - 1}"
-                            )
-                        coeffs[power] = parse_fraction(text)
-                    new_row.append(coeffs)
-                matrix.append(new_row)
+
+            def cell(entry) -> list[Scalar]:
+                coeffs: list[Scalar] = []
+                for power, text in entry:
+                    if not 0 <= power < order:
+                        raise InputError(f"b-power {power} outside the truncation 0..{order - 1}")
+                    while len(coeffs) <= power:
+                        coeffs.append(0)
+                    coeffs[power] = parse_fraction(text)
+                return coeffs
+
+            matrix = [[cell(entry) for entry in row] for row in record["a_matrix"]]
             return cls(record["rank"], order, matrix, label=record.get("label", ""))
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             kind = type(exc).__name__
@@ -166,7 +169,7 @@ def check_commutation(module: ABModule) -> bool:
         a(b^(t+1) e) - b a(b^t e) = b^(t+2) e,
 
     term by term on the integer columns, that is
-    col(j, t+1) - b col(j, t) = D e_(j, t+2).  Both operators never lower
+    col(j, t+1) = b col(j, t) + D e_(j, t+2).  Both operators never lower
     the b-degree, so every represented component is exact.  Without the
     derivation term the matrix parts cancel and the check fails for N >= 3.
     """
@@ -175,9 +178,9 @@ def check_commutation(module: ABModule) -> bool:
     for (j, t), column in columns.items():
         if t + 2 >= order:
             continue
-        diff = dict(columns[(j, t + 1)])
-        vec_axpy(diff, -1, _shift(column, 1, order))
-        if diff != {(j, t + 2): scale}:
+        expected = _shift(column, 1, order)
+        vec_axpy(expected, scale, {(j, t + 2): 1})
+        if columns[(j, t + 1)] != expected:
             return False
     return True
 
@@ -281,15 +284,13 @@ class OperatorWord:
         raise AttributeError("OperatorWord is immutable")
 
     @classmethod
-    def letter(cls, name: str) -> "OperatorWord":
-        return cls({(name,): 1})
-
-    @classmethod
     def one(cls) -> "OperatorWord":
         return cls({(): 1})
 
     @classmethod
     def monomial(cls, b_power: int, a_power: int, coeff: Scalar = 1) -> "OperatorWord":
+        if min(b_power, a_power) < 0:
+            raise InputError("monomial powers must be nonnegative integers")
         return cls({("b",) * b_power + ("a",) * a_power: coeff})
 
     def __add__(self, other: "OperatorWord") -> "OperatorWord":
@@ -317,6 +318,8 @@ class OperatorWord:
         return self.__mul__(other)
 
     def __pow__(self, n: int) -> "OperatorWord":
+        if not isinstance(n, int) or n < 0:
+            raise InputError("word powers must be nonnegative integers")
         result = OperatorWord.one()
         for _ in range(n):
             result = result * self
@@ -340,41 +343,36 @@ class OperatorWord:
         return f"OperatorWord({str(self)!r})"
 
 
-@lru_cache(maxsize=None)
 def _reorder_a_powers(a_power: int, b_power: int) -> tuple[tuple[int, int, int], ...]:
-    """Normal form of a^j b^k as tuples (b exponent, a exponent, coeff); the
-    coefficients are integers."""
-    if a_power == 0:
-        return (((b_power, 0, 1),))
-    acc: dict[tuple[int, int], int] = {}
-    for i, l, c in _reorder_a_powers(a_power - 1, b_power):
-        # a * b^i a^l = b^i a^(l+1) + i b^(i+1) a^l
-        acc[(i, l + 1)] = acc.get((i, l + 1), 0) + c
-        if i:
-            acc[(i + 1, l)] = acc.get((i + 1, l), 0) + c * i
-    return tuple((i, l, c) for (i, l), c in sorted(acc.items()) if c != 0)
+    """a^l b^r as (b exponent, a exponent, coeff) tuples by the closed form of the
+    module docstring: each coefficient is exactly (l-k+1)(r+k-1)/k times the last."""
+    terms, c = [(b_power, a_power, 1)], 1
+    for k in range(1, a_power + 1 if b_power else 1):
+        c = c * (a_power - k + 1) * (b_power + k - 1) // k
+        terms.append((b_power + k, a_power - k, c))
+    return tuple(terms)
 
 
 def normal_order(word: OperatorWord) -> OperatorWord:
     """Canonical b-left normal form: a sum of terms b^i a^j.
 
-    Uses the memoized single-letter recurrence.  The recurrence's
-    coefficients are integers, so sums stay in the word's own coefficient
-    type.
+    Reads each word as runs of equal letters: an a-run adds to the
+    a-exponent, a b-run moves past a^l in one step by the integer closed
+    form, so sums stay in the word's own coefficient type.
     """
     total: dict[tuple[int, int], Scalar] = {}
     for letters, coeff in word.terms.items():
         state: dict[tuple[int, int], Scalar] = {(0, 0): coeff}
-        for letter in letters:
+        for letter, run in groupby(letters):
+            r = len(list(run))  # not tuple(): it resizes and strands free-list blocks
+            if letter == "a":
+                state = {(i, l + r): c for (i, l), c in state.items()}
+                continue
             nxt: dict[tuple[int, int], Scalar] = {}
             for (i, l), c in state.items():
-                if letter == "a":
-                    key = (i, l + 1)
-                    nxt[key] = nxt.get(key, 0) + c
-                else:
-                    for i2, l2, c2 in _reorder_a_powers(l, 1):
-                        key = (i + i2, l2)
-                        nxt[key] = nxt.get(key, 0) + c * c2
+                for i2, l2, c2 in _reorder_a_powers(l, r):
+                    key = (i + i2, l2)
+                    nxt[key] = nxt.get(key, 0) + c * c2
             state = {k: v for k, v in nxt.items() if v != 0}
         for key, value in state.items():
             total[key] = total.get(key, 0) + value
@@ -389,12 +387,7 @@ def factorial_identity_holds(n: int) -> bool:
     exactly, via the normal-ordering engine."""
     if n < 1:
         raise InputError("the identity is stated for n >= 1")
-    a = OperatorWord.letter("a")
-    b = OperatorWord.letter("b")
-    rhs = OperatorWord({})
-    for j in range(n + 1):
-        term = (b**j) * (a**n) * (b ** (n - j))
-        rhs = rhs + ((-1) ** j * comb(n, j)) * term
+    words = (("b",) * j + ("a",) * n + ("b",) * (n - j) for j in range(n + 1))
+    rhs = OperatorWord({w: (-1) ** j * comb(n, j) for j, w in enumerate(words)})
     lhs = OperatorWord({("b",) * (2 * n): factorial(n)})
     return normal_order(rhs) == lhs
-

@@ -34,7 +34,7 @@ from .ab_module import (
 from .curve import FactoredCurve, invariants, torsion_free_witness
 from .errors import BrieskornError, InconclusiveError, InputError, ParseError
 from .local_algebra import DEFAULT_JET_CAP
-from .poly import Poly, Scalar, parse_fraction, parse_polynomial
+from .poly import Poly, PolyNames, Scalar, parse_fraction, parse_polynomial
 from .suspension import milnor_isolated, suspend, verify_suspension_direct
 
 EXIT_OK = 0
@@ -209,18 +209,17 @@ def _cmd_suspend(args, out) -> int:
     start = time.perf_counter()
     germ = milnor_isolated(germ_poly)
     curve_report = invariants(curve, weights, jet_cap=args.jet_cap)
+    names = PolyNames()
     echo = {
-        "isolated": str(germ_poly),
+        "isolated": germ.f,
         "isolated_variables": ",".join(isolated_vars),
         "g": curve_report.f,
-        "factored": str(curve),
+        "factored": curve.text(names),
         "variables": ",".join(variables),
         "weights": args.weights or "",
     }
     result = suspend(germ, curve_report, trunc_order=args.trunc)
-    report_dict = result.to_dict()
-    report_dict["isolated"] = germ.to_dict()
-    report_dict["curve"] = curve_report.to_dict()
+    report_dict = result.to_dict(names)
     if args.verify_direct:
         check = verify_suspension_direct(germ, curve, curve_report)
         report_dict["direct_check"] = check.to_dict()

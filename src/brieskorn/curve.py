@@ -41,7 +41,7 @@ from .local_algebra import (
     shifted_terms,
     twisted_quotient_dim,
 )
-from .poly import Exponents, Poly, WeightSystem, format_fraction, graded_key, listing_key
+from .poly import Exponents, Poly, PolyNames, WeightSystem, format_fraction, graded_key, listing_key
 
 
 class FactoredCurve:
@@ -144,11 +144,15 @@ class FactoredCurve:
         """The product u_1^(p_1-1) ... u_k^(p_k-1)."""
         return self._h
 
-    def __str__(self) -> str:
-        pieces = [f"({u})^{p}" for u, p in self.factors]
+    def text(self, names: Optional[PolyNames] = None) -> str:
+        """The factored form, each polynomial named through ``names``."""
+        name = str if names is None else names.__getitem__
+        pieces = [f"({name(u)})^{p}" for u, p in self.factors]
         if not self.residual_is_constant or self.residual.constant_value() != 1:
-            pieces.append(f"({self.residual})")
+            pieces.append(f"({name(self.residual)})")
         return " * ".join(pieces)
+
+    __str__ = text
 
 
 def annihilator_form(curve: FactoredCurve) -> DiffForm:
@@ -253,10 +257,11 @@ class InvariantReport(NamedTuple):
     def basis(self) -> tuple[Poly, ...]:
         return self.basis_mu + self.basis_nu
 
-    def to_dict(self) -> dict:
-        # each basis class is printed once: a_action lists the same objects
-        names = {id(p): str(p) for p in self.basis}
-        basis_mu, basis_nu = ([names[id(p)] for p in b] for b in (self.basis_mu, self.basis_nu))
+    def to_dict(self, names: Optional[PolyNames] = None) -> dict:
+        # each basis class is printed once: a_action lists the same objects;
+        # ``names`` shares texts by value with the rest of a report
+        text = {id(p): str(p) if names is None else names[p] for p in self.basis}
+        basis_mu, basis_nu = ([text[id(p)] for p in b] for b in (self.basis_mu, self.basis_nu))
         return {
             "f": self.f,
             "variables": list(self.variables),
@@ -273,7 +278,7 @@ class InvariantReport(NamedTuple):
             if self.a_action is None
             else [
                 {
-                    "monomial": names.get(id(p)) or str(p),
+                    "monomial": text.get(id(p)) or str(p),
                     "coefficient": format_fraction(c),
                 }
                 for p, c in self.a_action

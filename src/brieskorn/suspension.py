@@ -19,18 +19,19 @@ from .forms import DiffForm
 from .linalg import Span
 from .groebner import isolated_at_origin, torsion_length
 from .local_algebra import jacobian_ideal, local_quotient
-from .poly import Exponents, Poly, WeightSystem, format_fraction, listing_key
+from .poly import Exponents, Poly, PolyNames, WeightSystem, format_fraction, listing_key
 
 
 class IsolatedGerm(NamedTuple):
-    """An isolated singularity with its Milnor data and optional weight
-    certificate carrying verified a-action coefficients."""
+    """An isolated singularity, its text ``f``, its Milnor data and an
+    optional weight certificate carrying verified a-action coefficients."""
 
     poly: Poly
     milnor: int
     basis: tuple[Exponents, ...]
     weights: Optional[WeightSystem]
     a_coefficients: Optional[tuple[tuple[Exponents, Fraction], ...]]
+    f: str
 
     @property
     def variables(self) -> tuple[str, ...]:
@@ -40,18 +41,20 @@ class IsolatedGerm(NamedTuple):
         return str(Poly.monomial(self.variables, exponents))
 
     def to_dict(self) -> dict:
+        # a_action lists the basis monomials again: print each once
+        text = {e: self.monomial_str(e) for e in self.basis}
         return {
-            "f": str(self.poly),
+            "f": self.f,
             "variables": list(self.variables),
             "milnor": self.milnor,
-            "basis": [self.monomial_str(e) for e in self.basis],
+            "basis": list(text.values()),
             "weights": None
             if self.weights is None
             else [format_fraction(w) for w in self.weights.weights],
             "a_action": None
             if self.a_coefficients is None
             else [
-                {"monomial": self.monomial_str(e), "coefficient": format_fraction(c)}
+                {"monomial": text[e], "coefficient": format_fraction(c)}
                 for e, c in self.a_coefficients
             ],
         }
@@ -121,6 +124,7 @@ def milnor_isolated(f: Poly) -> IsolatedGerm:
         basis=tuple(sorted(basis, key=listing_key)),
         weights=ws,
         a_coefficients=action,
+        f=str(f),
     )
 
 
@@ -134,24 +138,24 @@ class SuspensionReport(NamedTuple):
     basis_pairs: tuple[tuple[Exponents, Poly], ...]
     provenance: tuple[str, ...]
 
-    def to_dict(self) -> dict:
-        # the pairs repeat each factor's basis classes: print each once
-        isolated = {a: self.germ.monomial_str(a) for a in self.germ.basis}
-        curve = {id(b): str(b) for b in self.curve_report.basis}
+    def to_dict(self, names: Optional[PolyNames] = None) -> dict:
+        # with the germ's and the curve's reports, whose basis texts the
+        # pairs repeat: each is printed once
+        isolated, curve = self.germ.to_dict(), self.curve_report.to_dict(names)
+        germ_text = dict(zip(self.germ.basis, isolated["basis"]))
+        curve_text = {id(b): text for b, text in zip(self.curve_report.basis, curve["basis"])}
         return {
-            "F": f"({self.germ.poly}) + ({self.curve_report.f})",
+            "F": f"({self.germ.f}) + ({self.curve_report.f})",
             "mu": self.mu,
             "nu": self.nu,
             "rank": self.rank,
             "basis_pairs": [
-                {
-                    "isolated": isolated.get(a) or self.germ.monomial_str(a),
-                    "curve": curve.get(id(b)) or str(b),
-                }
-                for a, b in self.basis_pairs
+                {"isolated": germ_text[a], "curve": curve_text[id(b)]} for a, b in self.basis_pairs
             ],
             "ab_model": None if self.ab_model is None else self.ab_model.to_record(),
             "provenance": list(self.provenance),
+            "isolated": isolated,
+            "curve": curve,
         }
 
 
@@ -189,13 +193,9 @@ def suspend(
     )
     model: Optional[ABModule] = None
     if germ.a_coefficients is not None and curve_report.a_action is not None:
-        left = _diagonal_module(
-            germ.a_coefficients, trunc_order, label=f"isolated({germ.poly})"
-        )
-        right = _diagonal_module(
-            curve_report.a_action, trunc_order, label=f"curve({curve_report.f})"
-        )
-        model = tensor(left, right, label=f"suspension({germ.poly} + {curve_report.f})")
+        left = _diagonal_module(germ.a_coefficients, trunc_order)
+        right = _diagonal_module(curve_report.a_action, trunc_order)
+        model = tensor(left, right, label=f"suspension({germ.f} + {curve_report.f})")
         provenance.append(
             "ab_model: tensor of the diagonal models, action coefficients add"
         )
@@ -211,15 +211,10 @@ def suspend(
     )
 
 
-def _diagonal_module(
-    action: Sequence[tuple[Exponents, Fraction]], trunc_order: int, label: str
-) -> ABModule:
+def _diagonal_module(action: Sequence[tuple[Exponents, Fraction]], trunc_order: int) -> ABModule:
     rank = len(action)
-    matrix = [
-        [[0, action[i][1]] if i == j else [] for j in range(rank)]
-        for i in range(rank)
-    ]
-    return ABModule(rank, trunc_order, matrix, label=label)
+    matrix = [[[0, c] if i == j else [] for j in range(rank)] for i, (_, c) in enumerate(action)]
+    return ABModule(rank, trunc_order, matrix)
 
 
 class DirectCheck(NamedTuple):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import product
 from operator import mul
 from typing import Callable, Hashable, Iterable, Optional
@@ -366,15 +367,34 @@ def saturate_at_origin(I: IdealGens) -> IdealGens:
     )
 
 
+def _rewrite_rank(letters: tuple[str, ...]) -> tuple[int, int]:
+    """(number of a's, number of a-before-b pairs), negated for a min-heap:
+    a.b -> b.a lowers the second, a.b -> b.b the first."""
+    a_seen = pairs = 0
+    for letter in letters:
+        if letter == "a":
+            a_seen += 1
+        else:
+            pairs += a_seen
+    return -a_seen, -pairs
+
+
 def rewrite_normal_order(word: OperatorWord, leftmost: bool = True) -> OperatorWord:
     """The naive rewriter, an oracle for ``normal_order``: repeatedly replace
     one occurrence of 'ab' using a.b -> b.a + b.b until no word contains
     'ab'.  Terminates and is confluent; the strategy flag exercises
-    confluence."""
+    confluence.  Each rewrite lowers ``_rewrite_rank``, so taking the words
+    highest rank first collects every contribution to a word before its
+    turn: one rewrite per distinct word reached, not one per path."""
     pending = dict(word.terms)
+    queue = [(_rewrite_rank(letters), letters) for letters in pending]
+    heapify(queue)
     done: dict[tuple[str, ...], Fraction] = {}
-    while pending:
-        letters, coeff = pending.popitem()
+    while queue:
+        letters = heappop(queue)[1]
+        coeff = pending.pop(letters, 0)
+        if coeff == 0:
+            continue
         spot = -1
         indices = range(len(letters) - 1)
         for i in (indices if leftmost else reversed(indices)):
@@ -387,11 +407,9 @@ def rewrite_normal_order(word: OperatorWord, leftmost: bool = True) -> OperatorW
         prefix, suffix = letters[:spot], letters[spot + 2 :]
         for replacement in (("b", "a"), ("b", "b")):
             key = prefix + replacement + suffix
-            acc = pending.get(key, Fraction(0)) + coeff
-            if acc == 0:
-                pending.pop(key, None)
-            else:
-                pending[key] = acc
+            if key not in pending:
+                heappush(queue, (_rewrite_rank(key), key))
+            pending[key] = pending.get(key, Fraction(0)) + coeff
     return OperatorWord({w: c for w, c in done.items() if c != 0})
 
 

@@ -45,6 +45,19 @@ def word(letters: str) -> OperatorWord:
     return OperatorWord({tuple(letters): 1})
 
 
+def runs(first: str, lengths: list[int]) -> str:
+    """Letter runs of the given lengths, alternating from ``first``."""
+    letters = "ab" if first == "a" else "ba"
+    return "".join(letters[i % 2] * n for i, n in enumerate(lengths))
+
+
+def rewriter_reorder(l: int, r: int) -> tuple[tuple[int, int, int], ...]:
+    """The rewriter's normal form of a^l b^r as ``_reorder_a_powers``
+    tuples (b exponent, a exponent, coeff), by rising b exponent."""
+    ordered = rewrite_normal_order(word("a" * l + "b" * r))
+    return tuple(sorted((w.count("b"), w.count("a"), c) for w, c in ordered.terms.items()))
+
+
 def is_normal(operator: OperatorWord) -> bool:
     """True when every word already has all b letters on the left."""
     return all("ab" not in "".join(letters) for letters in operator.terms)
@@ -79,9 +92,44 @@ class TestNormalOrder:
         assert left == right == fast
         assert is_normal(fast)
 
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from("ab"),
+                st.lists(st.integers(min_value=1, max_value=6), max_size=4),
+                st.one_of(st.integers(min_value=-5, max_value=5), fractions()),
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    def test_letter_runs_against_the_rewriter(self, pairs):
+        # whole runs reach b^r after a^l with l >= 2, where the binomial and
+        # the rising factorial of the closed form both show; the rewriter
+        # from the right reaches far fewer words on long runs
+        w = OperatorWord({})
+        for first, lengths, coeff in pairs:
+            w = w + OperatorWord({tuple(runs(first, lengths)): coeff})
+        fast = normal_order(w)
+        assert fast == rewrite_normal_order(w, leftmost=False)
+        assert is_normal(fast)
+
+    def test_closed_form_is_the_rewriters_normal_form(self):
+        for l in range(7):
+            for r in range(7):
+                assert _reorder_a_powers(l, r) == rewriter_reorder(l, r), (l, r)
+
     def test_identity_for_small_n(self):
-        for n in range(1, 9):
+        for n in range(1, 41):
             assert factorial_identity_holds(n)
+
+    def test_negative_powers_are_refused(self):
+        with pytest.raises(InputError, match="powers must be nonnegative integers"):
+            word("a") ** -1
+        for b_power, a_power in ((2, -3), (-1, 0)):
+            with pytest.raises(InputError, match="powers must be nonnegative integers"):
+                OperatorWord.monomial(b_power, a_power)
+        assert word("a") ** 0 == OperatorWord.one() == OperatorWord.monomial(0, 0)
 
     @given(
         st.lists(

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ from brieskorn.ab_module import DEFAULT_TRUNC_ORDER
 from brieskorn.cli import EXIT_INCONCLUSIVE, EXIT_INVALID, EXIT_OK, main
 from brieskorn.curve import FactoredCurve, invariants, milnor_fibre_betti
 from brieskorn.local_algebra import DEFAULT_JET_CAP, twisted_quotient_dim
+from brieskorn.poly import Poly
 from brieskorn.suspension import suspend
 
 GOLDEN = [
@@ -350,6 +352,27 @@ class TestSuspendCommand:
         )
         assert code == EXIT_OK
         assert json.loads(text)["report"]["rank"] == 2
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_each_polynomial_is_rendered_once(self, monkeypatch, fmt):
+        # the echo, the germ record, the curve report, the pairs and the
+        # model label name the same polynomials, and the branch x of the
+        # golden sextic is also one of its basis classes: one rendering each
+        rendered: Counter = Counter()  # Poly hashes by ring and terms
+        render = Poly.__str__
+
+        def counting(poly):
+            rendered[poly] += 1
+            return render(poly)
+
+        monkeypatch.setattr(Poly, "__str__", counting)
+        code, _ = run(
+            ["suspend", "--isolated", "z^3", "--factors", "x:3", "--residual", "x^3+y^3",
+             "--weights", "1,1", "--format", fmt]
+        )
+        assert code == EXIT_OK
+        assert Poly.variable(("x", "y"), "x") in rendered
+        assert len(rendered) == 18 and set(rendered.values()) == {1}
 
     def test_smooth_germ_rejected(self):
         code, _ = run(

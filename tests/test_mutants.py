@@ -7,6 +7,7 @@ call, not by rerunning the suite: a public call raises, or its answer
 differs from the test-side oracle that the suite compares it with.
 Covered: the a-action certificate (a wrong coefficient, a wrong target,
 a missing cofactor), the derivation term of the (a,b)-module operator,
+the closed form of a^l b^r (a falling factorial, a dropped binomial),
 the Nakayama stop of mu, the Bezout bound of the colength scans, the
 weighted Bezout number of graded b_1, the nu target stop, the re-read
 one order on of the nu predictor, the early unit return of the isolation
@@ -33,7 +34,14 @@ import pytest
 from hypothesis import given
 
 from brieskorn import cli, groebner, poly
-from brieskorn.ab_module import ABModule, _integer_operator, check_commutation
+from brieskorn.ab_module import (
+    ABModule,
+    _integer_operator,
+    _reorder_a_powers,
+    check_commutation,
+    factorial_identity_holds,
+    normal_order,
+)
 from brieskorn.cli import EXIT_INVALID, main
 from brieskorn.curve import (
     FactoredCurve,
@@ -58,13 +66,14 @@ from brieskorn.local_algebra import (
 from brieskorn.poly import Poly, WeightSystem, parse_polynomial
 from brieskorn.suspension import milnor_isolated
 
-from conftest import jet_quotient, mu as reference_mu, rank_one
+from conftest import jet_quotient, mu as reference_mu, rank_one, rewrite_normal_order
 from test_ab_module import (
     COMMUTING_MODULES,
     ab_modules,
     apply_a,
     generator,
     reference_check_commutation,
+    word,
 )
 from test_curve import (
     affine_defect_at_y,
@@ -198,6 +207,34 @@ class TestDerivationTermMutant:
             assert scaled == apply_a(module, generator(j, t), derivation_term=False)
         assert check_commutation(module) is False
         assert reference_check_commutation(module, derivation_term=False) is False
+
+
+class TestClosedFormMutants:
+    """a^l b^r = sum_k C(l,k) r(r+1)...(r+k-1) b^(r+k) a^(l-k): a falling
+    factorial or a dropped binomial agrees with it for l <= 1 and is caught
+    by the rewriter from l = 2 on.  The factorial identity is blind to
+    both: its coefficient of b^(n+k) a^(n-k) is an n-th difference in r of
+    C(n,k) times a degree-k polynomial in r, so it reads only the leading
+    coefficient 1 of the k = n term, which both mutants keep."""
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("(b_power + k - 1)", "(b_power - k + 1)"),
+            ("c * (a_power - k + 1) * (b_power + k - 1) // k", "c * (b_power + k - 1)"),
+        ],
+        ids=["falling-factorial", "no-binomial"],
+    )
+    def test_is_caught_by_the_rewriter_from_l_2(self, monkeypatch, old, new):
+        mutant = mutated(_reorder_a_powers, old, new)
+        monkeypatch.setattr("brieskorn.ab_module._reorder_a_powers", mutant)
+
+        def caught(l: int, r: int) -> bool:
+            w = word("a" * l + "b" * r)
+            return normal_order(w) != rewrite_normal_order(w)
+
+        assert min(l for l in range(7) for r in range(7) if caught(l, r)) == 2
+        assert all(factorial_identity_holds(n) for n in range(1, 9))
 
 
 # (x^2 - y^3)^2, graded by (3, 2) and as a jet: mu = dim (h)/J = 2

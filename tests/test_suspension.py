@@ -83,17 +83,18 @@ class TestMilnorIsolated:
             basis=g.basis,
             weights=g.weights,
             a_coefficients=g.a_coefficients,
+            f="z^3",
         )
         assert keywords == g == IsolatedGerm(*g) != g._replace(milnor=3)
         # a record is a tuple: it equals the plain tuple of its fields and
         # can be indexed and unpacked
-        assert g == tuple(g) and g[1] == g.milnor == 2 and len(g) == 5
+        assert g == tuple(g) and g[1] == g.milnor == 2 and len(g) == 6
         poly, milnor, *_ = g
         assert (poly, milnor) == (g.poly, 2)
         assert repr(keywords) == (
             "IsolatedGerm(poly=Poly('z^3', vars=('z',)), milnor=2, basis=((0,), (1,)), "
             "weights=WeightSystem(weights=(1/3), degree=1), "
-            "a_coefficients=(((0,), Fraction(1, 3)), ((1,), Fraction(2, 3))))"
+            "a_coefficients=(((0,), Fraction(1, 3)), ((1,), Fraction(2, 3))), f='z^3')"
         )
 
     def test_one_variable_powers(self):
@@ -297,7 +298,8 @@ class TestDirectVerification:
 
     def test_jet_path_without_certificates(self):
         germ = IsolatedGerm(
-            poly=p("z^2", Z), milnor=1, basis=((0,),), weights=None, a_coefficients=None
+            poly=p("z^2", Z), milnor=1, basis=((0,),), weights=None, a_coefficients=None,
+            f="z^2",
         )
         rep = invariants(cross(), weights=None, jet_cap=14)
         check = verify_suspension_direct(germ, cross(), rep)
