@@ -25,7 +25,6 @@ from operator import mul
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import InconclusiveError, InputError
-from .forms import DiffForm, VectorField, field_from_one_form
 from .groebner import isolated_at_origin
 from .linalg import Span, intersection, vec_axpy
 from .local_algebra import (
@@ -39,6 +38,7 @@ from .local_algebra import (
     local_quotient,
     monomials_below,
     shifted_terms,
+    twisted_action,
     twisted_quotient_dim,
 )
 from .poly import Exponents, Poly, PolyNames, WeightSystem, format_fraction, graded_key, listing_key
@@ -46,10 +46,11 @@ from .poly import Exponents, Poly, PolyNames, WeightSystem, format_fraction, gra
 
 class FactoredCurve:
     """A factored plane-curve germ  u_1^p_1 ... u_k^p_k * psi, with f, the
-    multiplicity cofactor h and alpha = df/h built once per curve.  Immutable;
+    multiplicity cofactor h, the partials df = (f_x, f_y) and the
+    coefficients (a, b) of alpha = df/h built once per curve.  Immutable;
     two curves are equal when their variables, factors and residual are."""
 
-    __slots__ = ("variables", "factors", "residual", "_f", "_h", "_alpha")
+    __slots__ = ("variables", "factors", "residual", "_f", "_h", "_df", "_alpha")
 
     def __init__(
         self, variables: tuple[str, str], factors: tuple[tuple[Poly, int], ...], residual: Poly
@@ -58,14 +59,14 @@ class FactoredCurve:
         for u, p in factors:  # one u^(p-1) serves both f and h
             power = u ** (p - 1)
             f, h = f * (power * u), power if h is None else h * power
-        alpha = [f.derivative(v).divide_exact(h) for v in variables]
+        df = tuple(f.derivative(v) for v in variables)
+        alpha = tuple(d.divide_exact(h) for d in df)
         if any(a is None for a in alpha):  # f = h u_1 ... u_k psi
             raise RuntimeError(
                 "internal invariant violation: df is not a multiple of the "
                 "multiplicity cofactor"
             )
-        alpha_form = DiffForm(variables, 1, {(i,): a for i, a in enumerate(alpha)})
-        for name, value in zip(self.__slots__, (variables, factors, residual, f, h, alpha_form)):
+        for name, value in zip(self.__slots__, (variables, factors, residual, f, h, df, alpha)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -155,20 +156,21 @@ class FactoredCurve:
     __str__ = text
 
 
-def annihilator_form(curve: FactoredCurve) -> DiffForm:
-    """The 1-form alpha with  df = (product of u_i^(p_i - 1)) * alpha."""
+def annihilator_form(curve: FactoredCurve) -> tuple[Poly, Poly]:
+    """The coefficients (a, b) of the 1-form alpha = a dx + b dy with
+    df = (product of u_i^(p_i - 1)) * alpha."""
     return curve._alpha
 
 
-def annihilator_field(curve: FactoredCurve) -> VectorField:
-    """Vector field dual to the annihilator form; kills f exactly."""
-    field = field_from_one_form(annihilator_form(curve))
-    killed = field.apply(curve.expand())
-    if not killed.is_zero:
+def annihilator_field(curve: FactoredCurve) -> tuple[Poly, Poly]:
+    """The coefficients (b, -a) of the vector field b d/dx - a d/dy dual to
+    the annihilator form; it kills f exactly, checked as b f_x = a f_y."""
+    (a, b), (f_x, f_y) = curve._alpha, curve._df
+    if b * f_x != a * f_y:
         raise RuntimeError(
             "internal invariant violation: annihilator field does not kill f"
         )
-    return field
+    return b, -a
 
 
 def check_hypotheses(curve: FactoredCurve) -> bool:
@@ -320,25 +322,25 @@ def invariants(
     The rank is b_1 of the Milnor fibre (``milnor_fibre_betti``), so nu is
     b_1 - mu, and the nu scan stops when its lower bound reaches that
     target; ``jet_cap`` bounds that scan alone.
+    One operator serves it and the a-action certificate: for V = (b, -a),
+    V~(x^m) vol = d(x^m alpha), the certificate's ``_exact_form_images``.
     """
     f = curve.expand()
     h = curve.multiplicity_cofactor()
-    # b d/dx - a d/dy, for alpha = a dx + b dy
     field = annihilator_field(curve)
     try:
         ws = WeightSystem.for_poly(f, weights) if weights is not None else None
         # jet input: the b_1 stops prove (a, b) isolated, so the mu scan stops
         betti = milnor_fibre_betti(curve) if ws is None else None
-        mu_value, mu_basis = local_quotient(
-            IdealGens.of(curve.variables, field.coefficients), ws
-        )
+        mu_value, mu_basis = local_quotient(IdealGens.of(curve.variables, field), ws)
     except InputError:
         check_hypotheses(curve)  # names the first violated clause, if any
         raise
     if ws is not None:  # the stop of (a, b) proved the clauses of the closed forms
         betti = milnor_fibre_betti(curve, ws)
+    twisted = twisted_action(field)
     sat = IdealGens.of(curve.variables, [h])
-    nu_res = twisted_quotient_dim(sat, field, betti - mu_value, ws, jet_cap)
+    nu_res = twisted_quotient_dim(sat, twisted, betti - mu_value, ws, jet_cap)
     # the scans give valid exponents: the classes h x^m and x^m need no checks
     basis_mu = tuple(
         sorted(
@@ -351,7 +353,7 @@ def invariants(
     )
     action = None
     if ws is not None:
-        action = a_action(f, annihilator_form(curve), ws, basis_mu + basis_nu)
+        action = a_action(f, curve._df[0], h, {(): twisted}, ws, basis_mu + basis_nu)
     assumptions = Assumptions(
         torsion_free=True,
         torsion_free_justification=(
@@ -439,14 +441,16 @@ def a_action_coefficient(ws: WeightSystem, rep: Poly) -> Fraction:
 
 
 def a_action(
-    f: Poly, alpha: DiffForm, ws: WeightSystem, basis: Sequence[Poly]
+    f: Poly, fx0: Poly, h: Poly, images: ExactFormImages, ws: WeightSystem, basis: Sequence[Poly]
 ) -> tuple[tuple[Poly, Fraction], ...]:
     """a-action coefficients of f on the given basis classes, each proved
-    by the Euler-field certificate before inclusion; ``alpha`` is the
-    annihilator form of a curve, or df for an isolated germ.  One
-    certificate serves the whole basis, and it compares the identity in
-    full at the n + 1 monomials 1, x_0, ..., x_(n-1) at most."""
-    holds = _action_certificate(f, alpha, ws)
+    by the Euler-field certificate before inclusion.  ``fx0`` is the
+    partial of f in its first variable, and ``images`` the exact-form
+    operators (``_exact_form_images``) of a form alpha with df = h alpha:
+    the annihilator form of a curve, or df for an isolated germ (h = 1).
+    One certificate serves the whole basis, and it compares the identity
+    in full at the n + 1 monomials 1, x_0, ..., x_(n-1) at most."""
+    holds = _action_certificate(f, fx0, h, images, ws)
     out = []
     for rep in basis:
         coefficient = a_action_coefficient(ws, rep)
@@ -456,11 +460,14 @@ def a_action(
     return tuple(out)
 
 
-def _exact_form_images(
-    alpha: DiffForm,
-) -> list[tuple[tuple[int, ...], _ShiftedImages]]:
+# index set I of n - 2 variables -> the operator x^h -> d(x^h dx_I ^ alpha)
+ExactFormImages = dict[tuple[int, ...], _ShiftedImages]
+
+
+def _exact_form_images(alpha: Sequence[Poly]) -> ExactFormImages:
     """For each index set I of n - 2 variables, the map from x^h to the top
-    coefficient of d(x^h dx_I ^ alpha).  By the Leibniz rule that form is
+    coefficient of d(x^h dx_I ^ alpha), for the 1-form alpha with the
+    coefficients ``alpha``.  By the Leibniz rule that form is
     sum_k h_k x^(h - e_k) dx_k ^ dx_I ^ alpha + x^h d(dx_I ^ alpha), affine
     in h, so its operator is read off alpha once per index set.
 
@@ -468,28 +475,30 @@ def _exact_form_images(
     (p, I, q), only the a_p dx_p and a_q dx_q of alpha survive the wedge
     with dx_I: dx_p ^ dx_I ^ alpha = s a_q vol, dx_q ^ dx_I ^ alpha =
     -s a_p vol, every other dx_k ^ dx_I ^ alpha = 0, and
-    d(dx_I ^ alpha) = s (d_p a_q - d_q a_p) vol."""
-    variables = alpha.variables
+    d(dx_I ^ alpha) = s (d_p a_q - d_q a_p) vol.  In two variables the one
+    operator, I = (), is the twisted action of V = (a_1, -a_0)."""
+    variables = alpha[0].variables
     n = len(variables)
     zero = Poly.zero(variables)
-    out = []
+    out = {}
     for index_set in combinations(range(n), n - 2) if n > 1 else ():
         p, q = (k for k in range(n) if k not in index_set)
         sequence = (p, *index_set, q)
         s = (-1) ** sum(a > b for a, b in combinations(sequence, 2))
-        a_p, a_q = alpha.coefficient((p,)), alpha.coefficient((q,))
+        a_p, a_q = alpha[p], alpha[q]
         parts = [zero] * n
         parts[p], parts[q] = a_q * s, a_p * -s
         extra = (a_q.derivative(variables[p]) - a_p.derivative(variables[q])) * s
-        out.append((index_set, _ShiftedImages(parts, extra)))
+        out[index_set] = _ShiftedImages(parts, extra)
     return out
 
 
-def _eta_images(alpha: DiffForm, int_weights: tuple[int, ...], factor: int) -> tuple[int, list]:
+def _eta_images(
+    images: ExactFormImages, int_weights: tuple[int, ...], factor: int
+) -> tuple[int, list]:
     """The target factor and the images of the terms of the certificate's
     eta, each with its integer factor (``_action_certificate``)."""
-    n = len(alpha.variables)
-    images = dict(_exact_form_images(alpha))
+    n = len(int_weights)
     index_images = [
         (j, images[tuple(k for k in range(1, n) if k != j)]) for j in range(1, n)
     ]
@@ -506,10 +515,11 @@ def _eta_images(alpha: DiffForm, int_weights: tuple[int, ...], factor: int) -> t
 
 
 def _action_certificate(
-    f: Poly, alpha: DiffForm, ws: WeightSystem
+    f: Poly, fx0: Poly, h: Poly, images: ExactFormImages, ws: WeightSystem
 ) -> Callable[[Poly, Fraction], bool]:
     """The certificate of  a[m] = c b[m]  in n variables, for one
-    (f, alpha), as a function ``holds`` of (m, c).
+    (f, alpha), as a function ``holds`` of (m, c), with the arguments of
+    ``a_action``.
 
     With a acting as multiplication by f and b as df wedge a primitive,
     the claim is that  omega = f m vol - c df ^ xi  is an exact form
@@ -535,7 +545,9 @@ def _action_certificate(
     there is no eta, and omega itself vanishes at c*.
 
     The forms d(eta ^ alpha) are integer exponent shifts
-    (``_exact_form_images``) whose operators come from alpha alone; a full
+    (``_exact_form_images``) whose operators come from alpha alone; df =
+    h alpha holds by construction (the exact division of ``FactoredCurve``,
+    or h = 1 for alpha = df), so the certificate divides nothing.  A full
     check sums the images of eta and compares them with the integer
     target (``_action_target``) at their known scales, so a True is an
     exact identity.  Both sides are linear in m, so each monomial x^t of m
@@ -547,14 +559,6 @@ def _action_certificate(
     monomial takes no check; one whose omega is 0 is proved by eta = 0."""
     variables = f.variables
     n = len(variables)
-    # h = f_xi / a_i at the first nonzero coefficient a_i dx_i of alpha
-    fx0 = f.derivative(variables[0])
-    (i,), a_i = min(alpha.terms.items(), default=((0,), None))
-    h = None if a_i is None else (f.derivative(variables[i]) if i else fx0).divide_exact(a_i)
-    if h is None:
-        raise RuntimeError(
-            "internal invariant violation: df is not a polynomial multiple of alpha"
-        )
     scale_h = common_denominator(h)
     h_terms = integer_terms(h, scale_h)
     # s f and s f_x0 as integer terms, for one s > 0 (f_x0 has no new
@@ -600,7 +604,7 @@ def _action_certificate(
                 f_terms, fx0_terms, Poly._trusted(variables, {t: 1}), coefficient
             ):
                 continue  # omega = 0: eta = 0 serves
-            target_factor, parts = _eta_images(alpha, int_weights, q.numerator * scale_h)
+            target_factor, parts = _eta_images(images, int_weights, q.numerator * scale_h)
             if not all(compared(e, target_factor, parts) for e in frame):
                 return False
             proved = True
@@ -667,7 +671,7 @@ def torsion_free_witness(curve: FactoredCurve, jet_order: int = 12) -> bool:
         )
     # d(x^h alpha) and df ^ d(x^g) as integer exponent shifts: each map
     # scales all its images by one positive integer, which changes no span
-    [(_, exact_image)] = _exact_form_images(annihilator_form(curve))
+    [exact_image] = _exact_form_images(annihilator_form(curve)).values()
     exact_vectors = [
         vec for h_exp in monomials_below(2, jet_order + 1) if (vec := exact_image(h_exp))
     ]
@@ -680,7 +684,7 @@ def torsion_free_witness(curve: FactoredCurve, jet_order: int = 12) -> bool:
     meet = intersection(ideal_vectors, exact_vectors)
     if not meet:
         return True
-    f_x, f_y = (f.derivative(v) for v in variables)
+    f_x, f_y = curve._df
     wedge_image = _ShiftedImages((-f_y, f_x), Poly.zero(variables))
     witness_span = Span()
     for g_exp in monomials_below(2, jet_order + 1):
@@ -717,6 +721,8 @@ def closed_form_witness(curve: FactoredCurve) -> Optional[Poly]:
     h0 = Poly.constant(curve.variables, 1)
     for u, p in curve.factors:
         h0 = h0 * u ** (p // common - 1)
-    if not (annihilator_form(curve) * h0).d().is_zero:
+    # d(h0 a dx + h0 b dy) = ((h0 b)_x - (h0 a)_y) dx ^ dy
+    (a, b), (x, y) = annihilator_form(curve), curve.variables
+    if (h0 * b).derivative(x) != (h0 * a).derivative(y):
         raise RuntimeError("internal invariant violation: predicted witness is not closed")
     return h0

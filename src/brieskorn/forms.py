@@ -1,5 +1,6 @@
 """Differential forms with polynomial coefficients and their exterior
-derivative, plus polynomial vector fields with their divergence.
+derivative, plus polynomial vector fields and the field dual to a 1-form
+in two variables.
 
 Index tuples selecting dx_{i1} ^ ... ^ dx_{ip} are stored strictly
 increasing; user-supplied permuted tuples are normalized with the sign of
@@ -82,11 +83,6 @@ class DiffForm:
     @classmethod
     def zero(cls, variables: Sequence[str], degree: int) -> "DiffForm":
         return cls(variables, degree, {})
-
-    @classmethod
-    def from_poly(cls, coeff: Poly) -> "DiffForm":
-        """Degree-0 form wrapping a polynomial."""
-        return cls(coeff.variables, 0, {(): coeff})
 
     @property
     def is_zero(self) -> bool:
@@ -214,22 +210,6 @@ class VectorField:
         return VectorField(self.variables, tuple(c * s for c in self.coefficients))
 
     __rmul__ = __mul__
-
-    def divergence(self) -> Poly:
-        """Sum of the partials of the coefficients."""
-        total = Poly.zero(self.variables)
-        for name, coeff in zip(self.variables, self.coefficients):
-            total = total + coeff.derivative(name)
-        return total
-
-    def apply(self, h: Poly) -> Poly:
-        """Directional derivative V . h."""
-        if h.variables != self.variables:
-            raise InputError("polynomial lives in a different ring")
-        total = Poly.zero(self.variables)
-        for name, coeff in zip(self.variables, self.coefficients):
-            total = total + coeff * h.derivative(name)
-        return total
 
     def __str__(self) -> str:
         pieces = [

@@ -26,7 +26,6 @@ from operator import add, mul, neg
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import InconclusiveError, InputError
-from .forms import VectorField
 from .linalg import Span, _cancel, _make_primitive
 from .poly import Exponents, Poly, Scalar, WeightSystem, listing_key
 
@@ -103,6 +102,7 @@ class _ShiftedImages:
         self.scale = common_denominator(*parts, extra)
         self.parts = [integer_terms(p, self.scale) for p in parts]
         self.extra = integer_terms(extra, self.scale)
+        self._raised = (None, set())  # the last weights and their raises
 
     def __call__(self, m: Exponents) -> dict[Exponents, int]:
         out: dict[Exponents, int] = {}
@@ -125,13 +125,25 @@ class _ShiftedImages:
         P_i, wdeg(e) for a term x^e of Q).  The map is graded when the set
         has at most one value, and it lowers the w-order by at most
         max(0, -min)."""
-        raises = {
-            sum(map(mul, e, weights)) - w
-            for w, terms in zip(weights, self.parts)
-            for e, _ in terms
-        }
-        raises.update(sum(map(mul, e, weights)) for e, _ in self.extra)
-        return raises
+        if self._raised[0] != weights:  # the graded test and the count read one set
+            raises = {
+                sum(map(mul, e, weights)) - w
+                for w, terms in zip(weights, self.parts)
+                for e, _ in terms
+            }
+            raises.update(sum(map(mul, e, weights)) for e, _ in self.extra)
+            self._raised = (weights, raises)
+        return self._raised[1]
+
+
+def twisted_action(field: Sequence[Poly]) -> _ShiftedImages:
+    """The twisted action V~(x^m) = V.x^m + div(V) x^m of the vector field
+    V = sum_i V_i d/dx_i with the coefficients ``field``, as the operator
+    that ``twisted_quotient_dim`` scans."""
+    divergence = Poly.zero(field[0].variables)
+    for v, c in zip(field[0].variables, field):
+        divergence = divergence + c.derivative(v)
+    return _ShiftedImages(field, divergence)
 
 
 class IdealGens(NamedTuple):
@@ -436,7 +448,7 @@ def _reached(found: int, target: int) -> bool:
 
 def twisted_quotient_dim(
     I: IdealGens,
-    V: VectorField,
+    twisted: _ShiftedImages,
     target: int,
     weights: Optional[WeightSystem] = None,
     jet_cap: int = DEFAULT_JET_CAP,
@@ -444,7 +456,8 @@ def twisted_quotient_dim(
     """Dimension and monomial basis of O / (I + twisted-action image), for
     a caller that knows the dimension is ``target``.
 
-    The twisted action is h -> V.h + div(V) h.  The dimensions
+    The twisted action is h -> V.h + div(V) h, given as its operator
+    ``twisted`` (``twisted_action``).  The dimensions
     q(k) = dim O/(I + V~(O) + M_k), M_k spanned by the monomials of
     w-degree >= k, are the dimensions of quotients of the full quotient,
     so they are nondecreasing lower bounds of it, and the scan stops at
@@ -464,24 +477,23 @@ def twisted_quotient_dim(
     A bound past ``target``, or a negative ``target``, raises
     RuntimeError; a cap reached first raises InconclusiveError.
     """
-    if V.variables != I.variables:
+    if len(twisted.parts) != len(I.variables):
         raise InputError("ideal and vector field live in different rings")
     if target < 0:
         raise RuntimeError(
             f"internal invariant violation: negative nu target {target}"
         )
-    twisted_image = _ShiftedImages(V.coefficients, V.divergence())
-    if weights is not None and len(twisted_image.raises(weights.integer_scaled()[0])) > 1:
+    if weights is not None and len(twisted.raises(weights.integer_scaled()[0])) > 1:
         weights = None  # not graded: scan the jet orders
 
     if weights is not None:
-        counts = _JetCounts(I, twisted_image, weights=weights)
+        counts = _JetCounts(I, twisted, weights=weights)
         wdeg_cap = jet_cap * max(counts.weights) - counts.drop
         orders = range(1, max(wdeg_cap, 0) + 2)
         failure = "graded twisted quotient did not reach the target nu"
         context = {"wdeg_cap": wdeg_cap}
     else:
-        counts = _JetCounts(I, twisted_image, jet_cap, _PREDICTOR_MODULUS)
+        counts = _JetCounts(I, twisted, jet_cap, _PREDICTOR_MODULUS)
         orders = range(1, jet_cap + 1)
         failure = "twisted quotient did not reach the target nu"
         context = {"jet_cap": jet_cap}

@@ -13,9 +13,8 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 from .ab_module import DEFAULT_TRUNC_ORDER, ABModule, tensor
-from .curve import FactoredCurve, InvariantReport, a_action
+from .curve import FactoredCurve, InvariantReport, _exact_form_images, a_action
 from .errors import InputError
-from .forms import DiffForm
 from .linalg import Span
 from .groebner import isolated_at_origin, torsion_length
 from .local_algebra import jacobian_ideal, local_quotient
@@ -97,7 +96,7 @@ def milnor_isolated(f: Poly) -> IsolatedGerm:
     J, and its greedy monomial basis come from ``local_quotient``'s jet
     scan, which stops by Nakayama's lemma.  When f is quasi-homogeneous
     (``_auto_weights``), a-action coefficients are attached after
-    ``curve.a_action`` proves them under those weights.
+    ``curve.a_action`` proves them under those weights, with alpha = df and h = 1.
     """
     if f.is_zero or f.is_constant():
         raise InputError("an isolated germ must be nonconstant")
@@ -116,7 +115,9 @@ def milnor_isolated(f: Poly) -> IsolatedGerm:
     action: Optional[tuple[tuple[Exponents, Fraction], ...]] = None
     if ws is not None:
         monomials = [Poly.monomial(f.variables, e) for e in basis]
-        proved = a_action(f, DiffForm.from_poly(f).d(), ws, monomials)
+        df = tuple(f.derivative(v) for v in f.variables)
+        one = Poly.constant(f.variables, 1)
+        proved = a_action(f, df[0], one, _exact_form_images(df), ws, monomials)
         action = tuple((e, c) for e, (_, c) in zip(basis, proved))
     return IsolatedGerm(
         poly=f,

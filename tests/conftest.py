@@ -12,7 +12,7 @@ from typing import Callable, Hashable, Iterable, Optional
 from hypothesis import HealthCheck, settings, strategies as st
 
 from brieskorn.ab_module import ABModule, OperatorWord
-from brieskorn.curve import FactoredCurve, annihilator_form
+from brieskorn.curve import FactoredCurve, _exact_form_images, annihilator_field, annihilator_form
 from brieskorn.errors import InconclusiveError, InputError
 from brieskorn.forms import DiffForm, VectorField, _normalize_indices
 from brieskorn.groebner import _decode, _groebner, _integer_gens, _saturation, isolated_at_origin
@@ -25,6 +25,7 @@ from brieskorn.local_algebra import (
     monomials_below,
     monomials_of_weighted_degree,
     shifted_terms,
+    twisted_action,
 )
 from brieskorn.poly import Exponents, Poly, WeightSystem
 
@@ -178,7 +179,7 @@ def greedy_twisted_slices(I: IdealGens, V, weights: WeightSystem, top: int) -> l
     before it.  Returns one list of kept monomials per slice."""
     graded = GradedIdeal(I, weights)
     w = graded.int_weights
-    div = V.divergence()
+    div = divergence(V)
     shifts = {sum(map(mul, e, w)) - w_i for w_i, c in zip(w, V.coefficients) for e in c.terms}
     shifts |= {sum(map(mul, e, w)) for e in div.terms}
     assert len(shifts) <= 1, "the field is not graded for these weights"
@@ -319,7 +320,7 @@ def mu(
 def twisted_drop(V) -> int:
     """How far the twisted action V~ lowers the total degree, read off the
     orders of the coefficients of V and of its divergence."""
-    div = V.divergence()
+    div = divergence(V)
     return max(
         [0]
         + [1 - c.order() for c in V.coefficients if not c.is_zero]
@@ -331,7 +332,7 @@ def nu_jet_basis(I: IdealGens, V, order: int) -> list:
     """Greedy monomial basis of O/(I + V~(O) + m^order) from one full exact
     span: the ideal jets, every twisted image V~(x^m) truncated below
     ``order`` (|m| < order + drop suffices), then the monomials."""
-    image = _ShiftedImages(V.coefficients, V.divergence())
+    image = twisted_action(V.coefficients)
     return jet_quotient(I, order, image, twisted_drop(V))[1]
 
 
@@ -438,9 +439,76 @@ def wedge(first: DiffForm, second: DiffForm) -> DiffForm:
     return DiffForm(variables, degree, accum)
 
 
+def one_form(coefficients) -> DiffForm:
+    """The 1-form sum_i c_i dx_i of a coefficient tuple, such as the
+    ``annihilator_form`` of a curve."""
+    return DiffForm(coefficients[0].variables, 1, {(i,): c for i, c in enumerate(coefficients)})
+
+
+def gradient(f: Poly) -> tuple[Poly, ...]:
+    """The coefficients of df, the alpha of an isolated germ."""
+    return tuple(f.derivative(v) for v in f.variables)
+
+
+def exterior_d(f: Poly) -> DiffForm:
+    """The 1-form df."""
+    return one_form(gradient(f))
+
+
+def divergence(field: VectorField) -> Poly:
+    """Sum of the partials of the coefficients."""
+    total = Poly.zero(field.variables)
+    for name, coeff in zip(field.variables, field.coefficients):
+        total = total + coeff.derivative(name)
+    return total
+
+
+def apply_field(field: VectorField, h: Poly) -> Poly:
+    """Directional derivative V . h."""
+    total = Poly.zero(field.variables)
+    for name, coeff in zip(field.variables, field.coefficients):
+        total = total + coeff * h.derivative(name)
+    return total
+
+
 def apply_twisted(field: VectorField, h: Poly) -> Poly:
     """Divergence-corrected action V.h + div(V) h, on Polys."""
-    return field.apply(h) + field.divergence() * h
+    return apply_field(field, h) + divergence(field) * h
+
+
+def shares_the_exact_form_operator(a: Poly, b: Poly, build=twisted_action) -> bool:
+    """Whether the twisted action of V = b d/dx - a d/dy (``build`` of
+    (b, -a), by default ``twisted_action``) is the exact-form operator
+    x^m -> d(x^m alpha) of alpha = a dx + b dy: the same scale, and the
+    same image on every x^m of degree <= 6.  ``curve.invariants`` passes
+    the one operator to the nu scan and to the a-action certificate on
+    this identity."""
+    twisted = build((b, -a))
+    [exact] = _exact_form_images((a, b)).values()
+    return twisted.scale == exact.scale and all(
+        twisted(m) == exact(m) for m in monomials_below(2, 7)
+    )
+
+
+def annihilator_vector_field(curve: FactoredCurve) -> VectorField:
+    """``annihilator_field`` of a curve as a ``VectorField``."""
+    return VectorField(curve.variables, annihilator_field(curve))
+
+
+def certificate_inputs(f: Poly, alpha=None) -> tuple:
+    """The arguments (f, f_x0, h, images) that ``a_action`` and
+    ``_action_certificate`` take before the weights, for a 1-form with the
+    coefficients ``alpha`` and df = h alpha: h from one exact division,
+    h = 1 for the default alpha = df."""
+    df = gradient(f)
+    alpha = df if alpha is None else alpha
+    i = next(i for i, a in enumerate(alpha) if not a.is_zero)
+    return f, df[0], df[i].divide_exact(alpha[i]), _exact_form_images(alpha)
+
+
+def curve_certificate_inputs(curve: FactoredCurve) -> tuple:
+    """``certificate_inputs`` of a curve and its annihilator form."""
+    return certificate_inputs(curve.expand(), annihilator_form(curve))
 
 
 def valuation(f: Poly, factor: Poly) -> int:
@@ -481,7 +549,7 @@ def closed_product_exponents(curve: FactoredCurve) -> list[tuple[int, ...]]:
     (p_1 - 1, ..., p_k - 1) of df itself, whose product h = prod u_i^e_i
     makes h alpha closed.  ``closed_form_witness`` returns None exactly
     when the multiplicities are coprime, and then this scan is empty."""
-    alpha = annihilator_form(curve)
+    alpha = one_form(annihilator_form(curve))
     cofactor = tuple(p - 1 for _, p in curve.factors)
     found = []
     for exps in product(*(range(p) for _, p in curve.factors)):

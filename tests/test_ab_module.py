@@ -58,6 +58,30 @@ def rewriter_reorder(l: int, r: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(sorted((w.count("b"), w.count("a"), c) for w, c in ordered.terms.items()))
 
 
+def a_times(ordered: OperatorWord) -> OperatorWord:
+    """a times a normal form sum c b^s a^j, normal ordered by the one-step
+    rule a b^s = b^s a + s b^(s+1): each term gives c b^s a^(j+1) +
+    c s b^(s+1) a^j.  The induction step of the closed form of a^l b^r."""
+    out = OperatorWord({})
+    for letters, c in ordered.terms.items():
+        s, j = letters.count("b"), letters.count("a")
+        out = out + OperatorWord.monomial(s, j + 1, c) + OperatorWord.monomial(s + 1, j, c * s)
+    return out
+
+
+def one_step_misses(top: int = 6) -> list[tuple[int, int]]:
+    """The (l, r), l and r <= ``top``, at which normal_order(a^(l+1) b^r) is
+    not a_times(normal_order(a^l b^r)), or, at l = 0, normal_order(b^r) is
+    not b^r."""
+    misses = [(0, r) for r in range(top + 1) if normal_order(word("b" * r)) != word("b" * r)]
+    for l in range(top + 1):
+        for r in range(top + 1):
+            step = a_times(normal_order(word("a" * l + "b" * r)))
+            if normal_order(word("a" * (l + 1) + "b" * r)) != step:
+                misses.append((l, r))
+    return misses
+
+
 def is_normal(operator: OperatorWord) -> bool:
     """True when every word already has all b letters on the left."""
     return all("ab" not in "".join(letters) for letters in operator.terms)
@@ -113,6 +137,10 @@ class TestNormalOrder:
         fast = normal_order(w)
         assert fast == rewrite_normal_order(w, leftmost=False)
         assert is_normal(fast)
+
+    def test_closed_form_passes_its_one_step_induction(self):
+        # a^(l+1) b^r = a (a^l b^r), each term moved by a b^s = b^s a + s b^(s+1)
+        assert one_step_misses() == []
 
     def test_closed_form_is_the_rewriters_normal_form(self):
         for l in range(7):

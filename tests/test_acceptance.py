@@ -26,19 +26,21 @@ from brieskorn.ab_module import (
 )
 from brieskorn.curve import (
     FactoredCurve,
-    annihilator_field,
     annihilator_form,
     closed_form_witness,
     invariants,
     torsion_free_witness,
 )
-from brieskorn.forms import DiffForm
 from brieskorn.local_algebra import monomials_below
 from brieskorn.poly import parse_polynomial
 from brieskorn.suspension import milnor_isolated, suspend, verify_suspension_direct
 
 from conftest import (
+    annihilator_vector_field,
+    apply_field,
     closed_product_exponents,
+    exterior_d,
+    one_form,
     rank_one,
     rewrite_normal_order,
     saturate_at_origin,
@@ -149,11 +151,9 @@ def test_criterion_4_annihilator_factorization_corpus():
         assert len(curves) >= 50
         for curve in curves:
             f = curve.expand()
-            alpha = annihilator_form(curve)
-            df = DiffForm(XY, 1, {(0,): f.derivative("x"), (1,): f.derivative("y")})
-            assert df == alpha * curve.multiplicity_cofactor()
-            field = annihilator_field(curve)
-            assert field.apply(f).is_zero
+            alpha = one_form(annihilator_form(curve))
+            assert exterior_d(f) == alpha * curve.multiplicity_cofactor()
+            assert apply_field(annihilator_vector_field(curve), f).is_zero
 
 
 def test_criterion_5_gcd_witness_corpus():
@@ -164,7 +164,7 @@ def test_criterion_5_gcd_witness_corpus():
             witness = closed_form_witness(curve)
             if common > 1:
                 assert witness is not None
-                assert (annihilator_form(curve) * witness).d().is_zero
+                assert (one_form(annihilator_form(curve)) * witness).d().is_zero
             else:
                 # the scan is exhaustive over all exponent patterns below
                 # the multiplicities

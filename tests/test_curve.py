@@ -36,14 +36,13 @@ from brieskorn.curve import (
     torsion_free_witness,
 )
 from brieskorn.errors import InconclusiveError, InputError
-from brieskorn.forms import DiffForm
+from brieskorn.forms import DiffForm, VectorField
 from brieskorn.groebner import torsion_length
 from brieskorn.linalg import Span, vec_axpy
 from brieskorn.local_algebra import (
     IdealGens,
     _JetCounts,
     _PREDICTOR_MODULUS,
-    _ShiftedImages,
     common_denominator,
     integer_terms,
     jacobian_ideal,
@@ -52,16 +51,24 @@ from brieskorn.local_algebra import (
     monomials_below,
     monomials_of_weighted_degree,
     shifted_terms,
+    twisted_action,
 )
 from brieskorn.poly import Poly, WeightSystem, parse_polynomial
 from brieskorn.suspension import milnor_isolated
 
 from conftest import (
     GradedIdeal,
+    annihilator_vector_field,
+    apply_field,
+    certificate_inputs,
     closed_product_exponents,
+    curve_certificate_inputs,
+    exterior_d,
+    gradient,
     mu,
     nu_jet_basis,
     nu_jet_reference,
+    one_form,
     saturate_at_origin,
     transversal_milnor,
     wedge,
@@ -96,6 +103,37 @@ def random_corpus(count: int, seed: int = 2024) -> list[FactoredCurve]:
     return corpus
 
 
+def watch_the_hot_path(monkeypatch) -> list[bool]:
+    """Make building a ``DiffForm`` or a ``VectorField`` raise, and record
+    each ``Poly.divide_exact`` call, in order, as whether it ran inside
+    ``curve.a_action``."""
+
+    def built(*args, **kwargs):
+        raise AssertionError("the hot path built a form or a vector field")
+
+    monkeypatch.setattr(DiffForm, "__init__", built)
+    monkeypatch.setattr(VectorField, "__init__", built)
+    divisions: list[bool] = []
+    inside: list[bool] = []
+    divide, action = Poly.divide_exact, a_action
+
+    def recorded(poly, divisor):
+        divisions.append(bool(inside))
+        return divide(poly, divisor)
+
+    def watched(*args):
+        inside.append(True)
+        try:
+            return action(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(Poly, "divide_exact", recorded)
+    for module in ("curve", "suspension"):
+        monkeypatch.setattr(f"brieskorn.{module}.a_action", watched)
+    return divisions
+
+
 def product_rule_form(curve: FactoredCurve) -> DiffForm:
     """Reference alpha by the product rule:
     sum_l p_l u_1 ... (u_l omitted) ... u_k psi du_l + u_1 ... u_k dpsi."""
@@ -105,11 +143,11 @@ def product_rule_form(curve: FactoredCurve) -> DiffForm:
         for i, (u_i, _) in enumerate(curve.factors):
             if i != l:
                 cofactor = cofactor * u_i
-        alpha = alpha + DiffForm.from_poly(u_l).d() * cofactor
+        alpha = alpha + exterior_d(u_l) * cofactor
     radical = Poly.constant(XY, 1)
     for u, _ in curve.factors:
         radical = radical * u
-    return alpha + DiffForm.from_poly(curve.residual).d() * radical
+    return alpha + exterior_d(curve.residual) * radical
 
 
 def product_rule_corpus() -> list[FactoredCurve]:
@@ -182,54 +220,36 @@ class TestFactoredCurve:
 
 class TestAnnihilatorForm:
     def test_sextic(self):
-        alpha = annihilator_form(sextic())
-        assert alpha == DiffForm(XY, 1, {(0,): p("6*x^3 + 3*y^3"), (1,): p("3*x*y^2")})
-        f = sextic().expand()
-        df = DiffForm(XY, 1, {(0,): f.derivative("x"), (1,): f.derivative("y")})
-        assert df == alpha * p("x^2")
+        assert annihilator_form(sextic()) == (p("6*x^3 + 3*y^3"), p("3*x*y^2"))
+        alpha = one_form(annihilator_form(sextic()))
+        assert exterior_d(sextic().expand()) == alpha * p("x^2")
 
     def test_cross(self):
-        alpha = annihilator_form(cross())
-        assert alpha == DiffForm(XY, 1, {(0,): p("2*y"), (1,): p("2*x")})
+        assert annihilator_form(cross()) == (p("2*y"), p("2*x"))
 
     def test_two_branch_homogeneous(self):
         c = FactoredCurve.of(XY, [(p("x+y"), 2), (p("x-y"), 3)])
         alpha = annihilator_form(c)
         u, v = p("x+y"), p("x-y")
-        expected = DiffForm(
-            XY,
-            1,
-            {
-                (0,): v * 2 + u * 3,
-                (1,): v * 2 + u * (-3),
-            },
-        )
-        assert alpha == expected
-        f = c.expand()
-        df = DiffForm(XY, 1, {(0,): f.derivative("x"), (1,): f.derivative("y")})
-        assert df == alpha * (u * v**2)
+        assert alpha == (v * 2 + u * 3, v * 2 + u * (-3))
+        assert exterior_d(c.expand()) == one_form(alpha) * (u * v**2)
 
     @pytest.mark.parametrize("curve", product_rule_corpus(), ids=str)
     def test_equals_the_product_rule(self, curve):
-        assert annihilator_form(curve) == product_rule_form(curve)
+        assert one_form(annihilator_form(curve)) == product_rule_form(curve)
 
     def test_factorization_on_random_corpus(self):
         for curve in random_corpus(12, seed=5):
-            alpha = annihilator_form(curve)
-            f = curve.expand()
-            df = DiffForm(XY, 1, {(0,): f.derivative("x"), (1,): f.derivative("y")})
-            assert df == alpha * curve.multiplicity_cofactor()
+            alpha = one_form(annihilator_form(curve))
+            assert exterior_d(curve.expand()) == alpha * curve.multiplicity_cofactor()
 
     def test_wedge_with_df_vanishes(self):
         curve = sextic()
-        alpha = annihilator_form(curve)
-        f = curve.expand()
-        df = DiffForm(XY, 1, {(0,): f.derivative("x"), (1,): f.derivative("y")})
-        assert wedge(df, alpha).is_zero
+        assert wedge(exterior_d(curve.expand()), one_form(annihilator_form(curve))).is_zero
 
     def test_exact_multiple_lands_in_saturation(self):
         # d(h alpha) for h = x^2 y^2 lies in (x^2) times the top forms
-        alpha = annihilator_form(sextic())
+        alpha = one_form(annihilator_form(sextic()))
         two_form = (alpha * p("x^2*y^2")).d()
         coeff = two_form.coefficient((0, 1))
         assert coeff.divide_exact(p("x^2")) is not None
@@ -237,17 +257,24 @@ class TestAnnihilatorForm:
 
 class TestAnnihilatorField:
     def test_sextic_proportional_to_reference(self):
-        field = annihilator_field(sextic())
-        assert field.coefficients == (p("3*x*y^2"), p("-3*(2*x^3+y^3)"))
+        assert annihilator_field(sextic()) == (p("3*x*y^2"), p("-3*(2*x^3+y^3)"))
 
     def test_kills_f_on_corpus(self):
         for curve in random_corpus(12, seed=6):
-            field = annihilator_field(curve)
-            assert field.apply(curve.expand()).is_zero
+            assert apply_field(annihilator_vector_field(curve), curve.expand()).is_zero
 
     def test_dual_of_cross(self):
-        field = annihilator_field(cross())
-        assert field.coefficients == (p("2*x"), p("-2*y"))
+        assert annihilator_field(cross()) == (p("2*x"), p("-2*y"))
+
+    @pytest.mark.parametrize("weights", [(1, 1), None], ids=["graded", "jet"])
+    def test_a_field_that_does_not_kill_f_is_an_invariant_violation(self, weights):
+        # the check b f_x = a f_y reads the stored partials: an alpha out of
+        # step with them (here a and b swapped) is refused before any scan
+        curve = sextic()
+        a, b = annihilator_form(curve)
+        object.__setattr__(curve, "_alpha", (b, a))
+        with pytest.raises(RuntimeError, match="annihilator field does not kill f$"):
+            invariants(curve, weights=weights)
 
 
 class TestHypotheses:
@@ -352,9 +379,9 @@ class TestInvariants:
 
     @pytest.mark.parametrize("weights", [(1, 1), None])
     def test_annihilator_form_built_once(self, monkeypatch, weights):
-        # f, h and alpha are built with the curve, and annihilator_field,
-        # a_action and check_hypotheses (when it runs) read that one alpha:
-        # invariants constructs no curve data
+        # f, h, df and alpha are built with the curve, and annihilator_field,
+        # the a-action certificate (h and f_x0) and check_hypotheses (when it
+        # runs) read them: invariants constructs no curve data
         curve = factored([("x", 2), ("y", 2), ("x+y", 2), ("x-y", 2)])
         assert annihilator_form(curve) is annihilator_form(curve)
         built = []
@@ -369,8 +396,28 @@ class TestInvariants:
         assert built == []
         assert (rep.mu, rep.nu, rep.rank) == (9, 9, 18)
         if weights is not None:
-            alpha = annihilator_form(curve)
-            assert a_action(curve.expand(), alpha, rep.weights, rep.basis) == rep.a_action
+            inputs = curve_certificate_inputs(curve)
+            assert a_action(*inputs, rep.weights, rep.basis) == rep.a_action
+
+    @pytest.mark.parametrize("weights", [(1, 1), None], ids=["graded", "jet"])
+    def test_hot_path_builds_no_form_and_divides_only_for_alpha(self, monkeypatch, weights):
+        # the curve's exact division df = h alpha, one per partial, is the
+        # only one: invariants hands h, f_x0 and its one twisted operator
+        # to the certificate, and builds no DiffForm or VectorField
+        divisions = watch_the_hot_path(monkeypatch)
+        curve = FactoredCurve.of(XY, [(p("x"), 3)], p("x^3+y^3"))
+        assert divisions == [False, False]
+        report = invariants(curve, weights=weights)
+        assert (report.mu, report.nu, report.rank) == (9, 4, 13)
+        assert (report.a_action is None) == (weights is None)
+        assert divisions == [False, False]
+
+    def test_hot_path_of_a_germ_builds_no_form_and_divides_nothing(self, monkeypatch):
+        # milnor_isolated passes alpha = df and h = 1
+        divisions = watch_the_hot_path(monkeypatch)
+        germ = milnor_isolated(parse_polynomial("x^3+y^4", XY))
+        assert len(germ.a_coefficients) == germ.milnor == 6
+        assert True not in divisions
 
     def test_non_quasi_homogeneous_weights_rejected(self):
         # every clause holds, so the weights error stands after the check
@@ -717,15 +764,15 @@ class TestAActionOracle:
     def test_wrong_coefficient_fails(self):
         f, alpha = sextic().expand(), annihilator_form(sextic())
         ws = WeightSystem.for_poly(f, (1, 1))
-        assert _action_certificate(f, alpha, ws)(p("1"), Fraction(1, 3))
-        assert not _action_certificate(f, alpha, ws)(p("1"), Fraction(1, 2))
+        assert _action_certificate(*certificate_inputs(f, alpha), ws)(p("1"), Fraction(1, 3))
+        assert not _action_certificate(*certificate_inputs(f, alpha), ws)(p("1"), Fraction(1, 2))
 
     def test_cross_values(self):
         f, alpha = cross().expand(), annihilator_form(cross())
         ws = WeightSystem.for_poly(f, (1, 1))
-        assert _action_certificate(f, alpha, ws)(p("1"), Fraction(1, 2))
-        assert _action_certificate(f, alpha, ws)(p("x*y"), Fraction(1))
-        assert not _action_certificate(f, alpha, ws)(p("1"), Fraction(1, 3))
+        assert _action_certificate(*certificate_inputs(f, alpha), ws)(p("1"), Fraction(1, 2))
+        assert _action_certificate(*certificate_inputs(f, alpha), ws)(p("x*y"), Fraction(1))
+        assert not _action_certificate(*certificate_inputs(f, alpha), ws)(p("1"), Fraction(1, 3))
 
     def test_shared_degree_span_still_checks_each_representative(self, monkeypatch):
         # x^2, x*y and y^2 share one weighted degree and one coefficient;
@@ -733,7 +780,8 @@ class TestAActionOracle:
         f, alpha = sextic().expand(), annihilator_form(sextic())
         ws = WeightSystem.for_poly(f, (1, 1))
         basis = [p("x^2"), p("x*y"), p("y^2")]
-        assert [c for _, c in a_action(f, alpha, ws, basis)] == [Fraction(2, 3)] * 3
+        proved = a_action(*certificate_inputs(f, alpha), ws, basis)
+        assert [c for _, c in proved] == [Fraction(2, 3)] * 3
 
         def wrong_on_xy(weights, rep):
             shift = Fraction(1, 7) if rep == p("x*y") else 0
@@ -741,7 +789,7 @@ class TestAActionOracle:
 
         monkeypatch.setattr("brieskorn.curve.a_action_coefficient", wrong_on_xy)
         with pytest.raises(InputError, match=r"monomial x\*y"):
-            a_action(f, alpha, ws, basis)
+            a_action(*certificate_inputs(f, alpha), ws, basis)
 
     def test_eta_degree_past_the_jet_cap(self):
         # the oracle slices lie past jet_cap * min(weights): each one is a
@@ -795,7 +843,7 @@ def form_weighted_degree(form: DiffForm, weights) -> Optional[Fraction]:
     return degrees.pop()
 
 
-def reference_oracle(f: Poly, alpha: DiffForm, ws: WeightSystem):
+def reference_oracle(f: Poly, alpha: tuple[Poly, ...], ws: WeightSystem):
     """Membership of  f m vol - c df ^ xi  in the span of the exact forms
     d(eta ^ alpha) of its weighted degree, with Poly-built targets: the
     independent reference for ``_action_certificate``, deciding every c."""
@@ -803,9 +851,9 @@ def reference_oracle(f: Poly, alpha: DiffForm, ws: WeightSystem):
     int_weights, scale = ws.integer_scaled()
     images = [
         (sum(int_weights[j] for j in index_set), image)
-        for index_set, image in _exact_form_images(alpha)
+        for index_set, image in _exact_form_images(alpha).items()
     ]
-    alpha_degree = form_weighted_degree(alpha, ws.weights)
+    alpha_degree = form_weighted_degree(one_form(alpha), ws.weights)
     spans: dict[int, Span] = {}
 
     def eta_span(eta_degree: int) -> Span:
@@ -884,7 +932,7 @@ class TestIntegerOracleTarget:
         ws = report.weights
         f = curve.expand()
         alpha = annihilator_form(curve)
-        holds = _action_certificate(f, alpha, ws)
+        holds = _action_certificate(*certificate_inputs(f, alpha), ws)
         reference = reference_oracle(f, alpha, ws)
         scale = common_denominator(f)
         f_terms = integer_terms(f, scale)
@@ -903,8 +951,8 @@ class TestIntegerOracleTarget:
         # certificate, with alpha = df, in two and three variables
         germ = milnor_isolated(parse_polynomial(text, variables))
         f = germ.poly
-        alpha = DiffForm.from_poly(f).d()
-        holds = _action_certificate(f, alpha, germ.weights)
+        alpha = gradient(f)
+        holds = _action_certificate(*certificate_inputs(f, alpha), germ.weights)
         reference = reference_oracle(f, alpha, germ.weights)
         assert len(germ.a_coefficients) == germ.milnor
         for exps, c in germ.a_coefficients:
@@ -922,7 +970,7 @@ class TestEulerWitness:
         curve, weights = curve_and_weights
         report = invariants(curve, weights=weights)
         ws = report.weights
-        holds = _action_certificate(curve.expand(), annihilator_form(curve), ws)
+        holds = _action_certificate(*curve_certificate_inputs(curve), ws)
         assert [rep for rep, _ in report.a_action] == list(report.basis)
         for rep, c in report.a_action:
             assert c == a_action_coefficient(ws, rep) and holds(rep, c)
@@ -931,7 +979,7 @@ class TestEulerWitness:
     def test_isolated_germs_need_no_span(self, text, variables):
         germ = milnor_isolated(parse_polynomial(text, variables))
         f = germ.poly
-        holds = _action_certificate(f, DiffForm.from_poly(f).d(), germ.weights)
+        holds = _action_certificate(*certificate_inputs(f), germ.weights)
         assert len(germ.a_coefficients) == germ.milnor
         for exps, c in germ.a_coefficients:
             m = Poly.monomial(variables, exps)
@@ -951,11 +999,11 @@ class TestEulerWitness:
         # the certificate leaves unproved
         if curve is None:
             f = parse_polynomial(text, variables)
-            alpha = DiffForm.from_poly(f).d()
+            alpha = gradient(f)
         else:
             f, alpha = curve().expand(), annihilator_form(curve())
         ws = WeightSystem.for_poly(f, weights)
-        holds = _action_certificate(f, alpha, ws)
+        holds = _action_certificate(*certificate_inputs(f, alpha), ws)
         reference = reference_oracle(f, alpha, ws)
         wrong_members = 0
         for exps in monomials_below(len(variables), 7):
@@ -969,30 +1017,35 @@ class TestEulerWitness:
         assert wrong_members > 0
 
     def test_witness_needs_an_exact_cofactor(self):
-        # alpha = x dy - y dx does not divide df of x^2 + y^2, which no
-        # caller passes: df = h alpha holds by construction
+        # alpha = x dy - y dx does not divide df of x^2 + y^2, so no h gives
+        # df = h alpha, which every caller proves (the curve's exact
+        # division, or h = 1 for alpha = df): with h = 1 the frame
+        # comparison refuses c* at 1, x and y
         f = p("x^2 + y^2")
-        alpha = DiffForm(XY, 1, {(0,): -p("y"), (1,): p("x")})
+        images = _exact_form_images((-p("y"), p("x")))
         ws = WeightSystem.for_poly(f, (1, 1))
-        with pytest.raises(RuntimeError, match="internal invariant violation"):
-            _action_certificate(f, alpha, ws)
+        for m in (p("1"), p("x"), p("y")):
+            holds = _action_certificate(f, f.derivative("x"), p("1"), images, ws)
+            assert not holds(m, a_action_coefficient(ws, m))
+        # with the true alpha = df and h = 1 each is proved
+        holds = _action_certificate(*certificate_inputs(f), ws)
+        assert all(holds(m, a_action_coefficient(ws, m)) for m in (p("1"), p("x"), p("y")))
 
 
-def per_class_certificate(f: Poly, alpha: DiffForm, ws: WeightSystem):
+def per_class_certificate(f: Poly, alpha: tuple[Poly, ...], ws: WeightSystem):
     """The Euler-field certificate as it was before its affine frame: each
     class m is proved on its own, by the full identity
     f m vol - c df ^ xi = d(eta ^ alpha) (or by omega = 0), at any c."""
     variables, n = f.variables, len(f.variables)
-    coefficients = [alpha.coefficient((i,)) for i in range(n)]
-    i = next(i for i, a in enumerate(coefficients) if not a.is_zero)
-    h = f.derivative(variables[i]).divide_exact(coefficients[i])
+    i = next(i for i, a in enumerate(alpha) if not a.is_zero)
+    h = f.derivative(variables[i]).divide_exact(alpha[i])
     scale_h, scale_f = common_denominator(h), common_denominator(f)
     h_terms = integer_terms(h, scale_h)
     f_terms = integer_terms(f, scale_f)
     fx0_terms = integer_terms(f.derivative(variables[0]), scale_f)
     int_weights, weight_scale = ws.integer_scaled()
     q = ws.total_degree * weight_scale
-    images = dict(_exact_form_images(alpha))
+    images = _exact_form_images(alpha)
     index_images = [
         (j, images[tuple(k for k in range(1, n) if k != j)]) for j in range(1, n)
     ]
@@ -1092,7 +1145,7 @@ def proved_in_turn(monkeypatch, certificate, texts, defect=None) -> Optional[lis
         monkeypatch.setitem(certificate.__globals__, "_action_target", defective)
     f = p("x^3 + y^4")
     ws = WeightSystem.for_poly(f, (4, 3))
-    holds = certificate(f, DiffForm.from_poly(f).d(), ws)
+    holds = certificate(*certificate_inputs(f), ws)
     for text in texts:
         if not holds(p(text), a_action_coefficient(ws, p(text))):
             return None
@@ -1137,7 +1190,9 @@ def quasi_homogeneous_germs(draw):
 def assert_same_verdicts(f, alpha, ws, basis, index):
     """``a_action`` equals the per-class reference on ``basis``, and both
     refuse a coefficient shifted on ``basis[index]``, naming that class."""
-    assert a_action(f, alpha, ws, basis) == reference_a_action(f, alpha, ws, basis)
+    assert a_action(*certificate_inputs(f, alpha), ws, basis) == reference_a_action(
+        f, alpha, ws, basis
+    )
     if not basis:
         return
     target = basis[index % len(basis)]
@@ -1146,7 +1201,7 @@ def assert_same_verdicts(f, alpha, ws, basis, index):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("brieskorn.curve.a_action_coefficient", shifted_on(target))
         with pytest.raises(InputError, match=failed_on(target)):
-            a_action(f, alpha, ws, basis)
+            a_action(*certificate_inputs(f, alpha), ws, basis)
 
 
 class TestAffineFrame:
@@ -1165,10 +1220,10 @@ class TestAffineFrame:
     @given(quasi_homogeneous_germs(), st.integers(0, 100))
     def test_germs_match_the_per_class_reference(self, germ, index):
         f, ws, classes = germ
-        alpha = DiffForm.from_poly(f).d()
+        alpha = gradient(f)
         with pytest.MonkeyPatch.context() as mp:
             seen = record_targets(mp)
-            a_action(f, alpha, ws, classes)
+            a_action(*certificate_inputs(f, alpha), ws, classes)
         frame = [str(Poly.constant(f.variables, 1))] + list(f.variables)
         assert compared_in_full(seen) in ([], frame)
         assert_same_verdicts(f, alpha, ws, classes, index)
@@ -1234,7 +1289,7 @@ class TestClosedFormWitness:
     def test_cross_gcd_two(self):
         witness = closed_form_witness(cross())
         assert witness == Poly.constant(XY, 1)
-        assert (annihilator_form(cross()) * witness).d().is_zero
+        assert (one_form(annihilator_form(cross())) * witness).d().is_zero
 
     def test_coprime_multiplicities_give_none(self):
         assert closed_form_witness(cross(2, 3)) is None
@@ -1244,11 +1299,19 @@ class TestClosedFormWitness:
         curve = cross(4, 2)
         witness = closed_form_witness(curve)
         assert witness == p("x")
-        assert (annihilator_form(curve) * witness).d().is_zero
+        assert (one_form(annihilator_form(curve)) * witness).d().is_zero
 
     def test_requires_constant_residual(self):
         with pytest.raises(InputError):
             closed_form_witness(sextic())
+
+    def test_a_witness_that_is_not_closed_is_an_invariant_violation(self):
+        # x^4 y^2: h0 = x, and x alpha is closed only for the true alpha
+        curve = cross(4, 2)
+        a, b = annihilator_form(curve)
+        object.__setattr__(curve, "_alpha", (a, b * 2))
+        with pytest.raises(RuntimeError, match="predicted witness is not closed$"):
+            closed_form_witness(curve)
 
     def test_corpus(self):
         from math import gcd
@@ -1258,7 +1321,7 @@ class TestClosedFormWitness:
             witness = closed_form_witness(curve)
             if common > 1:
                 assert witness is not None
-                assert (annihilator_form(curve) * witness).d().is_zero
+                assert (one_form(annihilator_form(curve)) * witness).d().is_zero
             else:
                 assert witness is None
                 assert closed_product_exponents(curve) == []
@@ -1290,8 +1353,7 @@ class TestTransversalMilnor:
 
 def coefficient_ideal(curve: FactoredCurve) -> IdealGens:
     """(a, b) for the annihilator form alpha = a dx + b dy."""
-    alpha = annihilator_form(curve)
-    return IdealGens.of(XY, [alpha.coefficient((i,)) for i in range(2)])
+    return IdealGens.of(XY, annihilator_form(curve))
 
 
 def reference_cases():
@@ -1475,7 +1537,7 @@ class TestJetNuScan:
     @staticmethod
     def reference(curve: FactoredCurve, target: int):
         sat = IdealGens.of(XY, [curve.multiplicity_cofactor()])
-        return nu_jet_reference(sat, annihilator_field(curve), target)
+        return nu_jet_reference(sat, annihilator_vector_field(curve), target)
 
     @staticmethod
     def nu_exponents(report) -> list:
@@ -1494,8 +1556,8 @@ class TestJetNuScan:
         # exactly over the integers; modulo the predictor's prime it never
         # counts less
         sat = IdealGens.of(XY, [curve.multiplicity_cofactor()])
-        field = annihilator_field(curve)
-        image = _ShiftedImages(field.coefficients, field.divergence())
+        field = annihilator_vector_field(curve)
+        image = twisted_action(field.coefficients)
         exact = _JetCounts(sat, image, cap=12)
         modular = _JetCounts(sat, image, cap=12, modulus=_PREDICTOR_MODULUS)
         for order in range(1, 13):

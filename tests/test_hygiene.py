@@ -2,13 +2,16 @@
 touches floating point (README: "runtime has no dependencies", "no
 floating point anywhere"), divides only a ``Fraction`` (coefficients may be
 ints, and int / int is a float), reads no environment variable (the CLI
-flags are the one source of every setting), and carries no name that
-nothing uses."""
+flags are the one source of every setting), carries no name that nothing
+uses, and loads on ``import brieskorn.cli`` every module the bench tracer
+wraps."""
 
 from __future__ import annotations
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -173,3 +176,43 @@ def test_unreferenced_names_are_flagged():
     }
     config = 'brieskorn = "brieskorn.cli:entrypoint"'
     assert _unreferenced(modules, config) == ["a.py: unused", "a.py: Used.recursive"]
+
+
+# run in a fresh interpreter: the owners that ``import brieskorn.cli`` leaves
+# unresolved, by the lookup of ``bench/tracer.py``
+TRACER_OWNERS = """
+import importlib.util, sys
+import brieskorn.cli
+spec = importlib.util.spec_from_file_location("bench_tracer", sys.argv[1])
+tracer = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer)
+owners = {path for sites in tracer.SPAN_SITES.values() for path, _ in sites}
+owners |= {path for path, _ in tracer.COUNT_SITES.values()}
+for path in sorted(owners):
+    try:
+        tracer._owner(path)
+    except (KeyError, AttributeError):
+        print(path)
+"""
+
+
+def unresolved_tracer_owners(src: Path) -> list[str]:
+    """The owners of the sites of ``bench/tracer.py`` (a module, or a
+    ``module:Class``) that do not resolve after ``import brieskorn.cli``
+    from ``src`` in a fresh interpreter; the tracer reads ``sys.modules``
+    and imports nothing itself."""
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", TRACER_OWNERS, str(ROOT / "bench" / "tracer.py")],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return run.stdout.split()
+
+
+def test_importing_the_cli_loads_every_module_the_bench_tracer_wraps():
+    # a refactor that drops forms.DiffForm or imports a module lazily fails
+    # here, not in a traced bench run
+    assert unresolved_tracer_owners(ROOT / "src") == []

@@ -30,6 +30,7 @@ from brieskorn.local_algebra import (
     local_quotient,
     monomials_below,
     monomials_of_weighted_degree,
+    twisted_action,
     twisted_quotient_dim,
 )
 from brieskorn.poly import Poly, WeightSystem, parse_polynomial
@@ -38,6 +39,7 @@ from conftest import (
     GradedIdeal,
     RefSpan,
     apply_twisted,
+    divergence,
     greedy_slice_quotient,
     greedy_twisted_slices,
     ideal_jet_span,
@@ -48,6 +50,7 @@ from conftest import (
     polys,
     ref_kernel_relations,
     saturate_at_origin,
+    shares_the_exact_form_operator,
     stable_colength,
     twisted_drop,
     wedge,
@@ -460,7 +463,7 @@ class TestWeightedCounts:
         I, V, ws = problem
         slices = greedy_twisted_slices(I, V, ws, top)
         target = sum(map(len, slices))
-        result = twisted_quotient_dim(I, V, target, ws, jet_cap=top + 6)
+        result = twisted_quotient_dim(I, twisted_action(V.coefficients), target, ws, top + 6)
         assert result.dim == target
         assert result.basis == tuple(m for kept in slices for m in kept)
 
@@ -483,7 +486,7 @@ class TestWeightedCounts:
 
     def test_a_certificate_that_does_not_grade_the_ideal_is_an_input_error(self):
         ws, I = WeightSystem((1, 1), 1), ideal("x + y^2")
-        euler = VectorField(XY, (p("x"), p("y")))
+        euler = twisted_action((p("x"), p("y")))
         for scan in (
             lambda: local_quotient(I, ws),
             lambda: twisted_quotient_dim(I, euler, 1, ws),
@@ -495,8 +498,9 @@ class TestWeightedCounts:
         I = ideal("x^2")
         V = VectorField(XY, (p("x*y^2 + y"), p("-(2*x^3+y^3)")))
         target = len(nu_jet_basis(I, V, 4))
-        ws = WeightSystem((1, 1), 6)
-        assert twisted_quotient_dim(I, V, target, ws) == twisted_quotient_dim(I, V, target)
+        ws, twisted = WeightSystem((1, 1), 6), twisted_action(V.coefficients)
+        graded = twisted_quotient_dim(I, twisted, target, ws)
+        assert graded == twisted_quotient_dim(I, twisted, target)
 
 
 @st.composite
@@ -543,7 +547,7 @@ class TestJetCounts:
         I, V = problem
         image, drop = None, 0
         if V is not None:
-            image, drop = _ShiftedImages(V.coefficients, V.divergence()), twisted_drop(V)
+            image, drop = twisted_action(V.coefficients), twisted_drop(V)
         exact = _JetCounts(I, image)
         modular = _JetCounts(I, image, 6, _PREDICTOR_MODULUS)
         assert exact.drop == modular.drop == drop
@@ -633,7 +637,7 @@ class TestTwistedQuotient:
     and a cap reached first is inconclusive."""
 
     def sextic_field(self):
-        return VectorField(XY, (p("x*y^2"), p("-(2*x^3+y^3)")))
+        return twisted_action((p("x*y^2"), p("-(2*x^3+y^3)")))
 
     def sextic(self, target, graded, jet_cap=24):
         """The sextic's nu scan: (x^2) and its field, graded or jet."""
@@ -704,9 +708,14 @@ class TestTwistedQuotient:
             m = Poly.monomial(XY, (a, b))
             assert apply_twisted(v, m) == m * Fraction(a - b)
         ws = WeightSystem((1, 1), 2)
-        result = twisted_quotient_dim(ideal("x*y"), v, 1, ws, 16)
+        result = twisted_quotient_dim(ideal("x*y"), twisted_action(v.coefficients), 1, ws, 16)
         assert result.dim == 1
         assert [str(Poly.monomial(XY, e)) for e in result.basis] == ["1"]
+
+    def test_an_operator_of_another_ring_is_refused(self):
+        I = IdealGens.of(XYZ, [p("x", XYZ)])
+        with pytest.raises(InputError, match="ideal and vector field live in different rings"):
+            twisted_quotient_dim(I, self.sextic_field(), 0)
 
     def test_unit_ideal(self):
         v = self.sextic_field()
@@ -718,7 +727,8 @@ class TestTwistedQuotient:
         I = ideal("x", "y")
         expected, _, _ = stable_colength(I, cap=10)
         ws = WeightSystem((1, 1), 2)
-        result = twisted_quotient_dim(I, VectorField.zero(XY), expected, ws, 12)
+        zero = twisted_action(VectorField.zero(XY).coefficients)
+        result = twisted_quotient_dim(I, zero, expected, ws, 12)
         assert result.dim == expected == 1
 
     def test_cap_independence_with_certificate(self):
@@ -753,10 +763,15 @@ class TestShiftedImages:
     @given(rational_polys(XY), rational_polys(XY), exponents(2))
     def test_twisted_action(self, a, b, m):
         field = VectorField(XY, (a, b))
-        image = _ShiftedImages(field.coefficients, field.divergence())
+        image = _ShiftedImages(field.coefficients, divergence(field))
         assert image.scale > 1
         reference = apply_twisted(field, Poly.monomial(XY, m))
         assert scaled_down(image, m) == reference.terms
+
+    @given(rational_polys(XY), rational_polys(XY))
+    def test_the_dual_field_twists_as_the_exact_forms(self, a, b):
+        # V~(x^m) vol = d(x^m alpha) for V = b d/dx - a d/dy, scale included
+        assert shares_the_exact_form_operator(a, b)
 
     @given(
         st.sampled_from([XY, XYZ, XYZ + ("w",)]).flatmap(
@@ -771,9 +786,9 @@ class TestShiftedImages:
         variables, coefficients, m = data
         n = len(variables)
         alpha = DiffForm(variables, 1, {(i,): c for i, c in enumerate(coefficients)})
-        images = _exact_form_images(alpha)
+        images = _exact_form_images(coefficients)
         assert len(images) == comb(n, 2)
-        for index_set, image in images:
+        for index_set, image in images.items():
             eta = DiffForm(variables, n - 2, {index_set: Poly.monomial(variables, m)})
             reference = wedge(eta, alpha).d().coefficient(tuple(range(n)))
             assert scaled_down(image, m) == reference.terms

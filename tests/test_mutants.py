@@ -6,7 +6,8 @@ answer the tests cannot see, so each mutant here is caught by one targeted
 call, not by rerunning the suite: a public call raises, or its answer
 differs from the test-side oracle that the suite compares it with.
 Covered: the a-action certificate (a wrong coefficient, a wrong target,
-a missing cofactor), the derivation term of the (a,b)-module operator,
+a missing cofactor), the sign of the divergence of the twisted operator
+that the nu scan and the certificate share, the derivation term of the (a,b)-module operator,
 the closed form of a^l b^r (a falling factorial, a dropped binomial),
 the Nakayama stop of mu, the Bezout bound of the colength scans, the
 weighted Bezout number of graded b_1, the nu target stop, the re-read
@@ -47,6 +48,7 @@ from brieskorn.curve import (
     FactoredCurve,
     _action_certificate,
     _action_target,
+    annihilator_form,
     check_hypotheses,
     invariants,
     milnor_fibre_betti,
@@ -62,16 +64,24 @@ from brieskorn.local_algebra import (
     _reached,
     local_colength,
     local_quotient,
+    twisted_action,
 )
 from brieskorn.poly import Poly, WeightSystem, parse_polynomial
 from brieskorn.suspension import milnor_isolated
 
-from conftest import jet_quotient, mu as reference_mu, rank_one, rewrite_normal_order
+from conftest import (
+    jet_quotient,
+    mu as reference_mu,
+    rank_one,
+    rewrite_normal_order,
+    shares_the_exact_form_operator,
+)
 from test_ab_module import (
     COMMUTING_MODULES,
     ab_modules,
     apply_a,
     generator,
+    one_step_misses,
     reference_check_commutation,
     word,
 )
@@ -148,18 +158,12 @@ class TestAActionMutants:
         with pytest.raises(InputError, match="a-action verification failed"):
             run()
 
-    @pytest.mark.parametrize(
-        "run",
-        [
-            lambda: invariants(golden_sextic(), weights=(1, 1)),
-            lambda: milnor_isolated(p("x^3+y^4")),
-        ],
-        ids=["curve", "germ"],
-    )
-    def test_missing_cofactor_is_an_invariant_violation(self, monkeypatch, run):
+    def test_missing_cofactor_is_an_invariant_violation(self, monkeypatch):
+        # the curve's one exact division df = h alpha; a germ passes h = 1
+        # and divides nothing
         monkeypatch.setattr(Poly, "divide_exact", lambda self, divisor: None)
         with pytest.raises(RuntimeError, match="internal invariant violation"):
-            run()
+            invariants(golden_sextic(), weights=(1, 1))
 
 
 class TestAffineFrameMutant:
@@ -179,6 +183,32 @@ def without_derivation_term(module: ABModule, order: int):
         if 0 < t < order - 1:
             vec_axpy(column, -scale * t, {(j, t + 1): 1})
     return scale, columns
+
+
+class TestSharedOperatorMutant:
+    """``invariants`` passes one twisted operator to the nu scan and to the
+    a-action certificate, which rests on V~(x^m) vol = d(x^m alpha) for
+    V = b d/dx - a d/dy.  With the sign of the divergence flipped the
+    identity fails, and the certificate refuses the graded golden sextic
+    (div V = -6 y^2).  The nu scan alone does not see it: on the jet path
+    the sextic keeps nu 4 and its basis."""
+
+    @pytest.fixture
+    def mutant(self):
+        old = "divergence + c.derivative(v)"
+        return mutated(twisted_action, old, old.replace("+", "-"))
+
+    def test_is_caught_by_the_exact_form_identity(self, mutant):
+        a, b = annihilator_form(golden_sextic())
+        assert shares_the_exact_form_operator(a, b)
+        assert not shares_the_exact_form_operator(a, b, mutant)
+
+    def test_is_caught_by_the_certificate_on_the_golden_sextic(self, monkeypatch, mutant):
+        monkeypatch.setattr("brieskorn.curve.twisted_action", mutant)
+        with pytest.raises(InputError, match=failed_on(p("x^2"))):
+            invariants(golden_sextic(), weights=(1, 1))
+        jet = invariants(golden_sextic())
+        assert (jet.nu, [str(m) for m in jet.basis_nu]) == (4, ["1", "x", "y", "x*y"])
 
 
 class TestDerivationTermMutant:
@@ -215,9 +245,11 @@ class TestClosedFormMutants:
     by the rewriter from l = 2 on.  The factorial identity is blind to
     both: its coefficient of b^(n+k) a^(n-k) is an n-th difference in r of
     C(n,k) times a degree-k polynomial in r, so it reads only the leading
-    coefficient 1 of the k = n term, which both mutants keep."""
+    coefficient 1 of the k = n term, which both mutants keep.  The one-step
+    induction a^(l+1) b^r = a (a^l b^r), with a b^s = b^s a + s b^(s+1),
+    needs no rewriter and catches both at its step from l = 1."""
 
-    @pytest.mark.parametrize(
+    MUTANTS = pytest.mark.parametrize(
         "old, new",
         [
             ("(b_power + k - 1)", "(b_power - k + 1)"),
@@ -225,6 +257,8 @@ class TestClosedFormMutants:
         ],
         ids=["falling-factorial", "no-binomial"],
     )
+
+    @MUTANTS
     def test_is_caught_by_the_rewriter_from_l_2(self, monkeypatch, old, new):
         mutant = mutated(_reorder_a_powers, old, new)
         monkeypatch.setattr("brieskorn.ab_module._reorder_a_powers", mutant)
@@ -235,6 +269,15 @@ class TestClosedFormMutants:
 
         assert min(l for l in range(7) for r in range(7) if caught(l, r)) == 2
         assert all(factorial_identity_holds(n) for n in range(1, 9))
+
+    @MUTANTS
+    def test_is_caught_by_the_one_step_induction_from_l_1(self, monkeypatch, old, new):
+        # the step from a^1 b^r to a^2 b^r is the first that reads a
+        # coefficient the mutants change; the rewriter plays no part
+        mutant = mutated(_reorder_a_powers, old, new)
+        monkeypatch.setattr("brieskorn.ab_module._reorder_a_powers", mutant)
+        misses = one_step_misses()
+        assert misses and min(l for l, _ in misses) == 1
 
 
 # (x^2 - y^3)^2, graded by (3, 2) and as a jet: mu = dim (h)/J = 2
@@ -317,8 +360,8 @@ class TestNuTargetStopMutant:
 
     @pytest.mark.xfail(
         strict=True,
-        reason="ROADMAP item 2: nu stops on the one-sided target b_1 - mu, so a "
-        "b_1 - 1 that the scan reaches exactly prints nu 3 and exits 0",
+        reason="ROADMAP items 5 and 6: nu stops on the one-sided target b_1 - mu, "
+        "so a b_1 - 1 that the scan reaches exactly prints nu 3 and exits 0",
     )
     def test_betti_one_low_on_the_golden_sextic_is_refused(self, monkeypatch):
         monkeypatch.setattr(

@@ -19,7 +19,6 @@ from brieskorn.curve import (
     invariants,
 )
 from brieskorn.errors import InputError
-from brieskorn.forms import DiffForm
 from brieskorn.local_algebra import jacobian_ideal, monomials_below
 from brieskorn.poly import Poly, listing_key, parse_polynomial
 from brieskorn.suspension import (
@@ -30,7 +29,7 @@ from brieskorn.suspension import (
     verify_suspension_direct,
 )
 
-from conftest import stable_colength
+from conftest import certificate_inputs, stable_colength
 
 XY = ("x", "y")
 Z = ("z",)
@@ -185,12 +184,12 @@ class TestActionOracle:
         g = milnor_isolated(p(text, variables))
         coefficients = [c for _, c in g.a_coefficients]
         assert sorted(coefficients) == sorted(Fraction(c) for c in expected)
-        df = DiffForm.from_poly(g.poly).d()
+        inputs = certificate_inputs(g.poly)
         for exps, c in g.a_coefficients:
             m = Poly.monomial(variables, exps)
-            assert _action_certificate(g.poly, df, g.weights)(m, c)
+            assert _action_certificate(*inputs, g.weights)(m, c)
             shifted = c + Fraction(1, 7)
-            assert not _action_certificate(g.poly, df, g.weights)(m, shifted)
+            assert not _action_certificate(*inputs, g.weights)(m, shifted)
 
     def test_one_oracle_serves_the_whole_basis(self, monkeypatch):
         built = []
