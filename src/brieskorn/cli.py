@@ -32,7 +32,7 @@ from .ab_module import (
     tensor,
 )
 from .curve import FactoredCurve, invariants, torsion_free_witness
-from .errors import BrieskornError, InconclusiveError, InputError, ParseError
+from .errors import BrieskornError, InconclusiveError, InputError
 from .local_algebra import DEFAULT_JET_CAP
 from .poly import Poly, PolyNames, Scalar, parse_fraction, parse_polynomial
 from .suspension import milnor_isolated, suspend, verify_suspension_direct
@@ -277,8 +277,6 @@ def _cmd_abmod(args, out) -> int:
             flags[f"regular_k{k}"] = is_regular(module, k)
         out.write(_json(flags) + "\n")
         return EXIT_OK
-    if args.count < 1:  # selftest
-        raise InputError(f"selftest needs --count >= 1, got {args.count}")
     return _abmod_selftest(args.count, args.seed, args.trunc, out)
 
 
@@ -371,6 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     inv = sub.add_parser(
         "invariants", parents=[report_settings, curve_common], help="plane-curve invariants"
     )
+    inv.set_defaults(command="invariants")
     inv.add_argument(
         "--check-witness",
         action="store_true",
@@ -380,6 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     susp = sub.add_parser(
         "suspend", parents=[report_settings, curve_common], help="suspension transport"
     )
+    susp.set_defaults(command="suspend")
     susp.add_argument("--isolated", required=True, help="isolated germ expression")
     susp.add_argument("--isolated-vars", default="", help="its variables")
     susp.add_argument(
@@ -391,18 +391,20 @@ def build_parser() -> argparse.ArgumentParser:
     abmod = sub.add_parser("abmod", help="(a,b)-module operations")
     absub = abmod.add_subparsers(dest="abmod_command", required=True)
     identity = absub.add_parser("identity", help="factorial b-power operator identity")
-    identity.add_argument("--n", type=int, required=True)
+    identity.add_argument("--n", type=_at_least(1), required=True)
     tensor_cmd = absub.add_parser("tensor", help="tensor two serialized modules")
     tensor_cmd.add_argument("left")
     tensor_cmd.add_argument("right")
     tensor_cmd.add_argument("-o", "--output", default="")
     check = absub.add_parser("check", help="commutation/simple-pole/regularity flags")
     check.add_argument("module")
-    check.add_argument("--k", type=int, action="append", default=None)
+    check.add_argument("--k", type=_at_least(1), action="append", default=None)
     selftest = absub.add_parser(
         "selftest", parents=[module_settings], help="randomized tensor properties"
     )
-    selftest.add_argument("--count", type=int, default=25)
+    selftest.add_argument("--count", type=_at_least(1), default=25)
+    for name, leaf in absub.choices.items():
+        leaf.set_defaults(command="abmod", abmod_command=name)
     return parser
 
 
@@ -413,11 +415,33 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _subcommands(parser: argparse.ArgumentParser) -> dict:
+    """The subcommand parsers of ``parser`` by name; none for an innermost one."""
+    actions = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return actions[0].choices if actions else {}
+
+
+def _parse(argv: Optional[Sequence[str]]) -> argparse.Namespace:
+    """``_parser().parse_args(argv)`` from the innermost subcommand parser that
+    the leading words of ``argv`` name, as argparse's subparser action parses;
+    any other call, or one that leaves a word over, gets the full parser's."""
+    parser, rest = _parser(), list(sys.argv[1:] if argv is None else argv)
+    choices = _subcommands(parser)
+    while rest and rest[0] in choices:
+        parser = choices[rest.pop(0)]
+        choices = _subcommands(parser)
+    if not choices:
+        args, extra = parser.parse_known_args(rest)
+        if not extra:
+            return args
+    return _parser().parse_args(argv)
+
+
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     out = out or sys.stdout
     try:
         with contextlib.redirect_stdout(out):  # --help and --version text
-            args = _parser().parse_args(argv)
+            args = _parse(argv)
     except SystemExit as exc:  # --help and --version exit 0, usage errors 2
         return EXIT_INVALID if exc.code else EXIT_OK
     try:
@@ -429,10 +453,7 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     except InconclusiveError as exc:
         sys.stderr.write(f"inconclusive: {exc}\n")
         return EXIT_INCONCLUSIVE
-    except (InputError, ParseError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INVALID
-    except BrieskornError as exc:  # pragma: no cover - defensive
+    except BrieskornError as exc:  # invalid input, a parse error included
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVALID
 

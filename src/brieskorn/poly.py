@@ -390,7 +390,7 @@ def parse_fraction(text: str) -> Scalar:
     on anything else."""
     num, slash, den = text.partition("/")
     try:
-        return exact_scalar(Fraction(int(num), int(den) if slash else 1))
+        return exact_scalar(Fraction(int(num), int(den))) if slash else int(num)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"not a rational number: {text!r}") from exc
 

@@ -108,6 +108,8 @@ BELOW_BOUND = [
     ("suspend-jet-cap-0", ["suspend", "--isolated", "z^2", *CURVE, "--jet-cap", "0"]),
     ("suspend-trunc-1", ["suspend", "--isolated", "z^2", *CURVE, "--trunc", "1"]),
     ("selftest-trunc-1", ["abmod", "selftest", "--trunc", "1"]),
+    ("identity-n-0", ["abmod", "identity", "--n", "0"]),
+    ("check-k-0", ["abmod", "check", "E.json", "--k", "1", "--k", "0"]),
 ]
 
 
@@ -143,6 +145,117 @@ def test_help_and_version_exit_zero(capsys, flag):
     assert code == EXIT_OK
     assert text.startswith("usage: brieskorn" if flag == "--help" else brieskorn.__version__)
     assert capsys.readouterr().out == ""
+
+
+# ``main`` parses a call with the innermost subcommand parser that its
+# leading words name; the reference parses it with the full parser.
+# "{dir}" holds the module files E.json and F.json of the CI step.
+VALID_CALLS = [
+    ("readme-golden", GOLDEN),
+    ("readme-two-branches", ["invariants", "--factors", "x:2,y:2", "--weights", "1,1"]),
+    ("readme-expansion", ["invariants", *CURVE, "--f", "x^6 + x^3*y^3", "--weights", "1,1"]),
+    ("ci-witness", ["invariants", "--factors", "x:2,y:3", "--vars", "x,y", "--check-witness"]),
+    ("equals-form", ["invariants", "--factors=x:2,y:2", "--weights=1,1", "--jet-cap=8"]),
+    ("readme-suspend", ["suspend", "--isolated", "z^2", *CURVE, "--weights", "1,1",
+                        "--verify-direct"]),
+    ("readme-identity", ["abmod", "identity", "--n", "5"]),
+    ("readme-tensor", ["abmod", "tensor", "{dir}/E.json", "{dir}/F.json", "-o",
+                       "{dir}/EF.json"]),
+    ("ci-check", ["abmod", "check", "{dir}/F.json", "--k", "1", "--k", "2"]),
+    ("check-after-separator", ["abmod", "check", "--", "{dir}/F.json"]),
+    ("readme-selftest", ["abmod", "selftest", "--count", "25", "--seed", "0"]),
+]
+USAGE_CALLS = [
+    ("no-arguments", []),
+    ("version", ["--version"]),
+    ("help", ["-h"]),
+    ("invariants-help", ["invariants", "-h"]),
+    ("check-help", ["abmod", "check", "--help"]),
+    ("abmod-alone", ["abmod"]),
+    ("abmod-help", ["abmod", "-h"]),
+    ("abmod-check-without-file", ["abmod", "check"]),
+    ("unknown-command", ["curve", "--factors", "x:2"]),
+    ("unknown-abmod-command", ["abmod", "sum", "E.json"]),
+    ("removed-window-flag", ["invariants", *CURVE, "--window", "5"]),
+    ("flags-before-the-command", ["--factors", "x:2", "--version"]),
+    ("jet-cap-0", ["invariants", *CURVE, "--jet-cap", "0"]),
+    ("format-xml", ["invariants", *CURVE, "--format", "xml"]),
+    ("missing-factors", ["invariants", "--weights", "1,1"]),
+    ("check-trunc", ["abmod", "check", "{dir}/F.json", "--trunc", "5"]),
+    ("identity-not-an-integer", ["abmod", "identity", "--n", "x"]),
+    ("identity-n-0", ["abmod", "identity", "--n", "0"]),
+    ("selftest-count-0", ["abmod", "selftest", "--count", "0"]),
+    ("separator-before-flags", ["invariants", "--", "--factors", "x:2"]),
+    ("top-level-equals-form", ["--factors=x:2,y:2"]),
+    ("extra-positional", ["abmod", "tensor", "{dir}/E.json", "{dir}/F.json", "{dir}/E.json"]),
+    ("abbreviated-flag", ["invariants", *CURVE, "--jet", "8", "--form", "json"]),
+]
+
+
+@pytest.fixture
+def module_dir(tmp_path) -> Path:
+    (tmp_path / "E.json").write_text(
+        json.dumps({"rank": 1, "trunc_order": 8, "label": "E", "a_matrix": [[[[1, "1/2"]]]]})
+    )
+    (tmp_path / "F.json").write_text(
+        json.dumps(
+            {"rank": 2, "trunc_order": 8, "label": "F",
+             "a_matrix": [[[[1, "1"]], [[2, "1/3"]]], [[], [[1, "-1"], [3, "2"]]]]}
+        )
+    )
+    return tmp_path
+
+
+def full_parse(argv):
+    return cli._parser().parse_args(argv)
+
+
+def by_both_routes(argv, monkeypatch, capsys):
+    """Exit code, stdout and stderr of ``main(argv)``, then of the same call
+    parsed by the full parser."""
+    capsys.readouterr()
+    outcomes = []
+    for parse in (cli._parse, full_parse):
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_parse", parse)
+            outcomes.append((*run(argv), capsys.readouterr().err))
+    return outcomes
+
+
+class TestInnermostParserRoute:
+    @pytest.mark.parametrize(
+        "argv", [case[1] for case in VALID_CALLS + USAGE_CALLS],
+        ids=[case[0] for case in VALID_CALLS + USAGE_CALLS],
+    )
+    def test_main_prints_what_the_full_parser_prints(self, module_dir, monkeypatch, capsys, argv):
+        argv = [arg.format(dir=module_dir) for arg in argv]
+        thin, full = by_both_routes(argv, monkeypatch, capsys)
+        assert thin == full
+
+    @pytest.mark.parametrize(
+        "argv", [case[1] for case in VALID_CALLS], ids=[case[0] for case in VALID_CALLS]
+    )
+    def test_valid_calls_parse_to_equal_namespaces_at_the_innermost_parser(
+        self, module_dir, monkeypatch, argv
+    ):
+        argv = [arg.format(dir=module_dir) for arg in argv]
+        expected = full_parse(argv)
+        assert expected.command == argv[0]
+        # the full parser is not consulted for a call its subcommand parser parses
+        monkeypatch.setattr(cli._parser(), "parse_args", None)
+        assert cli._parse(argv) == expected
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [(["invariants", *CURVE, "--window", "5"], "unrecognized arguments: --window 5"),
+         (["abmod", "check", "{dir}/F.json", "--trunc", "5"], "unrecognized arguments: --trunc 5")],
+        ids=["window", "trunc"],
+    )
+    def test_a_word_left_over_is_refused_by_the_top_parser(
+        self, module_dir, capsys, argv, message
+    ):
+        assert run([arg.format(dir=module_dir) for arg in argv]) == (EXIT_INVALID, "")
+        assert capsys.readouterr().err.endswith(f"\nbrieskorn: error: {message}\n")
 
 
 class TestInvariantsCommand:
@@ -459,7 +572,9 @@ class TestAbmodCommands:
         code, text = run(["abmod", "selftest", "--count", count])
         assert code == EXIT_INVALID
         assert text == ""
-        assert capsys.readouterr().err.startswith("error: ")
+        assert capsys.readouterr().err.endswith(
+            f"brieskorn abmod selftest: error: argument --count: must be at least 1, got {count}\n"
+        )
 
 
 JSON_VALUES = st.recursive(

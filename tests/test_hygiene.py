@@ -3,8 +3,8 @@ touches floating point (README: "runtime has no dependencies", "no
 floating point anywhere"), divides only a ``Fraction`` (coefficients may be
 ints, and int / int is a float), reads no environment variable (the CLI
 flags are the one source of every setting), carries no name that nothing
-uses, and loads on ``import brieskorn.cli`` every module the bench tracer
-wraps."""
+uses, loads on ``import brieskorn.cli`` every module the bench tracer
+wraps, and keeps ``src/`` under a recorded line ceiling."""
 
 from __future__ import annotations
 
@@ -216,3 +216,14 @@ def test_importing_the_cli_loads_every_module_the_bench_tracer_wraps():
     # a refactor that drops forms.DiffForm or imports a module lazily fails
     # here, not in a traced bench run
     assert unresolved_tracer_owners(ROOT / "src") == []
+
+
+# ROADMAP aim 2 tracks the line count of src/: a change that adds lines
+# raises this ceiling in the open, with the gain or guarantee that pays for
+# them
+SRC_LINE_CEILING = 3753
+
+
+def test_src_stays_under_its_line_ceiling():
+    lines = sum(path.read_text().count("\n") for path in SOURCES)
+    assert lines <= SRC_LINE_CEILING

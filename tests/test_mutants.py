@@ -18,8 +18,9 @@ count's non-leads returned as the unweighted basis, the normaliser of
 test dropped, the wrong variable stripped), the known basis of an
 elimination (raw generators as the known basis, the known x new S-pairs
 dropped), the exact quotient coefficient and the exponent check of
-``Poly.divide_exact``, the re-indexing of ``Poly.substitute`` and the
-ASCII escaping of the JSON writer.
+``Poly.divide_exact``, the re-indexing of ``Poly.substitute``, the
+ASCII escaping of the JSON writer and the full-parser fallback of the
+CLI's innermost-parser route.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from brieskorn.ab_module import (
     factorial_identity_holds,
     normal_order,
 )
-from brieskorn.cli import EXIT_INVALID, main
+from brieskorn.cli import EXIT_INVALID, EXIT_OK, main
 from brieskorn.curve import (
     FactoredCurve,
     _action_certificate,
@@ -98,6 +99,7 @@ from test_groebner import (
     reference_isolated,
     reference_torsion_length,
 )
+from test_cli import by_both_routes
 from test_poly import assert_exact, reference_substitute
 
 XY = ("x", "y")
@@ -504,6 +506,20 @@ class TestJsonWriterMutant:
         assert cli._json(value) == json.dumps(value, indent=2)
         monkeypatch.setattr("brieskorn.cli.encode_basestring_ascii", encode_basestring)
         assert cli._json(value) != json.dumps(value, indent=2)
+
+
+class TestLeftOverFallbackMutant:
+    def test_a_dropped_fallback_is_caught_by_the_full_parser_on_the_removed_window_flag(
+        self, monkeypatch, capsys
+    ):
+        # the subcommand parser leaves --window 5 over; only the full parser
+        # refuses it
+        argv = ["invariants", "--factors", "x:3", "--residual", "x^3+y^3", "--window", "5"]
+        thin, full = by_both_routes(argv, monkeypatch, capsys)
+        assert thin == full and full[0] == EXIT_INVALID
+        monkeypatch.setattr(cli, "_parse", mutated(cli._parse, "if not extra:", "if True:"))
+        thin, full = by_both_routes(argv, monkeypatch, capsys)
+        assert thin[0] == EXIT_OK and thin != full
 
 
 class TestUnweightedBasisMutant:

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from brieskorn import poly
 from brieskorn.errors import InputError, ParseError
 from brieskorn.poly import (
     Poly,
@@ -282,6 +283,26 @@ class TestExactScalars:
         assert type(parse_fraction("6/3")) is int
         assert p("2*x").lowest_monic() == p("x")
         assert type(p("2*x").lowest_monic().coefficient((1, 0))) is int
+
+    @pytest.mark.parametrize(
+        "text,value", [("3", 3), ("-3", -3), (" 3 ", 3), ("6/3", 2), ("-1/2", Fraction(-1, 2))]
+    )
+    def test_parse_fraction_values(self, text, value):
+        got = parse_fraction(text)
+        assert got == value and type(got) is type(value)
+
+    @pytest.mark.parametrize("text", ["3", "-3", " 3 "])
+    def test_parse_fraction_of_an_integer_builds_no_fraction(self, monkeypatch, text):
+        def refuse(*args):
+            raise AssertionError(f"Fraction{args} built for {text!r}")
+
+        monkeypatch.setattr(poly, "Fraction", refuse)
+        assert parse_fraction(text) == int(text)
+
+    @pytest.mark.parametrize("text", ["1/0", "x", "", "3/", "1.5"])
+    def test_parse_fraction_refuses_bad_text(self, text):
+        with pytest.raises(InputError, match=f"not a rational number: {text!r}"):
+            parse_fraction(text)
 
     def test_floats_raise(self):
         f = p("x + y")
