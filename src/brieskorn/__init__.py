@@ -30,7 +30,7 @@ from .curve import (
     torsion_free_witness,
 )
 from .errors import BrieskornError, InconclusiveError, InputError, ParseError
-from .forms import DiffForm, VectorField, field_from_one_form
+from .forms import DiffForm, VectorField
 from .groebner import torsion_length
 from .local_algebra import (
     IdealGens,
@@ -70,7 +70,6 @@ __all__ = [
     "check_hypotheses",
     "closed_form_witness",
     "factorial_identity_holds",
-    "field_from_one_form",
     "invariants",
     "is_regular",
     "is_simple_pole",

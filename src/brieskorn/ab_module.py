@@ -98,14 +98,21 @@ class ABModule:
 
     @classmethod
     def from_record(cls, record: Mapping) -> "ABModule":
-        """Inverse of ``to_record``; InputError on a malformed record."""
+        """Inverse of ``to_record``; InputError on a malformed record, such
+        as a rank, truncation order or b-power that is not a JSON integer."""
+
+        def integer(value) -> int:
+            if type(value) is not int:  # bool is an int subclass; 16.0 is not one
+                raise TypeError(f"{value!r} is not an integer")
+            return value
+
         try:
-            order = record["trunc_order"]
+            order = integer(record["trunc_order"])
 
             def cell(entry) -> list[Scalar]:
                 coeffs: list[Scalar] = []
                 for power, text in entry:
-                    if not 0 <= power < order:
+                    if not 0 <= integer(power) < order:
                         raise InputError(f"b-power {power} outside the truncation 0..{order - 1}")
                     while len(coeffs) <= power:
                         coeffs.append(0)
@@ -113,7 +120,7 @@ class ABModule:
                 return coeffs
 
             matrix = [[cell(entry) for entry in row] for row in record["a_matrix"]]
-            return cls(record["rank"], order, matrix, label=record.get("label", ""))
+            return cls(integer(record["rank"]), order, matrix, label=record.get("label", ""))
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             kind = type(exc).__name__
             raise InputError(f"malformed module record ({kind}: {exc})") from exc

@@ -25,12 +25,12 @@ from operator import mul
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import InconclusiveError, InputError
+from .forms import ExactFormImages, exact_form_images
 from .groebner import isolated_at_origin
 from .linalg import Span, intersection, vec_axpy
 from .local_algebra import (
     DEFAULT_JET_CAP,
     IdealGens,
-    _ShiftedImages,
     common_denominator,
     integer_terms,
     jacobian_ideal,
@@ -38,7 +38,6 @@ from .local_algebra import (
     local_quotient,
     monomials_below,
     shifted_terms,
-    twisted_action,
     twisted_quotient_dim,
 )
 from .poly import Exponents, Poly, PolyNames, WeightSystem, format_fraction, graded_key, listing_key
@@ -323,7 +322,7 @@ def invariants(
     b_1 - mu, and the nu scan stops when its lower bound reaches that
     target; ``jet_cap`` bounds that scan alone.
     One operator serves it and the a-action certificate: for V = (b, -a),
-    V~(x^m) vol = d(x^m alpha), the certificate's ``_exact_form_images``.
+    V~(x^m) vol = d(x^m alpha), ``forms.exact_form_images(alpha)``.
     """
     f = curve.expand()
     h = curve.multiplicity_cofactor()
@@ -338,7 +337,7 @@ def invariants(
         raise
     if ws is not None:  # the stop of (a, b) proved the clauses of the closed forms
         betti = milnor_fibre_betti(curve, ws)
-    twisted = twisted_action(field)
+    [twisted] = exact_form_images(curve._alpha).values()
     sat = IdealGens.of(curve.variables, [h])
     nu_res = twisted_quotient_dim(sat, twisted, betti - mu_value, ws, jet_cap)
     # the scans give valid exponents: the classes h x^m and x^m need no checks
@@ -446,7 +445,7 @@ def a_action(
     """a-action coefficients of f on the given basis classes, each proved
     by the Euler-field certificate before inclusion.  ``fx0`` is the
     partial of f in its first variable, and ``images`` the exact-form
-    operators (``_exact_form_images``) of a form alpha with df = h alpha:
+    operators (``forms.exact_form_images``) of a form alpha with df = h alpha:
     the annihilator form of a curve, or df for an isolated germ (h = 1).
     One certificate serves the whole basis, and it compares the identity
     in full at the n + 1 monomials 1, x_0, ..., x_(n-1) at most."""
@@ -458,39 +457,6 @@ def a_action(
             raise InputError(f"a-action verification failed on monomial {rep}")
         out.append((rep, coefficient))
     return tuple(out)
-
-
-# index set I of n - 2 variables -> the operator x^h -> d(x^h dx_I ^ alpha)
-ExactFormImages = dict[tuple[int, ...], _ShiftedImages]
-
-
-def _exact_form_images(alpha: Sequence[Poly]) -> ExactFormImages:
-    """For each index set I of n - 2 variables, the map from x^h to the top
-    coefficient of d(x^h dx_I ^ alpha), for the 1-form alpha with the
-    coefficients ``alpha``.  By the Leibniz rule that form is
-    sum_k h_k x^(h - e_k) dx_k ^ dx_I ^ alpha + x^h d(dx_I ^ alpha), affine
-    in h, so its operator is read off alpha once per index set.
-
-    With {p < q} the complement of I and s the sign of the sequence
-    (p, I, q), only the a_p dx_p and a_q dx_q of alpha survive the wedge
-    with dx_I: dx_p ^ dx_I ^ alpha = s a_q vol, dx_q ^ dx_I ^ alpha =
-    -s a_p vol, every other dx_k ^ dx_I ^ alpha = 0, and
-    d(dx_I ^ alpha) = s (d_p a_q - d_q a_p) vol.  In two variables the one
-    operator, I = (), is the twisted action of V = (a_1, -a_0)."""
-    variables = alpha[0].variables
-    n = len(variables)
-    zero = Poly.zero(variables)
-    out = {}
-    for index_set in combinations(range(n), n - 2) if n > 1 else ():
-        p, q = (k for k in range(n) if k not in index_set)
-        sequence = (p, *index_set, q)
-        s = (-1) ** sum(a > b for a, b in combinations(sequence, 2))
-        a_p, a_q = alpha[p], alpha[q]
-        parts = [zero] * n
-        parts[p], parts[q] = a_q * s, a_p * -s
-        extra = (a_q.derivative(variables[p]) - a_p.derivative(variables[q])) * s
-        out[index_set] = _ShiftedImages(parts, extra)
-    return out
 
 
 def _eta_images(
@@ -545,7 +511,7 @@ def _action_certificate(
     there is no eta, and omega itself vanishes at c*.
 
     The forms d(eta ^ alpha) are integer exponent shifts
-    (``_exact_form_images``) whose operators come from alpha alone; df =
+    (``forms.exact_form_images``) whose operators come from alpha alone; df =
     h alpha holds by construction (the exact division of ``FactoredCurve``,
     or h = 1 for alpha = df), so the certificate divides nothing.  A full
     check sums the images of eta and compares them with the integer
@@ -661,7 +627,6 @@ def torsion_free_witness(curve: FactoredCurve, jet_order: int = 12) -> bool:
     does a failed membership (which at adequate orders would indicate an
     implementation defect).
     """
-    variables = curve.variables
     f = curve.expand()
     if jet_order < f.total_degree() + 2:
         raise InconclusiveError(
@@ -669,9 +634,10 @@ def torsion_free_witness(curve: FactoredCurve, jet_order: int = 12) -> bool:
             jet_order=jet_order,
             needed=f.total_degree() + 2,
         )
-    # d(x^h alpha) and df ^ d(x^g) as integer exponent shifts: each map
-    # scales all its images by one positive integer, which changes no span
-    [exact_image] = _exact_form_images(annihilator_form(curve)).values()
+    # d(x^h alpha) and d(x^g df) = d(x^g) ^ df as integer exponent shifts:
+    # each map scales all its images by one positive integer, which changes
+    # no span
+    [exact_image] = exact_form_images(annihilator_form(curve)).values()
     exact_vectors = [
         vec for h_exp in monomials_below(2, jet_order + 1) if (vec := exact_image(h_exp))
     ]
@@ -684,8 +650,7 @@ def torsion_free_witness(curve: FactoredCurve, jet_order: int = 12) -> bool:
     meet = intersection(ideal_vectors, exact_vectors)
     if not meet:
         return True
-    f_x, f_y = curve._df
-    wedge_image = _ShiftedImages((-f_y, f_x), Poly.zero(variables))
+    [wedge_image] = exact_form_images(curve._df).values()
     witness_span = Span()
     for g_exp in monomials_below(2, jet_order + 1):
         vec = wedge_image(g_exp)

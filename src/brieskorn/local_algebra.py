@@ -136,16 +136,6 @@ class _ShiftedImages:
         return self._raised[1]
 
 
-def twisted_action(field: Sequence[Poly]) -> _ShiftedImages:
-    """The twisted action V~(x^m) = V.x^m + div(V) x^m of the vector field
-    V = sum_i V_i d/dx_i with the coefficients ``field``, as the operator
-    that ``twisted_quotient_dim`` scans."""
-    divergence = Poly.zero(field[0].variables)
-    for v, c in zip(field[0].variables, field):
-        divergence = divergence + c.derivative(v)
-    return _ShiftedImages(field, divergence)
-
-
 class IdealGens(NamedTuple):
     """A finite generating set, kept as given but for zero generators and
     equal duplicates, which are removed; every consumer scales to integers
@@ -457,7 +447,8 @@ def twisted_quotient_dim(
     a caller that knows the dimension is ``target``.
 
     The twisted action is h -> V.h + div(V) h, given as its operator
-    ``twisted`` (``twisted_action``).  The dimensions
+    ``twisted``; for the field V = (a_1, -a_0) dual to a 1-form alpha it is
+    d(h alpha), ``forms.exact_form_images(alpha)[()]``.  The dimensions
     q(k) = dim O/(I + V~(O) + M_k), M_k spanned by the monomials of
     w-degree >= k, are the dimensions of quotients of the full quotient,
     so they are nondecreasing lower bounds of it, and the scan stops at

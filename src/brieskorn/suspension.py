@@ -13,8 +13,9 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 from .ab_module import DEFAULT_TRUNC_ORDER, ABModule, tensor
-from .curve import FactoredCurve, InvariantReport, _exact_form_images, a_action
+from .curve import FactoredCurve, InvariantReport, a_action
 from .errors import InputError
+from .forms import exact_form_images
 from .linalg import Span
 from .groebner import isolated_at_origin, torsion_length
 from .local_algebra import jacobian_ideal, local_quotient
@@ -117,7 +118,7 @@ def milnor_isolated(f: Poly) -> IsolatedGerm:
         monomials = [Poly.monomial(f.variables, e) for e in basis]
         df = tuple(f.derivative(v) for v in f.variables)
         one = Poly.constant(f.variables, 1)
-        proved = a_action(f, df[0], one, _exact_form_images(df), ws, monomials)
+        proved = a_action(f, df[0], one, exact_form_images(df), ws, monomials)
         action = tuple((e, c) for e, (_, c) in zip(basis, proved))
     return IsolatedGerm(
         poly=f,

@@ -12,9 +12,9 @@ from typing import Callable, Hashable, Iterable, Optional
 from hypothesis import HealthCheck, settings, strategies as st
 
 from brieskorn.ab_module import ABModule, OperatorWord
-from brieskorn.curve import FactoredCurve, _exact_form_images, annihilator_field, annihilator_form
+from brieskorn.curve import FactoredCurve, annihilator_form
 from brieskorn.errors import InconclusiveError, InputError
-from brieskorn.forms import DiffForm, VectorField, _normalize_indices
+from brieskorn.forms import exact_form_images
 from brieskorn.groebner import _decode, _groebner, _integer_gens, _saturation, isolated_at_origin
 from brieskorn.linalg import Vec
 from brieskorn.local_algebra import (
@@ -25,9 +25,10 @@ from brieskorn.local_algebra import (
     monomials_below,
     monomials_of_weighted_degree,
     shifted_terms,
-    twisted_action,
 )
 from brieskorn.poly import Exponents, Poly, WeightSystem
+
+from forms_model import apply_twisted, divergence, gradient, one_form, twisted_operator
 
 settings.register_profile(
     "ci",
@@ -180,11 +181,11 @@ def greedy_twisted_slices(I: IdealGens, V, weights: WeightSystem, top: int) -> l
     graded = GradedIdeal(I, weights)
     w = graded.int_weights
     div = divergence(V)
-    shifts = {sum(map(mul, e, w)) - w_i for w_i, c in zip(w, V.coefficients) for e in c.terms}
+    shifts = {sum(map(mul, e, w)) - w_i for w_i, c in zip(w, V) for e in c.terms}
     shifts |= {sum(map(mul, e, w)) for e in div.terms}
     assert len(shifts) <= 1, "the field is not graded for these weights"
     shift = shifts.pop() if shifts else 0
-    image = _ShiftedImages(V.coefficients, div)
+    image = _ShiftedImages(V, div)
     slices = []
     for wdeg in range(top + 1):
         span = graded.slice_span(wdeg)
@@ -323,7 +324,7 @@ def twisted_drop(V) -> int:
     div = divergence(V)
     return max(
         [0]
-        + [1 - c.order() for c in V.coefficients if not c.is_zero]
+        + [1 - c.order() for c in V if not c.is_zero]
         + ([] if div.is_zero else [-div.order()])
     )
 
@@ -332,7 +333,7 @@ def nu_jet_basis(I: IdealGens, V, order: int) -> list:
     """Greedy monomial basis of O/(I + V~(O) + m^order) from one full exact
     span: the ideal jets, every twisted image V~(x^m) truncated below
     ``order`` (|m| < order + drop suffices), then the monomials."""
-    image = twisted_action(V.coefficients)
+    image = twisted_operator(V)
     return jet_quotient(I, order, image, twisted_drop(V))[1]
 
 
@@ -419,80 +420,19 @@ def rank_one(coefficient, trunc_order: int = 16, label: str = "") -> ABModule:
     return ABModule(1, trunc_order, [[[0, coefficient]]], label=label)
 
 
-def wedge(first: DiffForm, second: DiffForm) -> DiffForm:
-    """Graded-antisymmetric exterior product, the reference for the exact
-    form operators that ``curve._exact_form_images`` reads off alpha."""
-    variables = first.variables
-    if second.variables != variables:
-        raise InputError("forms live over different rings")
-    degree = first.degree + second.degree
-    if degree > len(variables):
-        return DiffForm.zero(variables, min(degree, len(variables)))
-    accum: dict[tuple[int, ...], Poly] = {}
-    for k1, c1 in first.terms.items():
-        for k2, c2 in second.terms.items():
-            key, sign = _normalize_indices(k1 + k2, len(variables))
-            if key is None:
-                continue
-            piece = c1 * c2 if sign == 1 else -(c1 * c2)
-            accum[key] = accum[key] + piece if key in accum else piece
-    return DiffForm(variables, degree, accum)
-
-
-def one_form(coefficients) -> DiffForm:
-    """The 1-form sum_i c_i dx_i of a coefficient tuple, such as the
-    ``annihilator_form`` of a curve."""
-    return DiffForm(coefficients[0].variables, 1, {(i,): c for i, c in enumerate(coefficients)})
-
-
-def gradient(f: Poly) -> tuple[Poly, ...]:
-    """The coefficients of df, the alpha of an isolated germ."""
-    return tuple(f.derivative(v) for v in f.variables)
-
-
-def exterior_d(f: Poly) -> DiffForm:
-    """The 1-form df."""
-    return one_form(gradient(f))
-
-
-def divergence(field: VectorField) -> Poly:
-    """Sum of the partials of the coefficients."""
-    total = Poly.zero(field.variables)
-    for name, coeff in zip(field.variables, field.coefficients):
-        total = total + coeff.derivative(name)
-    return total
-
-
-def apply_field(field: VectorField, h: Poly) -> Poly:
-    """Directional derivative V . h."""
-    total = Poly.zero(field.variables)
-    for name, coeff in zip(field.variables, field.coefficients):
-        total = total + coeff * h.derivative(name)
-    return total
-
-
-def apply_twisted(field: VectorField, h: Poly) -> Poly:
-    """Divergence-corrected action V.h + div(V) h, on Polys."""
-    return apply_field(field, h) + divergence(field) * h
-
-
-def shares_the_exact_form_operator(a: Poly, b: Poly, build=twisted_action) -> bool:
-    """Whether the twisted action of V = b d/dx - a d/dy (``build`` of
-    (b, -a), by default ``twisted_action``) is the exact-form operator
-    x^m -> d(x^m alpha) of alpha = a dx + b dy: the same scale, and the
-    same image on every x^m of degree <= 6.  ``curve.invariants`` passes
-    the one operator to the nu scan and to the a-action certificate on
-    this identity."""
-    twisted = build((b, -a))
-    [exact] = _exact_form_images((a, b)).values()
-    return twisted.scale == exact.scale and all(
-        twisted(m) == exact(m) for m in monomials_below(2, 7)
+def shares_the_exact_form_operator(a: Poly, b: Poly, build=exact_form_images) -> bool:
+    """Whether the exact-form operator x^m -> d(x^m alpha) of
+    alpha = a dx + b dy (``build`` of (a, b), by default
+    ``exact_form_images``), divided by its scale, is the twisted action of
+    the dual field V = b d/dx - a d/dy on every x^m of degree <= 6.
+    ``curve.invariants`` passes the one operator to the nu scan and to the
+    a-action certificate on this identity."""
+    [exact] = build((a, b)).values()
+    return all(
+        {e: Fraction(c, exact.scale) for e, c in exact(m).items()}
+        == apply_twisted((b, -a), Poly.monomial(a.variables, m)).terms
+        for m in monomials_below(2, 7)
     )
-
-
-def annihilator_vector_field(curve: FactoredCurve) -> VectorField:
-    """``annihilator_field`` of a curve as a ``VectorField``."""
-    return VectorField(curve.variables, annihilator_field(curve))
 
 
 def certificate_inputs(f: Poly, alpha=None) -> tuple:
@@ -503,7 +443,7 @@ def certificate_inputs(f: Poly, alpha=None) -> tuple:
     df = gradient(f)
     alpha = df if alpha is None else alpha
     i = next(i for i, a in enumerate(alpha) if not a.is_zero)
-    return f, df[0], df[i].divide_exact(alpha[i]), _exact_form_images(alpha)
+    return f, df[0], df[i].divide_exact(alpha[i]), exact_form_images(alpha)
 
 
 def curve_certificate_inputs(curve: FactoredCurve) -> tuple:

@@ -26,6 +26,7 @@ from brieskorn.ab_module import (
 )
 from brieskorn.curve import (
     FactoredCurve,
+    annihilator_field,
     annihilator_form,
     closed_form_witness,
     invariants,
@@ -36,15 +37,12 @@ from brieskorn.poly import parse_polynomial
 from brieskorn.suspension import milnor_isolated, suspend, verify_suspension_direct
 
 from conftest import (
-    annihilator_vector_field,
-    apply_field,
     closed_product_exponents,
-    exterior_d,
-    one_form,
     rank_one,
     rewrite_normal_order,
     saturate_at_origin,
 )
+from forms_model import apply_field, exterior_d, one_form
 from torsion_model import (
     TorsionFixture,
     fixture_axioms_hold,
@@ -153,7 +151,7 @@ def test_criterion_4_annihilator_factorization_corpus():
             f = curve.expand()
             alpha = one_form(annihilator_form(curve))
             assert exterior_d(f) == alpha * curve.multiplicity_cofactor()
-            assert apply_field(annihilator_vector_field(curve), f).is_zero
+            assert apply_field(annihilator_field(curve), f).is_zero
 
 
 def test_criterion_5_gcd_witness_corpus():

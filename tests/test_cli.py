@@ -58,6 +58,12 @@ MALFORMED_INPUTS = [
      json.dumps({"rank": 1, "a_matrix": [[[[1, "1"]]]]})),
     ("record-power-past-truncation", ["abmod", "check", "{file}"],
      json.dumps({"rank": 1, "trunc_order": 4, "a_matrix": [[[[4, "1"]]]]})),
+    ("record-float-truncation", ["abmod", "check", "{file}"],
+     json.dumps({"rank": 1, "trunc_order": 16.0, "a_matrix": [[[[1, "1/2"]]]]})),
+    ("record-float-rank", ["abmod", "check", "{file}"],
+     json.dumps({"rank": 1.0, "trunc_order": 16, "a_matrix": [[[[1, "1/2"]]]]})),
+    ("record-boolean-power", ["abmod", "check", "{file}"],
+     json.dumps({"rank": 1, "trunc_order": 16, "a_matrix": [[[[True, "1/2"]]]]})),
     ("not-json", ["abmod", "check", "{file}"], "rank: 1"),
     ("missing-file", ["abmod", "check", "{file}"], None),
 ]

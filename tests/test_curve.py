@@ -24,7 +24,6 @@ from brieskorn.curve import (
     FactoredCurve,
     _action_certificate,
     _action_target,
-    _exact_form_images,
     a_action,
     a_action_coefficient,
     annihilator_field,
@@ -36,7 +35,7 @@ from brieskorn.curve import (
     torsion_free_witness,
 )
 from brieskorn.errors import InconclusiveError, InputError
-from brieskorn.forms import DiffForm, VectorField
+from brieskorn.forms import exact_form_images
 from brieskorn.groebner import torsion_length
 from brieskorn.linalg import Span, vec_axpy
 from brieskorn.local_algebra import (
@@ -51,28 +50,22 @@ from brieskorn.local_algebra import (
     monomials_below,
     monomials_of_weighted_degree,
     shifted_terms,
-    twisted_action,
 )
 from brieskorn.poly import Poly, WeightSystem, parse_polynomial
 from brieskorn.suspension import milnor_isolated
 
 from conftest import (
     GradedIdeal,
-    annihilator_vector_field,
-    apply_field,
     certificate_inputs,
     closed_product_exponents,
     curve_certificate_inputs,
-    exterior_d,
-    gradient,
     mu,
     nu_jet_basis,
     nu_jet_reference,
-    one_form,
     saturate_at_origin,
     transversal_milnor,
-    wedge,
 )
+from forms_model import DiffForm, apply_field, exterior_d, gradient, one_form, wedge
 
 XY = ("x", "y")
 
@@ -104,15 +97,8 @@ def random_corpus(count: int, seed: int = 2024) -> list[FactoredCurve]:
 
 
 def watch_the_hot_path(monkeypatch) -> list[bool]:
-    """Make building a ``DiffForm`` or a ``VectorField`` raise, and record
-    each ``Poly.divide_exact`` call, in order, as whether it ran inside
-    ``curve.a_action``."""
-
-    def built(*args, **kwargs):
-        raise AssertionError("the hot path built a form or a vector field")
-
-    monkeypatch.setattr(DiffForm, "__init__", built)
-    monkeypatch.setattr(VectorField, "__init__", built)
+    """Record each ``Poly.divide_exact`` call, in order, as whether it ran
+    inside ``curve.a_action``."""
     divisions: list[bool] = []
     inside: list[bool] = []
     divide, action = Poly.divide_exact, a_action
@@ -261,7 +247,7 @@ class TestAnnihilatorField:
 
     def test_kills_f_on_corpus(self):
         for curve in random_corpus(12, seed=6):
-            assert apply_field(annihilator_vector_field(curve), curve.expand()).is_zero
+            assert apply_field(annihilator_field(curve), curve.expand()).is_zero
 
     def test_dual_of_cross(self):
         assert annihilator_field(cross()) == (p("2*x"), p("-2*y"))
@@ -403,7 +389,7 @@ class TestInvariants:
     def test_hot_path_builds_no_form_and_divides_only_for_alpha(self, monkeypatch, weights):
         # the curve's exact division df = h alpha, one per partial, is the
         # only one: invariants hands h, f_x0 and its one twisted operator
-        # to the certificate, and builds no DiffForm or VectorField
+        # to the certificate
         divisions = watch_the_hot_path(monkeypatch)
         curve = FactoredCurve.of(XY, [(p("x"), 3)], p("x^3+y^3"))
         assert divisions == [False, False]
@@ -851,7 +837,7 @@ def reference_oracle(f: Poly, alpha: tuple[Poly, ...], ws: WeightSystem):
     int_weights, scale = ws.integer_scaled()
     images = [
         (sum(int_weights[j] for j in index_set), image)
-        for index_set, image in _exact_form_images(alpha).items()
+        for index_set, image in exact_form_images(alpha).items()
     ]
     alpha_degree = form_weighted_degree(one_form(alpha), ws.weights)
     spans: dict[int, Span] = {}
@@ -1022,7 +1008,7 @@ class TestEulerWitness:
         # division, or h = 1 for alpha = df): with h = 1 the frame
         # comparison refuses c* at 1, x and y
         f = p("x^2 + y^2")
-        images = _exact_form_images((-p("y"), p("x")))
+        images = exact_form_images((-p("y"), p("x")))
         ws = WeightSystem.for_poly(f, (1, 1))
         for m in (p("1"), p("x"), p("y")):
             holds = _action_certificate(f, f.derivative("x"), p("1"), images, ws)
@@ -1045,7 +1031,7 @@ def per_class_certificate(f: Poly, alpha: tuple[Poly, ...], ws: WeightSystem):
     fx0_terms = integer_terms(f.derivative(variables[0]), scale_f)
     int_weights, weight_scale = ws.integer_scaled()
     q = ws.total_degree * weight_scale
-    images = _exact_form_images(alpha)
+    images = exact_form_images(alpha)
     index_images = [
         (j, images[tuple(k for k in range(1, n) if k != j)]) for j in range(1, n)
     ]
@@ -1537,7 +1523,7 @@ class TestJetNuScan:
     @staticmethod
     def reference(curve: FactoredCurve, target: int):
         sat = IdealGens.of(XY, [curve.multiplicity_cofactor()])
-        return nu_jet_reference(sat, annihilator_vector_field(curve), target)
+        return nu_jet_reference(sat, annihilator_field(curve), target)
 
     @staticmethod
     def nu_exponents(report) -> list:
@@ -1556,8 +1542,8 @@ class TestJetNuScan:
         # exactly over the integers; modulo the predictor's prime it never
         # counts less
         sat = IdealGens.of(XY, [curve.multiplicity_cofactor()])
-        field = annihilator_vector_field(curve)
-        image = twisted_action(field.coefficients)
+        field = annihilator_field(curve)
+        [image] = exact_form_images(annihilator_form(curve)).values()
         exact = _JetCounts(sat, image, cap=12)
         modular = _JetCounts(sat, image, cap=12, modulus=_PREDICTOR_MODULUS)
         for order in range(1, 13):

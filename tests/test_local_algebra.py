@@ -13,9 +13,8 @@ from math import comb
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
-from brieskorn.curve import _exact_form_images
 from brieskorn.errors import InconclusiveError, InputError
-from brieskorn.forms import DiffForm, VectorField
+from brieskorn.forms import exact_form_images
 from brieskorn.groebner import isolated_at_origin, torsion_length
 from brieskorn.local_algebra import (
     IdealGens,
@@ -30,7 +29,6 @@ from brieskorn.local_algebra import (
     local_quotient,
     monomials_below,
     monomials_of_weighted_degree,
-    twisted_action,
     twisted_quotient_dim,
 )
 from brieskorn.poly import Poly, WeightSystem, parse_polynomial
@@ -38,8 +36,6 @@ from brieskorn.poly import Poly, WeightSystem, parse_polynomial
 from conftest import (
     GradedIdeal,
     RefSpan,
-    apply_twisted,
-    divergence,
     greedy_slice_quotient,
     greedy_twisted_slices,
     ideal_jet_span,
@@ -50,11 +46,10 @@ from conftest import (
     polys,
     ref_kernel_relations,
     saturate_at_origin,
-    shares_the_exact_form_operator,
     stable_colength,
     twisted_drop,
-    wedge,
 )
+from forms_model import DiffForm, apply_twisted, divergence, twisted_operator, wedge
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -440,7 +435,7 @@ def graded_twisted_problems(draw):
         monos = monomials_of_weighted_degree(n, weights, shift + w)
         values = draw(st.lists(st.integers(-3, 3), min_size=len(monos), max_size=len(monos)))
         coefficients.append(Poly(variables, dict(zip(monos, values))))
-    return I, VectorField(variables, tuple(coefficients)), WeightSystem(weights, 1)
+    return I, tuple(coefficients), WeightSystem(weights, 1)
 
 
 class TestWeightedCounts:
@@ -463,7 +458,7 @@ class TestWeightedCounts:
         I, V, ws = problem
         slices = greedy_twisted_slices(I, V, ws, top)
         target = sum(map(len, slices))
-        result = twisted_quotient_dim(I, twisted_action(V.coefficients), target, ws, top + 6)
+        result = twisted_quotient_dim(I, twisted_operator(V), target, ws, top + 6)
         assert result.dim == target
         assert result.basis == tuple(m for kept in slices for m in kept)
 
@@ -486,7 +481,7 @@ class TestWeightedCounts:
 
     def test_a_certificate_that_does_not_grade_the_ideal_is_an_input_error(self):
         ws, I = WeightSystem((1, 1), 1), ideal("x + y^2")
-        euler = twisted_action((p("x"), p("y")))
+        euler = twisted_operator((p("x"), p("y")))
         for scan in (
             lambda: local_quotient(I, ws),
             lambda: twisted_quotient_dim(I, euler, 1, ws),
@@ -496,9 +491,9 @@ class TestWeightedCounts:
 
     def test_a_field_the_certificate_does_not_grade_scans_the_jet_orders(self):
         I = ideal("x^2")
-        V = VectorField(XY, (p("x*y^2 + y"), p("-(2*x^3+y^3)")))
+        V = (p("x*y^2 + y"), p("-(2*x^3+y^3)"))
         target = len(nu_jet_basis(I, V, 4))
-        ws, twisted = WeightSystem((1, 1), 6), twisted_action(V.coefficients)
+        ws, twisted = WeightSystem((1, 1), 6), twisted_operator(V)
         graded = twisted_quotient_dim(I, twisted, target, ws)
         assert graded == twisted_quotient_dim(I, twisted, target)
 
@@ -529,7 +524,7 @@ def jet_problems(draw):
     I = IdealGens.of(variables, generators)
     if variables == XYZ or draw(st.booleans()):
         return I, None
-    return I, VectorField(XY, (draw(polys()), draw(polys())))
+    return I, (draw(polys()), draw(polys()))
 
 
 class TestJetCounts:
@@ -539,7 +534,7 @@ class TestJetCounts:
     @given(jet_problems())
     @example((ideal("x + y^2", "y^3"), None))
     # d/dx lowers the degree by one, so V~(x^k) enters at order k
-    @example((ideal("y^3"), VectorField(XY, (p("1"), p("0")))))
+    @example((ideal("y^3"), (p("1"), p("0"))))
     def test_basis_is_the_greedy_jet_basis(self, problem):
         # the reference inserts one unit vector per monomial; the count
         # reads the same basis off the pivots of its greatest-term span,
@@ -547,7 +542,7 @@ class TestJetCounts:
         I, V = problem
         image, drop = None, 0
         if V is not None:
-            image, drop = twisted_action(V.coefficients), twisted_drop(V)
+            image, drop = twisted_operator(V), twisted_drop(V)
         exact = _JetCounts(I, image)
         modular = _JetCounts(I, image, 6, _PREDICTOR_MODULUS)
         assert exact.drop == modular.drop == drop
@@ -637,7 +632,9 @@ class TestTwistedQuotient:
     and a cap reached first is inconclusive."""
 
     def sextic_field(self):
-        return twisted_action((p("x*y^2"), p("-(2*x^3+y^3)")))
+        # d(x^m alpha) for the sextic's alpha = (2 x^3 + y^3) dx + x y^2 dy
+        [image] = exact_form_images((p("2*x^3+y^3"), p("x*y^2"))).values()
+        return image
 
     def sextic(self, target, graded, jet_cap=24):
         """The sextic's nu scan: (x^2) and its field, graded or jet."""
@@ -703,12 +700,12 @@ class TestTwistedQuotient:
     def test_euler_field_on_xy(self):
         # the twisted action scales monomials by (p - q), killing p != q;
         # the diagonal p = q >= 1 lies in (xy), leaving only the constants
-        v = VectorField(XY, (p("x"), p("-y")))
+        v = (p("x"), p("-y"))
         for a, b in [(2, 1), (1, 3), (4, 0)]:
             m = Poly.monomial(XY, (a, b))
             assert apply_twisted(v, m) == m * Fraction(a - b)
         ws = WeightSystem((1, 1), 2)
-        result = twisted_quotient_dim(ideal("x*y"), twisted_action(v.coefficients), 1, ws, 16)
+        result = twisted_quotient_dim(ideal("x*y"), twisted_operator(v), 1, ws, 16)
         assert result.dim == 1
         assert [str(Poly.monomial(XY, e)) for e in result.basis] == ["1"]
 
@@ -727,7 +724,7 @@ class TestTwistedQuotient:
         I = ideal("x", "y")
         expected, _, _ = stable_colength(I, cap=10)
         ws = WeightSystem((1, 1), 2)
-        zero = twisted_action(VectorField.zero(XY).coefficients)
+        zero = twisted_operator((Poly.zero(XY),) * 2)
         result = twisted_quotient_dim(I, zero, expected, ws, 12)
         assert result.dim == expected == 1
 
@@ -758,20 +755,22 @@ def scaled_down(image: _ShiftedImages, m) -> dict:
 
 class TestShiftedImages:
     """The integer exponent-shift kernel, divided by its scale, equals the
-    Poly/DiffForm reference on random rational data."""
+    Poly and ``forms_model`` reference on random rational data."""
 
     @given(rational_polys(XY), rational_polys(XY), exponents(2))
     def test_twisted_action(self, a, b, m):
-        field = VectorField(XY, (a, b))
-        image = _ShiftedImages(field.coefficients, divergence(field))
+        field = (a, b)
+        image = _ShiftedImages(field, divergence(field))
         assert image.scale > 1
         reference = apply_twisted(field, Poly.monomial(XY, m))
         assert scaled_down(image, m) == reference.terms
 
-    @given(rational_polys(XY), rational_polys(XY))
-    def test_the_dual_field_twists_as_the_exact_forms(self, a, b):
-        # V~(x^m) vol = d(x^m alpha) for V = b d/dx - a d/dy, scale included
-        assert shares_the_exact_form_operator(a, b)
+    @given(rational_polys(XY), rational_polys(XY), exponents(2))
+    def test_the_dual_field_twists_as_the_exact_forms(self, a, b, m):
+        # d(x^m alpha) = V~(x^m) vol for alpha = a dx + b dy, V = b d/dx - a d/dy
+        [image] = exact_form_images((a, b)).values()
+        reference = apply_twisted((b, -a), Poly.monomial(XY, m))
+        assert scaled_down(image, m) == reference.terms
 
     @given(
         st.sampled_from([XY, XYZ, XYZ + ("w",)]).flatmap(
@@ -786,7 +785,7 @@ class TestShiftedImages:
         variables, coefficients, m = data
         n = len(variables)
         alpha = DiffForm(variables, 1, {(i,): c for i, c in enumerate(coefficients)})
-        images = _exact_form_images(coefficients)
+        images = exact_form_images(coefficients)
         assert len(images) == comb(n, 2)
         for index_set, image in images.items():
             eta = DiffForm(variables, n - 2, {index_set: Poly.monomial(variables, m)})

@@ -55,6 +55,7 @@ from brieskorn.curve import (
     milnor_fibre_betti,
 )
 from brieskorn.errors import InconclusiveError, InputError
+from brieskorn.forms import exact_form_images
 from brieskorn.groebner import _integer_gens, isolated_at_origin, torsion_length
 from brieskorn.linalg import vec_axpy
 from brieskorn.local_algebra import (
@@ -65,7 +66,6 @@ from brieskorn.local_algebra import (
     _reached,
     local_colength,
     local_quotient,
-    twisted_action,
 )
 from brieskorn.poly import Poly, WeightSystem, parse_polynomial
 from brieskorn.suspension import milnor_isolated
@@ -188,17 +188,19 @@ def without_derivation_term(module: ABModule, order: int):
 
 
 class TestSharedOperatorMutant:
-    """``invariants`` passes one twisted operator to the nu scan and to the
-    a-action certificate, which rests on V~(x^m) vol = d(x^m alpha) for
-    V = b d/dx - a d/dy.  With the sign of the divergence flipped the
-    identity fails, and the certificate refuses the graded golden sextic
-    (div V = -6 y^2).  The nu scan alone does not see it: on the jet path
-    the sextic keeps nu 4 and its basis."""
+    """``invariants`` passes one operator, ``forms.exact_form_images`` of
+    alpha, to the nu scan and to the a-action certificate, which rests on
+    V~(x^m) vol = d(x^m alpha) for V = b d/dx - a d/dy.  With the sign of
+    its extra term d(alpha) flipped the identity fails, and the
+    certificate refuses the graded golden sextic (div V = -6 y^2).  The nu
+    scan alone does not see it: on the jet path the sextic keeps nu 4 and
+    its basis."""
 
     @pytest.fixture
     def mutant(self):
-        old = "divergence + c.derivative(v)"
-        return mutated(twisted_action, old, old.replace("+", "-"))
+        old = "a_q.derivative(variables[p]) - a_p.derivative(variables[q])"
+        new = "a_p.derivative(variables[q]) - a_q.derivative(variables[p])"
+        return mutated(exact_form_images, old, new)
 
     def test_is_caught_by_the_exact_form_identity(self, mutant):
         a, b = annihilator_form(golden_sextic())
@@ -206,7 +208,7 @@ class TestSharedOperatorMutant:
         assert not shares_the_exact_form_operator(a, b, mutant)
 
     def test_is_caught_by_the_certificate_on_the_golden_sextic(self, monkeypatch, mutant):
-        monkeypatch.setattr("brieskorn.curve.twisted_action", mutant)
+        monkeypatch.setattr("brieskorn.curve.exact_form_images", mutant)
         with pytest.raises(InputError, match=failed_on(p("x^2"))):
             invariants(golden_sextic(), weights=(1, 1))
         jet = invariants(golden_sextic())
