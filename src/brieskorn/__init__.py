@@ -11,12 +11,10 @@ __version__ = "0.1.0"
 
 from .ab_module import (
     ABModule,
-    OperatorWord,
     check_commutation,
     factorial_identity_holds,
     is_regular,
     is_simple_pole,
-    normal_order,
     tensor,
 )
 from .curve import (
@@ -58,7 +56,6 @@ __all__ = [
     "InputError",
     "InvariantReport",
     "IsolatedGerm",
-    "OperatorWord",
     "ParseError",
     "Poly",
     "SuspensionReport",
@@ -77,7 +74,6 @@ __all__ = [
     "local_colength",
     "local_quotient",
     "milnor_isolated",
-    "normal_order",
     "parse_polynomial",
     "suspend",
     "tensor",

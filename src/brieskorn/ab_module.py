@@ -6,9 +6,8 @@ model cuts every b-power series at a fixed order N: b acts by
 multiplication, and a acts by a matrix of b-polynomials plus the
 derivation rule  b^k e -> k b^(k+1) e  forced by the commutation law.
 
-The module also houses a free-algebra normal-ordering engine for words
-in a and b, which decides the operator identities.  It moves whole letter
-runs by the closed form  a^l b^r = sum_(k=0..l) c(l,k) b^(r+k) a^(l-k),
+The factorial identity of the operators a and b is read off the closed
+form of the normal ordering  a^l b^r = sum_(k=0..l) c(l,k) b^(r+k) a^(l-k),
 c(l,k) = C(l,k) r(r+1)...(r+k-1), from [a, b^r] = r b^(r+1): a times
 a^l b^r gives c(l+1,k) = c(l,k) + (r+k-1) c(l,k-1), and Pascal's rule
 finishes the induction.
@@ -16,8 +15,6 @@ finishes the induction.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from itertools import groupby
 from math import comb, factorial, lcm
 from operator import itemgetter
 from typing import Mapping, Sequence
@@ -99,7 +96,8 @@ class ABModule:
     @classmethod
     def from_record(cls, record: Mapping) -> "ABModule":
         """Inverse of ``to_record``; InputError on a malformed record, such
-        as a rank, truncation order or b-power that is not a JSON integer."""
+        as a rank, truncation order or b-power that is not a JSON integer,
+        or a b-power given twice in one entry."""
 
         def integer(value) -> int:
             if type(value) is not int:  # bool is an int subclass; 16.0 is not one
@@ -111,9 +109,13 @@ class ABModule:
 
             def cell(entry) -> list[Scalar]:
                 coeffs: list[Scalar] = []
+                seen = set()
                 for power, text in entry:
                     if not 0 <= integer(power) < order:
                         raise InputError(f"b-power {power} outside the truncation 0..{order - 1}")
+                    if power in seen:
+                        raise ValueError(f"b-power {power} repeated in one entry")
+                    seen.add(power)
                     while len(coeffs) <= power:
                         coeffs.append(0)
                     coeffs[power] = parse_fraction(text)
@@ -262,92 +264,7 @@ def is_regular(module: ABModule, k: int) -> bool:
     return all(span.contains(vec) for vec in powers[k].values())
 
 
-# -- free-algebra words and normal ordering -----------------------------------
-
-
-class OperatorWord:
-    """Rational linear combination of words in the letters a, b.
-
-    Coefficients follow ``exact_scalar``: integer words stay in ``int`` and
-    never build a ``Fraction`` (an int and a Fraction of equal value
-    compare equal, so equality is unaffected)."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[tuple[str, ...], Scalar]):
-        clean: dict[tuple[str, ...], Scalar] = {}
-        for word, coeff in terms.items():
-            word = tuple(word)
-            if any(letter not in ("a", "b") for letter in word):
-                raise InputError(f"invalid letter in word {word!r}")
-            coeff = exact_scalar(coeff)
-            if coeff != 0:
-                clean[word] = clean.get(word, 0) + coeff
-                if clean[word] == 0:
-                    del clean[word]
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("OperatorWord is immutable")
-
-    @classmethod
-    def one(cls) -> "OperatorWord":
-        return cls({(): 1})
-
-    @classmethod
-    def monomial(cls, b_power: int, a_power: int, coeff: Scalar = 1) -> "OperatorWord":
-        if min(b_power, a_power) < 0:
-            raise InputError("monomial powers must be nonnegative integers")
-        return cls({("b",) * b_power + ("a",) * a_power: coeff})
-
-    def __add__(self, other: "OperatorWord") -> "OperatorWord":
-        out = dict(self.terms)
-        for word, coeff in other.terms.items():
-            out[word] = out.get(word, 0) + coeff
-        return OperatorWord(out)
-
-    def __sub__(self, other: "OperatorWord") -> "OperatorWord":
-        return self + (-1) * other
-
-    def __mul__(self, other) -> "OperatorWord":
-        if isinstance(other, (int, Fraction)):
-            return OperatorWord({w: c * other for w, c in self.terms.items()})
-        if not isinstance(other, OperatorWord):
-            return NotImplemented
-        out: dict[tuple[str, ...], Scalar] = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                key = w1 + w2
-                out[key] = out.get(key, 0) + c1 * c2
-        return OperatorWord(out)
-
-    def __rmul__(self, other: Scalar) -> "OperatorWord":
-        return self.__mul__(other)
-
-    def __pow__(self, n: int) -> "OperatorWord":
-        if not isinstance(n, int) or n < 0:
-            raise InputError("word powers must be nonnegative integers")
-        result = OperatorWord.one()
-        for _ in range(n):
-            result = result * self
-        return result
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, OperatorWord):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        pieces = []
-        for word in sorted(self.terms):
-            body = "".join(word) or "1"
-            pieces.append(f"{format_fraction(self.terms[word])}*{body}")
-        return " + ".join(pieces)
-
-    def __repr__(self) -> str:
-        return f"OperatorWord({str(self)!r})"
+# -- the closed form of a^l b^r ------------------------------------------------
 
 
 def _reorder_a_powers(a_power: int, b_power: int) -> tuple[tuple[int, int, int], ...]:
@@ -360,41 +277,17 @@ def _reorder_a_powers(a_power: int, b_power: int) -> tuple[tuple[int, int, int],
     return tuple(terms)
 
 
-def normal_order(word: OperatorWord) -> OperatorWord:
-    """Canonical b-left normal form: a sum of terms b^i a^j.
-
-    Reads each word as runs of equal letters: an a-run adds to the
-    a-exponent, a b-run moves past a^l in one step by the integer closed
-    form, so sums stay in the word's own coefficient type.
-    """
-    total: dict[tuple[int, int], Scalar] = {}
-    for letters, coeff in word.terms.items():
-        state: dict[tuple[int, int], Scalar] = {(0, 0): coeff}
-        for letter, run in groupby(letters):
-            r = len(list(run))  # not tuple(): it resizes and strands free-list blocks
-            if letter == "a":
-                state = {(i, l + r): c for (i, l), c in state.items()}
-                continue
-            nxt: dict[tuple[int, int], Scalar] = {}
-            for (i, l), c in state.items():
-                for i2, l2, c2 in _reorder_a_powers(l, r):
-                    key = (i + i2, l2)
-                    nxt[key] = nxt.get(key, 0) + c * c2
-            state = {k: v for k, v in nxt.items() if v != 0}
-        for key, value in state.items():
-            total[key] = total.get(key, 0) + value
-    return OperatorWord(
-        {("b",) * i + ("a",) * l: c for (i, l), c in total.items() if c != 0}
-    )
-
-
 def factorial_identity_holds(n: int) -> bool:
     """Check the operator identity
         n! b^(2n) = sum_{j=0..n} (-1)^j C(n,j) b^j a^n b^(n-j)
-    exactly, via the normal-ordering engine."""
+    exactly, read off the closed form: the normal form of  b^j a^n b^(n-j)
+    is b^j times that of  a^n b^(n-j)."""
     if n < 1:
         raise InputError("the identity is stated for n >= 1")
-    words = (("b",) * j + ("a",) * n + ("b",) * (n - j) for j in range(n + 1))
-    rhs = OperatorWord({w: (-1) ** j * comb(n, j) for j, w in enumerate(words)})
-    lhs = OperatorWord({("b",) * (2 * n): factorial(n)})
-    return normal_order(rhs) == lhs
+    total: dict[tuple[int, int], int] = {}
+    for j in range(n + 1):
+        scale = (-1) ** j * comb(n, j)
+        for i, l, c in _reorder_a_powers(n, n - j):
+            key = (j + i, l)
+            total[key] = total.get(key, 0) + scale * c
+    return {key: c for key, c in total.items() if c} == {(2 * n, 0): factorial(n)}

@@ -171,7 +171,7 @@ def suspend(
     Requires the curve report to carry the torsion-free flag (the
     transport is an isomorphism of the associated modules only then).
     The suspended module is the tensor product of the two diagonal
-    quasi-homogeneous models when both sides carry a-action data.
+    quasi-homogeneous models when both sides carry nonempty a-action data.
     """
     if not curve_report.assumptions.torsion_free:
         raise InputError(
@@ -194,7 +194,7 @@ def suspend(
         (a, b) for a in germ.basis for b in curve_report.basis
     )
     model: Optional[ABModule] = None
-    if germ.a_coefficients is not None and curve_report.a_action is not None:
+    if germ.a_coefficients and curve_report.a_action:  # a rank-0 curve's action is ()
         left = _diagonal_module(germ.a_coefficients, trunc_order)
         right = _diagonal_module(curve_report.a_action, trunc_order)
         model = tensor(left, right, label=f"suspension({germ.f} + {curve_report.f})")

@@ -11,7 +11,7 @@ from typing import Callable, Hashable, Iterable, Optional
 
 from hypothesis import HealthCheck, settings, strategies as st
 
-from brieskorn.ab_module import ABModule, OperatorWord
+from brieskorn.ab_module import ABModule
 from brieskorn.curve import FactoredCurve, annihilator_form
 from brieskorn.errors import InconclusiveError, InputError
 from brieskorn.forms import exact_form_images
@@ -381,14 +381,18 @@ def _rewrite_rank(letters: tuple[str, ...]) -> tuple[int, int]:
     return -a_seen, -pairs
 
 
-def rewrite_normal_order(word: OperatorWord, leftmost: bool = True) -> OperatorWord:
-    """The naive rewriter, an oracle for ``normal_order``: repeatedly replace
-    one occurrence of 'ab' using a.b -> b.a + b.b until no word contains
-    'ab'.  Terminates and is confluent; the strategy flag exercises
-    confluence.  Each rewrite lowers ``_rewrite_rank``, so taking the words
-    highest rank first collects every contribution to a word before its
-    turn: one rewrite per distinct word reached, not one per path."""
-    pending = dict(word.terms)
+Word = dict[tuple[str, ...], object]  # letters tuple -> coefficient
+
+
+def rewrite_normal_order(word: Word, leftmost: bool = True) -> Word:
+    """The naive rewriter, an oracle for the closed form of a^l b^r: on a
+    combination of words in a and b, repeatedly replace one occurrence of
+    'ab' using a.b -> b.a + b.b until no word contains 'ab'.  Terminates
+    and is confluent; the strategy flag exercises confluence.  Each rewrite
+    lowers ``_rewrite_rank``, so taking the words highest rank first
+    collects every contribution to a word before its turn: one rewrite per
+    distinct word reached, not one per path."""
+    pending = dict(word)
     queue = [(_rewrite_rank(letters), letters) for letters in pending]
     heapify(queue)
     done: dict[tuple[str, ...], Fraction] = {}
@@ -412,7 +416,7 @@ def rewrite_normal_order(word: OperatorWord, leftmost: bool = True) -> OperatorW
             if key not in pending:
                 heappush(queue, (_rewrite_rank(key), key))
             pending[key] = pending.get(key, Fraction(0)) + coeff
-    return OperatorWord({w: c for w, c in done.items() if c != 0})
+    return {w: c for w, c in done.items() if c != 0}
 
 
 def rank_one(coefficient, trunc_order: int = 16, label: str = "") -> ABModule:

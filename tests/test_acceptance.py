@@ -21,7 +21,6 @@ from brieskorn.ab_module import (
     check_commutation,
     factorial_identity_holds,
     is_simple_pole,
-    normal_order,
     tensor,
 )
 from brieskorn.curve import (
@@ -120,13 +119,14 @@ def test_criterion_2_isolated_regressions():
 
 def test_criterion_3_operator_identity():
     with criterion(3, "factorial b-power identity for n = 1..8, exactly"):
-        from brieskorn.ab_module import OperatorWord
+        from brieskorn.ab_module import _reorder_a_powers
 
         for n in range(1, 9):
             assert factorial_identity_holds(n)
-        # spot-check the engine against the naive rewriter oracle
-        sample = OperatorWord({("a", "a", "b", "b", "a", "b"): 1})
-        assert normal_order(sample) == rewrite_normal_order(sample)
+        # spot-check the closed form of a^3 b^2 against the naive rewriter oracle
+        sample = rewrite_normal_order({("a", "a", "a", "b", "b"): 1})
+        ordered = {(w.count("b"), w.count("a"), c) for w, c in sample.items()}
+        assert ordered == set(_reorder_a_powers(3, 2))
 
 
 FACTOR_POOL = ["x", "y", "x+y", "x-y", "x+y^2", "x^2+y^3"]

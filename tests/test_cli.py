@@ -64,6 +64,8 @@ MALFORMED_INPUTS = [
      json.dumps({"rank": 1.0, "trunc_order": 16, "a_matrix": [[[[1, "1/2"]]]]})),
     ("record-boolean-power", ["abmod", "check", "{file}"],
      json.dumps({"rank": 1, "trunc_order": 16, "a_matrix": [[[[True, "1/2"]]]]})),
+    ("record-repeated-power", ["abmod", "check", "{file}"],
+     json.dumps({"rank": 1, "trunc_order": 4, "a_matrix": [[[[1, "1"], [1, "2"]]]]})),
     ("not-json", ["abmod", "check", "{file}"], "rank: 1"),
     ("missing-file", ["abmod", "check", "{file}"], None),
 ]
@@ -428,6 +430,16 @@ class TestSuspendCommand:
         report = json.loads(text)["report"]
         assert report["rank"] == 13
         assert report["ab_model"]["rank"] == 13
+
+    @pytest.mark.parametrize("weights", [["--weights", "1,1"], []], ids=["weighted", "jet"])
+    def test_rank_zero_curve_suspends_with_no_model(self, weights):
+        # x^2 is smooth along its reduced curve: mu = nu = 0, the a-action is
+        # empty, and no rank-0 (a,b)-module is built
+        code, text = run(["suspend", "--isolated", "z^2", "--factors", "x:2", *weights, "--format", "json"])
+        assert code == EXIT_OK
+        report = json.loads(text)["report"]
+        assert (report["rank"], report["ab_model"]) == (0, None)
+        assert not any(line.startswith("ab_model") for line in report["provenance"])
 
     def test_z3_gives_rank_26(self):
         code, text = run(

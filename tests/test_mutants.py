@@ -9,6 +9,7 @@ Covered: the a-action certificate (a wrong coefficient, a wrong target,
 a missing cofactor), the sign of the divergence of the twisted operator
 that the nu scan and the certificate share, the derivation term of the (a,b)-module operator,
 the closed form of a^l b^r (a falling factorial, a dropped binomial),
+the b^j shift of the factorial identity,
 the Nakayama stop of mu, the Bezout bound of the colength scans, the
 weighted Bezout number of graded b_1, the nu target stop, the re-read
 one order on of the nu predictor, the early unit return of the isolation
@@ -42,7 +43,6 @@ from brieskorn.ab_module import (
     _reorder_a_powers,
     check_commutation,
     factorial_identity_holds,
-    normal_order,
 )
 from brieskorn.cli import EXIT_INVALID, EXIT_OK, main
 from brieskorn.curve import (
@@ -74,7 +74,6 @@ from conftest import (
     jet_quotient,
     mu as reference_mu,
     rank_one,
-    rewrite_normal_order,
     shares_the_exact_form_operator,
 )
 from test_ab_module import (
@@ -84,7 +83,7 @@ from test_ab_module import (
     generator,
     one_step_misses,
     reference_check_commutation,
-    word,
+    rewriter_reorder,
 )
 from test_curve import (
     affine_defect_at_y,
@@ -266,22 +265,25 @@ class TestClosedFormMutants:
     def test_is_caught_by_the_rewriter_from_l_2(self, monkeypatch, old, new):
         mutant = mutated(_reorder_a_powers, old, new)
         monkeypatch.setattr("brieskorn.ab_module._reorder_a_powers", mutant)
-
-        def caught(l: int, r: int) -> bool:
-            w = word("a" * l + "b" * r)
-            return normal_order(w) != rewrite_normal_order(w)
-
-        assert min(l for l in range(7) for r in range(7) if caught(l, r)) == 2
+        caught = [l for l in range(7) for r in range(7) if mutant(l, r) != rewriter_reorder(l, r)]
+        assert min(caught) == 2
         assert all(factorial_identity_holds(n) for n in range(1, 9))
 
     @MUTANTS
-    def test_is_caught_by_the_one_step_induction_from_l_1(self, monkeypatch, old, new):
+    def test_is_caught_by_the_one_step_induction_from_l_1(self, old, new):
         # the step from a^1 b^r to a^2 b^r is the first that reads a
         # coefficient the mutants change; the rewriter plays no part
-        mutant = mutated(_reorder_a_powers, old, new)
-        monkeypatch.setattr("brieskorn.ab_module._reorder_a_powers", mutant)
-        misses = one_step_misses()
+        misses = one_step_misses(mutated(_reorder_a_powers, old, new))
         assert misses and min(l for l, _ in misses) == 1
+
+
+class TestFactorialIdentityMutant:
+    def test_dropped_b_power_shift_is_caught(self, monkeypatch):
+        # b^j a^n b^(n-j) read as a^n b^(n-j): the b^j on the left is lost
+        mutant = mutated(factorial_identity_holds, "key = (j + i, l)", "key = (i, l)")
+        assert not any(mutant(n) for n in range(1, 6))
+        monkeypatch.setattr("brieskorn.cli.factorial_identity_holds", mutant)
+        assert main(["abmod", "identity", "--n", "3"], out=io.StringIO()) == EXIT_INVALID
 
 
 # (x^2 - y^3)^2, graded by (3, 2) and as a jet: mu = dim (h)/J = 2
