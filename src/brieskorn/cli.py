@@ -106,22 +106,32 @@ def _envelope(command: str, input_echo: dict, report: dict, args, start: float) 
     }
 
 
+# each exact scalar type's writer but str's (encode_basestring_ascii, read at each call)
+_LITERAL = {None: "null", True: "true", False: "false"}.__getitem__
+_SCALARS = {int: int.__repr__, float: float.__repr__, bool: _LITERAL, type(None): _LITERAL}
+
+
 def _json(value, indent: str = "\n") -> str:
     """The text of ``json.dumps(value, indent=2)`` for str-keyed dicts,
     lists, tuples, str, int, bool, None and finite floats.  The stdlib's C
-    encoder serves no indent, and its pure-Python one is slower than this."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    inner = indent + "  "
-    if isinstance(value, dict):
-        items = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in value.items()]
+    encoder serves no indent, and its pure-Python one is slower than this.
+    A container writes its scalar children itself, by their exact type, in
+    a plain loop (a comprehension is one more call per container); only
+    containers recurse."""
+    kind = type(value)
+    if kind is not dict and kind is not list and kind is not tuple:
+        return encode_basestring_ascii(value) if kind is str else _SCALARS[kind](value)
+    text, inner, items = encode_basestring_ascii, indent + "  ", []
+    if kind is dict:
+        for k, v in value.items():
+            t = type(v)
+            item = text(v) if t is str else _SCALARS[t](v) if t in _SCALARS else _json(v, inner)
+            items.append(f"{text(k)}: {item}")
         return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
-    if isinstance(value, (list, tuple)):
-        items = [_json(v, inner) for v in value]
-        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
-    if value is None or value is True or value is False:
-        return "null" if value is None else "true" if value else "false"
-    return float.__repr__(value) if isinstance(value, float) else int.__repr__(value)
+    for v in value:
+        t = type(v)
+        items.append(text(v) if t is str else _SCALARS[t](v) if t in _SCALARS else _json(v, inner))
+    return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
 
 
 def _emit(envelope: dict, fmt: str, out) -> None:

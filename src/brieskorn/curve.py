@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import InconclusiveError, InputError
@@ -40,7 +40,7 @@ from .local_algebra import (
     shifted_terms,
     twisted_quotient_dim,
 )
-from .poly import Exponents, Poly, PolyNames, WeightSystem, format_fraction, graded_key, listing_key
+from .poly import Exponents, Poly, PolyNames, WeightSystem, format_fraction, listing_key
 
 
 class FactoredCurve:
@@ -341,14 +341,14 @@ def invariants(
     sat = IdealGens.of(curve.variables, [h])
     nu_res = twisted_quotient_dim(sat, twisted, betti - mu_value, ws, jet_cap)
     # the scans give valid exponents: the classes h x^m and x^m need no checks
+    # listed by lowest term, low(h) x^m for h x^m (poly.graded_key is a
+    # monomial order), so by m: listing_key's order is translation invariant
     basis_mu = tuple(
-        sorted(
-            (Poly._trusted(curve.variables, shifted_terms(h.terms.items(), e)) for e in mu_basis),
-            key=_basis_sort_key,
-        )
+        Poly._trusted(curve.variables, shifted_terms(h.terms.items(), e))
+        for e in sorted(mu_basis, key=listing_key)
     )
     basis_nu = tuple(
-        sorted((Poly._trusted(curve.variables, {e: 1}) for e in nu_res.basis), key=_basis_sort_key)
+        Poly._trusted(curve.variables, {e: 1}) for e in sorted(nu_res.basis, key=listing_key)
     )
     action = None
     if ws is not None:
@@ -418,11 +418,6 @@ def milnor_fibre_betti(curve: FactoredCurve, ws: Optional[WeightSystem] = None) 
 # -- the a-action and its certificate -----------------------------------------
 
 
-def _basis_sort_key(p: Poly):
-    """Listing order keyed on the lowest term (for monomials, the monomial)."""
-    return listing_key(min(p.terms, key=graded_key))
-
-
 def a_action_coefficient(ws: WeightSystem, rep: Poly) -> Fraction:
     """Predicted coefficient c with  a[m] = c b[m]:
     (weighted degree of m + sum of the weights) / total degree, read in
@@ -459,27 +454,6 @@ def a_action(
     return tuple(out)
 
 
-def _eta_images(
-    images: ExactFormImages, int_weights: tuple[int, ...], factor: int
-) -> tuple[int, list]:
-    """The target factor and the images of the terms of the certificate's
-    eta, each with its integer factor (``_action_certificate``)."""
-    n = len(int_weights)
-    index_images = [
-        (j, images[tuple(k for k in range(1, n) if k != j)]) for j in range(1, n)
-    ]
-    common = lcm(*(image.scale for _, image in index_images))
-    parts = [
-        ((-1) ** (n + j - 1) * int_weights[j] * (common // image.scale), j, image)
-        for j, image in index_images
-    ]
-    # At m = x^t, with c_P = t_0 + 1 the denominator of P, the target is
-    # c.denominator * c_P * scale_f times omega (``_action_target``), and
-    # the sum of images is q.numerator * scale_h * c_P * common /
-    # q.denominator times omega; c_P cancels.
-    return factor * common, parts
-
-
 def _action_certificate(
     f: Poly, fx0: Poly, h: Poly, images: ExactFormImages, ws: WeightSystem
 ) -> Callable[[Poly, Fraction], bool]:
@@ -492,9 +466,9 @@ def _action_certificate(
     d(eta ^ alpha), where xi is an explicit primitive of m vol and alpha is
     the annihilator form of a curve or df itself for an isolated germ, so
     that df = h alpha for a polynomial h.  ``holds`` is True exactly when
-    c is the predicted c* below and, at every monomial x^t of m, omega is
-    0 or equals d(eta ^ alpha) for the one eta below; a False says nothing
-    about other eta.
+    m is w-homogeneous, c is the predicted c* below and, at every monomial
+    x^t of m, omega is 0 or equals d(eta ^ alpha) for the one eta below; a
+    False says nothing about other eta.
 
     The Euler field E = sum_i w_i x_i d/dx_i has E f = D f for the total
     degree D, so df ^ i_E(m vol) = D f m vol, and  omega = df ^ theta  with
@@ -510,23 +484,23 @@ def _action_certificate(
     P = int m dx_0 and I_j = {1, ..., n-1} minus j.  With one variable
     there is no eta, and omega itself vanishes at c*.
 
-    The forms d(eta ^ alpha) are integer exponent shifts
-    (``forms.exact_form_images``) whose operators come from alpha alone; df =
-    h alpha holds by construction (the exact division of ``FactoredCurve``,
-    or h = 1 for alpha = df), so the certificate divides nothing.  A full
-    check sums the images of eta and compares them with the integer
-    target (``_action_target``) at their known scales, so a True is an
-    exact identity.  Both sides are linear in m, so each monomial x^t of m
-    is checked on its own at c*(t) = (<w, t> + sum w)/D, and by the affine
-    lemma of the README a defect that vanishes on a set of exponents
-    vanishes on its affine hull.  The frame 0, e_0, ..., e_(n-1) has every
-    exponent in its hull, so at the first monomial whose omega is not 0
-    the identity is compared in full at 1, x_0, ..., x_(n-1), and every later
-    monomial takes no check; one whose omega is 0 is proved by eta = 0."""
-    variables = f.variables
-    n = len(variables)
-    scale_h = common_denominator(h)
-    h_terms = integer_terms(h, scale_h)
+    All arithmetic is on integers and integer exponent tuples.  In the
+    integer-scaled weights c* = k / d with k = (deg m + sum w) D.denominator
+    and d = D.numerator weight_scale, one denominator for the certificate.
+    Both sides are linear in m, so each monomial x^t of a w-homogeneous m
+    is checked on its own, and ``_action_target`` gives omega at x^t as
+    integer shifts of s f and s f_x0.  The forms d(eta ^ alpha) are integer
+    exponent shifts (``forms.exact_form_images``) read off alpha alone;
+    df = h alpha holds by construction (the exact division of
+    ``FactoredCurve``, or h = 1 for alpha = df), so nothing is divided.
+    The images of eta and the target are compared at integer scales fixed
+    per certificate, so a True is an exact identity.  By the affine lemma
+    of the README a defect that vanishes on a set of exponents vanishes on
+    its affine hull, and the frame 0, e_0, ..., e_(n-1) has every exponent
+    in its hull: at the first monomial whose omega is not 0 the identity is
+    compared in full at 1, x_0, ..., x_(n-1), and every later monomial
+    takes no check; one whose omega is 0 is proved by eta = 0."""
+    n = len(f.variables)
     # s f and s f_x0 as integer terms, for one s > 0 (f_x0 has no new
     # denominators)
     scale_f = common_denominator(f)
@@ -534,47 +508,56 @@ def _action_certificate(
     fx0_terms = integer_terms(fx0, scale_f)
     int_weights, weight_scale = ws.integer_scaled()
     weight_sum = sum(int_weights)
-    # w_j / D = int_weights[j] * q.denominator / q.numerator
-    q = ws.total_degree * weight_scale
-
-    # 1, x_0, ..., x_(n-1): their affine hull holds every exponent
-    frame = [tuple(int(k == i) for k in range(n)) for i in range(-1, n)]
+    k_scale, denominator = ws.total_degree.denominator, ws.total_degree.numerator * weight_scale
     proved = False  # the identity compared in full on the frame
 
-    def compared(t: Exponents, target_factor: int, parts: list) -> bool:
-        c_num = (sum(map(mul, t, int_weights)) + weight_sum) * q.denominator
-        coefficient = Fraction(c_num, q.numerator)
-        target = _action_target(
-            f_terms, fx0_terms, Poly._trusted(variables, {t: 1}), coefficient
-        )
-        # c_P P h = x^(t + e_0) h as integer terms
-        ph = shifted_terms(h_terms, (t[0] + 1,) + t[1:])
-        total: dict[Exponents, int] = {}
-        for factor, j, image in parts:
-            for e, c in ph.items():
-                vec_axpy(total, factor * c, image(e[:j] + (e[j] + 1,) + e[j + 1 :]))
-        total_factor = scale_f * q.denominator * coefficient.denominator
-        return total.keys() == target.keys() and all(
-            v * target_factor == total[e] * total_factor for e, v in target.items()
-        )
+    def proved_on_frame() -> bool:
+        # eta's term j, x^(t + e_0) h w_j x_j dx_(I_j) / ((t_0 + 1) D), has the
+        # image sum_e h_e image_j(x^(e + t + e_0 + e_j)) / (scale_h image_j.scale);
+        # s times the sum of these meets the target at the scale d scale_h common
+        scale_h = common_denominator(h)
+        h_terms = integer_terms(h, scale_h)
+        zero = (0,) * n
+        units = [zero[:i] + (1,) + zero[i + 1 :] for i in range(n)]
+        index_images = [(j, images[tuple(k for k in range(1, n) if k != j)]) for j in range(1, n)]
+        common = lcm(*(image.scale for _, image in index_images))
+        eta = [
+            (
+                (-1) ** (n + j - 1) * int_weights[j] * (common // image.scale) * k_scale * scale_f,
+                tuple(map(add, units[0], units[j])),
+                image,
+            )
+            for j, image in index_images
+        ]
+        target_scale = scale_h * common
+        # 1, x_0, ..., x_(n-1): their affine hull holds every exponent
+        for t in [zero] + units:
+            k = (sum(map(mul, t, int_weights)) + weight_sum) * k_scale * target_scale
+            image_sum: dict[Exponents, int] = {}
+            for factor, shift, image in eta:
+                base = tuple(map(add, t, shift))
+                for e, c in h_terms:
+                    vec_axpy(image_sum, factor * c, image(tuple(map(add, e, base))))
+            if image_sum != _action_target(f_terms, fx0_terms, t, k, denominator * target_scale):
+                return False
+        return True
 
     def holds(m: Poly, coefficient: Fraction) -> bool:
         nonlocal proved
-        # c = c*(t) = (<w, t> + sum w) q.denominator / q.numerator
-        c_num = coefficient.numerator * q.numerator
-        c_den = coefficient.denominator * q.denominator
-        for t in m.terms:
-            if c_num != (sum(map(mul, t, int_weights)) + weight_sum) * c_den:
-                return False
-            if proved or not _action_target(
-                f_terms, fx0_terms, Poly._trusted(variables, {t: 1}), coefficient
-            ):
-                continue  # omega = 0: eta = 0 serves
-            target_factor, parts = _eta_images(images, int_weights, q.numerator * scale_h)
-            if not all(compared(e, target_factor, parts) for e in frame):
-                return False
-            proved = True
-        return True
+        degrees = {sum(map(mul, t, int_weights)) for t in m.terms}
+        if len(degrees) != 1:
+            return not degrees  # c*(t) differs between the monomials of m
+        k = (degrees.pop() + weight_sum) * k_scale
+        if coefficient.numerator * denominator != k * coefficient.denominator:
+            return False
+        if not proved:
+            for t in m.terms:
+                if _action_target(f_terms, fx0_terms, t, k, denominator):
+                    if not proved_on_frame():
+                        return False
+                    proved = True
+                    break
+        return True  # omega = 0 at every monomial checked: eta = 0 serves
 
     return holds
 
@@ -582,33 +565,28 @@ def _action_certificate(
 def _action_target(
     f_terms: list[tuple[Exponents, int]],
     fx0_terms: list[tuple[Exponents, int]],
-    m: Poly,
-    coefficient: Fraction,
+    t: Exponents,
+    c_num: int,
+    c_den: int,
 ) -> dict[Exponents, int]:
-    """A positive integer multiple of the top coefficient of the
-    certificate's form  omega = f m vol - c df ^ xi.
+    """(t_0 + 1) c_den s times the top coefficient of the certificate's
+    form  omega = f x^t vol - c df ^ xi  at c = c_num / c_den (c_den > 0).
 
-    With xi = (int m dx_0) dx_1 ^ ... ^ dx_(n-1), d(xi) = m vol and
-    df ^ xi = f_x0 (int m dx_0) vol, so omega is
-    sum_t m_t (f x^t - c/(t_0 + 1) f_x0 x^(t + e_0)) vol.  ``f_terms`` and
-    ``fx0_terms`` are the integer terms of s f and s f_x0 for one s > 0;
-    the rational weights m_t and m_t c/(t_0 + 1) are brought to one
-    common denominator, c.denominator times the lcm of the
-    m_t.denominator (t_0 + 1), so every coefficient is an integer shift
-    sum."""
-    c_num, c_den = coefficient.numerator, coefficient.denominator
-    denominators = [
-        (t, m_t, m_t.denominator * c_den * (t[0] + 1)) for t, m_t in m.terms.items()
-    ]
-    common = lcm(*(d for _, _, d in denominators))
-    out: dict[Exponents, int] = {}
-    for t, m_t, d in denominators:
-        vec_axpy(out, m_t.numerator * (common // m_t.denominator), shifted_terms(f_terms, t))
-        vec_axpy(
-            out,
-            -m_t.numerator * c_num * (common // d),
-            shifted_terms(fx0_terms, (t[0] + 1,) + t[1:]),
-        )
+    With xi = (int x^t dx_0) dx_1 ^ ... ^ dx_(n-1), d(xi) = x^t vol and
+    df ^ xi = f_x0 x^(t + e_0) / (t_0 + 1) vol, so the target is
+    (t_0 + 1) c_den x^t F - c_num x^(t + e_0) G for the integer terms
+    ``f_terms`` of F = s f and ``fx0_terms`` of G = s f_x0, one s > 0."""
+    scale, out = (t[0] + 1) * c_den, {}
+    for e, c in f_terms:
+        out[tuple(map(add, e, t))] = scale * c
+    shift = (t[0] + 1,) + t[1:]
+    for e, c in fx0_terms:
+        key = tuple(map(add, e, shift))
+        value = out.get(key, 0) - c_num * c
+        if value:
+            out[key] = value
+        else:
+            out.pop(key, None)
     return out
 
 

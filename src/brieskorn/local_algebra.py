@@ -96,42 +96,40 @@ class _ShiftedImages:
     top coefficient has P_k = top coefficient of dx_k ^ dx_I ^ alpha and
     Q = top coefficient of d(dx_I ^ alpha).  P_i and Q are scaled once by
     their common denominator ``scale``, so an image is ``scale`` times the
-    true image, an integer vector spanning the same line."""
+    true image, an integer vector spanning the same line.  The image is
+    x^m (sum_i m_i x^(-e_i) P_i + Q), read off one row per exponent e of
+    the bracket: its coefficients of m_0, ..., m_(n-1) and its constant.
+    Only m_i has a nonzero coefficient at an e with e_i = -1, so a
+    negative exponent m_i + e_i = -1 comes with the value 0."""
 
     def __init__(self, parts: Sequence[Poly], extra: Poly):
+        self.variables = extra.variables
         self.scale = common_denominator(*parts, extra)
-        self.parts = [integer_terms(p, self.scale) for p in parts]
-        self.extra = integer_terms(extra, self.scale)
         self._raised = (None, set())  # the last weights and their raises
+        n = len(parts)
+        rows: dict[Exponents, list[int]] = {}
+        for i, poly in enumerate((*parts, extra)):  # x^(-e_i) P_i, then Q
+            for e, c in integer_terms(poly, self.scale):
+                key = e[:i] + (e[i] - 1,) + e[i + 1 :] if i < n else e
+                rows.setdefault(key, [0] * (n + 1))[i] = c
+        self._rows = [(e, tuple(row[:n]), row[n]) for e, row in rows.items()]
 
     def __call__(self, m: Exponents) -> dict[Exponents, int]:
         out: dict[Exponents, int] = {}
-        for i, terms in enumerate(self.parts):
-            k = m[i]
-            if not k:
-                continue
-            base = m[:i] + (k - 1,) + m[i + 1 :]
-            for e, c in terms:
-                key = tuple(map(add, e, base))
-                out[key] = out.get(key, 0) + k * c
-        for e, c in self.extra:
-            key = tuple(map(add, e, m))
-            out[key] = out.get(key, 0) + c
-        return {key: v for key, v in out.items() if v}
+        for e, row, constant in self._rows:
+            value = sum(map(mul, row, m)) + constant
+            if value:
+                out[tuple(map(add, e, m))] = value
+        return out
 
     def raises(self, weights: Sequence[int]) -> set[int]:
         """The w-degree raises of the map: x^m goes to terms of w-degree
-        wdeg(m) + r, r in the returned set (wdeg(e) - w_i for a term x^e of
-        P_i, wdeg(e) for a term x^e of Q).  The map is graded when the set
-        has at most one value, and it lowers the w-order by at most
-        max(0, -min)."""
+        wdeg(m) + r, r in the returned set (wdeg(e) over the exponents e of
+        the rows: wdeg(e) - w_i for a term x^e of P_i, wdeg(e) for a term x^e
+        of Q).  The map is graded when the set has at most one value, and it
+        lowers the w-order by at most max(0, -min)."""
         if self._raised[0] != weights:  # the graded test and the count read one set
-            raises = {
-                sum(map(mul, e, weights)) - w
-                for w, terms in zip(weights, self.parts)
-                for e, _ in terms
-            }
-            raises.update(sum(map(mul, e, weights)) for e, _ in self.extra)
+            raises = {sum(map(mul, e, weights)) for e, _, _ in self._rows}
             self._raised = (weights, raises)
         return self._raised[1]
 
@@ -468,7 +466,7 @@ def twisted_quotient_dim(
     A bound past ``target``, or a negative ``target``, raises
     RuntimeError; a cap reached first raises InconclusiveError.
     """
-    if len(twisted.parts) != len(I.variables):
+    if twisted.variables != I.variables:
         raise InputError("ideal and vector field live in different rings")
     if target < 0:
         raise RuntimeError(

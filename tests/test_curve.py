@@ -51,7 +51,7 @@ from brieskorn.local_algebra import (
     monomials_of_weighted_degree,
     shifted_terms,
 )
-from brieskorn.poly import Poly, WeightSystem, parse_polynomial
+from brieskorn.poly import Poly, WeightSystem, graded_key, listing_key, parse_polynomial
 from brieskorn.suspension import milnor_isolated
 
 from conftest import (
@@ -316,6 +316,24 @@ class TestInvariants:
         assert len(rep.basis) == rep.rank
         assert rep.assumptions.exact
         assert rep.assumptions.torsion_free
+
+    @given(
+        st.dictionaries(
+            st.tuples(st.integers(0, 4), st.integers(0, 4)),
+            st.fractions(-3, 3, max_denominator=3).filter(bool),
+            min_size=1,
+            max_size=4,
+        ),
+        st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), unique=True, max_size=10),
+    )
+    def test_basis_order_by_exponent_is_the_order_by_lowest_term(self, h_terms, exponents):
+        # invariants lists the classes h x^m by m: the lowest term of h x^m
+        # is low(h) x^m, and listing order is translation invariant
+        h = Poly(XY, h_terms)
+        classes = [Poly(XY, shifted_terms(h.terms.items(), m)) for m in exponents]
+        by_lowest_term = sorted(classes, key=lambda c: listing_key(min(c.terms, key=graded_key)))
+        by_exponent = [classes[exponents.index(m)] for m in sorted(exponents, key=listing_key)]
+        assert by_exponent == by_lowest_term
 
     def test_sextic_a_action(self):
         rep = invariants(sextic(), weights=(1, 1))
@@ -926,8 +944,12 @@ class TestIntegerOracleTarget:
         for rep in report.basis:
             c = a_action_coefficient(ws, rep)
             for coefficient in (c, c + Fraction(1, 7)):
-                target = _action_target(f_terms, fx0_terms, rep, coefficient)
-                assert is_positive_multiple(target, reference_target(f, rep, coefficient))
+                for t in rep.terms:
+                    target = _action_target(
+                        f_terms, fx0_terms, t, coefficient.numerator, coefficient.denominator
+                    )
+                    monomial = Poly.monomial(XY, t)
+                    assert is_positive_multiple(target, reference_target(f, monomial, coefficient))
                 assert holds(rep, coefficient) == (coefficient == c)
             assert reference(rep, c)
 
@@ -1021,14 +1043,13 @@ class TestEulerWitness:
 def per_class_certificate(f: Poly, alpha: tuple[Poly, ...], ws: WeightSystem):
     """The Euler-field certificate as it was before its affine frame: each
     class m is proved on its own, by the full identity
-    f m vol - c df ^ xi = d(eta ^ alpha) (or by omega = 0), at any c."""
+    f m vol - c df ^ xi = d(eta ^ alpha) (or by omega = 0), at any c, with
+    omega from Poly products (``reference_target``)."""
     variables, n = f.variables, len(f.variables)
     i = next(i for i, a in enumerate(alpha) if not a.is_zero)
     h = f.derivative(variables[i]).divide_exact(alpha[i])
-    scale_h, scale_f = common_denominator(h), common_denominator(f)
+    scale_h = common_denominator(h)
     h_terms = integer_terms(h, scale_h)
-    f_terms = integer_terms(f, scale_f)
-    fx0_terms = integer_terms(f.derivative(variables[0]), scale_f)
     int_weights, weight_scale = ws.integer_scaled()
     q = ws.total_degree * weight_scale
     images = exact_form_images(alpha)
@@ -1042,8 +1063,8 @@ def per_class_certificate(f: Poly, alpha: tuple[Poly, ...], ws: WeightSystem):
     ]
 
     def holds(m: Poly, coefficient: Fraction) -> bool:
-        target = _action_target(f_terms, fx0_terms, m, coefficient)
-        if not target:
+        omega = reference_target(f, m, coefficient)
+        if not omega:
             return True
         c_p = lcm(*(m_t.denominator * (t[0] + 1) for t, m_t in m.terms.items()))
         ph: dict = {}
@@ -1054,10 +1075,10 @@ def per_class_certificate(f: Poly, alpha: tuple[Poly, ...], ws: WeightSystem):
         for factor, j, image in parts:
             for e, c in ph.items():
                 vec_axpy(total, factor * c, image(e[:j] + (e[j] + 1,) + e[j + 1 :]))
-        total_factor = scale_f * q.denominator * coefficient.denominator
-        return total.keys() == target.keys() and all(
-            v * q.numerator * scale_h * common == total[e] * total_factor
-            for e, v in target.items()
+        # d(eta ^ alpha) = total q.denominator / (q.numerator c_p scale_h common)
+        return total.keys() == omega.keys() and all(
+            v * c_p * q.numerator * scale_h * common == total[e] * q.denominator
+            for e, v in omega.items()
         )
 
     return holds
@@ -1089,15 +1110,15 @@ def failed_on(rep: Poly) -> str:
     return rf"^a-action verification failed on monomial {re.escape(str(rep))}$"
 
 
-def record_targets(monkeypatch, certificate=_action_certificate) -> list:
+def record_targets(monkeypatch, certificate=_action_certificate, variables=XY) -> list:
     """Record each target that ``certificate`` computes, in its module's
-    namespace, as (monomial, whether omega != 0, so that the identity was
-    compared in full)."""
+    namespace, as (monomial in ``variables``, whether omega != 0, so that
+    the identity was compared in full)."""
     seen = []
 
-    def recording(f_terms, fx0_terms, m, coefficient):
-        target = _action_target(f_terms, fx0_terms, m, coefficient)
-        seen.append((str(m), bool(target)))
+    def recording(f_terms, fx0_terms, t, c_num, c_den):
+        target = _action_target(f_terms, fx0_terms, t, c_num, c_den)
+        seen.append((str(Poly.monomial(variables, t)), bool(target)))
         return target
 
     monkeypatch.setitem(certificate.__globals__, "_action_target", recording)
@@ -1122,9 +1143,8 @@ def proved_in_turn(monkeypatch, certificate, texts, defect=None) -> Optional[lis
     if defect is not None:
         recording = certificate.__globals__["_action_target"]
 
-        def defective(f_terms, fx0_terms, m, coefficient):
-            [t] = m.terms
-            target = recording(f_terms, fx0_terms, m, coefficient)
+        def defective(f_terms, fx0_terms, t, c_num, c_den):
+            target = recording(f_terms, fx0_terms, t, c_num, c_den)
             vec_axpy(target, defect(t), {(0, 0): 1})
             return target
 
@@ -1208,7 +1228,7 @@ class TestAffineFrame:
         f, ws, classes = germ
         alpha = gradient(f)
         with pytest.MonkeyPatch.context() as mp:
-            seen = record_targets(mp)
+            seen = record_targets(mp, variables=f.variables)
             a_action(*certificate_inputs(f, alpha), ws, classes)
         frame = [str(Poly.constant(f.variables, 1))] + list(f.variables)
         assert compared_in_full(seen) in ([], frame)

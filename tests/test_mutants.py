@@ -13,7 +13,8 @@ the b^j shift of the factorial identity,
 the Nakayama stop of mu, the Bezout bound of the colength scans, the
 weighted Bezout number of graded b_1, the nu target stop, the re-read
 one order on of the nu predictor, the early unit return of the isolation
-test, the affine frame of the a-action certificate one point short, the
+test, the affine frame of the a-action certificate one point short, its
+integer scales (a wrong weight, a dropped scale of f or of D), the
 count's non-leads returned as the unweighted basis, the normaliser of
 ``poly._exact_nonzero``, the certified colon of the saturation (the lead
 test dropped, the wrong variable stripped), the known basis of an
@@ -90,6 +91,7 @@ from test_curve import (
     assert_graded_betti_is_scanned,
     failed_on,
     proved_in_turn,
+    reference_a_action,
     shifted_on,
 )
 from test_groebner import (
@@ -110,6 +112,11 @@ def p(text):
 
 def golden_sextic() -> FactoredCurve:
     return FactoredCurve.of(XY, [(p("x"), 3)], p("x^3+y^3"))
+
+
+def weighted_curve() -> FactoredCurve:
+    """y^3 (x^2 - y^5)^3, weighted-homogeneous under the weights (5, 2)."""
+    return FactoredCurve.of(XY, [(p("y"), 3), (p("x^2-y^5"), 3)])
 
 
 def mutated(function, old: str, new: str):
@@ -152,8 +159,8 @@ class TestAActionMutants:
         ids=["curve", "germ", "one-variable germ"],
     )
     def test_flipped_f_x0_term_of_the_target(self, monkeypatch, run):
-        def flipped(f_terms, fx0_terms, m, coefficient):
-            return _action_target(f_terms, [(e, -c) for e, c in fx0_terms], m, coefficient)
+        def flipped(f_terms, fx0_terms, t, c_num, c_den):
+            return _action_target(f_terms, [(e, -c) for e, c in fx0_terms], t, c_num, c_den)
 
         monkeypatch.setattr("brieskorn.curve._action_target", flipped)
         with pytest.raises(InputError, match="a-action verification failed"):
@@ -171,9 +178,78 @@ class TestAffineFrameMutant:
     def test_a_frame_one_point_short_is_caught(self, monkeypatch):
         # the hull of 1 and x is the line y = 0: the mutant takes it for
         # the plane and misses a defect that is affine in t and 0 there
-        short = mutated(_action_certificate, "in range(-1, n)]", "in range(-1, n - 1)]")
+        short = mutated(_action_certificate, "in [zero] + units:", "in [zero] + units[:-1]:")
         assert proved_in_turn(monkeypatch, short, ["x^2"], affine_defect_at_y) == ["1", "x"]
         assert proved_in_turn(monkeypatch, _action_certificate, ["x^2"], affine_defect_at_y) is None
+
+
+def curve_action(curve: FactoredCurve, weights) -> tuple:
+    """The a-action ``invariants`` reports, asserted equal to the per-class
+    reference (``test_curve.per_class_certificate``)."""
+    report = invariants(curve, weights=weights)
+    alpha = annihilator_form(curve)
+    assert report.a_action == reference_a_action(
+        curve.expand(), alpha, report.weights, report.basis
+    )
+    return report.a_action
+
+
+def germ_action(text: str) -> tuple:
+    """The a-action ``milnor_isolated`` reports, asserted equal to the
+    per-class reference."""
+    germ = milnor_isolated(p(text))
+    f, basis = germ.poly, [p(germ.monomial_str(e)) for e, _ in germ.a_coefficients]
+    alpha = (f.derivative("x"), f.derivative("y"))
+    reference = reference_a_action(f, alpha, germ.weights, basis)
+    assert [c for _, c in reference] == [c for _, c in germ.a_coefficients]
+    return germ.a_coefficients
+
+
+class TestIntegerScaleMutants:
+    """Each integer scale of the certificate's frame comparison, mutated,
+    is caught by an input where that scale is not 1, and missed by one
+    where it is; the per-class reference proves both.  The curve
+    y^3 (x^2 - y^5)^3 has D = 36 under the weights (5, 2) and D = 18/5
+    under (1/2, 1/5), with the same coefficients (5p + 2q + 7)/36 on a
+    class whose first term is x^p y^q."""
+
+    @staticmethod
+    def assert_caught(monkeypatch, old: str, new: str, caught, missed) -> None:
+        caught(), missed()  # both agree with the reference before the mutation
+        mutant = mutated(_action_certificate, old, new)
+        monkeypatch.setattr("brieskorn.curve._action_certificate", mutant)
+        missed()
+        with pytest.raises(InputError, match="a-action verification failed"):
+            caught()
+
+    def test_eta_weight_of_the_wrong_variable_is_caught_by_unequal_weights(self, monkeypatch):
+        self.assert_caught(
+            monkeypatch,
+            "int_weights[j] * (common",
+            "int_weights[j - 1] * (common",
+            lambda: curve_action(weighted_curve(), (5, 2)),
+            lambda: curve_action(golden_sextic(), (1, 1)),
+        )
+
+    def test_frame_numerator_without_the_degree_denominator_is_caught_at_d_18_5(
+        self, monkeypatch
+    ):
+        self.assert_caught(
+            monkeypatch,
+            "* k_scale * target_scale",
+            "* target_scale",
+            lambda: curve_action(weighted_curve(), (Fraction(1, 2), Fraction(1, 5))),
+            lambda: curve_action(weighted_curve(), (5, 2)),
+        )
+
+    def test_eta_images_without_the_scale_of_f_are_caught_by_rational_f(self, monkeypatch):
+        self.assert_caught(
+            monkeypatch,
+            "* k_scale * scale_f,",
+            "* k_scale,",
+            lambda: germ_action("1/2*x^3 + 2/3*y^3"),
+            lambda: germ_action("x^3 + y^4"),
+        )
 
 
 def without_derivation_term(module: ABModule, order: int):
