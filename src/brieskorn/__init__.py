@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .ab_module import (
     ABModule,
-    check_commutation,
     factorial_identity_holds,
     is_regular,
     is_simple_pole,
@@ -63,7 +62,6 @@ __all__ = [
     "WeightSystem",
     "annihilator_field",
     "annihilator_form",
-    "check_commutation",
     "check_hypotheses",
     "closed_form_witness",
     "factorial_identity_holds",

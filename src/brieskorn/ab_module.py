@@ -5,6 +5,8 @@ together with an operator a obeying  a.b - b.a = b^2.  The truncated
 model cuts every b-power series at a fixed order N: b acts by
 multiplication, and a acts by a matrix of b-polynomials plus the
 derivation rule  b^k e -> k b^(k+1) e  forced by the commutation law.
+A record gives only a(e_j), so every module of the model satisfies
+a b - b a = b^2 by construction (``_integer_operator``).
 
 The factorial identity of the operators a and b is read off the closed
 form of the normal ordering  a^l b^r = sum_(k=0..l) c(l,k) b^(r+k) a^(l-k),
@@ -138,7 +140,9 @@ def _integer_operator(module: ABModule, order: int) -> tuple[int, Columns]:
     at b^order: the matrix part  sum_(i,p) D A[i][j][p] b^(t+p) e_i  plus
     the derivation part  D t b^(t+1) e_j.  With order N this is a on the
     truncated module; with a smaller order, a on E / b^order E (a never
-    lowers the b-degree)."""
+    lowers the b-degree).  The derivation part makes the law hold by
+    construction: col(j, t+1) = b col(j, t) + D e_(j, t+2), which is
+    a b - b a = b^2 on b^t e_j."""
     rank = module.rank
     scale = lcm(
         *(c.denominator for row in module.a_matrix for entry in row for c in entry)
@@ -170,28 +174,6 @@ def _apply(columns: Columns, vector: dict) -> dict:
     for key, c in vector.items():
         vec_axpy(out, c, columns[key])
     return out
-
-
-def check_commutation(module: ABModule) -> bool:
-    """Verify  a b - b a = b^2  on every basis vector b^t e  with t + 2 < N:
-
-        a(b^(t+1) e) - b a(b^t e) = b^(t+2) e,
-
-    term by term on the integer columns, that is
-    col(j, t+1) = b col(j, t) + D e_(j, t+2).  Both operators never lower
-    the b-degree, so every represented component is exact.  Without the
-    derivation term the matrix parts cancel and the check fails for N >= 3.
-    """
-    order = module.trunc_order
-    scale, columns = _integer_operator(module, order)
-    for (j, t), column in columns.items():
-        if t + 2 >= order:
-            continue
-        expected = _shift(column, 1, order)
-        vec_axpy(expected, scale, {(j, t + 2): 1})
-        if columns[(j, t + 1)] != expected:
-            return False
-    return True
 
 
 def tensor(left: ABModule, right: ABModule, label: str = "") -> ABModule:

@@ -11,6 +11,7 @@ from typing import Callable, Hashable, Iterable, Optional
 
 from hypothesis import HealthCheck, settings, strategies as st
 
+from brieskorn import ab_module
 from brieskorn.ab_module import ABModule
 from brieskorn.curve import FactoredCurve, annihilator_form
 from brieskorn.errors import InconclusiveError, InputError
@@ -422,6 +423,28 @@ def rewrite_normal_order(word: Word, leftmost: bool = True) -> Word:
 def rank_one(coefficient, trunc_order: int = 16, label: str = "") -> ABModule:
     """Rank-1 module with  a e = coefficient * b e."""
     return ABModule(1, trunc_order, [[[0, coefficient]]], label=label)
+
+
+def columns_commute(module: ABModule) -> bool:
+    """The law  a b - b a = b^2  on every basis vector b^t e_j with t + 2 < N,
+
+        a(b^(t+1) e_j) - b a(b^t e_j) = b^(t+2) e_j,
+
+    term by term on the integer columns of ``ab_module._integer_operator``
+    (looked up at call time, so a monkeypatched operator is the one read):
+    col(j, t+1) = b col(j, t) + D e_(j, t+2).  Both operators never lower
+    the b-degree, so every represented component is exact.  Without the
+    derivation term the matrix parts cancel and the law fails for N >= 3."""
+    order = module.trunc_order
+    scale, columns = ab_module._integer_operator(module, order)
+    for (j, t), column in columns.items():
+        if t + 2 >= order:
+            continue
+        expected = {(i, s + 1): c for (i, s), c in column.items() if s + 1 < order}
+        expected[(j, t + 2)] = expected.get((j, t + 2), 0) + scale
+        if columns[(j, t + 1)] != {key: c for key, c in expected.items() if c}:
+            return False
+    return True
 
 
 def shares_the_exact_form_operator(a: Poly, b: Poly, build=exact_form_images) -> bool:

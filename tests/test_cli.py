@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -577,6 +578,25 @@ class TestAbmodCommands:
         )
         code, _ = run(["abmod", "check", str(path), "--k", "3"])
         assert code == EXIT_INCONCLUSIVE
+
+    def test_check_does_no_work_that_grows_with_the_truncation(self, tmp_path):
+        # the commutation law holds by construction and is_regular works in
+        # E / b^k E, so trunc_order 10^6 answers at once (a runtime law check
+        # over every b^t e took seconds here)
+        path = tmp_path / "deep.json"
+        path.write_text(
+            json.dumps({"rank": 1, "trunc_order": 10**6, "a_matrix": [[[[1, "1"]]]]})
+        )
+        times = []
+        for _ in range(3):  # the best of three, so one slow pass of the host is not read
+            start = time.perf_counter()
+            code, text = run(["abmod", "check", str(path)])
+            times.append(time.perf_counter() - start)
+        assert code == EXIT_OK
+        flags = json.loads(text)
+        assert flags["trunc_order"] == 10**6
+        assert [flags[key] for key in ("commutation", "simple_pole", "regular_k1", "regular_k2")] == [True] * 4
+        assert min(times) < 0.01
 
     def test_selftest_deterministic(self):
         code1, text1 = run(["abmod", "selftest", "--count", "10", "--seed", "3"])

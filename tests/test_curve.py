@@ -241,6 +241,26 @@ class TestAnnihilatorForm:
         assert coeff.divide_exact(p("x^2")) is not None
 
 
+# weights (w_x, w_y) and the weighted-homogeneous branches x, y and
+# x^(w_y) - lam y^(w_x); distinct lam keep the branches coprime
+ORACLE_WEIGHTS = [(1, 1), (1, 2), (2, 1), (2, 3), (3, 2)]
+ORACLE_LAMBDAS = [Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 2), Fraction(3)]
+
+
+@st.composite
+def weighted_curves(draw):
+    wx, wy = draw(st.sampled_from(ORACLE_WEIGHTS))
+    pool = [p("x"), p("y")] + [
+        Poly(XY, {(wy, 0): 1, (0, wx): -lam}) for lam in ORACLE_LAMBDAS
+    ]
+    chosen = draw(
+        st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique_by=str)
+    )
+    residual = chosen.pop() if len(chosen) > 1 and draw(st.booleans()) else None
+    factors = [(u, draw(st.integers(min_value=2, max_value=3))) for u in chosen]
+    return FactoredCurve.of(XY, factors, residual), (wx, wy)
+
+
 class TestAnnihilatorField:
     def test_sextic_proportional_to_reference(self):
         assert annihilator_field(sextic()) == (p("3*x*y^2"), p("-3*(2*x^3+y^3)"))
@@ -252,15 +272,14 @@ class TestAnnihilatorField:
     def test_dual_of_cross(self):
         assert annihilator_field(cross()) == (p("2*x"), p("-2*y"))
 
-    @pytest.mark.parametrize("weights", [(1, 1), None], ids=["graded", "jet"])
-    def test_a_field_that_does_not_kill_f_is_an_invariant_violation(self, weights):
-        # the check b f_x = a f_y reads the stored partials: an alpha out of
-        # step with them (here a and b swapped) is refused before any scan
-        curve = sextic()
-        a, b = annihilator_form(curve)
-        object.__setattr__(curve, "_alpha", (b, a))
-        with pytest.raises(RuntimeError, match="annihilator field does not kill f$"):
-            invariants(curve, weights=weights)
+    @given(weighted_curves())
+    def test_kills_f_on_weighted_curves(self, curve_and_weights):
+        # no runtime check: df = h alpha, proved by exact division when the
+        # curve is built, gives V(f) = h (b a - a b) = 0
+        curve, _ = curve_and_weights
+        (a, b), f = annihilator_form(curve), curve.expand()
+        assert b * f.derivative("x") == a * f.derivative("y")
+        assert apply_field(annihilator_field(curve), f).is_zero
 
 
 class TestHypotheses:
@@ -895,26 +914,6 @@ def is_positive_multiple(vec: dict, reference: dict) -> bool:
     key = next(iter(vec))
     ratio = Fraction(vec[key]) / reference[key]
     return ratio > 0 and all(v == ratio * reference[k] for k, v in vec.items())
-
-
-# weights (w_x, w_y) and the weighted-homogeneous branches x, y and
-# x^(w_y) - lam y^(w_x); distinct lam keep the branches coprime
-ORACLE_WEIGHTS = [(1, 1), (1, 2), (2, 1), (2, 3), (3, 2)]
-ORACLE_LAMBDAS = [Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 2), Fraction(3)]
-
-
-@st.composite
-def weighted_curves(draw):
-    wx, wy = draw(st.sampled_from(ORACLE_WEIGHTS))
-    pool = [p("x"), p("y")] + [
-        Poly(XY, {(wy, 0): 1, (0, wx): -lam}) for lam in ORACLE_LAMBDAS
-    ]
-    chosen = draw(
-        st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique_by=str)
-    )
-    residual = chosen.pop() if len(chosen) > 1 and draw(st.booleans()) else None
-    factors = [(u, draw(st.integers(min_value=2, max_value=3))) for u in chosen]
-    return FactoredCurve.of(XY, factors, residual), (wx, wy)
 
 
 ISOLATED_ORACLE_GERMS = [

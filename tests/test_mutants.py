@@ -8,6 +8,7 @@ differs from the test-side oracle that the suite compares it with.
 Covered: the a-action certificate (a wrong coefficient, a wrong target,
 a missing cofactor), the sign of the divergence of the twisted operator
 that the nu scan and the certificate share, the derivation term of the (a,b)-module operator,
+a transposed factor and a right-major index of the tensor product,
 the closed form of a^l b^r (a falling factorial, a dropped binomial),
 the b^j shift of the factorial identity,
 the Nakayama stop of mu, the Bezout bound of the colength scans, the
@@ -42,8 +43,8 @@ from brieskorn.ab_module import (
     ABModule,
     _integer_operator,
     _reorder_a_powers,
-    check_commutation,
     factorial_identity_holds,
+    tensor,
 )
 from brieskorn.cli import EXIT_INVALID, EXIT_OK, main
 from brieskorn.curve import (
@@ -72,6 +73,7 @@ from brieskorn.poly import Poly, WeightSystem, parse_polynomial
 from brieskorn.suspension import milnor_isolated
 
 from conftest import (
+    columns_commute,
     jet_quotient,
     mu as reference_mu,
     rank_one,
@@ -291,22 +293,27 @@ class TestSharedOperatorMutant:
 
 
 class TestDerivationTermMutant:
-    """Commutation a b - b a = b^2 fails without the derivation term for
-    N >= 3: the matrix parts cancel and leave the b^(t+2) e term over."""
+    """The law a b - b a = b^2 holds by construction of the derivation part
+    of ``_integer_operator``; without it the matrix parts cancel and leave
+    the b^(t+2) e term over for N >= 3.  No runtime call checks the law, so
+    the test that catches this mutant is the property
+    ``test_ab_module.TestIntegerOperator.test_columns_obey_the_commutation_law``
+    (``columns_commute`` on the operator's integer columns); the Fraction
+    oracles ``apply_a`` and ``reference_check_commutation`` agree with it."""
 
     @pytest.fixture(autouse=True)
     def mutant(self, monkeypatch):
         monkeypatch.setattr("brieskorn.ab_module._integer_operator", without_derivation_term)
 
     def test_matrix_only_action_fails_commutation(self):
-        assert not check_commutation(rank_one(Fraction(1, 2)))
+        assert not columns_commute(rank_one(Fraction(1, 2)))
 
     @pytest.mark.parametrize("module", COMMUTING_MODULES, ids=repr)
     def test_every_commuting_module_fails(self, module):
-        assert not check_commutation(module)
+        assert not columns_commute(module)
 
     def test_truncation_two_checks_nothing(self):
-        assert check_commutation(ABModule(1, 2, [[[0, 1]]]))
+        assert columns_commute(ABModule(1, 2, [[[0, 1]]]))
 
     @given(ab_modules())
     def test_is_the_reference_without_the_derivation_term(self, module):
@@ -314,8 +321,33 @@ class TestDerivationTermMutant:
         for (j, t), column in columns.items():
             scaled = {key: Fraction(v, scale) for key, v in column.items() if v}
             assert scaled == apply_a(module, generator(j, t), derivation_term=False)
-        assert check_commutation(module) is False
+        assert columns_commute(module) is False
         assert reference_check_commutation(module, derivation_term=False) is False
+
+
+class TestTensorMutants:
+    """A transposed factor of ``tensor`` (a(e_i) read off row i instead of
+    column i) or a right-factor-major basis index keeps the rank and the
+    simple pole of every product; ``abmod selftest`` catches each by the
+    swap law: tensor(F, E) is tensor(E, F) with the index i r_F + j moved
+    to j r_E + i."""
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("left.a_matrix[k][i]", "left.a_matrix[i][k]"),
+            ("right.a_matrix[l][j]", "right.a_matrix[j][l]"),
+            ("return i * right.rank + j", "return j * left.rank + i"),
+        ],
+        ids=["transposed-left", "transposed-right", "right-major-index"],
+    )
+    def test_is_caught_by_the_selftest(self, monkeypatch, capsys, old, new):
+        argv = ["abmod", "selftest", "--count", "6", "--seed", "0"]
+        assert main(argv) == EXIT_OK
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "tensor", mutated(tensor, old, new))
+        assert main(argv) == EXIT_INVALID
+        assert "FAILED" in capsys.readouterr().out
 
 
 class TestClosedFormMutants:
@@ -529,13 +561,15 @@ class TestExactDivisionMutants:
     def test_true_division_of_the_quotient_coefficient_raises(self, monkeypatch):
         # the int rule "rc // lead_c" as "rc / lead_c": int / int is a float,
         # which no coefficient may be; the next quotient step refuses it in
-        # its Fraction, and the pipeline in exact_scalar
+        # its Fraction, and the pipeline when it clears the denominators of
+        # alpha = df / x^2 (a monomial divisor, so no later quotient step
+        # meets the float)
         assert p("x^2 - y^2").divide_exact(p("x + y")) == p("x - y")
         slash = mutated(Poly.divide_exact, "rc // lead_c", "rc / lead_c")
         monkeypatch.setattr(Poly, "divide_exact", slash)
         with pytest.raises(TypeError):
             p("x^2 - y^2").divide_exact(p("x + y"))
-        with pytest.raises(TypeError, match="got float"):
+        with pytest.raises(AttributeError, match="'float' object has no attribute 'denominator'"):
             invariants(golden_sextic())
 
     def test_a_dropped_exponent_check_is_caught(self, monkeypatch):

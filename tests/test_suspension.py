@@ -8,7 +8,6 @@ import pytest
 
 from brieskorn.ab_module import (
     bpoly,
-    check_commutation,
     is_regular,
     is_simple_pole,
     tensor,
@@ -29,7 +28,7 @@ from brieskorn.suspension import (
     verify_suspension_direct,
 )
 
-from conftest import certificate_inputs, stable_colength
+from conftest import certificate_inputs, columns_commute, stable_colength
 
 XY = ("x", "y")
 Z = ("z",)
@@ -223,7 +222,7 @@ class TestSuspend:
         result = suspend(milnor_isolated(p("z^2", Z)), rep)
         model = result.ab_model
         assert model is not None and model.rank == 13
-        assert check_commutation(model)
+        assert columns_commute(model)
         assert is_simple_pole(model)
         assert is_regular(model, 1)
 
