@@ -17,58 +17,68 @@ finishes the induction.
 
 from __future__ import annotations
 
-from math import comb, factorial, lcm
+from fractions import Fraction
+from math import comb, factorial, gcd, lcm
 from operator import itemgetter
 from typing import Mapping, Sequence
 
 from .errors import InconclusiveError, InputError
 from .linalg import Span, vec_axpy
-from .poly import Scalar, exact_scalar, format_fraction, parse_fraction
-
-# a b-polynomial: exact-scalar tuple indexed by b-power, zero-trimmed
-BPoly = tuple[Scalar, ...]
+from .poly import Scalar, exact_scalar, parse_ratio
 
 # the default truncation order N of the modules that the CLI builds
 DEFAULT_TRUNC_ORDER = 16
 
 
-def bpoly(coefficients: Sequence[Scalar]) -> BPoly:
-    values = [exact_scalar(c) for c in coefficients]
-    while values and values[-1] == 0:
+def _trimmed(values: list) -> tuple:
+    while values and not values[-1]:
         values.pop()
     return tuple(values)
 
 
 class ABModule:
     """Free rank-r module over b-series truncated at order N, with the
-    a-operator given by an r x r matrix of b-polynomials of degree < N."""
+    a-operator given by an r x r matrix of b-polynomials of degree < N: integer
+    ``numerators`` (zero-trimmed tuples by b-power) over one ``scale`` > 0."""
 
-    __slots__ = ("rank", "trunc_order", "a_matrix", "label")
+    __slots__ = ("rank", "trunc_order", "numerators", "scale", "label")
 
-    def __init__(
-        self,
-        rank: int,
-        trunc_order: int,
-        a_matrix: Sequence[Sequence[Sequence[Scalar]]],
-        label: str = "",
+    def __new__(
+        cls, rank: int, trunc_order: int, a_matrix: Sequence[Sequence[Sequence[Scalar]]], label=""
     ):
+        return cls._of_ratios(rank, trunc_order, a_matrix, label, scalars=True)
+
+    @classmethod
+    def _of_ratios(cls, rank: int, trunc_order: int, cells, label: str, scalars=False):
+        """The module of (numerator, denominator > 0) pairs by b-power (of exact
+        scalars, if ``scalars``), over their lcm; InputError unless the sizes
+        hold and the matrix is rank x rank of degree < trunc_order in b."""
         if rank < 1:
             raise InputError("rank must be at least 1")
         if trunc_order < 2:
             raise InputError("truncation order must be at least 2")
-        matrix = tuple(tuple(bpoly(entry) for entry in row) for row in a_matrix)
-        if len(matrix) != rank or any(len(row) != rank for row in matrix):
+        if scalars:
+            pair = lambda c: (c.numerator, c.denominator)
+            cells = [[[pair(exact_scalar(c)) for c in entry] for entry in row] for row in cells]
+        if len(cells) != rank or any(len(row) != rank for row in cells):
             raise InputError(f"a-matrix must be {rank}x{rank}")
-        for row in matrix:
-            for entry in row:
-                if len(entry) > trunc_order:
-                    raise InputError(
-                        "a-matrix entry exceeds the truncation order in b"
-                    )
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "trunc_order", trunc_order)
-        object.__setattr__(self, "a_matrix", matrix)
-        object.__setattr__(self, "label", label)
+        scale = lcm(*{q for row in cells for entry in row for _, q in entry})
+        matrix = tuple([
+            tuple([_trimmed([p * (scale // q) for p, q in entry]) for entry in row])
+            for row in cells
+        ])
+        if any(len(entry) > trunc_order for row in matrix for entry in row):
+            raise InputError("a-matrix entry exceeds the truncation order in b")
+        return cls._trusted(rank, trunc_order, matrix, scale, label)
+
+    @classmethod
+    def _trusted(cls, rank: int, trunc_order: int, numerators, scale: int, label: str = ""):
+        """A module on integer ``numerators`` over ``scale`` whose sizes were
+        checked when they were built (as tensor factors were)."""
+        module = object.__new__(cls)
+        for name, value in zip(cls.__slots__, (rank, trunc_order, numerators, scale, label)):
+            object.__setattr__(module, name, value)
+        return module
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("ABModule is immutable")
@@ -79,19 +89,26 @@ class ABModule:
             f"label={self.label!r})"
         )
 
+    @property
+    def a_matrix(self) -> tuple[tuple[tuple[Scalar, ...], ...], ...]:
+        """numerators / scale as exact scalars: a view that no runtime path reads."""
+        value = lambda n: exact_scalar(Fraction(n, self.scale))
+        return tuple(tuple(tuple(map(value, entry)) for entry in row) for row in self.numerators)
+
     # -- serialization ---------------------------------------------------------
 
     def to_record(self) -> dict:
+        def text(n: int) -> str:  # n / scale in lowest terms, as format_fraction prints it
+            g = gcd(n, self.scale)
+            return str(n // g) if g == self.scale else f"{n // g}/{self.scale // g}"
+
         return {
             "rank": self.rank,
             "trunc_order": self.trunc_order,
             "label": self.label,
             "a_matrix": [
-                [
-                    [[power, format_fraction(c)] for power, c in enumerate(entry) if c]
-                    for entry in row
-                ]
-                for row in self.a_matrix
+                [[[power, text(n)] for power, n in enumerate(entry) if n] for entry in row]
+                for row in self.numerators
             ],
         }
 
@@ -99,7 +116,7 @@ class ABModule:
     def from_record(cls, record: Mapping) -> "ABModule":
         """Inverse of ``to_record``; InputError on a malformed record, such
         as a rank, truncation order or b-power that is not a JSON integer,
-        or a b-power given twice in one entry."""
+        or a b-power given twice in one entry; no Fraction is built."""
 
         def integer(value) -> int:
             if type(value) is not int:  # bool is an int subclass; 16.0 is not one
@@ -109,8 +126,8 @@ class ABModule:
         try:
             order = integer(record["trunc_order"])
 
-            def cell(entry) -> list[Scalar]:
-                coeffs: list[Scalar] = []
+            def cell(entry) -> list[tuple[int, int]]:
+                ratios: list[tuple[int, int]] = []
                 seen = set()
                 for power, text in entry:
                     if not 0 <= integer(power) < order:
@@ -118,13 +135,13 @@ class ABModule:
                     if power in seen:
                         raise ValueError(f"b-power {power} repeated in one entry")
                     seen.add(power)
-                    while len(coeffs) <= power:
-                        coeffs.append(0)
-                    coeffs[power] = parse_fraction(text)
-                return coeffs
+                    while len(ratios) <= power:
+                        ratios.append((0, 1))
+                    ratios[power] = parse_ratio(text)
+                return ratios
 
             matrix = [[cell(entry) for entry in row] for row in record["a_matrix"]]
-            return cls(integer(record["rank"]), order, matrix, label=record.get("label", ""))
+            return cls._of_ratios(integer(record["rank"]), order, matrix, record.get("label", ""))
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             kind = type(exc).__name__
             raise InputError(f"malformed module record ({kind}: {exc})") from exc
@@ -135,26 +152,18 @@ Columns = dict[tuple[int, int], dict[tuple[int, int], int]]
 
 
 def _integer_operator(module: ABModule, order: int) -> tuple[int, Columns]:
-    """(D, columns): D is the lcm of the a-matrix denominators, and the
-    column of (j, t), t < order, is the integer vector  D a(b^t e_j)  cut
-    at b^order: the matrix part  sum_(i,p) D A[i][j][p] b^(t+p) e_i  plus
-    the derivation part  D t b^(t+1) e_j.  With order N this is a on the
-    truncated module; with a smaller order, a on E / b^order E (a never
-    lowers the b-degree).  The derivation part makes the law hold by
-    construction: col(j, t+1) = b col(j, t) + D e_(j, t+2), which is
-    a b - b a = b^2 on b^t e_j."""
-    rank = module.rank
-    scale = lcm(
-        *(c.denominator for row in module.a_matrix for entry in row for c in entry)
-    )
+    """(D, columns): D is the module's stored ``scale``, and the column of
+    (j, t), t < order, is the integer vector  D a(b^t e_j)  cut at b^order:
+    the matrix part  sum_(i,p) D A[i][j][p] b^(t+p) e_i  (D A is the stored
+    ``numerators``) plus the derivation part  D t b^(t+1) e_j.  With order N
+    this is a on the truncated module; with a smaller order, a on
+    E / b^order E (a never lowers the b-degree).  The derivation part makes
+    the law hold by construction: col(j, t+1) = b col(j, t) + D e_(j, t+2),
+    which is a b - b a = b^2 on b^t e_j."""
+    rank, scale = module.rank, module.scale
     columns: Columns = {}
     for j in range(rank):
-        terms = [
-            (i, p, c.numerator * (scale // c.denominator))
-            for i in range(rank)
-            for p, c in enumerate(module.a_matrix[i][j])
-            if c
-        ]
+        terms = [(i, p, c) for i in range(rank) for p, c in enumerate(module.numerators[i][j]) if c]
         for t in range(order):
             column = {(i, t + p): c for i, p, c in terms if t + p < order}
             if 0 < t < order - 1:
@@ -180,39 +189,38 @@ def tensor(left: ABModule, right: ABModule, label: str = "") -> ABModule:
     """Tensor product over the b-series ring with a = aized on each factor:
     a(e_i (x) f_j) = (a e_i) (x) f_j + e_i (x) (a f_j).
 
-    Basis pairs are ordered left-factor major.
+    Basis pairs are ordered left-factor major.  The numerators add over
+    lcm(left scale, right scale), and the product is built trusted.
     """
     if left.trunc_order != right.trunc_order:
         raise InputError("tensor factors must share the truncation order")
-    rank = left.rank * right.rank
+    rank, scale = left.rank * right.rank, lcm(left.scale, right.scale)
+    up_left, up_right = scale // left.scale, scale // right.scale
 
     def index(i: int, j: int) -> int:
         return i * right.rank + j
 
     # a cell grows only where a nonzero entry of either factor adds into it
-    matrix: list[list[list[Scalar]]] = [[[] for _ in range(rank)] for _ in range(rank)]
+    matrix: list[list[list[int]]] = [[[] for _ in range(rank)] for _ in range(rank)]
     for i in range(left.rank):
         for j in range(right.rank):
             col = index(i, j)
-            cells = [(index(k, j), left.a_matrix[k][i]) for k in range(left.rank)]
-            cells += [(index(i, l), right.a_matrix[l][j]) for l in range(right.rank)]
-            for row, entry in filter(itemgetter(1), cells):
+            cells = [(index(k, j), up_left, left.numerators[k][i]) for k in range(left.rank)]
+            cells += [(index(i, l), up_right, right.numerators[l][j]) for l in range(right.rank)]
+            for row, up, entry in filter(itemgetter(2), cells):
                 cell = matrix[row][col]
                 cell.extend([0] * (len(entry) - len(cell)))
                 for power, coeff in enumerate(entry):
-                    cell[power] += coeff
+                    cell[power] += up * coeff
     if not label:
         label = f"({left.label or 'E'}) (x) ({right.label or 'F'})"
-    return ABModule(rank, left.trunc_order, matrix, label=label)
+    numerators = tuple([tuple(map(_trimmed, row)) for row in matrix])
+    return ABModule._trusted(rank, left.trunc_order, numerators, scale, label)
 
 
 def is_simple_pole(module: ABModule) -> bool:
     """a E inside b E: every a-matrix entry has zero constant term."""
-    return all(
-        not entry or entry[0] == 0
-        for row in module.a_matrix
-        for entry in row
-    )
+    return all(not entry or entry[0] == 0 for row in module.numerators for entry in row)
 
 
 def is_regular(module: ABModule, k: int) -> bool:

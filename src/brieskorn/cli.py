@@ -312,11 +312,11 @@ def _abmod_selftest(count: int, seed: int, trunc_order: int, out) -> int:
         left = random_simple_pole()
         right = random_simple_pole()
         product = tensor(left, right)
-        swapped = tensor(right, left).a_matrix
+        swapped = tensor(right, left).numerators
         swap = [j * left.rank + i for i in range(left.rank) for j in range(right.rank)]
         ok = (
             product.rank == left.rank * right.rank
-            and product.a_matrix == tuple(tuple(swapped[r][c] for c in swap) for r in swap)
+            and product.numerators == tuple(tuple(swapped[r][c] for c in swap) for r in swap)
             and is_simple_pole(product)
         )
         if not ok:

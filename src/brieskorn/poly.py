@@ -11,7 +11,7 @@ between threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import add, mul
 from typing import Mapping, Optional, Sequence, Union
 
@@ -385,14 +385,24 @@ def integer_weights(weights: Sequence[Scalar]) -> tuple[tuple[int, ...], int]:
     return tuple(w.numerator * (scale // w.denominator) for w in weights), scale
 
 
-def parse_fraction(text: str) -> Scalar:
-    """An integer or a quotient of integers, as an exact scalar; InputError
-    on anything else."""
+def parse_ratio(text: str) -> tuple[int, int]:
+    """An integer or a quotient of integers, as (numerator, denominator) in
+    lowest terms with a positive denominator; InputError on anything else."""
     num, slash, den = text.partition("/")
     try:
-        return exact_scalar(Fraction(int(num), int(den))) if slash else int(num)
-    except (ValueError, ZeroDivisionError) as exc:
+        p, q = int(num), int(den) if slash else 1
+        if q == 0:
+            raise ValueError("zero denominator")
+    except ValueError as exc:
         raise InputError(f"not a rational number: {text!r}") from exc
+    g = gcd(p, q) if q > 0 else -gcd(p, q)  # a negative denominator flips both signs
+    return p // g, q // g
+
+
+def parse_fraction(text: str) -> Scalar:
+    """``parse_ratio`` as an exact scalar."""
+    p, q = parse_ratio(text)
+    return p if q == 1 else Fraction(p, q)
 
 
 class WeightSystem:

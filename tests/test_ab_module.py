@@ -15,7 +15,6 @@ from brieskorn.ab_module import (
     ABModule,
     _integer_operator,
     _reorder_a_powers,
-    bpoly,
     factorial_identity_holds,
     is_regular,
     is_simple_pole,
@@ -23,6 +22,7 @@ from brieskorn.ab_module import (
 )
 from brieskorn.errors import InconclusiveError, InputError
 from brieskorn.linalg import Span
+from brieskorn.poly import format_fraction
 
 from conftest import columns_commute, fractions, rank_one, rewrite_normal_order
 from torsion_model import (
@@ -193,7 +193,7 @@ class TestABModule:
         with pytest.raises(InputError, match="malformed module record .*b-power 1 repeated"):
             ABModule.from_record(record)
         record["a_matrix"] = [[[[2, "2"], [1, "1"]]]]
-        assert ABModule.from_record(record).a_matrix == ((bpoly([0, 1, 2]),),)
+        assert ABModule.from_record(record).a_matrix == (((0, 1, 2),),)
 
 
 class TestTensor:
@@ -202,7 +202,7 @@ class TestTensor:
         F = rank_one(Fraction(1, 2))
         T = tensor(E, F)
         assert T.rank == 1
-        assert T.a_matrix[0][0] == bpoly([0, Fraction(5, 6)])
+        assert T.a_matrix[0][0] == (0, Fraction(5, 6))
 
     def test_rank_multiplicative(self):
         E = ABModule(2, 16, [[[0, 1], []], [[], [0, 2]]])
@@ -420,11 +420,12 @@ def reference_is_regular(module: ABModule, k: int) -> bool:
 
 
 @st.composite
-def ab_modules(draw) -> ABModule:
-    """Rank 1-3, N 3-8, rational b-polynomial entries of degree < 4, with or
-    without constant terms."""
+def ab_modules(draw, order: int | None = None) -> ABModule:
+    """Rank 1-3, N 3-8 (or ``order``), rational b-polynomial entries of
+    degree < 4, with or without constant terms."""
     rank = draw(st.integers(min_value=1, max_value=3))
-    order = draw(st.integers(min_value=3, max_value=8))
+    if order is None:
+        order = draw(st.integers(min_value=3, max_value=8))
     constant_terms = draw(st.booleans())
     entry = st.lists(fractions(3), max_size=min(4, order))
     matrix = []
@@ -450,7 +451,8 @@ class TestIntegerOperator:
     @given(ab_modules())
     def test_columns_are_the_scaled_fraction_action(self, module):
         scale, columns = _integer_operator(module, module.trunc_order)
-        assert scale == lcm(
+        # a drawn module is built by the public constructor: the least scale
+        assert scale == module.scale == lcm(
             *(c.denominator for row in module.a_matrix for e in row for c in e)
         )
         assert set(columns) == {
@@ -494,6 +496,116 @@ class TestIntegerOperator:
         assert cli.is_simple_pole is is_simple_pole
         assert cli.is_regular is is_regular
         assert cli.tensor is tensor
+
+
+def tensor_factors() -> st.SearchStrategy[tuple[ABModule, ABModule]]:
+    """Two drawn modules that share their truncation order."""
+    return st.integers(min_value=3, max_value=8).flatmap(
+        lambda n: st.tuples(ab_modules(n), ab_modules(n))
+    )
+
+
+def kronecker_sum(left: ABModule, right: ABModule) -> tuple:
+    """The a-matrix of the tensor product, left-factor major, summed in
+    Fractions from the views: a(e_i (x) f_j) = sum_k A[k][i] e_k (x) f_j
+    + sum_l B[l][j] e_i (x) f_l, each entry zero-trimmed."""
+    r1, r2 = left.rank, right.rank
+    out = [[[Fraction(0)] * left.trunc_order for _ in range(r1 * r2)] for _ in range(r1 * r2)]
+    for i in range(r1):
+        for j in range(r2):
+            for k in range(r1):
+                for power, c in enumerate(left.a_matrix[k][i]):
+                    out[k * r2 + j][i * r2 + j][power] += c
+            for l in range(r2):
+                for power, c in enumerate(right.a_matrix[l][j]):
+                    out[i * r2 + l][i * r2 + j][power] += c
+    trimmed = []
+    for row in out:
+        trimmed.append([])
+        for cell in row:
+            while cell and cell[-1] == 0:
+                cell.pop()
+            trimmed[-1].append(tuple(cell))
+    return tuple(tuple(row) for row in trimmed)
+
+
+def printed(module: ABModule) -> list:
+    """The a-matrix of the record, printed from the view by format_fraction."""
+    return [
+        [[[power, format_fraction(c)] for power, c in enumerate(entry) if c] for entry in row]
+        for row in module.a_matrix
+    ]
+
+
+class TestIntegerRecords:
+    """A module is integer numerators over one positive scale; its records
+    and tensor products build no Fraction and print what the view holds."""
+
+    @given(ab_modules())
+    def test_record_round_trip_returns_the_module(self, module):
+        back = ABModule.from_record(module.to_record())
+        fields = ("rank", "trunc_order", "numerators", "scale", "label")
+        assert [getattr(back, f) for f in fields] == [getattr(module, f) for f in fields]
+        assert module.to_record()["a_matrix"] == printed(module)
+
+    @given(tensor_factors())
+    def test_tensor_is_the_kronecker_sum(self, factors):
+        product = tensor(*factors)
+        assert product.a_matrix == kronecker_sum(*factors)
+        assert product.scale > 0
+        assert all(entry[-1] for row in product.numerators for entry in row if entry)
+        assert product.to_record()["a_matrix"] == printed(product)
+        back = ABModule.from_record(product.to_record())
+        assert (back.a_matrix, back.label) == (product.a_matrix, product.label)
+
+    def test_denominators_that_cancel(self):
+        # 1/2 + 1/2 = 1 over the scale 2, printed "1"; 1/2 - 1/2 leaves the cell empty
+        half, minus_half = rank_one(Fraction(1, 2)), rank_one(Fraction(-1, 2))
+        whole = tensor(half, half)
+        assert (whole.numerators, whole.scale) == ((((0, 2),),), 2)
+        assert whole.a_matrix == (((0, 1),),) == kronecker_sum(half, half)
+        assert whole.to_record()["a_matrix"] == [[[[1, "1"]]]]
+        empty = tensor(half, minus_half)
+        assert empty.numerators == (((),),) and empty.a_matrix == kronecker_sum(half, minus_half)
+        assert empty.to_record()["a_matrix"] == [[[]]]
+
+    def test_record_coefficients_are_read_reduced(self):
+        record = {"rank": 1, "trunc_order": 4, "a_matrix": [[[[1, "2/4"], [2, "1/-3"], [3, "0"]]]]}
+        module = ABModule.from_record(record)
+        assert (module.numerators, module.scale) == ((((0, 3, -2),),), 6)
+        assert module.to_record()["a_matrix"] == [[[[1, "1/2"], [2, "-1/3"]]]]
+
+    def test_sizes_are_checked_before_the_scalars(self):
+        # rank and truncation order first, then the scalars, then the shape
+        for args, message in [
+            ((0, 16, [[[1.5]]]), "rank must be at least 1"),
+            ((1, 1, [[[1.5]]]), "truncation order must be at least 2"),
+        ]:
+            with pytest.raises(InputError, match=message):
+                ABModule(*args)
+        with pytest.raises(TypeError):
+            ABModule(2, 16, [[[1.5]]])
+        assert ABModule(1, 2, [[[0, 0, 0]]]).numerators == (((),),)  # trimmed, then sized
+
+    @given(
+        st.lists(fractions(4), min_size=1, max_size=3),
+        st.lists(fractions(4), min_size=1, max_size=3),
+    )
+    def test_diagonal_law(self, cs, ds):
+        # the tensor of diag(c_i b) and diag(d_j b) is diag((c_i + d_j) b) at
+        # index i r_right + j: the law that suspend rests on
+        def diag(coefficients):
+            rank = len(coefficients)
+            cells = [[[0, c] if i == j else [] for j in range(rank)] 
+                     for i, c in enumerate(coefficients)]
+            return ABModule(rank, 8, cells)
+
+        product = tensor(diag(cs), diag(ds))
+        sums = [c + d for c in cs for d in ds]
+        assert product.a_matrix == diag(sums).a_matrix == tuple(
+            tuple((0, s) if i == j and s else () for j in range(len(sums)))
+            for i, s in enumerate(sums)
+        )
 
 
 def derivation_fixture(dim: int) -> TorsionFixture:

@@ -17,7 +17,6 @@ from math import gcd
 
 from brieskorn.ab_module import (
     ABModule,
-    bpoly,
     factorial_identity_holds,
     is_simple_pole,
     tensor,
@@ -216,7 +215,7 @@ def test_criterion_8_tensor_algebra_properties():
             lam = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
             nu = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
             product = tensor(rank_one(lam), rank_one(nu))
-            assert product.a_matrix[0][0] == bpoly([0, lam + nu])
+            assert product.a_matrix[0][0] == ((0, lam + nu) if lam + nu else ())
 
 
 def conforming_fixtures():

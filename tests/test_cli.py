@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -89,6 +90,41 @@ def test_malformed_input_is_invalid_not_a_traceback(tmp_path, capsys, argv, cont
     code, _ = run([arg.format(file=path) for arg in argv])
     assert code == EXIT_INVALID
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# The stderr of each MALFORMED_INPUTS case, byte for byte ("{file}" is the
+# module file): the integer parse of records keeps the messages of the
+# Fraction parse it replaced.
+MALFORMED_STDERR = {
+    "weights-zero-denominator": "error: not a rational number: '1/0'\n",
+    "weights-not-a-number": "error: not a rational number: 'a'\n",
+    "residual-zero-denominator": "error: zero denominator (at position 2)\n",
+    "record-zero-denominator": "error: not a rational number: '1/0'\n",
+    "record-missing-key": "error: malformed module record (KeyError: 'trunc_order')\n",
+    "record-power-past-truncation": "error: b-power 4 outside the truncation 0..3\n",
+    "record-float-truncation":
+        "error: malformed module record (TypeError: 16.0 is not an integer)\n",
+    "record-float-rank": "error: malformed module record (TypeError: 1.0 is not an integer)\n",
+    "record-boolean-power":
+        "error: malformed module record (TypeError: True is not an integer)\n",
+    "record-repeated-power":
+        "error: malformed module record (ValueError: b-power 1 repeated in one entry)\n",
+    "not-json":
+        "error: module file {file} is not JSON: Expecting value: line 1 column 1 (char 0)\n",
+    "missing-file": "error: cannot read module file {file}: No such file or directory\n",
+}
+
+
+@pytest.mark.parametrize(
+    "name,argv,content", MALFORMED_INPUTS, ids=[case[0] for case in MALFORMED_INPUTS]
+)
+def test_malformed_input_prints_its_pinned_error(tmp_path, capsys, name, argv, content):
+    path = tmp_path / "module.json"
+    if content is not None:
+        path.write_text(content)
+    code, _ = run([arg.format(file=path) for arg in argv])
+    assert code == EXIT_INVALID
+    assert capsys.readouterr().err == MALFORMED_STDERR[name].format(file=path)
 
 
 # Usage errors are invalid input (exit 1), not inconclusive (exit 2).
@@ -554,6 +590,49 @@ class TestAbmodCommands:
         assert text == json.dumps(flags, indent=2) + "\n"
         assert flags["commutation"] and flags["simple_pole"]
         assert flags["regular_k1"] and flags["regular_k2"]
+
+    def test_tensor_prints_each_coefficient_reduced(self, tmp_path):
+        # "2/4" and "1/-3" are read as 1/2 and -1/3; the product prints
+        # 1/2 - 1/3 = 1/6 on the diagonal (the CI step pins the same bytes)
+        (tmp_path / "H.json").write_text(json.dumps(
+            {"rank": 2, "trunc_order": 8, "label": "H",
+             "a_matrix": [[[[1, "2/4"]], [[2, "2/4"]]], [[], []]]}
+        ))
+        (tmp_path / "G.json").write_text(json.dumps(
+            {"rank": 1, "trunc_order": 8, "label": "G", "a_matrix": [[[[1, "1/-3"]]]]}
+        ))
+        code, text = run(["abmod", "tensor", str(tmp_path / "H.json"), str(tmp_path / "G.json")])
+        assert code == EXIT_OK
+        assert json.loads(text)["a_matrix"] == [
+            [[[1, "1/6"]], [[2, "1/2"]]], [[], [[1, "-1/3"]]]
+        ]
+
+    def test_check_and_tensor_build_no_fraction(self, module_dir):
+        # a module is integer numerators over one scale: reading, tensoring,
+        # printing and checking it never construct a Fraction (counted at
+        # Fraction.__new__, the site bench/tracer.py counts)
+        built = []
+        original = vars(Fraction)["__new__"]
+
+        def counted(*args, **kwargs):
+            built.append(args[1:])
+            return original(*args, **kwargs)
+
+        argv = [
+            ["abmod", "tensor", str(module_dir / "E.json"), str(module_dir / "F.json"),
+             "-o", str(module_dir / "EF.json")],
+            ["abmod", "check", str(module_dir / "EF.json"), "--k", "1", "--k", "2", "--k", "3"],
+            ["abmod", "check", str(module_dir / "F.json")],
+            ["abmod", "tensor", str(module_dir / "F.json"), str(module_dir / "F.json")],
+        ]
+        Fraction.__new__ = staticmethod(counted)
+        try:
+            outcomes = [run(args)[0] for args in argv]
+        finally:
+            Fraction.__new__ = original
+        assert outcomes == [EXIT_OK] * len(argv)
+        assert built == []
+        assert Fraction(1, 2) == 0.5  # the class works again
 
     @pytest.mark.parametrize(
         "target", ["missing/product.json", "."], ids=["no-such-directory", "a-directory"]

@@ -9,6 +9,7 @@ Covered: the a-action certificate (a wrong coefficient, a wrong target,
 a missing cofactor), the sign of the divergence of the twisted operator
 that the nu scan and the certificate share, the derivation term of the (a,b)-module operator,
 a transposed factor and a right-major index of the tensor product,
+the sign flip of a negative denominator in the integer parse of records,
 the closed form of a^l b^r (a falling factorial, a dropped binomial),
 the b^j shift of the factorial identity,
 the Nakayama stop of mu, the Bezout bound of the colength scans, the
@@ -36,7 +37,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring
 
 import pytest
-from hypothesis import given
+from hypothesis import find, given
 
 from brieskorn import cli, groebner, poly
 from brieskorn.ab_module import (
@@ -69,7 +70,7 @@ from brieskorn.local_algebra import (
     local_colength,
     local_quotient,
 )
-from brieskorn.poly import Poly, WeightSystem, parse_polynomial
+from brieskorn.poly import Poly, WeightSystem, parse_polynomial, parse_ratio
 from brieskorn.suspension import milnor_isolated
 
 from conftest import (
@@ -103,7 +104,7 @@ from test_groebner import (
     reference_torsion_length,
 )
 from test_cli import by_both_routes
-from test_poly import assert_exact, reference_substitute
+from test_poly import assert_exact, ratio_agrees, ratio_texts, reference_substitute
 
 XY = ("x", "y")
 
@@ -327,16 +328,16 @@ class TestDerivationTermMutant:
 
 class TestTensorMutants:
     """A transposed factor of ``tensor`` (a(e_i) read off row i instead of
-    column i) or a right-factor-major basis index keeps the rank and the
-    simple pole of every product; ``abmod selftest`` catches each by the
-    swap law: tensor(F, E) is tensor(E, F) with the index i r_F + j moved
-    to j r_E + i."""
+    column i of the integer numerators) or a right-factor-major basis index
+    keeps the rank and the simple pole of every product; ``abmod selftest``
+    catches each by the swap law on the integer matrices: tensor(F, E) is
+    tensor(E, F) with the index i r_F + j moved to j r_E + i."""
 
     @pytest.mark.parametrize(
         "old, new",
         [
-            ("left.a_matrix[k][i]", "left.a_matrix[i][k]"),
-            ("right.a_matrix[l][j]", "right.a_matrix[j][l]"),
+            ("left.numerators[k][i]", "left.numerators[i][k]"),
+            ("right.numerators[l][j]", "right.numerators[j][l]"),
             ("return i * right.rank + j", "return j * left.rank + i"),
         ],
         ids=["transposed-left", "transposed-right", "right-major-index"],
@@ -348,6 +349,33 @@ class TestTensorMutants:
         monkeypatch.setattr(cli, "tensor", mutated(tensor, old, new))
         assert main(argv) == EXIT_INVALID
         assert "FAILED" in capsys.readouterr().out
+
+
+class TestParseRatioSignMutant:
+    """``parse_ratio`` flips both signs of a negative denominator, so "1/-3"
+    reads (-1, 3).  Without the flip it reads (1, -3), and the records do
+    not see it: the lcm of the denominators is positive and floor division
+    by -3 carries the sign to the numerator.  The test that catches it is
+    ``test_poly.TestParseRatio.test_is_the_value_of_parse_fraction``
+    (``ratio_agrees`` on the drawn ``ratio_texts``)."""
+
+    @pytest.fixture
+    def mutant(self):
+        return mutated(parse_ratio, " if q > 0 else -gcd(p, q)", "")
+
+    def test_is_caught_by_the_parse_property(self, mutant):
+        assert mutant("1/-3") == (1, -3)
+        assert not ratio_agrees("1/-3", mutant)
+        assert ratio_agrees("1/-3")
+        caught = find(ratio_texts(), lambda text: not ratio_agrees(text, mutant))
+        assert "/" in caught and int(caught.partition("/")[2]) < 0
+
+    def test_records_are_blind_to_it(self, monkeypatch, mutant):
+        record = {"rank": 1, "trunc_order": 4, "a_matrix": [[[[1, "1/-3"], [2, "3/-2"]]]]}
+        right = ABModule.from_record(record)
+        monkeypatch.setattr("brieskorn.ab_module.parse_ratio", mutant)
+        wrong = ABModule.from_record(record)
+        assert wrong.a_matrix == right.a_matrix == (((0, Fraction(-1, 3), Fraction(-3, 2)),),)
 
 
 class TestClosedFormMutants:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from brieskorn import poly
 from brieskorn.errors import InputError, ParseError
@@ -16,6 +16,7 @@ from brieskorn.poly import (
     format_fraction,
     parse_fraction,
     parse_polynomial,
+    parse_ratio,
 )
 
 from conftest import fractions, polys, valuation
@@ -356,6 +357,65 @@ class TestExactScalars:
         for result, reference in pairs:
             assert result == reference
             assert_exact(result)
+
+
+def ratio_texts() -> st.SearchStrategy[str]:
+    """Integer or quotient texts as a record or --weights holds them: a
+    sign or padding on either part, zero numerators, negative and
+    non-reduced denominators."""
+    part = st.tuples(st.sampled_from(["", "+", "-", " ", " -"]), st.integers(0, 60))
+
+    def text(num: tuple, den: tuple | None) -> str:
+        return "%s%d" % num + ("" if den is None else "/%s%d" % den)
+
+    return st.builds(text, part, st.none() | part.filter(lambda d: d[1] != 0))
+
+
+def ratio_agrees(text: str, parse=parse_ratio) -> bool:
+    """``parse(text)`` is the (numerator, denominator) pair of the value of
+    ``parse_fraction`` on it, with a positive denominator."""
+    value = Fraction(parse_fraction(text))
+    return parse(text) == (value.numerator, value.denominator)
+
+
+class TestParseRatio:
+    """``parse_ratio`` reads a record coefficient straight to integers;
+    ``parse_fraction`` is built on it."""
+
+    @given(ratio_texts())
+    @example("2/4")
+    @example("1/-3")
+    @example("+5")
+    @example(" 7")
+    @example("0/5")
+    @example("-0")
+    def test_is_the_value_of_parse_fraction(self, text):
+        num, slash, den = text.partition("/")
+        value = Fraction(int(num), int(den) if slash else 1)  # an independent oracle
+        assert parse_fraction(text) == value
+        assert ratio_agrees(text)
+        assert parse_ratio(text) == (value.numerator, value.denominator)
+
+    @pytest.mark.parametrize(
+        "text,pair", [("2/4", (1, 2)), ("1/-3", (-1, 3)), ("-6/-4", (3, 2)), ("0/-5", (0, 1))]
+    )
+    def test_pairs_are_reduced_with_a_positive_denominator(self, text, pair):
+        assert parse_ratio(text) == pair
+
+    @pytest.mark.parametrize("text", ["1/0", "0/0", "1.5", "a", "", "3/", "/2"])
+    def test_refuses_what_parse_fraction_refuses(self, text):
+        with pytest.raises(InputError) as ratio:
+            parse_ratio(text)
+        with pytest.raises(InputError) as fraction:
+            parse_fraction(text)
+        assert str(ratio.value) == str(fraction.value) == f"not a rational number: {text!r}"
+
+    def test_builds_no_fraction(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError(f"Fraction{args} built")
+
+        monkeypatch.setattr(poly, "Fraction", refuse)
+        assert [parse_ratio(t) for t in ("2/4", "1/-3", "7")] == [(1, 2), (-1, 3), (7, 1)]
 
 
 def reference_substitute(poly: Poly, mapping) -> Poly:

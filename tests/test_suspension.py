@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 from brieskorn.ab_module import (
-    bpoly,
     is_regular,
     is_simple_pole,
     tensor,
@@ -232,7 +231,25 @@ class TestSuspend:
         # locate the pair (1, 1): germ index 0, curve index of the monomial 1
         curve_index = [str(b) for b in rep.basis].index("1")
         entry = result.ab_model.a_matrix[curve_index][curve_index]
-        assert entry == bpoly([0, Fraction(5, 6)])  # 1/2 + 1/3
+        assert entry == (0, Fraction(5, 6))  # 1/2 + 1/3
+
+    @pytest.mark.parametrize(
+        "curve, germ",
+        [(cross, "z^2"), (sextic, "z^3")],
+        ids=["corpus-z2+lines-x2y2-w", "z3+sextic"],
+    )
+    def test_model_is_the_diagonal_of_the_summed_actions(self, curve, germ):
+        # the diagonal law on a suspension: the tensor of diag(c_i b) and
+        # diag(d_j b) is diag((c_i + d_j) b) at index i * r_curve + j
+        rep = invariants(curve(), weights=(1, 1))
+        isolated = milnor_isolated(p(germ, Z))
+        model = suspend(isolated, rep).ab_model
+        sums = [c + d for _, c in isolated.a_coefficients for _, d in rep.a_action]
+        assert model.rank == len(sums) == isolated.milnor * rep.rank
+        assert model.a_matrix == tuple(
+            tuple((0, total) if i == j and total else () for j in range(len(sums)))
+            for i, total in enumerate(sums)
+        )
 
     def test_rank2_times_rank13_is_26(self):
         from brieskorn.ab_module import ABModule
