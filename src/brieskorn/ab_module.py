@@ -17,6 +17,7 @@ finishes the induction.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm
 from operator import itemgetter
@@ -50,23 +51,32 @@ class ABModule:
 
     @classmethod
     def _of_ratios(cls, rank: int, trunc_order: int, cells, label: str, scalars=False):
-        """The module of (numerator, denominator > 0) pairs by b-power (of exact
-        scalars, if ``scalars``), over their lcm; InputError unless the sizes
-        hold and the matrix is rank x rank of degree < trunc_order in b."""
+        """The module of {b-power: (numerator, denominator > 0)} cells (of lists
+        of exact scalars by b-power, if ``scalars``), over their lcm; InputError
+        unless the sizes hold and the matrix is rank x rank of degree < N in b."""
         if rank < 1:
             raise InputError("rank must be at least 1")
         if trunc_order < 2:
             raise InputError("truncation order must be at least 2")
-        if scalars:
+        if scalars:  # dense pairs by b-power, scaled below in one comprehension
             pair = lambda c: (c.numerator, c.denominator)
             cells = [[[pair(exact_scalar(c)) for c in entry] for entry in row] for row in cells]
         if len(cells) != rank or any(len(row) != rank for row in cells):
             raise InputError(f"a-matrix must be {rank}x{rank}")
-        scale = lcm(*{q for row in cells for entry in row for _, q in entry})
-        matrix = tuple([
-            tuple([_trimmed([p * (scale // q) for p, q in entry]) for entry in row])
-            for row in cells
-        ])
+        if scalars:
+            scale = lcm(*{q for row in cells for entry in row for _, q in entry})
+            matrix = [[_trimmed([p * (scale // q) for p, q in e]) for e in row] for row in cells]
+        else:  # a record's cells, b-powers in any order, each filled into a dense list
+            scale = lcm(*{q for row in cells for entry in row for _, q in entry.values()})
+            matrix = []
+            for row in cells:
+                matrix.append(numerators := [])
+                for ratios in row:
+                    values = [0] * (max(ratios) + 1) if ratios else []
+                    for power, (p, q) in ratios.items():
+                        values[power] = p * (scale // q)
+                    numerators.append(_trimmed(values))
+        matrix = tuple(map(tuple, matrix))
         if any(len(entry) > trunc_order for row in matrix for entry in row):
             raise InputError("a-matrix entry exceeds the truncation order in b")
         return cls._trusted(rank, trunc_order, matrix, scale, label)
@@ -97,20 +107,32 @@ class ABModule:
 
     # -- serialization ---------------------------------------------------------
 
-    def to_record(self) -> dict:
-        def text(n: int) -> str:  # n / scale in lowest terms, as format_fraction prints it
-            g = gcd(n, self.scale)
-            return str(n // g) if g == self.scale else f"{n // g}/{self.scale // g}"
+    def to_json(self, indent: str = "\n") -> str:
+        """``json.dumps(self.to_record(), indent=2)`` nested at ``indent`` (a
+        newline and the enclosing spaces), written from the integers: each
+        coefficient n / scale reduced by one gcd, as format_fraction prints it."""
+        i1, i2, i3, i4, i5 = (indent + "  " * depth for depth in range(1, 6))
+        scale, rows = self.scale, []
+        for row in self.numerators:
+            cells = []
+            for entry in row:
+                terms = []
+                for power, n in enumerate(entry):
+                    if n:
+                        g = gcd(n, scale)
+                        text = n // g if g == scale else f"{n // g}/{scale // g}"
+                        terms.append(f'[{i5}{power},{i5}"{text}"{i4}]')
+                cells.append(f"[{i4}{f',{i4}'.join(terms)}{i3}]" if terms else "[]")
+            rows.append(f"[{i3}{f',{i3}'.join(cells)}{i2}]")
+        label = json.dumps(self.label)  # a str through encode_basestring_ascii; 5 as 5
+        return (
+            f'{{{i1}"rank": {self.rank},{i1}"trunc_order": {self.trunc_order},'
+            f'{i1}"label": {label},{i1}"a_matrix": [{i2}{f",{i2}".join(rows)}{i1}]{indent}}}'
+        )
 
-        return {
-            "rank": self.rank,
-            "trunc_order": self.trunc_order,
-            "label": self.label,
-            "a_matrix": [
-                [[[power, text(n)] for power, n in enumerate(entry) if n] for entry in row]
-                for row in self.numerators
-            ],
-        }
+    def to_record(self) -> dict:
+        """The record as a dict: the parse of ``to_json``, which holds its layout."""
+        return json.loads(self.to_json())
 
     @classmethod
     def from_record(cls, record: Mapping) -> "ABModule":
@@ -125,22 +147,18 @@ class ABModule:
 
         try:
             order = integer(record["trunc_order"])
-
-            def cell(entry) -> list[tuple[int, int]]:
-                ratios: list[tuple[int, int]] = []
-                seen = set()
-                for power, text in entry:
-                    if not 0 <= integer(power) < order:
-                        raise InputError(f"b-power {power} outside the truncation 0..{order - 1}")
-                    if power in seen:
-                        raise ValueError(f"b-power {power} repeated in one entry")
-                    seen.add(power)
-                    while len(ratios) <= power:
-                        ratios.append((0, 1))
-                    ratios[power] = parse_ratio(text)
-                return ratios
-
-            matrix = [[cell(entry) for entry in row] for row in record["a_matrix"]]
+            top, matrix = order - 1, []
+            for row in record["a_matrix"]:
+                matrix.append(cells := [])
+                for entry in row:
+                    cells.append(ratios := {})  # b-power -> (numerator, denominator)
+                    for power, text in entry:
+                        if type(power) is not int or not 0 <= power < order:
+                            integer(power)  # a TypeError unless it is one
+                            raise InputError(f"b-power {power} outside the truncation 0..{top}")
+                        if power in ratios:
+                            raise ValueError(f"b-power {power} repeated in one entry")
+                        ratios[power] = parse_ratio(text)
             return cls._of_ratios(integer(record["rank"]), order, matrix, record.get("label", ""))
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             kind = type(exc).__name__

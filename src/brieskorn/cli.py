@@ -3,7 +3,7 @@
 Subcommands: ``invariants`` (plane-curve pipeline), ``suspend``
 (Thom-Sebastiani transport), and ``abmod`` (operations on serialized
 truncated (a,b)-modules).  Exit codes: 0 success, 1 invalid input,
-2 inconclusive at the configured caps.
+2 inconclusive at the configured caps, 141 when the reader closes stdout.
 
 Output is deterministic: identical inputs and configuration produce
 byte-identical reports (timing is only emitted on request).
@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import random
 import sys
 import time
@@ -39,6 +40,8 @@ from .suspension import milnor_isolated, suspend, verify_suspension_direct
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_INCONCLUSIVE = 2
+EXIT_CLOSED_STDOUT = 141  # 128 + SIGPIPE: what a shell reports for a SIGPIPE death
+MAX_REGULARITY_K = 32  # of abmod check --k: is_regular grows as (rank * k)^3
 
 
 def _parse_variables(text: str) -> tuple[str, ...]:
@@ -111,14 +114,16 @@ _SCALARS = {int: int.__repr__, float: float.__repr__, bool: _LITERAL, type(None)
 
 
 def _json(value, indent: str = "\n") -> str:
-    """The text of ``json.dumps(value, indent=2)`` for str-keyed dicts,
-    lists, tuples, str, int, bool, None and finite floats.  The stdlib's C
-    encoder serves no indent, and its pure-Python one is slower than this.
-    A container writes its scalar children itself, by their exact type, in
-    a plain loop (a comprehension is one more call per container); only
-    containers recurse."""
+    """The text of ``json.dumps(value, indent=2)`` for str-keyed dicts, lists,
+    tuples, str, int, bool, None, finite floats and ABModules (their records,
+    which they write).  The stdlib's C encoder serves no indent, and its
+    pure-Python one is slower than this.  A container writes its scalar
+    children itself, by their exact type, in a plain loop (a comprehension is
+    one more call per container); only containers recurse."""
     kind = type(value)
     if kind is not dict and kind is not list and kind is not tuple:
+        if kind is ABModule:
+            return value.to_json(indent)
         return encode_basestring_ascii(value) if kind is str else _SCALARS[kind](value)
     text, inner, items = encode_basestring_ascii, indent + "  ", []
     if kind is dict:
@@ -148,6 +153,8 @@ def _emit(envelope: dict, fmt: str, out) -> None:
 
 def _emit_report_text(report: dict, out, indent: str = "  ") -> None:
     for key, value in report.items():
+        if type(value) is ABModule:
+            value = value.to_record()
         if isinstance(value, list) and value and isinstance(value[0], dict):
             out.write(f"{indent}{key}:\n")
             for item in value:
@@ -261,7 +268,7 @@ def _cmd_abmod(args, out) -> int:
         left = _load_module(args.left)
         right = _load_module(args.right)
         product = tensor(left, right)
-        record = _json(product.to_record()) + "\n"
+        record = _json(product) + "\n"
         if args.output:
             try:
                 with open(args.output, "w", encoding="utf-8") as handle:
@@ -297,10 +304,11 @@ def _abmod_selftest(count: int, seed: int, trunc_order: int, out) -> int:
     rng = random.Random(seed)
 
     def random_simple_pole() -> ABModule:
-        rank = rng.randint(1, 3)
+        # randrange(w) + low draws what randint(low, low + w - 1) draws, in one call
+        rank = rng.randrange(3) + 1
         matrix = [
             [
-                [0] + [rng.randint(-3, 3) for _ in range(3)]
+                [0] + [rng.randrange(7) - 3 for _ in range(3)]
                 for _ in range(rank)
             ]
             for _ in range(rank)
@@ -329,13 +337,15 @@ def _abmod_selftest(count: int, seed: int, trunc_order: int, out) -> int:
     return EXIT_OK if failures == 0 else EXIT_INVALID
 
 
-def _at_least(low: int):
-    """An argparse type: an integer of at least ``low``."""
+def _at_least(low: int, most: Optional[int] = None):
+    """An argparse type: an integer of at least ``low`` (and at most ``most``)."""
 
     def integer(text: str) -> int:
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if most is not None and value > most:
+            raise argparse.ArgumentTypeError(f"must be at most {most}, got {value}")
         return value
 
     return integer
@@ -412,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     tensor_cmd.add_argument("-o", "--output", default="")
     check = absub.add_parser("check", help="commutation/simple-pole/regularity flags")
     check.add_argument("module")
-    check.add_argument("--k", type=_at_least(1), action="append", default=None)
+    check.add_argument("--k", type=_at_least(1, MAX_REGULARITY_K), action="append", default=None)
     selftest = absub.add_parser(
         "selftest", parents=[module_settings], help="randomized tensor properties"
     )
@@ -473,7 +483,13 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
 
 
 def entrypoint() -> None:  # console script
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader closed stdout: no invalid input, no traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for the exit flush
+        code = EXIT_CLOSED_STDOUT
+    sys.exit(code)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -154,7 +154,7 @@ class SuspensionReport(NamedTuple):
             "basis_pairs": [
                 {"isolated": germ_text[a], "curve": curve_text[id(b)]} for a, b in self.basis_pairs
             ],
-            "ab_model": None if self.ab_model is None else self.ab_model.to_record(),
+            "ab_model": self.ab_model,  # cli._json writes it, to_record() is its dict
             "provenance": list(self.provenance),
             "isolated": isolated,
             "curve": curve,

@@ -3,12 +3,13 @@ fixtures."""
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 from math import comb, factorial, lcm
 
 import pytest
-from hypothesis import find, given, strategies as st
+from hypothesis import example, find, given, strategies as st
 
 from brieskorn import cli
 from brieskorn.ab_module import (
@@ -537,11 +538,53 @@ def printed(module: ABModule) -> list:
     ]
 
 
+def labelled_modules() -> st.SearchStrategy[ABModule]:
+    """``ab_modules()`` under drawn labels, quotes, backslashes and non-ASCII
+    characters included."""
+    labels = st.text() | st.sampled_from(['say "E"', "back\\slash", "\u00e9 \u2297 \U0001f600"])
+    relabel = lambda m, label: ABModule(m.rank, m.trunc_order, m.a_matrix, label)
+    return st.builds(relabel, ab_modules(), labels)
+
+
+def reference_record(module: ABModule) -> dict:
+    """The record, key by key in its order, read from the view."""
+    fields = (module.rank, module.trunc_order, module.label, printed(module))
+    return dict(zip(("rank", "trunc_order", "label", "a_matrix"), fields))
+
+
+def writes_its_record(module: ABModule) -> bool:
+    """``cli._json`` writes the module, nested in a dict and a list, as
+    ``json.dumps`` writes its reference record at ``indent=2``."""
+    record = reference_record(module)
+    expected = json.dumps({"k": [record, {"m": record}]}, indent=2)
+    return cli._json({"k": [module, {"m": module}]}) == expected
+
+
+class TestRecordWriter:
+    """``ABModule.to_json`` writes the record from the integers; ``to_record``
+    is its parse, and ``from_record`` reads it back (TestIntegerRecords)."""
+
+    @given(labelled_modules())
+    @example(ABModule(2, 4, [[[0, Fraction(1, 2), 1], []], [[], [0, Fraction(1, 3)]]], '"\\\u00e9'))
+    def test_prints_what_json_dumps_prints_for_its_record(self, module):
+        assert module.to_record() == reference_record(module)
+        assert list(module.to_record()) == ["rank", "trunc_order", "label", "a_matrix"]
+        assert module.to_json() == json.dumps(reference_record(module), indent=2)
+        assert writes_its_record(module)
+
+    def test_a_label_that_is_no_string_is_printed_as_given(self):
+        # records do not check the label; the writer prints it as json.dumps does
+        record = {"rank": 1, "trunc_order": 4, "label": 5, "a_matrix": [[[[1, "1"]]]]}
+        module = ABModule.from_record(record)
+        assert module.to_record() == record
+        assert cli._json(module) == json.dumps(record, indent=2)
+
+
 class TestIntegerRecords:
     """A module is integer numerators over one positive scale; its records
     and tensor products build no Fraction and print what the view holds."""
 
-    @given(ab_modules())
+    @given(labelled_modules())
     def test_record_round_trip_returns_the_module(self, module):
         back = ABModule.from_record(module.to_record())
         fields = ("rank", "trunc_order", "numerators", "scale", "label")

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 import inspect
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -18,8 +20,8 @@ from hypothesis import example, given, strategies as st
 
 import brieskorn
 from brieskorn import cli
-from brieskorn.ab_module import DEFAULT_TRUNC_ORDER
-from brieskorn.cli import EXIT_INCONCLUSIVE, EXIT_INVALID, EXIT_OK, main
+from brieskorn.ab_module import DEFAULT_TRUNC_ORDER, ABModule
+from brieskorn.cli import EXIT_CLOSED_STDOUT, EXIT_INCONCLUSIVE, EXIT_INVALID, EXIT_OK, main
 from brieskorn.curve import FactoredCurve, invariants, milnor_fibre_betti
 from brieskorn.local_algebra import DEFAULT_JET_CAP, twisted_quotient_dim
 from brieskorn.poly import Poly
@@ -164,6 +166,28 @@ BELOW_BOUND = [
 def test_setting_below_its_bound_is_a_usage_error(capsys, argv):
     assert run(argv) == (EXIT_INVALID, "")
     assert "must be at least" in capsys.readouterr().err
+
+
+class TestRegularityOrderCeiling:
+    """abmod check --k is at most 32: is_regular grows as the cube of rank * k."""
+
+    @pytest.fixture
+    def deep(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps({"rank": 1, "trunc_order": 40, "a_matrix": [[[[1, "1"]]]]}))
+        return str(path)
+
+    def test_k_32_is_checked(self, deep):
+        code, text = run(["abmod", "check", deep, "--k", "32"])
+        assert code == EXIT_OK
+        assert json.loads(text)["regular_k32"] is True
+
+    @pytest.mark.parametrize("k", ["33", "1000"])
+    def test_k_past_32_is_a_usage_error(self, capsys, deep, k):
+        assert run(["abmod", "check", deep, "--k", "1", "--k", k]) == (EXIT_INVALID, "")
+        assert capsys.readouterr().err.endswith(
+            f"brieskorn abmod check: error: argument --k: must be at most 32, got {k}\n"
+        )
 
 
 # abmod identity, tensor and check read no run setting, so they take none
@@ -478,6 +502,32 @@ class TestSuspendCommand:
         assert (report["rank"], report["ab_model"]) == (0, None)
         assert not any(line.startswith("ab_model") for line in report["provenance"])
 
+    def test_weighted_text_report_keeps_its_bytes(self):
+        # the report carries the ABModule itself; the text format prints its record
+        code, text = run(["suspend", "--isolated", "z^4", "--factors", "x:2,y:2", "--weights", "1,1"])
+        assert code == EXIT_OK
+        block = text[text.index("  ab_model:\n"):text.index("  provenance:")]
+        assert block == (
+            "  ab_model:\n"
+            "    rank: 6\n"
+            "    trunc_order: 16\n"
+            "    label: suspension(z^4 + x^2*y^2)\n"
+            "    a_matrix: [[[[1, '5/4']], [], [], [], [], []], [[], [[1, '3/4']], [], [], [], []], "
+            "[[], [], [[1, '3/2']], [], [], []], [[], [], [], [[1, '1']], [], []], "
+            "[[], [], [], [], [[1, '7/4']], []], [[], [], [], [], [], [[1, '5/4']]]]\n"
+        )
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "c2ecf074b51be4f638af0b2c8df3232420e9a9853932283e33a561aa1cb05e09"
+        )
+
+    def test_json_model_is_the_record_the_writer_prints(self):
+        argv = ["suspend", "--isolated", "z^4", "--factors", "x:2,y:2", "--weights", "1,1"]
+        code, text = run([*argv, "--format", "json"])
+        assert code == EXIT_OK
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+        model = json.loads(text)["report"]["ab_model"]
+        assert model["a_matrix"][0][0] == [[1, "5/4"]] and model["a_matrix"][0][1] == []
+
     def test_z3_gives_rank_26(self):
         code, text = run(
             ["suspend", "--isolated", "z^3", "--factors", "x:3",
@@ -684,6 +734,32 @@ class TestAbmodCommands:
         assert text1 == text2
         assert "10/10" in text1
 
+    def test_selftest_draws_what_randint_draws(self, monkeypatch):
+        # randrange(w) + low runs _randbelow(w) once, as randint(low, low + w - 1)
+        # does, so every seed draws the modules it drew with randint
+        drawn = []
+        real_tensor = cli.tensor
+
+        def recorded(left, right):
+            drawn.append((left.numerators, right.numerators))
+            return real_tensor(left, right)
+
+        monkeypatch.setattr(cli, "tensor", recorded)
+        for seed in range(51):
+            rng = random.Random(seed)
+
+            def reference() -> tuple:
+                rank = rng.randint(1, 3)
+                matrix = [[[0] + [rng.randint(-3, 3) for _ in range(3)] for _ in range(rank)]
+                          for _ in range(rank)]
+                return ABModule(rank, DEFAULT_TRUNC_ORDER, matrix).numerators
+
+            drawn.clear()
+            assert run(["abmod", "selftest", "--count", "4", "--seed", str(seed)])[0] == EXIT_OK
+            expected = [(reference(), reference()) for _ in range(4)]
+            assert drawn[::2] == expected  # each case also tensors (right, left)
+            assert drawn[1::2] == [(right, left) for left, right in expected]
+
     @pytest.mark.parametrize("count", ["0", "-1"])
     def test_selftest_count_below_one_is_invalid(self, capsys, count):
         code, text = run(["abmod", "selftest", "--count", count])
@@ -729,6 +805,24 @@ def fresh_process(argv) -> tuple[int, str]:
         capture_output=True, text=True, env=env, check=False,
     )
     return done.returncode, done.stdout
+
+
+class TestClosedStdout:
+    def test_a_reader_that_closes_at_once_is_not_invalid_input(self):
+        # the console script ends quietly with the status of a SIGPIPE death
+        src = str(Path(brieskorn.__file__).resolve().parents[1])
+        argv = ["suspend", "--isolated", "z^4", "--factors", "x:2,y:2", "--weights", "1,1",
+                "--verify-direct", "--format", "json"]
+        read, write = os.pipe()
+        os.close(read)  # the reader is gone before the child writes a byte
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "brieskorn.cli", *argv], stdout=write,
+                stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src), check=False,
+            )
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr) == (EXIT_CLOSED_STDOUT, b"")
 
 
 class TestSharedParser:

@@ -23,7 +23,8 @@ test dropped, the wrong variable stripped), the known basis of an
 elimination (raw generators as the known basis, the known x new S-pairs
 dropped), the exact quotient coefficient and the exponent check of
 ``Poly.divide_exact``, the re-indexing of ``Poly.substitute``, the
-ASCII escaping of the JSON writer and the full-parser fallback of the
+ASCII escaping of the JSON writer, the gcd reduction and the empty cells
+of the (a,b)-module record writer, and the full-parser fallback of the
 CLI's innermost-parser route.
 """
 
@@ -88,6 +89,7 @@ from test_ab_module import (
     one_step_misses,
     reference_check_commutation,
     rewriter_reorder,
+    writes_its_record,
 )
 from test_curve import (
     affine_defect_at_y,
@@ -648,6 +650,23 @@ class TestJsonWriterMutant:
         assert cli._json(value) == json.dumps(value, indent=2)
         monkeypatch.setattr("brieskorn.cli.encode_basestring_ascii", encode_basestring)
         assert cli._json(value) != json.dumps(value, indent=2)
+
+
+class TestRecordWriterMutants:
+    """``ABModule.to_json`` writes each record by hand; ``writes_its_record``,
+    the property of ``TestRecordWriter``, compares it with ``json.dumps``."""
+
+    @pytest.mark.parametrize(
+        "old,new",
+        [("g = gcd(n, scale)", "g = 1"), ('if terms else "[]"', 'if terms else f"[{i3}]"')],
+        ids=["coefficient-not-reduced", "empty-cell-across-lines"],
+    )
+    def test_is_caught_by_the_writer_property(self, monkeypatch, old, new):
+        # scale 6: 1/2 is 3/6 unreduced; the off-diagonal cells are empty
+        module = ABModule(2, 4, [[[0, Fraction(1, 2), 1], []], [[], [0, Fraction(1, 3)]]])
+        assert writes_its_record(module)
+        monkeypatch.setattr(ABModule, "to_json", mutated(ABModule.to_json, old, new))
+        assert not writes_its_record(module)
 
 
 class TestLeftOverFallbackMutant:
