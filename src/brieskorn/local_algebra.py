@@ -258,6 +258,8 @@ class _JetCounts:
         self.rows: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
         self.lead_degrees: Counter[int] = Counter()  # rows per lead w-degree
         self.order = 0  # every generator of order < self.order is in
+        self.leads_below = 0  # rows with lead w-degree < self.order
+        self.counts = [0]  # q(k) for k <= self.order, final by the lemma
 
     def monomials(self, wdeg: int) -> tuple[Exponents, ...]:
         return monomials_of_weighted_degree(self.n, self.weights, wdeg)
@@ -265,8 +267,7 @@ class _JetCounts:
     def quotient_dim(self, k: int) -> int:
         while self.order < k:
             self._advance()
-        leads = sum(self.lead_degrees[d] for d in range(k))
-        return _count_below(self.n, self.weights, k) - leads
+        return self.counts[k]
 
     def basis(self, k: int) -> list[Exponents]:
         """The greedy monomial basis of O/(W + M_k), in (w-degree, listing)
@@ -314,10 +315,13 @@ class _JetCounts:
                     yield {_count_key(e, w): c for e, c in self.image(m).items()}
 
     def _advance(self) -> None:
-        """Insert the generators that go in at the next order."""
-        self.order += 1
-        for vec in self._entering(self.order):
+        """Insert the generators that go in at the next order k, then count
+        q(k): no later insert leads below k."""
+        k = self.order = self.order + 1
+        for vec in self._entering(k):
             self._insert(vec)
+        self.leads_below += self.lead_degrees.get(k - 1, 0)
+        self.counts.append(_count_below(self.n, self.weights, k) - self.leads_below)
 
     def _insert(self, vec: dict[tuple[int, ...], int]) -> None:
         p, rows = self.modulus, self.rows

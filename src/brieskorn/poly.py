@@ -10,7 +10,9 @@ between threads.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as json_string
 from math import gcd, lcm
 from operator import add, mul
 from typing import Mapping, Optional, Sequence, Union
@@ -57,6 +59,29 @@ def _add_shifted(target: dict, scale: Scalar, terms: Mapping, shift: tuple[int, 
             target[key] = acc
         else:
             del target[key]
+
+
+def _times(left: dict, right: dict) -> dict:
+    """The terms of the product of two term dicts, by ``_exact_nonzero``."""
+    out: dict[Exponents, Scalar] = {}
+    for e1, c1 in left.items():
+        for e2, c2 in right.items():
+            key = tuple(map(add, e1, e2))
+            out[key] = out.get(key, 0) + c1 * c2
+    return _exact_nonzero(out)
+
+
+def _power(terms: dict, exponent: int, one: Exponents) -> dict:
+    """The terms of a term dict to a nonnegative power; ``one`` holds no variable."""
+    if not exponent:
+        return {one: 1}
+    if len(terms) == 1:  # c x^e: scale the exponents
+        [(e, c)] = terms.items()
+        return {tuple(exponent * k for k in e): c**exponent}
+    result = terms
+    for _ in range(exponent - 1):
+        result = _times(result, terms)
+    return result
 
 
 def listing_key(exponents: Exponents) -> tuple[int, ...]:
@@ -217,12 +242,7 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_ring(other)
-        out: dict[Exponents, Scalar] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(map(add, e1, e2))
-                out[key] = out.get(key, 0) + c1 * c2
-        return Poly._trusted(self.variables, _exact_nonzero(out))
+        return Poly._trusted(self.variables, _times(self.terms, other.terms))
 
     def __rmul__(self, other: Scalar) -> "Poly":
         return self.__mul__(other)
@@ -230,17 +250,8 @@ class Poly:
     def __pow__(self, exponent: int) -> "Poly":
         if not isinstance(exponent, int) or exponent < 0:
             raise InputError("polynomial powers must be nonnegative integers")
-        if not exponent:
-            return Poly.constant(self.variables, 1)
-        base, n = self, exponent
-        while not n & 1:  # square off the low zero bits: base = self^(2^j)
-            base, n = base * base, n >> 1
-        result = base
-        while n > 1:
-            base, n = base * base, n >> 1
-            if n & 1:
-                result = result * base
-        return result
+        one = (0,) * len(self.variables)
+        return Poly._trusted(self.variables, _power(self.terms, exponent, one))
 
     def derivative(self, variable: str) -> "Poly":
         """Exact formal partial derivative."""
@@ -378,6 +389,26 @@ class PolyNames(dict):
         text = self[poly] = str(poly)
         return text
 
+
+# -- JSON text: the bytes json.dumps(..., indent=2) writes, for the report writers
+
+json_literal = {None: "null", True: "true", False: "false"}.__getitem__
+
+
+def json_block(indent: str, items: Sequence[str], brackets: str = "[]") -> str:
+    """The written ``items`` (values, or ``"key": value`` members in "{}") as
+    ``json.dumps(..., indent=2)`` lays them out nested at ``indent``."""
+    if not items:
+        return brackets
+    inner = indent + "  "
+    return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
+
+
+def json_object(indent: str, **members) -> str:
+    """``json_block`` of the members, each value an int or its written text."""
+    return json_block(indent, [f'"{key}": {value}' for key, value in members.items()], "{}")
+
+
 def integer_weights(weights: Sequence[Scalar]) -> tuple[tuple[int, ...], int]:
     """Weights rescaled by the lcm of their denominators: returns
     (integer weights, scale)."""
@@ -457,137 +488,108 @@ class WeightSystem:
 
 # -- expression parser -------------------------------------------------------
 #
-# Grammar: integer/rational literals, declared variable identifiers,
-# + - * ^ (nonnegative integer exponents), parentheses; whitespace ignored.
+# Grammar: integer/rational literals (decimal digits), declared variable
+# identifiers, + - * ^ (nonnegative integer exponents), parentheses;
+# whitespace ignored.  Every value is a plain {exponents: scalar} dict with no
+# zero entries, the one Poly is built at the end.
+
+_SPACE, _DIGITS, _WORD = re.compile(r"\s*"), re.compile(r"\d+"), re.compile(r"\w+")
 
 
 class _Parser:
     def __init__(self, text: str, variables: tuple[str, ...]):
-        self.text = text
-        self.pos = 0
-        self.variables = variables
+        self.text, self.pos, self.variables = text, 0, variables
+        self.one = one = (0,) * len(variables)
+        self.units = {v: one[:i] + (1,) + one[i + 1 :] for i, v in enumerate(variables)}
 
     def error(self, message: str) -> ParseError:
         return ParseError(message, self.pos)
 
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
     def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, char: str) -> None:
-        if self.peek() != char:
-            raise self.error(f"expected {char!r}")
-        self.pos += 1
+        """The next character past whitespace, "" at the end."""
+        c = self.text[self.pos : self.pos + 1]
+        if c.isspace():
+            self.pos = _SPACE.match(self.text, self.pos).end()
+            c = self.text[self.pos : self.pos + 1]
+        return c
 
     def parse(self) -> Poly:
-        result = self.parse_expr()
-        self.skip_ws()
-        if self.pos != len(self.text):
+        terms = self.parse_expr()
+        if self.peek():
             raise self.error(f"unexpected character {self.text[self.pos]!r}")
-        return result
+        return Poly._trusted(self.variables, _exact_nonzero(terms))
 
-    def parse_expr(self) -> Poly:
-        value = self.parse_term()
-        while True:
-            c = self.peek()
-            if c == "+":
-                self.pos += 1
-                value = value + self.parse_term()
-            elif c == "-":
-                self.pos += 1
-                value = value - self.parse_term()
-            else:
-                return value
+    def parse_expr(self) -> dict:
+        value = self.parse_term()  # a fresh dict: the sum accumulates in it
+        while (c := self.peek()) in ("+", "-"):
+            self.pos += 1
+            _add_shifted(value, 1 if c == "+" else -1, self.parse_term(), self.one)
+        return value
 
-    def parse_term(self) -> Poly:
+    def parse_term(self) -> dict:
         value = self.parse_factor()
         while self.peek() == "*":
             self.pos += 1
-            value = value * self.parse_factor()
+            value = _times(value, self.parse_factor())
         return value
 
-    def parse_factor(self) -> Poly:
+    def parse_factor(self) -> dict:
         base = self.parse_atom()
         while self.peek() == "^":
             self.pos += 1
-            base = base ** self.parse_natural()
+            base = _power(base, self.parse_natural(), self.one)
         return base
 
-    def parse_atom(self) -> Poly:
+    def parse_atom(self) -> dict:
         c = self.peek()
         if c == "(":
             self.pos += 1
             inner = self.parse_expr()
-            self.expect(")")
+            if self.peek() != ")":
+                raise self.error("expected ')'")
+            self.pos += 1
             return inner
         if c == "-":
             self.pos += 1
-            return -self.parse_factor()
+            return {e: -v for e, v in self.parse_factor().items()}
         if c == "+":
             self.pos += 1
             return self.parse_factor()
-        if c.isdigit():
-            return Poly.constant(self.variables, self.parse_rational())
+        if c.isdecimal():
+            value = self.parse_rational()
+            return {self.one: value} if value else {}
         if c.isalpha() or c == "_":
-            name = self.parse_identifier()
-            if name not in self.variables:
-                raise ParseError(
-                    f"unknown variable {name!r} (declared: {', '.join(self.variables)})",
-                    self.pos - len(name),
-                )
-            return Poly.variable(self.variables, name)
+            name = _WORD.match(self.text, self.pos).group()
+            if name not in self.units:
+                declared = ", ".join(self.variables)
+                raise self.error(f"unknown variable {name!r} (declared: {declared})")
+            self.pos += len(name)
+            return {self.units[name]: 1}
         raise self.error("expected a literal, variable, or parenthesized expression")
 
-    def parse_identifier(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-        ):
-            self.pos += 1
-        if start == self.pos:
-            raise self.error("expected an identifier")
-        return self.text[start : self.pos]
-
     def parse_natural(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if start == self.pos:
+        self.peek()
+        digits = _DIGITS.match(self.text, self.pos)
+        if digits is None:
             raise self.error("expected a nonnegative integer exponent")
-        return int(self.text[start : self.pos])
+        self.pos = digits.end()
+        return int(digits.group())
 
     def parse_rational(self) -> Scalar:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        numerator, after = self.parse_natural(), self.pos
+        if self.peek() == "/":
             self.pos += 1
-        numerator = int(self.text[start : self.pos])
-        save = self.pos
-        self.skip_ws()
-        if self.pos < len(self.text) and self.text[self.pos] == "/":
-            probe = self.pos + 1
-            while probe < len(self.text) and self.text[probe].isspace():
-                probe += 1
-            if probe < len(self.text) and self.text[probe].isdigit():
-                self.pos = probe
-                dstart = self.pos
-                while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                    self.pos += 1
-                denominator = int(self.text[dstart : self.pos])
-                if denominator == 0:
-                    raise ParseError("zero denominator", dstart)
+            self.peek()
+            if _DIGITS.match(self.text, self.pos):
+                start, denominator = self.pos, self.parse_natural()
+                if not denominator:
+                    raise ParseError("zero denominator", start)
                 return exact_scalar(Fraction(numerator, denominator))
-        self.pos = save
+        self.pos = after  # a "/" with no denominator is left to the caller
         return numerator
 
 
 def parse_polynomial(text: str, variables: Sequence[str]) -> Poly:
     """Parse an expression in the declared variables; raises ParseError with
     the offending position on malformed input."""
-    return _Parser(text, tuple(variables)).parse()
+    return _Parser(text, _ring(variables)).parse()

@@ -381,6 +381,32 @@ class TestInvariantsCommand:
         )
         assert code == EXIT_OK
 
+    def test_expansion_is_checked_against_the_factors_as_written(self, capsys):
+        # (2x)^2 y = 4x^2 y; the curve prints its normalized germ x^2 y
+        code, text = run(
+            ["invariants", "--factors", "2*x:2", "--residual", "y", "--f", "4*x^2*y"]
+        )
+        assert code == EXIT_OK
+        assert "  input f: x^2*y\n" in text
+        code, _ = run(["invariants", "--factors", "x:2", "--residual", "y", "--f", "4*x^2*y"])
+        assert code == EXIT_INVALID
+        assert capsys.readouterr().err == (
+            "error: factored-form mismatch: factors expand to x^2*y but --f gave 4*x^2*y\n"
+        )
+
+    def test_repeated_variable_names_are_invalid(self, capsys):
+        assert run(["invariants", "--factors", "x:2", "--vars", "x,x"])[0] == EXIT_INVALID
+        assert capsys.readouterr().err == "error: duplicate variable names in ('x', 'x')\n"
+
+    def test_a_value_starting_with_a_minus_is_written_with_an_equals_sign(self, capsys):
+        # argparse reads "-y" as an option; "--residual=-y" passes it as a value
+        code, _ = run(["invariants", "--factors", "x:2", "--residual", "-y"])
+        assert code == EXIT_INVALID
+        assert "expected one argument" in capsys.readouterr().err
+        code, text = run(["invariants", "--factors", "x:2", "--residual=-y"])
+        assert code == EXIT_OK
+        assert "  input f: -x^2*y\n" in text
+
     def test_inconclusive_exit_code(self):
         # the sextic's nu scan reaches its target at jet order 3, above the cap
         code, _ = run(

@@ -22,6 +22,7 @@ from brieskorn.local_algebra import (
     _JetCounts,
     _ShiftedImages,
     _colength_bound,
+    _count_below,
     _count_key,
     _nakayama_order,
     jacobian_ideal,
@@ -527,6 +528,17 @@ def jet_problems(draw):
     return I, (draw(polys()), draw(polys()))
 
 
+def reads_the_count_of_its_rows(counts: _JetCounts, top: int) -> bool:
+    """After a scan to order ``top``, each q(k), k <= top, is the number of
+    monomials of w-degree < k less the rows that lead below k."""
+    counts.quotient_dim(top)
+    return counts.order == top and all(
+        counts.quotient_dim(k)
+        == _count_below(counts.n, counts.weights, k) - sum(lead[0] < k for lead in counts.rows)
+        for k in range(top + 1)
+    )
+
+
 class TestJetCounts:
     """The least-term count gives dim O/(I + m^k) for every order k at once;
     over GF(p) it never counts less."""
@@ -566,6 +578,30 @@ class TestJetCounts:
             assert modular.quotient_dim(k) >= q
             if k <= stop + 1:
                 assert capless.quotient_dim(k) == q
+
+    @given(
+        st.one_of(
+            jet_problems().map(lambda problem: ("unweighted", problem)),
+            jet_problems().map(lambda problem: ("modular", problem)),
+            graded_twisted_problems().map(lambda problem: ("weighted", problem)),
+        ),
+        st.integers(1, 8),
+    )
+    @example(("modular", (ideal("y^3"), (p("1"), p("0")))), 6)
+    @example(("weighted", (ideal("x^2", "y^3"), (p("x"), p("y")), WeightSystem((1, 1), 1))), 5)
+    def test_reads_the_count_of_its_rows_at_every_order(self, case, top):
+        # q(k) is final once the order reaches k: no later insert leads
+        # below k, so the running count is the recount of the rows now
+        kind, problem = case
+        if kind == "weighted":
+            I, V, ws = problem
+            counts = _JetCounts(I, twisted_operator(V), weights=ws)
+        else:
+            (I, V), ws = problem, None
+            image = None if V is None else twisted_operator(V)
+            modulus, cap = (_PREDICTOR_MODULUS, 6) if kind == "modular" else (None, None)
+            counts = _JetCounts(I, image, cap, modulus)
+        assert reads_the_count_of_its_rows(counts, top)
 
     def test_counts_in_any_order_of_asking(self):
         I = ideal("x^3 + y^4", "x*y^2")

@@ -24,8 +24,9 @@ elimination (raw generators as the known basis, the known x new S-pairs
 dropped), the exact quotient coefficient and the exponent check of
 ``Poly.divide_exact``, the re-indexing of ``Poly.substitute``, the
 ASCII escaping of the JSON writer, the gcd reduction and the empty cells
-of the (a,b)-module record writer, and the full-parser fallback of the
-CLI's innermost-parser route.
+of the (a,b)-module record writer, the full-parser fallback of the
+CLI's innermost-parser route, the one-term power and the unary minus of
+the polynomial parser, and the running count of the jet scan.
 """
 
 from __future__ import annotations
@@ -106,7 +107,14 @@ from test_groebner import (
     reference_torsion_length,
 )
 from test_cli import by_both_routes
-from test_poly import assert_exact, ratio_agrees, ratio_texts, reference_substitute
+from test_local_algebra import reads_the_count_of_its_rows
+from test_poly import (
+    assert_exact,
+    parses_like_the_reference,
+    ratio_agrees,
+    ratio_texts,
+    reference_substitute,
+)
 
 XY = ("x", "y")
 
@@ -712,3 +720,35 @@ class TestExactNonzeroMutant:
         assert type((half + half).terms[(1, 0)]) is Fraction
         with pytest.raises(AssertionError):
             assert_exact(half + half)
+
+
+class TestParserMutants:
+    """The parser adds, multiplies and raises plain term dicts; the property
+    ``test_poly.TestParser.test_products_and_powers_are_the_reference_arithmetic``
+    (``parses_like_the_reference``) compares its parses with a schoolbook
+    product."""
+
+    @pytest.mark.parametrize(
+        "function,old,new",
+        [
+            (poly._power, "c**exponent", "c"),
+            (poly._Parser.parse_atom, "{e: -v for e, v", "{e: v for e, v"),
+        ],
+        ids=["one-term-power-keeps-its-coefficient", "unary-minus-drops-its-sign"],
+    )
+    def test_is_caught_by_the_reference_arithmetic(self, monkeypatch, function, old, new):
+        a, b = p("2*x"), p("-1/2*y + 1")
+        assert parses_like_the_reference(a, b, 2)
+        owner = poly if function is poly._power else poly._Parser
+        monkeypatch.setattr(owner, function.__name__, mutated(function, old, new))
+        assert not parses_like_the_reference(a, b, 2)
+
+
+class TestRunningCountMutant:
+    def test_a_count_one_degree_late_is_caught_by_the_recount(self, monkeypatch):
+        # the rows of (x^2, y^3) lead in degrees 2 and 3: q(3) counts x^2
+        counts = _JetCounts(ideal("x^2", "y^3"))
+        assert reads_the_count_of_its_rows(counts, 5)
+        late = mutated(_JetCounts._advance, "get(k - 1, 0)", "get(k, 0)")
+        monkeypatch.setattr(_JetCounts, "_advance", late)
+        assert not reads_the_count_of_its_rows(_JetCounts(ideal("x^2", "y^3")), 5)

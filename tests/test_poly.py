@@ -28,6 +28,56 @@ def p(text: str, variables=XY) -> Poly:
     return parse_polynomial(text, variables)
 
 
+# malformed input: the message and position of each refusal
+MALFORMED = [
+    ("y+", "expected a literal, variable, or parenthesized expression", 2),
+    ("y^-1", "expected a nonnegative integer exponent", 2),
+    ("(y", "expected ')'", 2),
+    ("((x)", "expected ')'", 4),
+    ("2/0*y", "zero denominator", 2),
+    ("2/ 0", "zero denominator", 3),
+    ("z", "unknown variable 'z' (declared: x, y)", 0),
+    ("x + _a", "unknown variable '_a' (declared: x, y)", 4),
+    ("", "expected a literal, variable, or parenthesized expression", 0),
+    ("-", "expected a literal, variable, or parenthesized expression", 1),
+    ("x y", "unexpected character 'y'", 2),
+    ("x)", "unexpected character ')'", 1),
+    ("3/", "unexpected character '/'", 1),
+    ("2 / 3 x", "unexpected character 'x'", 6),
+    ("x^2^", "expected a nonnegative integer exponent", 4),
+    ("x^ 2 3", "unexpected character '3'", 5),
+]
+
+
+def reference_product(a: Poly, b: Poly) -> Poly:
+    """a * b by the schoolbook double loop, through the validating constructor."""
+    out: dict = {}
+    for (i, j), c in a.terms.items():
+        for (k, m), d in b.terms.items():
+            out[i + k, j + m] = out.get((i + k, j + m), 0) + Fraction(c) * d
+    return Poly(XY, out)
+
+
+def parses_like_the_reference(a: Poly, b: Poly, k: int) -> bool:
+    """The parses of (a)*(b), (a)^k and -(a)^k - (b) hold the values and
+    the exact coefficients that ``reference_product`` gives."""
+    power = Poly.constant(XY, 1)
+    for _ in range(k):
+        power = reference_product(power, a)
+    keys = {*power.terms, *b.terms}
+    negated = Poly(XY, {e: -power.terms.get(e, 0) - b.terms.get(e, 0) for e in keys})
+    cases = [
+        (f"({a})*({b})", reference_product(a, b)),
+        (f"({a})^{k}", power),
+        (f"-({a})^{k} - ({b})", negated),
+    ]
+    exact = lambda c: type(c) is int or (type(c) is Fraction and c.denominator > 1)
+    return all(
+        p(text).terms == value.terms and all(map(exact, p(text).terms.values()))
+        for text, value in cases
+    )
+
+
 class TestParser:
     def test_basic_expressions(self):
         assert p("x^2 + 2*x*y + y^2") == p("(x+y)^2")
@@ -56,6 +106,49 @@ class TestParser:
         for text in ("x^6 + x^3*y^3", "2*y", "-x + y", "1/2*x*y^2 - 3"):
             poly = p(text)
             assert p(str(poly)) == poly
+
+    @given(polys())
+    @example(Poly(XY, {(2, 1): Fraction(-3, 4), (0, 3): -1, (0, 0): Fraction(5, 2)}))
+    def test_parses_what_it_prints(self, a):
+        parsed = p(str(a))
+        assert parsed == a
+        assert_exact(parsed)
+
+    @given(polys(max_terms=3), polys(max_terms=3), st.integers(0, 4))
+    @example(p("2*x"), p("-1/2*y + 1"), 2)
+    @example(p("-x"), p("x"), 3)
+    def test_products_and_powers_are_the_reference_arithmetic(self, a, b, k):
+        assert parses_like_the_reference(a, b, k)
+
+    @pytest.mark.parametrize("text,message,position", MALFORMED)
+    def test_malformed_input_is_refused_where_it_breaks(self, text, message, position):
+        with pytest.raises(ParseError) as err:
+            p(text)
+        assert (str(err.value), err.value.position) == (
+            f"{message} (at position {position})",
+            position,
+        )
+
+    def test_repeated_variable_names_are_refused(self):
+        for text in ("x", "2", "z"):
+            with pytest.raises(InputError, match=r"duplicate variable names in \('x', 'x'\)"):
+                parse_polynomial(text, ("x", "x"))
+
+    @pytest.mark.parametrize(
+        "text,message,position",
+        [
+            ("x^\u00b2", "expected a nonnegative integer exponent", 2),
+            ("\u00b2*x", "expected a literal, variable, or parenthesized expression", 0),
+        ],
+    )
+    def test_a_digit_that_is_no_decimal_is_a_parse_error(self, text, message, position):
+        # a superscript two passes str.isdigit but not int(): no ValueError escapes
+        with pytest.raises(ParseError, match=message) as err:
+            p(text)
+        assert err.value.position == position
+
+    def test_decimal_digits_of_any_script_are_read(self):
+        assert p("\u0663*x^\u0662") == p("3*x^2")
 
 
 class TestArithmetic:
