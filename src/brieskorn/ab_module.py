@@ -180,8 +180,9 @@ def _integer_operator(module: ABModule, order: int) -> tuple[int, Columns]:
     which is a b - b a = b^2 on b^t e_j."""
     rank, scale = module.rank, module.scale
     columns: Columns = {}
-    for j in range(rank):
-        terms = [(i, p, c) for i in range(rank) for p, c in enumerate(module.numerators[i][j]) if c]
+    rows = module.numerators
+    for j in range(rank):  # a term past b^order enters no column
+        terms = [(i, p, c) for i in range(rank) for p, c in enumerate(rows[i][j][:order]) if c]
         for t in range(order):
             column = {(i, t + p): c for i, p, c in terms if t + p < order}
             if 0 < t < order - 1:
@@ -241,35 +242,45 @@ def is_simple_pole(module: ABModule) -> bool:
     return all(not entry or entry[0] == 0 for row in module.numerators for entry in row)
 
 
-def is_regular(module: ABModule, k: int) -> bool:
-    """Check  a^k E  inside  sum_{j<k} b^(k-j) a^j E,  modulo b^N.
+def is_regular(module: ABModule, orders: Sequence[int]) -> tuple[bool, ...]:
+    """Check  a^k E  inside  sum_{j<k} b^(k-j) a^j E,  modulo b^N, for each
+    k of ``orders``: one flag per order, in the order given.
 
     The j = 0 term  b^k E  is spanned by the basis vectors of b-power at
-    least k, and a and b never lower the b-degree, so the check runs in
-    E / b^k E: the powers  D^j a^j e  of its basis vectors are built once,
-    by iterated integer mat-vec on ``_integer_operator(module, k)`` (the
-    scale D^j changes no span).  Raises InconclusiveError when the
-    truncation is too shallow for the requested k.
+    least k, and a and b never lower the b-degree, so order k runs in
+    E / b^k E.  The powers  D^j a^j e  are built once, by iterated integer
+    mat-vec on ``_integer_operator(module, K)`` for the largest order K (the
+    scale D^j changes no span); order k keeps the basis vectors b^t e_i with
+    t < k and cuts each vector at b^k, which commutes with a, so it reads
+    the integers of its own operator.  Every order is checked before any
+    work: InputError for k < 1, InconclusiveError when the truncation is too
+    shallow for k.
     """
-    if k < 1:
-        raise InputError("regularity order k must be at least 1")
-    if module.trunc_order < k + 2:
-        raise InconclusiveError(
-            "truncation too small to decide regularity",
-            trunc_order=module.trunc_order,
-            k=k,
-        )
-    _, columns = _integer_operator(module, k)
+    for k in orders:
+        if k < 1:
+            raise InputError("regularity order k must be at least 1")
+        if module.trunc_order < k + 2:
+            raise InconclusiveError(
+                "truncation too small to decide regularity",
+                trunc_order=module.trunc_order,
+                k=k,
+            )
+    top = max(orders, default=0)
+    _, columns = _integer_operator(module, top)
     powers = [{e: {e: 1} for e in columns}]
-    for _ in range(k):
+    for _ in range(top):
         powers.append({e: _apply(columns, vec) for e, vec in powers[-1].items()})
-    span = Span()
-    for j in range(1, k):
-        for vec in powers[j].values():
-            shifted = _shift(vec, k - j, k)
-            if shifted:
-                span.insert(shifted)
-    return all(span.contains(vec) for vec in powers[k].values())
+    flags: dict[int, bool] = {}
+    for k in dict.fromkeys(orders):  # a repeated order is decided once
+        span = Span()
+        for j in range(1, k):
+            for (_, t), vec in powers[j].items():
+                # b^(k-j) a^j b^t e lies in b^k E unless t < j
+                if t < j and (shifted := _shift(vec, k - j, k)):
+                    span.insert(shifted)
+        cut = (_shift(vec, 0, k) if k < top else vec for (_, t), vec in powers[k].items() if t < k)
+        flags[k] = all(not vec or span.contains(vec) for vec in cut)  # 0 lies in every span
+    return tuple(flags[k] for k in orders)
 
 
 # -- the closed form of a^l b^r ------------------------------------------------

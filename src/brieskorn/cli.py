@@ -286,8 +286,9 @@ def _cmd_abmod(args, out) -> int:
             "commutation": True,  # a b - b a = b^2 holds by construction
             "simple_pole": is_simple_pole(module),
         }
-        for k in args.k or [1, 2]:
-            flags[f"regular_k{k}"] = is_regular(module, k)
+        orders = args.k or [1, 2]
+        for k, regular in zip(orders, is_regular(module, orders)):
+            flags[f"regular_k{k}"] = regular
         out.write(_json(flags) + "\n")
         return EXIT_OK
     return _abmod_selftest(args.count, args.seed, args.trunc, out)

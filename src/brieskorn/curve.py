@@ -430,20 +430,13 @@ def milnor_fibre_betti(curve: FactoredCurve, ws: Optional[WeightSystem] = None) 
 # -- the a-action and its certificate -----------------------------------------
 
 
-def a_action_coefficient(ws: WeightSystem, rep: Poly) -> Fraction:
-    """Predicted coefficient c with  a[m] = c b[m]:
-    (weighted degree of m + sum of the weights) / total degree, read in
-    the integer-scaled weights."""
+def a_action_coefficient(ws: WeightSystem, degree: int) -> Fraction:
+    """Predicted coefficient c with  a[m] = c b[m]  for a class m of w-degree
+    ``degree`` in the integer-scaled weights: (weighted degree of m + sum of
+    the weights) / total degree."""
     int_weights, scale = ws.integer_scaled()
-    if len(int_weights) != len(rep.variables):
-        raise InputError("weight count does not match variable count")
-    degrees = {sum(map(mul, e, int_weights)) for e in rep.terms}
-    if len(degrees) != 1:
-        raise InputError(f"basis representative {rep} is not quasi-homogeneous")
     total = ws.total_degree
-    return Fraction(
-        (degrees.pop() + sum(int_weights)) * total.denominator, scale * total.numerator
-    )
+    return Fraction((degree + sum(int_weights)) * total.denominator, scale * total.numerator)
 
 
 def a_action(
@@ -455,30 +448,42 @@ def a_action(
     operators (``forms.exact_form_images``) of a form alpha with df = h alpha:
     the annihilator form of a curve, or df for an isolated germ (h = 1).
     One certificate serves the whole basis, and it compares the identity
-    in full at the n + 1 monomials 1, x_0, ..., x_(n-1) at most."""
+    in full at the n + 1 monomials 1, x_0, ..., x_(n-1) at most.  Each class
+    is refused unless it is w-homogeneous; classes of one w-degree share one
+    predicted coefficient, which the certificate compares at each of them."""
+    int_weights, _ = ws.integer_scaled()
+    if len(int_weights) != len(f.variables):
+        raise InputError("weight count does not match variable count")
     holds = _action_certificate(f, fx0, h, images, ws)
+    predicted: dict[int, Fraction] = {}
     out = []
     for rep in basis:
-        coefficient = a_action_coefficient(ws, rep)
-        if not holds(rep, coefficient):
+        degrees = {sum(map(mul, e, int_weights)) for e in rep.terms}
+        if len(degrees) != 1:
+            raise InputError(f"basis representative {rep} is not quasi-homogeneous")
+        degree = degrees.pop()
+        if degree not in predicted:
+            predicted[degree] = a_action_coefficient(ws, degree)
+        if not holds(rep, degree, predicted[degree]):
             raise InputError(f"a-action verification failed on monomial {rep}")
-        out.append((rep, coefficient))
+        out.append((rep, predicted[degree]))
     return tuple(out)
 
 
 def _action_certificate(
     f: Poly, fx0: Poly, h: Poly, images: ExactFormImages, ws: WeightSystem
-) -> Callable[[Poly, Fraction], bool]:
+) -> Callable[[Poly, int, Fraction], bool]:
     """The certificate of  a[m] = c b[m]  in n variables, for one
-    (f, alpha), as a function ``holds`` of (m, c), with the arguments of
-    ``a_action``.
+    (f, alpha), as a function ``holds`` of (m, d, c), with the arguments of
+    ``a_action``; m is w-homogeneous of w-degree d in the integer-scaled
+    weights, which the caller reads once.
 
     With a acting as multiplication by f and b as df wedge a primitive,
     the claim is that  omega = f m vol - c df ^ xi  is an exact form
     d(eta ^ alpha), where xi is an explicit primitive of m vol and alpha is
     the annihilator form of a curve or df itself for an isolated germ, so
     that df = h alpha for a polynomial h.  ``holds`` is True exactly when
-    m is w-homogeneous, c is the predicted c* below and, at every monomial
+    c is the predicted c* below and, at every monomial
     x^t of m, omega is 0 or equals d(eta ^ alpha) for the one eta below; a
     False says nothing about other eta.
 
@@ -554,12 +559,9 @@ def _action_certificate(
                 return False
         return True
 
-    def holds(m: Poly, coefficient: Fraction) -> bool:
+    def holds(m: Poly, degree: int, coefficient: Fraction) -> bool:
         nonlocal proved
-        degrees = {sum(map(mul, t, int_weights)) for t in m.terms}
-        if len(degrees) != 1:
-            return not degrees  # c*(t) differs between the monomials of m
-        k = (degrees.pop() + weight_sum) * k_scale
+        k = (degree + weight_sum) * k_scale
         if coefficient.numerator * denominator != k * coefficient.denominator:
             return False
         if not proved:

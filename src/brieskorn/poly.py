@@ -366,8 +366,8 @@ class Poly:
         return f"{format_fraction(coeff)}*{body}"
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
+        if len(self.terms) < 2:  # no sort: "0", or the first piece of the general path
+            return self._term_str(*next(iter(self.terms.items()))) if self.terms else "0"
         ordered = sorted(self.terms, key=lambda e: (sum(e), e), reverse=True)
         pieces = [self._term_str(ordered[0], self.terms[ordered[0]])]
         for exps in ordered[1:]:

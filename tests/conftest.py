@@ -13,7 +13,12 @@ from hypothesis import HealthCheck, settings, strategies as st
 
 from brieskorn import ab_module
 from brieskorn.ab_module import ABModule
-from brieskorn.curve import FactoredCurve, annihilator_form
+from brieskorn.curve import (
+    FactoredCurve,
+    _action_certificate,
+    a_action_coefficient,
+    annihilator_form,
+)
 from brieskorn.errors import InconclusiveError, InputError
 from brieskorn.forms import exact_form_images
 from brieskorn.groebner import _decode, _groebner, _integer_gens, _saturation, isolated_at_origin
@@ -476,6 +481,26 @@ def certificate_inputs(f: Poly, alpha=None) -> tuple:
 def curve_certificate_inputs(curve: FactoredCurve) -> tuple:
     """``certificate_inputs`` of a curve and its annihilator form."""
     return certificate_inputs(curve.expand(), annihilator_form(curve))
+
+
+def w_degree(ws: WeightSystem, m: Poly) -> int:
+    """The one w-degree of a w-homogeneous class m in the integer-scaled
+    weights, as ``a_action`` reads it."""
+    int_weights, _ = ws.integer_scaled()
+    [degree] = {sum(map(mul, t, int_weights)) for t in m.terms}
+    return degree
+
+
+def predicted(ws: WeightSystem, m: Poly) -> Fraction:
+    """``a_action_coefficient`` at the w-degree of the class m."""
+    return a_action_coefficient(ws, w_degree(ws, m))
+
+
+def class_certificate(*inputs) -> Callable[[Poly, Fraction], bool]:
+    """``_action_certificate(*inputs)`` (the weights last) as a function of
+    (m, c), with the w-degree of each class m read off m."""
+    holds, ws = _action_certificate(*inputs), inputs[-1]
+    return lambda m, c: holds(m, w_degree(ws, m), c)
 
 
 def valuation(f: Poly, factor: Poly) -> int:

@@ -270,24 +270,23 @@ class TestRegularity:
         assert not is_simple_pole(ABModule(1, 16, [[[1]]]))
 
     def test_simple_pole_implies_regular_k1(self):
-        assert is_regular(rank_one(Fraction(3, 4)), 1)
+        assert is_regular(rank_one(Fraction(3, 4)), [1]) == (True,)
 
     def test_unit_constant_term_never_regular(self):
         # a e = e escapes every lattice: (1/b a)^m e = b^(-m) e
         module = ABModule(1, 16, [[[1]]])
-        for k in (1, 2, 3):
-            assert not is_regular(module, k)
+        assert is_regular(module, [1, 2, 3]) == (False, False, False)
 
     def test_tensor_of_regulars_is_regular(self):
         E = rank_one(Fraction(2, 3))
         F = ABModule(2, 16, [[[0, 1], [0, 0, 1]], [[], [0, -1]]])
-        assert is_regular(E, 1) and is_regular(F, 1)
+        assert is_regular(E, [1]) == is_regular(F, [1]) == (True,)
         T = tensor(E, F)
-        assert is_regular(T, 1) and is_regular(T, 2)
+        assert is_regular(T, [1, 2]) == (True, True)
 
     def test_truncation_guard(self):
         with pytest.raises(InconclusiveError):
-            is_regular(rank_one(1, trunc_order=3), 2)
+            is_regular(rank_one(1, trunc_order=3), [2])
 
     @pytest.mark.parametrize("order", [4, 8, 12])
     def test_nilpotent_constant_term(self, order):
@@ -297,9 +296,9 @@ class TestRegularity:
             2, order, [[[0, Fraction(1, 2)], [1]], [[], [0, Fraction(1, 3)]]]
         )
         assert not is_simple_pole(module)
-        assert (is_regular(module, 1), is_regular(module, 2)) == (False, True)
+        assert is_regular(module, [1, 2]) == (False, True)
         if order >= 5:
-            assert is_regular(module, 3)
+            assert is_regular(module, [3]) == (True,)
 
     @pytest.mark.parametrize("order", [5, 8, 12])
     def test_nilpotent_constant_term_of_index_three(self, order):
@@ -309,7 +308,7 @@ class TestRegularity:
             order,
             [[[0, Fraction(1, 2)], [1], []], [[], [0, 1], [1]], [[], [], [0, -1]]],
         )
-        assert [is_regular(module, k) for k in (1, 2, 3)] == [False, False, True]
+        assert is_regular(module, [1, 2, 3]) == (False, False, True)
 
 
 # modules with N >= 3, so the commutation law has a b^(t+2) e term to see
@@ -441,11 +440,41 @@ def ab_modules(draw, order: int | None = None) -> ABModule:
     return ABModule(rank, order, matrix)
 
 
+def one_order(module: ABModule, k: int) -> bool:
+    """``is_regular`` at the one order k."""
+    [flag] = is_regular(module, [k])
+    return flag
+
+
 def regular_or_inconclusive(check, module: ABModule, k: int):
     try:
         return check(module, k)
     except InconclusiveError:
         return "inconclusive"
+
+
+@st.composite
+def modules_with_orders(draw) -> tuple[ABModule, list[int]]:
+    """A drawn module and a list of orders up to its N: unsorted, repeated,
+    perhaps empty, perhaps past N - 2."""
+    module = draw(ab_modules())
+    return module, draw(st.lists(st.integers(1, module.trunc_order), max_size=6))
+
+
+def ladder_agrees(module: ABModule, orders: list[int], check=is_regular) -> bool:
+    """``check(module, orders)`` gives the per-order reference's flags in
+    the order given, or, when an order is past N - 2, is inconclusive and
+    names the first such order."""
+    reference = {k: regular_or_inconclusive(reference_is_regular, module, k) for k in set(orders)}
+    expected = tuple(reference[k] for k in orders)
+    if "inconclusive" not in expected:
+        return check(module, orders) == expected
+    try:
+        check(module, orders)
+    except InconclusiveError as exc:
+        first = orders[expected.index("inconclusive")]
+        return exc.context == {"trunc_order": module.trunc_order, "k": first}
+    return False
 
 
 class TestIntegerOperator:
@@ -468,15 +497,34 @@ class TestIntegerOperator:
     def test_checks_agree_with_the_fraction_reference(self, module):
         for k in (1, 2, 3):
             assert regular_or_inconclusive(
-                is_regular, module, k
+                one_order, module, k
             ) == regular_or_inconclusive(reference_is_regular, module, k)
+
+    @given(modules_with_orders())
+    def test_one_ladder_answers_every_order(self, case):
+        assert ladder_agrees(*case)
+
+    def test_every_order_is_checked_before_any_work(self, monkeypatch):
+        # the first bad order is named, and no operator is built for any
+        module = rank_one(1, trunc_order=8)
+        assert is_regular(module, []) == ()
+        monkeypatch.setattr("brieskorn.ab_module._integer_operator", None)
+        with pytest.raises(InputError, match="at least 1"):
+            is_regular(module, [1, 0, 7])
+        with pytest.raises(InconclusiveError, match=r"\[k=7, trunc_order=8\]$"):
+            is_regular(module, [1, 7, 0])
+
+    def test_an_int_order_is_refused(self):
+        # one order is the list [k]; a tuple of flags is never tested for truth
+        with pytest.raises(TypeError):
+            is_regular(rank_one(1), 1)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("outcome", [True, False])
     def test_drawn_modules_reach_both_outcomes(self, k, outcome):
         module = find(
             ab_modules(),
-            lambda m: m.trunc_order >= k + 2 and is_regular(m, k) == outcome,
+            lambda m: m.trunc_order >= k + 2 and is_regular(m, [k]) == (outcome,),
         )
         assert reference_is_regular(module, k) == outcome
 
@@ -490,7 +538,7 @@ class TestIntegerOperator:
     @given(ab_modules())
     def test_regular_k1_is_the_simple_pole(self, module):
         # at k = 1 both say a E inside b E, read by two independent routes
-        assert is_regular(module, 1) == is_simple_pole(module)
+        assert is_regular(module, [1]) == (is_simple_pole(module),)
 
     def test_cli_names_are_the_module_checks(self):
         # abmod check prints "commutation": true with no call behind it

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import brieskorn
-from brieskorn import cli
+from brieskorn import ab_module, cli
 from brieskorn.ab_module import DEFAULT_TRUNC_ORDER, ABModule
 from brieskorn.cli import EXIT_CLOSED_STDOUT, EXIT_INCONCLUSIVE, EXIT_INVALID, EXIT_OK, main
 from brieskorn.curve import FactoredCurve, invariants, milnor_fibre_betti
@@ -188,6 +188,49 @@ class TestRegularityOrderCeiling:
         assert capsys.readouterr().err.endswith(
             f"brieskorn abmod check: error: argument --k: must be at most 32, got {k}\n"
         )
+
+
+class TestRegularityLadder:
+    """abmod check decides every --k from one operator and one a-power ladder,
+    built for the largest k; each flag is that of a single --k run."""
+
+    @pytest.fixture
+    def nilpotent(self, tmp_path):
+        # A(0) a 3x3 Jordan block: regular from k = 3 on
+        path = tmp_path / "J.json"
+        cells = [
+            [[[1, "1/2"]], [[0, "1"]], []],
+            [[], [[1, "1"]], [[0, "1"]]],
+            [[], [], [[1, "-1"]]],
+        ]
+        path.write_text(json.dumps({"rank": 3, "trunc_order": 8, "a_matrix": cells}))
+        return str(path)
+
+    def test_one_operator_for_every_order(self, monkeypatch, nilpotent):
+        built = []
+        operator = ab_module._integer_operator
+
+        def counted(module, order):
+            built.append(order)
+            return operator(module, order)
+
+        monkeypatch.setattr(ab_module, "_integer_operator", counted)
+        code, text = run(["abmod", "check", nilpotent, "--k", "1", "--k", "2", "--k", "3"])
+        assert (code, built) == (EXIT_OK, [3])
+        assert [json.loads(text)[f"regular_k{k}"] for k in (1, 2, 3)] == [False, False, True]
+
+    def test_flags_are_the_single_order_flags_in_the_given_order(self, nilpotent):
+        argv = ["abmod", "check", nilpotent, "--k", "3", "--k", "1", "--k", "2", "--k", "3"]
+        code, text = run(argv)
+        flags = json.loads(text)
+        assert code == EXIT_OK and list(flags)[4:] == ["regular_k3", "regular_k1", "regular_k2"]
+        for k in (3, 1, 2):
+            single = json.loads(run(["abmod", "check", nilpotent, "--k", str(k)])[1])
+            assert flags[f"regular_k{k}"] is single[f"regular_k{k}"]
+
+    def test_an_order_past_the_truncation_prints_nothing(self, capsys, nilpotent):
+        assert run(["abmod", "check", nilpotent, "--k", "1", "--k", "7"]) == (EXIT_INCONCLUSIVE, "")
+        assert "k=7" in capsys.readouterr().err
 
 
 # abmod identity, tensor and check read no run setting, so they take none

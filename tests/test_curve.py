@@ -57,13 +57,16 @@ from brieskorn.suspension import milnor_isolated
 from conftest import (
     GradedIdeal,
     certificate_inputs,
+    class_certificate,
     closed_product_exponents,
     curve_certificate_inputs,
     mu,
     nu_jet_basis,
     nu_jet_reference,
+    predicted,
     saturate_at_origin,
     transversal_milnor,
+    w_degree,
 )
 from forms_model import DiffForm, apply_field, exterior_d, gradient, one_form, wedge
 
@@ -787,32 +790,46 @@ class TestAActionOracle:
     def test_wrong_coefficient_fails(self):
         f, alpha = sextic().expand(), annihilator_form(sextic())
         ws = WeightSystem.for_poly(f, (1, 1))
-        assert _action_certificate(*certificate_inputs(f, alpha), ws)(p("1"), Fraction(1, 3))
-        assert not _action_certificate(*certificate_inputs(f, alpha), ws)(p("1"), Fraction(1, 2))
+        assert class_certificate(*certificate_inputs(f, alpha), ws)(p("1"), Fraction(1, 3))
+        assert not class_certificate(*certificate_inputs(f, alpha), ws)(p("1"), Fraction(1, 2))
 
     def test_cross_values(self):
         f, alpha = cross().expand(), annihilator_form(cross())
         ws = WeightSystem.for_poly(f, (1, 1))
-        assert _action_certificate(*certificate_inputs(f, alpha), ws)(p("1"), Fraction(1, 2))
-        assert _action_certificate(*certificate_inputs(f, alpha), ws)(p("x*y"), Fraction(1))
-        assert not _action_certificate(*certificate_inputs(f, alpha), ws)(p("1"), Fraction(1, 3))
+        assert class_certificate(*certificate_inputs(f, alpha), ws)(p("1"), Fraction(1, 2))
+        assert class_certificate(*certificate_inputs(f, alpha), ws)(p("x*y"), Fraction(1))
+        assert not class_certificate(*certificate_inputs(f, alpha), ws)(p("1"), Fraction(1, 3))
 
     def test_shared_degree_span_still_checks_each_representative(self, monkeypatch):
-        # x^2, x*y and y^2 share one weighted degree and one coefficient;
-        # a wrong coefficient on the second of them must still be caught
+        # x^2, x*y and y^2 share one weighted degree and one predicted
+        # coefficient, built once; the certificate still compares a
+        # coefficient at each class, after the frame is proved
         f, alpha = sextic().expand(), annihilator_form(sextic())
         ws = WeightSystem.for_poly(f, (1, 1))
         basis = [p("x^2"), p("x*y"), p("y^2")]
+        calls = []
+
+        def counted(weights, degree):
+            calls.append(degree)
+            return a_action_coefficient(weights, degree)
+
+        monkeypatch.setattr("brieskorn.curve.a_action_coefficient", counted)
         proved = a_action(*certificate_inputs(f, alpha), ws, basis)
-        assert [c for _, c in proved] == [Fraction(2, 3)] * 3
+        assert [c for _, c in proved] == [Fraction(2, 3)] * 3 and calls == [2]
+        holds = _action_certificate(*certificate_inputs(f, alpha), ws)
+        assert holds(p("x^2"), 2, Fraction(2, 3))
+        assert not holds(p("x*y"), 2, Fraction(2, 3) + Fraction(1, 7))
+        assert holds(p("x*y"), 2, Fraction(2, 3))
 
-        def wrong_on_xy(weights, rep):
-            shift = Fraction(1, 7) if rep == p("x*y") else 0
-            return a_action_coefficient(weights, rep) + shift
-
-        monkeypatch.setattr("brieskorn.curve.a_action_coefficient", wrong_on_xy)
-        with pytest.raises(InputError, match=r"monomial x\*y"):
-            a_action(*certificate_inputs(f, alpha), ws, basis)
+    def test_a_class_without_one_degree_is_refused(self):
+        # two w-degrees, or none (the zero class)
+        f, alpha = sextic().expand(), annihilator_form(sextic())
+        ws = WeightSystem.for_poly(f, (1, 1))
+        for basis in ([p("x^2")], [p("1")]):
+            assert a_action(*certificate_inputs(f, alpha), ws, basis)
+        for rep in (p("x^2 + y"), p("0")):
+            with pytest.raises(InputError, match=r"is not quasi-homogeneous$"):
+                a_action(*certificate_inputs(f, alpha), ws, [p("x^2"), rep])
 
     def test_eta_degree_past_the_jet_cap(self):
         # the oracle slices lie past jet_cap * min(weights): each one is a
@@ -838,7 +855,7 @@ class TestAActionOracle:
         ws = WeightSystem.for_poly(sextic().expand(), (1, 1))
         rep = invariants(sextic(), weights=(1, 1))
         for rep_poly, _ in rep.a_action:
-            assert a_action_coefficient(ws, rep_poly) > 0
+            assert predicted(ws, rep_poly) > 0
 
 
 def reference_target(f: Poly, m: Poly, coefficient: Fraction) -> dict:
@@ -935,13 +952,13 @@ class TestIntegerOracleTarget:
         ws = report.weights
         f = curve.expand()
         alpha = annihilator_form(curve)
-        holds = _action_certificate(*certificate_inputs(f, alpha), ws)
+        holds = class_certificate(*certificate_inputs(f, alpha), ws)
         reference = reference_oracle(f, alpha, ws)
         scale = common_denominator(f)
         f_terms = integer_terms(f, scale)
         fx0_terms = integer_terms(f.derivative("x"), scale)
         for rep in report.basis:
-            c = a_action_coefficient(ws, rep)
+            c = predicted(ws, rep)
             for coefficient in (c, c + Fraction(1, 7)):
                 for t in rep.terms:
                     target = _action_target(
@@ -959,7 +976,7 @@ class TestIntegerOracleTarget:
         germ = milnor_isolated(parse_polynomial(text, variables))
         f = germ.poly
         alpha = gradient(f)
-        holds = _action_certificate(*certificate_inputs(f, alpha), germ.weights)
+        holds = class_certificate(*certificate_inputs(f, alpha), germ.weights)
         reference = reference_oracle(f, alpha, germ.weights)
         assert len(germ.a_coefficients) == germ.milnor
         for exps, c in germ.a_coefficients:
@@ -977,20 +994,20 @@ class TestEulerWitness:
         curve, weights = curve_and_weights
         report = invariants(curve, weights=weights)
         ws = report.weights
-        holds = _action_certificate(*curve_certificate_inputs(curve), ws)
+        holds = class_certificate(*curve_certificate_inputs(curve), ws)
         assert [rep for rep, _ in report.a_action] == list(report.basis)
         for rep, c in report.a_action:
-            assert c == a_action_coefficient(ws, rep) and holds(rep, c)
+            assert c == predicted(ws, rep) and holds(rep, c)
 
     @pytest.mark.parametrize("text,variables", ISOLATED_ORACLE_GERMS)
     def test_isolated_germs_need_no_span(self, text, variables):
         germ = milnor_isolated(parse_polynomial(text, variables))
         f = germ.poly
-        holds = _action_certificate(*certificate_inputs(f), germ.weights)
+        holds = class_certificate(*certificate_inputs(f), germ.weights)
         assert len(germ.a_coefficients) == germ.milnor
         for exps, c in germ.a_coefficients:
             m = Poly.monomial(variables, exps)
-            assert c == a_action_coefficient(germ.weights, m) and holds(m, c)
+            assert c == predicted(germ.weights, m) and holds(m, c)
 
     CASES = [
         ("x^3 + y^4", ("x", "y"), None, (4, 3)),
@@ -1010,12 +1027,12 @@ class TestEulerWitness:
         else:
             f, alpha = curve().expand(), annihilator_form(curve())
         ws = WeightSystem.for_poly(f, weights)
-        holds = _action_certificate(*certificate_inputs(f, alpha), ws)
+        holds = class_certificate(*certificate_inputs(f, alpha), ws)
         reference = reference_oracle(f, alpha, ws)
         wrong_members = 0
         for exps in monomials_below(len(variables), 7):
             m = Poly.monomial(variables, exps)
-            c_star = a_action_coefficient(ws, m)
+            c_star = predicted(ws, m)
             for c in (c_star, c_star + Fraction(1, 7), c_star - 1):
                 proved, member = holds(m, c), reference(m, c)
                 assert proved == (c == c_star), (exps, c)
@@ -1032,11 +1049,11 @@ class TestEulerWitness:
         images = exact_form_images((-p("y"), p("x")))
         ws = WeightSystem.for_poly(f, (1, 1))
         for m in (p("1"), p("x"), p("y")):
-            holds = _action_certificate(f, f.derivative("x"), p("1"), images, ws)
-            assert not holds(m, a_action_coefficient(ws, m))
+            holds = class_certificate(f, f.derivative("x"), p("1"), images, ws)
+            assert not holds(m, predicted(ws, m))
         # with the true alpha = df and h = 1 each is proved
-        holds = _action_certificate(*certificate_inputs(f), ws)
-        assert all(holds(m, a_action_coefficient(ws, m)) for m in (p("1"), p("x"), p("y")))
+        holds = class_certificate(*certificate_inputs(f), ws)
+        assert all(holds(m, predicted(ws, m)) for m in (p("1"), p("x"), p("y")))
 
 
 def per_class_certificate(f: Poly, alpha: tuple[Poly, ...], ws: WeightSystem):
@@ -1085,11 +1102,12 @@ def per_class_certificate(f: Poly, alpha: tuple[Poly, ...], ws: WeightSystem):
 
 def reference_a_action(f, alpha, ws, basis, coefficient_of=a_action_coefficient):
     """The per-class loop: every class checked in full by
-    ``per_class_certificate``, with the coefficients of ``coefficient_of``."""
+    ``per_class_certificate``, with the coefficient that ``coefficient_of``
+    predicts at its w-degree."""
     holds = per_class_certificate(f, alpha, ws)
     out = []
     for rep in basis:
-        coefficient = coefficient_of(ws, rep)
+        coefficient = coefficient_of(ws, w_degree(ws, rep))
         if not holds(rep, coefficient):
             raise InputError(f"a-action verification failed on monomial {rep}")
         out.append((rep, coefficient))
@@ -1097,12 +1115,20 @@ def reference_a_action(f, alpha, ws, basis, coefficient_of=a_action_coefficient)
 
 
 def shifted_on(target: Poly):
-    """``a_action_coefficient`` off by 1/7 on the one class ``target``."""
+    """``a_action_coefficient`` off by 1/7 at the one w-degree of the class
+    ``target``; ``a_action`` refuses the first class of that degree
+    (``first_of_degree``)."""
 
-    def wrong(ws, rep):
-        return a_action_coefficient(ws, rep) + (Fraction(1, 7) if rep == target else 0)
+    def wrong(ws, degree):
+        shift = Fraction(1, 7) if degree == w_degree(ws, target) else 0
+        return a_action_coefficient(ws, degree) + shift
 
     return wrong
+
+
+def first_of_degree(ws: WeightSystem, classes, target: Poly) -> Poly:
+    """The first of ``classes`` whose w-degree is that of ``target``."""
+    return next(m for m in classes if w_degree(ws, m) == w_degree(ws, target))
 
 
 def failed_on(rep: Poly) -> str:
@@ -1151,8 +1177,8 @@ def proved_in_turn(monkeypatch, certificate, texts, defect=None) -> Optional[lis
     f = p("x^3 + y^4")
     ws = WeightSystem.for_poly(f, (4, 3))
     holds = certificate(*certificate_inputs(f), ws)
-    for text in texts:
-        if not holds(p(text), a_action_coefficient(ws, p(text))):
+    for m in map(p, texts):
+        if not holds(m, w_degree(ws, m), predicted(ws, m)):
             return None
     assert all(full for _, full in seen)
     return compared_in_full(seen)
@@ -1194,18 +1220,20 @@ def quasi_homogeneous_germs(draw):
 
 def assert_same_verdicts(f, alpha, ws, basis, index):
     """``a_action`` equals the per-class reference on ``basis``, and both
-    refuse a coefficient shifted on ``basis[index]``, naming that class."""
+    refuse a coefficient shifted at the w-degree of ``basis[index]``, naming
+    the first class of that degree."""
     assert a_action(*certificate_inputs(f, alpha), ws, basis) == reference_a_action(
         f, alpha, ws, basis
     )
     if not basis:
         return
     target = basis[index % len(basis)]
-    with pytest.raises(InputError, match=failed_on(target)):
+    first = first_of_degree(ws, basis, target)
+    with pytest.raises(InputError, match=failed_on(first)):
         reference_a_action(f, alpha, ws, basis, shifted_on(target))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("brieskorn.curve.a_action_coefficient", shifted_on(target))
-        with pytest.raises(InputError, match=failed_on(target)):
+        with pytest.raises(InputError, match=failed_on(first)):
             a_action(*certificate_inputs(f, alpha), ws, basis)
 
 

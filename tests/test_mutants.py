@@ -5,9 +5,10 @@ A mutant that passes through the public API unnoticed would be a wrong
 answer the tests cannot see, so each mutant here is caught by one targeted
 call, not by rerunning the suite: a public call raises, or its answer
 differs from the test-side oracle that the suite compares it with.
-Covered: the a-action certificate (a wrong coefficient, a wrong target,
+Covered: the a-action certificate (a coefficient wrong at one w-degree, a wrong target,
 a missing cofactor), the sign of the divergence of the twisted operator
 that the nu scan and the certificate share, the derivation term of the (a,b)-module operator,
+the b^k cut of a smaller regularity order read off the largest order's ladder,
 a transposed factor and a right-major index of the tensor product,
 the sign flip of a negative denominator in the integer parse of records,
 the closed form of a^l b^r (a falling factorial, a dropped binomial),
@@ -47,6 +48,7 @@ from brieskorn.ab_module import (
     _integer_operator,
     _reorder_a_powers,
     factorial_identity_holds,
+    is_regular,
     tensor,
 )
 from brieskorn.cli import EXIT_INVALID, EXIT_OK, main
@@ -87,6 +89,8 @@ from test_ab_module import (
     ab_modules,
     apply_a,
     generator,
+    ladder_agrees,
+    modules_with_orders,
     one_step_misses,
     reference_check_commutation,
     rewriter_reorder,
@@ -96,6 +100,7 @@ from test_curve import (
     affine_defect_at_y,
     assert_graded_betti_is_scanned,
     failed_on,
+    first_of_degree,
     proved_in_turn,
     reference_a_action,
     shifted_on,
@@ -143,24 +148,33 @@ def mutated(function, old: str, new: str):
 
 
 class TestAActionMutants:
+    """A predictor shifted at the w-degree of one class is refused at the
+    first class of that degree, which the certificate names."""
+
     @pytest.mark.parametrize("rep", ["x^2", "x^3*y", "1", "x*y"])
-    def test_shifted_curve_coefficient_names_its_monomial(self, monkeypatch, rep):
-        assert p(rep) in invariants(golden_sextic(), weights=(1, 1)).basis
+    def test_shifted_curve_coefficient_names_the_first_of_its_degree(self, monkeypatch, rep):
+        report = invariants(golden_sextic(), weights=(1, 1))
+        assert p(rep) in report.basis
+        first = first_of_degree(report.weights, report.basis, p(rep))
         monkeypatch.setattr("brieskorn.curve.a_action_coefficient", shifted_on(p(rep)))
-        with pytest.raises(InputError, match=failed_on(p(rep))):
+        with pytest.raises(InputError, match=failed_on(first)):
             invariants(golden_sextic(), weights=(1, 1))
 
     @pytest.mark.parametrize("rep", ["1", "x*y^2"])
-    def test_shifted_germ_coefficient_names_its_monomial(self, monkeypatch, rep):
+    def test_shifted_germ_coefficient_names_the_first_of_its_degree(self, monkeypatch, rep):
+        germ = milnor_isolated(p("x^3+y^4"))
+        classes = [Poly.monomial(XY, e) for e, _ in germ.a_coefficients]
+        first = first_of_degree(germ.weights, classes, p(rep))
         monkeypatch.setattr("brieskorn.curve.a_action_coefficient", shifted_on(p(rep)))
-        with pytest.raises(InputError, match=failed_on(p(rep))):
+        with pytest.raises(InputError, match=failed_on(first)):
             milnor_isolated(p("x^3+y^4"))
 
     def test_shifted_coefficient_is_invalid_input_at_the_cli(self, monkeypatch, capsys):
+        # y shares its w-degree with x, the first class of that degree
         monkeypatch.setattr("brieskorn.curve.a_action_coefficient", shifted_on(p("y")))
         argv = ["invariants", "--factors", "x:3", "--residual", "x^3+y^3", "--vars", "x,y"]
         assert main(argv + ["--weights", "1,1"], out=io.StringIO()) == EXIT_INVALID
-        assert "a-action verification failed on monomial y" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: a-action verification failed on monomial x\n"
 
     @pytest.mark.parametrize(
         "run",
@@ -334,6 +348,37 @@ class TestDerivationTermMutant:
             assert scaled == apply_a(module, generator(j, t), derivation_term=False)
         assert columns_commute(module) is False
         assert reference_check_commutation(module, derivation_term=False) is False
+
+
+class TestLadderCutMutant:
+    """``is_regular`` answers a smaller order k from the ladder of the largest
+    order: it keeps the basis vectors b^t e_i with t < k and cuts each vector
+    at b^k.  Without the cut, a^k e keeps its part past b^k, which no vector
+    of order k's span has, so a regular order reads False.  A call with one
+    order builds the ladder for that order and cuts nothing, so only a call
+    with a larger order beside it sees the mutant; the test that catches it
+    is the property
+    ``test_ab_module.TestIntegerOperator.test_one_ladder_answers_every_order``
+    (``ladder_agrees`` on ``modules_with_orders``).  Dropping a restriction
+    on t instead (t < k for a^k, t < j for the span's b^(k-j) a^j) changes
+    no flag and is not checked in: a and b never lower the b-degree, so each
+    vector it lets in cuts to 0 at b^k."""
+
+    @pytest.fixture
+    def mutant(self):
+        return mutated(is_regular, "_shift(vec, 0, k) if k < top else vec for", "vec for")
+
+    def test_single_orders_are_blind_to_it(self, mutant):
+        for module in COMMUTING_MODULES:
+            orders = range(1, module.trunc_order - 1)
+            assert all(mutant(module, [k]) == is_regular(module, [k]) for k in orders)
+
+    def test_is_caught_by_the_ladder_property(self, mutant):
+        module = rank_one(Fraction(1, 2))
+        assert is_regular(module, [1, 2]) == (True, True)
+        assert mutant(module, [1, 2]) == (False, True)
+        module, orders = find(modules_with_orders(), lambda case: not ladder_agrees(*case, mutant))
+        assert ladder_agrees(module, orders)
 
 
 class TestTensorMutants:

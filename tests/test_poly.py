@@ -317,10 +317,50 @@ def reference_degree(poly, weights):
     return degree
 
 
+def sorted_str(poly: Poly) -> str:
+    """``Poly.__str__``'s general path for any number of terms: the terms
+    sorted by degree, the first with its sign, each later one joined by
+    " + " or " - "."""
+    if not poly.terms:
+        return "0"
+    first, *rest = sorted(poly.terms, key=lambda e: (sum(e), e), reverse=True)
+    pieces = [poly._term_str(first, poly.terms[first])]
+    for e in rest:
+        c = poly.terms[e]
+        pieces.append((" - " if c < 0 else " + ") + poly._term_str(e, abs(c)))
+    return "".join(pieces)
+
+
+# one-term polys: constants among them, coefficients +-1, ints and fractions
+one_term_polys = st.builds(
+    lambda e, c: Poly(XY, {e: c}),
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    st.one_of(st.sampled_from([1, -1]), fractions().filter(bool), st.integers(-6, 6).filter(bool)),
+)
+
+
 class TestSerialization:
     def test_rational_rendering(self):
         assert format_fraction(Fraction(-3, 7)) == "-3/7"
         assert str(Poly.constant(XY, Fraction(-3, 7))) == "-3/7"
+
+    @pytest.mark.parametrize(
+        "text,written",
+        [("x", "x"), ("-x", "-x"), ("-1/2*x^2*y", "-1/2*x^2*y"), ("7", "7"), ("-y^3", "-y^3"),
+         ("0", "0"), ("2*x - y", "2*x - y")],
+    )
+    def test_pinned_texts(self, text, written):
+        assert str(p(text)) == written
+
+    @given(one_term_polys)
+    @example(Poly(XY, {(0, 0): Fraction(-3, 7)}))
+    @example(Poly(XY, {(1, 0): -1}))
+    def test_one_term_is_written_as_the_general_path_writes_it(self, poly):
+        assert str(poly) == sorted_str(poly)
+
+    @given(polys())
+    def test_every_poly_is_written_as_the_general_path_writes_it(self, poly):
+        assert str(poly) == sorted_str(poly)
 
 
 class TestSubstitute:
