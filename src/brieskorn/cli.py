@@ -18,9 +18,8 @@ import os
 import random
 import sys
 import time
-from functools import lru_cache, partial
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii
-from types import SimpleNamespace
 from typing import Optional, Sequence
 
 from . import __version__
@@ -35,8 +34,7 @@ from .ab_module import (
 from .curve import FactoredCurve, invariants, torsion_free_witness
 from .errors import BrieskornError, InconclusiveError, InputError
 from .local_algebra import DEFAULT_JET_CAP
-from .poly import Poly, PolyNames, Scalar, json_block, json_literal, parse_fraction
-from .poly import parse_polynomial
+from .poly import Poly, PolyNames, Scalar, parse_fraction, parse_polynomial
 from .suspension import milnor_isolated, suspend, verify_suspension_direct
 
 EXIT_OK = 0
@@ -96,44 +94,44 @@ def _infer_variables(text: str) -> tuple[str, ...]:
 
 
 # each exact scalar type's writer but str's (encode_basestring_ascii, read at each call)
-_SCALARS = {int: int.__repr__, float: float.__repr__, bool: json_literal, type(None): json_literal}
+_LITERAL = {None: "null", True: "true", False: "false"}.__getitem__
+_SCALARS = {int: int.__repr__, float: float.__repr__, bool: _LITERAL, type(None): _LITERAL}
 
 
 def _json(value, indent: str = "\n") -> str:
     """The text of ``json.dumps(value, indent=2)`` for str-keyed dicts, lists,
-    tuples, str, int, bool, None and finite floats; any other value, a report
-    or an ABModule, writes itself by its ``to_json(indent)``.  The stdlib's C
-    encoder serves no indent, and its pure-Python one is slower than this.  A
-    container writes its scalar children itself, by their exact type, in a
-    plain loop (a comprehension is one more call per container)."""
+    tuples, str, int, bool, None, finite floats and ABModules (their records,
+    which they write).  The stdlib's C encoder serves no indent, and its
+    pure-Python one is slower than this.  A container writes its scalar
+    children itself, by their exact type, in a plain loop (a comprehension is
+    one more call per container); only containers recurse."""
     kind = type(value)
     if kind is not dict and kind is not list and kind is not tuple:
-        if kind is str:
-            return encode_basestring_ascii(value)
-        return value.to_json(indent) if kind not in _SCALARS else _SCALARS[kind](value)
+        if kind is ABModule:
+            return value.to_json(indent)
+        return encode_basestring_ascii(value) if kind is str else _SCALARS[kind](value)
     text, inner, items = encode_basestring_ascii, indent + "  ", []
     if kind is dict:
         for k, v in value.items():
             t = type(v)
             item = text(v) if t is str else _SCALARS[t](v) if t in _SCALARS else _json(v, inner)
             items.append(f"{text(k)}: {item}")
-        return json_block(indent, items, "{}")
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
     for v in value:
         t = type(v)
         items.append(text(v) if t is str else _SCALARS[t](v) if t in _SCALARS else _json(v, inner))
-    return json_block(indent, items)
+    return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
 
 
-def _emit(command: str, echo: dict, report, args, start: float, out, **options) -> None:
-    """Print ``report`` with the run settings it was computed under: JSON in
-    one pass of its own writer, text from its ``to_dict``, both given
-    ``options``.  Errors go to stderr only, so ``error`` is always null."""
+def _emit(command: str, echo: dict, report: dict, args, start: float, out) -> None:
+    """Print the ``report`` payload with the run settings it was computed
+    under.  Errors go to stderr only, so ``error`` is always null."""
     elapsed = round(time.perf_counter() - start, 3) if args.timing else None
     if args.format == "text":
         out.write(f"brieskorn {command}\n")
         for key, value in echo.items():
             out.write(f"  input {key}: {value}\n")
-        _emit_report_text(report.to_dict(**options), out)
+        _emit_report_text(report, out)
         if elapsed is not None:
             out.write(f"  time: {elapsed}s\n")
         return
@@ -141,7 +139,7 @@ def _emit(command: str, echo: dict, report, args, start: float, out, **options) 
         "tool": {"name": "brieskorn", "version": __version__, "command": command},
         "config": {"jet_cap": args.jet_cap, "trunc_order": args.trunc, "seed": args.seed},
         "input": echo,
-        "report": SimpleNamespace(to_json=partial(report.to_json, **options)),
+        "report": report,
         "warnings": [],
         "error": None,
         "timing": None if elapsed is None else {"seconds": elapsed},
@@ -199,12 +197,12 @@ def _cmd_invariants(args, out) -> int:
         "variables": ",".join(variables),
         "weights": args.weights or "",
     }
-    extra = {}  # members after the report's own, written in the same pass
+    payload = report.to_dict()
     if args.check_witness:
         order = min(max(curve.expand().total_degree() + 2, 12), args.jet_cap)
         witness = {"holds": torsion_free_witness(curve, order), "jet_order": order}
-        extra["torsion_free_witness"] = partial(_json, witness)
-    _emit("invariants", echo, report, args, start, out, extra=extra)
+        payload["torsion_free_witness"] = witness
+    _emit("invariants", echo, payload, args, start, out)
     return EXIT_OK
 
 
@@ -232,16 +230,16 @@ def _cmd_suspend(args, out) -> int:
         "weights": args.weights or "",
     }
     result = suspend(germ, curve_report, trunc_order=args.trunc)
-    extra = {}
+    payload = result.to_dict(names)
     if args.verify_direct:
         check = verify_suspension_direct(germ, curve, curve_report)
-        extra["direct_check"] = check.to_json
+        payload["direct_check"] = check.to_dict()
         if not check.agrees:
             raise InputError(
                 "direct verification disagrees with the transported Milnor number: "
                 f"{check.mu_direct} != {check.mu_transported}"
             )
-    _emit("suspend", echo, result, args, start, out, names=names, extra=extra)
+    _emit("suspend", echo, payload, args, start, out)
     return EXIT_OK
 
 

@@ -18,12 +18,11 @@ vanish so the rank of the associated (a,b)-module is mu + nu.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 from operator import add, mul
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import InconclusiveError, InputError
 from .forms import ExactFormImages, exact_form_images
@@ -42,7 +41,6 @@ from .local_algebra import (
     twisted_quotient_dim,
 )
 from .poly import Exponents, Poly, PolyNames, WeightSystem, format_fraction, listing_key
-from .poly import json_block, json_literal, json_object, json_string
 
 
 class FactoredCurve:
@@ -234,23 +232,13 @@ class Assumptions(NamedTuple):
     # every stop is a proof: Nakayama for mu, the target b_1 - mu for nu
     exact = True
 
-    def to_json(self, indent: str = "\n") -> str:
-        justification = json_string(self.torsion_free_justification)
-        return json_object(
-            indent, torsion_free=json_literal(self.torsion_free),
-            torsion_free_justification=justification, exact=json_literal(self.exact),
-        )
-
-    def to_dict(self) -> dict:  # the parse of to_json, which holds the layout
-        return json.loads(self.to_json())
+    def to_dict(self) -> dict:
+        return {**self._asdict(), "exact": self.exact}
 
 
-def action_json(indent: str, entries: Sequence[tuple[str, Fraction]]) -> str:
-    """The ``a_action`` list of (written monomial, coefficient) pairs."""
-    i1, i2 = indent + "  ", indent + "    "
-    return json_block(indent, [
-        f'{{{i2}"monomial": {m},{i2}"coefficient": "{format_fraction(c)}"{i1}}}' for m, c in entries
-    ])
+def action_list(entries: Iterable[tuple[str, Fraction]]) -> list[dict]:
+    """The ``a_action`` payload of (monomial text, coefficient) pairs."""
+    return [{"monomial": m, "coefficient": format_fraction(c)} for m, c in entries]
 
 
 class InvariantReport(NamedTuple):
@@ -272,38 +260,35 @@ class InvariantReport(NamedTuple):
     def basis(self) -> tuple[Poly, ...]:
         return self.basis_mu + self.basis_nu
 
-    def to_json(self, indent: str = "\n", extra=None, text=None) -> str:
-        """The payload, as ``json.dumps(payload, indent=2)`` writes it nested
-        at ``indent``: the one home of its layout.  Each basis class is
-        printed once (``text`` may give them, by ``id``), and ``extra``
-        appends members: a writer per key, called with their indent."""
-        text = text or {id(p): json_string(str(p)) for p in self.basis}
-        i1, ws, action, weights = indent + "  ", self.weights, "null", "null"
+    def to_dict(self, names: Optional[PolyNames] = None) -> dict:
+        # each basis class is printed once: a_action lists the same objects;
+        # ``names`` shares texts by value with the rest of a report
+        text = {id(p): str(p) if names is None else names[p] for p in self.basis}
         basis_mu, basis_nu = ([text[id(p)] for p in b] for b in (self.basis_mu, self.basis_nu))
-        if self.a_action is not None:  # the basis classes, or any others
-            named = [(text.get(id(p)) or json_string(str(p)), c) for p, c in self.a_action]
-            action = action_json(i1, named)
-        if ws is not None:
-            fraction = lambda c: f'"{format_fraction(c)}"'
-            degrees = json_block(i1 + "  ", list(map(fraction, ws.weights)))
-            weights = json_object(i1, weights=degrees, total_degree=fraction(ws.total_degree))
-        return json_object(
-            indent,
-            f=json_string(self.f),
-            variables=json_block(i1, list(map(json_string, self.variables))),
-            mu=self.mu, nu=self.nu, gamma=self.gamma, delta=self.delta,
-            rank=self.rank, betti_n=self.betti_n,
-            basis=json_block(i1, basis_mu + basis_nu),
-            basis_mu=json_block(i1, basis_mu),
-            basis_nu=json_block(i1, basis_nu),
-            a_action=action,
-            weights=weights,
-            assumptions=self.assumptions.to_json(i1),
-            **{key: write(i1) for key, write in (extra or {}).items()},
-        )
-
-    def to_dict(self, extra=None) -> dict:  # the parse of to_json
-        return json.loads(self.to_json(extra=extra))
+        ws = self.weights
+        return {
+            "f": self.f,
+            "variables": list(self.variables),
+            "mu": self.mu,
+            "nu": self.nu,
+            "gamma": self.gamma,
+            "delta": self.delta,
+            "rank": self.rank,
+            "betti_n": self.betti_n,
+            "basis": basis_mu + basis_nu,
+            "basis_mu": basis_mu,
+            "basis_nu": basis_nu,
+            "a_action": None
+            if self.a_action is None  # the basis classes, or any others
+            else action_list((text.get(id(p)) or str(p), c) for p, c in self.a_action),
+            "weights": None
+            if ws is None
+            else {
+                "weights": [format_fraction(w) for w in ws.weights],
+                "total_degree": format_fraction(ws.total_degree),
+            },
+            "assumptions": self.assumptions.to_dict(),
+        }
 
 
 def invariants(

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii as json_string
 from math import gcd, lcm
 from operator import add, mul
 from typing import Mapping, Optional, Sequence, Union
@@ -388,25 +387,6 @@ class PolyNames(dict):
     def __missing__(self, poly: Poly) -> str:
         text = self[poly] = str(poly)
         return text
-
-
-# -- JSON text: the bytes json.dumps(..., indent=2) writes, for the report writers
-
-json_literal = {None: "null", True: "true", False: "false"}.__getitem__
-
-
-def json_block(indent: str, items: Sequence[str], brackets: str = "[]") -> str:
-    """The written ``items`` (values, or ``"key": value`` members in "{}") as
-    ``json.dumps(..., indent=2)`` lays them out nested at ``indent``."""
-    if not items:
-        return brackets
-    inner = indent + "  "
-    return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
-
-
-def json_object(indent: str, **members) -> str:
-    """``json_block`` of the members, each value an int or its written text."""
-    return json_block(indent, [f'"{key}": {value}' for key, value in members.items()], "{}")
 
 
 def integer_weights(weights: Sequence[Scalar]) -> tuple[tuple[int, ...], int]:

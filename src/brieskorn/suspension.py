@@ -9,19 +9,17 @@ the action coefficients adding on basis pairs.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 from .ab_module import DEFAULT_TRUNC_ORDER, ABModule, tensor
-from .curve import FactoredCurve, InvariantReport, a_action, action_json
+from .curve import FactoredCurve, InvariantReport, a_action, action_list
 from .errors import InputError
 from .forms import exact_form_images
 from .linalg import Span
 from .groebner import isolated_at_origin, torsion_length
 from .local_algebra import jacobian_ideal, local_quotient
 from .poly import Exponents, Poly, PolyNames, WeightSystem, format_fraction, listing_key
-from .poly import json_block, json_literal, json_object, json_string
 
 
 class IsolatedGerm(NamedTuple):
@@ -42,27 +40,21 @@ class IsolatedGerm(NamedTuple):
     def monomial_str(self, exponents: Exponents) -> str:
         return str(Poly.monomial(self.variables, exponents))
 
-    def to_json(self, indent: str = "\n", text: Optional[dict] = None) -> str:
-        """The payload as ``InvariantReport.to_json`` writes its own; ``text``
-        may give the basis monomials, by exponents."""
-        text = text or {e: json_string(self.monomial_str(e)) for e in self.basis}
-        i1, weights, action = indent + "  ", "null", "null"
-        if self.weights is not None:
-            weights = json_block(i1, [f'"{format_fraction(w)}"' for w in self.weights.weights])
-        if self.a_coefficients is not None:
-            action = action_json(i1, [(text[e], c) for e, c in self.a_coefficients])
-        return json_object(
-            indent,
-            f=json_string(self.f),
-            variables=json_block(i1, list(map(json_string, self.variables))),
-            milnor=self.milnor,
-            basis=json_block(i1, list(text.values())),
-            weights=weights,
-            a_action=action,
-        )
-
-    def to_dict(self) -> dict:  # the parse of to_json, which holds the layout
-        return json.loads(self.to_json())
+    def to_dict(self) -> dict:
+        # a_action lists the basis monomials again: print each once
+        text = {e: self.monomial_str(e) for e in self.basis}
+        return {
+            "f": self.f,
+            "variables": list(self.variables),
+            "milnor": self.milnor,
+            "basis": list(text.values()),
+            "weights": None
+            if self.weights is None
+            else [format_fraction(w) for w in self.weights.weights],
+            "a_action": None
+            if self.a_coefficients is None
+            else action_list((text[e], c) for e, c in self.a_coefficients),
+        }
 
 
 def _auto_weights(f: Poly) -> Optional[tuple[Fraction, ...]]:
@@ -145,34 +137,25 @@ class SuspensionReport(NamedTuple):
     basis_pairs: tuple[tuple[Exponents, Poly], ...]
     provenance: tuple[str, ...]
 
-    def to_json(self, indent: str = "\n", names: Optional[PolyNames] = None, extra=None) -> str:
-        """The payload in one pass of the germ's, the curve's and the module's
-        writers, as ``InvariantReport.to_json`` writes its own; the pairs
-        repeat the basis texts, and the curve's go through ``names``."""
-        germ, curve = self.germ, self.curve_report
-        germ_text = {e: json_string(germ.monomial_str(e)) for e in germ.basis}
-        name = str if names is None else names.__getitem__
-        curve_text = {id(b): json_string(name(b)) for b in curve.basis}
-        i1, i2, i3 = indent + "  ", indent + "    ", indent + "      "
-        pairs = [
-            f'{{{i3}"isolated": {germ_text[a]},{i3}"curve": {curve_text[id(b)]}{i2}}}'
-            for a, b in self.basis_pairs
-        ]
-        return json_object(
-            indent,
-            F=json_string(f"({germ.f}) + ({curve.f})"),
-            mu=self.mu, nu=self.nu, rank=self.rank,
-            basis_pairs=json_block(i1, pairs),
-            ab_model="null" if self.ab_model is None else self.ab_model.to_json(i1),
-            provenance=json_block(i1, [json_string(p) for p in self.provenance]),
-            isolated=germ.to_json(i1, germ_text),
-            curve=curve.to_json(i1, text=curve_text),
-            **{key: write(i1) for key, write in (extra or {}).items()},
-        )
-
-    def to_dict(self, names: Optional[PolyNames] = None, extra=None) -> dict:
-        """The parse of ``to_json``, ``ab_model`` the ABModule itself."""
-        return {**json.loads(self.to_json(names=names, extra=extra)), "ab_model": self.ab_model}
+    def to_dict(self, names: Optional[PolyNames] = None) -> dict:
+        # with the germ's and the curve's reports, whose basis texts the
+        # pairs repeat: each is printed once
+        isolated, curve = self.germ.to_dict(), self.curve_report.to_dict(names)
+        germ_text = dict(zip(self.germ.basis, isolated["basis"]))
+        curve_text = {id(b): text for b, text in zip(self.curve_report.basis, curve["basis"])}
+        return {
+            "F": f"({self.germ.f}) + ({self.curve_report.f})",
+            "mu": self.mu,
+            "nu": self.nu,
+            "rank": self.rank,
+            "basis_pairs": [
+                {"isolated": germ_text[a], "curve": curve_text[id(b)]} for a, b in self.basis_pairs
+            ],
+            "ab_model": self.ab_model,  # cli._json writes it, to_record() is its dict
+            "provenance": list(self.provenance),
+            "isolated": isolated,
+            "curve": curve,
+        }
 
 
 def suspend(
@@ -239,15 +222,8 @@ class DirectCheck(NamedTuple):
     agrees: bool
     exact: bool
 
-    def to_json(self, indent: str = "\n") -> str:
-        agrees, exact = json_literal(self.agrees), json_literal(self.exact)
-        return json_object(
-            indent, mu_direct=self.mu_direct, mu_transported=self.mu_transported,
-            agrees=agrees, exact=exact,
-        )
-
-    def to_dict(self) -> dict:  # the parse of to_json, which holds the layout
-        return json.loads(self.to_json())
+    def to_dict(self) -> dict:
+        return self._asdict()
 
 
 def verify_suspension_direct(

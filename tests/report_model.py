@@ -1,9 +1,6 @@
-"""The report payloads built field by field as dicts: the reference that the
-report writers (``to_json``) and their ``to_dict`` are compared with.
-
-These are the dict builders the reports carried before each wrote its own
-JSON; ``json.dumps(payload, indent=2)`` of one is the text its writer must
-print.
+"""The report payloads built field by field as dicts: the reference that
+each report's ``to_dict`` is compared with.  ``json.dumps(payload,
+indent=2)`` of one is the text the CLI's one JSON writer must print.
 """
 
 from __future__ import annotations

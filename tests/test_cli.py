@@ -852,12 +852,22 @@ JSON_VALUES = st.recursive(
 )
 
 
+# escapes, and the empty containers of each kind at two depths
+STRING_AND_CONTAINER_EXAMPLE = {
+    "\u00e9\x00\n\t\"\\": ["\U0001f600", "\x1f\x7f", [], {}, ()], "": {"a": [{}]}
+}
+
+
+def prints_what_json_dumps_prints(value) -> bool:
+    return cli._json(value) == json.dumps(value, indent=2)
+
+
 class TestJsonWriter:
     @given(JSON_VALUES)
-    @example({"\u00e9\x00\n\t\"\\": ["\U0001f600", "\x1f\x7f", [], {}, ()], "": {"a": [{}]}})
+    @example(STRING_AND_CONTAINER_EXAMPLE)
     @example([True, False, None, 0, -1, 10**30, 1.5, -0.0, 1e-300, 1e300])
     def test_prints_what_json_dumps_prints(self, value):
-        assert cli._json(value) == json.dumps(value, indent=2)
+        assert prints_what_json_dumps_prints(value)
 
     def test_report_envelope(self):
         code, text = run(GOLDEN)

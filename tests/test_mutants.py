@@ -24,7 +24,7 @@ test dropped, the wrong variable stripped), the known basis of an
 elimination (raw generators as the known basis, the known x new S-pairs
 dropped), the exact quotient coefficient and the exponent check of
 ``Poly.divide_exact``, the re-indexing of ``Poly.substitute``, the
-ASCII escaping of the JSON writer, the gcd reduction and the empty cells
+ASCII escaping and the empty-dict literal of the JSON writer, the gcd reduction and the empty cells
 of the (a,b)-module record writer, the full-parser fallback of the
 CLI's innermost-parser route, the one-term power and the unary minus of
 the polynomial parser, and the running count of the jet scan.
@@ -111,7 +111,12 @@ from test_groebner import (
     reference_isolated,
     reference_torsion_length,
 )
-from test_cli import by_both_routes
+from test_cli import (
+    JSON_VALUES,
+    STRING_AND_CONTAINER_EXAMPLE,
+    by_both_routes,
+    prints_what_json_dumps_prints,
+)
 from test_local_algebra import reads_the_count_of_its_rows
 from test_poly import (
     assert_exact,
@@ -703,6 +708,17 @@ class TestJsonWriterMutant:
         assert cli._json(value) == json.dumps(value, indent=2)
         monkeypatch.setattr("brieskorn.cli.encode_basestring_ascii", encode_basestring)
         assert cli._json(value) != json.dumps(value, indent=2)
+
+    def test_an_empty_dict_laid_out_as_a_list_is_caught_by_the_writer_property(
+        self, monkeypatch
+    ):
+        # the property of TestJsonWriter: its example holds {} at two depths,
+        # and its search finds {} itself
+        assert prints_what_json_dumps_prints(STRING_AND_CONTAINER_EXAMPLE)
+        wrong = mutated(cli._json, 'if items else "{}"', 'if items else "[]"')
+        monkeypatch.setattr(cli, "_json", wrong)
+        assert not prints_what_json_dumps_prints(STRING_AND_CONTAINER_EXAMPLE)
+        assert find(JSON_VALUES, lambda value: not prints_what_json_dumps_prints(value)) == {}
 
 
 class TestRecordWriterMutants:

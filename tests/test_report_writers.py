@@ -1,15 +1,13 @@
-"""Each report writes its own JSON: ``to_json(indent)`` prints the bytes of
-``json.dumps(payload, indent=2)`` for the reference payload of
-``report_model`` nested at any indent, ``to_dict()`` is the parse of that
-text, the members the CLI appends go through the same pass, and the text
-format keeps its bytes."""
+"""A report's ``to_dict()`` is its payload: the dict that ``report_model``
+builds field by field, and ``cli._json``, the one JSON writer, prints it as
+``json.dumps(payload, indent=2)`` does.  The members the CLI adds are plain
+dict members, and the text format keeps its bytes."""
 
 from __future__ import annotations
 
 import io
 import json
 from fractions import Fraction
-from functools import partial
 
 import pytest
 from hypothesis import given
@@ -22,13 +20,11 @@ from brieskorn.suspension import milnor_isolated, suspend, verify_suspension_dir
 from report_model import direct_payload, germ_payload, invariant_payload, suspension_payload
 from test_curve import corpus_cases, factored, weighted_curves
 
-NESTINGS = ("\n", "\n    ")  # a top-level value, and one nested two levels deep
 
-
-def writes(write, payload) -> bool:
-    """``write(indent)`` is ``json.dumps(payload, indent=2)`` nested at each indent."""
-    text = json.dumps(payload, indent=2)
-    return all(write(indent) == text.replace("\n", indent) for indent in NESTINGS)
+def prints(payload: dict, reference: dict) -> bool:
+    """``cli._json(payload)`` is ``json.dumps(reference, indent=2)``; a
+    suspension's payload holds the ABModule whose record the reference holds."""
+    return cli._json(payload) == json.dumps(reference, indent=2)
 
 
 def run(argv) -> str:
@@ -41,32 +37,27 @@ class TestInvariantReport:
     @pytest.mark.parametrize("curve,weights,reference", corpus_cases())
     def test_corpus_curves(self, curve, weights, reference):
         report = invariants(curve, weights)
-        assert writes(report.to_json, invariant_payload(report))
         assert report.to_dict() == invariant_payload(report)
+        assert prints(report.to_dict(), invariant_payload(report))
 
     @given(weighted_curves())
     def test_weighted_curves(self, drawn):
         curve, weights = drawn
         report = invariants(curve, weights)
-        assert writes(report.to_json, invariant_payload(report))
+        assert report.to_dict() == invariant_payload(report)
+        assert prints(report.to_dict(), invariant_payload(report))
 
     def test_a_rank_zero_curve_writes_empty_lists(self):
         report = invariants(factored([("x", 2)]), (1, 1))
         assert (report.rank, report.a_action) == (0, ())
-        assert writes(report.to_json, invariant_payload(report))
+        assert report.to_dict() == invariant_payload(report)
+        assert prints(report.to_dict(), invariant_payload(report))
 
     def test_an_action_class_outside_the_basis_is_written_by_its_own_text(self):
         report = invariants(factored([("x", 3)], "x^3+y^3"), (1, 1))
         other = report._replace(a_action=((parse_polynomial("x - y", ("x", "y")), Fraction(1, 2)),))
-        assert writes(other.to_json, invariant_payload(other))
-
-    def test_the_witness_member_is_written_in_the_same_pass(self):
-        report = invariants(factored([("x", 3)], "x^3+y^3"))
-        witness = {"holds": True, "jet_order": 12}
-        extra = {"torsion_free_witness": partial(cli._json, witness)}
-        payload = {**invariant_payload(report), "torsion_free_witness": witness}
-        assert writes(partial(report.to_json, extra=extra), payload)
-        assert report.to_dict(extra) == payload
+        assert other.to_dict() == invariant_payload(other)
+        assert prints(other.to_dict(), invariant_payload(other))
 
 
 # (isolated germ, curve factors, residual, weights): with an (a,b)-module
@@ -90,19 +81,15 @@ class TestSuspensionReport:
         curve_report = invariants(curve, weights)
         report = suspend(isolated, curve_report)
         assert (report.ab_model is None) == (weights is None or curve_report.rank == 0)
-        payload = suspension_payload(report)
-        assert writes(report.to_json, payload)
-        assert writes(partial(report.to_json, names=PolyNames()), payload)
-        assert report.to_dict() == {**payload, "ab_model": report.ab_model}
-        assert writes(isolated.to_json, germ_payload(isolated))
+        reference = suspension_payload(report)
+        payload = {**reference, "ab_model": report.ab_model}
+        assert report.to_dict() == report.to_dict(PolyNames()) == payload
+        assert prints(report.to_dict(), reference)
         assert isolated.to_dict() == germ_payload(isolated)
+        assert prints(isolated.to_dict(), germ_payload(isolated))
         check = verify_suspension_direct(isolated, curve, curve_report)
-        assert writes(check.to_json, direct_payload(check))
         assert check.to_dict() == direct_payload(check)
-        extra = {"direct_check": check.to_json}
-        with_check = {**payload, "direct_check": direct_payload(check)}
-        assert writes(partial(report.to_json, extra=extra), with_check)
-        assert report.to_dict(extra=extra) == {**with_check, "ab_model": report.ab_model}
+        assert prints(check.to_dict(), direct_payload(check))
 
 
 # each command's JSON envelope is the text json.dumps(indent=2) prints
