@@ -22,7 +22,6 @@ from .curve import (
     annihilator_field,
     annihilator_form,
     check_hypotheses,
-    closed_form_witness,
     invariants,
     torsion_free_witness,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "annihilator_field",
     "annihilator_form",
     "check_hypotheses",
-    "closed_form_witness",
     "factorial_identity_holds",
     "invariants",
     "is_regular",

@@ -47,35 +47,34 @@ class ABModule:
     def __new__(
         cls, rank: int, trunc_order: int, a_matrix: Sequence[Sequence[Sequence[Scalar]]], label=""
     ):
-        return cls._of_ratios(rank, trunc_order, a_matrix, label, scalars=True)
+        # a bad size is named first (by _of_ratios, on no cells), then a bad scalar
+        pair = lambda c: (c.numerator, c.denominator)
+        cells = [
+            [{power: pair(exact_scalar(c)) for power, c in enumerate(entry)} for entry in row]
+            for row in a_matrix
+        ] if rank >= 1 and trunc_order >= 2 else []
+        return cls._of_ratios(rank, trunc_order, cells, label)
 
     @classmethod
-    def _of_ratios(cls, rank: int, trunc_order: int, cells, label: str, scalars=False):
-        """The module of {b-power: (numerator, denominator > 0)} cells (of lists
-        of exact scalars by b-power, if ``scalars``), over their lcm; InputError
-        unless the sizes hold and the matrix is rank x rank of degree < N in b."""
+    def _of_ratios(cls, rank: int, trunc_order: int, cells, label: str):
+        """The module of {b-power: (numerator, denominator > 0)} cells, b-powers
+        in any order, over their lcm; InputError unless the sizes hold and the
+        matrix is rank x rank of degree < N in b."""
         if rank < 1:
             raise InputError("rank must be at least 1")
         if trunc_order < 2:
             raise InputError("truncation order must be at least 2")
-        if scalars:  # dense pairs by b-power, scaled below in one comprehension
-            pair = lambda c: (c.numerator, c.denominator)
-            cells = [[[pair(exact_scalar(c)) for c in entry] for entry in row] for row in cells]
         if len(cells) != rank or any(len(row) != rank for row in cells):
             raise InputError(f"a-matrix must be {rank}x{rank}")
-        if scalars:
-            scale = lcm(*{q for row in cells for entry in row for _, q in entry})
-            matrix = [[_trimmed([p * (scale // q) for p, q in e]) for e in row] for row in cells]
-        else:  # a record's cells, b-powers in any order, each filled into a dense list
-            scale = lcm(*{q for row in cells for entry in row for _, q in entry.values()})
-            matrix = []
-            for row in cells:
-                matrix.append(numerators := [])
-                for ratios in row:
-                    values = [0] * (max(ratios) + 1) if ratios else []
-                    for power, (p, q) in ratios.items():
-                        values[power] = p * (scale // q)
-                    numerators.append(_trimmed(values))
+        scale = lcm(*{q for row in cells for entry in row for _, q in entry.values()})
+        matrix = []
+        for row in cells:  # each cell filled into a dense list
+            matrix.append(numerators := [])
+            for ratios in row:
+                values = [0] * (max(ratios) + 1) if ratios else []
+                for power, (p, q) in ratios.items():
+                    values[power] = p * (scale // q)
+                numerators.append(_trimmed(values))
         matrix = tuple(map(tuple, matrix))
         if any(len(entry) > trunc_order for row in matrix for entry in row):
             raise InputError("a-matrix entry exceeds the truncation order in b")

@@ -34,7 +34,7 @@ from .ab_module import (
 from .curve import FactoredCurve, invariants, torsion_free_witness
 from .errors import BrieskornError, InconclusiveError, InputError
 from .local_algebra import DEFAULT_JET_CAP
-from .poly import Poly, PolyNames, Scalar, parse_fraction, parse_polynomial
+from .poly import Poly, Scalar, parse_fraction, parse_polynomial
 from .suspension import milnor_isolated, suspend, verify_suspension_direct
 
 EXIT_OK = 0
@@ -220,17 +220,16 @@ def _cmd_suspend(args, out) -> int:
     start = time.perf_counter()
     germ = milnor_isolated(germ_poly)
     curve_report = invariants(curve, weights, jet_cap=args.jet_cap)
-    names = PolyNames()
     echo = {
         "isolated": germ.f,
         "isolated_variables": ",".join(isolated_vars),
         "g": curve_report.f,
-        "factored": curve.text(names),
+        "factored": str(curve),
         "variables": ",".join(variables),
         "weights": args.weights or "",
     }
     result = suspend(germ, curve_report, trunc_order=args.trunc)
-    payload = result.to_dict(names)
+    payload = result.to_dict()
     if args.verify_direct:
         check = verify_suspension_direct(germ, curve, curve_report)
         payload["direct_check"] = check.to_dict()
@@ -357,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--version", action="version", version=__version__)
-    # each subcommand takes only the settings it reads
+    # a subcommand takes no setting that it neither reads nor echoes
     module_settings = argparse.ArgumentParser(add_help=False)
     module_settings.add_argument(
         "--trunc", type=_at_least(2), default=DEFAULT_TRUNC_ORDER, help="b-truncation order"

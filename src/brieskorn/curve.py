@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 from operator import add, mul
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import InconclusiveError, InputError
 from .forms import ExactFormImages, exact_form_images
@@ -40,7 +40,7 @@ from .local_algebra import (
     shifted_terms,
     twisted_quotient_dim,
 )
-from .poly import Exponents, Poly, PolyNames, WeightSystem, format_fraction, listing_key
+from .poly import Exponents, Poly, WeightSystem, format_fraction, listing_key
 
 
 class FactoredCurve:
@@ -144,15 +144,11 @@ class FactoredCurve:
         """The product u_1^(p_1-1) ... u_k^(p_k-1)."""
         return self._h
 
-    def text(self, names: Optional[PolyNames] = None) -> str:
-        """The factored form, each polynomial named through ``names``."""
-        name = str if names is None else names.__getitem__
-        pieces = [f"({name(u)})^{p}" for u, p in self.factors]
+    def __str__(self) -> str:  # the factored form
+        pieces = [f"({u})^{p}" for u, p in self.factors]
         if not self.residual_is_constant or self.residual.constant_value() != 1:
-            pieces.append(f"({name(self.residual)})")
+            pieces.append(f"({self.residual})")
         return " * ".join(pieces)
-
-    __str__ = text
 
 
 def annihilator_form(curve: FactoredCurve) -> tuple[Poly, Poly]:
@@ -236,9 +232,17 @@ class Assumptions(NamedTuple):
         return {**self._asdict(), "exact": self.exact}
 
 
-def action_list(entries: Iterable[tuple[str, Fraction]]) -> list[dict]:
-    """The ``a_action`` payload of (monomial text, coefficient) pairs."""
-    return [{"monomial": m, "coefficient": format_fraction(c)} for m, c in entries]
+def basis_payload(
+    basis: Sequence[Poly], action: Optional[Sequence[tuple[Poly, Fraction]]]
+) -> tuple[list[str], Optional[list[dict]]]:
+    """A report's basis texts and ``a_action`` payload: each basis class is
+    rendered once, and an action class outside the basis by its own text."""
+    text = {id(m): str(m) for m in basis}
+    entries = None if action is None else [
+        {"monomial": text.get(id(m)) or str(m), "coefficient": format_fraction(c)}
+        for m, c in action
+    ]
+    return [text[id(m)] for m in basis], entries
 
 
 class InvariantReport(NamedTuple):
@@ -260,12 +264,9 @@ class InvariantReport(NamedTuple):
     def basis(self) -> tuple[Poly, ...]:
         return self.basis_mu + self.basis_nu
 
-    def to_dict(self, names: Optional[PolyNames] = None) -> dict:
-        # each basis class is printed once: a_action lists the same objects;
-        # ``names`` shares texts by value with the rest of a report
-        text = {id(p): str(p) if names is None else names[p] for p in self.basis}
-        basis_mu, basis_nu = ([text[id(p)] for p in b] for b in (self.basis_mu, self.basis_nu))
-        ws = self.weights
+    def to_dict(self) -> dict:
+        basis, action = basis_payload(self.basis, self.a_action)
+        ws, split = self.weights, len(self.basis_mu)
         return {
             "f": self.f,
             "variables": list(self.variables),
@@ -275,12 +276,10 @@ class InvariantReport(NamedTuple):
             "delta": self.delta,
             "rank": self.rank,
             "betti_n": self.betti_n,
-            "basis": basis_mu + basis_nu,
-            "basis_mu": basis_mu,
-            "basis_nu": basis_nu,
-            "a_action": None
-            if self.a_action is None  # the basis classes, or any others
-            else action_list((text.get(id(p)) or str(p), c) for p, c in self.a_action),
+            "basis": basis,
+            "basis_mu": basis[:split],
+            "basis_nu": basis[split:],
+            "a_action": action,
             "weights": None
             if ws is None
             else {
@@ -641,30 +640,3 @@ def torsion_free_witness(curve: FactoredCurve, jet_order: int = 12) -> bool:
                 jet_order=jet_order,
             )
     return True
-
-
-# -- closed multiples of the annihilator form -----------------------------------
-
-
-def closed_form_witness(curve: FactoredCurve) -> Optional[Poly]:
-    """Closed multiple h0 of alpha, for curves with constant residual.
-
-    When the multiplicities share a common divisor D > 1, the product
-    h0 = prod u_i^(p_i/D - 1) satisfies d(h0 alpha) = 0 exactly and is
-    returned.  When gcd = 1 no product of powers of the u_i below the
-    multiplicities, other than the cofactor of df itself, is a closed
-    multiple, and None is returned.
-    """
-    if not curve.residual_is_constant:
-        raise InputError("the closed-form witness applies to constant residuals only")
-    common = gcd(*(p for _, p in curve.factors))
-    if common == 1:
-        return None
-    h0 = Poly.constant(curve.variables, 1)
-    for u, p in curve.factors:
-        h0 = h0 * u ** (p // common - 1)
-    # d(h0 a dx + h0 b dy) = ((h0 b)_x - (h0 a)_y) dx ^ dy
-    (a, b), (x, y) = annihilator_form(curve), curve.variables
-    if (h0 * b).derivative(x) != (h0 * a).derivative(y):
-        raise RuntimeError("internal invariant violation: predicted witness is not closed")
-    return h0

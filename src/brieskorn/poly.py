@@ -381,14 +381,6 @@ class Poly:
         return f"Poly({str(self)!r}, vars={self.variables!r})"
 
 
-class PolyNames(dict):
-    """Polynomial texts of one report, each rendered once per ring and terms."""
-
-    def __missing__(self, poly: Poly) -> str:
-        text = self[poly] = str(poly)
-        return text
-
-
 def integer_weights(weights: Sequence[Scalar]) -> tuple[tuple[int, ...], int]:
     """Weights rescaled by the lcm of their denominators: returns
     (integer weights, scale)."""

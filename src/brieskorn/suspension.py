@@ -13,47 +13,42 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 from .ab_module import DEFAULT_TRUNC_ORDER, ABModule, tensor
-from .curve import FactoredCurve, InvariantReport, a_action, action_list
+from .curve import FactoredCurve, InvariantReport, a_action, basis_payload
 from .errors import InputError
 from .forms import exact_form_images
 from .linalg import Span
 from .groebner import isolated_at_origin, torsion_length
 from .local_algebra import jacobian_ideal, local_quotient
-from .poly import Exponents, Poly, PolyNames, WeightSystem, format_fraction, listing_key
+from .poly import Poly, WeightSystem, format_fraction, listing_key
 
 
 class IsolatedGerm(NamedTuple):
-    """An isolated singularity, its text ``f``, its Milnor data and an
-    optional weight certificate carrying verified a-action coefficients."""
+    """An isolated singularity, its text ``f``, its Milnor number, its basis
+    monomials by ``listing_key`` and an optional weight certificate carrying
+    verified a-action coefficients, listed as ``basis`` is."""
 
     poly: Poly
     milnor: int
-    basis: tuple[Exponents, ...]
+    basis: tuple[Poly, ...]
     weights: Optional[WeightSystem]
-    a_coefficients: Optional[tuple[tuple[Exponents, Fraction], ...]]
+    a_action: Optional[tuple[tuple[Poly, Fraction], ...]]
     f: str
 
     @property
     def variables(self) -> tuple[str, ...]:
         return self.poly.variables
 
-    def monomial_str(self, exponents: Exponents) -> str:
-        return str(Poly.monomial(self.variables, exponents))
-
     def to_dict(self) -> dict:
-        # a_action lists the basis monomials again: print each once
-        text = {e: self.monomial_str(e) for e in self.basis}
+        basis, action = basis_payload(self.basis, self.a_action)
         return {
             "f": self.f,
             "variables": list(self.variables),
             "milnor": self.milnor,
-            "basis": list(text.values()),
+            "basis": basis,
             "weights": None
             if self.weights is None
             else [format_fraction(w) for w in self.weights.weights],
-            "a_action": None
-            if self.a_coefficients is None
-            else action_list((text[e], c) for e, c in self.a_coefficients),
+            "a_action": action,
         }
 
 
@@ -105,26 +100,18 @@ def milnor_isolated(f: Poly) -> IsolatedGerm:
         raise InputError(
             f"infinite colength: {f} does not have an isolated critical point"
         )
-    value, basis = local_quotient(J)
+    value, found = local_quotient(J)
     if value == 0:
         raise InputError(f"smooth germ rejected: {f} has Milnor number 0")
+    basis = tuple(Poly.monomial(f.variables, e) for e in sorted(found, key=listing_key))
     detected = _auto_weights(f)
     ws = None if detected is None else WeightSystem(detected, 1)
-    action: Optional[tuple[tuple[Exponents, Fraction], ...]] = None
+    action = None
     if ws is not None:
-        monomials = [Poly.monomial(f.variables, e) for e in basis]
         df = tuple(f.derivative(v) for v in f.variables)
         one = Poly.constant(f.variables, 1)
-        proved = a_action(f, df[0], one, exact_form_images(df), ws, monomials)
-        action = tuple((e, c) for e, (_, c) in zip(basis, proved))
-    return IsolatedGerm(
-        poly=f,
-        milnor=value,
-        basis=tuple(sorted(basis, key=listing_key)),
-        weights=ws,
-        a_coefficients=action,
-        f=str(f),
-    )
+        action = a_action(f, df[0], one, exact_form_images(df), ws, basis)
+    return IsolatedGerm(poly=f, milnor=value, basis=basis, weights=ws, a_action=action, f=str(f))
 
 
 class SuspensionReport(NamedTuple):
@@ -134,22 +121,22 @@ class SuspensionReport(NamedTuple):
     nu: int
     rank: int
     ab_model: Optional[ABModule]
-    basis_pairs: tuple[tuple[Exponents, Poly], ...]
+    basis_pairs: tuple[tuple[Poly, Poly], ...]
     provenance: tuple[str, ...]
 
-    def to_dict(self, names: Optional[PolyNames] = None) -> dict:
+    def to_dict(self) -> dict:
         # with the germ's and the curve's reports, whose basis texts the
         # pairs repeat: each is printed once
-        isolated, curve = self.germ.to_dict(), self.curve_report.to_dict(names)
-        germ_text = dict(zip(self.germ.basis, isolated["basis"]))
-        curve_text = {id(b): text for b, text in zip(self.curve_report.basis, curve["basis"])}
+        isolated, curve = self.germ.to_dict(), self.curve_report.to_dict()
+        pairs = zip(self.germ.basis + self.curve_report.basis, isolated["basis"] + curve["basis"])
+        text = {id(m): t for m, t in pairs}
         return {
             "F": f"({self.germ.f}) + ({self.curve_report.f})",
             "mu": self.mu,
             "nu": self.nu,
             "rank": self.rank,
             "basis_pairs": [
-                {"isolated": germ_text[a], "curve": curve_text[id(b)]} for a, b in self.basis_pairs
+                {"isolated": text[id(a)], "curve": text[id(b)]} for a, b in self.basis_pairs
             ],
             "ab_model": self.ab_model,  # cli._json writes it, to_record() is its dict
             "provenance": list(self.provenance),
@@ -168,7 +155,8 @@ def suspend(
     Requires the curve report to carry the torsion-free flag (the
     transport is an isomorphism of the associated modules only then).
     The suspended module is the tensor product of the two diagonal
-    quasi-homogeneous models when both sides carry nonempty a-action data.
+    quasi-homogeneous models when both sides carry nonempty a-action data;
+    its k-th basis vector is ``basis_pairs[k]``.
     """
     if not curve_report.assumptions.torsion_free:
         raise InputError(
@@ -187,12 +175,9 @@ def suspend(
         "nu: Milnor number of the isolated factor times curve nu",
         "rank: Milnor number of the isolated factor times curve rank",
     ]
-    basis_pairs = tuple(
-        (a, b) for a in germ.basis for b in curve_report.basis
-    )
     model: Optional[ABModule] = None
-    if germ.a_coefficients and curve_report.a_action:  # a rank-0 curve's action is ()
-        left = _diagonal_module(germ.a_coefficients, trunc_order)
+    if germ.a_action and curve_report.a_action:  # a rank-0 curve's action is ()
+        left = _diagonal_module(germ.a_action, trunc_order)
         right = _diagonal_module(curve_report.a_action, trunc_order)
         model = tensor(left, right, label=f"suspension({germ.f} + {curve_report.f})")
         provenance.append(
@@ -205,12 +190,12 @@ def suspend(
         nu=nu_total,
         rank=rank_total,
         ab_model=model,
-        basis_pairs=basis_pairs,
+        basis_pairs=tuple((a, b) for a in germ.basis for b in curve_report.basis),
         provenance=tuple(provenance),
     )
 
 
-def _diagonal_module(action: Sequence[tuple[Exponents, Fraction]], trunc_order: int) -> ABModule:
+def _diagonal_module(action: Sequence[tuple[Poly, Fraction]], trunc_order: int) -> ABModule:
     rank = len(action)
     matrix = [[[0, c] if i == j else [] for j in range(rank)] for i, (_, c) in enumerate(action)]
     return ABModule(rank, trunc_order, matrix)

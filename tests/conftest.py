@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import product
+from math import gcd
 from operator import mul
 from typing import Callable, Hashable, Iterable, Optional
 
@@ -534,6 +535,29 @@ def transversal_milnor(curve: FactoredCurve, branch: int) -> int:
     if order < 2:
         raise InputError(f"degenerate slice: f has valuation {order} < 2 along {u}")
     return order - 1
+
+
+def closed_form_witness(curve: FactoredCurve) -> Optional[Poly]:
+    """Closed multiple h0 of alpha, for curves with constant residual.
+
+    When the multiplicities share a common divisor D > 1, the product
+    h0 = prod u_i^(p_i/D - 1) satisfies d(h0 alpha) = 0 exactly and is
+    returned (a RuntimeError if it does not).  When gcd = 1 no product of
+    powers of the u_i below the multiplicities, other than the cofactor of
+    df itself, is a closed multiple (``closed_product_exponents``), and
+    None is returned.
+    """
+    if not curve.residual_is_constant:
+        raise InputError("the closed-form witness applies to constant residuals only")
+    common = gcd(*(p for _, p in curve.factors))
+    if common == 1:
+        return None
+    h0 = Poly.constant(curve.variables, 1)
+    for u, p in curve.factors:
+        h0 = h0 * u ** (p // common - 1)
+    if not (one_form(annihilator_form(curve)) * h0).d().is_zero:
+        raise RuntimeError("internal invariant violation: predicted witness is not closed")
+    return h0
 
 
 def closed_product_exponents(curve: FactoredCurve) -> list[tuple[int, ...]]:

@@ -5,18 +5,16 @@ indent=2)`` of one is the text the CLI's one JSON writer must print.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from brieskorn.curve import InvariantReport
-from brieskorn.poly import PolyNames, format_fraction
+from brieskorn.poly import format_fraction
 from brieskorn.suspension import DirectCheck, IsolatedGerm, SuspensionReport
 
 from test_ab_module import reference_record
 
 
-def invariant_payload(report: InvariantReport, names: Optional[PolyNames] = None) -> dict:
+def invariant_payload(report: InvariantReport) -> dict:
     # each basis class is printed once: a_action lists the same objects
-    text = {id(p): str(p) if names is None else names[p] for p in report.basis}
+    text = {id(p): str(p) for p in report.basis}
     basis_mu, basis_nu = ([text[id(p)] for p in b] for b in (report.basis_mu, report.basis_nu))
     return {
         "f": report.f,
@@ -47,29 +45,30 @@ def invariant_payload(report: InvariantReport, names: Optional[PolyNames] = None
 
 
 def germ_payload(germ: IsolatedGerm) -> dict:
-    text = {e: germ.monomial_str(e) for e in germ.basis}
+    # each basis class is printed once: a_action lists the same objects
+    text = {id(m): str(m) for m in germ.basis}
     return {
         "f": germ.f,
         "variables": list(germ.variables),
         "milnor": germ.milnor,
-        "basis": list(text.values()),
+        "basis": [text[id(m)] for m in germ.basis],
         "weights": None
         if germ.weights is None
         else [format_fraction(w) for w in germ.weights.weights],
         "a_action": None
-        if germ.a_coefficients is None
+        if germ.a_action is None
         else [
-            {"monomial": text[e], "coefficient": format_fraction(c)}
-            for e, c in germ.a_coefficients
+            {"monomial": text[id(m)], "coefficient": format_fraction(c)}
+            for m, c in germ.a_action
         ],
     }
 
 
-def suspension_payload(report: SuspensionReport, names: Optional[PolyNames] = None) -> dict:
+def suspension_payload(report: SuspensionReport) -> dict:
     """The payload with the (a,b)-module as its record (``reference_record``,
     read off the module's view)."""
-    isolated, curve = germ_payload(report.germ), invariant_payload(report.curve_report, names)
-    germ_text = dict(zip(report.germ.basis, isolated["basis"]))
+    isolated, curve = germ_payload(report.germ), invariant_payload(report.curve_report)
+    germ_text = {id(a): text for a, text in zip(report.germ.basis, isolated["basis"])}
     curve_text = {id(b): text for b, text in zip(report.curve_report.basis, curve["basis"])}
     return {
         "F": f"({report.germ.f}) + ({report.curve_report.f})",
@@ -77,7 +76,8 @@ def suspension_payload(report: SuspensionReport, names: Optional[PolyNames] = No
         "nu": report.nu,
         "rank": report.rank,
         "basis_pairs": [
-            {"isolated": germ_text[a], "curve": curve_text[id(b)]} for a, b in report.basis_pairs
+            {"isolated": germ_text[id(a)], "curve": curve_text[id(b)]}
+            for a, b in report.basis_pairs
         ],
         "ab_model": None if report.ab_model is None else reference_record(report.ab_model),
         "provenance": list(report.provenance),

@@ -25,7 +25,6 @@ from brieskorn.curve import (
     FactoredCurve,
     annihilator_field,
     annihilator_form,
-    closed_form_witness,
     invariants,
     torsion_free_witness,
 )
@@ -34,6 +33,7 @@ from brieskorn.poly import parse_polynomial
 from brieskorn.suspension import milnor_isolated, suspend, verify_suspension_direct
 
 from conftest import (
+    closed_form_witness,
     closed_product_exponents,
     columns_commute,
     rank_one,

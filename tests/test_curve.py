@@ -29,7 +29,6 @@ from brieskorn.curve import (
     annihilator_field,
     annihilator_form,
     check_hypotheses,
-    closed_form_witness,
     invariants,
     milnor_fibre_betti,
     torsion_free_witness,
@@ -58,6 +57,7 @@ from conftest import (
     GradedIdeal,
     certificate_inputs,
     class_certificate,
+    closed_form_witness,
     closed_product_exponents,
     curve_certificate_inputs,
     mu,
@@ -442,7 +442,7 @@ class TestInvariants:
         # milnor_isolated passes alpha = df and h = 1
         divisions = watch_the_hot_path(monkeypatch)
         germ = milnor_isolated(parse_polynomial("x^3+y^4", XY))
-        assert len(germ.a_coefficients) == germ.milnor == 6
+        assert len(germ.a_action) == germ.milnor == 6
         assert True not in divisions
 
     def test_non_quasi_homogeneous_weights_rejected(self):
@@ -978,9 +978,9 @@ class TestIntegerOracleTarget:
         alpha = gradient(f)
         holds = class_certificate(*certificate_inputs(f, alpha), germ.weights)
         reference = reference_oracle(f, alpha, germ.weights)
-        assert len(germ.a_coefficients) == germ.milnor
-        for exps, c in germ.a_coefficients:
-            m = Poly.monomial(variables, exps)
+        assert [m for m, _ in germ.a_action] == list(germ.basis)
+        assert len(germ.a_action) == germ.milnor
+        for m, c in germ.a_action:
             assert holds(m, c) and reference(m, c)
             assert not holds(m, c + Fraction(1, 7))
 
@@ -1004,9 +1004,9 @@ class TestEulerWitness:
         germ = milnor_isolated(parse_polynomial(text, variables))
         f = germ.poly
         holds = class_certificate(*certificate_inputs(f), germ.weights)
-        assert len(germ.a_coefficients) == germ.milnor
-        for exps, c in germ.a_coefficients:
-            m = Poly.monomial(variables, exps)
+        assert [m for m, _ in germ.a_action] == list(germ.basis)
+        assert len(germ.a_action) == germ.milnor
+        for m, c in germ.a_action:
             assert c == predicted(germ.weights, m) and holds(m, c)
 
     CASES = [

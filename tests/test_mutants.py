@@ -168,7 +168,7 @@ class TestAActionMutants:
     @pytest.mark.parametrize("rep", ["1", "x*y^2"])
     def test_shifted_germ_coefficient_names_the_first_of_its_degree(self, monkeypatch, rep):
         germ = milnor_isolated(p("x^3+y^4"))
-        classes = [Poly.monomial(XY, e) for e, _ in germ.a_coefficients]
+        classes = [m for m, _ in germ.a_action]
         first = first_of_degree(germ.weights, classes, p(rep))
         monkeypatch.setattr("brieskorn.curve.a_action_coefficient", shifted_on(p(rep)))
         with pytest.raises(InputError, match=failed_on(first)):
@@ -230,11 +230,10 @@ def germ_action(text: str) -> tuple:
     """The a-action ``milnor_isolated`` reports, asserted equal to the
     per-class reference."""
     germ = milnor_isolated(p(text))
-    f, basis = germ.poly, [p(germ.monomial_str(e)) for e, _ in germ.a_coefficients]
+    f = germ.poly
     alpha = (f.derivative("x"), f.derivative("y"))
-    reference = reference_a_action(f, alpha, germ.weights, basis)
-    assert [c for _, c in reference] == [c for _, c in germ.a_coefficients]
-    return germ.a_coefficients
+    assert germ.a_action == reference_a_action(f, alpha, germ.weights, germ.basis)
+    return germ.a_action
 
 
 class TestIntegerScaleMutants:

@@ -32,6 +32,7 @@ from conftest import certificate_inputs, class_certificate, columns_commute, sta
 XY = ("x", "y")
 Z = ("z",)
 XYZ = ("x", "y", "z")
+AB = ("a", "b")
 
 
 def p(text, variables=XY):
@@ -79,7 +80,7 @@ class TestMilnorIsolated:
             milnor=g.milnor,
             basis=g.basis,
             weights=g.weights,
-            a_coefficients=g.a_coefficients,
+            a_action=g.a_action,
             f="z^3",
         )
         assert keywords == g == IsolatedGerm(*g) != g._replace(milnor=3)
@@ -88,23 +89,24 @@ class TestMilnorIsolated:
         assert g == tuple(g) and g[1] == g.milnor == 2 and len(g) == 6
         poly, milnor, *_ = g
         assert (poly, milnor) == (g.poly, 2)
+        one, z = "Poly('1', vars=('z',))", "Poly('z', vars=('z',))"
         assert repr(keywords) == (
-            "IsolatedGerm(poly=Poly('z^3', vars=('z',)), milnor=2, basis=((0,), (1,)), "
+            f"IsolatedGerm(poly=Poly('z^3', vars=('z',)), milnor=2, basis=({one}, {z}), "
             "weights=WeightSystem(weights=(1/3), degree=1), "
-            "a_coefficients=(((0,), Fraction(1, 3)), ((1,), Fraction(2, 3))), f='z^3')"
+            f"a_action=(({one}, Fraction(1, 3)), ({z}, Fraction(2, 3))), f='z^3')"
         )
 
     def test_one_variable_powers(self):
         g = milnor_isolated(p("z^2", Z))
         assert g.milnor == 1
-        assert [g.monomial_str(e) for e in g.basis] == ["1"]
+        assert [str(m) for m in g.basis] == ["1"]
         assert g.weights is not None and g.weights.weights == (Fraction(1, 2),)
-        assert g.a_coefficients == (((0,), Fraction(1, 2)),)
+        assert g.a_action == ((p("1", Z), Fraction(1, 2)),)
 
         g3 = milnor_isolated(p("z^3", Z))
         assert g3.milnor == 2
-        assert [g3.monomial_str(e) for e in g3.basis] == ["1", "z"]
-        assert dict(g3.a_coefficients) == {(0,): Fraction(1, 3), (1,): Fraction(2, 3)}
+        assert [str(m) for m in g3.basis] == ["1", "z"]
+        assert g3.a_action == ((p("1", Z), Fraction(1, 3)), (p("z", Z), Fraction(2, 3)))
 
     def test_two_variable_example_against_oracle(self):
         # J(x^3 + y^4) = (3x^2, 4y^3): the oracle counts six monomials
@@ -113,15 +115,16 @@ class TestMilnorIsolated:
         g = milnor_isolated(p("x^3+y^4"))
         assert g.milnor == expected
         assert g.weights.weights == (Fraction(1, 3), Fraction(1, 4))
-        # spectrum values (w(m) + |w|) on the basis, all oracle-verified
-        assert dict((g.monomial_str(e), c) for e, c in g.a_coefficients) == {
+        # spectrum values (w(m) + |w|) on the basis, all oracle-verified,
+        # listed in basis order
+        assert [(str(m), c) for m, c in g.a_action] == list({
             "1": Fraction(7, 12),
             "x": Fraction(11, 12),
             "y": Fraction(5, 6),
             "x*y": Fraction(7, 6),
             "y^2": Fraction(13, 12),
             "x*y^2": Fraction(17, 12),
-        }
+        }.items())
 
     def test_equal_weighted_germs_hash_equal(self):
         first, second = milnor_isolated(p("x^3+y^4")), milnor_isolated(p("x^3+y^4"))
@@ -159,7 +162,8 @@ class TestMilnorIsolated:
         # rule wherever that rule concludes (z^30 needs its cap above 30)
         g = milnor_isolated(p(text, variables))
         value, basis, _ = stable_colength(jacobian_ideal(g.poly), cap=40)
-        assert (g.milnor, g.basis) == (value, tuple(sorted(basis, key=listing_key)))
+        listed = tuple(Poly.monomial(variables, e) for e in sorted(basis, key=listing_key))
+        assert (g.milnor, g.basis) == (value, listed)
 
     def test_must_vanish_at_origin(self):
         with pytest.raises(InputError):
@@ -180,11 +184,10 @@ class TestActionOracle:
     @pytest.mark.parametrize("text,variables,expected", CASES)
     def test_accepts_emitted_rejects_shifted(self, text, variables, expected):
         g = milnor_isolated(p(text, variables))
-        coefficients = [c for _, c in g.a_coefficients]
+        coefficients = [c for _, c in g.a_action]
         assert sorted(coefficients) == sorted(Fraction(c) for c in expected)
         inputs = certificate_inputs(g.poly)
-        for exps, c in g.a_coefficients:
-            m = Poly.monomial(variables, exps)
+        for m, c in g.a_action:
             assert class_certificate(*inputs, g.weights)(m, c)
             shifted = c + Fraction(1, 7)
             assert not class_certificate(*inputs, g.weights)(m, shifted)
@@ -199,7 +202,7 @@ class TestActionOracle:
         # milnor_isolated drives curve.a_action, which builds the certificate
         monkeypatch.setattr("brieskorn.curve._action_certificate", counting)
         g = milnor_isolated(p("x^3+y^3+z^3", XYZ))
-        assert len(g.a_coefficients) == 8
+        assert len(g.a_action) == 8
         assert len(built) == 1
 
 
@@ -234,22 +237,38 @@ class TestSuspend:
         assert entry == (0, Fraction(5, 6))  # 1/2 + 1/3
 
     @pytest.mark.parametrize(
-        "curve, germ",
-        [(cross, "z^2"), (sextic, "z^3")],
-        ids=["corpus-z2+lines-x2y2-w", "z3+sextic"],
+        "curve, germ, variables",
+        [(cross, "z^2", Z), (sextic, "z^3", Z), (cross, "a^5+b^3", AB)],
+        ids=["corpus-z2+lines-x2y2-w", "z3+sextic", "a5+b3+cross"],
     )
-    def test_model_is_the_diagonal_of_the_summed_actions(self, curve, germ):
+    def test_model_is_the_diagonal_of_the_summed_actions(self, curve, germ, variables):
         # the diagonal law on a suspension: the tensor of diag(c_i b) and
-        # diag(d_j b) is diag((c_i + d_j) b) at index i * r_curve + j
+        # diag(d_j b) is diag((c_i + d_j) b) at index i * r_curve + j, where
+        # c_i and d_j belong to the i-th and j-th basis classes
         rep = invariants(curve(), weights=(1, 1))
-        isolated = milnor_isolated(p(germ, Z))
+        isolated = milnor_isolated(p(germ, variables))
         model = suspend(isolated, rep).ab_model
-        sums = [c + d for _, c in isolated.a_coefficients for _, d in rep.a_action]
+        c, d = dict(isolated.a_action), dict(rep.a_action)
+        sums = [c[m] + d[n] for m in isolated.basis for n in rep.basis]
         assert model.rank == len(sums) == isolated.milnor * rep.rank
         assert model.a_matrix == tuple(
             tuple((0, total) if i == j and total else () for j in range(len(sums)))
             for i, total in enumerate(sums)
         )
+
+    @pytest.mark.parametrize("curve", [cross, sextic], ids=["cross", "sextic"])
+    @pytest.mark.parametrize("germ", ["a^5+b^3", "a^4+b^3"])
+    def test_germ_action_lists_the_basis_and_the_model_adds_on_basis_pairs(self, curve, germ):
+        # both germs list their basis classes in another order than their
+        # scan finds them (by degree): the germ's action follows basis, and
+        # the model's k-th diagonal entry belongs to basis_pairs[k]
+        isolated = milnor_isolated(p(germ, AB))
+        assert [m for m, _ in isolated.a_action] == list(isolated.basis)
+        result = suspend(isolated, invariants(curve(), weights=(1, 1)))
+        c, d = dict(isolated.a_action), dict(result.curve_report.a_action)
+        assert result.ab_model.rank == len(result.basis_pairs)
+        for k, (m, n) in enumerate(result.basis_pairs):
+            assert result.ab_model.a_matrix[k][k] == (0, c[m] + d[n]), (k, m, n)
 
     def test_rank2_times_rank13_is_26(self):
         from brieskorn.ab_module import ABModule
@@ -279,9 +298,7 @@ class TestSuspend:
     def test_basis_pairs_are_factor_major(self):
         rep = invariants(cross(), weights=(1, 1))
         result = suspend(milnor_isolated(p("z^3", Z)), rep)
-        labels = [
-            (result.germ.monomial_str(a), str(b)) for a, b in result.basis_pairs
-        ]
+        labels = [(str(a), str(b)) for a, b in result.basis_pairs]
         assert labels == [
             ("1", "x*y"), ("1", "1"),
             ("z", "x*y"), ("z", "1"),
@@ -313,7 +330,7 @@ class TestDirectVerification:
 
     def test_jet_path_without_certificates(self):
         germ = IsolatedGerm(
-            poly=p("z^2", Z), milnor=1, basis=((0,),), weights=None, a_coefficients=None,
+            poly=p("z^2", Z), milnor=1, basis=(p("1", Z),), weights=None, a_action=None,
             f="z^2",
         )
         rep = invariants(cross(), weights=None, jet_cap=14)
