@@ -298,8 +298,9 @@ def invariants(
     """Full invariant pipeline: mu, nu, rank = mu + nu, quotient basis,
     and (with a verifying weight certificate) the a-action coefficients.
 
-    No Groebner basis runs: the stops of the scans (``local_quotient``) of
-    every (g_x, g_y), (g_i, g_j) and (a, b) prove every clause of
+    No Groebner basis runs: the gcd certificates of ``milnor_fibre_betti``
+    or the stops of the scans (``local_quotient``) of every (g_x, g_y) and
+    (g_i, g_j), and the stop of (a, b), prove every clause of
     ``check_hypotheses``, which runs on an InputError to name the clause.
     With ``weights`` b_1 has no scans, and the stop of (a, b) alone proves
     every clause: each failed clause puts a factor through 0 into both
@@ -325,7 +326,8 @@ def invariants(
     field = annihilator_field(curve)
     try:
         ws = WeightSystem.for_poly(f, weights) if weights is not None else None
-        # jet input: the b_1 stops prove (a, b) isolated, so the mu scan stops
+        # jet input: the b_1 certificates and stops prove (a, b) isolated, so the
+        # mu scan stops
         betti = milnor_fibre_betti(curve) if ws is None else None
         mu_value, mu_basis = local_quotient(IdealGens.of(curve.variables, field), ws)
     except InputError:
@@ -380,35 +382,119 @@ def milnor_fibre_betti(curve: FactoredCurve, ws: Optional[WeightSystem] = None) 
     (``check_hypotheses``).  A'Campo's formula ("La fonction zêta d'une
     monodromie", Comment. Math. Helv. 50, 1975) gives
     chi(F) = sum_i m_i (1 - mu(g_i) - sum_(j != i) (g_i . g_j)_0), and F
-    has gcd(m_i) components, so b_1 = gcd(m_i) - chi(F).  Without ``ws``
-    each Milnor number and intersection number is a colength certified by
-    the scan of ``local_quotient``, counted with no basis
-    (``local_colength``).  With ``ws`` each part g, a factor of f, is
-    homogeneous of some degree d_g in the integer-scaled weights w, and
+    has gcd(m_i) components, so b_1 = gcd(m_i) - chi(F).  A part g
+    homogeneous of degree d_g in integer weights w has
     mu(g) = (d_g - w_x)(d_g - w_y) / (w_x w_y) (Milnor-Orlik, Topology 9,
-    1970; 0 for a smooth part), (g_i . g_j)_0 = d_i d_j / (w_x w_y)
-    (weighted Bezout).  These closed forms need the hypotheses proved
-    first: ``invariants`` proves them by the stop of the scan of (a, b)."""
+    1970; 0 for a smooth part), and two meet with (g_i . g_j)_0 =
+    d_i d_j / (w_x w_y) (weighted Bezout).  With ``ws`` every part is so, and
+    ``invariants`` proves the hypotheses first by the stop of the scan of
+    (a, b).  Without ``ws`` the closed forms serve each part, and each
+    pair, homogeneous in one weight once an integer gcd certifies the
+    hypothesis (``_weighted_shape``); every other number is a colength
+    certified by the scan of ``local_quotient``, with no basis
+    (``local_colength``), whose refusal names a failed clause."""
     parts = list(curve.factors)
     if not curve.residual_is_constant:
         parts.append((curve.residual, 1))
     gs, ms = zip(*parts)
     pairs = list(combinations(range(len(parts)), 2))
     if ws is None:
-        milnor = [0 if (J := jacobian_ideal(g)).contains_unit() else local_colength(J) for g in gs]
-        meets = [local_colength(IdealGens.of(curve.variables, [gs[i], gs[j]])) for i, j in pairs]
+        shapes = [_weighted_shape(g) for g in gs]
+        milnor = [
+            mu if (mu := _closed_milnor(s)) is not None
+            else 0 if (J := jacobian_ideal(g)).contains_unit() else local_colength(J)
+            for g, s in zip(gs, shapes)
+        ]
+        meets = [
+            meet if (meet := _closed_meet(shapes[i], shapes[j])) is not None
+            else local_colength(IdealGens.of(curve.variables, [gs[i], gs[j]]))
+            for i, j in pairs
+        ]
     else:
-        (wx, wy), _ = ws.integer_scaled()
-        found = [{wx * e + wy * e2 for e, e2 in g.terms} for g in gs]
+        w, _ = ws.integer_scaled()
+        found = [{w[0] * e + w[1] * e2 for e, e2 in g.terms} for g in gs]
         if any(len(ds) != 1 for ds in found):
             raise RuntimeError("internal invariant violation: a factor of f is not w-homogeneous")
         degrees = [min(ds) for ds in found]
-        milnor = [(d - wx) * (d - wy) // (wx * wy) for d in degrees]
-        meets = [degrees[i] * degrees[j] // (wx * wy) for i, j in pairs]
+        milnor = [_milnor_orlik(w, d) for d in degrees]
+        meets = [_bezout(w, degrees[i], degrees[j]) for i, j in pairs]
     # (g_i . g_j)_0 enters the sums of both i and j
     chi = sum(m * (1 - mu) for m, mu in zip(ms, milnor))
     chi -= sum((ms[i] + ms[j]) * meet for (i, j), meet in zip(pairs, meets))
     return gcd(*ms) - chi
+
+
+def _milnor_orlik(w: Sequence[int], d: int) -> int:
+    return (d - w[0]) * (d - w[1]) // (w[0] * w[1])
+
+
+def _bezout(w: Sequence[int], d: int, d2: int) -> int:
+    return d * d2 // (w[0] * w[1])
+
+
+def _weighted_shape(g: Poly) -> Optional[tuple]:
+    """(w, a, b, p) with g = x^a y^b P(x^w_y, y^w_x), P homogeneous in a
+    primitive positive weight w and p(s) = P(s, 1) as integers, constant
+    first, p(0) != 0 and deg p = deg P (w is None for a monomial, which
+    every weight grades), or None if no weight does.  P is a product of
+    factors s - c t, c != 0, whose branches x^w_y - c y^w_x are coprime for
+    distinct c: so g is reduced iff a, b <= 1 and gcd(p, p') is constant,
+    and two parts in one w are coprime iff they share no x, no y and no
+    factor of p."""
+    (a, top), (right, b) = min(g.terms), max(g.terms)  # least, greatest x-power
+    if len(g.terms) == 1:
+        return None, a, b, [1]
+    if right == a or top <= b:
+        return None
+    n = gcd(right - a, top - b)  # deg p
+    wx, wy = (top - b) // n, (right - a) // n
+    p = [0] * (n + 1)
+    for (e, e2), c in integer_terms(g):
+        if wx * (e - a) + wy * (e2 - b) != n * wx * wy:
+            return None
+        p[(e - a) // wy] = c
+    return (wx, wy), a, b, p
+
+
+def _degree(w: Sequence[int], shape: tuple) -> int:
+    _, a, b, p = shape
+    return w[0] * a + w[1] * b + (len(p) - 1) * w[0] * w[1]
+
+
+def _closed_milnor(s: Optional[tuple]) -> Optional[int]:
+    """mu of a part of shape ``s`` by Milnor-Orlik once gcd(p, p') proves
+    it reduced, or None."""
+    if s and s[1] <= 1 and s[2] <= 1:
+        if len(_gcd(s[3], [k * c for k, c in enumerate(s[3])][1:])) == 1:  # p and p'
+            return _milnor_orlik(s[0] or (1, 1), _degree(s[0] or (1, 1), s))
+    return None
+
+
+def _closed_meet(s: Optional[tuple], t: Optional[tuple]) -> Optional[int]:
+    """(g . h)_0 of two parts of shapes ``s`` and ``t`` by weighted Bezout
+    once they share a weight and gcd(p_s, p_t) proves them coprime, or None."""
+    w = s and t and (s[0] or t[0] or (1, 1))
+    if w and {s[0], t[0]} <= {None, w}:
+        if not (s[1] and t[1] or s[2] and t[2]) and len(_gcd(s[3], t[3])) == 1:
+            return _bezout(w, _degree(w, s), _degree(w, t))
+    return None
+
+
+def _gcd(p: list[int], q: list[int]) -> list[int]:
+    """The gcd in Z[s], with a positive leading coefficient, of integer
+    coefficient lists, constant first, with no trailing zero ([] is 0): a
+    primitive remainder sequence, with the gcd of the contents multiplied
+    back."""
+    content, (p, q) = gcd(*p, *q), (p, q) if q else (q, p)
+    while q:
+        unit = gcd(*q) if q[-1] > 0 else -gcd(*q)
+        q = [c // unit for c in q]  # the content removed
+        while len(p) >= len(q):  # lead(q) p - lead(p) s^k q drops the top term
+            p = [q[-1] * v - p[-1] * u for v, u in zip(p, [0] * (len(p) - len(q)) + q)]
+            while p and not p[-1]:
+                p.pop()
+        p, q = q, p
+    return [content * c for c in p]
 
 
 # -- the a-action and its certificate -----------------------------------------

@@ -251,8 +251,8 @@ class _JetCounts:
         self.drop = 0
         if image is not None:
             self.drop = max(0, -min(image.raises(self.weights), default=0))
-            if not self.graded:
-                # the greatest-term span evaluates every image again
+            if modulus is not None:
+                # the greatest-term span over GF(p) evaluates every image again
                 image = lru_cache(maxsize=None)(image)
         self.image, self.cap, self.modulus = image, cap, modulus
         self.rows: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
@@ -284,20 +284,24 @@ class _JetCounts:
 
     def _greatest_terms(self, k: int) -> set[tuple[int, ...]]:
         """The greatest terms of the vectors of (W + M_k)/M_k, as count
-        keys: the pivots of one exact ``Span`` (exact also when the count's
-        rows live over GF(p)) of the generators of order < k cut at order
-        k.  Its columns are the count keys with the degree negated,
+        keys: the pivots of one exact ``Span`` of a spanning set of it cut
+        at order k.  Its columns are the count keys with the degree negated,
         (-wdeg, -e_(n-1), ..., -e_0), so that each row's pivot, its least
-        column, is its greatest term.  The generators go in from the top
-        order down: the top slice fills most of its degree first, and a
-        later row reduces against it to a short tail on the few monomials
-        left, which keeps the integer rows small."""
+        column, is its greatest term.  An exact count spans with its own
+        rows of lead w-degree < k, a basis by the lemma, so it re-enters
+        nothing.  Over GF(p) the generators of order < k go in again, from
+        the top order down: the top slice fills most of its degree first,
+        and a later row reduces against it to a short tail on the few
+        monomials left, which keeps the integer rows small."""
+        if self.modulus is None:
+            vectors = [row for lead, row in self.rows.items() if lead[0] < k]
+        else:
+            vectors = (vec for order in range(k, 0, -1) for vec in self._entering(order))
         span = Span()
-        for order in range(k, 0, -1):
-            for vec in self._entering(order):
-                cut = {(-e[0], *e[1:]): c for e, c in vec.items() if e[0] < k}
-                if cut:
-                    span.insert(cut)
+        for vec in vectors:
+            cut = {(-e[0], *e[1:]): c for e, c in vec.items() if e[0] < k}
+            if cut:
+                span.insert(cut)
         return {(-d, *rest) for d, *rest in span.pivots}
 
     def _entering(self, k: int) -> Iterator[dict[tuple[int, ...], int]]:

@@ -10,6 +10,7 @@ the action coefficients adding on basis pairs.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple, Optional, Sequence
 
 from .ab_module import DEFAULT_TRUNC_ORDER, ABModule, tensor
@@ -196,9 +197,15 @@ def suspend(
 
 
 def _diagonal_module(action: Sequence[tuple[Poly, Fraction]], trunc_order: int) -> ABModule:
-    rank = len(action)
-    matrix = [[[0, c] if i == j else [] for j in range(rank)] for i, (_, c) in enumerate(action)]
-    return ABModule(rank, trunc_order, matrix)
+    """The model a e_k = c_k b e_k of an action c_k, as the numerators of
+    its few nonzero cells over the lcm of the c_k, with no dense matrix."""
+    if trunc_order < 2:
+        raise InputError("truncation order must be at least 2")
+    scale, rank = lcm(*(c.denominator for _, c in action)), len(action)
+    cells = [((0, c.numerator * (scale // c.denominator)) if c else (),) for _, c in action]
+    empty = ((),) * rank
+    numerators = tuple(empty[:k] + cell + empty[k + 1 :] for k, cell in enumerate(cells))
+    return ABModule._trusted(rank, trunc_order, numerators, scale)
 
 
 class DirectCheck(NamedTuple):

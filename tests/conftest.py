@@ -5,8 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import product
-from math import gcd
+from itertools import combinations, product
+from math import gcd, lcm
 from operator import mul
 from typing import Callable, Hashable, Iterable, Optional
 
@@ -23,12 +23,14 @@ from brieskorn.curve import (
 from brieskorn.errors import InconclusiveError, InputError
 from brieskorn.forms import exact_form_images
 from brieskorn.groebner import _decode, _groebner, _integer_gens, _saturation, isolated_at_origin
-from brieskorn.linalg import Vec
+from brieskorn.linalg import Span, Vec
 from brieskorn.local_algebra import (
     IdealGens,
+    _JetCounts,
     _ShiftedImages,
     integer_terms,
     jacobian_ideal,
+    local_colength,
     monomials_below,
     monomials_of_weighted_degree,
     shifted_terms,
@@ -696,3 +698,68 @@ def ref_kernel_relations(
             combo = span.last_kernel_combo() or {tag: Fraction(1)}
             relations.append({k: v for k, v in combo.items() if v != 0})
     return relations
+
+
+# -- jet b_1 and its closed forms --------------------------------------------
+
+
+def scanned_betti(curve: FactoredCurve) -> int:
+    """b_1 of the Milnor fibre by A'Campo's formula with every Milnor number
+    and every intersection number a colength scan (``local_colength``), no
+    closed form: the jet route before the closed forms."""
+    parts = [(u, p) for u, p in curve.factors]
+    if not curve.residual_is_constant:
+        parts.append((curve.residual, 1))
+    milnor = [
+        0 if (J := jacobian_ideal(g)).contains_unit() else local_colength(J) for g, _ in parts
+    ]
+    chi = sum(m * (1 - mu) for (_, m), mu in zip(parts, milnor))
+    for (g, m), (g2, m2) in combinations(parts, 2):
+        chi -= (m + m2) * local_colength(IdealGens.of(curve.variables, [g, g2]))
+    return gcd(*(m for _, m in parts)) - chi
+
+
+def homogeneous_weights(g: Poly, bound: int) -> set[tuple[int, int]]:
+    """The coprime positive weights (w_x, w_y), each at most ``bound``, in
+    which g is homogeneous, found by trying each one; a monomial has them
+    all.  A bound of at least the total degree of g finds its weight."""
+    return {
+        (wx, wy)
+        for wx in range(1, bound + 1)
+        for wy in range(1, bound + 1)
+        if gcd(wx, wy) == 1 and len({wx * e + wy * e2 for e, e2 in g.terms}) == 1
+    }
+
+
+def reference_integer_gcd(p: list[int], q: list[int]) -> list[int]:
+    """The gcd in Z[s] of two coefficient lists (constant first, no trailing
+    zero): the monic Euclidean gcd over Q, made primitive with a positive
+    leading coefficient, times the gcd of all coefficients (Gauss's lemma)."""
+    a, b = [Fraction(c) for c in p], [Fraction(c) for c in q]
+    while b:
+        while len(a) >= len(b):
+            factor, shift = a[-1] / b[-1], len(a) - len(b)
+            for i, c in enumerate(b):
+                a[shift + i] -= factor * c
+            while a and a[-1] == 0:
+                a.pop()
+        a, b = b, a
+    if not a:
+        return []
+    scale = lcm(*(c.denominator for c in a))
+    ints = [int(c * scale) for c in a]
+    content = gcd(*ints) * (1 if ints[-1] > 0 else -1)
+    return [gcd(*p, *q) * (c // content) for c in ints]
+
+
+def reentered_greatest_terms(counts: _JetCounts, k: int) -> set[tuple[int, ...]]:
+    """The greatest terms of (W + M_k)/M_k by re-entering every generator
+    of order < k, cut at k, into one exact span with the degree negated:
+    the route of every count before an exact count read its own rows."""
+    span = Span()
+    for order in range(k, 0, -1):
+        for vec in counts._entering(order):
+            cut = {(-e[0], *e[1:]): c for e, c in vec.items() if e[0] < k}
+            if cut:
+                span.insert(cut)
+    return {(-d, *rest) for d, *rest in span.pivots}

@@ -24,6 +24,10 @@ from brieskorn.curve import (
     FactoredCurve,
     _action_certificate,
     _action_target,
+    _closed_meet,
+    _closed_milnor,
+    _gcd,
+    _weighted_shape,
     a_action,
     a_action_coefficient,
     annihilator_field,
@@ -60,11 +64,14 @@ from conftest import (
     closed_form_witness,
     closed_product_exponents,
     curve_certificate_inputs,
+    homogeneous_weights,
     mu,
     nu_jet_basis,
     nu_jet_reference,
     predicted,
+    reference_integer_gcd,
     saturate_at_origin,
+    scanned_betti,
     transversal_milnor,
     w_degree,
 )
@@ -1465,6 +1472,16 @@ def betti_cases():
     return cases
 
 
+def scan_count_cases():
+    """The corpus curves, graded and jet, and the jet curves of
+    ``betti_cases`` moved by x -> x + y^2, whose moved parts are
+    homogeneous in no weight."""
+    cases = list(corpus_cases())
+    for curve, weights, rank in betti_cases()[2::3]:
+        cases.append(pytest.param(curve, weights, {"rank": rank}, id=f"moved-{curve}"))
+    return cases
+
+
 class TestMilnorFibreBetti:
     """b_1 of the Milnor fibre by A'Campo's formula, the target of the nu
     scans: closed forms, and the ranks these tests pinned before nu read it."""
@@ -1507,10 +1524,13 @@ class TestMilnorFibreBetti:
         with pytest.raises(RuntimeError, match="a factor of f is not w-homogeneous"):
             milnor_fibre_betti(curve, WeightSystem((1, 1), 6))
 
-    @pytest.mark.parametrize("curve, weights, reference", corpus_cases())
+    @pytest.mark.parametrize("curve, weights, reference", scan_count_cases())
     def test_only_jet_input_scans_colengths(self, monkeypatch, curve, weights, reference):
         # graded b_1 is read off integers, once the scan of (a, b) has
-        # proved the clauses; jet b_1 scans each singular part and each pair
+        # proved the clauses; jet b_1 scans each singular part homogeneous
+        # in no weight, and each pair of parts that share no weight (a
+        # monomial shares every weight); the corpus curves are valid, so
+        # each gcd certificate holds
         calls = []
 
         def counting(I):
@@ -1518,15 +1538,24 @@ class TestMilnorFibreBetti:
             return local_colength(I)
 
         monkeypatch.setattr("brieskorn.curve.local_colength", counting)
-        parts = curve_parts(curve)
-        scans = sum(not jacobian_ideal(g).contains_unit() for g in parts)
-        scans += len(parts) * (len(parts) - 1) // 2
+        scans = closed_form_misses(curve_parts(curve))
         if weights is not None:
             invariants(curve, weights)
             assert calls == []
         else:
             invariants(curve)
             assert len(calls) == scans
+
+    def test_the_pinned_curves_take_both_routes(self):
+        # every part of every jet corpus curve is homogeneous in a weight
+        # its partners share, so the pin above counts no scan there; the
+        # moved curves scan their moved parts
+        counts = [
+            closed_form_misses(curve_parts(param.values[0]))
+            for param in scan_count_cases()
+            if param.values[1] is None
+        ]
+        assert 0 in counts and max(counts) > 0
 
 
 def curve_parts(curve: FactoredCurve) -> list[Poly]:
@@ -1535,12 +1564,21 @@ def curve_parts(curve: FactoredCurve) -> list[Poly]:
     return [u for u, _ in curve.factors] + ([] if curve.residual_is_constant else [curve.residual])
 
 
-def assert_graded_betti_is_scanned(curve: FactoredCurve, weights, betti=milnor_fibre_betti):
-    """Graded b_1 (of ``betti``) equals the jet scans' b_1, and per part the
-    Milnor-Orlik number and per pair the weighted Bezout number equal the
-    weighted colength scans."""
+def closed_form_misses(parts: list[Poly]) -> int:
+    """The colength scans of jet b_1 on valid parts: each singular part
+    homogeneous in no weight, and each pair of parts that share none."""
+    bound = max(g.total_degree() for g in parts)
+    weights = {g: homogeneous_weights(g, bound) for g in parts}
+    count = sum(not (jacobian_ideal(g).contains_unit() or weights[g]) for g in parts)
+    return count + sum(not weights[g] & weights[g2] for g, g2 in itertools.combinations(parts, 2))
+
+
+def assert_graded_betti_is_scanned(curve: FactoredCurve, weights):
+    """Graded and jet b_1 both equal b_1 of the colength scans alone, and per
+    part the Milnor-Orlik number and per pair the weighted Bezout number
+    equal the weighted colength scans."""
     ws = WeightSystem.for_poly(curve.expand(), weights)
-    assert betti(curve, ws) == milnor_fibre_betti(curve)
+    assert milnor_fibre_betti(curve, ws) == milnor_fibre_betti(curve) == scanned_betti(curve)
     (wx, wy), scale = ws.integer_scaled()
     parts = curve_parts(curve)
     degree = {g: g.quasi_homogeneous_degree(ws.weights) * scale for g in parts}
@@ -1549,6 +1587,140 @@ def assert_graded_betti_is_scanned(curve: FactoredCurve, weights, betti=milnor_f
         assert (d - wx) * (d - wy) == wx * wy * local_quotient(jacobian_ideal(g), ws)[0]
     for g, g2 in itertools.combinations(parts, 2):
         assert degree[g] * degree[g2] == wx * wy * local_quotient(IdealGens.of(XY, [g, g2]), ws)[0]
+
+
+# primitive weights, with (1, 1) and both orders of (2, 3)
+PART_WEIGHTS = [(1, 1), (1, 2), (2, 1), (2, 3), (3, 2)]
+
+
+@st.composite
+def weighted_parts(draw, weights=None, powers=st.integers(0, 2), roots=(1, -1, 2, Fraction(1, 2))):
+    """A part x^a y^b c prod_k (x^w_y - r_k y^w_x), homogeneous in the
+    primitive weights w, with a, b from ``powers``, up to three roots r_k
+    from the pool ``roots``, so that repeated roots are common, and a
+    constant c; never a constant."""
+    wx, wy = weights or draw(st.sampled_from(PART_WEIGHTS))
+    a, b = draw(powers), draw(powers)
+    drawn = draw(st.lists(st.sampled_from(roots), max_size=3))
+    if a + b + len(drawn) == 0:
+        a = 1
+    g = Poly(XY, {(a, b): draw(st.sampled_from([1, -2, Fraction(3, 2)]))})
+    for r in drawn:
+        g = g * Poly(XY, {(wy, 0): 1, (0, wx): -r})
+    return g
+
+
+@st.composite
+def weighted_pairs(draw):
+    """Two parts homogeneous in one drawn weight, with powers of x and y
+    rare and a wider root pool, so that both shared and coprime pairs are
+    common."""
+    weights = draw(st.sampled_from(PART_WEIGHTS))
+    powers, roots = st.sampled_from([0, 0, 0, 1]), (1, -1, 2, -3, Fraction(1, 2))
+    return tuple(draw(weighted_parts(weights, powers, roots)) for _ in range(2))
+
+
+def scanned(I: IdealGens) -> Optional[int]:
+    """The colength scan of I, or None when it refuses (I not isolated)."""
+    try:
+        return local_colength(I)
+    except InputError:
+        return None
+
+
+class TestWeightedClosedForms:
+    """Jet b_1 reads Milnor-Orlik and weighted Bezout off each part, and
+    pair, homogeneous in one weight, once an integer gcd certifies the
+    hypothesis; the scans decide every other part and pair."""
+
+    @given(weighted_parts())
+    def test_closed_milnor_number_is_the_scan_or_refused_with_it(self, g):
+        shape = _weighted_shape(g)
+        assert shape is not None
+        J = jacobian_ideal(g)
+        assert _closed_milnor(shape) == (0 if J.contains_unit() else scanned(J))
+
+    @given(weighted_pairs())
+    def test_closed_meet_is_the_scan_or_refused_with_it(self, pair):
+        g, g2 = pair
+        meet = _closed_meet(_weighted_shape(g), _weighted_shape(g2))
+        assert meet == scanned(IdealGens.of(XY, [g, g2]))
+
+    @pytest.mark.parametrize(
+        "text, weights",
+        [
+            ("x", None),
+            ("x*y", None),
+            ("x^2-y^3", (3, 2)),
+            ("x*(y^2-x^5)", (2, 5)),
+            ("x^3+y^3", (1, 1)),
+            ("x+y^2", (2, 1)),
+        ],
+    )
+    def test_shape_weight(self, text, weights):
+        assert _weighted_shape(p(text))[0] == weights
+
+    @pytest.mark.parametrize("text", ["x^2+y^3+x*y", "x+x^2", "y-x*y", "x^2+y^2+x^3"])
+    def test_no_positive_weight_grades_a_mixed_part(self, text):
+        assert _weighted_shape(p(text)) is None
+
+    @pytest.mark.parametrize(
+        "factors, residual",
+        [
+            ([("x^2-y^3", 2), ("x", 2)], None),
+            ([("x", 2), ("y", 3)], "x^2+y^5"),
+            ([("x^2+y^2", 3)], "x^4-y^4+x^2*y^2"),
+        ],
+    )
+    def test_jet_betti_equals_the_scans(self, factors, residual):
+        curve = factored(factors, residual)
+        assert milnor_fibre_betti(curve) == scanned_betti(curve)
+
+    @pytest.mark.parametrize(
+        "factors, residual, scans, numbers",
+        [
+            ([("x", 3), ("y", 2)], "x^2+y^3", 0, (12, 8, 20, 20)),
+            ([("x+y^2", 2), ("x-y", 2)], None, 1, (1, 1, 2, 2)),
+        ],
+        ids=["one-weight", "no-shared-weight"],
+    )
+    def test_jet_numbers_and_their_scans(self, monkeypatch, factors, residual, scans, numbers):
+        # every part of the first curve is homogeneous in (3, 2), so jet b_1
+        # scans nothing and equals the weighted step's; x + y^2 and x - y
+        # are each homogeneous, in (2, 1) and (1, 1), so only their pair is
+        # scanned
+        calls = []
+
+        def counting(I):
+            calls.append(I)
+            return local_colength(I)
+
+        monkeypatch.setattr("brieskorn.curve.local_colength", counting)
+        report = invariants(factored(factors, residual))
+        assert (report.mu, report.nu, report.rank, report.betti_n) == numbers
+        assert len(calls) == scans
+
+    @given(
+        st.lists(st.integers(-6, 6), max_size=5),
+        st.lists(st.integers(-6, 6), max_size=5),
+        st.lists(st.integers(-3, 3), max_size=3),
+    )
+    def test_gcd_is_the_integer_gcd(self, p1, p2, common):
+        # a shared factor and shared content make nontrivial gcds common
+        def trim(v):
+            while v and not v[-1]:
+                v.pop()
+            return v
+
+        def times(u, v):
+            out = [0] * (len(u) + len(v) - 1) if u and v else []
+            for i, c in enumerate(u):
+                for j, d in enumerate(v):
+                    out[i + j] += c * d
+            return trim(out)
+
+        a, b = times(trim(p1), trim(common)) or trim(p1), times(trim(p2), trim(common)) or trim(p2)
+        assert _gcd(a, b) == reference_integer_gcd(a, b) == _gcd(b, a)
 
 
 def jet_corpus() -> list[FactoredCurve]:

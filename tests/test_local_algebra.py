@@ -46,6 +46,7 @@ from conftest import (
     nu_jet_basis,
     polys,
     ref_kernel_relations,
+    reentered_greatest_terms,
     saturate_at_origin,
     stable_colength,
     twisted_drop,
@@ -602,6 +603,17 @@ class TestJetCounts:
             modulus, cap = (_PREDICTOR_MODULUS, 6) if kind == "modular" else (None, None)
             counts = _JetCounts(I, image, cap, modulus)
         assert reads_the_count_of_its_rows(counts, top)
+
+    @given(jet_problems(), st.integers(1, 7), st.integers(0, 2))
+    @example((ideal("x + y^2", "y^3"), None), 3, 2)
+    def test_exact_rows_give_the_greatest_terms_of_the_reentry(self, problem, k, beyond):
+        # an exact count spans (W + M_k)/M_k with its own rows of lead
+        # w-degree < k, also once its scan has run past k: the pivots are
+        # those of re-entering every generator of order < k
+        I, V = problem
+        counts = _JetCounts(I, None if V is None else twisted_operator(V))
+        counts.quotient_dim(k + beyond)
+        assert counts._greatest_terms(k) == reentered_greatest_terms(counts, k)
 
     def test_counts_in_any_order_of_asking(self):
         I = ideal("x^3 + y^4", "x*y^2")

@@ -14,7 +14,9 @@ the sign flip of a negative denominator in the integer parse of records,
 the closed form of a^l b^r (a falling factorial, a dropped binomial),
 the b^j shift of the factorial identity,
 the Nakayama stop of mu, the Bezout bound of the colength scans, the
-weighted Bezout number of graded b_1, the nu target stop, the re-read
+weighted Bezout number of graded and jet b_1, the Milnor-Orlik number of
+jet b_1 one off, its squarefree and coprime gcd certificates skipped, the
+content factor of the integer gcd dropped, the nu target stop, the re-read
 one order on of the nu predictor, the early unit return of the isolation
 test, the affine frame of the a-action certificate one point short, its
 integer scales (a wrong weight, a dropped scale of f or of D), the
@@ -56,6 +58,11 @@ from brieskorn.curve import (
     FactoredCurve,
     _action_certificate,
     _action_target,
+    _bezout,
+    _closed_meet,
+    _closed_milnor,
+    _gcd,
+    _milnor_orlik,
     annihilator_form,
     check_hypotheses,
     invariants,
@@ -82,6 +89,8 @@ from conftest import (
     jet_quotient,
     mu as reference_mu,
     rank_one,
+    reference_integer_gcd,
+    scanned_betti,
     shares_the_exact_form_operator,
 )
 from test_ab_module import (
@@ -101,6 +110,7 @@ from test_curve import (
     assert_graded_betti_is_scanned,
     failed_on,
     first_of_degree,
+    parsed_curve,
     proved_in_turn,
     reference_a_action,
     shifted_on,
@@ -496,28 +506,88 @@ class TestNakayamaStopMutant:
             "brieskorn.local_algebra._nakayama_order",
             lambda counts, bound: max(1, _nakayama_order(counts, bound) - 1),
         )
-        if weights is None:
-            assert invariants(SQUARED_CUSP, weights).mu == 1
-        else:
-            # graded b_1 comes from closed forms, not from the early scans, so
-            # the nu target b_1 - 1 of the early mu is never reached
-            with pytest.raises(InconclusiveError, match="did not reach the target nu"):
-                invariants(SQUARED_CUSP, weights)
+        # b_1 comes from closed forms, not from the early scans, graded and
+        # jet alike (the jet part x^2 - y^3 is certified by its gcd), so the
+        # nu target b_1 - 1 of the early mu is never reached
+        with pytest.raises(InconclusiveError, match="did not reach the target nu"):
+            invariants(SQUARED_CUSP, weights)
 
 
 class TestWeightedBezoutMutant:
-    def test_a_bezout_number_without_w_y_is_caught_by_the_scans(self):
+    def test_a_bezout_number_without_w_y_is_caught_by_the_scans(self, monkeypatch):
         # y and x^2 - y^5 under the weights (5, 2) meet with multiplicity
-        # 2 * 10 / (5 * 2) = 2; without the / w_y the closed form reads 4
+        # 2 * 10 / (5 * 2) = 2; without the / w_y the closed form reads 4,
+        # in graded and jet b_1 alike
         curve = FactoredCurve.of(XY, [(p("y"), 3), (p("x^2-y^5"), 3)])
-        wrong = mutated(
-            milnor_fibre_betti,
-            "degrees[i] * degrees[j] // (wx * wy)",
-            "degrees[i] * degrees[j] // wx",
-        )
         assert_graded_betti_is_scanned(curve, (5, 2))
+        wrong = mutated(_bezout, "d * d2 // (w[0] * w[1])", "d * d2 // w[0]")
+        monkeypatch.setattr("brieskorn.curve._bezout", wrong)
         with pytest.raises(AssertionError):
-            assert_graded_betti_is_scanned(curve, (5, 2), betti=wrong)
+            assert_graded_betti_is_scanned(curve, (5, 2))
+
+
+class TestJetClosedFormMutants:
+    """Jet b_1 reads a closed form off a weighted-homogeneous part or pair
+    only after an integer gcd certifies its hypothesis; each mutant of the
+    closed forms or of their certificates is caught by one check."""
+
+    @pytest.mark.parametrize("shift", ["+ 1", "- 1"])
+    def test_a_milnor_orlik_number_off_by_one_is_caught_by_the_scans(self, monkeypatch, shift):
+        curve = weighted_curve()
+        assert milnor_fibre_betti(curve) == scanned_betti(curve)
+        old = "(d - w[0]) * (d - w[1]) // (w[0] * w[1])"
+        monkeypatch.setattr("brieskorn.curve._milnor_orlik", mutated(_milnor_orlik, old, f"{old} {shift}"))
+        assert milnor_fibre_betti(curve) != scanned_betti(curve)
+
+    def test_a_skipped_squarefree_test_reads_mu_off_a_part_that_is_not_reduced(self, monkeypatch):
+        # (x^2 - y^3)^2 is homogeneous in (3, 2) but p(s) = (s - 1)^2 has a
+        # repeated root: its Jacobian scan refuses, and the closed form must not
+        # read a Milnor number off it
+        curve = FactoredCurve.of(XY, [(p("(x^2-y^3)^2"), 2)])
+        assert refuses_the_hypotheses(curve)
+        skipped = mutated(
+            _closed_milnor, "len(_gcd(s[3], [k * c for k, c in enumerate(s[3])][1:])) == 1", "True"
+        )
+        monkeypatch.setattr("brieskorn.curve._closed_milnor", skipped)
+        assert not refuses_the_hypotheses(curve)
+
+    @pytest.mark.parametrize(
+        "factors", ["(x+y)*(x-y):2,(x+y)*(x-2*y):2", "x*(x+y):2,x*(x-y):2"], ids=["p", "x"]
+    )
+    def test_a_skipped_coprime_test_reads_a_meet_off_parts_sharing_a_factor(
+        self, monkeypatch, factors
+    ):
+        # both pairs are homogeneous in (1, 1): the first shares the factor
+        # x + y of p, the second the power of x
+        curve = parsed_curve(factors)
+        assert refuses_the_hypotheses(curve)
+        old = "not (s[1] and t[1] or s[2] and t[2]) and len(_gcd(s[3], t[3])) == 1"
+        monkeypatch.setattr("brieskorn.curve._closed_meet", mutated(_closed_meet, old, "True"))
+        assert not refuses_the_hypotheses(curve)
+
+    def test_a_dropped_content_factor_is_caught_by_the_integer_gcd(self):
+        # 6 + 6s and 4 + 4s have the gcd 2 + 2s in Z[s]; without the gcd of
+        # the contents multiplied back it reads 1 + s
+        assert gcd_is_the_integer_gcd(_gcd)
+        dropped = mutated(_gcd, "[content * c for c in p]", "p")
+        assert not gcd_is_the_integer_gcd(dropped)
+
+
+def refuses_the_hypotheses(curve: FactoredCurve) -> bool:
+    """Whether jet b_1 refuses the curve, as a scan of a part or pair that
+    is not reduced or not coprime does."""
+    try:
+        milnor_fibre_betti(curve)
+    except InputError:
+        return True
+    return False
+
+
+def gcd_is_the_integer_gcd(gcd_route) -> bool:
+    """Whether ``gcd_route`` agrees with the test-side gcd in Z[s] on pairs
+    with a shared factor, a shared content and no common root."""
+    pairs = [([6, 6], [4, 4]), ([2, -6, 4], [-2, 2]), ([3, 0, 3], [3, 3]), ([], [5, 10])]
+    return all(gcd_route(u, v) == reference_integer_gcd(u, v) for u, v in pairs)
 
 
 class TestColengthBoundMutant:

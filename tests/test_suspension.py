@@ -5,8 +5,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from brieskorn.ab_module import (
+    ABModule,
     is_regular,
     is_simple_pole,
     tensor,
@@ -22,6 +24,7 @@ from brieskorn.poly import Poly, listing_key, parse_polynomial
 from brieskorn.suspension import (
     IsolatedGerm,
     _auto_weights,
+    _diagonal_module,
     milnor_isolated,
     suspend,
     verify_suspension_direct,
@@ -270,9 +273,32 @@ class TestSuspend:
         for k, (m, n) in enumerate(result.basis_pairs):
             assert result.ab_model.a_matrix[k][k] == (0, c[m] + d[n]), (k, m, n)
 
-    def test_rank2_times_rank13_is_26(self):
-        from brieskorn.ab_module import ABModule
+    @given(
+        st.lists(
+            st.fractions(min_value=0, max_value=8, max_denominator=30), min_size=1, max_size=40
+        ),
+        st.integers(2, 20),
+    )
+    @example([Fraction(0), Fraction(3, 4)], 2)
+    def test_diagonal_model_is_the_constructor_built_module(self, coefficients, trunc_order):
+        # the numerators of the nonzero cells over the lcm are those the
+        # validating constructor builds from the dense matrix of [0, c] cells
+        action = [(p("x"), c) for c in coefficients]
+        rank = len(action)
+        dense = [[[0, c] if i == j else [] for j in range(rank)] for i, (_, c) in enumerate(action)]
+        built = ABModule(rank, trunc_order, dense)
+        direct = _diagonal_module(action, trunc_order)
+        fields = ("rank", "trunc_order", "numerators", "scale", "label")
+        assert [getattr(direct, f) for f in fields] == [getattr(built, f) for f in fields]
+        assert direct.to_json() == built.to_json()
 
+    def test_a_diagonal_model_below_order_two_is_refused_as_the_constructor_refuses(self):
+        action = [(p("x"), Fraction(1, 2))]
+        for build in (lambda: ABModule(1, 1, [[[0, Fraction(1, 2)]]]), lambda: _diagonal_module(action, 1)):
+            with pytest.raises(InputError, match="truncation order must be at least 2"):
+                build()
+
+    def test_rank2_times_rank13_is_26(self):
         rep = invariants(sextic(), weights=(1, 1))
         curve_model = suspend(milnor_isolated(p("z^2", Z)), rep).ab_model
         rank2 = ABModule(
