@@ -12,8 +12,9 @@ Each quotient stops by a proof: ``local_quotient`` by Nakayama's lemma,
 target dimension the caller has computed independently.  Every scan runs
 the orders k = 1, 2, ... on one least-term count (``_JetCounts``), with
 the certificate's weights or unit ones.  Every reported number rests on
-exact integer or rational row reduction, and a count modulo a prime only
-picks the jet order at which the exact span is built.  Saturation and the
+exact integer or rational row reduction.  A count modulo a prime runs
+only on jet input not homogeneous in unit weights, and only picks the jet
+order at which the exact span is built.  Saturation and the
 finite-colength test live in ``groebner``.
 """
 
@@ -185,6 +186,13 @@ def _count_key(e: Exponents, weights: tuple[int, ...]) -> tuple[int, ...]:
     return (sum(map(mul, e, weights)), *map(neg, reversed(e)))
 
 
+def _homogeneous(I: IdealGens, image: Optional[_ShiftedImages], w: tuple[int, ...]) -> bool:
+    """Whether every row of a count of I and ``image`` is w-homogeneous:
+    each generator of I is, and the image has at most one w-degree raise."""
+    gens = all(len({sum(map(mul, e, w)) for e in g.terms}) == 1 for g in I.generators)
+    return gens and (image is None or len(image.raises(w)) <= 1)
+
+
 class _JetCounts:
     """q(k) = dim O/(W + M_k) for every order k from one echelon, where M_k
     is spanned by the monomials of w-degree >= k.
@@ -214,12 +222,13 @@ class _JetCounts:
     (W + M_k)/M_k.  The greedy pass in that order picks m exactly when m
     is independent of W + M_k and of the monomials below it, that is when
     no such vector has m as its greatest term.  With ``weights`` every
-    generator of I must be w-homogeneous (else InputError), and the rows
-    are too when the twisted action is graded.  Within one w-degree the
-    least key is the greatest monomial in listing order, so a homogeneous
-    row's lead is its greatest term, and the leads are exactly the
-    greatest terms: the basis is the non-leads.  Without weights a lead is
-    a least term, so the greatest terms are read off one exact ``Span``
+    generator of I must be w-homogeneous (else InputError).  The count is
+    graded when it is exact and its rows are w-homogeneous, in the
+    certificate's weights or unit ones (``_homogeneous``).  Within one
+    w-degree the least key is the greatest monomial in listing order, so a
+    homogeneous row's lead is its greatest term, and the leads are exactly
+    the greatest terms: the basis is the non-leads.  Otherwise a lead is a
+    least term, so the greatest terms are read off one exact ``Span``
     instead (``_greatest_terms``).
 
     With ``modulus`` p the rows live over GF(p).  The count then bounds the
@@ -247,7 +256,7 @@ class _JetCounts:
                     "for the certificate"
                 )
             self.gens.append((min(degrees), terms))
-        self.graded = weights is not None
+        self.graded = modulus is None and _homogeneous(I, image, self.weights)
         self.drop = 0
         if image is not None:
             self.drop = max(0, -min(image.raises(self.weights), default=0))
@@ -463,14 +472,17 @@ def twisted_quotient_dim(
     With a weight certificate under which the field is graded, one exact
     weighted ``_JetCounts`` counts every q(k) up to the weighted degree
     ``wdeg_cap = jet_cap * max weight - drop``.  Otherwise the jet orders
-    1, 2, ... up to ``jet_cap`` are counted by one ``_JetCounts`` over
-    GF(p) with terms of degree ``jet_cap`` and above dropped; its count
-    bounds nu_N = q(N) from above, so its first order reaching ``target``
-    is never past the true stop.  At each order whose count reaches
-    ``target`` the scan reads the greedy basis (``_JetCounts.basis``: the
-    non-leads when graded, the non-pivots of one exact greatest-term span
-    otherwise), and the basis size is the certificate; when an unlucky
-    prime made the count run ahead, the basis is read again one order on.
+    1, 2, ... up to ``jet_cap`` are counted by one exact graded
+    ``_JetCounts`` when I and the operator are homogeneous in unit weights
+    (capless: each term of a homogeneous row sits at the row's own degree),
+    else by one over GF(p) with terms of degree ``jet_cap`` and above
+    dropped; its count bounds nu_N = q(N) from above, so its first order
+    reaching ``target`` is never past the true stop.  At each order whose
+    count reaches ``target`` the scan reads the greedy basis
+    (``_JetCounts.basis``: the non-leads when graded, the non-pivots of one
+    exact greatest-term span otherwise), and the basis size is the
+    certificate; when an unlucky prime made the count run ahead, the basis
+    is read again one order on.
     A bound past ``target``, or a negative ``target``, raises
     RuntimeError; a cap reached first raises InconclusiveError.
     """
@@ -490,7 +502,10 @@ def twisted_quotient_dim(
         failure = "graded twisted quotient did not reach the target nu"
         context = {"wdeg_cap": wdeg_cap}
     else:
-        counts = _JetCounts(I, twisted, jet_cap, _PREDICTOR_MODULUS)
+        if _homogeneous(I, twisted, (1,) * len(I.variables)):
+            counts = _JetCounts(I, twisted)
+        else:
+            counts = _JetCounts(I, twisted, jet_cap, _PREDICTOR_MODULUS)
         orders = range(1, jet_cap + 1)
         failure = "twisted quotient did not reach the target nu"
         context = {"jet_cap": jet_cap}

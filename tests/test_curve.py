@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from brieskorn import groebner
-from brieskorn.cli import EXIT_INVALID, main
+from brieskorn.cli import EXIT_INVALID, EXIT_OK, main
 from brieskorn.curve import (
     FactoredCurve,
     _action_certificate,
@@ -45,6 +45,7 @@ from brieskorn.local_algebra import (
     IdealGens,
     _JetCounts,
     _PREDICTOR_MODULUS,
+    _reached,
     common_denominator,
     integer_terms,
     jacobian_ideal,
@@ -1733,27 +1734,64 @@ def jet_corpus() -> list[FactoredCurve]:
     return curves
 
 
+def unit_homogeneous(curve: FactoredCurve) -> bool:
+    """Whether f is homogeneous in unit weights, read off its terms; then
+    so are h, alpha = df / h and every row of the jet scans, and
+    conversely, since df = h alpha."""
+    return len({sum(e) for e in curve.expand().terms}) == 1
+
+
+def nu_reference(curve: FactoredCurve, target: int):
+    """The jet nu basis of the orders 10, 12, ... (``nu_jet_reference``)."""
+    sat = IdealGens.of(XY, [curve.multiplicity_cofactor()])
+    return nu_jet_reference(sat, annihilator_field(curve), target)
+
+
+def nu_exponents(report) -> list:
+    return sorted(e for m in report.basis_nu for e in m.terms)
+
+
+@pytest.fixture
+def built_moduli(monkeypatch) -> list:
+    """The modulus of each ``_JetCounts`` built while the test runs, None
+    for an exact count."""
+    moduli = []
+    init = _JetCounts.__init__
+
+    def recording(counts, *args, **kwargs):
+        init(counts, *args, **kwargs)
+        moduli.append(counts.modulus)
+
+    monkeypatch.setattr(_JetCounts, "__init__", recording)
+    return moduli
+
+
+@pytest.fixture
+def span_orders(monkeypatch) -> list:
+    """The order of each greatest-term span built while the test runs."""
+    orders = []
+    greatest_terms = _JetCounts._greatest_terms
+
+    def recording(counts, k):
+        orders.append(k)
+        return greatest_terms(counts, k)
+
+    monkeypatch.setattr(_JetCounts, "_greatest_terms", recording)
+    return orders
+
+
 class TestJetNuScan:
     """The jet nu scan of the orders 1, 2, ..., whose order is picked by a
-    count modulo a prime and certified by the exact span there, against the
-    scan of the orders 10, 12, ... it replaced (conftest
-    ``nu_jet_reference``)."""
-
-    @staticmethod
-    def reference(curve: FactoredCurve, target: int):
-        sat = IdealGens.of(XY, [curve.multiplicity_cofactor()])
-        return nu_jet_reference(sat, annihilator_field(curve), target)
-
-    @staticmethod
-    def nu_exponents(report) -> list:
-        return sorted(e for m in report.basis_nu for e in m.terms)
+    count modulo a prime and certified by the exact span there, or counted
+    exactly on input homogeneous in unit weights, against the scan of the
+    orders 10, 12, ... it replaced (conftest ``nu_jet_reference``)."""
 
     @pytest.mark.parametrize("curve", jet_corpus(), ids=str)
     def test_basis_equals_the_order_ten_scan(self, curve):
         report = invariants(curve)
-        reference = self.reference(curve, report.nu)
+        reference = nu_reference(curve, report.nu)
         assert reference is not None and len(reference) == report.nu
-        assert self.nu_exponents(report) == sorted(reference)
+        assert nu_exponents(report) == sorted(reference)
 
     @pytest.mark.parametrize("curve", jet_corpus()[::3], ids=str)
     def test_twisted_count_is_nu_at_every_order(self, curve):
@@ -1771,19 +1809,32 @@ class TestJetNuScan:
             assert modular.quotient_dim(order) >= nu_order
 
     @pytest.mark.parametrize("modulus", [2, 3])
-    def test_a_small_prime_changes_no_report(self, monkeypatch, modulus):
-        # the count runs ahead of nu_N mod 2 or 3, so the exact span is
-        # built at orders short of the stop, and only it may decide
+    def test_a_small_prime_changes_no_report(self, monkeypatch, built_moduli, modulus):
+        # the predictor runs on every curve homogeneous in no unit weights;
+        # mod 2 or 3 its count runs ahead of nu_N on x^4 (x^4 + y^4) moved
+        # by x -> x + y^2, so the exact span is built at an order short of
+        # the stop, and only it may decide
         monkeypatch.setattr("brieskorn.local_algebra._PREDICTOR_MODULUS", modulus)
-        for curve in jet_corpus():
+        short = []
+        monkeypatch.setattr(
+            "brieskorn.local_algebra._reached",
+            lambda found, target: short.append(found < target) or _reached(found, target),
+        )
+        moved = factored([("x+y^2", 4)], "(x+y^2)^4+y^4")
+        for curve in jet_corpus() + [moved]:
+            built_moduli.clear()
+            short.clear()
             report = invariants(curve)
-            reference = self.reference(curve, milnor_fibre_betti(curve) - report.mu)
+            assert (modulus in built_moduli) is not unit_homogeneous(curve)
+            reference = nu_reference(curve, milnor_fibre_betti(curve) - report.mu)
             assert report.nu == len(reference)
-            assert self.nu_exponents(report) == sorted(reference)
+            assert nu_exponents(report) == sorted(reference)
+        assert short == [True, False]
 
     @pytest.mark.parametrize("curve", jet_corpus(), ids=str)
-    def test_target_past_nu_is_inconclusive(self, monkeypatch, curve):
-        # a b_1 + 1 mutant: no order reaches the target, the cap ends the scan
+    def test_target_past_nu_is_inconclusive(self, monkeypatch, built_moduli, curve):
+        # a b_1 + 1 mutant: no order reaches the target, the cap ends the
+        # scan, over GF(p) on every curve homogeneous in no unit weights
         betti = milnor_fibre_betti(curve)
         monkeypatch.setattr(
             "brieskorn.curve.milnor_fibre_betti", lambda c, ws=None: betti + 1
@@ -1791,3 +1842,66 @@ class TestJetNuScan:
         with pytest.raises(InconclusiveError, match="did not reach the target nu") as info:
             invariants(curve)
         assert info.value.context["jet_cap"] == 24
+        assert (_PREDICTOR_MODULUS in built_moduli) is not unit_homogeneous(curve)
+
+
+@st.composite
+def unit_homogeneous_argv(draw) -> list[str]:
+    """``invariants`` arguments of a curve homogeneous in (1, 1), with no
+    weights: one to three branches of the pool x, y, x - lam y, each of
+    multiplicity 2 or 3, and sometimes a residual, x^2 + y^2, x^3 + y^3 or
+    a line of the pool (then often invalid, which both routes refuse)."""
+    lines = [p("x"), p("y")] + [p("x") - p("y") * lam for lam in ORACLE_LAMBDAS]
+    pool = [str(line) for line in lines]
+    chosen = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True))
+    argv = ["invariants", "--factors", ",".join(f"{t}:{draw(st.integers(2, 3))}" for t in chosen)]
+    residual = draw(st.sampled_from([None, "x^2+y^2", "x^3+y^3", *pool]))
+    if residual is not None:
+        argv += ["--residual", residual]
+    return argv + ["--vars", "x,y", "--format", "json"]
+
+
+def cli_run(argv) -> tuple[int, str]:
+    out = io.StringIO()
+    return main(argv, out=out), out.getvalue()
+
+
+class TestUnitHomogeneousJetInput:
+    """Jet input homogeneous in unit weights is counted exactly: its mu and
+    nu scans build no GF(p) count and no greatest-term span, and read the
+    greedy basis off the count's non-leads."""
+
+    def test_only_curves_homogeneous_in_no_unit_weights_build_the_predictor_and_the_span(
+        self, built_moduli, span_orders
+    ):
+        homogeneous = 0
+        for curve in jet_corpus():
+            built_moduli.clear()
+            span_orders.clear()
+            invariants(curve)
+            if unit_homogeneous(curve):
+                homogeneous += 1
+                assert built_moduli and set(built_moduli) == {None}
+                assert span_orders == []
+            else:
+                assert _PREDICTOR_MODULUS in built_moduli and span_orders
+        assert homogeneous == 14
+        # the mu scan of an isolated germ z^k, (k z^(k-1)), is graded too
+        span_orders.clear()
+        assert milnor_isolated(parse_polynomial("z^4", ("z",))).milnor == 3
+        assert span_orders == []
+
+    @given(unit_homogeneous_argv())
+    def test_reports_what_the_predictor_path_reports(self, argv):
+        graded = cli_run(argv)
+        with pytest.MonkeyPatch.context() as mp:
+            # every count homogeneous in no weights: the mu scan reads the
+            # greatest-term span and the nu scan runs the GF(p) predictor
+            mp.setattr("brieskorn.local_algebra._homogeneous", lambda I, image, w: False)
+            predicted = cli_run(argv)
+        assert graded[0] == predicted[0]
+        if graded[0] == EXIT_OK:
+            first, second = (json.loads(text)["report"] for _, text in (graded, predicted))
+            for field in ("mu", "nu", "basis_mu", "basis_nu"):
+                assert first[field] == second[field]
+        assert graded == predicted

@@ -689,6 +689,16 @@ class TestTwistedQuotient:
         ws = WeightSystem.for_poly(p("x^6+x^3*y^3"), (1, 1)) if graded else None
         return twisted_quotient_dim(ideal("x^2"), self.sextic_field(), target, ws, jet_cap)
 
+    def moved_sextic(self, target, jet_cap):
+        """The sextic's jet nu scan moved by x -> x + y^2: ((x + y^2)^2)
+        and d(x^m alpha') for the pullback alpha' = a' dx + (2 y a' + b') dy
+        of alpha = a dx + b dy, homogeneous in no weights."""
+        move = {"x": p("x + y^2"), "y": p("y")}
+        a, b = (c.substitute(move) for c in (p("2*x^3 + y^3"), p("x*y^2")))
+        [image] = exact_form_images((a, p("2*y") * a + b)).values()
+        I = ideal("(x + y^2)^2")
+        return twisted_quotient_dim(I, image, target, None, jet_cap)
+
     def test_sextic(self):
         result = self.sextic(4, True)
         assert result.dim == 4
@@ -709,22 +719,39 @@ class TestTwistedQuotient:
             return greatest_terms(counts, order)
 
         monkeypatch.setattr(_JetCounts, "_greatest_terms", counted)
-        # nu_1, nu_2, nu_3 = 1, 3, 4: the orders run from 1, and the exact
-        # span is built once, at order 3, the first that reaches the target
+        # the sextic itself is homogeneous: its exact count is graded and
+        # reads its basis off its non-leads, with no span
         assert self.sextic(4, False, jet_cap=20).dim == 4
+        assert orders == []
+        # moved, nu_1, nu_2, nu_3 = 1, 3, 4: the orders run from 1, and the
+        # exact span is built once, at order 3, the first that reaches the
+        # target
+        assert self.moved_sextic(4, jet_cap=20).dim == 4
         assert orders == [3]
         # a target above nu is never reached: the count never asks for the
         # exact span, and the cap ends the scan
         with pytest.raises(
             InconclusiveError, match="twisted quotient did not reach the target nu"
         ) as info:
-            self.sextic(5, False, jet_cap=12)
+            self.moved_sextic(5, jet_cap=12)
         assert info.value.context == {"target": 5, "jet_cap": 12}
         assert orders == [3]
         # a cap below the stop order is inconclusive too
         with pytest.raises(InconclusiveError) as info:
-            self.sextic(4, False, jet_cap=2)
+            self.moved_sextic(4, jet_cap=2)
         assert info.value.context == {"target": 4, "jet_cap": 2}
+
+    def test_homogeneous_jet_path_keeps_the_jet_orders(self):
+        # the exact count of the unit-homogeneous sextic is graded, yet it
+        # scans the jet orders 1..jet_cap: cap 3 reaches nu_3 = 4 and cap 2
+        # does not, where the graded branch's wdeg_cap would scan order 3;
+        # the failure names the jet cap
+        assert self.sextic(4, False, jet_cap=3).dim == 4
+        for target, jet_cap in ((4, 2), (5, 12)):
+            with pytest.raises(InconclusiveError) as info:
+                self.sextic(target, False, jet_cap=jet_cap)
+            assert str(info.value).startswith("twisted quotient did not reach the target nu")
+            assert info.value.context == {"target": target, "jet_cap": jet_cap}
 
     def test_graded_cap_exhausted(self):
         with pytest.raises(

@@ -20,7 +20,9 @@ content factor of the integer gcd dropped, the nu target stop, the re-read
 one order on of the nu predictor, the early unit return of the isolation
 test, the affine frame of the a-action certificate one point short, its
 integer scales (a wrong weight, a dropped scale of f or of D), the
-count's non-leads returned as the unweighted basis, the normaliser of
+count's non-leads returned as the unweighted basis, a graded count test
+that ignores the image's raises or a non-homogeneous generator, or calls a
+GF(p) count graded, the normaliser of
 ``poly._exact_nonzero``, the certified colon of the saturation (the lead
 test dropped, the wrong variable stripped), the known basis of an
 elimination (raw generators as the known basis, the known x new S-pairs
@@ -44,7 +46,7 @@ from json.encoder import encode_basestring
 import pytest
 from hypothesis import find, given
 
-from brieskorn import cli, groebner, poly
+from brieskorn import cli, groebner, local_algebra, poly
 from brieskorn.ab_module import (
     ABModule,
     _integer_operator,
@@ -63,6 +65,7 @@ from brieskorn.curve import (
     _closed_milnor,
     _gcd,
     _milnor_orlik,
+    annihilator_field,
     annihilator_form,
     check_hypotheses,
     invariants,
@@ -88,6 +91,7 @@ from conftest import (
     columns_commute,
     jet_quotient,
     mu as reference_mu,
+    nu_jet_basis,
     rank_one,
     reference_integer_gcd,
     scanned_betti,
@@ -110,6 +114,8 @@ from test_curve import (
     assert_graded_betti_is_scanned,
     failed_on,
     first_of_degree,
+    nu_exponents,
+    nu_reference,
     parsed_curve,
     proved_in_turn,
     reference_a_action,
@@ -645,11 +651,13 @@ class TestNuTargetStopMutant:
 
 class TestPredictorRereadMutant:
     def test_a_short_basis_accepted_is_caught(self, monkeypatch):
-        # modulo 2 the count runs ahead of nu_N on the four-line arrangement,
-        # so the basis read first is one short and the scan reads the basis
-        # again one order on; a stop that accepts the short basis reports a
-        # nu its basis does not have
-        lines = FactoredCurve.of(XY, [(p(t), 2) for t in ("x", "y", "x+y", "x-y")])
+        # modulo 2 the count runs ahead of nu_N on the four-line arrangement
+        # moved by x -> x + y^2 (homogeneous in no weights, so its scan runs
+        # the predictor), so the basis read first is one short and the scan
+        # reads the basis again one order on; a stop that accepts the short
+        # basis reports a nu its basis does not have
+        moved = ("x+y^2", "y", "x+y^2+y", "x+y^2-y")
+        lines = FactoredCurve.of(XY, [(p(t), 2) for t in moved])
         monkeypatch.setattr("brieskorn.local_algebra._PREDICTOR_MODULUS", 2)
         report = invariants(lines)
         assert report.nu == len(report.basis_nu) == 9
@@ -837,6 +845,52 @@ class TestUnweightedBasisMutant:
         )
         monkeypatch.setattr(_JetCounts, "basis", non_leads)
         assert local_quotient(I) == (3, [(0, 0), (0, 1), (0, 2)]) != jet_quotient(I, stop)
+
+
+class TestGradedCountMutants:
+    """A count reads its basis off its non-leads only when it is exact and
+    its rows are homogeneous (``local_algebra._homogeneous``).  Each mutant
+    calls a count graded that is not, so non-leads that are not the greedy
+    basis are read as one, and the jet basis reference refuses them."""
+
+    def test_a_test_that_ignores_the_image_raises_is_caught(self, monkeypatch):
+        # the jet corpus cannot see this mutant: on cusp-x2.x2+y3 (h = x is
+        # homogeneous, the image raises the degree by 1 and 2) the non-leads
+        # are the greedy basis 1, y; on x^2 y^2 (y^2 + x), h = x y is
+        # homogeneous, its image is not, and the non-leads are not
+        curve = FactoredCurve.of(XY, [(p("x"), 2), (p("y"), 2)], p("y^2 + x"))
+        report = invariants(curve)
+        assert nu_exponents(report) == sorted(nu_reference(curve, report.nu))
+        ignored = mutated(local_algebra._homogeneous, "len(image.raises(w)) <= 1", "True")
+        monkeypatch.setattr(local_algebra, "_homogeneous", ignored)
+        report = invariants(curve)
+        assert nu_exponents(report) != sorted(nu_reference(curve, report.nu))
+
+    def test_a_test_that_ignores_a_non_homogeneous_generator_is_caught(self, monkeypatch):
+        # cusp-x2.x2+y3 of the jet corpus: the mu scan of (a, b), which is
+        # homogeneous in no weights, reads its greatest terms off the span
+        cusp = FactoredCurve.of(XY, [(p("x"), 2)], p("x^2+y^3"))
+        I = IdealGens.of(XY, annihilator_form(cusp))
+        stop = _nakayama_order(_JetCounts(I), _colength_bound(I))
+        assert local_quotient(I) == jet_quotient(I, stop)
+        ignored = mutated(local_algebra._homogeneous, "gens and ", "")
+        monkeypatch.setattr(local_algebra, "_homogeneous", ignored)
+        assert local_quotient(I) != jet_quotient(I, stop)
+
+    def test_a_gfp_count_called_graded_is_caught(self, monkeypatch):
+        # the jet corpus cannot see this mutant: a GF(p) count runs only on
+        # input homogeneous in no unit weights, where the test is false
+        # anyway.  The four lines are homogeneous, and mod 2 their count runs
+        # ahead, to 10 at order 4 against nu_4 = 8: called graded, it reads
+        # 10 non-leads
+        lines = FactoredCurve.of(XY, [(p(t), 2) for t in ("x", "y", "x+y", "x-y")])
+        sat = IdealGens.of(XY, [lines.multiplicity_cofactor()])
+        [image] = exact_form_images(annihilator_form(lines)).values()
+        expected = nu_jet_basis(sat, annihilator_field(lines), 4)
+        assert _JetCounts(sat, image, 24, 2).basis(4) == expected
+        graded = mutated(_JetCounts.__init__, "modulus is None and _homogeneous", "_homogeneous")
+        monkeypatch.setattr(_JetCounts, "__init__", graded)
+        assert len(_JetCounts(sat, image, 24, 2).basis(4)) == 10 != len(expected)
 
 
 class TestExactNonzeroMutant:
