@@ -176,10 +176,8 @@ def check_hypotheses(curve: FactoredCurve) -> bool:
     last clause: one past its colength bound means a factor through 0
     shared by g_i and g_j, which divides alpha; once all stop, alpha is
     a unit times dg near a point of one reduced part g alone, and df = 0
-    off f = 0 only at 0, so (a, b) is isolated (README).  Conversely each
-    failed clause makes (a, b) not isolated, so on graded input the stop
-    of the scan of (a, b) alone proves every clause.  Raises InputError
-    naming the first violated clause (``invariants``).
+    off f = 0 only at 0, so (a, b) is isolated (README).  Raises
+    InputError naming the first violated clause (``invariants``).
     """
     variables = curve.variables
     f = curve.expand()
@@ -298,13 +296,11 @@ def invariants(
     """Full invariant pipeline: mu, nu, rank = mu + nu, quotient basis,
     and (with a verifying weight certificate) the a-action coefficients.
 
-    No Groebner basis runs: the gcd certificates of ``milnor_fibre_betti``
-    or the stops of the scans (``local_quotient``) of every (g_x, g_y) and
-    (g_i, g_j), and the stop of (a, b), prove every clause of
-    ``check_hypotheses``, which runs on an InputError to name the clause.
-    With ``weights`` b_1 has no scans, and the stop of (a, b) alone proves
-    every clause: each failed clause puts a factor through 0 into both
-    coefficients of alpha (README).
+    No Groebner basis runs: b_1 comes first, with or without ``weights``,
+    and the gcd certificates of ``milnor_fibre_betti`` or the stops of its
+    scans of (g_x, g_y) and (g_i, g_j), and then the stop of the mu scan
+    of (a, b), prove every clause of ``check_hypotheses``, which runs on an
+    InputError to name the clause.
     Nor does a general saturation: sat(J) = (h), h = u_1^(p_1-1) ...
     u_k^(p_k-1).  df = h alpha with the coefficients (a, b) of alpha
     m-primary, so J = h (a, b).  The associated primes of the principal
@@ -326,15 +322,11 @@ def invariants(
     field = annihilator_field(curve)
     try:
         ws = WeightSystem.for_poly(f, weights) if weights is not None else None
-        # jet input: the b_1 certificates and stops prove (a, b) isolated, so the
-        # mu scan stops
-        betti = milnor_fibre_betti(curve) if ws is None else None
+        betti = milnor_fibre_betti(curve)  # proves (a, b) isolated, so the mu scan stops
         mu_value, mu_basis = local_quotient(IdealGens.of(curve.variables, field), ws)
     except InputError:
         check_hypotheses(curve)  # names the first violated clause, if any
         raise
-    if ws is not None:  # the stop of (a, b) proved the clauses of the closed forms
-        betti = milnor_fibre_betti(curve, ws)
     [twisted] = exact_form_images(curve._alpha).values()
     sat = IdealGens.of(curve.variables, [h])
     nu_res = twisted_quotient_dim(sat, twisted, betti - mu_value, ws, jet_cap)
@@ -374,7 +366,7 @@ def invariants(
     )
 
 
-def milnor_fibre_betti(curve: FactoredCurve, ws: Optional[WeightSystem] = None) -> int:
+def milnor_fibre_betti(curve: FactoredCurve) -> int:
     """b_1 of the Milnor fibre F of f at 0.
 
     Write f = prod g_i^(m_i), the g_i the branches u_i (m_i = p_i) and a
@@ -382,54 +374,34 @@ def milnor_fibre_betti(curve: FactoredCurve, ws: Optional[WeightSystem] = None) 
     (``check_hypotheses``).  A'Campo's formula ("La fonction zêta d'une
     monodromie", Comment. Math. Helv. 50, 1975) gives
     chi(F) = sum_i m_i (1 - mu(g_i) - sum_(j != i) (g_i . g_j)_0), and F
-    has gcd(m_i) components, so b_1 = gcd(m_i) - chi(F).  A part g
-    homogeneous of degree d_g in integer weights w has
-    mu(g) = (d_g - w_x)(d_g - w_y) / (w_x w_y) (Milnor-Orlik, Topology 9,
-    1970; 0 for a smooth part), and two meet with (g_i . g_j)_0 =
-    d_i d_j / (w_x w_y) (weighted Bezout).  With ``ws`` every part is so, and
-    ``invariants`` proves the hypotheses first by the stop of the scan of
-    (a, b).  Without ``ws`` the closed forms serve each part, and each
-    pair, homogeneous in one weight once an integer gcd certifies the
-    hypothesis (``_weighted_shape``); every other number is a colength
-    certified by the scan of ``local_quotient``, with no basis
-    (``local_colength``), whose refusal names a failed clause."""
+    has gcd(m_i) components, so b_1 = gcd(m_i) - chi(F).  A part
+    homogeneous in one primitive weight takes Milnor-Orlik, and a pair
+    of parts homogeneous in one shared weight weighted Bezout, once an
+    integer gcd certifies its hypothesis (``_closed_milnor``,
+    ``_closed_meet``); every part and pair of a curve graded by weights
+    is so.  Every other number is a colength certified by the scan of
+    ``local_quotient``, with no basis (``local_colength``), whose refusal
+    names a failed clause."""
     parts = list(curve.factors)
     if not curve.residual_is_constant:
         parts.append((curve.residual, 1))
     gs, ms = zip(*parts)
+    shapes = [_weighted_shape(g) for g in gs]
+    milnor = [
+        mu if (mu := _closed_milnor(s)) is not None
+        else 0 if (J := jacobian_ideal(g)).contains_unit() else local_colength(J)
+        for g, s in zip(gs, shapes)
+    ]
     pairs = list(combinations(range(len(parts)), 2))
-    if ws is None:
-        shapes = [_weighted_shape(g) for g in gs]
-        milnor = [
-            mu if (mu := _closed_milnor(s)) is not None
-            else 0 if (J := jacobian_ideal(g)).contains_unit() else local_colength(J)
-            for g, s in zip(gs, shapes)
-        ]
-        meets = [
-            meet if (meet := _closed_meet(shapes[i], shapes[j])) is not None
-            else local_colength(IdealGens.of(curve.variables, [gs[i], gs[j]]))
-            for i, j in pairs
-        ]
-    else:
-        w, _ = ws.integer_scaled()
-        found = [{w[0] * e + w[1] * e2 for e, e2 in g.terms} for g in gs]
-        if any(len(ds) != 1 for ds in found):
-            raise RuntimeError("internal invariant violation: a factor of f is not w-homogeneous")
-        degrees = [min(ds) for ds in found]
-        milnor = [_milnor_orlik(w, d) for d in degrees]
-        meets = [_bezout(w, degrees[i], degrees[j]) for i, j in pairs]
+    meets = [
+        meet if (meet := _closed_meet(shapes[i], shapes[j])) is not None
+        else local_colength(IdealGens.of(curve.variables, [gs[i], gs[j]]))
+        for i, j in pairs
+    ]
     # (g_i . g_j)_0 enters the sums of both i and j
     chi = sum(m * (1 - mu) for m, mu in zip(ms, milnor))
     chi -= sum((ms[i] + ms[j]) * meet for (i, j), meet in zip(pairs, meets))
     return gcd(*ms) - chi
-
-
-def _milnor_orlik(w: Sequence[int], d: int) -> int:
-    return (d - w[0]) * (d - w[1]) // (w[0] * w[1])
-
-
-def _bezout(w: Sequence[int], d: int, d2: int) -> int:
-    return d * d2 // (w[0] * w[1])
 
 
 def _weighted_shape(g: Poly) -> Optional[tuple]:
@@ -462,21 +434,26 @@ def _degree(w: Sequence[int], shape: tuple) -> int:
 
 
 def _closed_milnor(s: Optional[tuple]) -> Optional[int]:
-    """mu of a part of shape ``s`` by Milnor-Orlik once gcd(p, p') proves
-    it reduced, or None."""
+    """mu of a part of shape ``s`` once gcd(p, p') proves it reduced, or
+    None: (d - w_x)(d - w_y) / (w_x w_y) for its w-degree d (Milnor-Orlik,
+    Topology 9, 1970; 0 for a smooth part, whose d is w_x or w_y)."""
     if s and s[1] <= 1 and s[2] <= 1:
         if len(_gcd(s[3], [k * c for k, c in enumerate(s[3])][1:])) == 1:  # p and p'
-            return _milnor_orlik(s[0] or (1, 1), _degree(s[0] or (1, 1), s))
+            w = s[0] or (1, 1)
+            d = _degree(w, s)
+            return (d - w[0]) * (d - w[1]) // (w[0] * w[1])
     return None
 
 
 def _closed_meet(s: Optional[tuple], t: Optional[tuple]) -> Optional[int]:
-    """(g . h)_0 of two parts of shapes ``s`` and ``t`` by weighted Bezout
-    once they share a weight and gcd(p_s, p_t) proves them coprime, or None."""
+    """(g . h)_0 of two parts of shapes ``s`` and ``t`` once they share a
+    weight w and gcd(p_s, p_t) proves them coprime, or None: d_s d_t /
+    (w_x w_y) by weighted Bezout, since both are unions of orbit closures
+    of the weighted C^* action and meet only at 0."""
     w = s and t and (s[0] or t[0] or (1, 1))
     if w and {s[0], t[0]} <= {None, w}:
         if not (s[1] and t[1] or s[2] and t[2]) and len(_gcd(s[3], t[3])) == 1:
-            return _bezout(w, _degree(w, s), _degree(w, t))
+            return _degree(w, s) * _degree(w, t) // (w[0] * w[1])
     return None
 
 
@@ -486,6 +463,8 @@ def _gcd(p: list[int], q: list[int]) -> list[int]:
     primitive remainder sequence, with the gcd of the contents multiplied
     back."""
     content, (p, q) = gcd(*p, *q), (p, q) if q else (q, p)
+    if len(p) == 1 or len(q) == 1:  # a nonzero constant: the gcd is the content
+        return [content]
     while q:
         unit = gcd(*q) if q[-1] > 0 else -gcd(*q)
         q = [c // unit for c in q]  # the content removed

@@ -700,7 +700,7 @@ def ref_kernel_relations(
     return relations
 
 
-# -- jet b_1 and its closed forms --------------------------------------------
+# -- b_1 and its closed forms --------------------------------------------------
 
 
 def scanned_betti(curve: FactoredCurve) -> int:

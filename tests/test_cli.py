@@ -468,7 +468,7 @@ class TestInvariantsCommand:
         # a b_1 + 1 mutant: no scan reaches the target, so the cap ends it
         monkeypatch.setattr(
             "brieskorn.curve.milnor_fibre_betti",
-            lambda c, ws=None: milnor_fibre_betti(c, ws) + 1,
+            lambda c: milnor_fibre_betti(c) + 1,
         )
         code, text = run(
             ["invariants", "--factors", "x:3", "--residual", "x^3+y^3", *weights,

@@ -528,7 +528,7 @@ CLAUSES = [
         id="residual-not-reduced",
     ),
     pytest.param({"--factors": "x*(x+y):2,x*(x-y):2"}, ANNIHILATOR, id="annihilator"),
-    # graded input runs the scan of (a, b) first, and its refusal names the clause
+    # graded input reads b_1 first too, and a refused certificate scan names the clause
     pytest.param(
         {"--factors": "x*y:2,x:2", "--weights": "1,1"},
         "branches x*y and x are associate (identical branches)",
@@ -599,32 +599,46 @@ class TestHypothesesFromScans:
         assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
-        "factors, residual",
+        "factors, residual, weights",
         [
-            ("x*(x+y):2,x*(x-y):2", None),
-            ("x*(x+y):2", "x*(x-y)"),
-            ("(x-y)*(x^5+y^7):2,(x-y)*(x^7+y^5+x^3*y^3):2", None),
+            ("x*(x+y):2,x*(x-y):2", None, None),
+            ("x*(x+y):2", "x*(x-y)", None),
+            ("(x-y)*(x^5+y^7):2,(x-y)*(x^7+y^5+x^3*y^3):2", None, None),
+            ("x*(x+y):2,x*(x-y):2", None, (1, 1)),
+            ("x*(x+y):2", "x*(x-y)", (1, 1)),
+            ("(x-y)*(x^5+y^5):2,(x-y)*(x^5+2*y^5):2", None, (1, 1)),
         ],
-        ids=["branches", "branch-and-residual", "degree-15"],
+        ids=[
+            "branches", "branch-and-residual", "degree-15",
+            "branches-graded", "branch-and-residual-graded", "degree-6-graded",
+        ],
     )
     def test_a_refused_pair_scan_names_the_annihilator_clause(
-        self, monkeypatch, factors, residual
+        self, monkeypatch, factors, residual, weights
     ):
         # two parts sharing a factor through 0: it divides both coefficients
-        # of alpha, so the refused pair scan names the clause, and the
-        # coefficient ideal never reaches a Groebner basis
+        # of alpha, so the refused pair scan of b_1 names the clause, with or
+        # without weights, and the coefficient ideal never reaches a
+        # Groebner basis or the mu scan (its only local_quotient call)
         curve = parsed_curve(factors, residual)
-        decided = []
+        decided, quoted = [], []
 
         def recording(I):
             decided.append(set(I.generators))
             return groebner.isolated_at_origin(I)
 
+        def quoting(I, ws):
+            quoted.append(I)
+            return local_quotient(I, ws)
+
         monkeypatch.setattr("brieskorn.curve.isolated_at_origin", recording)
-        for run in (check_hypotheses, invariants):
-            with pytest.raises(InputError, match=f"^{re.escape(ANNIHILATOR)}$"):
-                run(curve)
+        monkeypatch.setattr("brieskorn.curve.local_quotient", quoting)
+        with pytest.raises(InputError, match=f"^{re.escape(ANNIHILATOR)}$"):
+            check_hypotheses(curve)
+        with pytest.raises(InputError, match=f"^{re.escape(ANNIHILATOR)}$"):
+            invariants(curve, weights)
         assert decided and set(coefficient_ideal(curve).generators) not in decided
+        assert quoted == []
 
     def test_a_constant_f_is_named(self):
         # FactoredCurve.of refuses constant branches; the constructor does not
@@ -1491,9 +1505,7 @@ class TestMilnorFibreBetti:
     @pytest.mark.parametrize("weights", [(1, 1), None])
     def test_monomial_closed_form(self, a, b, weights):
         # {x^a y^b = 1} is gcd(a, b) copies of C^*
-        curve = factored([("x", a), ("y", b)])
-        ws = WeightSystem.for_poly(curve.expand(), weights) if weights else None
-        assert milnor_fibre_betti(curve, ws) == gcd(a, b)
+        assert pinned_route_betti(factored([("x", a), ("y", b)]), weights) == gcd(a, b)
 
     @pytest.mark.parametrize(
         "curve,weights,expected",
@@ -1506,32 +1518,22 @@ class TestMilnorFibreBetti:
         ids=["sextic-graded", "sextic-jet", "y3-cusp3-graded", "y3-cusp3-jet"],
     )
     def test_golden_values(self, curve, weights, expected):
-        ws = WeightSystem.for_poly(curve.expand(), weights) if weights else None
-        assert milnor_fibre_betti(curve, ws) == expected
+        assert pinned_route_betti(curve, weights) == expected
 
     @pytest.mark.parametrize("curve,weights,rank", betti_cases(), ids=str)
     def test_equals_pinned_rank(self, curve, weights, rank):
-        ws = WeightSystem.for_poly(curve.expand(), weights) if weights else None
-        assert milnor_fibre_betti(curve, ws) == rank
+        assert pinned_route_betti(curve, weights) == rank
 
     @given(weighted_curves())
     def test_graded_closed_forms_equal_the_scans(self, curve_and_weights):
         assert_graded_betti_is_scanned(*curve_and_weights)
 
-    def test_a_part_that_the_weights_do_not_grade_is_an_internal_error(self):
-        # a certificate of f grades every factor of f, so a weight system
-        # of another polynomial is a defect of the caller
-        curve = factored([("x+y^2", 2), ("x-y", 2)])
-        with pytest.raises(RuntimeError, match="a factor of f is not w-homogeneous"):
-            milnor_fibre_betti(curve, WeightSystem((1, 1), 6))
-
     @pytest.mark.parametrize("curve, weights, reference", scan_count_cases())
-    def test_only_jet_input_scans_colengths(self, monkeypatch, curve, weights, reference):
-        # graded b_1 is read off integers, once the scan of (a, b) has
-        # proved the clauses; jet b_1 scans each singular part homogeneous
-        # in no weight, and each pair of parts that share no weight (a
-        # monomial shares every weight); the corpus curves are valid, so
-        # each gcd certificate holds
+    def test_b1_scans_only_the_closed_form_misses(self, monkeypatch, curve, weights, reference):
+        # graded and jet b_1 take one route: it scans each singular part
+        # homogeneous in no weight, and each pair of parts that share no
+        # weight (a monomial shares every weight), so a graded curve scans
+        # nothing; the corpus curves are valid, so each gcd certificate holds
         calls = []
 
         def counting(I):
@@ -1539,13 +1541,8 @@ class TestMilnorFibreBetti:
             return local_colength(I)
 
         monkeypatch.setattr("brieskorn.curve.local_colength", counting)
-        scans = closed_form_misses(curve_parts(curve))
-        if weights is not None:
-            invariants(curve, weights)
-            assert calls == []
-        else:
-            invariants(curve)
-            assert len(calls) == scans
+        invariants(curve, weights)
+        assert len(calls) == closed_form_misses(curve_parts(curve))
 
     def test_the_pinned_curves_take_both_routes(self):
         # every part of every jet corpus curve is homogeneous in a weight
@@ -1559,6 +1556,11 @@ class TestMilnorFibreBetti:
         assert 0 in counts and max(counts) > 0
 
 
+def pinned_route_betti(curve: FactoredCurve, weights) -> int:
+    """b_1 as the graded report prints it, or as jet b_1 reads it."""
+    return milnor_fibre_betti(curve) if weights is None else invariants(curve, weights).betti_n
+
+
 def curve_parts(curve: FactoredCurve) -> list[Poly]:
     """The reduced parts of A'Campo's formula: the branches and a
     nonconstant residual."""
@@ -1566,7 +1568,7 @@ def curve_parts(curve: FactoredCurve) -> list[Poly]:
 
 
 def closed_form_misses(parts: list[Poly]) -> int:
-    """The colength scans of jet b_1 on valid parts: each singular part
+    """The colength scans of b_1 on valid parts: each singular part
     homogeneous in no weight, and each pair of parts that share none."""
     bound = max(g.total_degree() for g in parts)
     weights = {g: homogeneous_weights(g, bound) for g in parts}
@@ -1575,11 +1577,11 @@ def closed_form_misses(parts: list[Poly]) -> int:
 
 
 def assert_graded_betti_is_scanned(curve: FactoredCurve, weights):
-    """Graded and jet b_1 both equal b_1 of the colength scans alone, and per
-    part the Milnor-Orlik number and per pair the weighted Bezout number
-    equal the weighted colength scans."""
+    """b_1 equals b_1 of the colength scans alone, and per part the
+    Milnor-Orlik number and per pair the weighted Bezout number equal the
+    weighted colength scans."""
     ws = WeightSystem.for_poly(curve.expand(), weights)
-    assert milnor_fibre_betti(curve, ws) == milnor_fibre_betti(curve) == scanned_betti(curve)
+    assert milnor_fibre_betti(curve) == scanned_betti(curve)
     (wx, wy), scale = ws.integer_scaled()
     parts = curve_parts(curve)
     degree = {g: g.quasi_homogeneous_degree(ws.weights) * scale for g in parts}
@@ -1630,7 +1632,7 @@ def scanned(I: IdealGens) -> Optional[int]:
 
 
 class TestWeightedClosedForms:
-    """Jet b_1 reads Milnor-Orlik and weighted Bezout off each part, and
+    """b_1 reads Milnor-Orlik and weighted Bezout off each part, and
     pair, homogeneous in one weight, once an integer gcd certifies the
     hypothesis; the scans decide every other part and pair."""
 
@@ -1686,8 +1688,8 @@ class TestWeightedClosedForms:
         ids=["one-weight", "no-shared-weight"],
     )
     def test_jet_numbers_and_their_scans(self, monkeypatch, factors, residual, scans, numbers):
-        # every part of the first curve is homogeneous in (3, 2), so jet b_1
-        # scans nothing and equals the weighted step's; x + y^2 and x - y
+        # every part of the first curve is homogeneous in (3, 2), so b_1
+        # scans nothing, as with the weights (3, 2); x + y^2 and x - y
         # are each homogeneous, in (2, 1) and (1, 1), so only their pair is
         # scanned
         calls = []
@@ -1837,7 +1839,7 @@ class TestJetNuScan:
         # scan, over GF(p) on every curve homogeneous in no unit weights
         betti = milnor_fibre_betti(curve)
         monkeypatch.setattr(
-            "brieskorn.curve.milnor_fibre_betti", lambda c, ws=None: betti + 1
+            "brieskorn.curve.milnor_fibre_betti", lambda c: betti + 1
         )
         with pytest.raises(InconclusiveError, match="did not reach the target nu") as info:
             invariants(curve)

@@ -14,9 +14,10 @@ the sign flip of a negative denominator in the integer parse of records,
 the closed form of a^l b^r (a falling factorial, a dropped binomial),
 the b^j shift of the factorial identity,
 the Nakayama stop of mu, the Bezout bound of the colength scans, the
-weighted Bezout number of graded and jet b_1, the Milnor-Orlik number of
-jet b_1 one off, its squarefree and coprime gcd certificates skipped, the
-content factor of the integer gcd dropped, the nu target stop, the re-read
+weighted Bezout number of b_1 (one route, graded and jet), its
+Milnor-Orlik number one off, its squarefree and coprime gcd certificates
+skipped, the content factor of the integer gcd dropped, its constant-operand
+early exit fired on a linear operand, the nu target stop, the re-read
 one order on of the nu predictor, the early unit return of the isolation
 test, the affine frame of the a-action certificate one point short, its
 integer scales (a wrong weight, a dropped scale of f or of D), the
@@ -60,11 +61,9 @@ from brieskorn.curve import (
     FactoredCurve,
     _action_certificate,
     _action_target,
-    _bezout,
     _closed_meet,
     _closed_milnor,
     _gcd,
-    _milnor_orlik,
     annihilator_field,
     annihilator_form,
     check_hypotheses,
@@ -523,17 +522,18 @@ class TestWeightedBezoutMutant:
     def test_a_bezout_number_without_w_y_is_caught_by_the_scans(self, monkeypatch):
         # y and x^2 - y^5 under the weights (5, 2) meet with multiplicity
         # 2 * 10 / (5 * 2) = 2; without the / w_y the closed form reads 4,
-        # in graded and jet b_1 alike
+        # in graded and jet b_1 alike, since both take this one route
         curve = FactoredCurve.of(XY, [(p("y"), 3), (p("x^2-y^5"), 3)])
         assert_graded_betti_is_scanned(curve, (5, 2))
-        wrong = mutated(_bezout, "d * d2 // (w[0] * w[1])", "d * d2 // w[0]")
-        monkeypatch.setattr("brieskorn.curve._bezout", wrong)
+        old = "_degree(w, s) * _degree(w, t) // (w[0] * w[1])"
+        wrong = mutated(_closed_meet, old, "_degree(w, s) * _degree(w, t) // w[0]")
+        monkeypatch.setattr("brieskorn.curve._closed_meet", wrong)
         with pytest.raises(AssertionError):
             assert_graded_betti_is_scanned(curve, (5, 2))
 
 
 class TestJetClosedFormMutants:
-    """Jet b_1 reads a closed form off a weighted-homogeneous part or pair
+    """b_1 reads a closed form off a weighted-homogeneous part or pair
     only after an integer gcd certifies its hypothesis; each mutant of the
     closed forms or of their certificates is caught by one check."""
 
@@ -542,7 +542,7 @@ class TestJetClosedFormMutants:
         curve = weighted_curve()
         assert milnor_fibre_betti(curve) == scanned_betti(curve)
         old = "(d - w[0]) * (d - w[1]) // (w[0] * w[1])"
-        monkeypatch.setattr("brieskorn.curve._milnor_orlik", mutated(_milnor_orlik, old, f"{old} {shift}"))
+        monkeypatch.setattr("brieskorn.curve._closed_milnor", mutated(_closed_milnor, old, f"{old} {shift}"))
         assert milnor_fibre_betti(curve) != scanned_betti(curve)
 
     def test_a_skipped_squarefree_test_reads_mu_off_a_part_that_is_not_reduced(self, monkeypatch):
@@ -578,9 +578,21 @@ class TestJetClosedFormMutants:
         dropped = mutated(_gcd, "[content * c for c in p]", "p")
         assert not gcd_is_the_integer_gcd(dropped)
 
+    def test_an_early_exit_on_a_linear_operand_is_caught(self, monkeypatch):
+        # only a nonzero constant operand makes the gcd its content; one that
+        # fires on a linear operand reads 2 for the gcd 2 + 2s of 6 + 6s and
+        # 4 + 4s, and 1 for gcd(p, p') = s - 1 of p = (s - 1)^2, so the
+        # certificate calls the non-reduced (x^2 - y^3)^2 reduced
+        early = mutated(_gcd, "len(q) == 1", "len(q) <= 2")
+        assert not gcd_is_the_integer_gcd(early)
+        curve = FactoredCurve.of(XY, [(p("(x^2-y^3)^2"), 2)])
+        assert refuses_the_hypotheses(curve)
+        monkeypatch.setattr("brieskorn.curve._gcd", early)
+        assert not refuses_the_hypotheses(curve)
+
 
 def refuses_the_hypotheses(curve: FactoredCurve) -> bool:
-    """Whether jet b_1 refuses the curve, as a scan of a part or pair that
+    """Whether b_1 refuses the curve, as a scan of a part or pair that
     is not reduced or not coprime does."""
     try:
         milnor_fibre_betti(curve)
@@ -622,8 +634,7 @@ class TestNuTargetStopMutant:
         # the raise in _reached is all that stops it
         lines = FactoredCurve.of(XY, [(p("x"), 2), (p("y"), 2)])
         monkeypatch.setattr(
-            "brieskorn.curve.milnor_fibre_betti",
-            lambda c, ws=None: milnor_fibre_betti(c, ws) - 1,
+            "brieskorn.curve.milnor_fibre_betti", lambda c: milnor_fibre_betti(c) - 1
         )
         with pytest.raises(RuntimeError, match="1 classes, past the target 0"):
             invariants(lines, weights)
@@ -637,13 +648,13 @@ class TestNuTargetStopMutant:
 
     @pytest.mark.xfail(
         strict=True,
+        raises=pytest.fail.Exception,  # only "DID NOT RAISE": an error of the test itself fails
         reason="ROADMAP items 5 and 6: nu stops on the one-sided target b_1 - mu, "
         "so a b_1 - 1 that the scan reaches exactly prints nu 3 and exits 0",
     )
     def test_betti_one_low_on_the_golden_sextic_is_refused(self, monkeypatch):
         monkeypatch.setattr(
-            "brieskorn.curve.milnor_fibre_betti",
-            lambda c, ws=None: milnor_fibre_betti(c, ws) - 1,
+            "brieskorn.curve.milnor_fibre_betti", lambda c: milnor_fibre_betti(c) - 1
         )
         with pytest.raises((RuntimeError, InconclusiveError)):
             invariants(golden_sextic(), weights=(1, 1))
