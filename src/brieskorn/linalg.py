@@ -1,27 +1,26 @@
-"""Incremental reduced row echelon spans over the rationals.
+"""Incremental row echelon spans over the rationals.
 
 Vectors are sparse dicts mapping comparable column keys to nonzero
-Fractions or integers.  Columns compare as themselves: a row's pivot is
+Fractions or integers.  Columns compare as themselves: a row's lead is
 its least column key, so a caller chooses the column order by the keys it
-writes.  A ``Span`` keeps its rows fully reduced (each pivot column
-appears in exactly one row), so membership tests and the set of pivots
-are canonical and deterministic.
+writes.  An echelon is a dict from lead to row, with distinct leads, and
+``reduce_by_leads`` is its one exact reduction: it cancels only leads and
+never touches a stored row.  The leads of any echelon of a space are the
+least columns of its nonzero vectors, so they are canonical, and a vector
+lies in the space exactly when it reduces to 0.  ``Span`` and the jet
+count of ``local_algebra`` both keep such an echelon.
 
-Inside a ``Span`` the arithmetic is fraction-free.  Each row is stored as a
-primitive integer dict (its entries share no common factor), and the true
-reduced row is that integer row divided by its own pivot entry.
-``Fraction`` values are built only where rows leave the span, in
-``row_vectors``.  A column index maps each non-pivot column to the rows
-holding a nonzero entry there, so a new pivot is cleared from exactly the
-rows that contain it.  ``intersection`` meets two spans with one more
-``Span`` (Zassenhaus's sum-space echelon).
+The arithmetic is fraction-free.  Each row is stored as a primitive
+integer dict (its entries share no common factor), and ``Fraction``
+values are read only where a vector comes in.  ``intersection`` meets two
+spans with one more ``Span`` (Zassenhaus's sum-space echelon).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Hashable, Iterable
+from typing import Hashable, Iterable, Optional
 
 Vec = dict[Hashable, Fraction]
 
@@ -55,80 +54,48 @@ def _integer_vec(vector: Vec) -> tuple[dict[Hashable, int], int]:
     return {k: v.numerator * (scale // v.denominator) for k, v in vector.items()}, scale
 
 
-def _cancel(vec: dict, key: Hashable, row: dict) -> None:
-    """vec := mult * vec - coeff * row with the smallest integers that clear
-    column ``key``."""
-    g = gcd(vec[key], row[key])
-    mult, coeff = row[key] // g, vec[key] // g
-    if mult != 1:
-        for k in vec:
-            vec[k] *= mult
-    vec_axpy(vec, -coeff, row)
-
-
-def _make_primitive(vec: dict) -> None:
-    """Divide an integer row by its content (in place)."""
-    content = gcd(*vec.values())
-    if content != 1:
-        for k in vec:
-            vec[k] //= content
+def reduce_by_leads(rows: dict, vec: dict, keep: bool = True) -> Optional[Hashable]:
+    """Reduce the integer vector ``vec`` in place by the echelon ``rows``:
+    while a row leads at vec's least column, cancel that column with the
+    smallest integer multiples.  Returns None when vec reduces to 0, else
+    its new lead, under which ``keep`` stores it, divided by its content."""
+    while vec:
+        lead = min(vec)
+        row = rows.get(lead)
+        if row is None:
+            if keep:
+                content = gcd(*vec.values())
+                if content != 1:
+                    for k in vec:
+                        vec[k] //= content
+                rows[lead] = vec
+            return lead
+        g = gcd(vec[lead], row[lead])
+        mult, coeff = row[lead] // g, vec[lead] // g
+        if mult != 1:
+            for k in vec:
+                vec[k] *= mult
+        vec_axpy(vec, -coeff, row)
+    return None
 
 
 class Span:
-    """A subspace in reduced row echelon form; columns compare as
-    themselves, and each row's pivot is its least column."""
+    """A subspace as an echelon: ``rows`` maps each pivot, the least
+    column of its row, to that primitive integer row."""
 
     def __init__(self):
-        self.rows: list[dict[Hashable, int]] = []
-        self.pivots: dict[Hashable, int] = {}  # pivot column -> row, in row order
-        self.holders: dict[Hashable, set[int]] = {}  # non-pivot column -> rows
+        self.rows: dict[Hashable, dict[Hashable, int]] = {}
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    def _clear(self, vec: dict) -> None:
-        """Eliminate the pivot columns from an integer vector in place."""
-        # Reduced rows only introduce non-pivot columns, one pass suffices.
-        for key in [k for k in vec if k in self.pivots]:
-            _cancel(vec, key, self.rows[self.pivots[key]])
-
     def insert(self, vector: Vec) -> bool:
         """Insert a vector; returns True when it enlarged the span."""
-        vec, _ = _integer_vec(vector)
-        self._clear(vec)
-        if not vec:
-            return False
-        pivot = min(vec)
-        _make_primitive(vec)
-        # keep existing rows reduced against the new pivot
-        for idx in self.holders.pop(pivot, ()):
-            row = self.rows[idx]
-            _cancel(row, pivot, vec)
-            _make_primitive(row)
-            for key in vec:
-                if key in row:
-                    self.holders.setdefault(key, set()).add(idx)
-                elif key != pivot:
-                    self.holders[key].discard(idx)
-        idx = len(self.rows)
-        for key in vec:
-            if key != pivot:
-                self.holders.setdefault(key, set()).add(idx)
-        self.pivots[pivot] = idx
-        self.rows.append(vec)
-        return True
+        return reduce_by_leads(self.rows, _integer_vec(vector)[0]) is not None
 
     def contains(self, vector: Vec) -> bool:
-        vec, _ = _integer_vec(vector)
-        self._clear(vec)
-        return not vec
-
-    def row_vectors(self) -> list[Vec]:
-        return [
-            {k: Fraction(v, row[lead]) for k, v in row.items()}
-            for row, lead in zip(self.rows, self.pivots)
-        ]
+        return reduce_by_leads(self.rows, _integer_vec(vector)[0], keep=False) is None
 
 
 def intersection(
@@ -139,11 +106,11 @@ def intersection(
     One ``Span`` over two copies of the columns, keyed (block, key) so
     that the first copy orders before the second, takes (u | 0) for each
     u in ``first`` and (e | e) for each e in ``second``.  Its row space is
-    {(u + e | e)}, so the rows of zero first block are the (0 | e) with
-    e = -u in both spans.  Rows are reduced and the first copy is ordered
-    first, so those are exactly the rows that pivot in the second copy,
-    and they are a basis of the intersection (Zassenhaus's algorithm):
-    dim U + dim W - dim(U + W) of them.
+    {(u + e | e)}, so the vectors of zero first block are the (0 | e) with
+    e = -u in both spans.  A row that pivots in the second copy has no
+    entry in the first, and a vector of zero first block reduces by those
+    rows alone, so they are a basis of the intersection (Zassenhaus's
+    algorithm): dim U + dim W - dim(U + W) of them.
     """
     span = Span()
     for u in first:
@@ -152,6 +119,6 @@ def intersection(
         span.insert({(block, k): v for block in (0, 1) for k, v in e.items()})
     return [
         {k: v for (_, k), v in row.items()}
-        for row, (block, _) in zip(span.rows, span.pivots)
+        for (block, _), row in span.rows.items()
         if block == 1
     ]

@@ -27,7 +27,7 @@ from operator import add, mul, neg
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import InconclusiveError, InputError
-from .linalg import Span, _cancel, _make_primitive
+from .linalg import Span, reduce_by_leads
 from .poly import Exponents, Poly, Scalar, WeightSystem, listing_key
 
 
@@ -205,9 +205,10 @@ class _JetCounts:
     wdeg(m) - ``drop`` for V~(x^m), ``drop`` the most that the image
     lowers the w-degree (``_ShiftedImages.raises``).  Rows are integer
     vectors with distinct least terms (leads) under the additive key
-    (wdeg, -e_(n-1), ..., -e_0); an insert cancels only leads, so rows are
-    never fully reduced.  Terms of w-degree ``cap`` and above are dropped,
-    which changes no q(k) with k <= cap.
+    (wdeg, -e_(n-1), ..., -e_0): the echelon of a ``linalg.Span``, which an
+    exact insert extends by ``linalg.reduce_by_leads``, cancelling leads
+    only.  Terms of w-degree ``cap`` and above are dropped, which changes
+    no q(k) with k <= cap.
 
     Lemma: once every generator of order < k is in, q(k) = #monomials of
     w-degree < k - #rows with lead w-degree < k.  A row with lead w-degree
@@ -300,8 +301,8 @@ class _JetCounts:
         rows of lead w-degree < k, a basis by the lemma, so it re-enters
         nothing.  Over GF(p) the generators of order < k go in again, from
         the top order down: the top slice fills most of its degree first,
-        and a later row reduces against it to a short tail on the few
-        monomials left, which keeps the integer rows small."""
+        and a later row cancels its few leads against it.  Bottom-up, the
+        span took 4 to 1000 times as long on long unweighted curves."""
         if self.modulus is None:
             vectors = [row for lead, row in self.rows.items() if lead[0] < k]
         else:
@@ -311,7 +312,7 @@ class _JetCounts:
             cut = {(-e[0], *e[1:]): c for e, c in vec.items() if e[0] < k}
             if cut:
                 span.insert(cut)
-        return {(-d, *rest) for d, *rest in span.pivots}
+        return {(-d, *rest) for d, *rest in span.rows}
 
     def _entering(self, k: int) -> Iterator[dict[tuple[int, ...], int]]:
         """The generators that go in at order k (order bound k - 1), as
@@ -340,23 +341,20 @@ class _JetCounts:
         p, rows = self.modulus, self.rows
         if self.cap is not None:
             vec = {e: c for e, c in vec.items() if e[0] < self.cap}
-        if p is not None:
-            vec = {e: c % p for e, c in vec.items() if c % p}
+        if p is None:
+            lead = reduce_by_leads(rows, vec)
+            if lead is not None:
+                self.lead_degrees[lead[0]] += 1
+            return
+        vec = {e: c % p for e, c in vec.items() if c % p}
         while vec:
             lead = min(vec)
             row = rows.get(lead)
             if row is None:
-                if p is None:
-                    _make_primitive(vec)
-                else:
-                    inv = pow(vec[lead], -1, p)
-                    vec = {e: c * inv % p for e, c in vec.items()}
-                rows[lead] = vec
+                inv = pow(vec[lead], -1, p)
+                rows[lead] = {e: c * inv % p for e, c in vec.items()}
                 self.lead_degrees[lead[0]] += 1
                 return
-            if p is None:
-                _cancel(vec, lead, row)
-                continue
             c = vec[lead]  # rows over GF(p) are monic
             for e, v in row.items():
                 acc = (vec.get(e, 0) - c * v) % p

@@ -56,7 +56,8 @@ class IsolatedGerm(NamedTuple):
 def _auto_weights(f: Poly) -> Optional[tuple[Fraction, ...]]:
     """Positive weights making f quasi-homogeneous of degree 1, if any.
 
-    Row-reduces the rows [exponents | 1] (column n is the constant); free
+    Row-reduces the rows [exponents | 1] (column n is the constant) to an
+    echelon and back-substitutes from the highest pivot down; free
     variables (possible when the system is underdetermined) default to
     1/deg(f).
     """
@@ -66,15 +67,12 @@ def _auto_weights(f: Poly) -> Optional[tuple[Fraction, ...]]:
         row = {i: e for i, e in enumerate(exps) if e}
         row[n] = 1
         span.insert(row)
-    default = Fraction(1, max(f.total_degree(), 1))
-    weights = [default] * n
-    for row in span.row_vectors():
-        pivot = min(row)
-        if pivot == n:
-            return None  # inconsistent: not quasi-homogeneous at all
-        weights[pivot] = row.get(n, 0) - sum(
-            v * default for k, v in row.items() if k not in (pivot, n)
-        )
+    if n in span.rows:
+        return None  # inconsistent: not quasi-homogeneous at all
+    weights = [Fraction(1, max(f.total_degree(), 1))] * n
+    for pivot, row in sorted(span.rows.items(), reverse=True):
+        rest = sum(v * weights[k] for k, v in row.items() if k not in (pivot, n))
+        weights[pivot] = Fraction(row.get(n, 0) - rest, row[pivot])
     if any(w <= 0 for w in weights):
         return None
     if f.quasi_homogeneous_degree(tuple(weights)) != 1:

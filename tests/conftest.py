@@ -23,7 +23,7 @@ from brieskorn.curve import (
 from brieskorn.errors import InconclusiveError, InputError
 from brieskorn.forms import exact_form_images
 from brieskorn.groebner import _decode, _groebner, _integer_gens, _saturation, isolated_at_origin
-from brieskorn.linalg import Span, Vec
+from brieskorn.linalg import Vec
 from brieskorn.local_algebra import (
     IdealGens,
     _JetCounts,
@@ -600,7 +600,8 @@ def vec_scale(vector: Vec, scale: Fraction) -> Vec:
 
 class RefSpan:
     """A subspace in reduced row echelon form with a chosen column order,
-    kept in Fractions: the reference for ``linalg.Span``.
+    kept in Fractions: the reference for ``linalg.Span``, whose echelon
+    cancels leads only but has the same pivots and the same space.
 
     When ``track`` is set, every row carries the combination of inserted
     vectors that produced it, which turns insertion into an online kernel
@@ -754,9 +755,10 @@ def reference_integer_gcd(p: list[int], q: list[int]) -> list[int]:
 
 def reentered_greatest_terms(counts: _JetCounts, k: int) -> set[tuple[int, ...]]:
     """The greatest terms of (W + M_k)/M_k by re-entering every generator
-    of order < k, cut at k, into one exact span with the degree negated:
-    the route of every count before an exact count read its own rows."""
-    span = Span()
+    of order < k, cut at k, into one reduced ``RefSpan`` with the degree
+    negated: the route of every count before an exact count read its own
+    rows."""
+    span = RefSpan(lambda k: k)
     for order in range(k, 0, -1):
         for vec in counts._entering(order):
             cut = {(-e[0], *e[1:]): c for e, c in vec.items() if e[0] < k}

@@ -60,48 +60,58 @@ def keyed(vectors: list[Vec], order: str) -> list[Vec]:
     return [{ORDERS[order](k): v for k, v in vec.items()} for vec in vectors]
 
 
-def ordered(vec: Vec) -> list[tuple[Hashable, Fraction]]:
-    """Entries in dict order: callers iterate rows, so the order is output."""
-    return list(vec.items())
+def integral(vec: Vec) -> dict[Hashable, int]:
+    """The vector times the lcm of its denominators: the same line, with
+    all-integer entries, which skip the denominator scan."""
+    scale = lcm(*(v.denominator for v in vec.values()))
+    return {k: int(v * scale) for k, v in vec.items()}
 
 
-def assert_same_span(span: Span, ref: RefSpan) -> None:
-    assert span.rank == ref.rank
-    assert [ordered(r) for r in span.row_vectors()] == [
-        ordered(r) for r in ref.row_vectors()
-    ]
+def agrees_with_the_reference(vectors, others, probes, picks) -> bool:
+    """A ``Span`` of ``vectors`` against the ``RefSpan`` of them: each
+    insert enlarges both or neither, as it does a ``Span`` of the integral
+    vectors, and leaves its vector as it was; the spans have the same rank
+    and the same pivot set, the leads being the least columns of the
+    space's vectors; ``contains`` agrees on the probes, the vectors and
+    combinations of them, in Fractions and in integers; and
+    ``intersection`` with ``others`` has dim U + dim W - dim(U + W)
+    vectors."""
+    span, int_span, ref = Span(), Span(), RefSpan(lambda k: k)
+    for vec in vectors:
+        before = dict(vec)
+        enlarged = span.insert(vec)
+        if enlarged != ref.insert(vec) or enlarged != int_span.insert(integral(vec)):
+            return False
+        if vec != before:
+            return False
+    if span.rank != ref.rank or not set(span.rows) == set(ref.pivots) == set(int_span.rows):
+        return False
+    tested = probes + vectors + [combine(vectors, pick) for pick in picks]
+    if any(span.contains(v) != ref.contains(v) for v in tested + list(map(integral, tested))):
+        return False
+    ranks = {}
+    for name, spanned in (("U", vectors), ("W", others), ("U+W", vectors + others)):
+        ranks[name] = RefSpan(lambda k: k)
+        for vec in spanned:
+            ranks[name].insert(vec)
+    meet = intersection(vectors, others)
+    return len(meet) == ranks["U"].rank + ranks["W"].rank - ranks["U+W"].rank
+
+
+@st.composite
+def span_cases(draw):
+    """(vectors, others, probes, picks), with the columns in one drawn order."""
+    order = draw(st.sampled_from(sorted(ORDERS)))
+    lists = [keyed(draw(vector_lists()), order) for _ in range(3)]
+    return (*lists, draw(st.lists(PICKS, max_size=3)))
 
 
 # -- properties -------------------------------------------------------------------
 
 
-@given(vector_lists(), vector_lists(), st.sampled_from(sorted(ORDERS)))
-def test_span_matches_reference(vectors, probes, order):
-    vectors, probes = keyed(vectors, order), keyed(probes, order)
-    span, ref = Span(), RefSpan(lambda k: k)
-    for vec in vectors:
-        before = dict(vec)
-        assert span.insert(vec) == ref.insert(vec)
-        assert vec == before
-        assert_same_span(span, ref)
-    for vec in probes + vectors:
-        assert span.contains(vec) == ref.contains(vec)
-
-
-@given(vector_lists(), st.sampled_from(sorted(ORDERS)))
-def test_integer_vectors_span_as_their_fractions(vectors, order):
-    # all-integer input skips the denominator scan; scaling a vector to
-    # integers changes no row, no insert result and no membership
-    vectors = keyed(vectors, order)
-    integers = []
-    for vec in vectors:
-        scale = lcm(*(v.denominator for v in vec.values()))
-        integers.append({k: int(v * scale) for k, v in vec.items()})
-    span, int_span = Span(), Span()
-    for vec, int_vec in zip(vectors, integers):
-        assert int_span.insert(int_vec) == span.insert(vec)
-    assert int_span.row_vectors() == span.row_vectors()
-    assert all(span.contains(v) for v in integers)
+@given(span_cases())
+def test_span_is_the_space_of_the_reference(case):
+    assert agrees_with_the_reference(*case)
 
 
 @given(
@@ -135,29 +145,3 @@ def test_intersection_of_two_planes_is_their_line():
         assert line.keys() == {rename(0), rename(1)}
         assert line[rename(0)] == line[rename(1)]
     assert intersection(first, [{2: 3}]) == []
-
-
-def test_new_pivot_cleared_from_several_rows():
-    vectors = [
-        {0: Fraction(2), 3: Fraction(1), 5: Fraction(1, 3)},
-        {1: Fraction(1), 3: Fraction(-2, 3)},
-        {2: Fraction(3, 4), 3: Fraction(1, 2), 4: Fraction(1)},
-        {3: Fraction(1, 2), 4: Fraction(-1), 6: Fraction(5)},
-    ]
-    span, ref = Span(), RefSpan(lambda k: k)
-    for vec in vectors:
-        assert span.insert(vec) and ref.insert(vec)
-    assert_same_span(span, ref)
-    rows = span.row_vectors()
-    # pivot 3 left the first three rows and brought column 6 into them
-    assert all(3 not in row and 6 in row for row in rows[:3])
-    assert rows[3] == {3: Fraction(1), 4: Fraction(-2), 6: Fraction(10)}
-    # column 6 must now be cleared from every row, including those it entered
-    # by back-substitution
-    assert span.insert({6: Fraction(1, 2)}) and ref.insert({6: Fraction(1, 2)})
-    assert_same_span(span, ref)
-    assert [6 in row for row in span.row_vectors()] == [False] * 4 + [True]
-    combined = combine(vectors, [(0, Fraction(1)), (3, Fraction(-2, 5))])
-    assert span.contains(combined) and ref.contains(combined)
-    probe = {4: Fraction(1), 5: Fraction(1, 2)}
-    assert span.contains(probe) == ref.contains(probe)

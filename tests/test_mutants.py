@@ -32,7 +32,9 @@ dropped), the exact quotient coefficient and the exponent check of
 ASCII escaping and the empty-dict literal of the JSON writer, the gcd reduction and the empty cells
 of the (a,b)-module record writer, the full-parser fallback of the
 CLI's innermost-parser route, the one-term power and the unary minus of
-the polynomial parser, and the running count of the jet scan.
+the polynomial parser, the running count of the jet scan, and the one
+exact reduction of ``Span`` and the jet count (a lead cancelled once, a row
+filed under its greatest column).
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from json.encoder import encode_basestring
 import pytest
 from hypothesis import find, given
 
-from brieskorn import cli, groebner, local_algebra, poly
+from brieskorn import cli, groebner, linalg, local_algebra, poly
 from brieskorn.ab_module import (
     ABModule,
     _integer_operator,
@@ -113,6 +115,7 @@ from test_curve import (
     assert_graded_betti_is_scanned,
     failed_on,
     first_of_degree,
+    jet_corpus,
     nu_exponents,
     nu_reference,
     parsed_curve,
@@ -132,6 +135,7 @@ from test_cli import (
     by_both_routes,
     prints_what_json_dumps_prints,
 )
+from test_linalg import agrees_with_the_reference, span_cases
 from test_local_algebra import reads_the_count_of_its_rows
 from test_poly import (
     assert_exact,
@@ -947,3 +951,42 @@ class TestRunningCountMutant:
         late = mutated(_JetCounts._advance, "get(k - 1, 0)", "get(k, 0)")
         monkeypatch.setattr(_JetCounts, "_advance", late)
         assert not reads_the_count_of_its_rows(_JetCounts(ideal("x^2", "y^3")), 5)
+
+
+class TestLeadReductionMutants:
+    """``linalg.reduce_by_leads`` is the one exact reduction, shared by
+    ``Span`` and the exact jet count.  A reduction that cancels one lead and
+    calls what is left 0, or that files a new row under its greatest column
+    instead of its least, is caught by the property
+    ``test_linalg.test_span_is_the_space_of_the_reference``
+    (``agrees_with_the_reference`` on ``span_cases``), and by the count of
+    the four lines of the jet corpus against the reference jet quotient."""
+
+    MUTANTS = pytest.mark.parametrize(
+        "old, new",
+        [("while vec:", "if vec:"), ("rows[lead] = vec", "rows[max(vec)] = vec")],
+        ids=["one-cancel", "filed-under-the-greatest-column"],
+    )
+
+    @MUTANTS
+    def test_is_caught_by_the_reference_property(self, monkeypatch, old, new):
+        monkeypatch.setattr(linalg, "reduce_by_leads", mutated(linalg.reduce_by_leads, old, new))
+        case = find(span_cases(), lambda case: not agrees_with_the_reference(*case))
+        monkeypatch.undo()
+        assert agrees_with_the_reference(*case)
+
+    @MUTANTS
+    def test_is_caught_by_the_jet_count(self, monkeypatch, old, new):
+        # the graded count of (a, b) for x^2 y^2 (x + y)^2 (x - y)^2: one
+        # cancel leaves rows out (10 classes), a misfiled row keeps the
+        # count 9 but reads a basis off the wrong leads
+        [lines] = [c for c in jet_corpus() if str(c) == "(x)^2 * (y)^2 * (x + y)^2 * (x - y)^2"]
+        I = IdealGens.of(XY, annihilator_form(lines))
+        stop = _nakayama_order(_JetCounts(I), _colength_bound(I))
+        expected = jet_quotient(I, stop)
+        counts = _JetCounts(I)
+        assert (counts.quotient_dim(stop), counts.basis(stop)) == expected
+        mutant = mutated(local_algebra.reduce_by_leads, old, new)
+        monkeypatch.setattr(local_algebra, "reduce_by_leads", mutant)
+        counts = _JetCounts(I)
+        assert (counts.quotient_dim(stop), counts.basis(stop)) != expected

@@ -5,8 +5,8 @@ nilpotent.  The model computes the torsion subspaces B (the union of the
 kernels of the powers of b) and A (the vectors whose whole b-orbit is
 a-nilpotent), so the tests can check the identities B = A and
 b^(2n) A = 0 on conforming fixtures, and show what goes wrong on
-non-conforming ones.  Kernels come from one ``Span`` over the image and
-coordinate columns, whose rows of zero image are the kernel.
+non-conforming ones.  Kernels come from one reduced ``RefSpan`` over the
+image and coordinate columns, whose rows of zero image are the kernel.
 """
 
 from __future__ import annotations
@@ -15,7 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from brieskorn.linalg import Span, Vec
+from brieskorn.linalg import Vec
+
+from conftest import RefSpan
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -81,7 +83,7 @@ def kernel(images: Sequence[Vec]) -> list[Vec]:
     """A basis of {x : sum_j x_j images[j] = 0}: the span of the rows
     (images[j] | e_j), image columns first, has the kernel as its rows that
     pivot in the coordinate block."""
-    span = Span()
+    span = RefSpan(lambda k: k)
     for j, image in enumerate(images):
         span.insert({**{(0, i): v for i, v in image.items()}, (1, j): Fraction(1)})
     return [
@@ -128,8 +130,8 @@ def torsion_subspaces(fixture: TorsionFixture) -> tuple[list[Vec], list[Vec]]:
     return stable_kernel(fixture.b), kernel(images)
 
 
-def span_of(vectors: Sequence[Vec]) -> Span:
-    span = Span()
+def span_of(vectors: Sequence[Vec]) -> RefSpan:
+    span = RefSpan(lambda k: k)
     for v in vectors:
         span.insert(v)
     return span
