@@ -48,37 +48,37 @@ class ABModule:
         cls, rank: int, trunc_order: int, a_matrix: Sequence[Sequence[Sequence[Scalar]]], label=""
     ):
         # a bad size is named first (by _of_ratios, on no cells), then a bad scalar
-        pair = lambda c: (c.numerator, c.denominator)
         cells = [
-            [{power: pair(exact_scalar(c)) for power, c in enumerate(entry)} for entry in row]
-            for row in a_matrix
+            [dict(enumerate(map(exact_scalar, entry))) for entry in row] for row in a_matrix
         ] if rank >= 1 and trunc_order >= 2 else []
-        return cls._of_ratios(rank, trunc_order, cells, label)
+        scalars = {c for row in cells for entry in row for c in entry.values()}
+        ratios = {c: (c.numerator, c.denominator) for c in scalars}
+        return cls._of_ratios(rank, trunc_order, cells, ratios, label)
 
     @classmethod
-    def _of_ratios(cls, rank: int, trunc_order: int, cells, label: str):
-        """The module of {b-power: (numerator, denominator > 0)} cells, b-powers
-        in any order, over their lcm; InputError unless the sizes hold and the
-        matrix is rank x rank of degree < N in b."""
+    def _of_ratios(cls, rank: int, trunc_order: int, cells, ratios: dict, label: str):
+        """The module of {b-power: key} cells, b-powers in any order, each key
+        scaled once from its ``ratios`` (numerator, denominator > 0) to their lcm;
+        InputError unless the sizes hold and the matrix is rank x rank of degree < N."""
         if rank < 1:
             raise InputError("rank must be at least 1")
         if trunc_order < 2:
             raise InputError("truncation order must be at least 2")
         if len(cells) != rank or any(len(row) != rank for row in cells):
             raise InputError(f"a-matrix must be {rank}x{rank}")
-        scale = lcm(*{q for row in cells for entry in row for _, q in entry.values()})
+        scale = lcm(*{q for _, q in ratios.values()})
+        scaled = {key: p * (scale // q) for key, (p, q) in ratios.items()}
         matrix = []
         for row in cells:  # each cell filled into a dense list
             matrix.append(numerators := [])
-            for ratios in row:
-                values = [0] * (max(ratios) + 1) if ratios else []
-                for power, (p, q) in ratios.items():
-                    values[power] = p * (scale // q)
-                numerators.append(_trimmed(values))
-        matrix = tuple(map(tuple, matrix))
-        if any(len(entry) > trunc_order for row in matrix for entry in row):
-            raise InputError("a-matrix entry exceeds the truncation order in b")
-        return cls._trusted(rank, trunc_order, matrix, scale, label)
+            for keys in row:
+                values = [0] * (max(keys) + 1) if keys else []
+                for power, key in keys.items():
+                    values[power] = scaled[key]
+                if len(entry := _trimmed(values)) > trunc_order:
+                    raise InputError("a-matrix entry exceeds the truncation order in b")
+                numerators.append(entry)
+        return cls._trusted(rank, trunc_order, tuple(map(tuple, matrix)), scale, label)
 
     @classmethod
     def _trusted(cls, rank: int, trunc_order: int, numerators, scale: int, label: str = ""):
@@ -111,15 +111,16 @@ class ABModule:
         newline and the enclosing spaces), written from the integers: each
         coefficient n / scale reduced by one gcd, as format_fraction prints it."""
         i1, i2, i3, i4, i5 = (indent + "  " * depth for depth in range(1, 6))
-        scale, rows = self.scale, []
+        scale, rows, texts = self.scale, [], {}  # numerator -> its text
         for row in self.numerators:
             cells = []
             for entry in row:
                 terms = []
                 for power, n in enumerate(entry):
                     if n:
-                        g = gcd(n, scale)
-                        text = n // g if g == scale else f"{n // g}/{scale // g}"
+                        if (text := texts.get(n)) is None:
+                            g = gcd(n, scale)
+                            text = texts[n] = n // g if g == scale else f"{n // g}/{scale // g}"
                         terms.append(f'[{i5}{power},{i5}"{text}"{i4}]')
                 cells.append(f"[{i4}{f',{i4}'.join(terms)}{i3}]" if terms else "[]")
             rows.append(f"[{i3}{f',{i3}'.join(cells)}{i2}]")
@@ -146,19 +147,23 @@ class ABModule:
 
         try:
             order = integer(record["trunc_order"])
-            top, matrix = order - 1, []
+            top, matrix, ratios = order - 1, [], {}  # text -> (numerator, denominator)
             for row in record["a_matrix"]:
                 matrix.append(cells := [])
                 for entry in row:
-                    cells.append(ratios := {})  # b-power -> (numerator, denominator)
+                    cells.append(texts := {})  # b-power -> text
                     for power, text in entry:
                         if type(power) is not int or not 0 <= power < order:
                             integer(power)  # a TypeError unless it is one
                             raise InputError(f"b-power {power} outside the truncation 0..{top}")
-                        if power in ratios:
+                        if power in texts:
                             raise ValueError(f"b-power {power} repeated in one entry")
-                        ratios[power] = parse_ratio(text)
-            return cls._of_ratios(integer(record["rank"]), order, matrix, record.get("label", ""))
+                        # parsed before it is hashed, so a list names its AttributeError
+                        if type(text) is not str or text not in ratios:
+                            ratios[text] = parse_ratio(text)
+                        texts[power] = text
+            rank, label = integer(record["rank"]), record.get("label", "")
+            return cls._of_ratios(rank, order, matrix, ratios, label)
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             kind = type(exc).__name__
             raise InputError(f"malformed module record ({kind}: {exc})") from exc

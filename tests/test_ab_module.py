@@ -6,12 +6,12 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm
 
 import pytest
 from hypothesis import example, find, given, strategies as st
 
-from brieskorn import cli
+from brieskorn import ab_module, cli
 from brieskorn.ab_module import (
     ABModule,
     _integer_operator,
@@ -23,9 +23,10 @@ from brieskorn.ab_module import (
 )
 from brieskorn.errors import InconclusiveError, InputError
 from brieskorn.linalg import Span
-from brieskorn.poly import format_fraction
+from brieskorn.poly import format_fraction, parse_fraction, parse_ratio
 
 from conftest import columns_commute, fractions, rank_one, rewrite_normal_order
+from test_poly import ratio_texts
 from torsion_model import (
     TorsionFixture,
     a_torsion,
@@ -608,6 +609,75 @@ def writes_its_record(module: ABModule) -> bool:
     return cli._json({"k": [module, {"m": module}]}) == expected
 
 
+# texts that spell one value in different ways
+SPELLINGS = ["1/2", "2/4", "-1/-2", "1/-2", "0", "-0", "+3", "3", "6/2", "-1/3"]
+
+
+@st.composite
+def repeating_records(draw) -> dict:
+    """Records whose coefficient texts are drawn from a pool of at most four,
+    so that texts repeat, and b-powers come in any order."""
+    pool = draw(st.lists(st.sampled_from(SPELLINGS) | ratio_texts(), min_size=1, max_size=4))
+    rank, order = draw(st.integers(1, 3)), draw(st.integers(2, 6))
+    cell = st.dictionaries(st.integers(0, order - 1), st.sampled_from(pool), max_size=order)
+    matrix = [[[[p, t] for p, t in draw(cell).items()] for _ in range(rank)] for _ in range(rank)]
+    return {"rank": rank, "trunc_order": order, "a_matrix": matrix}
+
+
+def reference_read(record: dict) -> tuple:
+    """(numerators, scale) of a record, each coefficient parsed on its own by
+    ``parse_fraction`` and put over the lcm of all denominators."""
+    values = [
+        [{p: Fraction(parse_fraction(t)) for p, t in entry} for entry in row]
+        for row in record["a_matrix"]
+    ]
+    scale = lcm(*(v.denominator for row in values for cell in row for v in cell.values()))
+
+    def dense(cell: dict) -> tuple:
+        out = [0] * (max(cell) + 1) if cell else []
+        for p, v in cell.items():
+            out[p] = int(v * scale)
+        while out and not out[-1]:
+            out.pop()
+        return tuple(out)
+
+    return tuple(tuple(map(dense, row)) for row in values), scale
+
+
+def reads_like_the_reference(record: dict) -> bool:
+    module = ABModule.from_record(record)
+    return (module.numerators, module.scale) == reference_read(record)
+
+
+class TestRecordTables:
+    """``from_record`` parses and scales each distinct coefficient text once;
+    ``to_json`` reduces and prints each distinct numerator once."""
+
+    @given(repeating_records())
+    @example({"rank": 2, "trunc_order": 3, "a_matrix": [
+        [[[2, "2/4"], [0, "-0"]], [[1, "1/2"]]],
+        [[[1, "-1/-2"]], [[0, "+3"], [1, "1/-2"]]],
+    ]})
+    def test_reads_what_a_reader_of_each_coefficient_reads(self, record):
+        assert reads_like_the_reference(record)
+
+    def test_each_distinct_text_is_parsed_once_and_each_numerator_reduced_once(
+        self, monkeypatch
+    ):
+        record = {"rank": 2, "trunc_order": 4, "a_matrix": [
+            [[[1, "1/2"], [2, "2/4"]], [[1, "1/2"], [0, "3"]]],
+            [[[0, "-1/2"], [3, "1/2"]], [[1, "2/4"], [2, "-1/2"], [3, "3"]]],
+        ]}
+        parsed, reduced = [], []
+        monkeypatch.setattr(ab_module, "parse_ratio", lambda t: parsed.append(t) or parse_ratio(t))
+        module = ABModule.from_record(record)
+        assert sorted(parsed) == ["-1/2", "1/2", "2/4", "3"]
+        monkeypatch.setattr(ab_module, "gcd", lambda n, d: reduced.append(n) or gcd(n, d))
+        text = module.to_json()
+        assert sorted(reduced) == [-1, 1, 6]  # 1/2, -1/2 and 3 over the scale 2
+        assert json.loads(text)["a_matrix"] == printed(module)
+
+
 class TestRecordWriter:
     """``ABModule.to_json`` writes the record from the integers; ``to_record``
     is its parse, and ``from_record`` reads it back (TestIntegerRecords)."""
@@ -626,6 +696,9 @@ class TestRecordWriter:
         module = ABModule.from_record(record)
         assert module.to_record() == record
         assert cli._json(module) == json.dumps(record, indent=2)
+
+
+NO_PARTITION = "object has no attribute 'partition'"
 
 
 class TestIntegerRecords:
@@ -665,6 +738,38 @@ class TestIntegerRecords:
         module = ABModule.from_record(record)
         assert (module.numerators, module.scale) == ((((0, 3, -2),),), 6)
         assert module.to_record()["a_matrix"] == [[[[1, "1/2"], [2, "-1/3"]]]]
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"a_matrix": [[[[1, ["1"]]]]]}, f"(AttributeError: 'list' {NO_PARTITION})"),
+            ({"a_matrix": [[[[1, 1]]]]}, f"(AttributeError: 'int' {NO_PARTITION})"),
+            ({"a_matrix": [[[[1, None]]]]}, f"(AttributeError: 'NoneType' {NO_PARTITION})"),
+            ({"a_matrix": [[[[1, "1/0"]]]]}, "not a rational number: '1/0'"),
+            ({"a_matrix": [[[[1, "1", 2]]]]}, "(ValueError: too many values to unpack (expected 2))"),
+            ({"a_matrix": [5]}, "(TypeError: 'int' object is not iterable)"),
+            ({"rank": "1"}, "(TypeError: '1' is not an integer)"),
+            ({"rank": True}, "(TypeError: True is not an integer)"),
+            ({"a_matrix": [[[[1, "1"], [1, "2"]]]]}, "(ValueError: b-power 1 repeated in one entry)"),
+            ({"a_matrix": [[[[4, "1"]]]]}, "b-power 4 outside the truncation 0..3"),
+            ({"rank": 2}, "a-matrix must be 2x2"),
+        ],
+        ids=[
+            "list-coefficient", "int-coefficient", "null-coefficient", "zero-denominator",
+            "three-item-pair", "row-not-list", "text-rank", "bool-rank", "repeated-b-power",
+            "b-power-out-of-range", "rank-2-of-1x1",
+        ],
+    )
+    def test_refusal_messages_are_pinned(self, fields, message):
+        # a reader that keys a table by the coefficient text must still name
+        # the error that the coefficient itself raises, not "unhashable type"
+        record = {"rank": 1, "trunc_order": 4, "a_matrix": [[[[1, "1/2"]]]], **fields}
+        with pytest.raises(InputError) as refused:
+            ABModule.from_record(record)
+        if message.startswith("("):
+            message = f"malformed module record {message}"
+        # Python 3.14 names the count it got: "(expected 2, got 3)"
+        assert str(refused.value).replace(", got 3)", ")") == message
 
     def test_sizes_are_checked_before_the_scalars(self):
         # rank and truncation order first, then the scalars, then the shape

@@ -106,7 +106,9 @@ from test_ab_module import (
     ladder_agrees,
     modules_with_orders,
     one_step_misses,
+    reads_like_the_reference,
     reference_check_commutation,
+    repeating_records,
     rewriter_reorder,
     writes_its_record,
 )
@@ -828,6 +830,37 @@ class TestRecordWriterMutants:
         assert writes_its_record(module)
         monkeypatch.setattr(ABModule, "to_json", mutated(ABModule.to_json, old, new))
         assert not writes_its_record(module)
+
+
+class TestRecordTableMutants:
+    """``from_record`` scales each distinct text once and ``to_json`` prints
+    each distinct numerator once, from one table each.  A reader table that
+    scales by the whole lcm keeps every record of integer coefficients; a
+    writer table looked up by the absolute numerator keeps every module that
+    does not hold both some numerator and its negative."""
+
+    def test_a_reader_table_scaled_by_the_lcm_is_caught_by_the_reference_reader(
+        self, monkeypatch
+    ):
+        record = {"rank": 1, "trunc_order": 4, "a_matrix": [[[[1, "2"], [2, "-1"]]]]}
+        assert reads_like_the_reference(record)
+        mutant = mutated(ABModule._of_ratios, "p * (scale // q)", "p * scale")
+        monkeypatch.setattr(ABModule, "_of_ratios", mutant)
+        assert reads_like_the_reference(record)  # the scale 1 hides it
+        caught = find(repeating_records(), lambda r: not reads_like_the_reference(r))
+        assert ABModule.from_record(caught).scale > 1
+
+    def test_a_writer_table_keyed_by_the_absolute_numerator_is_caught_by_the_writer_property(
+        self, monkeypatch
+    ):
+        # 1/2 in the first cell, -1/2 in the last: the mutant prints both "1/2"
+        module = ABModule(2, 4, [[[0, Fraction(1, 2)], []], [[], [0, Fraction(-1, 2)]]])
+        assert writes_its_record(module)
+        monkeypatch.setattr(
+            ABModule, "to_json", mutated(ABModule.to_json, "texts.get(n)", "texts.get(abs(n))")
+        )
+        assert not writes_its_record(module)
+        assert module.to_record()["a_matrix"][1][1] == [[1, "1/2"]]
 
 
 class TestLeftOverFallbackMutant:
