@@ -26,7 +26,6 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import InconclusiveError, InputError
 from .forms import ExactFormImages, exact_form_images
-from .groebner import isolated_at_origin
 from .linalg import Span, intersection, vec_axpy
 from .local_algebra import (
     DEFAULT_JET_CAP,
@@ -166,55 +165,46 @@ def annihilator_field(curve: FactoredCurve) -> tuple[Poly, Poly]:
 
 
 def check_hypotheses(curve: FactoredCurve) -> bool:
-    """Verify the singular-locus hypotheses behind the pipeline.
-
-    Checks exactly: the branches are pairwise non-associate and do not
-    divide the residual, each branch and the residual are reduced
-    (singular locus of each is isolated, by ``groebner.isolated_at_origin``),
-    and the coefficients of the annihilator form vanish simultaneously
-    only at the origin.  The pair scans (g_i, g_j) of the parts decide the
-    last clause: one past its colength bound means a factor through 0
-    shared by g_i and g_j, which divides alpha; once all stop, alpha is
-    a unit times dg near a point of one reduced part g alone, and df = 0
-    off f = 0 only at 0, so (a, b) is isolated (README).  Raises
-    InputError naming the first violated clause (``invariants``).
-    """
-    variables = curve.variables
-    f = curve.expand()
-    if f.is_constant():
-        raise InputError("no singular locus: f is constant")
-    for i, (u, _) in enumerate(curve.factors):
-        for j in range(i + 1, len(curve.factors)):
-            v = curve.factors[j][0]
-            if u.divide_exact(v) is not None or v.divide_exact(u) is not None:
-                raise InputError(
-                    f"branches {u} and {v} are associate (identical branches)"
-                )
-    for u, _ in curve.factors:
-        if not curve.residual_is_constant and curve.residual.divide_exact(u) is not None:
-            raise InputError(f"branch {u} divides the residual {curve.residual}")
-        partials = [u.derivative(v) for v in variables]
-        if not isolated_at_origin(IdealGens.of(variables, [u] + partials)):
-            raise InputError(
-                f"branch {u} is not reduced: its singular locus is not isolated"
-            )
-    if not curve.residual_is_constant:
-        psi = curve.residual
-        partials = [psi.derivative(v) for v in variables]
-        if not isolated_at_origin(IdealGens.of(variables, [psi] + partials)):
-            raise InputError(
-                f"residual {psi} is not reduced: its singular locus is not isolated"
-            )
-    parts = [u for u, _ in curve.factors] + ([] if curve.residual_is_constant else [curve.residual])
-    for g, g2 in combinations(parts, 2):
-        try:
-            local_colength(IdealGens.of(variables, [g, g2]))
-        except InputError:
-            raise InputError(
-                "the annihilating field vanishes along a curve "
-                "(annihilator-form coefficients share a positive-dimensional zero set)"
-            ) from None
+    """Verify the singular-locus hypotheses behind the pipeline, with no
+    Groebner basis: f is not constant, the branches are pairwise
+    non-associate and do not divide the residual, each branch and the
+    residual are reduced, and the coefficients (a, b) of the annihilator
+    form vanish simultaneously only at the origin.  ``milnor_fibre_betti``
+    decides them all.  A part is reduced once its scan of (g_x, g_y)
+    stops, two parts coprime once their scan of (g_i, g_j) stops; then
+    alpha is a unit times dg near a point of one reduced part g alone, and
+    df = 0 off f = 0 only at 0, so (a, b) is isolated (README).  A scan
+    past its bound raises InputError naming the first violated clause
+    (``_refused``)."""
+    milnor_fibre_betti(curve)
     return True
+
+
+def _refused(curve: FactoredCurve, part: Optional[int]) -> InputError:
+    """The first violated clause, in the order of ``check_hypotheses``, of
+    a curve whose scan of the Jacobian ideal of part ``part`` (the branches
+    in order, then the residual), or of a pair of parts when ``part`` is
+    None, passed its colength bound.  The parts are scanned in this order,
+    each part before ``part`` stopped, so it is reduced, and a pair is
+    scanned only once every part is: only the exact-division clauses are
+    left to test.  A refused pair shares a factor through 0, which divides
+    both coefficients of alpha."""
+    branches = [u for u, _ in curve.factors]
+    for u, v in combinations(branches, 2):
+        if u.divide_exact(v) is not None or v.divide_exact(u) is not None:
+            return InputError(f"branches {u} and {v} are associate (identical branches)")
+    psi = curve.residual
+    for i, u in enumerate(branches):
+        if not curve.residual_is_constant and psi.divide_exact(u) is not None:
+            return InputError(f"branch {u} divides the residual {psi}")
+        if i == part:
+            return InputError(f"branch {u} is not reduced: its singular locus is not isolated")
+    if part is not None:
+        return InputError(f"residual {psi} is not reduced: its singular locus is not isolated")
+    return InputError(
+        "the annihilating field vanishes along a curve "
+        "(annihilator-form coefficients share a positive-dimensional zero set)"
+    )
 
 
 # -- the invariant report -----------------------------------------------------
@@ -296,11 +286,9 @@ def invariants(
     """Full invariant pipeline: mu, nu, rank = mu + nu, quotient basis,
     and (with a verifying weight certificate) the a-action coefficients.
 
-    No Groebner basis runs: b_1 comes first, with or without ``weights``,
-    and the gcd certificates of ``milnor_fibre_betti`` or the stops of its
-    scans of (g_x, g_y) and (g_i, g_j), and then the stop of the mu scan
-    of (a, b), prove every clause of ``check_hypotheses``, which runs on an
-    InputError to name the clause.
+    No Groebner basis runs: b_1 comes first, before ``weights`` are read,
+    and ``milnor_fibre_betti`` proves every clause of ``check_hypotheses``,
+    so the mu scan of (a, b) stops, or names the first one violated.
     Nor does a general saturation: sat(J) = (h), h = u_1^(p_1-1) ...
     u_k^(p_k-1).  df = h alpha with the coefficients (a, b) of alpha
     m-primary, so J = h (a, b).  The associated primes of the principal
@@ -320,13 +308,9 @@ def invariants(
     f = curve.expand()
     h = curve.multiplicity_cofactor()
     field = annihilator_field(curve)
-    try:
-        ws = WeightSystem.for_poly(f, weights) if weights is not None else None
-        betti = milnor_fibre_betti(curve)  # proves (a, b) isolated, so the mu scan stops
-        mu_value, mu_basis = local_quotient(IdealGens.of(curve.variables, field), ws)
-    except InputError:
-        check_hypotheses(curve)  # names the first violated clause, if any
-        raise
+    betti = milnor_fibre_betti(curve)  # proves (a, b) isolated, so the mu scan stops
+    ws = WeightSystem.for_poly(f, weights) if weights is not None else None
+    mu_value, mu_basis = local_quotient(IdealGens.of(curve.variables, field), ws)
     [twisted] = exact_form_images(curve._alpha).values()
     sat = IdealGens.of(curve.variables, [h])
     nu_res = twisted_quotient_dim(sat, twisted, betti - mu_value, ws, jet_cap)
@@ -370,8 +354,7 @@ def milnor_fibre_betti(curve: FactoredCurve) -> int:
     """b_1 of the Milnor fibre F of f at 0.
 
     Write f = prod g_i^(m_i), the g_i the branches u_i (m_i = p_i) and a
-    nonconstant residual (m = 1), reduced and pairwise coprime
-    (``check_hypotheses``).  A'Campo's formula ("La fonction zêta d'une
+    nonconstant residual (m = 1).  A'Campo's formula ("La fonction zêta d'une
     monodromie", Comment. Math. Helv. 50, 1975) gives
     chi(F) = sum_i m_i (1 - mu(g_i) - sum_(j != i) (g_i . g_j)_0), and F
     has gcd(m_i) components, so b_1 = gcd(m_i) - chi(F).  A part
@@ -380,22 +363,32 @@ def milnor_fibre_betti(curve: FactoredCurve) -> int:
     integer gcd certifies its hypothesis (``_closed_milnor``,
     ``_closed_meet``); every part and pair of a curve graded by weights
     is so.  Every other number is a colength certified by the scan of
-    ``local_quotient``, with no basis (``local_colength``), whose refusal
-    names a failed clause."""
+    ``local_quotient``, with no basis (``local_colength``).  These decide
+    ``check_hypotheses``: a constant f, or a scan past its bound, raises
+    InputError naming the first violated clause."""
+    if curve.expand().is_constant():
+        raise InputError("no singular locus: f is constant")
     parts = list(curve.factors)
     if not curve.residual_is_constant:
         parts.append((curve.residual, 1))
     gs, ms = zip(*parts)
     shapes = [_weighted_shape(g) for g in gs]
+
+    def colength(I: IdealGens, part: Optional[int]) -> int:
+        try:
+            return local_colength(I)
+        except InputError:  # past its colength bound
+            raise _refused(curve, part) from None
+
     milnor = [
         mu if (mu := _closed_milnor(s)) is not None
-        else 0 if (J := jacobian_ideal(g)).contains_unit() else local_colength(J)
-        for g, s in zip(gs, shapes)
+        else 0 if (J := jacobian_ideal(g)).contains_unit() else colength(J, i)
+        for i, (g, s) in enumerate(zip(gs, shapes))
     ]
     pairs = list(combinations(range(len(parts)), 2))
     meets = [
         meet if (meet := _closed_meet(shapes[i], shapes[j])) is not None
-        else local_colength(IdealGens.of(curve.variables, [gs[i], gs[j]]))
+        else colength(IdealGens.of(curve.variables, [gs[i], gs[j]]), None)
         for i, j in pairs
     ]
     # (g_i . g_j)_0 enters the sums of both i and j

@@ -563,30 +563,170 @@ CLAUSES = [
     ),
 ]
 
+# refused pair scans, two parts sharing a factor through 0, which divides
+# both coefficients of alpha, and the non-reduced branches of ROADMAP
+# item 2, whose scans run to their colength bounds
+REFUSALS = [
+    pytest.param(
+        {"--factors": "x*(x+y):2", "--residual": "x*(x-y)"}, ANNIHILATOR, id="branch-and-residual"
+    ),
+    pytest.param(
+        {"--factors": "x*(x+y):2", "--residual": "x*(x-y)", "--weights": "1,1"},
+        ANNIHILATOR,
+        id="branch-and-residual-graded",
+    ),
+    pytest.param(
+        {"--factors": "(x-y)*(x^5+y^5):2,(x-y)*(x^5+2*y^5):2", "--weights": "1,1"},
+        ANNIHILATOR,
+        id="degree-6-graded",
+    ),
+    pytest.param(
+        {"--factors": "(x-y)*(x^5+y^7):2,(x-y)*(x^7+y^5+x^3*y^3):2"},
+        ANNIHILATOR,
+        id="degree-15",
+    ),
+    pytest.param(
+        {
+            "--factors": "(x-y)*(x^15+y^15+x^7*y^8):2,(x-y)*(x^15+2*y^15+x^8*y^7):2",
+            "--weights": "1,1",
+        },
+        ANNIHILATOR,
+        id="degree-16-graded",
+    ),
+    pytest.param(
+        {"--factors": "(x^2+y^3)^2*(x^3-y^5+x*y):2"},
+        "branch -y^11 - 2*x^2*y^8 - x^4*y^5 + x^3*y^6 + 2*x^5*y^3 + x*y^7 + x^7 + "
+        "2*x^3*y^4 + x^5*y is not reduced: its singular locus is not isolated",
+        id="non-reduced-degree-11",
+    ),
+    pytest.param(
+        {"--factors": "(x-y)^2*(x^5+y^7+x^2*y^2):2"},
+        "branch x^2*y^7 - 2*x*y^8 + y^9 + x^7 - 2*x^6*y + x^5*y^2 + x^4*y^2 - "
+        "2*x^3*y^3 + x^2*y^4 is not reduced: its singular locus is not isolated",
+        id="non-reduced-degree-9",
+    ),
+]
+
+# curves that break two clauses at once: the clause named is the first in
+# the order of check_hypotheses, whichever scan refuses first
+MULTI_FAULT = [
+    pytest.param(
+        {"--factors": "x^2:2,x:2"},
+        "branches x^2 and x are associate (identical branches)",
+        id="associate-before-not-reduced",
+    ),
+    pytest.param(
+        {"--factors": "x^2:2", "--residual": "x^3*y"},
+        "branch x^2 divides the residual x^3*y",
+        id="divides-residual-before-not-reduced",
+    ),
+    pytest.param(
+        {"--factors": "x:2,y^2:2", "--residual": "x*y"},
+        "branch x divides the residual x*y",
+        id="earlier-divides-residual-before-later-not-reduced",
+    ),
+    pytest.param(
+        {"--factors": "y:2", "--residual": "x*y^2"},
+        "branch y divides the residual x*y^2",
+        id="divides-residual-before-residual-not-reduced",
+    ),
+    pytest.param(
+        {"--factors": "x*(x+y):2,x*(x-y):2", "--residual": "y^2"},
+        "residual y^2 is not reduced: its singular locus is not isolated",
+        id="residual-not-reduced-before-annihilator",
+    ),
+    pytest.param(
+        {"--factors": "x^2:2,y:2", "--residual": "x*y"},
+        "branch x^2 is not reduced: its singular locus is not isolated",
+        id="not-reduced-before-later-divides-residual",
+    ),
+    pytest.param(
+        {"--factors": "x:2,y:2", "--residual": "(x+y)^2", "--weights": "1,1"},
+        "residual x^2 + 2*x*y + y^2 is not reduced: its singular locus is not isolated",
+        id="residual-not-reduced-graded",
+    ),
+]
+
+
+CLAUSE_BRANCHES = [
+    "x", "y", "x+y", "x-y", "x+y^2", "x^2+y^3", "x^2", "y^2", "(x+y)^2", "x*y", "x*(x+y)",
+    "x^2*y", "(x-y)*(x^2+y^3)",
+]
+CLAUSE_RESIDUALS = [None, "x*y", "y^2", "x^2+y^3", "(x-y)^2", "x*(x-y)", "x^3*y", "x+y^3"]
+
+
+@st.composite
+def clause_curves(draw) -> FactoredCurve:
+    """Curves of a few branches from a pool that holds non-reduced and
+    overlapping ones, with an optional residual."""
+    texts = draw(st.lists(st.sampled_from(CLAUSE_BRANCHES), min_size=1, max_size=3, unique=True))
+    return factored([(text, 2) for text in texts], draw(st.sampled_from(CLAUSE_RESIDUALS)))
+
+
+def reference_clause(curve: FactoredCurve) -> Optional[str]:
+    """The first violated clause, or None, decided with Groebner bases:
+    exact divisions, and ``groebner.isolated_at_origin`` for (g, g_x, g_y)
+    of each part and for (g_i, g_j) of each pair."""
+
+    def isolated(*gens: Poly) -> bool:
+        return groebner.isolated_at_origin(IdealGens.of(XY, list(gens)))
+
+    branches = [u for u, _ in curve.factors]
+    psi = None if curve.residual_is_constant else curve.residual
+    for u, v in itertools.combinations(branches, 2):
+        if u.divide_exact(v) is not None or v.divide_exact(u) is not None:
+            return f"branches {u} and {v} are associate (identical branches)"
+    for u in branches:
+        if psi is not None and psi.divide_exact(u) is not None:
+            return f"branch {u} divides the residual {psi}"
+        if not isolated(u, u.derivative("x"), u.derivative("y")):
+            return f"branch {u} is not reduced: its singular locus is not isolated"
+    if psi is not None and not isolated(psi, psi.derivative("x"), psi.derivative("y")):
+        return f"residual {psi} is not reduced: its singular locus is not isolated"
+    parts = branches + ([] if psi is None else [psi])
+    if not all(isolated(g, g2) for g, g2 in itertools.combinations(parts, 2)):
+        return ANNIHILATOR
+    return None
+
+
+@pytest.fixture
+def no_groebner(monkeypatch):
+    """Every Groebner basis refused: the code under test must build none."""
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a Groebner basis was built")
+
+    monkeypatch.setattr(groebner, "_groebner", refused)
+
+
+@pytest.fixture
+def mu_scans(monkeypatch, no_groebner) -> list:
+    """The ideals that reach the mu scan of (a, b), the only
+    ``local_quotient`` call of the pipeline, with no Groebner basis."""
+    quoted = []
+
+    def quoting(I, ws):
+        quoted.append(I)
+        return local_quotient(I, ws)
+
+    monkeypatch.setattr("brieskorn.curve.local_quotient", quoting)
+    return quoted
+
 
 class TestHypothesesFromScans:
-    """``invariants`` runs no up-front hypothesis check: the stops of its
-    colength scans prove every clause, and only an InputError runs
-    ``check_hypotheses``, which names the first violated clause."""
+    """``invariants`` and ``check_hypotheses`` run no Groebner basis and no
+    second check: the stops of the colength scans of ``milnor_fibre_betti``
+    prove every clause, and a scan that passes its bound names the first
+    violated clause."""
 
     @pytest.mark.parametrize("curve, weights, reference", corpus_cases())
-    def test_corpus_curves_build_no_groebner_basis(
-        self, monkeypatch, curve, weights, reference
-    ):
-        # the report of the check-first pipeline, then the same with every
-        # Groebner basis refused
+    def test_corpus_curves_build_no_groebner_basis(self, no_groebner, curve, weights, reference):
         assert check_hypotheses(curve)
-        expected = invariants(curve, weights).to_dict()
-        assert {key: expected[key] for key in reference} == reference
+        report = invariants(curve, weights).to_dict()
+        assert {key: report[key] for key in reference} == reference
 
-        def refused(*args, **kwargs):
-            raise AssertionError("a Groebner basis was built")
-
-        monkeypatch.setattr(groebner, "_groebner", refused)
-        assert invariants(curve, weights).to_dict() == expected
-
-    @pytest.mark.parametrize("flags, message", CLAUSES)
-    def test_each_clause_keeps_its_message(self, capsys, flags, message):
+    @pytest.mark.parametrize("flags, message", CLAUSES + MULTI_FAULT)
+    def test_each_clause_keeps_its_message(self, capsys, mu_scans, flags, message):
         curve = parsed_curve(flags["--factors"], flags.get("--residual"))
         with pytest.raises(InputError) as err:
             check_hypotheses(curve)
@@ -597,48 +737,25 @@ class TestHypothesesFromScans:
         argv = ["invariants", *(word for pair in flags.items() for word in pair)]
         assert main(argv, out=io.StringIO()) == EXIT_INVALID
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert mu_scans == []
 
-    @pytest.mark.parametrize(
-        "factors, residual, weights",
-        [
-            ("x*(x+y):2,x*(x-y):2", None, None),
-            ("x*(x+y):2", "x*(x-y)", None),
-            ("(x-y)*(x^5+y^7):2,(x-y)*(x^7+y^5+x^3*y^3):2", None, None),
-            ("x*(x+y):2,x*(x-y):2", None, (1, 1)),
-            ("x*(x+y):2", "x*(x-y)", (1, 1)),
-            ("(x-y)*(x^5+y^5):2,(x-y)*(x^5+2*y^5):2", None, (1, 1)),
-        ],
-        ids=[
-            "branches", "branch-and-residual", "degree-15",
-            "branches-graded", "branch-and-residual-graded", "degree-6-graded",
-        ],
-    )
-    def test_a_refused_pair_scan_names_the_annihilator_clause(
-        self, monkeypatch, factors, residual, weights
-    ):
-        # two parts sharing a factor through 0: it divides both coefficients
-        # of alpha, so the refused pair scan of b_1 names the clause, with or
-        # without weights, and the coefficient ideal never reaches a
-        # Groebner basis or the mu scan (its only local_quotient call)
-        curve = parsed_curve(factors, residual)
-        decided, quoted = [], []
+    @given(clause_curves())
+    def test_the_named_clause_is_the_groebner_reference(self, curve):
+        try:
+            assert check_hypotheses(curve)
+        except InputError as err:
+            assert str(err) == reference_clause(curve)
+        else:
+            assert reference_clause(curve) is None
 
-        def recording(I):
-            decided.append(set(I.generators))
-            return groebner.isolated_at_origin(I)
-
-        def quoting(I, ws):
-            quoted.append(I)
-            return local_quotient(I, ws)
-
-        monkeypatch.setattr("brieskorn.curve.isolated_at_origin", recording)
-        monkeypatch.setattr("brieskorn.curve.local_quotient", quoting)
-        with pytest.raises(InputError, match=f"^{re.escape(ANNIHILATOR)}$"):
-            check_hypotheses(curve)
-        with pytest.raises(InputError, match=f"^{re.escape(ANNIHILATOR)}$"):
-            invariants(curve, weights)
-        assert decided and set(coefficient_ideal(curve).generators) not in decided
-        assert quoted == []
+    @pytest.mark.parametrize("flags, message", REFUSALS)
+    def test_a_refusal_builds_no_groebner_basis_and_no_mu_scan(self, mu_scans, flags, message):
+        # invariants alone: these scans run long, and check_hypotheses is
+        # the same milnor_fibre_betti call
+        curve = parsed_curve(flags["--factors"], flags.get("--residual"))
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            invariants(curve, parsed_weights(flags.get("--weights")))
+        assert mu_scans == []
 
     def test_a_constant_f_is_named(self):
         # FactoredCurve.of refuses constant branches; the constructor does not

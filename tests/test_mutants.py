@@ -42,6 +42,7 @@ from __future__ import annotations
 import inspect
 import io
 import json
+import re
 import textwrap
 from fractions import Fraction
 from json.encoder import encode_basestring
@@ -754,19 +755,25 @@ class TestExactDivisionMutants:
         with pytest.raises(AttributeError, match="'float' object has no attribute 'denominator'"):
             invariants(golden_sextic())
 
-    def test_a_dropped_exponent_check_is_caught(self, monkeypatch):
+    def test_a_dropped_exponent_check_is_caught(self, monkeypatch, capsys):
         # x^2 + y = x * x + x^(-1) y * x: without the check the remainder
         # y is divided anyway, and the branches x and y become "associate";
-        # invariants reaches the associate test only on invalid input, so
-        # the check is called directly
-        lines = FactoredCurve.of(XY, [(p("x"), 2), (p("y"), 2)])
+        # the associate test runs only once a scan refuses, so the curve
+        # has a non-reduced residual, the clause it names unmutated
+        curve = FactoredCurve.of(XY, [(p("x"), 2), (p("y"), 2)], p("(x+y)^2"))
+        residual = "residual x^2 + 2*x*y + y^2 is not reduced: its singular locus is not isolated"
+        associate = "branches x and y are associate (identical branches)"
         assert p("x^2 + y").divide_exact(p("x")) is None
-        assert check_hypotheses(lines)
+        with pytest.raises(InputError, match=f"^{re.escape(residual)}$"):
+            check_hypotheses(curve)
         unchecked = mutated(Poly.divide_exact, "if any(e < 0 for e in qe):", "if False:")
         monkeypatch.setattr(Poly, "divide_exact", unchecked)
         assert p("x^2 + y").divide_exact(p("x")) is not None
-        with pytest.raises(InputError, match="branches x and y are associate"):
-            check_hypotheses(lines)
+        with pytest.raises(InputError, match=f"^{re.escape(associate)}$"):
+            check_hypotheses(curve)
+        argv = ["invariants", "--factors", "x:2,y:2", "--residual", "(x+y)^2"]
+        assert main(argv, out=io.StringIO()) == EXIT_INVALID
+        assert capsys.readouterr().err == f"error: {associate}\n"
 
 
 class TestSubstituteMutant:
