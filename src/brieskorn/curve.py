@@ -364,10 +364,12 @@ def milnor_fibre_betti(curve: FactoredCurve) -> int:
     ``_closed_meet``); every part and pair of a curve graded by weights
     is so.  Every other number is a colength certified by the scan of
     ``local_quotient``, with no basis (``local_colength``).  These decide
-    ``check_hypotheses``: a constant f, or a scan past its bound, raises
-    InputError naming the first violated clause."""
+    ``check_hypotheses``: a constant f or branch, or a scan past its bound,
+    raises InputError naming the first violated clause."""
     if curve.expand().is_constant():
         raise InputError("no singular locus: f is constant")
+    if any(u.is_constant() for u, _ in curve.factors):  # FactoredCurve.of refuses them first
+        raise InputError("factors must be nonconstant")
     parts = list(curve.factors)
     if not curve.residual_is_constant:
         parts.append((curve.residual, 1))

@@ -3,9 +3,13 @@
 A small Buchberger algorithm over Q, kept fraction-free: every polynomial
 is a primitive integer ``dict`` with a positive leading coefficient, and a
 reduction step multiplies by the smallest integers that cancel a term.
-It uses the product and chain criteria and the normal selection strategy
-(the pair with the smallest lcm first), and returns the reduced basis,
-which is unique, so results are deterministic.
+It takes the pair with the smallest lcm first (the normal strategy) and
+skips a pair by the product or chain criterion (Gebauer, Möller, J. Symb.
+Comput. 6, 1988) or when both elements are terms, whose S-polynomial is 0.
+Each element added is reduced by all earlier ones, so only a later lead
+can divide a lead, and the final pass reduces an element only when another
+kept lead divides one of its non-lead terms.  The reduced basis it returns
+is unique, so results are deterministic.
 
 A monomial is stored as its own sort key, so that tuple comparison is the
 monomial order and ``max`` of a polynomial is its leading monomial:
@@ -93,7 +97,7 @@ def _reduce(p: _Poly, basis: list[_Poly], leads: list[_Mono], head: int) -> _Pol
     while p:
         m = max(p)
         for g, lead in zip(basis, leads):
-            if _divides(lead, m, head):
+            if (head == 1 or lead[0] <= m[0]) and all(map(ge, lead[head:], m[head:])):
                 break
         else:
             rest[m] = p.pop(m)
@@ -126,8 +130,8 @@ def _s_poly(f: _Poly, g: _Poly, lf: _Mono, lg: _Mono, top: _Mono) -> _Poly:
 def _groebner(polys: list[_Poly], head: int, known: list[_Poly] = ()) -> list[_Poly]:
     """The reduced Groebner basis of the ideal of ``known`` and ``polys``,
     each element primitive with a positive leading coefficient, sorted by
-    leading monomial.  ``known`` must already be a Groebner basis: it is
-    taken as it is and no pair within it is formed (each reduces to 0)."""
+    leading monomial.  ``known``, a minimal Groebner basis of such elements,
+    is taken as it is: no pair within it is formed (each reduces to 0)."""
     for p in polys:
         if not any(lead := max(p)):  # a nonzero constant: the unit ideal
             return [{lead: 1}]
@@ -140,6 +144,8 @@ def _groebner(polys: list[_Poly], head: int, known: list[_Poly] = ()) -> list[_P
         lead = max(p)
         j = len(basis)
         for i, other in enumerate(leads):
+            if len(p) == 1 == len(basis[i]):  # the S-polynomial of two terms is 0
+                continue
             top = _lcm(other, lead, head)
             # product criterion: coprime leading monomials
             if top != tuple(map(add, other, lead)):
@@ -169,22 +175,19 @@ def _groebner(polys: list[_Poly], head: int, known: list[_Poly] = ()) -> list[_P
         r = _reduce(_s_poly(basis[i], basis[j], leads[i], leads[j], top), basis, leads, head)
         if r:
             add_element(r)
-    # minimal basis: drop every element whose lead another lead divides
+    # minimal basis: drop every element whose lead a later lead divides
     keep = [
         i
         for i, lead in enumerate(leads)
-        if not any(
-            _divides(other, lead, head) and (other != lead or k < i)
-            for k, other in enumerate(leads)
-            if k != i
-        )
+        if not any(_divides(other, lead, head) for other in leads[i + 1 :])
     ]
     reduced = []
     for i in keep:
-        others = [k for k in keep if k != i]
-        reduced.append(
-            _reduce(basis[i], [basis[k] for k in others], [leads[k] for k in others], head)
-        )
+        g, others = basis[i], [k for k in keep if k != i]
+        # only a non-lead term that another kept lead divides can change g
+        if any(_divides(leads[k], m, head) for m in g if m != leads[i] for k in others):
+            g = _reduce(g, [basis[k] for k in others], [leads[k] for k in others], head)
+        reduced.append(g)
     return sorted(reduced, key=max)
 
 
@@ -288,17 +291,23 @@ def torsion_length(I: IdealGens) -> int:
     Let B_i be the largest x_i-exponent of a minimal generator of LT(I).
     If such a monomial m had e_i >= B_i, a generator dividing x_i m would
     divide m, so x_i m, x_i^2 m, ... would all lie in the difference, which
-    is finite.  The count therefore runs over the box e_i < B_i.  The
+    is finite.  So every such monomial lies in the box e_i < B_i, and as
+    LT(I) lies in LT(I : m^inf), their number is the count of standard
+    monomials of LT(I) in the box minus that of LT(I : m^inf).  The
     torsion is supported at 0, so this global count is the local length
     and no local order is needed."""
     n = len(I.variables)
     basis = _groebner(_integer_gens(I), head=1)
     small = [_decode(max(g)) for g in basis]
     big = [_decode(max(g)) for g in _saturation(basis, n)]
-    box = [range(max(e[i] for e in small)) for i in range(n)]
+    box = [max(e[i] for e in small) for i in range(n)]
+    return _standard_count(small, box) - _standard_count(big, box)
+
+
+def _standard_count(leads: list[Exponents], box: list[int]) -> int:
+    """The number of monomials with e_i < box[i] that no lead divides, by
+    columns: the leads dividing a prefix e_0 .. e_(n-2) cut its column."""
     return sum(
-        1
-        for m in product(*box)
-        if any(all(map(le, e, m)) for e in big)
-        and not any(all(map(le, e, m)) for e in small)
+        min([box[-1], *(e[-1] for e in leads if all(map(le, e[:-1], m)))])
+        for m in product(*map(range, box[:-1]))
     )

@@ -764,6 +764,18 @@ class TestHypothesesFromScans:
         with pytest.raises(InputError, match="^no singular locus: f is constant$"):
             invariants(curve)
 
+    def test_a_constant_branch_is_refused_as_of_refuses_it(self):
+        # beside x the constant branch 2 read as a degree-0 monomial of
+        # Milnor number 1, so check_hypotheses passed and b_1 read 0
+        two, x = Poly.constant(XY, 2), p("x")
+        curve = FactoredCurve(XY, ((two, 2), (x, 2)), Poly.constant(XY, 1))
+        message = "^factors must be nonconstant$"
+        for call in (check_hypotheses, milnor_fibre_betti, invariants):
+            with pytest.raises(InputError, match=message):
+                call(curve)
+        with pytest.raises(InputError, match=message):
+            FactoredCurve.of(XY, [(two, 2), (x, 2)])
+
 
 class TestCrossPathConsistency:
     """The graded and jet paths must agree, and the transported Milnor

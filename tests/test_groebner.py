@@ -26,11 +26,13 @@ from brieskorn.curve import FactoredCurve, invariants
 from brieskorn.groebner import (
     _colon,
     _decode,
+    _divides,
     _groebner,
     _integer_gens,
     _lift,
     _normalized,
     _saturation,
+    _standard_count,
     isolated_at_origin,
     torsion_length,
 )
@@ -55,6 +57,11 @@ def reduced_basis(I: IdealGens) -> list[dict]:
     return _groebner(_integer_gens(I), head=1)
 
 
+# terms and binomials: the pair of the term x^2 y with x^3 + y^2 gives x y,
+# which divides the first lead x^2 y, and the final pass reduces y^3 - x y
+# to y^3; the reduced basis is (x y, y^3, x^3 + y^2)
+MIXED = ideal("x^2*y", "x*y - y^3", "x^3 + y^2")
+
 SYMPY_CASES = [
     ideal("x*y^2", "x^2*y"),
     ideal("x^3 - y^2", "x*y - 1"),
@@ -64,11 +71,13 @@ SYMPY_CASES = [
     jacobian_ideal(p("z^3 + x^2*y^2*(x+y)", XYZ)),
     jacobian_ideal(p("z^2 + (x+y^2)^3*((x+y^2)^3+y^3)", XYZ)),
     ideal("x*y - z^2", "y^2 - x*z + y", "x^3 - 2*z", variables=XYZ),
+    MIXED,
 ]
 
 
-@pytest.mark.parametrize("I", SYMPY_CASES, ids=str)
-def test_reduced_basis_matches_sympy(I):
+def sympy_basis(I: IdealGens) -> list[dict]:
+    """sympy's reduced grevlex basis of I, as primitive integer dicts
+    sorted by leading monomial."""
     sympy = pytest.importorskip("sympy")
     symbols = sympy.symbols(I.variables)
     exprs = [
@@ -80,7 +89,12 @@ def test_reduced_basis_matches_sympy(I):
         terms = poly.terms()
         scale = lcm(*(int(c.q) for _, c in terms))
         expected.append(_normalized({_count_key(m, (1,) * len(m)): int(c * scale) for m, c in terms}))
-    assert reduced_basis(I) == sorted(expected, key=max)
+    return sorted(expected, key=max)
+
+
+@pytest.mark.parametrize("I", SYMPY_CASES, ids=str)
+def test_reduced_basis_matches_sympy(I):
+    assert reduced_basis(I) == sympy_basis(I)
 
 
 @given(
@@ -214,17 +228,38 @@ def reference_isolated(I: IdealGens) -> bool:
     return any(one in g for g in reference_saturation(gens, n))
 
 
+def box_point_count(small: list[tuple], big: list[tuple], box: list[int]) -> int:
+    """The monomials of the box e_i < box[i] that a lead of ``big`` divides
+    and no lead of ``small`` does, tested point by point."""
+    return sum(
+        1
+        for m in product(*map(range, box))
+        if any(all(map(le, e, m)) for e in big)
+        and not any(all(map(le, e, m)) for e in small)
+    )
+
+
 def reference_torsion_length(I: IdealGens) -> int:
     gens, n = _integer_gens(I), len(I.variables)
     small = [_decode(max(g)) for g in groebner._groebner(gens, head=1)]
     big = [_decode(max(g)) for g in reference_saturation(gens, n)]
-    box = [range(max(e[i] for e in small)) for i in range(n)]
-    return sum(
-        1
-        for m in product(*box)
-        if any(all(map(le, e, m)) for e in big)
-        and not any(all(map(le, e, m)) for e in small)
+    return box_point_count(small, big, [max(e[i] for e in small) for i in range(n)])
+
+
+@given(
+    st.integers(1, 3).flatmap(
+        lambda n: st.tuples(
+            *[st.lists(st.tuples(*[st.integers(0, 4)] * n), min_size=size, max_size=4) for size in (1, 0)]
+        )
     )
+)
+def test_the_column_count_is_the_box_point_count(leads):
+    # LT(small) lies in LT(big), as LT(J) lies in LT(J : m^inf)
+    small, extra = leads
+    big = small + extra
+    box = [max(e[i] for e in small) for i in range(len(small[0]))]
+    assert _standard_count(small, box) - _standard_count(big, box) == box_point_count(small, big, box)
+    assert _standard_count(big, box) == box_point_count(big, [(0,) * len(box)], box)
 
 
 @st.composite
@@ -274,6 +309,26 @@ def test_a_known_basis_gives_the_basis_of_the_whole_ideal(ideals, t_degree):
     lifted = [_lift(g, t_degree) for g in G]
     mixed = [{**_lift(b, 0), **_lift(b, 1, -1)} for b in new]
     assert _groebner(mixed, 2, known=lifted) == _groebner(lifted + mixed, head=2)
+
+
+@pytest.mark.parametrize("I", SYMPY_CASES, ids=str)
+def test_every_known_basis_is_minimal_and_primitive(monkeypatch, I):
+    # the precondition under which _groebner takes a known basis as it is
+    # and tests each lead only against later leads
+    knowns, original = [], groebner._groebner
+    monkeypatch.setattr(
+        groebner,
+        "_groebner",
+        lambda polys, head, known=(): knowns.append((known, head)) or original(polys, head, known),
+    )
+    torsion_length(I)
+    isolated_at_origin(I)
+    for known, head in knowns:
+        leads = [max(g) for g in known]
+        assert all(g == _normalized(g) for g in known)
+        assert not any(
+            _divides(a, b, head) for i, a in enumerate(leads) for j, b in enumerate(leads) if i != j
+        )
 
 
 class TestSavedWork:
@@ -342,6 +397,31 @@ class TestSavedWork:
         assert reductions == []
         assert reference_colon(_integer_gens(J), 3, 2) == [{one: 1}]
         assert reductions
+
+    def test_an_ideal_of_terms_forms_no_s_polynomial(self, monkeypatch):
+        # J = (z, x y^2, x^2 y): every pair is one of two terms, whose
+        # S-polynomial is 0
+        J = jacobian_ideal(p("z^2 + x^2*y^2", XYZ))
+        s_polys = self.counted(monkeypatch, "_s_poly")
+        assert reduced_basis(J) == _integer_gens(ideal("z", "x*y^2", "x^2*y", variables=XYZ))
+        assert s_polys == []
+
+    def test_the_final_pass_reduces_only_an_element_with_a_reducible_non_lead_term(
+        self, monkeypatch
+    ):
+        # (x y + y^2, y^2) is a minimal Groebner basis that is not reduced:
+        # the other lead y^2 divides the non-lead term y^2 of x y + y^2
+        known = _integer_gens(ideal("x*y + y^2", "y^2"))
+        reduced, original = [], groebner._reduce
+        monkeypatch.setattr(
+            groebner, "_reduce", lambda g, *rest: reduced.append(g) or original(g, *rest)
+        )
+        assert _groebner([], 1, known=known) == _integer_gens(ideal("y^2", "x*y"))
+        assert reduced == [known[0]]
+        basis = reduced_basis(MIXED)
+        reduced.clear()
+        assert _groebner([], 1, known=basis) == basis
+        assert reduced == []
 
     def test_a_unit_generator_runs_no_buchberger(self, monkeypatch):
         runs = self.counted(monkeypatch, "_groebner")

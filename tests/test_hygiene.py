@@ -221,7 +221,7 @@ def test_importing_the_cli_loads_every_module_the_bench_tracer_wraps():
 # ROADMAP aim 2 tracks the line count of src/: a change that adds lines
 # raises this ceiling in the open, with the gain or guarantee that pays for
 # them
-SRC_LINE_CEILING = 3432
+SRC_LINE_CEILING = 3443
 
 
 def test_src_stays_under_its_line_ceiling():

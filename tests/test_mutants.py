@@ -27,7 +27,9 @@ GF(p) count graded, the normaliser of
 ``poly._exact_nonzero``, the certified colon of the saturation (the lead
 test dropped, the wrong variable stripped), the known basis of an
 elimination (raw generators as the known basis, the known x new S-pairs
-dropped), the exact quotient coefficient and the exponent check of
+dropped), the skips of the Buchberger kernel widened (a pair with one
+term, the lead tested in place of the non-lead terms of the final pass, the
+minimality test against earlier leads), the exact quotient coefficient and the exponent check of
 ``Poly.divide_exact``, the re-indexing of ``Poly.substitute``, the
 ASCII escaping and the empty-dict literal of the JSON writer, the gcd reduction and the empty cells
 of the (a,b)-module record writer, the full-parser fallback of the
@@ -127,6 +129,7 @@ from test_curve import (
     shifted_on,
 )
 from test_groebner import (
+    MIXED,
     ideal,
     reduced_basis,
     reference_isolated,
@@ -738,6 +741,38 @@ class TestKnownBasisMutants:
         assert dropped(new, 1, known=basis) != dropped(basis + new, head=1)
         assert torsion_length(I) == 0
         assert reference_torsion_length(I) == 4
+
+
+class TestSkippedWorkMutants:
+    """Each skip of ``_groebner`` widened past what it proves.  The mixed
+    ideal of ``test_groebner.SYMPY_CASES`` catches all three: its reduced
+    basis, which sympy confirms, is (x y, y^3, x^3 + y^2)."""
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            # a pair with one term: x^2 y with x^3 + y^2 gives x y
+            ("if len(p) == 1 == len(basis[i]):", "if len(p) == 1 or len(basis[i]) == 1:"),
+            # the lead, which no other kept lead divides, tested for the tail:
+            # y^3 - x y keeps its tail x y
+            ("if m != leads[i]", "if m == leads[i]"),
+            # x^2 y, the first lead, is divisible only by the later lead x y
+            ("for other in leads[i + 1 :]", "for other in leads[:i]"),
+        ],
+        ids=["either-a-term", "lead-for-tail", "earlier-leads"],
+    )
+    def test_is_caught_by_the_mixed_ideal(self, old, new):
+        expected = sorted(_integer_gens(ideal("x*y", "y^3", "x^3 + y^2")), key=max)
+        assert reduced_basis(MIXED) == expected
+        mutant = mutated(groebner._groebner, old, new)
+        assert mutant(_integer_gens(MIXED), head=1) != expected
+
+    def test_an_interreduction_skip_for_the_lead_is_caught_by_the_final_pass_pin(self):
+        # (x y + y^2, y^2) is minimal but not reduced
+        known = _integer_gens(ideal("x*y + y^2", "y^2"))
+        assert groebner._groebner([], 1, known=known) == _integer_gens(ideal("y^2", "x*y"))
+        skipped = mutated(groebner._groebner, "if m != leads[i]", "if m == leads[i]")
+        assert skipped([], 1, known=known) == sorted(known, key=max)
 
 
 class TestExactDivisionMutants:
